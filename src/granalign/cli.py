@@ -17,8 +17,8 @@ from . import data as toydata
 from . import ingest, training
 from .data import DEFAULT_WORLD, ToyWorldSpec, load_manifest
 from .ingest import SchemaError
-from .leadgraph import append_sep_mask, format_grid, layer_masks, pairs_to_matrix
-from .model import Model, ModelConfig
+from .leadgraph import LeadGraph, format_grid
+from .model import STREAMS, Model, ModelConfig, build_streams
 from .training import Trainer, TrainConfig, evaluate, gradcheck, load_checkpoint
 
 # ---------------------------------------------------------------------------
@@ -160,9 +160,6 @@ def cmd_gradcheck(args) -> int:
     return 1 if failed else 0
 
 
-_STREAM_LEVELS = {"ce": "concept", "rn": "region", "ss": "spatial"}
-
-
 def cmd_dump_leadgraph(args) -> int:
     with open(args.sample, "r", encoding="utf-8") as f:
         doc = json.load(f)
@@ -171,21 +168,12 @@ def cmd_dump_leadgraph(args) -> int:
             raise SchemaError(f"{args.sample}: missing field {key!r}")
     scene = ingest.scene_from_dict(doc["scene"], source=args.sample)
     question = ingest.question_from_dict(doc["question"], source=args.sample)
-    if args.stream == "ce":
-        img = ingest.merge_duplicate_concept_tokens(ingest.build_concept_level(scene))
-        q = ingest.build_entity_level(question)
-    elif args.stream == "rn":
-        img = ingest.build_region_level(scene)
-        q = ingest.build_noun_phrase_level(question)
-    else:
-        img = ingest.build_spatial_level(scene)
-        q = ingest.build_sentence_level(question)
-    g_img = append_sep_mask(pairs_to_matrix(img.pairs, img.n_tokens))
-    g_q = pairs_to_matrix(q.pairs, q.n_tokens)
-    mask = layer_masks(g_img, g_q)[args.layer - 1]
+    levels, plans = build_streams(scene, question, ModelConfig(streams=(args.stream,)))
+    stream = STREAMS[args.stream]
     print(f"# stream {args.stream} layer {args.layer}")
-    print(f"# image_tokens {img.n_tokens} sep 1 question_tokens {q.n_tokens}")
-    print(format_grid(mask))
+    print(f"# image_tokens {levels[stream.image].n_tokens} sep 1 "
+          f"question_tokens {levels[stream.question].n_tokens}")
+    print(format_grid(LeadGraph(plans[args.stream][args.layer - 1])))
     return 0
 
 
@@ -244,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dump-leadgraph", help="print a combined per-layer mask")
     p.add_argument("--sample", required=True, help="sample JSON file")
-    p.add_argument("--stream", required=True, choices=("ce", "rn", "ss"))
+    p.add_argument("--stream", required=True, choices=tuple(STREAMS))
     p.add_argument("--layer", required=True, type=int, choices=(1, 2, 3))
     p.set_defaults(func=cmd_dump_leadgraph)
 

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .leadgraph import LeadGraph, append_sep, layer_masks, mask_for_layer
+from .leadgraph import LeadGraph
 
 
 @dataclass(frozen=True)
@@ -224,24 +224,26 @@ class EncoderStack:
         return ad.add(x, ad.embedding_lookup(self.pos_table, range(n)))
 
 
-def encode_stream(t_img: ad.Tensor, t_q: ad.Tensor, g_img: LeadGraph, g_q: LeadGraph,
-                  stack: EncoderStack, sep: ad.Tensor,
-                  sep_connect_all: bool = True) -> tuple[ad.Tensor, int]:
+def encode_stream(t_img: ad.Tensor, t_q: ad.Tensor, masks: Sequence[np.ndarray],
+                  stack: EncoderStack, sep: ad.Tensor) -> tuple[ad.Tensor, int]:
     """Run one alignment stream: [image tokens; SEP; question tokens].
 
-    Appends the learned SEP row to the image side, concatenates the
+    Appends the learned SEP row after the image tokens, concatenates the
     modalities, adds learnable positional embeddings over the combined
-    index space, and applies the per-layer masks. Returns the final
-    hidden states and the SEP position.
+    index space, and applies ``masks[i]`` (SEP included, see
+    ``leadgraph.mask_plan``) at layer ``i``. Returns the final hidden
+    states and the SEP position.
     """
-    cfg = stack.cfg
-    t_img2, g_img2 = append_sep(t_img, g_img, sep, connect_all=sep_connect_all)
+    if sep.data.ndim != 1:
+        raise ValueError(f"SEP vector must be 1-D, got shape {sep.data.shape}")
     sep_index = t_img.data.shape[0]
-    x = ad.concat_rows([t_img2, t_q]) if t_q.data.shape[0] else t_img2
+    x = ad.concat_rows([t_img, ad.reshape(sep, (1, sep.data.shape[0])), t_q])
+    n = x.data.shape[0]
+    if len(masks) != len(stack.layers) or any(np.shape(m) != (n, n) for m in masks):
+        raise ValueError(f"encode_stream needs {len(stack.layers)} masks of {n} x {n}")
     x = stack.add_positions(x)
-    masks = layer_masks(g_img2, g_q)
-    for i, layer in enumerate(stack.layers):
-        x = encoder_layer(x, mask_for_layer(masks, i), layer, cfg)
+    for g, layer in zip(masks, stack.layers):
+        x = encoder_layer(x, g, layer, stack.cfg)
     return x, sep_index
 
 

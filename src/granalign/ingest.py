@@ -6,10 +6,10 @@ Images and questions each contribute three granularity levels:
             region (per-object feature vectors), spatial (grid cells)
   question: entity, noun phrase, sentence (words plus dependency adjacency)
 
-Each level yields an ordered token set plus directed (src, dst) index pairs
-that later become the binary lead graph for that level. Feature extraction
-and parsing happen upstream; this module only consumes their structured
-output.
+Each level yields an ordered token set plus directed (src, dst) index pairs,
+or a ``full`` flag, that become the level's binary lead graph. Feature
+extraction and parsing happen upstream; this module only consumes their
+structured output.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class QuestionParse:
 
 @dataclass
 class LevelData:
-    """Tokens and connection pairs for one granularity level.
+    """Tokens and connection pairs (or ``full``: every pair) for one level.
 
     Labeled levels carry ``labels`` (and, for the concept level, ``kinds``
     distinguishing object/relation/attribute nodes); feature levels carry
@@ -93,6 +93,7 @@ class LevelData:
     pairs: list[Pair] = field(default_factory=list)
     dep_adjacency: np.ndarray | None = None
     kinds: list[str] | None = None
+    full: bool = False
 
     def __post_init__(self):
         if self.level not in LEVEL_TAGS:
@@ -127,6 +128,8 @@ def scene_from_dict(d: dict, source: str = "scene") -> SceneGraph:
             attributes=[str(a) for a in od.get("attributes", [])],
             region_feature=np.asarray(_require(od, "region_feature", osrc), dtype=np.float64),
         ))
+    if not objects:
+        raise SchemaError(f"{source}: scene has no objects")
     ids = [o.obj_id for o in objects]
     if len(set(ids)) != len(ids):
         raise SchemaError(f"{source}: duplicate object ids")
@@ -174,6 +177,8 @@ def scene_to_dict(sg: SceneGraph) -> dict:
 
 def question_from_dict(d: dict, source: str = "question") -> QuestionParse:
     tokens = [str(t) for t in _require(d, "tokens", source)]
+    if not tokens:
+        raise SchemaError(f"{source}: question has no tokens")
     entities = [str(e) for e in _require(d, "entities", source)]
     phrases = [[str(w) for w in p] for p in _require(d, "noun_phrases", source)]
     edges = []
@@ -309,8 +314,7 @@ def merge_duplicate_concept_tokens(level: LevelData) -> LevelData:
 def build_region_level(sg: SceneGraph) -> LevelData:
     """Per-object visual features; one pair per semantic relation, deduplicated."""
     index_of_obj = {o.obj_id: i for i, o in enumerate(sg.objects)}
-    feats = (np.stack([o.region_feature for o in sg.objects])
-             if sg.objects else np.zeros((0, 0)))
+    feats = np.stack([o.region_feature for o in sg.objects])
     pairs: list[Pair] = []
     seen: set[Pair] = set()
     for rel in sg.relations:
@@ -321,17 +325,12 @@ def build_region_level(sg: SceneGraph) -> LevelData:
     return LevelData(level="region", features=feats, pairs=pairs)
 
 
-def _fully_connected(n: int) -> list[Pair]:
-    return [(i, j) for i in range(n) for j in range(n)]
-
-
 def build_spatial_level(sg: SceneGraph) -> LevelData:
     """Grid-cell features in row-major order, fully connected."""
     n = sg.grid_size * sg.grid_size
     if sg.spatial_features.shape[0] != n:
         raise ValueError("spatial grid features do not match grid size")
-    return LevelData(level="spatial", features=sg.spatial_features,
-                     pairs=_fully_connected(n))
+    return LevelData(level="spatial", features=sg.spatial_features, full=True)
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +341,14 @@ def build_spatial_level(sg: SceneGraph) -> LevelData:
 def build_entity_level(qp: QuestionParse) -> LevelData:
     """Entity mentions without attributes, fully connected."""
     labels = list(qp.entities)
-    return LevelData(level="entity", labels=labels, pairs=_fully_connected(len(labels)))
+    return LevelData(level="entity", labels=labels, full=True)
 
 
 def build_noun_phrase_level(qp: QuestionParse) -> LevelData:
     """Noun-phrase words minus determiners and positional words, one token each."""
     words = [w for phrase in qp.noun_phrases for w in phrase
              if w not in DETERMINERS and w not in POSITIONAL_WORDS]
-    return LevelData(level="noun_phrase", labels=words, pairs=_fully_connected(len(words)))
+    return LevelData(level="noun_phrase", labels=words, full=True)
 
 
 def build_sentence_level(qp: QuestionParse) -> LevelData:
@@ -361,8 +360,8 @@ def build_sentence_level(qp: QuestionParse) -> LevelData:
             raise ValueError(f"dependency edge ({h}, {d}) out of range for {n} tokens")
         adj[h, d] = 1.0
         adj[d, h] = 1.0
-    return LevelData(level="sentence", labels=list(qp.tokens),
-                     pairs=_fully_connected(n), dep_adjacency=adj)
+    return LevelData(level="sentence", labels=list(qp.tokens), full=True,
+                     dep_adjacency=adj)
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +374,8 @@ def node_reduction(image_level: LevelData, question_level: LevelData) -> LevelDa
 
     Question tokens whose label already occurs on the image side collapse
     onto that node (first occurrence); the remaining question tokens are
-    appended. Edge sets are unioned, re-indexed, and deduplicated. Used by
-    the node-reduction ablation only; off in the default configuration.
+    appended. Edge sets (every pair for a ``full`` level) are unioned,
+    re-indexed, and deduplicated. Used by the node-reduction ablation only.
     """
     if image_level.labels is None or question_level.labels is None:
         raise ValueError("node_reduction needs two labeled levels")
@@ -395,10 +394,12 @@ def node_reduction(image_level: LevelData, question_level: LevelData) -> LevelDa
             kinds.append("entity")
             first[label] = idx
             mapping[j] = idx
+    n_q = question_level.n_tokens
+    q_pairs = ([(s, d) for s in range(n_q) for d in range(n_q)] if question_level.full
+               else question_level.pairs)
     pairs: list[Pair] = []
     seen: set[Pair] = set()
-    for s, d in list(image_level.pairs) + [(mapping[s], mapping[d])
-                                           for s, d in question_level.pairs]:
+    for s, d in list(image_level.pairs) + [(mapping[s], mapping[d]) for s, d in q_pairs]:
         if (s, d) not in seen:
             seen.add((s, d))
             pairs.append((s, d))

@@ -1,13 +1,15 @@
-"""Binary lead graphs: connection pairs to masks, per-layer mask assembly, SEP handling.
+"""Binary lead graphs: levels to masks, per-layer mask assembly, SEP handling.
 
 A lead graph is a square 0/1 matrix over token positions that multiplies
 into the attention matrix, restricting which connections an encoder layer
-may use. Single-modality graphs come from index-pair lists; the combined
-image+question masks differ per encoder layer:
+may use. Single-modality graphs come from a level's pairs or ``full`` flag;
+the combined image+question masks differ per encoder layer:
 
   layer 1: question self-attention only
   layer 2: cross-modal attention only
   layer 3: within-modality structure plus full cross-modal attention
+
+``mask_plan`` builds a stream's per-layer masks once per sample, in ``prepare``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import autodiff as ad
+from .ingest import LevelData
 
 Pair = tuple[int, int]
 
@@ -33,7 +35,7 @@ class LeadGraph:
         m = np.ascontiguousarray(self.matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"lead graph must be square, got shape {m.shape}")
-        if not np.isin(m, (0.0, 1.0)).all():
+        if not ((m == 0.0) | (m == 1.0)).all():
             raise ValueError("lead graph entries must be 0 or 1")
         self.matrix = m
 
@@ -54,6 +56,13 @@ def pairs_to_matrix(pairs: Sequence[Pair], n: int) -> LeadGraph:
 
 def full_graph(n: int) -> LeadGraph:
     return LeadGraph(np.ones((n, n)))
+
+
+def level_graph(level: LevelData) -> LeadGraph:
+    """The lead graph of one level: all ones if it is ``full``, else its pairs."""
+    if level.full:
+        return full_graph(level.n_tokens)
+    return pairs_to_matrix(level.pairs, level.n_tokens)
 
 
 def layer_masks(g_img: LeadGraph, g_q: LeadGraph) -> tuple[LeadGraph, LeadGraph, LeadGraph]:
@@ -86,7 +95,8 @@ def append_sep_mask(g_img: LeadGraph, connect_all: bool = True) -> LeadGraph:
     With ``connect_all`` the SEP row and column are all ones, so SEP can act
     as an image-side summary position; otherwise SEP only attends to itself.
     """
-    assert not g_img.has_sep, "SEP already appended to this lead graph"
+    if g_img.has_sep:
+        raise ValueError("SEP already appended to this lead graph")
     ni = g_img.size
     m = np.zeros((ni + 1, ni + 1))
     m[:ni, :ni] = g_img.matrix
@@ -98,16 +108,17 @@ def append_sep_mask(g_img: LeadGraph, connect_all: bool = True) -> LeadGraph:
     return LeadGraph(m, has_sep=True)
 
 
-def append_sep(tokens_img: ad.Tensor, g_img: LeadGraph, sep: ad.Tensor,
-               connect_all: bool = True) -> tuple[ad.Tensor, LeadGraph]:
-    """Append the learned SEP row after the image tokens and grow the mask."""
-    if sep.data.ndim != 1:
-        raise ValueError(f"SEP vector must be 1-D, got shape {sep.data.shape}")
-    ni = g_img.size
-    if tokens_img.data.shape[0] != ni:
-        raise ValueError(f"token count {tokens_img.data.shape[0]} does not match mask size {ni}")
-    out_tokens = ad.concat_rows([tokens_img, ad.reshape(sep, (1, sep.data.shape[0]))])
-    return out_tokens, append_sep_mask(g_img, connect_all)
+def mask_plan(img: LevelData, q: LevelData, num_layers: int, use_lead_graphs: bool = True,
+              sep_connect_all: bool = True) -> list[np.ndarray]:
+    """Per-layer masks over [image; SEP; question]; all ones without lead graphs.
+
+    Layers may share one array, so callers must not write into the plan.
+    """
+    if not use_lead_graphs:
+        n = img.n_tokens + 1 + q.n_tokens
+        return [np.ones((n, n))] * num_layers
+    masks = layer_masks(append_sep_mask(level_graph(img), sep_connect_all), level_graph(q))
+    return [mask_for_layer(masks, i).matrix for i in range(num_layers)]
 
 
 def format_grid(g: LeadGraph) -> str:

@@ -1,17 +1,17 @@
 """Three-stream alignment model: stream assembly, decision fusion, loss, prediction.
 
-Each stream pairs one image level with one question level (concept-entity,
-region-noun phrase, spatial-sentence) and runs a separately parameterized
-masked encoder over the concatenated tokens. The fusion head pools every
-stream, projects and concatenates the pooled vectors into fused logits,
-and the loss is the unweighted sum of the per-stream and fused
-cross-entropies.
+``STREAMS`` pairs one image level with one question level per stream and
+runs a separately parameterized masked encoder over the concatenated
+tokens, with per-layer masks that ``prepare`` builds once per sample. The
+fusion head pools every stream, projects and concatenates the pooled
+vectors into fused logits, and the loss is the unweighted sum of the
+per-stream and fused cross-entropies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -19,9 +19,21 @@ from . import autodiff as ad
 from . import ingest
 from .encoder import EncoderConfig, EncoderStack, encode_stream, sentence_pretransform
 from .ingest import LevelData, QuestionParse, SceneGraph, Vocab
-from .leadgraph import LeadGraph, full_graph, pairs_to_matrix
+from .leadgraph import mask_plan
 
-STREAM_TAGS = ("ce", "rn", "ss")
+
+class Stream(NamedTuple):
+    image: str           # image level name
+    question: str        # question level name
+    image_input: str     # parameter prefix of the image-side MLP or projection
+    question_input: str  # parameter prefix of the question-side MLP
+
+
+STREAMS = {
+    "ce": Stream("concept", "entity", "ce.concept_mlp", "ce.entity_mlp"),
+    "rn": Stream("region", "noun_phrase", "rn.region_proj", "rn.np_mlp"),
+    "ss": Stream("spatial", "sentence", "ss.spatial_proj", "ss.sent_mlp"),
+}
 
 
 @dataclass(frozen=True)
@@ -37,14 +49,14 @@ class ModelConfig:
     pooling: str = "mean"  # "mean" or "sep"
     use_lead_graphs: bool = True
     node_reduction: bool = False
-    streams: tuple[str, ...] = STREAM_TAGS
+    streams: tuple[str, ...] = tuple(STREAMS)
     sep_connect_all: bool = True
 
     def __post_init__(self):
         if self.pooling not in ("mean", "sep"):
             raise ValueError(f"unknown pooling {self.pooling!r}")
-        if not self.streams or any(s not in STREAM_TAGS for s in self.streams):
-            raise ValueError(f"streams must be a nonempty subset of {STREAM_TAGS}")
+        if not self.streams or any(s not in STREAMS for s in self.streams):
+            raise ValueError(f"streams must be a nonempty subset of {tuple(STREAMS)}")
         object.__setattr__(self, "streams", tuple(self.streams))
 
     def encoder_config(self) -> EncoderConfig:
@@ -83,7 +95,7 @@ class LogitsBundle:
 
 @dataclass
 class PreparedSample:
-    """Ingested levels plus the per-stream lead graphs, cached per sample."""
+    """Ingested levels plus each configured stream's per-layer masks."""
 
     answer_index: int
     concept: LevelData
@@ -92,7 +104,37 @@ class PreparedSample:
     entity: LevelData
     noun_phrase: LevelData
     sentence: LevelData
-    graphs: dict[str, tuple[LeadGraph, LeadGraph]] = field(default_factory=dict)
+    plans: dict[str, list[np.ndarray]]
+
+
+def build_streams(scene: SceneGraph, question: QuestionParse, cfg: ModelConfig
+                  ) -> tuple[dict[str, LevelData], dict[str, list[np.ndarray]]]:
+    """The six levels of one sample and each configured stream's mask plan.
+
+    Raises ValueError when a stream is longer than ``cfg.max_len``.
+    """
+    concept = ingest.merge_duplicate_concept_tokens(ingest.build_concept_level(scene))
+    entity = ingest.build_entity_level(question)
+    if cfg.node_reduction:
+        concept = ingest.node_reduction(concept, entity)
+        entity = LevelData(level="entity", labels=[])
+    levels = {
+        "concept": concept,
+        "region": ingest.build_region_level(scene),
+        "spatial": ingest.build_spatial_level(scene),
+        "entity": entity,
+        "noun_phrase": ingest.build_noun_phrase_level(question),
+        "sentence": ingest.build_sentence_level(question),
+    }
+    plans = {}
+    for tag in cfg.streams:
+        img, q = levels[STREAMS[tag].image], levels[STREAMS[tag].question]
+        n = img.n_tokens + 1 + q.n_tokens
+        if n > cfg.max_len:
+            raise ValueError(f"stream {tag} has {n} tokens, more than max_len {cfg.max_len}")
+        plans[tag] = mask_plan(img, q, cfg.num_layers, cfg.use_lead_graphs,
+                               cfg.sep_connect_all)
+    return levels, plans
 
 
 class Model:
@@ -144,19 +186,17 @@ class Model:
             p.new(f"{prefix}.b2", (d,), "zeros", rng)
 
         enc_cfg = cfg.encoder_config()
+        feature_dims = {"region": self.d_region, "spatial": self.d_spatial}
         self.stacks: dict[str, EncoderStack] = {}
         for tag in cfg.streams:
-            if tag == "ce":
-                mlp("ce.concept_mlp")
-                mlp("ce.entity_mlp")
-            elif tag == "rn":
-                p.new("rn.region_proj.w", (self.d_region, d), "linear", rng)
-                p.new("rn.region_proj.b", (d,), "zeros", rng)
-                mlp("rn.np_mlp")
+            s = STREAMS[tag]
+            if s.image in feature_dims:
+                p.new(f"{s.image_input}.w", (feature_dims[s.image], d), "linear", rng)
+                p.new(f"{s.image_input}.b", (d,), "zeros", rng)
             else:
-                p.new("ss.spatial_proj.w", (self.d_spatial, d), "linear", rng)
-                p.new("ss.spatial_proj.b", (d,), "zeros", rng)
-                mlp("ss.sent_mlp")
+                mlp(s.image_input)
+            mlp(s.question_input)
+            if s.question == "sentence":
                 self.stacks["sent"] = EncoderStack.build(p, "sent.enc", enc_cfg, rng)
             p.new(f"{tag}.sep", (d,), "embed", rng)
             self.stacks[tag] = EncoderStack.build(p, f"{tag}.enc", enc_cfg, rng)
@@ -175,33 +215,9 @@ class Model:
 
     def prepare(self, scene: SceneGraph, question: QuestionParse,
                 answer_index: int) -> PreparedSample:
-        """Ingest one sample into levels and cacheable lead graphs."""
-        cfg = self.config
-        concept = ingest.merge_duplicate_concept_tokens(ingest.build_concept_level(scene))
-        entity = ingest.build_entity_level(question)
-        if cfg.node_reduction:
-            concept = ingest.node_reduction(concept, entity)
-            entity = LevelData(level="entity", labels=[], pairs=[])
-        prep = PreparedSample(
-            answer_index=int(answer_index),
-            concept=concept,
-            region=ingest.build_region_level(scene),
-            spatial=ingest.build_spatial_level(scene),
-            entity=entity,
-            noun_phrase=ingest.build_noun_phrase_level(question),
-            sentence=ingest.build_sentence_level(question),
-        )
-        pair_levels = {"ce": (prep.concept, prep.entity),
-                       "rn": (prep.region, prep.noun_phrase),
-                       "ss": (prep.spatial, prep.sentence)}
-        for tag in cfg.streams:
-            img, q = pair_levels[tag]
-            if cfg.use_lead_graphs:
-                prep.graphs[tag] = (pairs_to_matrix(img.pairs, img.n_tokens),
-                                    pairs_to_matrix(q.pairs, q.n_tokens))
-            else:
-                prep.graphs[tag] = (full_graph(img.n_tokens), full_graph(q.n_tokens))
-        return prep
+        """Ingest one sample into its levels and per-stream mask plans."""
+        levels, plans = build_streams(scene, question, self.config)
+        return PreparedSample(answer_index=int(answer_index), plans=plans, **levels)
 
     # -- forward ------------------------------------------------------------
 
@@ -213,46 +229,23 @@ class Model:
 
     def _stream_inputs(self, tag: str, prep: PreparedSample) -> tuple[ad.Tensor, ad.Tensor]:
         p = self.params
-        if tag == "ce":
-            return (self._mlp_apply(prep.concept.labels, "ce.concept_mlp"),
-                    self._mlp_apply(prep.entity.labels, "ce.entity_mlp"))
-        if tag == "rn":
-            return (ingest.project_features(prep.region.features,
-                                            p["rn.region_proj.w"], p["rn.region_proj.b"]),
-                    self._mlp_apply(prep.noun_phrase.labels, "rn.np_mlp"))
-        t_img = ingest.project_features(prep.spatial.features,
-                                        p["ss.spatial_proj.w"], p["ss.spatial_proj.b"])
-        words = self._mlp_apply(prep.sentence.labels, "ss.sent_mlp")
-        t_q = sentence_pretransform(words, prep.sentence.dep_adjacency, self.stacks["sent"])
+        s = STREAMS[tag]
+        img, q = getattr(prep, s.image), getattr(prep, s.question)
+        if img.features is not None:
+            t_img = ingest.project_features(img.features, p[f"{s.image_input}.w"],
+                                            p[f"{s.image_input}.b"])
+        else:
+            t_img = self._mlp_apply(img.labels, s.image_input)
+        t_q = self._mlp_apply(q.labels, s.question_input)
+        if q.dep_adjacency is not None:
+            t_q = sentence_pretransform(t_q, q.dep_adjacency, self.stacks["sent"])
         return t_img, t_q
 
     def run_stream(self, tag: str, prep: PreparedSample) -> StreamOutput:
         t_img, t_q = self._stream_inputs(tag, prep)
-        g_img, g_q = prep.graphs[tag]
-        if not self.config.use_lead_graphs:
-            # all-ones ablation: neutralize the per-layer masks entirely
-            n = t_img.data.shape[0] + 1 + t_q.data.shape[0]
-            hidden, sep_index = self._encode_all_ones(tag, t_img, t_q, n)
-            return StreamOutput(tag, hidden, sep_index)
-        hidden, sep_index = encode_stream(t_img, t_q, g_img, g_q, self.stacks[tag],
-                                          self.params[f"{tag}.sep"],
-                                          sep_connect_all=self.config.sep_connect_all)
+        hidden, sep_index = encode_stream(t_img, t_q, prep.plans[tag], self.stacks[tag],
+                                          self.params[f"{tag}.sep"])
         return StreamOutput(tag, hidden, sep_index)
-
-    def _encode_all_ones(self, tag, t_img, t_q, n):
-        from .encoder import encoder_layer
-        from .leadgraph import append_sep
-
-        stack = self.stacks[tag]
-        t_img2, _ = append_sep(t_img, full_graph(t_img.data.shape[0]),
-                               self.params[f"{tag}.sep"])
-        sep_index = t_img.data.shape[0]
-        x = ad.concat_rows([t_img2, t_q]) if t_q.data.shape[0] else t_img2
-        x = stack.add_positions(x)
-        ones = full_graph(n)
-        for layer in stack.layers:
-            x = encoder_layer(x, ones, layer, stack.cfg)
-        return x, sep_index
 
     def forward(self, prep: PreparedSample) -> LogitsBundle:
         outputs = [self.run_stream(tag, prep) for tag in self.config.streams]

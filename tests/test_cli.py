@@ -253,6 +253,21 @@ class TestDumpLeadgraph:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("part, field, message", [
+        ("scene", "objects", "scene has no objects"),
+        ("question", "tokens", "question has no tokens"),
+    ])
+    def test_empty_scene_or_question_exits_one(self, tmp_path, capsys, part, field, message):
+        with open(fixture_path("girl_dog.json"), encoding="utf-8") as f:
+            doc = json.load(f)
+        doc[part][field] = []
+        sample = tmp_path / "empty.json"
+        sample.write_text(json.dumps(doc))
+        rc = main(["dump-leadgraph", "--sample", str(sample), "--stream", "ce", "--layer", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
 
 class TestAblate:
     def test_table_has_all_variants(self, cli_corpus, cli_config, capsys):

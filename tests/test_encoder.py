@@ -280,8 +280,7 @@ class TestEncodeStream:
         t_img = ad.Tensor(rng.normal(size=(3, 4)))
         t_q = ad.Tensor(rng.normal(size=(2, 4)))
         sep = ad.Tensor(rng.normal(size=4))
-        hidden, sep_index = encode_stream(t_img, t_q, full_graph(3), full_graph(2),
-                                          stack, sep)
+        hidden, sep_index = encode_stream(t_img, t_q, [np.ones((6, 6))] * 3, stack, sep)
         assert hidden.data.shape == (6, 4)
         assert sep_index == 3
 
@@ -290,18 +289,63 @@ class TestEncodeStream:
         stack = self.make_stack(cfg)
         t_img = ad.Tensor(np.random.default_rng(16).normal(size=(2, 4)))
         t_q = ad.Tensor(np.zeros((0, 4)))
-        hidden, sep_index = encode_stream(t_img, t_q, full_graph(2), full_graph(0),
-                                          stack, ad.Tensor(np.zeros(4)))
+        hidden, sep_index = encode_stream(t_img, t_q, [np.ones((3, 3))], stack,
+                                          ad.Tensor(np.zeros(4)))
         assert hidden.data.shape == (3, 4)
         assert sep_index == 2
+
+    def test_sep_row_follows_image_tokens(self):
+        """With all-zero masks rows do not mix, so the SEP vector moves only its own row."""
+        cfg = EncoderConfig(num_layers=1, num_heads=2, d_model=4, d_ff=8, max_len=16)
+        stack = self.make_stack(cfg)
+        rng = np.random.default_rng(17)
+        t_img = ad.Tensor(rng.normal(size=(2, 4)))
+        t_q = ad.Tensor(rng.normal(size=(2, 4)))
+        masks = [np.zeros((5, 5))]
+        a, sep_index = encode_stream(t_img, t_q, masks, stack, ad.Tensor(np.zeros(4)))
+        b, _ = encode_stream(t_img, t_q, masks, stack, ad.Tensor(np.arange(4.0)))
+        assert sep_index == 2
+        changed = [i for i in range(5) if a.data[i].tobytes() != b.data[i].tobytes()]
+        assert changed == [2]
+
+    def test_matches_reference_layer_loop(self):
+        cfg = EncoderConfig(num_layers=2, num_heads=2, d_model=4, d_ff=8, max_len=16)
+        stack = self.make_stack(cfg)
+        rng = np.random.default_rng(18)
+        t_img = ad.Tensor(rng.normal(size=(2, 4)))
+        t_q = ad.Tensor(rng.normal(size=(3, 4)))
+        sep = ad.Tensor(rng.normal(size=4))
+        masks = [(rng.random((6, 6)) < 0.5).astype(float) for _ in range(2)]
+        hidden, _ = encode_stream(t_img, t_q, masks, stack, sep)
+        x = stack.add_positions(ad.Tensor(np.vstack([t_img.data, sep.data, t_q.data])))
+        for g, layer in zip(masks, stack.layers):
+            x = encoder_layer(x, g, layer, cfg)
+        assert hidden.data.tobytes() == x.data.tobytes()
+
+    def test_sep_vector_must_be_1d(self):
+        cfg = EncoderConfig(num_layers=1, num_heads=2, d_model=4, d_ff=8, max_len=16)
+        with pytest.raises(ValueError, match="1-D"):
+            encode_stream(ad.Tensor(np.zeros((2, 4))), ad.Tensor(np.zeros((0, 4))),
+                          [np.ones((3, 3))], self.make_stack(cfg),
+                          ad.Tensor(np.zeros((1, 4))))
+
+    def test_mask_count_and_shape_checked(self):
+        cfg = EncoderConfig(num_layers=2, num_heads=2, d_model=4, d_ff=8, max_len=16)
+        stack = self.make_stack(cfg)
+        t_img, t_q, sep = (ad.Tensor(np.zeros((2, 4))), ad.Tensor(np.zeros((1, 4))),
+                           ad.Tensor(np.zeros(4)))
+        with pytest.raises(ValueError, match="needs 2 masks"):
+            encode_stream(t_img, t_q, [np.ones((4, 4))], stack, sep)
+        with pytest.raises(ValueError, match="of 4 x 4"):
+            encode_stream(t_img, t_q, [np.ones((3, 3))] * 2, stack, sep)
 
     def test_sequence_longer_than_max_len_raises(self):
         cfg = EncoderConfig(num_layers=1, num_heads=2, d_model=4, d_ff=8, max_len=4)
         stack = self.make_stack(cfg)
         t_img = ad.Tensor(np.zeros((4, 4)))
         with pytest.raises(ValueError, match="max_len"):
-            encode_stream(t_img, ad.Tensor(np.zeros((2, 4))), full_graph(4),
-                          full_graph(2), stack, ad.Tensor(np.zeros(4)))
+            encode_stream(t_img, ad.Tensor(np.zeros((2, 4))), [np.ones((7, 7))],
+                          stack, ad.Tensor(np.zeros(4)))
 
 
 class TestSentencePretransform:

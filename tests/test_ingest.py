@@ -25,6 +25,7 @@ from granalign.ingest import (
     scene_from_dict,
     scene_to_dict,
 )
+from granalign.leadgraph import level_graph
 from conftest import fixture_path
 
 
@@ -59,6 +60,16 @@ class TestSchemaParsing:
         again = scene_from_dict(scene_to_dict(scene))
         assert [o.category for o in again.objects] == ["girl", "dog"]
         np.testing.assert_array_equal(again.spatial_features, scene.spatial_features)
+
+    def test_scene_without_objects_rejected(self):
+        d = {"objects": [], "spatial": {"grid_size": 1, "features": [[0.0]]}}
+        with pytest.raises(SchemaError, match="no objects"):
+            scene_from_dict(d, source="s.json")
+
+    def test_question_without_tokens_rejected(self):
+        with pytest.raises(SchemaError, match="no tokens"):
+            question_from_dict({"tokens": [], "entities": [], "noun_phrases": [],
+                                "dependency_edges": []})
 
     def test_dependency_edge_out_of_range(self):
         with pytest.raises(SchemaError, match="dependency_edges"):
@@ -168,8 +179,8 @@ class TestFeatureLevels:
         scene, _ = girl_dog
         level = build_spatial_level(scene)
         assert level.features.shape == (4, 4)
-        assert len(level.pairs) == 16
-        assert (0, 0) in level.pairs and (3, 1) in level.pairs
+        assert level.full and level.pairs == []
+        np.testing.assert_array_equal(level_graph(level).matrix, np.ones((4, 4)))
 
 
 class TestQuestionLevels:
@@ -177,7 +188,8 @@ class TestQuestionLevels:
         _, q = girl_dog
         level = build_entity_level(q)
         assert level.labels == ["dog"]
-        assert level.pairs == [(0, 0)]
+        assert level.full
+        np.testing.assert_array_equal(level_graph(level).matrix, [[1.0]])
 
     def test_noun_phrase_filters_determiners_and_positions(self):
         q = question_from_dict({
@@ -188,7 +200,8 @@ class TestQuestionLevels:
         })
         level = build_noun_phrase_level(q)
         assert level.labels == ["brown", "dog"]
-        assert len(level.pairs) == 4
+        assert level.full
+        np.testing.assert_array_equal(level_graph(level).matrix, np.ones((2, 2)))
 
     def test_sentence_adjacency_symmetric_with_self_loops(self, girl_dog):
         _, q = girl_dog
@@ -199,7 +212,8 @@ class TestQuestionLevels:
         np.testing.assert_array_equal(np.diag(adj), np.ones(5))
         assert adj[2, 0] == 1.0 and adj[0, 2] == 1.0
         assert adj[0, 3] == 0.0
-        assert len(level.pairs) == 25
+        assert level.full
+        np.testing.assert_array_equal(level_graph(level).matrix, np.ones((5, 5)))
 
 
 class TestNodeReduction:
@@ -217,6 +231,13 @@ class TestNodeReduction:
         merged = node_reduction(img, q)
         assert merged.labels == ["dog", "cat"]
         assert (1, 0) in merged.pairs and (0, 1) in merged.pairs
+
+    def test_full_question_level_expands_to_every_pair(self):
+        img = LevelData(level="concept", labels=["dog"], kinds=["object"], pairs=[])
+        q = LevelData(level="entity", labels=["cat", "dog"], full=True)
+        merged = node_reduction(img, q)
+        assert merged.labels == ["dog", "cat"] and not merged.full
+        assert merged.pairs == [(1, 1), (1, 0), (0, 1), (0, 0)]
 
     def test_edges_deduplicated(self):
         img = LevelData(level="concept", labels=["a", "b"], kinds=["object"] * 2,

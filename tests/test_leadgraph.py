@@ -1,17 +1,18 @@
-"""Lead-graph masks: pair conversion, per-layer block structure, SEP growth."""
+"""Lead-graph masks: level conversion, per-layer block structure, SEP growth, plans."""
 
 import numpy as np
 import pytest
 
-import granalign.autodiff as ad
+from granalign.ingest import LevelData
 from granalign.leadgraph import (
     LeadGraph,
-    append_sep,
     append_sep_mask,
     format_grid,
     full_graph,
     layer_masks,
+    level_graph,
     mask_for_layer,
+    mask_plan,
     pairs_to_matrix,
     parse_grid,
 )
@@ -113,21 +114,47 @@ class TestSep:
 
     def test_double_append_asserts(self):
         g2 = append_sep_mask(full_graph(2))
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="already appended"):
             append_sep_mask(g2)
 
-    def test_token_row_appended_after_image_tokens(self):
-        tokens = ad.Tensor(np.zeros((2, 4)))
-        sep = ad.Tensor(np.arange(4.0))
-        out, g2 = append_sep(tokens, full_graph(2), sep)
-        assert out.data.shape == (3, 4)
-        np.testing.assert_array_equal(out.data[2], np.arange(4.0))
-        assert g2.size == 3
 
-    def test_sep_vector_must_be_1d(self):
-        with pytest.raises(ValueError):
-            append_sep(ad.Tensor(np.zeros((2, 4))), full_graph(2),
-                       ad.Tensor(np.zeros((1, 4))))
+class TestLevelGraph:
+    def test_full_level_is_all_ones(self):
+        level = LevelData(level="entity", labels=["a", "b", "c"], full=True)
+        np.testing.assert_array_equal(level_graph(level).matrix, np.ones((3, 3)))
+
+    def test_pair_level_matches_pairs_to_matrix(self):
+        level = LevelData(level="concept", labels=["a", "b", "c"], pairs=[(0, 1), (2, 0)])
+        expect = pairs_to_matrix([(0, 1), (2, 0)], 3)
+        np.testing.assert_array_equal(level_graph(level).matrix, expect.matrix)
+
+    def test_empty_level_is_zero_by_zero(self):
+        assert level_graph(LevelData(level="entity", labels=[], full=True)).size == 0
+
+
+class TestMaskPlan:
+    def setup_method(self):
+        self.img = LevelData(level="concept", labels=["a", "b", "c"], pairs=[(0, 1), (1, 2)])
+        self.q = LevelData(level="entity", labels=["x", "y"], full=True)
+
+    def test_one_mask_per_layer_with_sep(self):
+        plan = mask_plan(self.img, self.q, num_layers=5)
+        masks = layer_masks(append_sep_mask(level_graph(self.img)), level_graph(self.q))
+        assert len(plan) == 5
+        for i, m in enumerate(plan):
+            assert m.shape == (6, 6)
+            np.testing.assert_array_equal(m, mask_for_layer(masks, i).matrix)
+
+    def test_sep_self_only_variant(self):
+        m3 = mask_plan(self.img, self.q, num_layers=3, sep_connect_all=False)[2]
+        np.testing.assert_array_equal(m3[3, :4], [0, 0, 0, 1])
+        np.testing.assert_array_equal(m3[:4, 3], [0, 0, 0, 1])
+
+    def test_without_lead_graphs_every_layer_is_all_ones(self):
+        plan = mask_plan(self.img, self.q, num_layers=3, use_lead_graphs=False)
+        assert len(plan) == 3
+        for m in plan:
+            np.testing.assert_array_equal(m, np.ones((6, 6)))
 
 
 class TestGridFormat:

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import granalign.autodiff as ad
-from granalign.leadgraph import pairs_to_matrix
-from granalign.model import LogitsBundle, Model, ModelConfig
+from granalign import leadgraph
+from granalign.encoder import encoder_layer
+from granalign.ingest import question_from_dict
+from granalign.leadgraph import append_sep_mask, layer_masks, level_graph, pairs_to_matrix
+from granalign.model import STREAMS, LogitsBundle, Model, ModelConfig, StreamOutput
 from conftest import fixture_path
 
 WORDS = ["what", "color", "is", "the", "there", "a",
@@ -77,21 +80,57 @@ class TestForward:
 class TestPrepare:
     def test_graphs_cover_configured_streams(self, girl_dog):
         model, prep = make_model(girl_dog, streams=("ce", "rn"))
-        assert set(prep.graphs) == {"ce", "rn"}
+        assert set(prep.plans) == {"ce", "rn"}
         assert prep.answer_index == 0
 
     def test_concept_graph_matches_pairs(self, girl_dog):
         model, prep = make_model(girl_dog)
-        g_img, g_q = prep.graphs["ce"]
-        expect = pairs_to_matrix(prep.concept.pairs, prep.concept.n_tokens)
-        assert np.array_equal(g_img.matrix, expect.matrix)
-        assert g_q.matrix.shape == (prep.entity.n_tokens,) * 2
+        ni, nq = prep.concept.n_tokens, prep.entity.n_tokens
+        layer3 = prep.plans["ce"][2]
+        expect = pairs_to_matrix(prep.concept.pairs, ni)
+        assert np.array_equal(layer3[:ni, :ni], expect.matrix)
+        assert layer3[ni + 1:, ni + 1:].shape == (nq, nq)
 
     def test_full_graphs_when_lead_graphs_disabled(self, girl_dog):
         model, prep = make_model(girl_dog, use_lead_graphs=False)
-        for g_img, g_q in prep.graphs.values():
-            assert np.all(g_img.matrix == 1.0)
-            assert np.all(g_q.matrix == 1.0)
+        for tag, plan in prep.plans.items():
+            img, q = getattr(prep, STREAMS[tag].image), getattr(prep, STREAMS[tag].question)
+            n = img.n_tokens + 1 + q.n_tokens
+            assert len(plan) == model.config.num_layers
+            for m in plan:
+                np.testing.assert_array_equal(m, np.ones((n, n)))
+
+    @pytest.mark.parametrize("node_reduction", [False, True])
+    def test_plans_match_layer_masks(self, girl_dog, node_reduction):
+        model, prep = make_model(girl_dog, node_reduction=node_reduction, num_layers=4)
+        for tag, plan in prep.plans.items():
+            img, q = getattr(prep, STREAMS[tag].image), getattr(prep, STREAMS[tag].question)
+            masks = layer_masks(append_sep_mask(level_graph(img)), level_graph(q))
+            assert len(plan) == 4
+            for i, m in enumerate(plan):
+                np.testing.assert_array_equal(m, masks[min(i, 2)].matrix)
+
+    def test_stream_longer_than_max_len_rejected(self, girl_dog):
+        scene, _ = girl_dog
+        words = ["what"] * 70
+        question = question_from_dict({"tokens": words, "entities": ["dog"],
+                                       "noun_phrases": [["dog"]], "dependency_edges": []})
+        model = Model(small_config(max_len=64), WORDS, ANSWERS, d_region=4, d_spatial=4)
+        with pytest.raises(ValueError, match="stream ss has 75 tokens"):
+            model.prepare(scene, question, answer_index=0)
+
+    def test_forward_reads_plans_without_building_graphs(self, girl_dog, monkeypatch):
+        model, prep = make_model(girl_dog)
+        before = {tag: [m.copy() for m in plan] for tag, plan in prep.plans.items()}
+        built = []
+        original = leadgraph.LeadGraph.__post_init__
+        monkeypatch.setattr(leadgraph.LeadGraph, "__post_init__",
+                            lambda g: built.append(g) or original(g))
+        model.forward(prep)
+        assert built == []
+        for tag, plan in prep.plans.items():
+            for a, b in zip(plan, before[tag]):
+                assert a.tobytes() == b.tobytes()
 
     def test_node_reduction_empties_entity_level(self, girl_dog):
         model, prep = make_model(girl_dog, node_reduction=True)
@@ -195,6 +234,26 @@ class TestVariants:
         a = masked.forward(prep_m).f_ga.data
         b = ones.forward(prep_o).f_ga.data
         assert not np.allclose(a, b)
+
+    def test_all_ones_plan_matches_reference_loop(self, girl_dog):
+        """Without lead graphs the logits equal a plain unmasked encoder loop, bitwise."""
+        model, prep = make_model(girl_dog, use_lead_graphs=False)
+        outputs = []
+        for tag in model.config.streams:
+            t_img, t_q = model._stream_inputs(tag, prep)
+            sep = model.params[f"{tag}.sep"]
+            stack = model.stacks[tag]
+            x = ad.concat_rows([t_img, ad.reshape(sep, (1, sep.data.shape[0])), t_q])
+            x = stack.add_positions(x)
+            n = x.data.shape[0]
+            for layer in stack.layers:
+                x = encoder_layer(x, np.ones((n, n)), layer, stack.cfg)
+            outputs.append(StreamOutput(tag, x, t_img.data.shape[0]))
+        reference = model.fuse(outputs).all_logits()
+        got = model.forward(prep).all_logits()
+        assert list(got) == list(reference)
+        for tag in got:
+            assert got[tag].data.tobytes() == reference[tag].data.tobytes()
 
     def test_word_vector_file_seeds_embedding_rows(self, girl_dog):
         path = fixture_path("wordvecs.txt")
