@@ -5,7 +5,7 @@ aligned pairwise by three masked-attention encoder streams, and fused
 into a joint answer prediction. Everything numerical is float64 numpy.
 """
 
-from . import autodiff, cli, data, encoder, ingest, leadgraph, model, training
+from . import autodiff, data, encoder, ingest, leadgraph, model, training
 from .autodiff import Parameters, Tape, Tensor
 from .data import DEFAULT_WORLD, Dataset, Sample, ToyWorldSpec, gen_corpus, gen_data, load_manifest, solve
 from .encoder import EncoderConfig, EncoderStack, encode_stream, ga_attention, sentence_pretransform

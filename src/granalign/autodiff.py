@@ -116,7 +116,9 @@ class Tape:
         accum: dict[int, np.ndarray] = {id(loss): np.ones(())}
         leaves: dict[Tensor, np.ndarray] = {}
         for out, inputs, backward in reversed(self.nodes):
-            g = accum.get(id(out))
+            # every consumer of `out` ran later and is already swept, so its
+            # gradient is complete; drop it once passed on to the inputs
+            g = accum.pop(id(out), None)
             if g is None:
                 continue
             input_grads = backward(g)
@@ -239,6 +241,30 @@ def softmax_rows(a: Tensor) -> Tensor:
     return record(out, (a,), backward)
 
 
+# Layer-norm math shared by layer_norm_rows and the fused encoder layer. A
+# mean is sum / d, which is bitwise what np.mean computes, without its
+# Python-level overhead.
+
+
+def _ln_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
+    """Normalize the last axis; returns (output, xhat, inv_std) for the backward."""
+    d = x.shape[-1]
+    centered = x - x.sum(axis=-1, keepdims=True) / d
+    var = (centered * centered).sum(axis=-1, keepdims=True) / d
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv_std
+    return gain * xhat + bias, xhat, inv_std
+
+
+def _ln_backward(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray,
+                 inv_std: np.ndarray) -> np.ndarray:
+    """Gradient of the normalized input from the output gradient ``g``."""
+    d = g.shape[-1]
+    gh = g * gain
+    return (gh - gh.sum(axis=-1, keepdims=True) / d
+            - xhat * ((gh * xhat).sum(axis=-1, keepdims=True) / d)) * inv_std
+
+
 def layer_norm_rows(a: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
     """Per-row layer normalization with biased variance.
 
@@ -250,18 +276,11 @@ def layer_norm_rows(a: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor
     d = a.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ValueError("layer_norm_rows: gain/bias shape must match the feature dim")
-    x = a.data
-    mean = x.mean(axis=-1, keepdims=True)
-    centered = x - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    out = Tensor(gain.data * xhat + bias.data)
+    y, xhat, inv_std = _ln_forward(a.data, gain.data, bias.data, eps)
+    out = Tensor(y)
 
     def backward(g):
-        gh = g * gain.data
-        dx = (gh - gh.mean(axis=-1, keepdims=True)
-              - xhat * (gh * xhat).mean(axis=-1, keepdims=True)) * inv_std
+        dx = _ln_backward(g, gain.data, xhat, inv_std)
         if a.data.ndim == 2:
             dgain = (g * xhat).sum(axis=0)
             dbias = g.sum(axis=0)
@@ -273,51 +292,59 @@ def layer_norm_rows(a: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor
     return record(out, (a, gain, bias), backward)
 
 
-def cross_entropy_logits(logits: Tensor, answer: int) -> Tensor:
-    """Negative log softmax probability of ``answer`` for a 1-D logit vector."""
-    if logits.data.ndim != 1:
-        raise ValueError(f"cross_entropy_logits: expected 1-D logits, got {logits.data.shape}")
-    n = logits.data.shape[0]
-    answer = int(answer)
-    if not 0 <= answer < n:
-        raise ValueError(f"cross_entropy_logits: answer {answer} out of range [0, {n})")
+def cross_entropy_logits(logits: Tensor, answer) -> Tensor:
+    """Negative log softmax probability of the answer class.
+
+    A 1-D logit vector and an int give a scalar; [B, c] logits and B answers
+    give the B per-row losses.
+    """
     z = logits.data
-    m = z.max()
-    lse = m + np.log(np.exp(z - m).sum())
-    out = Tensor(np.asarray(lse - z[answer]))
-    p = np.exp(z - lse)
+    if z.ndim not in (1, 2):
+        raise ValueError(f"cross_entropy_logits: expected 1-D or 2-D logits, got {z.shape}")
+    n = z.shape[-1]
+    rows = z.reshape(-1, n)
+    idx = np.asarray(answer, dtype=np.intp).reshape(-1)
+    if idx.shape != (rows.shape[0],) or (z.ndim == 1) != (np.ndim(answer) == 0):
+        raise ValueError(f"cross_entropy_logits: {np.shape(answer)} answers for logits {z.shape}")
+    bad = (idx < 0) | (idx >= n)
+    if bad.any():
+        raise ValueError(f"cross_entropy_logits: answer {idx[bad][0]} out of range [0, {n})")
+    r = np.arange(rows.shape[0])
+    m = rows.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(rows - m).sum(axis=1, keepdims=True))
+    losses = lse[:, 0] - rows[r, idx]
+    out = Tensor(losses.reshape(z.shape[:-1]))
+    p = np.exp(rows - lse)
 
     def backward(g):
+        g = np.reshape(g, (-1, 1))
         dz = p * g
-        dz = dz.copy()
-        dz[answer] -= g
-        return (dz,)
+        dz[r, idx] -= g[:, 0]
+        return (dz.reshape(z.shape),)
 
     return record(out, (logits,), backward)
 
 
-def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
-    """Concatenate along the first axis (2-D with equal column counts, or 1-D)."""
+def concat_rows(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Concatenate along the first axis (2-D with equal column counts, or 1-D),
+    or with ``axis=1`` along the columns of 2-D tensors with equal row counts."""
     if not tensors:
         raise ValueError("concat_rows: need at least one tensor")
     ndim = tensors[0].data.ndim
     if any(t.data.ndim != ndim for t in tensors):
         raise ValueError("concat_rows: mixed ranks")
+    if ndim not in (1, 2) or axis not in range(ndim):
+        raise ValueError(f"concat_rows: cannot join {ndim}-D tensors along axis {axis}")
     if ndim == 2:
-        cols = {t.data.shape[1] for t in tensors}
-        if len(cols) != 1:
-            raise ValueError(f"concat_rows: column counts disagree: {sorted(cols)}")
-    elif ndim != 1:
-        raise ValueError("concat_rows: only 1-D or 2-D tensors")
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=0))
-    sizes = [t.data.shape[0] for t in tensors]
+        other = {t.data.shape[1 - axis] for t in tensors}
+        if len(other) != 1:
+            what = "column" if axis == 0 else "row"
+            raise ValueError(f"concat_rows: {what} counts disagree: {sorted(other)}")
+    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
+    ends = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
 
     def backward(g):
-        grads, offset = [], 0
-        for s in sizes:
-            grads.append(g[offset:offset + s])
-            offset += s
-        return tuple(grads)
+        return tuple(np.split(g, ends, axis=axis))
 
     return record(out, tuple(tensors), backward)
 

@@ -9,6 +9,11 @@ Rows whose mask is entirely zero produce a zero attention output; the
 residual connection carries those tokens through the layer. The rest of
 the layer is standard: multi-head projections, output projection, a
 two-layer ReLU feed-forward block, and post-norm residuals.
+
+A batch of sequences runs as one packed [N, d] matrix of all their rows:
+every row-wise step works on it unchanged, and only the attention core pads
+to [B, heads, n_max, n_max], where padding is nothing but zero mask entries.
+Each encoder layer is a single tape node with a hand-written backward.
 """
 
 from __future__ import annotations
@@ -46,47 +51,50 @@ class EncoderConfig:
 # ---------------------------------------------------------------------------
 # masked attention core
 #
-# Operates on head-batched arrays [h, n, d_k]; the public single-head
-# ga_attention wraps it with h = 1. Saved intermediates make the backward
-# pass a handful of batched matmuls.
+# Operates on head-batched arrays [..., n, d_k] with any leading axes; the
+# mask broadcasts against the [..., n, n] scores. Saved intermediates make
+# the backward pass a handful of batched matmuls. The [..., n, n]
+# temporaries are updated in place, so only one of them is alive at a time.
 # ---------------------------------------------------------------------------
 
 
 def _ga_forward(q, k, v, g, eps_row):
     d_k = q.shape[-1]
-    scores = np.matmul(q, k.transpose(0, 2, 1)) / np.sqrt(d_k)
+    scores = np.matmul(q, np.swapaxes(k, -1, -2))
+    scores /= np.sqrt(d_k)
     # Stabilize over the unmasked support only, so masked tokens cannot
     # perturb even the last bit of the surviving rows. Mask-then-renormalize
     # equals a softmax restricted to the support; the common shift cancels.
-    support = g > 0.0
-    row_max = np.max(np.where(support, scores, -np.inf), axis=2, keepdims=True)
-    row_max = np.where(np.isfinite(row_max), row_max, 0.0)
-    shifted = np.where(support, scores - row_max, -np.inf)
-    e = np.exp(shifted) * g
-    z = e.sum(axis=2, keepdims=True)
+    np.copyto(scores, -np.inf, where=np.logical_not(g))
+    row_max = scores.max(axis=-1, keepdims=True)
+    row_max[~np.isfinite(row_max)] = 0.0
+    scores -= row_max
+    np.exp(scores, out=scores)
+    scores *= g
+    z = scores.sum(axis=-1, keepdims=True)
     alive = z > eps_row
-    safe = np.where(alive, z, 1.0)
-    normed = np.where(alive, e / safe, 0.0)
-    out = np.matmul(normed, v)
-    cache = (q, k, v, normed, d_k)
-    return out, cache
+    scores /= np.where(alive, z, 1.0)
+    scores *= alive
+    out = np.matmul(scores, v)
+    return out, (q, k, v, scores, d_k)
 
 
 def _ga_backward(grad_out, cache):
     q, k, v, normed, d_k = cache
-    d_normed = np.matmul(grad_out, v.transpose(0, 2, 1))
-    d_v = np.matmul(normed.transpose(0, 2, 1), grad_out)
+    d_v = np.matmul(np.swapaxes(normed, -1, -2), grad_out)
+    d_scores = np.matmul(grad_out, np.swapaxes(v, -1, -2))
     # Softmax-on-support Jacobian; rows of `normed` are zero off support and
     # on dead rows, which zeroes those score gradients automatically.
-    d_scores = normed * (d_normed - (d_normed * normed).sum(axis=2, keepdims=True))
+    d_scores -= (d_scores * normed).sum(axis=-1, keepdims=True)
+    d_scores *= normed
     d_scores /= np.sqrt(d_k)
     d_q = np.matmul(d_scores, k)
-    d_k_ = np.matmul(d_scores.transpose(0, 2, 1), q)
+    d_k_ = np.matmul(np.swapaxes(d_scores, -1, -2), q)
     return d_q, d_k_, d_v
 
 
 def _mask_array(g) -> np.ndarray:
-    return g.matrix if isinstance(g, LeadGraph) else np.asarray(g, dtype=np.float64)
+    return g.matrix if isinstance(g, LeadGraph) else np.asarray(g)
 
 
 def ga_attention(q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, g,
@@ -115,6 +123,77 @@ def ga_attention(q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, g,
     return ad.record(out, (q, k, v), backward)
 
 
+# ---------------------------------------------------------------------------
+# packed batches
+# ---------------------------------------------------------------------------
+
+
+def _segment_ranks(lengths) -> np.ndarray:
+    """0..n_b-1 for each length n_b, concatenated."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    total = int(lengths.sum())
+    starts = np.cumsum(lengths) - lengths
+    return np.arange(total) - np.repeat(starts, lengths)
+
+
+class Layout:
+    """Where each row of a packed [N, d] matrix sits in a padded [B, n_max] grid.
+
+    Row r is position ``pos[r]`` of sequence ``sample[r]``; ``lengths[b]``
+    counts the rows of sequence b. Rows need not be grouped by sequence.
+    """
+
+    def __init__(self, sample: np.ndarray, pos: np.ndarray, lengths):
+        self.sample = sample
+        self.pos = pos
+        self.lengths = np.asarray(lengths, dtype=np.intp)
+        self.batch = len(self.lengths)
+        self.n_max = int(self.lengths.max()) if self.batch else 0
+        self.index = sample * self.n_max + pos
+        # every grid cell holds a row, in row order: pad and unpad are reshapes
+        self.dense = (len(pos) == self.batch * self.n_max
+                      and bool((self.index == np.arange(len(pos))).all()))
+
+    @classmethod
+    def contiguous(cls, lengths) -> "Layout":
+        """Sequences stored one after another."""
+        lengths = np.asarray(lengths, dtype=np.intp)
+        return cls(np.repeat(np.arange(len(lengths)), lengths), _segment_ranks(lengths), lengths)
+
+    def pad(self, a: np.ndarray) -> np.ndarray:
+        """[N, ...] rows into a zero-padded [B, n_max, ...] array."""
+        shape = (self.batch, self.n_max) + a.shape[1:]
+        if self.dense:
+            return a.reshape(shape)
+        out = np.zeros((self.batch * self.n_max,) + a.shape[1:])
+        out[self.index] = a
+        return out.reshape(shape)
+
+    def unpad(self, a: np.ndarray) -> np.ndarray:
+        """[B * n_max, ...] padded rows back to the packed [N, ...] rows."""
+        return a if self.dense else a[self.index]
+
+    def pad_masks(self, masks) -> np.ndarray:
+        """Per-sequence [..., n_b, n_b] masks into one bool [..., B, n_max, n_max]."""
+        lead = np.shape(masks[0])[:-2]
+        out = np.zeros(lead + (self.batch, self.n_max, self.n_max), dtype=bool)
+        for b, m in enumerate(masks):
+            n = self.lengths[b]
+            out[..., b, :n, :n] = m
+        return out
+
+    def mean_matrix(self) -> np.ndarray:
+        """[B, N] matrix whose product with the rows is each sequence's row mean."""
+        p = np.zeros((self.batch, len(self.sample)))
+        p[self.sample, np.arange(len(self.sample))] = 1.0 / self.lengths[self.sample]
+        return p
+
+
+# ---------------------------------------------------------------------------
+# encoder layer: one tape node
+# ---------------------------------------------------------------------------
+
+
 @dataclass
 class LayerParams:
     wq: ad.Tensor
@@ -131,58 +210,71 @@ class LayerParams:
     ln2_bias: ad.Tensor
 
 
-def multi_head_ga(x: ad.Tensor, g, layer: LayerParams, num_heads: int,
-                  eps_row: float = 1e-12) -> ad.Tensor:
-    """All heads of masked attention plus the output projection.
+def encoder_layer(x: ad.Tensor, g, layer: LayerParams, cfg: EncoderConfig,
+                  layout: Layout | None = None) -> ad.Tensor:
+    """Post-norm residual layer: attention sublayer then feed-forward sublayer.
 
-    Head projections live in fused [d_model, d_model] matrices whose
-    column blocks are the per-head maps; every head sees the same mask.
-    The head loop runs batched in one tape node for speed, equivalent to
-    per-head ga_attention on sliced projections.
+    Without ``layout``, ``x`` is one [n, d_model] sequence and ``g`` its n x n
+    mask. With it, ``x`` packs the rows of ``layout.batch`` sequences and ``g``
+    holds their padded [B, n_max, n_max] masks.
+
+    Head projections live in fused [d_model, d_model] matrices whose column
+    blocks are the per-head maps; every head sees its sequence's mask. The
+    whole layer is one tape node. Its backward recomputes the feed-forward
+    hidden activations instead of keeping them.
     """
-    gm = _mask_array(g)
-    n, d_model = x.data.shape
-    if d_model % num_heads != 0:
+    p = layer
+    xd = x.data
+    if layout is None:
+        gm = _mask_array(g)
+        n = xd.shape[0]
+        if gm.shape != (n, n):
+            raise ValueError(f"encoder_layer: mask shape {gm.shape} does not match {n} tokens")
+        layout = Layout.contiguous([n])
+        gm = gm[None]
+    else:
+        gm = g
+    h, d = cfg.num_heads, xd.shape[1]
+    if d % h != 0:
         raise ValueError("d_model not divisible by head count")
-    d_k = d_model // num_heads
-    wq, wk, wv = layer.wq, layer.wk, layer.wv
+    bsz, n_max, d_k = layout.batch, layout.n_max, d // h
 
-    def split(a):
-        return a.reshape(n, num_heads, d_k).transpose(1, 0, 2)
+    def split(a):  # packed [N, d] -> [B, h, n_max, d_k]
+        return layout.pad(a).reshape(bsz, n_max, h, d_k).transpose(0, 2, 1, 3)
 
-    qh = split(x.data @ wq.data)
-    kh = split(x.data @ wk.data)
-    vh = split(x.data @ wv.data)
-    out3, cache = _ga_forward(qh, kh, vh, gm[None], eps_row)
-    heads = ad.Tensor(out3.transpose(1, 0, 2).reshape(n, d_model))
+    def join(a):  # [B, h, n_max, d_k] -> packed [N, d]
+        return layout.unpad(a.transpose(0, 2, 1, 3).reshape(bsz * n_max, d))
 
-    def backward(grad):
-        d_out3 = grad.reshape(n, num_heads, d_k).transpose(1, 0, 2)
-        d_qh, d_kh, d_vh = _ga_backward(d_out3, cache)
+    att, cache = _ga_forward(split(xd @ p.wq.data), split(xd @ p.wk.data),
+                             split(xd @ p.wv.data), gm[:, None], cfg.eps_row)
+    ctx = join(att)
+    del att
+    y, xhat1, inv1 = ad._ln_forward(xd + ctx @ p.wo.data, p.ln1_gain.data,
+                                    p.ln1_bias.data, cfg.eps_norm)
+    hidden = np.maximum(y @ p.ffn_w1.data + p.ffn_b1.data, 0.0)
+    z, xhat2, inv2 = ad._ln_forward(y + (hidden @ p.ffn_w2.data + p.ffn_b2.data),
+                                    p.ln2_gain.data, p.ln2_bias.data, cfg.eps_norm)
+    del y, hidden
+    out = ad.Tensor(z)
 
-        def join(a):
-            return a.transpose(1, 0, 2).reshape(n, d_model)
+    def backward(gz):
+        g_r2 = ad._ln_backward(gz, p.ln2_gain.data, xhat2, inv2)
+        y = p.ln1_gain.data * xhat1 + p.ln1_bias.data
+        hidden = np.maximum(y @ p.ffn_w1.data + p.ffn_b1.data, 0.0)
+        g_h = g_r2 @ p.ffn_w2.data.T
+        g_h *= hidden > 0.0
+        g_y = g_r2 + g_h @ p.ffn_w1.data.T
+        g_r1 = ad._ln_backward(g_y, p.ln1_gain.data, xhat1, inv1)
+        d_q, d_k_, d_v = (join(a) for a in _ga_backward(split(g_r1 @ p.wo.data.T), cache))
+        g_x = g_r1 + (d_q @ p.wq.data.T + d_k_ @ p.wk.data.T + d_v @ p.wv.data.T)
+        return (g_x, xd.T @ d_q, xd.T @ d_k_, xd.T @ d_v, ctx.T @ g_r1,
+                y.T @ g_h, g_h.sum(axis=0), hidden.T @ g_r2, g_r2.sum(axis=0),
+                (g_y * xhat1).sum(axis=0), g_y.sum(axis=0),
+                (gz * xhat2).sum(axis=0), gz.sum(axis=0))
 
-        d_q, d_k_, d_v = join(d_qh), join(d_kh), join(d_vh)
-        d_x = d_q @ wq.data.T + d_k_ @ wk.data.T + d_v @ wv.data.T
-        return d_x, x.data.T @ d_q, x.data.T @ d_k_, x.data.T @ d_v
-
-    ad.record(heads, (x, wq, wk, wv), backward)
-    return ad.matmul(heads, layer.wo)
-
-
-def feed_forward(x: ad.Tensor, layer: LayerParams) -> ad.Tensor:
-    hidden = ad.relu(ad.add(ad.matmul(x, layer.ffn_w1), layer.ffn_b1))
-    return ad.add(ad.matmul(hidden, layer.ffn_w2), layer.ffn_b2)
-
-
-def encoder_layer(x: ad.Tensor, g, layer: LayerParams, cfg: EncoderConfig) -> ad.Tensor:
-    """Post-norm residual layer: attention sublayer then feed-forward sublayer."""
-    attended = multi_head_ga(x, g, layer, cfg.num_heads, cfg.eps_row)
-    y = ad.layer_norm_rows(ad.add(x, attended), layer.ln1_gain, layer.ln1_bias, cfg.eps_norm)
-    z = ad.layer_norm_rows(ad.add(y, feed_forward(y, layer)),
-                           layer.ln2_gain, layer.ln2_bias, cfg.eps_norm)
-    return z
+    return ad.record(out, (x, p.wq, p.wk, p.wv, p.wo, p.ffn_w1, p.ffn_b1, p.ffn_w2,
+                           p.ffn_b2, p.ln1_gain, p.ln1_bias, p.ln2_gain, p.ln2_bias),
+                     backward)
 
 
 class EncoderStack:
@@ -217,54 +309,81 @@ class EncoderStack:
         pos = params.new(f"{prefix}.pos", (cfg.max_len, cfg.d_model), "embed", rng)
         return cls(cfg, layers, pos)
 
-    def add_positions(self, x: ad.Tensor) -> ad.Tensor:
-        n = x.data.shape[0]
+    def add_positions(self, x: ad.Tensor, pos: np.ndarray | None = None) -> ad.Tensor:
+        """Add the positional rows ``pos`` (default 0..n-1, one sequence) to ``x``."""
+        if pos is None:
+            pos = np.arange(x.data.shape[0])
+        n = int(pos.max()) + 1 if len(pos) else 0
         if n > self.cfg.max_len:
             raise ValueError(f"sequence length {n} exceeds max_len {self.cfg.max_len}")
-        return ad.add(x, ad.embedding_lookup(self.pos_table, range(n)))
+        return ad.add(x, ad.embedding_lookup(self.pos_table, pos))
+
+    def run(self, x: ad.Tensor, masks: np.ndarray, layout: Layout) -> ad.Tensor:
+        """Positions, then layer i with ``masks[min(i, len(masks) - 1)]``."""
+        x = self.add_positions(x, layout.pos)
+        for i, layer in enumerate(self.layers):
+            x = encoder_layer(x, masks[min(i, len(masks) - 1)], layer, self.cfg, layout)
+        return x
 
 
-def encode_stream(t_img: ad.Tensor, t_q: ad.Tensor, masks: Sequence[np.ndarray],
-                  stack: EncoderStack, sep: ad.Tensor) -> tuple[ad.Tensor, int]:
-    """Run one alignment stream: [image tokens; SEP; question tokens].
+def encode_stream(t_img: ad.Tensor, t_q: ad.Tensor, img_lengths: Sequence[int],
+                  plans: Sequence, stack: EncoderStack, sep: ad.Tensor
+                  ) -> tuple[ad.Tensor, Layout, np.ndarray]:
+    """Run one alignment stream over a batch of [image tokens; SEP; question tokens].
 
-    Appends the learned SEP row after the image tokens, concatenates the
-    modalities, adds learnable positional embeddings over the combined
-    index space, and applies ``masks[i]`` (SEP included, see
-    ``leadgraph.mask_plan``) at layer ``i``. Returns the final hidden
-    states and the SEP position.
+    ``t_img`` and ``t_q`` pack the image and question tokens of B samples,
+    sample after sample; ``img_lengths[b]`` counts sample b's image tokens and
+    ``plans[b]`` holds its per-layer masks, SEP included (see
+    ``leadgraph.mask_plan``). The learned SEP row is added once per sample,
+    positions run over each sample's combined index space, and layer i
+    applies ``plans[b][i]``. The packed rows are [all image rows; B SEP rows;
+    all question rows], so one sample reads exactly as its own sequence.
+    Returns the final hidden rows, their layout and the row of each SEP.
     """
     if sep.data.ndim != 1:
         raise ValueError(f"SEP vector must be 1-D, got shape {sep.data.shape}")
-    sep_index = t_img.data.shape[0]
-    x = ad.concat_rows([t_img, ad.reshape(sep, (1, sep.data.shape[0])), t_q])
-    n = x.data.shape[0]
-    if len(masks) != len(stack.layers) or any(np.shape(m) != (n, n) for m in masks):
-        raise ValueError(f"encode_stream needs {len(stack.layers)} masks of {n} x {n}")
-    x = stack.add_positions(x)
-    for g, layer in zip(masks, stack.layers):
-        x = encoder_layer(x, g, layer, stack.cfg)
-    return x, sep_index
+    n_layers = len(stack.layers)
+    n_img = np.asarray(img_lengths, dtype=np.intp)
+    n = np.array([np.shape(plan)[-1] for plan in plans], dtype=np.intp)
+    n_q = n - n_img - 1
+    for b, plan in enumerate(plans):
+        if np.shape(plan) != (n_layers, n[b], n[b]) or n_q[b] < 0:
+            raise ValueError(f"encode_stream needs {n_layers} masks of {n[b]} x {n[b]} "
+                             f"for sample {b}, got shape {np.shape(plan)}")
+    if n_img.sum() != t_img.data.shape[0] or n_q.sum() != t_q.data.shape[0]:
+        raise ValueError("encode_stream: token rows do not match the mask plans")
+    bsz = len(plans)
+    sample = np.arange(bsz)
+    layout = Layout(np.concatenate([np.repeat(sample, n_img), sample, np.repeat(sample, n_q)]),
+                    np.concatenate([_segment_ranks(n_img), n_img,
+                                    np.repeat(n_img + 1, n_q) + _segment_ranks(n_q)]), n)
+    seps = ad.embedding_lookup(ad.reshape(sep, (1, sep.data.shape[0])), np.zeros(bsz, np.intp))
+    x = ad.concat_rows([t_img, seps, t_q])
+    return stack.run(x, layout.pad_masks(plans), layout), layout, t_img.data.shape[0] + sample
 
 
-def sentence_pretransform(word_tokens: ad.Tensor, dep_adjacency: np.ndarray,
+def sentence_pretransform(word_tokens: ad.Tensor, dep_adjacency: Sequence[np.ndarray],
                           stack: EncoderStack) -> ad.Tensor:
     """Context-aware question features from a dependency-masked encoder.
 
-    A separate, independently parameterized stack processes the question
-    words with the symmetrized dependency adjacency as the attention mask
-    for every layer; downstream alignment then treats the output as fully
-    connectable.
+    ``word_tokens`` packs the question words of B samples, sample after
+    sample, and ``dep_adjacency[b]`` is sample b's symmetrized dependency
+    adjacency. A separate, independently parameterized stack processes the
+    words with that adjacency as the attention mask for every layer;
+    downstream alignment then treats the output as fully connectable.
     """
-    adj = np.asarray(dep_adjacency, dtype=np.float64)
-    n = word_tokens.data.shape[0]
-    if adj.shape != (n, n):
-        raise ValueError(f"adjacency shape {adj.shape} does not match {n} tokens")
-    if not np.array_equal(adj, adj.T):
-        raise ValueError("dependency adjacency must be symmetric")
-    if not np.all(np.diag(adj) == 1.0):
-        raise ValueError("dependency adjacency must have unit diagonal")
-    x = stack.add_positions(word_tokens)
-    for layer in stack.layers:
-        x = encoder_layer(x, adj, layer, stack.cfg)
-    return x
+    lengths = []
+    for adj in dep_adjacency:
+        n = adj.shape[0]
+        if adj.shape != (n, n):
+            raise ValueError(f"adjacency shape {adj.shape} is not square")
+        if not np.array_equal(adj, adj.T):
+            raise ValueError("dependency adjacency must be symmetric")
+        if not np.all(np.diag(adj) == 1.0):
+            raise ValueError("dependency adjacency must have unit diagonal")
+        lengths.append(n)
+    if sum(lengths) != word_tokens.data.shape[0]:
+        raise ValueError(f"adjacency sizes {lengths} do not match "
+                         f"{word_tokens.data.shape[0]} tokens")
+    layout = Layout.contiguous(lengths)
+    return stack.run(word_tokens, layout.pad_masks(dep_adjacency)[None], layout)

@@ -9,7 +9,8 @@ the combined image+question masks differ per encoder layer:
   layer 2: cross-modal attention only
   layer 3: within-modality structure plus full cross-modal attention
 
-``mask_plan`` builds a stream's per-layer masks once per sample, in ``prepare``.
+``mask_plan`` builds a stream's per-layer masks once per sample, in ``prepare``,
+as bool arrays, without going through ``LeadGraph``.
 """
 
 from __future__ import annotations
@@ -108,17 +109,46 @@ def append_sep_mask(g_img: LeadGraph, connect_all: bool = True) -> LeadGraph:
     return LeadGraph(m, has_sep=True)
 
 
-def mask_plan(img: LevelData, q: LevelData, num_layers: int, use_lead_graphs: bool = True,
-              sep_connect_all: bool = True) -> list[np.ndarray]:
-    """Per-layer masks over [image; SEP; question]; all ones without lead graphs.
+def _level_mask(level: LevelData) -> np.ndarray:
+    """Bool form of ``level_graph(level)``."""
+    n = level.n_tokens
+    if level.full:
+        return np.ones((n, n), dtype=bool)
+    m = np.zeros((n, n), dtype=bool)
+    if level.pairs:
+        src, dst = zip(*level.pairs)
+        m[list(src), list(dst)] = True
+    return m
 
-    Layers may share one array, so callers must not write into the plan.
+
+def mask_plan(img: LevelData, q: LevelData, num_layers: int, use_lead_graphs: bool = True,
+              sep_connect_all: bool = True) -> np.ndarray:
+    """Bool [num_layers, n, n] masks over [image; SEP; question]; all ones without lead graphs.
+
+    Layer i holds ``mask_for_layer(layer_masks(append_sep_mask(level_graph(img),
+    sep_connect_all), level_graph(q)), i)``, built directly as arrays.
     """
+    ni = img.n_tokens + 1  # image block, SEP included
+    n = ni + q.n_tokens
+    plan = np.ones((num_layers, n, n), dtype=bool)
     if not use_lead_graphs:
-        n = img.n_tokens + 1 + q.n_tokens
-        return [np.ones((n, n))] * num_layers
-    masks = layer_masks(append_sep_mask(level_graph(img), sep_connect_all), level_graph(q))
-    return [mask_for_layer(masks, i).matrix for i in range(num_layers)]
+        return plan
+    plan[0, :ni] = False  # layer 1: question block only
+    plan[0, ni:, :ni] = False
+    if num_layers > 1:  # layer 2: cross-modal blocks only
+        plan[1, :ni, :ni] = False
+        plan[1, ni:, ni:] = False
+    if num_layers > 2:  # layer 3 on: both level graphs plus every cross-modal pair
+        g_img = np.zeros((ni, ni), dtype=bool)
+        g_img[:-1, :-1] = _level_mask(img)
+        if sep_connect_all:
+            g_img[-1, :] = True
+            g_img[:, -1] = True
+        else:
+            g_img[-1, -1] = True
+        plan[2:, :ni, :ni] = g_img
+        plan[2:, ni:, ni:] = _level_mask(q)
+    return plan
 
 
 def format_grid(g: LeadGraph) -> str:

@@ -6,6 +6,10 @@ tokens, with per-layer masks that ``prepare`` builds once per sample. The
 fusion head pools every stream, projects and concatenates the pooled
 vectors into fused logits, and the loss is the unweighted sum of the
 per-stream and fused cross-entropies.
+
+``forward_batch`` is the one forward path: it packs the tokens of a whole
+minibatch into one matrix per stream (see ``encoder.Layout``), and
+``forward`` is its one-sample case.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import ingest
-from .encoder import EncoderConfig, EncoderStack, encode_stream, sentence_pretransform
+from .encoder import EncoderConfig, EncoderStack, Layout, encode_stream, sentence_pretransform
 from .ingest import LevelData, QuestionParse, SceneGraph, Vocab
 from .leadgraph import mask_plan
 
@@ -70,18 +74,27 @@ class ModelConfig:
 @dataclass
 class StreamOutput:
     tag: str
-    hidden: ad.Tensor  # [n_stream, d_model]
-    sep_index: int
+    hidden: ad.Tensor  # packed [N, d_model] rows of the batch's streams
+    layout: Layout
+    sep_rows: np.ndarray  # row of each sample's SEP in ``hidden``
 
 
 @dataclass
 class LogitsBundle:
-    """Per-stream and fused answer logits, each a 1-D tensor of class scores."""
+    """Per-stream and fused answer logits: 1-D [c] class scores for one
+    sample, or [B, c] for a batch."""
 
     f_ce: ad.Tensor | None
     f_rn: ad.Tensor | None
     f_ss: ad.Tensor | None
     f_ga: ad.Tensor
+
+    def rows(self) -> list["LogitsBundle"]:
+        """One untaped 1-D bundle per sample of a [B, c] bundle."""
+        arrays = [None if t is None else t.data for t in (self.f_ce, self.f_rn, self.f_ss)]
+        return [LogitsBundle(*(None if a is None else ad.Tensor(a[i]) for a in arrays),
+                             f_ga=ad.Tensor(row))
+                for i, row in enumerate(self.f_ga.data)]
 
     def stream_logits(self) -> dict[str, ad.Tensor]:
         present = {"ce": self.f_ce, "rn": self.f_rn, "ss": self.f_ss}
@@ -227,40 +240,53 @@ class Model:
                                    p[f"{prefix}.w1"], p[f"{prefix}.b1"],
                                    p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
-    def _stream_inputs(self, tag: str, prep: PreparedSample) -> tuple[ad.Tensor, ad.Tensor]:
+    def _stream_inputs(self, tag: str, preps: Sequence[PreparedSample]
+                       ) -> tuple[ad.Tensor, ad.Tensor, list[int]]:
+        """Packed image and question tokens of a batch, and each sample's image token count."""
         p = self.params
         s = STREAMS[tag]
-        img, q = getattr(prep, s.image), getattr(prep, s.question)
-        if img.features is not None:
-            t_img = ingest.project_features(img.features, p[f"{s.image_input}.w"],
-                                            p[f"{s.image_input}.b"])
+        imgs = [getattr(prep, s.image) for prep in preps]
+        qs = [getattr(prep, s.question) for prep in preps]
+        if imgs[0].features is not None:
+            t_img = ingest.project_features(np.concatenate([img.features for img in imgs]),
+                                            p[f"{s.image_input}.w"], p[f"{s.image_input}.b"])
         else:
-            t_img = self._mlp_apply(img.labels, s.image_input)
-        t_q = self._mlp_apply(q.labels, s.question_input)
-        if q.dep_adjacency is not None:
-            t_q = sentence_pretransform(t_q, q.dep_adjacency, self.stacks["sent"])
-        return t_img, t_q
+            t_img = self._mlp_apply([w for img in imgs for w in img.labels], s.image_input)
+        t_q = self._mlp_apply([w for q in qs for w in q.labels], s.question_input)
+        if qs[0].dep_adjacency is not None:
+            t_q = sentence_pretransform(t_q, [q.dep_adjacency for q in qs], self.stacks["sent"])
+        return t_img, t_q, [img.n_tokens for img in imgs]
 
-    def run_stream(self, tag: str, prep: PreparedSample) -> StreamOutput:
-        t_img, t_q = self._stream_inputs(tag, prep)
-        hidden, sep_index = encode_stream(t_img, t_q, prep.plans[tag], self.stacks[tag],
-                                          self.params[f"{tag}.sep"])
-        return StreamOutput(tag, hidden, sep_index)
+    def run_stream(self, tag: str, preps: Sequence[PreparedSample]) -> StreamOutput:
+        t_img, t_q, n_img = self._stream_inputs(tag, preps)
+        hidden, layout, sep_rows = encode_stream(t_img, t_q, n_img,
+                                                 [prep.plans[tag] for prep in preps],
+                                                 self.stacks[tag], self.params[f"{tag}.sep"])
+        return StreamOutput(tag, hidden, layout, sep_rows)
+
+    def forward_batch(self, preps: Sequence[PreparedSample]) -> LogitsBundle:
+        """[B, c] logits of a minibatch, all samples in one pass."""
+        if not preps:
+            raise ValueError("forward_batch needs at least one sample")
+        return self.fuse([self.run_stream(tag, preps) for tag in self.config.streams])
 
     def forward(self, prep: PreparedSample) -> LogitsBundle:
-        outputs = [self.run_stream(tag, prep) for tag in self.config.streams]
-        return self.fuse(outputs)
+        """1-D logits of one sample: ``forward_batch`` with B = 1."""
+        bundle = self.forward_batch([prep])
+        c = self.n_answers
+        return LogitsBundle(*(None if t is None else ad.reshape(t, (c,))
+                              for t in (bundle.f_ce, bundle.f_rn, bundle.f_ss, bundle.f_ga)))
 
     # -- decision fusion ----------------------------------------------------
 
     def _pool(self, out: StreamOutput) -> ad.Tensor:
+        """[B, d_model]: each sample's SEP row, or the mean of its rows."""
         if self.config.pooling == "sep":
-            row = ad.slice_rows(out.hidden, out.sep_index, out.sep_index + 1)
-            return ad.reshape(row, (self.config.d_model,))
-        return ad.mean_rows(out.hidden)
+            return ad.embedding_lookup(out.hidden, out.sep_rows)
+        return ad.matmul(ad.Tensor(out.layout.mean_matrix()), out.hidden)
 
     def fuse(self, outputs: Sequence[StreamOutput]) -> LogitsBundle:
-        """Pool, normalize, project, and concatenate the stream outputs."""
+        """Pool, normalize, project, and concatenate the stream outputs; [B, c] logits."""
         p = self.params
         cfg = self.config
         projected: dict[str, ad.Tensor] = {}
@@ -274,7 +300,7 @@ class Model:
             projected[tag] = h
             logits[tag] = ad.add(ad.matmul(h, p[f"fuse.{tag}.head_w"]),
                                  p[f"fuse.{tag}.head_b"])
-        cat = ad.concat_rows([projected[tag] for tag in cfg.streams])
+        cat = ad.concat_rows([projected[tag] for tag in cfg.streams], axis=1)
         h_ga = ad.matmul(cat, p["fuse.ga.w"])
         f_ga = ad.add(ad.matmul(h_ga, p["fuse.ga.head_w"]), p["fuse.ga.head_b"])
         return LogitsBundle(f_ce=logits.get("ce"), f_rn=logits.get("rn"),
@@ -282,10 +308,15 @@ class Model:
 
     # -- loss and prediction -----------------------------------------------
 
-    def loss(self, bundle: LogitsBundle, answer_index: int) -> ad.Tensor:
-        """Unweighted sum of the per-stream and fused cross-entropies."""
-        if not 0 <= answer_index < self.n_answers:
-            raise ValueError(f"answer index {answer_index} out of range")
+    def loss(self, bundle: LogitsBundle, answer_index) -> ad.Tensor:
+        """Unweighted sum of the per-stream and fused cross-entropies.
+
+        A scalar for a 1-D bundle and one answer index; the B per-sample
+        sums for a [B, c] bundle and B answer indices.
+        """
+        bad = [a for a in np.reshape(answer_index, -1) if not 0 <= a < self.n_answers]
+        if bad:
+            raise ValueError(f"answer index {bad[0]} out of range")
         terms = [ad.cross_entropy_logits(t, answer_index)
                  for t in bundle.all_logits().values()]
         total = terms[0]

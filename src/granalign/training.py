@@ -1,13 +1,14 @@
 """Adam optimizer, training loop, evaluation, gradient check, checkpoints.
 
 All arithmetic is 64-bit and deterministic given (seed, config, data):
-shuffling uses a dedicated generator, batch gradients accumulate in
-parameter-registration order, and the metric log is one sorted-key JSON
-object per epoch.
+shuffling uses a dedicated generator, each minibatch runs as one forward
+pass on one tape, and the metric log is one sorted-key JSON object per
+epoch.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import struct
@@ -18,6 +19,8 @@ import numpy as np
 from . import autodiff as ad
 from .data import Dataset
 from .model import Model, ModelConfig, PreparedSample
+
+EVAL_CHUNK = 16  # samples per forward pass in evaluate
 
 
 @dataclass
@@ -86,8 +89,8 @@ def _clip(grads: dict[str, np.ndarray], max_norm: float) -> None:
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     if total > max_norm:
         factor = max_norm / total
-        for g in grads.values():
-            g *= factor
+        for name, g in grads.items():
+            grads[name] = g * factor  # tape gradients may share memory; scale copies
 
 
 def _accuracy_update(counts: dict[str, int], model: Model, bundle, answer: int) -> None:
@@ -102,7 +105,7 @@ def _counts_to_metrics(counts: dict[str, int], n: int) -> dict[str, float]:
 
 
 class Trainer:
-    """Minibatch training with per-sample gradient accumulation."""
+    """Minibatch training: one forward pass and one tape per batch."""
 
     def __init__(self, model: Model, dataset: Dataset, cfg: TrainConfig):
         if not dataset.samples:
@@ -124,22 +127,21 @@ class Trainer:
         loss_sum = 0.0
         counts: dict[str, int] = {}
         for start in range(0, len(order), cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            accum = {name: np.zeros_like(t.data) for name, t in model.params.items()}
-            inv = 1.0 / len(batch)
-            for idx in batch:
-                prep = self.prepared[idx]
-                with ad.Tape() as tape:
-                    bundle = model.forward(prep)
-                    loss = model.loss(bundle, prep.answer_index)
-                grads = tape.gradients(loss, model.params.tensors())
-                for name, g in zip(model.params.names(), grads):
-                    accum[name] += inv * g
-                loss_sum += float(loss.data)
-                _accuracy_update(counts, model, bundle, prep.answer_index)
+            batch = [self.prepared[i] for i in order[start:start + cfg.batch_size]]
+            answers = [prep.answer_index for prep in batch]
+            with ad.Tape() as tape:
+                bundle = model.forward_batch(batch)
+                losses = model.loss(bundle, answers)
+                loss = ad.scale(ad.sum_all(losses), 1.0 / len(batch))
+            grads = dict(zip(model.params.names(),
+                             tape.gradients(loss, model.params.tensors())))
+            del tape
+            for value, row, answer in zip(losses.data, bundle.rows(), answers):
+                loss_sum += float(value)
+                _accuracy_update(counts, model, row, answer)
             if cfg.grad_clip is not None:
-                _clip(accum, cfg.grad_clip)
-            self.optimizer.step(accum)
+                _clip(grads, cfg.grad_clip)
+            self.optimizer.step(grads)
         self.epoch += 1
         n = len(self.prepared)
         record = {"epoch": self.epoch, "loss": loss_sum / n}
@@ -172,10 +174,14 @@ def evaluate(model: Model, dataset: Dataset,
                     for s in dataset.samples]
     counts: dict[str, int] = {}
     loss_sum = 0.0
-    for prep in prepared:
-        bundle = model.forward(prep)
-        loss_sum += float(model.loss(bundle, prep.answer_index).data)
-        _accuracy_update(counts, model, bundle, prep.answer_index)
+    for start in range(0, len(prepared), EVAL_CHUNK):
+        chunk = prepared[start:start + EVAL_CHUNK]
+        answers = [prep.answer_index for prep in chunk]
+        bundle = model.forward_batch(chunk)
+        losses = model.loss(bundle, answers)
+        for value, row, answer in zip(losses.data, bundle.rows(), answers):
+            loss_sum += float(value)
+            _accuracy_update(counts, model, row, answer)
     n = len(prepared)
     record = {"n": n, "loss": loss_sum / n}
     record.update(_counts_to_metrics(counts, n))
@@ -368,42 +374,112 @@ def save_checkpoint(path: str, model: Model, optimizer: Adam | None = None) -> N
                     f.write(np.ascontiguousarray(state[n], dtype="<f8").tobytes())
 
 
+def _header_error(what: str) -> ValueError:
+    return ValueError(f"checkpoint header: {what}")
+
+
+def _expect(value, kinds, what: str):
+    """``value`` if it is an instance of ``kinds`` (bool never counts as a number)."""
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        raise _header_error(f"{what} has the wrong type ({type(value).__name__})")
+    return value
+
+
+def _config_from_header(header: dict) -> ModelConfig:
+    raw = _expect(header.get("model_config"), (dict,), "model_config")
+    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(ModelConfig)})
+    if unknown:
+        raise _header_error(f"unknown model_config keys {unknown}")
+    kw = {}
+    for f in dataclasses.fields(ModelConfig):
+        if f.name == "d_emb":
+            continue  # from the top-level d_emb: a word-vector file may set it at train time
+        if f.name not in raw:
+            raise _header_error(f"model_config.{f.name} is missing")
+        value = raw[f.name]
+        if f.name == "streams":
+            kw[f.name] = tuple(_expect(t, (str,), "model_config.streams entry")
+                               for t in _expect(value, (list,), "model_config.streams"))
+        elif isinstance(f.default, float):
+            kw[f.name] = float(_expect(value, (int, float), f"model_config.{f.name}"))
+        else:
+            kw[f.name] = _expect(value, (type(f.default),), f"model_config.{f.name}")
+    return ModelConfig(d_emb=_expect(header.get("d_emb"), (int,), "d_emb"), **kw)
+
+
+def _model_from_header(header) -> tuple[Model, dict | None]:
+    """The model the header describes, with its blocks checked; plus the optimizer record."""
+    _expect(header, (dict,), "header")
+    for key in ("model_config", "word_vocab", "answer_vocab", "d_region", "d_spatial",
+                "d_emb", "blocks", "optimizer"):
+        if key not in header:
+            raise _header_error(f"{key} is missing")
+    config = _config_from_header(header)
+    vocabs = [[_expect(w, (str,), f"{key} entry") for w in _expect(header[key], (list,), key)]
+              for key in ("word_vocab", "answer_vocab")]
+    model = Model(config, *vocabs, _expect(header["d_region"], (int,), "d_region"),
+                  _expect(header["d_spatial"], (int,), "d_spatial"), seed=0)
+    blocks = _expect(header["blocks"], (list,), "blocks")
+    if [b.get("name") if isinstance(b, dict) else None for b in blocks] != model.params.names():
+        raise ValueError("parameter blocks do not match this build")
+    for b in blocks:
+        if b.get("shape") != list(model.params[b["name"]].data.shape):
+            raise ValueError(f"block {b['name']} has shape {b.get('shape')}, "
+                             f"expected {list(model.params[b['name']].data.shape)}")
+    opt = header["optimizer"]
+    if opt is not None:
+        _expect(opt, (dict,), "optimizer")
+        for key in ("step", "lr", "beta1", "beta2", "eps"):
+            _expect(opt.get(key), (int,) if key == "step" else (int, float), f"optimizer.{key}")
+    return model, opt
+
+
 def load_checkpoint(path: str) -> tuple[Model, Adam | None]:
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    The file must be exactly magic, version, header and the blocks the header
+    names. Any other content raises ValueError naming ``path``.
+    """
     with open(path, "rb") as f:
-        if f.read(4) != CKPT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-        (version,) = struct.unpack("<I", f.read(4))
-        if version != CKPT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (hlen,) = struct.unpack("<Q", f.read(8))
-        header = json.loads(f.read(hlen).decode("utf-8"))
-        cfg_dict = dict(header["model_config"])
-        cfg_dict["streams"] = tuple(cfg_dict["streams"])
-        # embedding width can come from a word-vector file at train time
-        cfg_dict["d_emb"] = int(header["d_emb"])
-        config = ModelConfig(**cfg_dict)
-        model = Model(config, header["word_vocab"], header["answer_vocab"],
-                      header["d_region"], header["d_spatial"], seed=0)
-        names = model.params.names()
-        expect = [b["name"] for b in header["blocks"]]
-        if names != expect:
-            raise ValueError(f"{path}: parameter blocks do not match this build")
+        try:
+            return _read_checkpoint(f)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
 
-        def read_block(shape):
-            shape = tuple(shape)
-            count = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(f.read(count * 8), dtype="<f8").reshape(shape)
-            return np.ascontiguousarray(arr)
 
-        for b in header["blocks"]:
-            model.params[b["name"]].data[...] = read_block(b["shape"])
-        optimizer = None
-        if header["optimizer"] is not None:
-            o = header["optimizer"]
-            optimizer = Adam(model.params, AdamConfig(lr=o["lr"], beta1=o["beta1"],
-                                                      beta2=o["beta2"], eps=o["eps"]))
-            optimizer.step_count = int(o["step"])
-            for state in (optimizer.m, optimizer.v):
-                for b in header["blocks"]:
-                    state[b["name"]][...] = read_block(b["shape"])
+def _read_checkpoint(f) -> tuple[Model, Adam | None]:
+    end = os.fstat(f.fileno()).st_size
+
+    def take(size: int, what: str) -> bytes:
+        if f.tell() + size > end:
+            raise ValueError(f"truncated checkpoint: file ends inside the {what}")
+        return f.read(size)
+
+    if take(4, "magic") != CKPT_MAGIC:
+        raise ValueError("not a checkpoint file (bad magic)")
+    (version,) = struct.unpack("<I", take(4, "version"))
+    if version != CKPT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    (hlen,) = struct.unpack("<Q", take(8, "header length"))
+    try:
+        header = json.loads(take(hlen, "header").decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise _header_error(f"not valid JSON ({e})") from None
+    model, opt = _model_from_header(header)
+
+    def read_blocks(section: str, into: list[np.ndarray]) -> None:
+        for name, arr in zip(model.params.names(), into):
+            arr[...] = np.frombuffer(take(arr.size * 8, f"{section} block {name}"),
+                                     dtype="<f8").reshape(arr.shape)
+
+    read_blocks("parameter", [t.data for t in model.params.tensors()])
+    optimizer = None
+    if opt is not None:
+        optimizer = Adam(model.params, AdamConfig(lr=opt["lr"], beta1=opt["beta1"],
+                                                  beta2=opt["beta2"], eps=opt["eps"]))
+        optimizer.step_count = opt["step"]
+        read_blocks("optimizer first-moment", list(optimizer.m.values()))
+        read_blocks("optimizer second-moment", list(optimizer.v.values()))
+    if f.tell() != end:
+        raise ValueError(f"{end - f.tell()} trailing bytes after the last block")
     return model, optimizer

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import granalign as ga
+import granalign.autodiff as ad
+from granalign import encoder
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -68,3 +70,77 @@ def fd_gradient(f, arr: np.ndarray, coords, step: float = 1e-6) -> dict:
 
 def rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-8)
+
+
+# ---------------------------------------------------------------------------
+# reference encoder layer: the op-by-op chain the fused tape node replaced
+# ---------------------------------------------------------------------------
+
+
+def multi_head_ga(x, g, layer, num_heads, eps_row=1e-12):
+    """All heads of masked attention plus the output projection, for one sequence.
+
+    The head loop runs batched in one tape node, equivalent to per-head
+    ga_attention on sliced projections.
+    """
+    gm = g.matrix if isinstance(g, ga.LeadGraph) else np.asarray(g, dtype=np.float64)
+    n, d_model = x.data.shape
+    if d_model % num_heads != 0:
+        raise ValueError("d_model not divisible by head count")
+    d_k = d_model // num_heads
+    wq, wk, wv = layer.wq, layer.wk, layer.wv
+
+    def split(a):
+        return a.reshape(n, num_heads, d_k).transpose(1, 0, 2)
+
+    def join(a):
+        return a.transpose(1, 0, 2).reshape(n, d_model)
+
+    out3, cache = encoder._ga_forward(split(x.data @ wq.data), split(x.data @ wk.data),
+                                      split(x.data @ wv.data), gm[None], eps_row)
+    heads = ad.Tensor(join(out3))
+
+    def backward(grad):
+        d_q, d_k_, d_v = (join(a) for a in encoder._ga_backward(split(grad), cache))
+        d_x = d_q @ wq.data.T + d_k_ @ wk.data.T + d_v @ wv.data.T
+        return d_x, x.data.T @ d_q, x.data.T @ d_k_, x.data.T @ d_v
+
+    ad.record(heads, (x, wq, wk, wv), backward)
+    return ad.matmul(heads, layer.wo)
+
+
+def feed_forward(x, layer):
+    hidden = ad.relu(ad.add(ad.matmul(x, layer.ffn_w1), layer.ffn_b1))
+    return ad.add(ad.matmul(hidden, layer.ffn_w2), layer.ffn_b2)
+
+
+def reference_encoder_layer(x, g, layer, cfg, layout=None):
+    """Post-norm residual layer as a chain of autodiff ops, one sequence at a time.
+
+    Accepts the fused layer's arguments; a layout must hold one sequence.
+    """
+    if layout is not None:
+        assert layout.batch == 1 and layout.dense
+        g = g[0]
+    attended = multi_head_ga(x, g, layer, cfg.num_heads, cfg.eps_row)
+    y = ad.layer_norm_rows(ad.add(x, attended), layer.ln1_gain, layer.ln1_bias, cfg.eps_norm)
+    return ad.layer_norm_rows(ad.add(y, feed_forward(y, layer)),
+                              layer.ln2_gain, layer.ln2_bias, cfg.eps_norm)
+
+
+def reference_batch(model, preps, monkeypatch):
+    """Per-sample losses and batch-mean gradients the per-sample way: one tape
+    per sample through the reference layer chain, ``accum += g / B``."""
+    names = model.params.names()
+    accum = {name: np.zeros_like(t.data) for name, t in model.params.items()}
+    inv = 1.0 / len(preps)
+    losses = []
+    with monkeypatch.context() as m:
+        m.setattr(encoder, "encoder_layer", reference_encoder_layer)
+        for prep in preps:
+            with ad.Tape() as tape:
+                loss = model.loss(model.forward(prep), prep.answer_index)
+            for name, g in zip(names, tape.gradients(loss, model.params.tensors())):
+                accum[name] += inv * g
+            losses.append(float(loss.data))
+    return np.array(losses), accum

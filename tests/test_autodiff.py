@@ -1,5 +1,7 @@
 """Tape-based reverse-mode autodiff: op semantics against independent oracles."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,32 @@ class TestTapeMechanics:
         g1 = run()
         g2 = run()
         assert all(x1.tobytes() == x2.tobytes() for x1, x2 in zip(g1, g2))
+
+
+    def test_backward_frees_swept_gradients(self):
+        """Once a node has passed its output gradient to its inputs, the sweep
+        holds no reference to that gradient."""
+        seen, alive = [], []
+
+        def double(x):
+            out = ad.Tensor(x.data * 2.0)
+
+            def backward(g):
+                alive.append(sum(r() is not None for r in seen))
+                seen.append(weakref.ref(g))
+                return (g * 2.0,)
+
+            return ad.record(out, (x,), backward)
+
+        x = ad.Tensor(np.ones(64), requires_grad=True)
+        with ad.Tape() as t:
+            y = x
+            for _ in range(6):
+                y = double(y)
+            loss = ad.sum_all(y)
+        (g,) = t.gradients(loss, [x])
+        assert alive == [0] * 6  # none of the gradients handed over before
+        np.testing.assert_array_equal(g, np.full(64, 64.0))
 
 
 class TestMatmul:
@@ -237,6 +265,18 @@ class TestLayerNormRows:
             for c, val in fd.items():
                 assert rel_err(g.reshape(-1)[c], val) < 1e-6
 
+    def test_mean_as_sum_over_d_is_bitwise_np_mean(self):
+        """The shared layer-norm helper computes means as sum / d; that must
+        be bitwise what the np.mean formulation gives."""
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(7, 32)) * 3 + 1
+        gain, bias = rng.normal(size=32), rng.normal(size=32)
+        centered = x - x.mean(axis=-1, keepdims=True)
+        inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-5)
+        expect = gain * (centered * inv_std) + bias
+        got = ad.layer_norm_rows(ad.Tensor(x), ad.Tensor(gain), ad.Tensor(bias), 1e-5).data
+        assert got.tobytes() == expect.tobytes()
+
 
 class TestCrossEntropy:
     def test_uniform_logits_equal_log_classes(self):
@@ -265,6 +305,33 @@ class TestCrossEntropy:
         expect[2] -= 1.0
         np.testing.assert_allclose(g, expect, atol=1e-12)
 
+    def test_rows_match_one_dimensional_calls(self):
+        rng = np.random.default_rng(9)
+        z = rng.normal(size=(4, 5)) * 3
+        answers = [0, 4, 2, 2]
+        x = ad.Tensor(z, requires_grad=True)
+        w = rng.normal(size=4)
+        with ad.Tape() as t:
+            losses = ad.cross_entropy_logits(x, answers)
+            loss = ad.sum_all(ad.mul(losses, ad.Tensor(w)))
+        (g,) = t.gradients(loss, [x])
+        assert losses.data.shape == (4,)
+        for i, a in enumerate(answers):
+            row = ad.Tensor(z[i], requires_grad=True)
+            with ad.Tape() as t1:
+                single = ad.cross_entropy_logits(row, a)
+            assert losses.data[i] == single.data
+            np.testing.assert_allclose(g[i], w[i] * t1.gradients(single, [row])[0],
+                                       rtol=1e-14, atol=1e-16)
+
+    def test_answer_count_must_match_rows(self):
+        with pytest.raises(ValueError, match="answers"):
+            ad.cross_entropy_logits(ad.Tensor(np.zeros((3, 4))), [0, 1])
+        with pytest.raises(ValueError, match="answers"):
+            ad.cross_entropy_logits(ad.Tensor(np.zeros(4)), [0])
+        with pytest.raises(ValueError, match="out of range"):
+            ad.cross_entropy_logits(ad.Tensor(np.zeros((2, 4))), [0, 4])
+
     def test_answer_out_of_range(self):
         with pytest.raises(ValueError):
             ad.cross_entropy_logits(ad.Tensor(np.zeros(3)), 3)
@@ -289,6 +356,20 @@ class TestStructuralOps:
         ga_, gb = t.gradients(loss, [a, b])
         assert np.array_equal(ga_, np.zeros((2, 2)))
         assert np.array_equal(gb, np.ones((1, 2)))
+
+    def test_concat_columns_backward_splits(self):
+        a = ad.Tensor(np.ones((2, 3)), requires_grad=True)
+        b = ad.Tensor(np.full((2, 1), 2.0), requires_grad=True)
+        w = np.arange(8.0).reshape(2, 4)
+        with ad.Tape() as t:
+            cat = ad.concat_rows([a, b], axis=1)
+            loss = ad.sum_all(ad.mul(cat, ad.Tensor(w)))
+        np.testing.assert_array_equal(cat.data, [[1, 1, 1, 2], [1, 1, 1, 2]])
+        ga_, gb = t.gradients(loss, [a, b])
+        np.testing.assert_array_equal(ga_, w[:, :3])
+        np.testing.assert_array_equal(gb, w[:, 3:])
+        with pytest.raises(ValueError, match="row counts"):
+            ad.concat_rows([a, ad.Tensor(np.ones((3, 1)))], axis=1)
 
     def test_mean_rows_value_and_gradient(self):
         x = ad.Tensor(np.array([[1.0, 3.0], [5.0, 7.0]]), requires_grad=True)

@@ -1,6 +1,7 @@
 """Command-line interface: arguments, config files, outputs, exit codes."""
 
 import json
+import struct
 import subprocess
 import sys
 
@@ -165,6 +166,30 @@ class TestTrainEval:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", ["no_d_emb", "trailing", "truncated"])
+    def test_damaged_checkpoint_exits_one(self, cli_corpus, cli_config, tmp_path, capsys,
+                                          damage):
+        ckpt = tmp_path / "model.ckpt"
+        main(["train", "--data", str(cli_corpus), "--config", cli_config,
+              "--out", str(ckpt), "--log", str(tmp_path / "m.jsonl")])
+        blob = ckpt.read_bytes()
+        if damage == "no_d_emb":
+            (hlen,) = struct.unpack("<Q", blob[8:16])
+            header = json.loads(blob[16:16 + hlen])
+            del header["d_emb"]
+            raw = json.dumps(header).encode()
+            blob = blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + hlen:]
+        elif damage == "trailing":
+            blob += b"\x00" * 8
+        else:
+            blob = blob[:-3]
+        ckpt.write_bytes(blob)
+        capsys.readouterr()
+        rc = main(["eval", "--data", str(cli_corpus), "--ckpt", str(ckpt)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {ckpt}: ") and "Traceback" not in err
+
 
 class TestGradcheckCommand:
     def test_default_model_passes_every_block(self, cli_corpus, capsys):
@@ -303,6 +328,13 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_module_entry_point_prints_no_warning(self):
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "granalign.cli", "--help"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "dump-leadgraph" in proc.stdout
 
     def test_installed_script_smoke(self, tmp_path):
         proc = subprocess.run(

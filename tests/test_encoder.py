@@ -7,14 +7,15 @@ import granalign.autodiff as ad
 from granalign.encoder import (
     EncoderConfig,
     EncoderStack,
+    Layout,
+    _ga_forward,
     encode_stream,
     encoder_layer,
     ga_attention,
-    multi_head_ga,
     sentence_pretransform,
 )
 from granalign.leadgraph import LeadGraph, full_graph, pairs_to_matrix
-from conftest import fd_gradient, rel_err
+from conftest import fd_gradient, multi_head_ga, reference_encoder_layer, rel_err
 
 
 def textbook_attention(q, k, v):
@@ -268,6 +269,138 @@ class TestEncoderLayer:
                 assert rel_err(grad.reshape(-1)[c], val) < 2e-6
 
 
+class TestFusedLayer:
+    LAYER_INPUTS = ("wq", "wk", "wv", "wo", "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2",
+                    "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias")
+
+    def make(self, seed, d=8, f=16, heads=2):
+        rng = np.random.default_rng(seed)
+        cfg = EncoderConfig(num_layers=1, num_heads=heads, d_model=d, d_ff=f)
+        return rng, cfg, make_layer(rng, d, f)
+
+    def grads(self, fn, x, layer, w):
+        with ad.Tape() as t:
+            out = fn(x)
+            loss = ad.sum_all(ad.mul(out, ad.Tensor(w)))
+        return out, t.gradients(loss, [x] + [getattr(layer, n) for n in self.LAYER_INPUTS])
+
+    def test_one_tape_node_per_layer(self):
+        rng, cfg, layer = self.make(30)
+        x = ad.Tensor(rng.normal(size=(5, 8)), requires_grad=True)
+        with ad.Tape() as t:
+            encoder_layer(x, np.ones((5, 5)), layer, cfg)
+        assert len(t.nodes) == 1
+
+    def test_matches_reference_chain(self):
+        """One sequence: bitwise values, and gradients of x and all 12 blocks
+        equal to the op-by-op chain's to 1e-12."""
+        rng, cfg, layer = self.make(31)
+        n = 6
+        x = ad.Tensor(rng.normal(size=(n, 8)), requires_grad=True)
+        g = (rng.random((n, n)) < 0.5).astype(float)
+        g[2] = 0.0  # one dead row
+        w = rng.normal(size=(n, 8))
+        out, grads = self.grads(lambda t: encoder_layer(t, g, layer, cfg), x, layer, w)
+        ref, ref_grads = self.grads(lambda t: reference_encoder_layer(t, g, layer, cfg),
+                                    x, layer, w)
+        assert out.data.tobytes() == ref.data.tobytes()
+        for got, expect in zip(grads, ref_grads):
+            np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-14)
+
+    def test_packed_batch_matches_each_sequence(self):
+        """Three sequences of different lengths packed out of order match
+        three separate calls, values and gradients."""
+        rng, cfg, layer = self.make(32)
+        lengths = [3, 7, 5]
+        seqs = [rng.normal(size=(n, 8)) for n in lengths]
+        masks = [(rng.random((n, n)) < 0.6).astype(float) for n in lengths]
+        ws = [rng.normal(size=(n, 8)) for n in lengths]
+        order = rng.permutation(sum(lengths))  # rows need not be grouped by sequence
+        sample = np.repeat(np.arange(3), lengths)[order]
+        pos = np.concatenate([np.arange(n) for n in lengths])[order]
+        layout = Layout(sample, pos, lengths)
+        packed = np.concatenate(seqs)[order]
+        x = ad.Tensor(packed, requires_grad=True)
+        out, grads = self.grads(
+            lambda t: encoder_layer(t, layout.pad_masks(masks), layer, cfg, layout),
+            x, layer, np.concatenate(ws)[order])
+        block_sum = [np.zeros_like(gr) for gr in grads[1:]]
+        for b, n in enumerate(lengths):
+            xb = ad.Tensor(seqs[b], requires_grad=True)
+            ob, gb = self.grads(lambda t: encoder_layer(t, masks[b], layer, cfg),
+                                xb, layer, ws[b])
+            rows = np.flatnonzero(sample == b)[np.argsort(pos[sample == b])]
+            np.testing.assert_allclose(out.data[rows], ob.data, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(grads[0][rows], gb[0], rtol=1e-12, atol=1e-13)
+            for acc, gr in zip(block_sum, gb[1:]):
+                acc += gr
+        for got, expect in zip(grads[1:], block_sum):
+            np.testing.assert_allclose(got, expect, rtol=1e-11, atol=1e-13)
+
+    def test_finite_differences_on_packed_batch(self):
+        rng, cfg, layer = self.make(33, d=4, f=8)
+        layout = Layout.contiguous([2, 4])
+        masks = [np.ones((2, 2)), (rng.random((4, 4)) < 0.7).astype(float)]
+        g = layout.pad_masks(masks)
+        x = ad.Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        w = rng.normal(size=(6, 4))
+        _, grads = self.grads(lambda t: encoder_layer(t, g, layer, cfg, layout), x, layer, w)
+
+        def f():
+            return float((encoder_layer(ad.Tensor(x.data), g, layer, cfg, layout).data
+                          * w).sum())
+
+        tensors = [x] + [getattr(layer, n) for n in self.LAYER_INPUTS]
+        for tensor, grad in zip(tensors, grads):
+            coords = rng.choice(tensor.data.size, min(3, tensor.data.size), replace=False)
+            for c, val in fd_gradient(f, tensor.data, coords).items():
+                assert rel_err(grad.reshape(-1)[c], val) < 2e-6
+
+
+class TestLayout:
+    def test_pad_unpad_roundtrip(self):
+        layout = Layout(np.array([1, 0, 1, 0, 1]), np.array([0, 0, 1, 1, 2]), [2, 3])
+        rows = np.arange(10.0).reshape(5, 2)
+        padded = layout.pad(rows)
+        assert padded.shape == (2, 3, 2)
+        np.testing.assert_array_equal(padded[0, 2], [0.0, 0.0])
+        np.testing.assert_array_equal(padded[1, 2], rows[4])
+        assert not layout.dense
+        np.testing.assert_array_equal(layout.unpad(padded.reshape(6, 2)), rows)
+
+    def test_single_sequence_is_dense(self):
+        layout = Layout.contiguous([4])
+        rows = np.arange(8.0).reshape(4, 2)
+        assert layout.dense
+        assert np.shares_memory(layout.pad(rows), rows)
+
+    def test_mean_matrix_and_masks(self):
+        layout = Layout.contiguous([1, 3])
+        p = layout.mean_matrix()
+        np.testing.assert_allclose(p, [[1, 0, 0, 0], [0, 1 / 3, 1 / 3, 1 / 3]])
+        m = layout.pad_masks([np.ones((1, 1)), np.eye(3)])
+        assert m.dtype == bool and m.shape == (2, 3, 3)
+        assert m[0].sum() == 1 and m[0, 0, 0]
+        np.testing.assert_array_equal(m[1], np.eye(3, dtype=bool))
+
+    def test_padded_keys_and_values_have_no_influence(self):
+        """Garbage in the padded rows of q, k and v leaves the real rows of
+        the attention output bitwise unchanged: padding is zero mask entries."""
+        rng = np.random.default_rng(34)
+        q, k, v = (rng.normal(size=(2, 3, 6, 4)) for _ in range(3))
+        g = np.zeros((2, 1, 6, 6), dtype=bool)
+        g[0, :, :4, :4] = rng.random((4, 4)) < 0.7
+        g[1, :, :6, :6] = rng.random((6, 6)) < 0.7
+        base, _ = _ga_forward(q, k, v, g, 1e-12)
+        q2, k2, v2 = q.copy(), k.copy(), v.copy()
+        for a in (q2, k2, v2):
+            a[0, :, 4:] = 1e3
+        out, _ = _ga_forward(q2, k2, v2, g, 1e-12)
+        assert out[0, :, :4].tobytes() == base[0, :, :4].tobytes()
+        assert out[1].tobytes() == base[1].tobytes()
+        assert not out[0, :, 4:].any()
+
+
 class TestEncodeStream:
     def make_stack(self, cfg, seed=0):
         params = ad.Parameters()
@@ -280,19 +413,21 @@ class TestEncodeStream:
         t_img = ad.Tensor(rng.normal(size=(3, 4)))
         t_q = ad.Tensor(rng.normal(size=(2, 4)))
         sep = ad.Tensor(rng.normal(size=4))
-        hidden, sep_index = encode_stream(t_img, t_q, [np.ones((6, 6))] * 3, stack, sep)
+        hidden, layout, sep_rows = encode_stream(t_img, t_q, [3], [[np.ones((6, 6))] * 3],
+                                                 stack, sep)
         assert hidden.data.shape == (6, 4)
-        assert sep_index == 3
+        assert sep_rows.tolist() == [3]
+        assert layout.pos.tolist() == list(range(6))
 
     def test_empty_question_side(self):
         cfg = EncoderConfig(num_layers=1, num_heads=2, d_model=4, d_ff=8, max_len=16)
         stack = self.make_stack(cfg)
         t_img = ad.Tensor(np.random.default_rng(16).normal(size=(2, 4)))
         t_q = ad.Tensor(np.zeros((0, 4)))
-        hidden, sep_index = encode_stream(t_img, t_q, [np.ones((3, 3))], stack,
-                                          ad.Tensor(np.zeros(4)))
+        hidden, _, sep_rows = encode_stream(t_img, t_q, [2], [[np.ones((3, 3))]], stack,
+                                            ad.Tensor(np.zeros(4)))
         assert hidden.data.shape == (3, 4)
-        assert sep_index == 2
+        assert sep_rows.tolist() == [2]
 
     def test_sep_row_follows_image_tokens(self):
         """With all-zero masks rows do not mix, so the SEP vector moves only its own row."""
@@ -301,10 +436,10 @@ class TestEncodeStream:
         rng = np.random.default_rng(17)
         t_img = ad.Tensor(rng.normal(size=(2, 4)))
         t_q = ad.Tensor(rng.normal(size=(2, 4)))
-        masks = [np.zeros((5, 5))]
-        a, sep_index = encode_stream(t_img, t_q, masks, stack, ad.Tensor(np.zeros(4)))
-        b, _ = encode_stream(t_img, t_q, masks, stack, ad.Tensor(np.arange(4.0)))
-        assert sep_index == 2
+        plans = [[np.zeros((5, 5))]]
+        a, _, sep_rows = encode_stream(t_img, t_q, [2], plans, stack, ad.Tensor(np.zeros(4)))
+        b, _, _ = encode_stream(t_img, t_q, [2], plans, stack, ad.Tensor(np.arange(4.0)))
+        assert sep_rows.tolist() == [2]
         changed = [i for i in range(5) if a.data[i].tobytes() != b.data[i].tobytes()]
         assert changed == [2]
 
@@ -316,7 +451,7 @@ class TestEncodeStream:
         t_q = ad.Tensor(rng.normal(size=(3, 4)))
         sep = ad.Tensor(rng.normal(size=4))
         masks = [(rng.random((6, 6)) < 0.5).astype(float) for _ in range(2)]
-        hidden, _ = encode_stream(t_img, t_q, masks, stack, sep)
+        hidden, _, _ = encode_stream(t_img, t_q, [2], [masks], stack, sep)
         x = stack.add_positions(ad.Tensor(np.vstack([t_img.data, sep.data, t_q.data])))
         for g, layer in zip(masks, stack.layers):
             x = encoder_layer(x, g, layer, cfg)
@@ -325,8 +460,8 @@ class TestEncodeStream:
     def test_sep_vector_must_be_1d(self):
         cfg = EncoderConfig(num_layers=1, num_heads=2, d_model=4, d_ff=8, max_len=16)
         with pytest.raises(ValueError, match="1-D"):
-            encode_stream(ad.Tensor(np.zeros((2, 4))), ad.Tensor(np.zeros((0, 4))),
-                          [np.ones((3, 3))], self.make_stack(cfg),
+            encode_stream(ad.Tensor(np.zeros((2, 4))), ad.Tensor(np.zeros((0, 4))), [2],
+                          [[np.ones((3, 3))]], self.make_stack(cfg),
                           ad.Tensor(np.zeros((1, 4))))
 
     def test_mask_count_and_shape_checked(self):
@@ -335,16 +470,16 @@ class TestEncodeStream:
         t_img, t_q, sep = (ad.Tensor(np.zeros((2, 4))), ad.Tensor(np.zeros((1, 4))),
                            ad.Tensor(np.zeros(4)))
         with pytest.raises(ValueError, match="needs 2 masks"):
-            encode_stream(t_img, t_q, [np.ones((4, 4))], stack, sep)
-        with pytest.raises(ValueError, match="of 4 x 4"):
-            encode_stream(t_img, t_q, [np.ones((3, 3))] * 2, stack, sep)
+            encode_stream(t_img, t_q, [2], [[np.ones((4, 4))]], stack, sep)
+        with pytest.raises(ValueError, match="do not match"):
+            encode_stream(t_img, t_q, [2], [[np.ones((3, 3))] * 2], stack, sep)
 
     def test_sequence_longer_than_max_len_raises(self):
         cfg = EncoderConfig(num_layers=1, num_heads=2, d_model=4, d_ff=8, max_len=4)
         stack = self.make_stack(cfg)
         t_img = ad.Tensor(np.zeros((4, 4)))
         with pytest.raises(ValueError, match="max_len"):
-            encode_stream(t_img, ad.Tensor(np.zeros((2, 4))), [np.ones((7, 7))],
+            encode_stream(t_img, ad.Tensor(np.zeros((2, 4))), [4], [[np.ones((7, 7))]],
                           stack, ad.Tensor(np.zeros(4)))
 
 
@@ -359,12 +494,12 @@ class TestSentencePretransform:
         adj = np.eye(3)
         adj[0, 1] = 1.0
         with pytest.raises(ValueError, match="symmetric"):
-            sentence_pretransform(ad.Tensor(np.zeros((3, 4))), adj, stack)
+            sentence_pretransform(ad.Tensor(np.zeros((3, 4))), [adj], stack)
 
     def test_rejects_missing_self_loops(self):
         stack = self.make_stack()
         with pytest.raises(ValueError, match="diagonal"):
-            sentence_pretransform(ad.Tensor(np.zeros((3, 4))), np.zeros((3, 3)), stack)
+            sentence_pretransform(ad.Tensor(np.zeros((3, 4))), [np.zeros((3, 3))], stack)
 
     def test_disconnected_components_do_not_mix(self):
         """Tokens in different dependency components never influence each other."""
@@ -375,8 +510,8 @@ class TestSentencePretransform:
         base = rng.normal(size=(3, 4))
         bumped = base.copy()
         bumped[2] += 5.0
-        out_a = sentence_pretransform(ad.Tensor(base), adj, stack).data
-        out_b = sentence_pretransform(ad.Tensor(bumped), adj, stack).data
+        out_a = sentence_pretransform(ad.Tensor(base), [adj], stack).data
+        out_b = sentence_pretransform(ad.Tensor(bumped), [adj], stack).data
         assert out_a[:2].tobytes() == out_b[:2].tobytes()
         assert out_a[2].tobytes() != out_b[2].tobytes()
 

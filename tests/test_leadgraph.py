@@ -138,12 +138,15 @@ class TestMaskPlan:
         self.q = LevelData(level="entity", labels=["x", "y"], full=True)
 
     def test_one_mask_per_layer_with_sep(self):
-        plan = mask_plan(self.img, self.q, num_layers=5)
-        masks = layer_masks(append_sep_mask(level_graph(self.img)), level_graph(self.q))
-        assert len(plan) == 5
-        for i, m in enumerate(plan):
-            assert m.shape == (6, 6)
-            np.testing.assert_array_equal(m, mask_for_layer(masks, i).matrix)
+        for num_layers in (1, 2, 5):
+            for connect_all in (True, False):
+                plan = mask_plan(self.img, self.q, num_layers, sep_connect_all=connect_all)
+                masks = layer_masks(append_sep_mask(level_graph(self.img), connect_all),
+                                    level_graph(self.q))
+                assert len(plan) == num_layers and plan.dtype == bool
+                for i, m in enumerate(plan):
+                    assert m.shape == (6, 6)
+                    np.testing.assert_array_equal(m, mask_for_layer(masks, i).matrix)
 
     def test_sep_self_only_variant(self):
         m3 = mask_plan(self.img, self.q, num_layers=3, sep_connect_all=False)[2]

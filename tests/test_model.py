@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import granalign.autodiff as ad
-from granalign import leadgraph
-from granalign.encoder import encoder_layer
+from granalign import encoder, leadgraph
+from granalign.data import DEFAULT_WORLD, ToyWorldSpec, gen_corpus, load_manifest
+from granalign.encoder import Layout, encoder_layer
 from granalign.ingest import question_from_dict
 from granalign.leadgraph import append_sep_mask, layer_masks, level_graph, pairs_to_matrix
 from granalign.model import STREAMS, LogitsBundle, Model, ModelConfig, StreamOutput
-from conftest import fixture_path
+from granalign.training import generic_parameter_point
+from conftest import fixture_path, reference_batch
 
 WORDS = ["what", "color", "is", "the", "there", "a",
          "girl", "dog", "brown", "left", "right"]
@@ -107,6 +109,7 @@ class TestPrepare:
             img, q = getattr(prep, STREAMS[tag].image), getattr(prep, STREAMS[tag].question)
             masks = layer_masks(append_sep_mask(level_graph(img)), level_graph(q))
             assert len(plan) == 4
+            assert plan.dtype == bool
             for i, m in enumerate(plan):
                 np.testing.assert_array_equal(m, masks[min(i, 2)].matrix)
 
@@ -208,15 +211,15 @@ class TestPredict:
 class TestPooling:
     def test_sep_pool_reads_sep_row(self, girl_dog):
         model, prep = make_model(girl_dog, pooling="sep")
-        out = model.run_stream("ce", prep)
+        out = model.run_stream("ce", [prep])
         pooled = model._pool(out)
-        np.testing.assert_array_equal(pooled.data, out.hidden.data[out.sep_index])
+        np.testing.assert_array_equal(pooled.data, out.hidden.data[out.sep_rows])
 
     def test_mean_pool_averages_rows(self, girl_dog):
         model, prep = make_model(girl_dog, pooling="mean")
-        out = model.run_stream("ce", prep)
+        out = model.run_stream("ce", [prep])
         pooled = model._pool(out)
-        np.testing.assert_allclose(pooled.data, out.hidden.data.mean(axis=0),
+        np.testing.assert_allclose(pooled.data, out.hidden.data.mean(axis=0, keepdims=True),
                                    atol=1e-12)
 
     def test_pooling_changes_logits(self, girl_dog):
@@ -240,7 +243,7 @@ class TestVariants:
         model, prep = make_model(girl_dog, use_lead_graphs=False)
         outputs = []
         for tag in model.config.streams:
-            t_img, t_q = model._stream_inputs(tag, prep)
+            t_img, t_q, _ = model._stream_inputs(tag, [prep])
             sep = model.params[f"{tag}.sep"]
             stack = model.stacks[tag]
             x = ad.concat_rows([t_img, ad.reshape(sep, (1, sep.data.shape[0])), t_q])
@@ -248,9 +251,10 @@ class TestVariants:
             n = x.data.shape[0]
             for layer in stack.layers:
                 x = encoder_layer(x, np.ones((n, n)), layer, stack.cfg)
-            outputs.append(StreamOutput(tag, x, t_img.data.shape[0]))
+            outputs.append(StreamOutput(tag, x, Layout.contiguous([n]),
+                                        np.array([t_img.data.shape[0]])))
         reference = model.fuse(outputs).all_logits()
-        got = model.forward(prep).all_logits()
+        got = model.forward_batch([prep]).all_logits()
         assert list(got) == list(reference)
         for tag in got:
             assert got[tag].data.tobytes() == reference[tag].data.tobytes()
@@ -279,3 +283,131 @@ class TestVariants:
     def test_empty_answer_vocab_rejected(self):
         with pytest.raises(ValueError):
             Model(small_config(), WORDS, [], d_region=4, d_spatial=4)
+
+
+@pytest.fixture(scope="module")
+def mixed_batch(tmp_path_factory):
+    """Pinned-world samples (5-11 tokens per stream) together with 7x7-grid
+    samples (ss streams of 54-55 tokens), prepared for a full-width model at
+    a generic parameter point."""
+    root = tmp_path_factory.mktemp("mixed")
+    pinned = load_manifest(gen_corpus(DEFAULT_WORLD, 6, 1, 3, str(root / "pinned"))[0])
+    wide = load_manifest(gen_corpus(ToyWorldSpec(objects_min=1, objects_max=4, grid_size=7),
+                                    6, 1, 3, str(root / "wide"))[0])
+    model = Model(ModelConfig(), pinned.word_vocab, pinned.answer_vocab,
+                  pinned.d_region, pinned.d_spatial, seed=1)
+    generic_parameter_point(model)
+    preps = [model.prepare(s.scene, s.question, pinned.answer_index(s.answer))
+             for s in pinned.samples + wide.samples]
+    return model, preps
+
+
+def batch_loss_and_grads(model, preps):
+    with ad.Tape() as tape:
+        bundle = model.forward_batch(preps)
+        losses = model.loss(bundle, [p.answer_index for p in preps])
+        loss = ad.scale(ad.sum_all(losses), 1.0 / len(preps))
+    return bundle, losses.data, dict(zip(model.params.names(),
+                                         tape.gradients(loss, model.params.tensors())))
+
+
+class TestBatch:
+    def test_lengths_are_mixed(self, mixed_batch):
+        _, preps = mixed_batch
+        lengths = {p.plans["ss"].shape[-1] for p in preps}
+        assert min(lengths) < 12 and max(lengths) > 50
+
+    def test_matches_per_sample_reference(self, mixed_batch, monkeypatch):
+        """One packed tape with fused layers against one tape per sample
+        through the op-by-op layer chain with per-sample accumulation."""
+        model, preps = mixed_batch
+        _, losses, grads = batch_loss_and_grads(model, preps)
+        ref_losses, ref_grads = reference_batch(model, preps, monkeypatch)
+        np.testing.assert_allclose(losses, ref_losses, rtol=1e-12, atol=0)
+        assert list(grads) == list(ref_grads) and len(grads) == 190
+        for name, g in grads.items():
+            ref = ref_grads[name]
+            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
+    def test_forward_matches_its_batch_row(self, mixed_batch):
+        model, preps = mixed_batch
+        batch = model.forward_batch(preps)
+        for i, prep in enumerate(preps):
+            single = model.forward(prep).all_logits()
+            for tag, t in batch.all_logits().items():
+                assert single[tag].data.shape == (model.n_answers,)
+                np.testing.assert_allclose(single[tag].data, t.data[i], rtol=1e-12, atol=1e-14)
+
+    def test_sep_pooling_matches_its_batch_row(self, mixed_batch):
+        model, preps = mixed_batch
+        sep = Model(ModelConfig(pooling="sep"), model.vocab.words, model.answer_vocab,
+                    model.d_region, model.d_spatial, seed=1)
+        batch = sep.forward_batch(preps).f_ga.data
+        for i, prep in enumerate(preps):
+            np.testing.assert_allclose(sep.forward(prep).f_ga.data, batch[i],
+                                       rtol=1e-12, atol=1e-14)
+
+    def test_other_samples_unchanged_bitwise(self, mixed_batch):
+        """Perturbing one sample's token features leaves the other rows of the
+        batch's logits bitwise equal."""
+        model, preps = mixed_batch
+        base = model.forward_batch(preps).all_logits()
+        victim = preps[7]
+        saved = [victim.region.features.copy(), victim.spatial.features.copy()]
+        try:
+            victim.region.features += 0.5
+            victim.spatial.features -= 0.25
+            bumped = model.forward_batch(preps).all_logits()
+        finally:
+            victim.region.features[...], victim.spatial.features[...] = saved
+        for tag in base:
+            others = [i for i in range(len(preps)) if i != 7]
+            assert bumped[tag].data[others].tobytes() == base[tag].data[others].tobytes()
+            if tag != "ce":  # the concept stream reads labels, not features
+                assert bumped[tag].data[7].tobytes() != base[tag].data[7].tobytes()
+
+    def test_padding_content_has_no_influence(self, mixed_batch, monkeypatch):
+        """Attention pads each sample to the longest; whatever the padded rows
+        hold, every logit stays bitwise the same."""
+        model, preps = mixed_batch
+        base = model.forward_batch(preps).all_logits()
+        pad = encoder.Layout.pad
+
+        def noisy_pad(layout, a):
+            out = pad(layout, a)
+            if not layout.dense:
+                flat = out.reshape((layout.batch * layout.n_max, -1))
+                hole = np.ones(len(flat), dtype=bool)
+                hole[layout.index] = False
+                flat[hole] = 1e3
+            return out
+
+        monkeypatch.setattr(encoder.Layout, "pad", noisy_pad)
+        noisy = model.forward_batch(preps).all_logits()
+        for tag in base:
+            assert noisy[tag].data.tobytes() == base[tag].data.tobytes()
+
+    def test_rows_split_the_batch(self, mixed_batch):
+        model, preps = mixed_batch
+        bundle = model.forward_batch(preps[:3])
+        rows = bundle.rows()
+        assert len(rows) == 3
+        for i, row in enumerate(rows):
+            for tag, t in row.all_logits().items():
+                assert t.data.tobytes() == bundle.all_logits()[tag].data[i].tobytes()
+
+    def test_batch_loss_is_per_sample(self, mixed_batch):
+        model, preps = mixed_batch
+        answers = [p.answer_index for p in preps[:4]]
+        losses = model.loss(model.forward_batch(preps[:4]), answers)
+        assert losses.data.shape == (4,)
+        for value, prep in zip(losses.data, preps[:4]):
+            single = model.loss(model.forward(prep), prep.answer_index).data
+            assert abs(value - single) <= 1e-12 * abs(single)
+        with pytest.raises(ValueError, match="out of range"):
+            model.loss(model.forward_batch(preps[:2]), [0, model.n_answers])
+
+    def test_empty_batch_rejected(self, mixed_batch):
+        model, _ = mixed_batch
+        with pytest.raises(ValueError, match="at least one"):
+            model.forward_batch([])

@@ -2,6 +2,7 @@
 
 import io
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import granalign.autodiff as ad
 from granalign.data import Dataset, Sample
 from granalign.model import Model, ModelConfig
+from granalign import training
 from granalign.training import (
     Adam,
     AdamConfig,
@@ -269,6 +271,131 @@ class TestCheckpoint:
         trainer.fit(checkpoint_path=str(path))
         restored, opt = load_checkpoint(str(path))
         assert opt.step_count == trainer.optimizer.step_count
+
+
+def write_header(blob: bytes, edit) -> bytes:
+    """The checkpoint ``blob`` with its JSON header passed through ``edit``."""
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16:16 + hlen])
+    edit(header)
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    return blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + hlen:]
+
+
+class TestStrictCheckpoint:
+    @pytest.fixture
+    def saved(self, girl_dog, tmp_path):
+        trainer = Trainer(tiny_model(), tiny_dataset(girl_dog),
+                          TrainConfig(batch_size=2, epochs=1, lr=1e-3))
+        trainer.fit()
+        path = tmp_path / "good.ckpt"
+        save_checkpoint(str(path), trainer.model, trainer.optimizer)
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", blob[8:16])
+        n_params = sum(t.data.size for t in trainer.model.params.tensors())
+        return tmp_path, blob, 16 + hlen, 8 * n_params
+
+    def rejects(self, tmp_path, blob, match):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=match) as exc:
+            load_checkpoint(str(path))
+        assert str(path) in str(exc.value)
+
+    def test_missing_d_emb(self, saved):
+        tmp_path, blob, _, _ = saved
+        self.rejects(tmp_path, write_header(blob, lambda h: h.pop("d_emb")), "d_emb is missing")
+
+    def test_trailing_bytes(self, saved):
+        tmp_path, blob, _, _ = saved
+        self.rejects(tmp_path, blob + b"\x00" * 8, "8 trailing bytes")
+
+    @pytest.mark.parametrize("where", ["magic", "header", "parameter", "optimizer"])
+    def test_truncation(self, saved, where):
+        tmp_path, blob, params_at, param_bytes = saved
+        cut = {"magic": 2, "header": params_at - 5, "parameter": params_at + param_bytes // 2,
+               "optimizer": params_at + param_bytes + 12}[where]
+        assert cut < len(blob)
+        self.rejects(tmp_path, blob[:cut], f"truncated checkpoint: file ends inside the {where}")
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda h: h.update(d_region="4"), "d_region has the wrong type"),
+        (lambda h: h["model_config"].update(use_lead_graphs=1), "use_lead_graphs has the wrong"),
+        (lambda h: h["model_config"].update(extra=1), "unknown model_config keys"),
+        (lambda h: h["model_config"].pop("pooling"), "pooling is missing"),
+        (lambda h: h["blocks"][3].update(shape=[1]), "has shape"),
+        (lambda h: h["blocks"].pop(), "do not match"),
+        (lambda h: h["optimizer"].update(step=1.5), "optimizer.step"),
+        (lambda h: h.update(word_vocab="abc"), "word_vocab"),
+    ])
+    def test_header_keys_types_and_blocks(self, saved, edit, match):
+        tmp_path, blob, _, _ = saved
+        self.rejects(tmp_path, write_header(blob, edit), match)
+
+    def test_header_not_json(self, saved):
+        tmp_path, blob, params_at, _ = saved
+        self.rejects(tmp_path, blob[:16] + b"{" * (params_at - 16) + blob[params_at:], "JSON")
+
+    def test_good_file_still_loads(self, saved):
+        tmp_path, blob, _, _ = saved
+        path = tmp_path / "copy.ckpt"
+        path.write_bytes(blob)
+        model, opt = load_checkpoint(str(path))
+        assert opt is not None and opt.step_count == 1
+
+
+class TestBatchedTraining:
+    def test_one_tape_and_one_step_per_batch(self, girl_dog, monkeypatch):
+        ds = tiny_dataset(girl_dog)
+        ds.samples = ds.samples * 3  # 6 samples: batches of 4 and 2
+        trainer = Trainer(tiny_model(), ds, TrainConfig(batch_size=4, epochs=1, lr=1e-3))
+        tapes, steps, sizes = [], [], []
+        monkeypatch.setattr(ad.Tape, "__enter__",
+                            lambda t, enter=ad.Tape.__enter__: tapes.append(t) or enter(t))
+        monkeypatch.setattr(trainer.optimizer, "step", steps.append)
+        forward_batch = trainer.model.forward_batch
+        monkeypatch.setattr(trainer.model, "forward_batch",
+                            lambda preps: sizes.append(len(preps)) or forward_batch(preps))
+        trainer.run_epoch()
+        assert len(tapes) == 2 and len(steps) == 2 and sizes == [4, 2]
+
+    def test_batch_gradient_is_mean_of_sample_gradients(self, girl_dog, monkeypatch):
+        scene, question = girl_dog
+        model = tiny_model()
+        preps = [model.prepare(scene, question, a) for a in (0, 2, 3)]
+        trainer = Trainer(model, tiny_dataset(girl_dog), TrainConfig(batch_size=3, lr=1e-3))
+        trainer.prepared = preps
+        got = []
+        monkeypatch.setattr(trainer.optimizer, "step", got.append)
+        record = trainer.run_epoch()
+        expect = {name: np.zeros_like(t.data) for name, t in model.params.items()}
+        losses = []
+        for prep in preps:
+            with ad.Tape() as t:
+                loss = model.loss(model.forward(prep), prep.answer_index)
+            for name, g in zip(model.params.names(), t.gradients(loss, model.params.tensors())):
+                expect[name] += g / 3
+            losses.append(float(loss.data))
+        assert abs(record["loss"] - sum(losses) / 3) <= 1e-12 * record["loss"]
+        for name, g in got[0].items():
+            np.testing.assert_allclose(g, expect[name], rtol=1e-10,
+                                       atol=1e-12 * np.abs(expect[name]).max())
+
+    def test_evaluate_runs_chunks_and_predicts_in_order(self, girl_dog, monkeypatch):
+        ds = tiny_dataset(girl_dog)
+        ds.samples = ds.samples * 17  # 34 samples: chunks of 16, 16 and 2
+        model = tiny_model()
+        sizes, preds = [], []
+        forward_batch, predict = model.forward_batch, model.predict
+        monkeypatch.setattr(model, "forward_batch",
+                            lambda preps: sizes.append(len(preps)) or forward_batch(preps))
+        monkeypatch.setattr(model, "predict", lambda b: preds.append(predict(b)) or preds[-1])
+        report = evaluate(model, ds)
+        assert sizes == [training.EVAL_CHUNK] * 2 + [2] and training.EVAL_CHUNK == 16
+        scene, question = girl_dog
+        single = [predict(model.forward(model.prepare(scene, question, 0)))] * 34
+        assert preds == single
+        assert report["n"] == 34
 
 
 class TestLossValue:
