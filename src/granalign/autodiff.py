@@ -21,21 +21,15 @@ __all__ = [
     "Tensor",
     "Tape",
     "Parameters",
-    "active_tape",
     "record",
     "matmul",
     "add",
-    "mul",
     "scale",
     "relu",
-    "softmax_rows",
     "layer_norm_rows",
     "cross_entropy_logits",
     "concat_rows",
-    "mean_rows",
-    "slice_rows",
     "embedding_lookup",
-    "transpose",
     "reshape",
     "sum_all",
 ]
@@ -60,9 +54,6 @@ class Tensor:
     @property
     def shape(self) -> tuple:
         return self.data.shape
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -151,28 +142,17 @@ def record(out: Tensor, inputs: tuple[Tensor, ...], backward: Callable) -> Tenso
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product. 2-D x 2-D, or 1-D row vector x 2-D."""
-    if b.data.ndim != 2:
-        raise ValueError(f"matmul: second operand must be 2-D, got {b.data.shape}")
-    if a.data.ndim == 2:
-        if a.data.shape[1] != b.data.shape[0]:
-            raise ValueError(f"matmul: inner dimensions disagree {a.data.shape} x {b.data.shape}")
-        out = Tensor(a.data @ b.data)
+    """Product of 2-D matrices."""
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ValueError(f"matmul: operands must be 2-D, got {a.data.shape} x {b.data.shape}")
+    if a.data.shape[1] != b.data.shape[0]:
+        raise ValueError(f"matmul: inner dimensions disagree {a.data.shape} x {b.data.shape}")
+    out = Tensor(a.data @ b.data)
 
-        def backward(g):
-            return g @ b.data.T, a.data.T @ g
+    def backward(g):
+        return g @ b.data.T, a.data.T @ g
 
-        return record(out, (a, b), backward)
-    if a.data.ndim == 1:
-        if a.data.shape[0] != b.data.shape[0]:
-            raise ValueError(f"matmul: inner dimensions disagree {a.data.shape} x {b.data.shape}")
-        out = Tensor(a.data @ b.data)
-
-        def backward(g):
-            return b.data @ g, np.outer(a.data, g)
-
-        return record(out, (a, b), backward)
-    raise ValueError(f"matmul: first operand must be 1-D or 2-D, got {a.data.shape}")
+    return record(out, (a, b), backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -194,18 +174,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     raise ValueError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}")
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of same-shape tensors."""
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"mul: shapes disagree {a.data.shape} and {b.data.shape}")
-    out = Tensor(a.data * b.data)
-
-    def backward(g):
-        return g * b.data, g * a.data
-
-    return record(out, (a, b), backward)
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     out = Tensor(a.data * c)
@@ -222,21 +190,6 @@ def relu(a: Tensor) -> Tensor:
 
     def backward(g):
         return (g * pos,)
-
-    return record(out, (a,), backward)
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax of a 2-D tensor, shift-stable per row."""
-    if a.data.ndim != 2:
-        raise ValueError(f"softmax_rows: expected 2-D input, got {a.data.shape}")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(y)
-
-    def backward(g):
-        return (y * (g - (g * y).sum(axis=1, keepdims=True)),)
 
     return record(out, (a,), backward)
 
@@ -266,28 +219,19 @@ def _ln_backward(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray,
 
 
 def layer_norm_rows(a: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
-    """Per-row layer normalization with biased variance.
-
-    Accepts a 2-D [m, d] tensor or a single 1-D [d] vector; ``gain`` and
-    ``bias`` are 1-D [d].
-    """
-    if a.data.ndim not in (1, 2):
-        raise ValueError(f"layer_norm_rows: expected 1-D or 2-D input, got {a.data.shape}")
-    d = a.data.shape[-1]
+    """Per-row layer normalization of a 2-D [m, d] tensor with biased variance;
+    ``gain`` and ``bias`` are 1-D [d]."""
+    if a.data.ndim != 2:
+        raise ValueError(f"layer_norm_rows: expected 2-D input, got {a.data.shape}")
+    d = a.data.shape[1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ValueError("layer_norm_rows: gain/bias shape must match the feature dim")
     y, xhat, inv_std = _ln_forward(a.data, gain.data, bias.data, eps)
     out = Tensor(y)
 
     def backward(g):
-        dx = _ln_backward(g, gain.data, xhat, inv_std)
-        if a.data.ndim == 2:
-            dgain = (g * xhat).sum(axis=0)
-            dbias = g.sum(axis=0)
-        else:
-            dgain = g * xhat
-            dbias = g
-        return dx, dgain, dbias
+        return (_ln_backward(g, gain.data, xhat, inv_std),
+                (g * xhat).sum(axis=0), g.sum(axis=0))
 
     return record(out, (a, gain, bias), backward)
 
@@ -326,20 +270,16 @@ def cross_entropy_logits(logits: Tensor, answer) -> Tensor:
 
 
 def concat_rows(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate along the first axis (2-D with equal column counts, or 1-D),
-    or with ``axis=1`` along the columns of 2-D tensors with equal row counts."""
+    """Concatenate 2-D tensors along the rows (equal column counts), or with
+    ``axis=1`` along the columns (equal row counts)."""
     if not tensors:
         raise ValueError("concat_rows: need at least one tensor")
-    ndim = tensors[0].data.ndim
-    if any(t.data.ndim != ndim for t in tensors):
-        raise ValueError("concat_rows: mixed ranks")
-    if ndim not in (1, 2) or axis not in range(ndim):
-        raise ValueError(f"concat_rows: cannot join {ndim}-D tensors along axis {axis}")
-    if ndim == 2:
-        other = {t.data.shape[1 - axis] for t in tensors}
-        if len(other) != 1:
-            what = "column" if axis == 0 else "row"
-            raise ValueError(f"concat_rows: {what} counts disagree: {sorted(other)}")
+    if axis not in (0, 1) or any(t.data.ndim != 2 for t in tensors):
+        raise ValueError(f"concat_rows: cannot join along axis {axis}; tensors must be 2-D")
+    other = {t.data.shape[1 - axis] for t in tensors}
+    if len(other) != 1:
+        what = "column" if axis == 0 else "row"
+        raise ValueError(f"concat_rows: {what} counts disagree: {sorted(other)}")
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
     ends = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
 
@@ -347,36 +287,6 @@ def concat_rows(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(np.split(g, ends, axis=axis))
 
     return record(out, tuple(tensors), backward)
-
-
-def mean_rows(a: Tensor) -> Tensor:
-    """Mean over the rows of a 2-D [n, d] tensor; returns a 1-D [d] vector."""
-    if a.data.ndim != 2:
-        raise ValueError(f"mean_rows: expected 2-D input, got {a.data.shape}")
-    n = a.data.shape[0]
-    if n == 0:
-        raise ValueError("mean_rows: empty input")
-    out = Tensor(a.data.mean(axis=0))
-
-    def backward(g):
-        return (np.broadcast_to(g / n, a.data.shape).copy(),)
-
-    return record(out, (a,), backward)
-
-
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise ValueError(f"slice_rows: expected 2-D input, got {a.data.shape}")
-    if not 0 <= start <= stop <= a.data.shape[0]:
-        raise ValueError(f"slice_rows: range [{start}, {stop}) outside {a.data.shape[0]} rows")
-    out = Tensor(a.data[start:stop])
-
-    def backward(g):
-        da = np.zeros(a.data.shape)
-        da[start:stop] = g
-        return (da,)
-
-    return record(out, (a,), backward)
 
 
 def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
@@ -396,17 +306,6 @@ def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
         return (dt,)
 
     return record(out, (table,), backward)
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ValueError(f"transpose: expected 2-D input, got {a.data.shape}")
-    out = Tensor(a.data.T)
-
-    def backward(g):
-        return (g.T,)
-
-    return record(out, (a,), backward)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -465,9 +364,6 @@ class Parameters:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._blocks[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._blocks
 
     def __len__(self) -> int:
         return len(self._blocks)

@@ -210,13 +210,13 @@ class LayerParams:
     ln2_bias: ad.Tensor
 
 
-def encoder_layer(x: ad.Tensor, g, layer: LayerParams, cfg: EncoderConfig,
-                  layout: Layout | None = None) -> ad.Tensor:
+def encoder_layer(x: ad.Tensor, g: np.ndarray, layer: LayerParams, cfg: EncoderConfig,
+                  layout: Layout) -> ad.Tensor:
     """Post-norm residual layer: attention sublayer then feed-forward sublayer.
 
-    Without ``layout``, ``x`` is one [n, d_model] sequence and ``g`` its n x n
-    mask. With it, ``x`` packs the rows of ``layout.batch`` sequences and ``g``
-    holds their padded [B, n_max, n_max] masks.
+    ``x`` packs the rows of ``layout.batch`` sequences and ``g`` holds their
+    padded [B, n_max, n_max] masks (one sequence of n rows: ``g[None]`` with
+    ``Layout.contiguous([n])``).
 
     Head projections live in fused [d_model, d_model] matrices whose column
     blocks are the per-head maps; every head sees its sequence's mask. The
@@ -225,15 +225,8 @@ def encoder_layer(x: ad.Tensor, g, layer: LayerParams, cfg: EncoderConfig,
     """
     p = layer
     xd = x.data
-    if layout is None:
-        gm = _mask_array(g)
-        n = xd.shape[0]
-        if gm.shape != (n, n):
-            raise ValueError(f"encoder_layer: mask shape {gm.shape} does not match {n} tokens")
-        layout = Layout.contiguous([n])
-        gm = gm[None]
-    else:
-        gm = g
+    if g.shape != (layout.batch, layout.n_max, layout.n_max):
+        raise ValueError(f"encoder_layer: mask shape {g.shape} does not match the layout")
     h, d = cfg.num_heads, xd.shape[1]
     if d % h != 0:
         raise ValueError("d_model not divisible by head count")
@@ -246,7 +239,7 @@ def encoder_layer(x: ad.Tensor, g, layer: LayerParams, cfg: EncoderConfig,
         return layout.unpad(a.transpose(0, 2, 1, 3).reshape(bsz * n_max, d))
 
     att, cache = _ga_forward(split(xd @ p.wq.data), split(xd @ p.wk.data),
-                             split(xd @ p.wv.data), gm[:, None], cfg.eps_row)
+                             split(xd @ p.wv.data), g[:, None], cfg.eps_row)
     ctx = join(att)
     del att
     y, xhat1, inv1 = ad._ln_forward(xd + ctx @ p.wo.data, p.ln1_gain.data,
@@ -309,10 +302,8 @@ class EncoderStack:
         pos = params.new(f"{prefix}.pos", (cfg.max_len, cfg.d_model), "embed", rng)
         return cls(cfg, layers, pos)
 
-    def add_positions(self, x: ad.Tensor, pos: np.ndarray | None = None) -> ad.Tensor:
-        """Add the positional rows ``pos`` (default 0..n-1, one sequence) to ``x``."""
-        if pos is None:
-            pos = np.arange(x.data.shape[0])
+    def add_positions(self, x: ad.Tensor, pos: np.ndarray) -> ad.Tensor:
+        """Add the positional rows ``pos`` (each row's index in its sequence) to ``x``."""
         n = int(pos.max()) + 1 if len(pos) else 0
         if n > self.cfg.max_len:
             raise ValueError(f"sequence length {n} exceeds max_len {self.cfg.max_len}")

@@ -15,7 +15,7 @@ as bool arrays, without going through ``LeadGraph``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +30,6 @@ class LeadGraph:
     """Square binary mask over token positions."""
 
     matrix: np.ndarray
-    has_sep: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         m = np.ascontiguousarray(self.matrix, dtype=np.float64)
@@ -59,13 +58,6 @@ def full_graph(n: int) -> LeadGraph:
     return LeadGraph(np.ones((n, n)))
 
 
-def level_graph(level: LevelData) -> LeadGraph:
-    """The lead graph of one level: all ones if it is ``full``, else its pairs."""
-    if level.full:
-        return full_graph(level.n_tokens)
-    return pairs_to_matrix(level.pairs, level.n_tokens)
-
-
 def layer_masks(g_img: LeadGraph, g_q: LeadGraph) -> tuple[LeadGraph, LeadGraph, LeadGraph]:
     """The three combined masks, image block first, question block second."""
     ni, nq = g_img.size, g_q.size
@@ -85,32 +77,8 @@ def layer_masks(g_img: LeadGraph, g_q: LeadGraph) -> tuple[LeadGraph, LeadGraph,
     return LeadGraph(m1), LeadGraph(m2), LeadGraph(m3)
 
 
-def mask_for_layer(masks: tuple[LeadGraph, LeadGraph, LeadGraph], layer: int) -> LeadGraph:
-    """Mask for 0-based ``layer``; layers past the third reuse the third mask."""
-    return masks[min(layer, 2)]
-
-
-def append_sep_mask(g_img: LeadGraph, connect_all: bool = True) -> LeadGraph:
-    """Grow an image mask by one trailing SEP position.
-
-    With ``connect_all`` the SEP row and column are all ones, so SEP can act
-    as an image-side summary position; otherwise SEP only attends to itself.
-    """
-    if g_img.has_sep:
-        raise ValueError("SEP already appended to this lead graph")
-    ni = g_img.size
-    m = np.zeros((ni + 1, ni + 1))
-    m[:ni, :ni] = g_img.matrix
-    if connect_all:
-        m[ni, :] = 1.0
-        m[:, ni] = 1.0
-    else:
-        m[ni, ni] = 1.0
-    return LeadGraph(m, has_sep=True)
-
-
 def _level_mask(level: LevelData) -> np.ndarray:
-    """Bool form of ``level_graph(level)``."""
+    """A level's graph: all ones if it is ``full``, else its pairs."""
     n = level.n_tokens
     if level.full:
         return np.ones((n, n), dtype=bool)
@@ -125,8 +93,10 @@ def mask_plan(img: LevelData, q: LevelData, num_layers: int, use_lead_graphs: bo
               sep_connect_all: bool = True) -> np.ndarray:
     """Bool [num_layers, n, n] masks over [image; SEP; question]; all ones without lead graphs.
 
-    Layer i holds ``mask_for_layer(layer_masks(append_sep_mask(level_graph(img),
-    sep_connect_all), level_graph(q)), i)``, built directly as arrays.
+    Layer i holds ``layer_masks(g_img, g_q)[min(i, 2)]``, where ``g_q`` is the
+    question level's graph and ``g_img`` the image level's graph grown by a
+    trailing SEP position (SEP row and column all ones with
+    ``sep_connect_all``, else SEP attends only to itself).
     """
     ni = img.n_tokens + 1  # image block, SEP included
     n = ni + q.n_tokens
@@ -154,9 +124,3 @@ def mask_plan(img: LevelData, q: LevelData, num_layers: int, use_lead_graphs: bo
 def format_grid(g: LeadGraph) -> str:
     """Render as lines of space-separated 0/1 digits (golden-file friendly)."""
     return "\n".join(" ".join(str(int(v)) for v in row) for row in g.matrix)
-
-
-def parse_grid(text: str) -> LeadGraph:
-    rows = [[float(v) for v in line.split()] for line in text.strip().splitlines()
-            if line.strip() and not line.lstrip().startswith("#")]
-    return LeadGraph(np.array(rows))

@@ -41,15 +41,10 @@ STREAMS = {
 
 
 @dataclass(frozen=True)
-class ModelConfig:
-    d_model: int = 32
+class ModelConfig(EncoderConfig):
+    """The encoder sizes every stack shares, plus the model-level switches."""
+
     d_emb: int = 32
-    num_heads: int = 8
-    num_layers: int = 3
-    d_ff: int = 128
-    max_len: int = 64
-    eps_norm: float = 1e-5
-    eps_row: float = 1e-12
     pooling: str = "mean"  # "mean" or "sep"
     use_lead_graphs: bool = True
     node_reduction: bool = False
@@ -57,18 +52,12 @@ class ModelConfig:
     sep_connect_all: bool = True
 
     def __post_init__(self):
+        super().__post_init__()
         if self.pooling not in ("mean", "sep"):
             raise ValueError(f"unknown pooling {self.pooling!r}")
         if not self.streams or any(s not in STREAMS for s in self.streams):
             raise ValueError(f"streams must be a nonempty subset of {tuple(STREAMS)}")
         object.__setattr__(self, "streams", tuple(self.streams))
-
-    def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(
-            num_layers=self.num_layers, num_heads=self.num_heads,
-            d_model=self.d_model, d_ff=self.d_ff,
-            eps_norm=self.eps_norm, eps_row=self.eps_row, max_len=self.max_len,
-        )
 
 
 @dataclass
@@ -198,7 +187,6 @@ class Model:
             p.new(f"{prefix}.w2", (d, d), "linear", rng)
             p.new(f"{prefix}.b2", (d,), "zeros", rng)
 
-        enc_cfg = cfg.encoder_config()
         feature_dims = {"region": self.d_region, "spatial": self.d_spatial}
         self.stacks: dict[str, EncoderStack] = {}
         for tag in cfg.streams:
@@ -210,9 +198,9 @@ class Model:
                 mlp(s.image_input)
             mlp(s.question_input)
             if s.question == "sentence":
-                self.stacks["sent"] = EncoderStack.build(p, "sent.enc", enc_cfg, rng)
+                self.stacks["sent"] = EncoderStack.build(p, "sent.enc", cfg, rng)
             p.new(f"{tag}.sep", (d,), "embed", rng)
-            self.stacks[tag] = EncoderStack.build(p, f"{tag}.enc", enc_cfg, rng)
+            self.stacks[tag] = EncoderStack.build(p, f"{tag}.enc", cfg, rng)
 
         for tag in cfg.streams:
             p.new(f"fuse.{tag}.ln_gain", (d,), "ones", rng)

@@ -77,6 +77,17 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be a finite value > 0, got {self.lr}")
+        if self.grad_clip is not None and not (np.isfinite(self.grad_clip)
+                                               and self.grad_clip > 0):
+            raise ValueError(f"grad_clip must be None or a finite value > 0, "
+                             f"got {self.grad_clip}")
+        if self.checkpoint_interval < 0:
+            raise ValueError(f"checkpoint_interval must be >= 0, "
+                             f"got {self.checkpoint_interval}")
 
 
 def loss_value(model: Model, prep: PreparedSample) -> float:

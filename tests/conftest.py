@@ -72,6 +72,60 @@ def rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-8)
 
 
+def weighted_sum(t, w) -> "ad.Tensor":
+    """Scalar sum(t * w) for a constant array ``w``, taped as reshape and matmul."""
+    w = np.asarray(w, dtype=np.float64)
+    row = ad.reshape(t, (1, w.size))
+    return ad.reshape(ad.matmul(row, ad.Tensor(w.reshape(w.size, 1))), ())
+
+
+# ---------------------------------------------------------------------------
+# reference lead-graph assembly: the LeadGraph chain that leadgraph.mask_plan
+# builds directly as bool arrays
+# ---------------------------------------------------------------------------
+
+
+def level_graph(level):
+    """The lead graph of one level: all ones if it is ``full``, else its pairs."""
+    if level.full:
+        return ga.full_graph(level.n_tokens)
+    return ga.pairs_to_matrix(level.pairs, level.n_tokens)
+
+
+def mask_for_layer(masks, layer: int):
+    """Mask for 0-based ``layer``; layers past the third reuse the third mask."""
+    return masks[min(layer, 2)]
+
+
+def append_sep_mask(g_img, connect_all: bool = True):
+    """Grow an image mask by one trailing SEP position.
+
+    With ``connect_all`` the SEP row and column are all ones; otherwise SEP
+    only attends to itself. The result is marked ``has_sep``, and a second
+    append raises ValueError.
+    """
+    if getattr(g_img, "has_sep", False):
+        raise ValueError("SEP already appended to this lead graph")
+    ni = g_img.size
+    m = np.zeros((ni + 1, ni + 1))
+    m[:ni, :ni] = g_img.matrix
+    if connect_all:
+        m[ni, :] = 1.0
+        m[:, ni] = 1.0
+    else:
+        m[ni, ni] = 1.0
+    g = ga.LeadGraph(m)
+    g.has_sep = True
+    return g
+
+
+def parse_grid(text: str):
+    """Inverse of ``leadgraph.format_grid``; '#' lines are skipped."""
+    rows = [[float(v) for v in line.split()] for line in text.strip().splitlines()
+            if line.strip() and not line.lstrip().startswith("#")]
+    return ga.LeadGraph(np.array(rows))
+
+
 # ---------------------------------------------------------------------------
 # reference encoder layer: the op-by-op chain the fused tape node replaced
 # ---------------------------------------------------------------------------
@@ -114,15 +168,13 @@ def feed_forward(x, layer):
     return ad.add(ad.matmul(hidden, layer.ffn_w2), layer.ffn_b2)
 
 
-def reference_encoder_layer(x, g, layer, cfg, layout=None):
+def reference_encoder_layer(x, g, layer, cfg, layout):
     """Post-norm residual layer as a chain of autodiff ops, one sequence at a time.
 
-    Accepts the fused layer's arguments; a layout must hold one sequence.
+    Takes the fused layer's arguments; the layout must hold one sequence.
     """
-    if layout is not None:
-        assert layout.batch == 1 and layout.dense
-        g = g[0]
-    attended = multi_head_ga(x, g, layer, cfg.num_heads, cfg.eps_row)
+    assert layout.batch == 1 and layout.dense
+    attended = multi_head_ga(x, g[0], layer, cfg.num_heads, cfg.eps_row)
     y = ad.layer_norm_rows(ad.add(x, attended), layer.ln1_gain, layer.ln1_bias, cfg.eps_norm)
     return ad.layer_norm_rows(ad.add(y, feed_forward(y, layer)),
                               layer.ln2_gain, layer.ln2_bias, cfg.eps_norm)

@@ -161,6 +161,17 @@ class TestTrainEval:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_epochs_exits_one(self, cli_corpus, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("epochs = -1\n")
+        ckpt = tmp_path / "m.ckpt"
+        rc = main(["train", "--data", str(cli_corpus), "--config", str(cfg),
+                   "--out", str(ckpt)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "epochs" in err
+        assert not ckpt.exists()
+
     def test_missing_checkpoint_exits_one(self, cli_corpus, capsys):
         rc = main(["eval", "--data", str(cli_corpus), "--ckpt", "/no/such.ckpt"])
         assert rc == 1

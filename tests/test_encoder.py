@@ -9,13 +9,14 @@ from granalign.encoder import (
     EncoderStack,
     Layout,
     _ga_forward,
+    _mask_array,
     encode_stream,
     encoder_layer,
     ga_attention,
     sentence_pretransform,
 )
 from granalign.leadgraph import LeadGraph, full_graph, pairs_to_matrix
-from conftest import fd_gradient, multi_head_ga, reference_encoder_layer, rel_err
+from conftest import fd_gradient, multi_head_ga, reference_encoder_layer, rel_err, weighted_sum
 
 
 def textbook_attention(q, k, v):
@@ -132,7 +133,7 @@ class TestMaskedAttention:
                              (3, 3)], 4)
         w = rng.normal(size=(4, 3))
         with ad.Tape() as t:
-            loss = ad.sum_all(ad.mul(ga_attention(q, k, v, g), ad.Tensor(w)))
+            loss = weighted_sum(ga_attention(q, k, v, g), w)
         grads = t.gradients(loss, [q, k, v])
 
         def f():
@@ -201,7 +202,7 @@ class TestMultiHead:
         g = full_graph(n)
         w = rng.normal(size=(n, d))
         with ad.Tape() as t:
-            loss = ad.sum_all(ad.mul(multi_head_ga(x, g, layer, heads), ad.Tensor(w)))
+            loss = weighted_sum(multi_head_ga(x, g, layer, heads), w)
         tensors = [x, layer.wq, layer.wk, layer.wv, layer.wo]
         grads = t.gradients(loss, tensors)
 
@@ -221,6 +222,12 @@ class TestMultiHead:
             multi_head_ga(ad.Tensor(rng.normal(size=(2, 6))), full_graph(2), layer, 4)
 
 
+def one_sequence(x, g, layer, cfg):
+    """encoder_layer on one [n, d] sequence and its n x n mask (LeadGraph or array)."""
+    return encoder_layer(x, _mask_array(g)[None], layer, cfg,
+                         Layout.contiguous([x.data.shape[0]]))
+
+
 class TestEncoderLayer:
     def test_mask_chain_reachability(self):
         """Through a one-step mask, influence travels one hop per layer."""
@@ -234,7 +241,7 @@ class TestEncoderLayer:
         def run(x_arr, depth):
             x = ad.Tensor(x_arr)
             for lp in (layer1, layer2)[:depth]:
-                x = encoder_layer(x, g, lp, cfg)
+                x = one_sequence(x, g, lp, cfg)
             return x.data
 
         base = rng.normal(size=(3, d))
@@ -255,12 +262,12 @@ class TestEncoderLayer:
         g = pairs_to_matrix([(0, 0), (1, 1), (2, 2), (0, 2), (2, 1)], 3)
         w = rng.normal(size=(3, d))
         with ad.Tape() as t:
-            loss = ad.sum_all(ad.mul(encoder_layer(x, g, layer, cfg), ad.Tensor(w)))
+            loss = weighted_sum(one_sequence(x, g, layer, cfg), w)
         tensors = [x, layer.wq, layer.ffn_w1, layer.ln1_gain, layer.ln2_bias]
         grads = t.gradients(loss, tensors)
 
         def f():
-            return float((encoder_layer(ad.Tensor(x.data), g, layer, cfg).data * w).sum())
+            return float((one_sequence(ad.Tensor(x.data), g, layer, cfg).data * w).sum())
 
         for tensor, grad in zip(tensors, grads):
             fd = fd_gradient(f, tensor.data,
@@ -281,15 +288,23 @@ class TestFusedLayer:
     def grads(self, fn, x, layer, w):
         with ad.Tape() as t:
             out = fn(x)
-            loss = ad.sum_all(ad.mul(out, ad.Tensor(w)))
+            loss = weighted_sum(out, w)
         return out, t.gradients(loss, [x] + [getattr(layer, n) for n in self.LAYER_INPUTS])
 
     def test_one_tape_node_per_layer(self):
         rng, cfg, layer = self.make(30)
         x = ad.Tensor(rng.normal(size=(5, 8)), requires_grad=True)
         with ad.Tape() as t:
-            encoder_layer(x, np.ones((5, 5)), layer, cfg)
+            one_sequence(x, np.ones((5, 5)), layer, cfg)
         assert len(t.nodes) == 1
+
+    def test_mask_shape_must_match_layout(self):
+        rng, cfg, layer = self.make(35)
+        x = ad.Tensor(rng.normal(size=(5, 8)))
+        with pytest.raises(ValueError, match="does not match"):
+            encoder_layer(x, np.ones((5, 5)), layer, cfg, Layout.contiguous([5]))
+        with pytest.raises(ValueError, match="does not match"):
+            encoder_layer(x, np.ones((1, 4, 4)), layer, cfg, Layout.contiguous([5]))
 
     def test_matches_reference_chain(self):
         """One sequence: bitwise values, and gradients of x and all 12 blocks
@@ -300,9 +315,11 @@ class TestFusedLayer:
         g = (rng.random((n, n)) < 0.5).astype(float)
         g[2] = 0.0  # one dead row
         w = rng.normal(size=(n, 8))
-        out, grads = self.grads(lambda t: encoder_layer(t, g, layer, cfg), x, layer, w)
-        ref, ref_grads = self.grads(lambda t: reference_encoder_layer(t, g, layer, cfg),
-                                    x, layer, w)
+        layout = Layout.contiguous([n])
+        out, grads = self.grads(lambda t: encoder_layer(t, g[None], layer, cfg, layout),
+                                x, layer, w)
+        ref, ref_grads = self.grads(
+            lambda t: reference_encoder_layer(t, g[None], layer, cfg, layout), x, layer, w)
         assert out.data.tobytes() == ref.data.tobytes()
         for got, expect in zip(grads, ref_grads):
             np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-14)
@@ -327,7 +344,7 @@ class TestFusedLayer:
         block_sum = [np.zeros_like(gr) for gr in grads[1:]]
         for b, n in enumerate(lengths):
             xb = ad.Tensor(seqs[b], requires_grad=True)
-            ob, gb = self.grads(lambda t: encoder_layer(t, masks[b], layer, cfg),
+            ob, gb = self.grads(lambda t: one_sequence(t, masks[b], layer, cfg),
                                 xb, layer, ws[b])
             rows = np.flatnonzero(sample == b)[np.argsort(pos[sample == b])]
             np.testing.assert_allclose(out.data[rows], ob.data, rtol=1e-12, atol=1e-14)
@@ -452,9 +469,10 @@ class TestEncodeStream:
         sep = ad.Tensor(rng.normal(size=4))
         masks = [(rng.random((6, 6)) < 0.5).astype(float) for _ in range(2)]
         hidden, _, _ = encode_stream(t_img, t_q, [2], [masks], stack, sep)
-        x = stack.add_positions(ad.Tensor(np.vstack([t_img.data, sep.data, t_q.data])))
+        x = stack.add_positions(ad.Tensor(np.vstack([t_img.data, sep.data, t_q.data])),
+                                np.arange(6))
         for g, layer in zip(masks, stack.layers):
-            x = encoder_layer(x, g, layer, cfg)
+            x = one_sequence(x, g, layer, cfg)
         assert hidden.data.tobytes() == x.data.tobytes()
 
     def test_sep_vector_must_be_1d(self):

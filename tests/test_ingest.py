@@ -25,8 +25,7 @@ from granalign.ingest import (
     scene_from_dict,
     scene_to_dict,
 )
-from granalign.leadgraph import level_graph
-from conftest import fixture_path
+from conftest import fixture_path, level_graph
 
 
 class TestSchemaParsing:

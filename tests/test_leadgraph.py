@@ -6,16 +6,13 @@ import pytest
 from granalign.ingest import LevelData
 from granalign.leadgraph import (
     LeadGraph,
-    append_sep_mask,
     format_grid,
     full_graph,
     layer_masks,
-    level_graph,
-    mask_for_layer,
     mask_plan,
     pairs_to_matrix,
-    parse_grid,
 )
+from conftest import append_sep_mask, level_graph, mask_for_layer, parse_grid
 
 
 class TestLeadGraphType:

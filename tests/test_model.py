@@ -6,12 +6,12 @@ import pytest
 import granalign.autodiff as ad
 from granalign import encoder, leadgraph
 from granalign.data import DEFAULT_WORLD, ToyWorldSpec, gen_corpus, load_manifest
-from granalign.encoder import Layout, encoder_layer
+from granalign.encoder import EncoderConfig, Layout, encoder_layer
 from granalign.ingest import question_from_dict
-from granalign.leadgraph import append_sep_mask, layer_masks, level_graph, pairs_to_matrix
+from granalign.leadgraph import layer_masks, pairs_to_matrix
 from granalign.model import STREAMS, LogitsBundle, Model, ModelConfig, StreamOutput
 from granalign.training import generic_parameter_point
-from conftest import fixture_path, reference_batch
+from conftest import append_sep_mask, fixture_path, level_graph, reference_batch
 
 WORDS = ["what", "color", "is", "the", "there", "a",
          "girl", "dog", "brown", "left", "right"]
@@ -77,6 +77,20 @@ class TestForward:
             assert t1.data.tobytes() == t2.data.tobytes()
         assert any(t1.data.tobytes() != t3.data.tobytes()
                    for t1, t3 in zip(m1.params.tensors(), m3.params.tensors()))
+
+
+class TestModelConfig:
+    def test_is_the_encoder_config_of_every_stack(self, girl_dog):
+        model, _ = make_model(girl_dog)
+        assert isinstance(model.config, EncoderConfig)
+        assert all(stack.cfg is model.config for stack in model.stacks.values())
+        assert model.config.d_k == 4
+
+    def test_encoder_sizes_validated(self):
+        with pytest.raises(ValueError, match="divisible"):
+            ModelConfig(d_model=30)
+        with pytest.raises(ValueError, match="positive"):
+            ModelConfig(num_layers=0)
 
 
 class TestPrepare:
@@ -247,12 +261,12 @@ class TestVariants:
             sep = model.params[f"{tag}.sep"]
             stack = model.stacks[tag]
             x = ad.concat_rows([t_img, ad.reshape(sep, (1, sep.data.shape[0])), t_q])
-            x = stack.add_positions(x)
             n = x.data.shape[0]
+            layout = Layout.contiguous([n])
+            x = stack.add_positions(x, layout.pos)
             for layer in stack.layers:
-                x = encoder_layer(x, np.ones((n, n)), layer, stack.cfg)
-            outputs.append(StreamOutput(tag, x, Layout.contiguous([n]),
-                                        np.array([t_img.data.shape[0]])))
+                x = encoder_layer(x, np.ones((1, n, n)), layer, stack.cfg, layout)
+            outputs.append(StreamOutput(tag, x, layout, np.array([t_img.data.shape[0]])))
         reference = model.fuse(outputs).all_logits()
         got = model.forward_batch([prep]).all_logits()
         assert list(got) == list(reference)

@@ -83,6 +83,21 @@ class TestAdam:
         assert np.all(np.abs(t.data) < 0.05)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", -1), ("lr", 0.0), ("lr", -1e-3), ("lr", float("nan")),
+        ("lr", float("inf")), ("grad_clip", -1.0), ("grad_clip", 0.0),
+        ("grad_clip", float("nan")), ("grad_clip", float("inf")),
+        ("checkpoint_interval", -1)])
+    def test_bad_setting_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_boundary_settings_accepted(self):
+        TrainConfig(epochs=0, grad_clip=None, checkpoint_interval=0)
+        TrainConfig(lr=1e-12, grad_clip=1e-12)
+
+
 class TestTrainer:
     def test_empty_dataset_rejected(self, girl_dog):
         ds = tiny_dataset(girl_dog)
