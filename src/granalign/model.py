@@ -94,6 +94,12 @@ class LogitsBundle:
         out["ga"] = self.f_ga
         return out
 
+    def averaged_argmax(self) -> np.ndarray:
+        """Argmax of the mean of every head's logits, per sample; ties resolve
+        to the lowest class."""
+        return np.argmax(np.mean([t.data for t in self.all_logits().values()], axis=0),
+                         axis=-1)
+
 
 @dataclass
 class PreparedSample:
@@ -314,8 +320,7 @@ class Model:
 
     def predict(self, bundle: LogitsBundle) -> int:
         """Argmax of the averaged logits; ties resolve to the lowest class."""
-        arrays = [t.data for t in bundle.all_logits().values()]
-        return int(np.argmax(np.mean(arrays, axis=0)))
+        return int(bundle.averaged_argmax())
 
     def stream_predictions(self, bundle: LogitsBundle) -> dict[str, int]:
         return {tag: int(np.argmax(t.data)) for tag, t in bundle.all_logits().items()}

@@ -12,15 +12,17 @@ import dataclasses
 import json
 import os
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .data import Dataset
-from .model import Model, ModelConfig, PreparedSample
+from .model import LogitsBundle, Model, ModelConfig, PreparedSample
 
 EVAL_CHUNK = 16  # samples per forward pass in evaluate
+ADAM_CHUNK = 1 << 14  # elements per in-place Adam pass: 128 KiB per operand stays in cache
 
 
 @dataclass
@@ -30,39 +32,85 @@ class AdamConfig:
     beta2: float = 0.999
     eps: float = 1e-8
 
+    def __post_init__(self):
+        for name in ("lr", "beta1", "beta2", "eps"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("lr", "eps"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+
 
 class Adam:
-    """Standard Adam with bias correction over named parameter blocks."""
+    """Standard Adam with bias correction over named parameter blocks.
+
+    Both moments live in one flat float64 vector each, in parameter
+    registration order; ``m[name]`` and ``v[name]`` are reshaped views into
+    them. A step concatenates the gradients once and updates the moments in
+    place, ``ADAM_CHUNK`` elements at a time through one small scratch
+    buffer, with the same elementwise operations in the same order as the
+    per-block textbook update, so the results are bitwise the same.
+    """
 
     def __init__(self, params: ad.Parameters, cfg: AdamConfig | None = None):
         self.params = params
         self.cfg = cfg or AdamConfig()
         self.step_count = 0
-        self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
-        self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
+        self._tensors = params.tensors()
+        self._bounds = np.cumsum([0] + [t.data.size for t in self._tensors]).tolist()
+        size = self._bounds[-1]
+        self.m_flat = np.zeros(size)
+        self.v_flat = np.zeros(size)
+
+        def views(flat: np.ndarray) -> dict[str, np.ndarray]:
+            return {name: flat[a:b].reshape(t.data.shape) for (name, t), a, b
+                    in zip(params.items(), self._bounds, self._bounds[1:])}
+
+        self.m, self.v = views(self.m_flat), views(self.v_flat)
+        self._scratch = np.empty(min(size, ADAM_CHUNK))
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
-        """One update from a name-keyed gradient map; raises on non-finite grads."""
-        for name in grads:
-            if not np.all(np.isfinite(grads[name])):
-                raise FloatingPointError(
-                    f"non-finite gradient in parameter block {name!r}; training halted")
+        """One update from a gradient map naming every block; raises on
+        non-finite gradients before any state changes."""
+        if grads.keys() != self.m.keys():
+            odd = [n for n in self.m if n not in grads] or sorted(set(grads) - set(self.m))
+            raise ValueError(f"gradient map does not match the parameter blocks "
+                             f"(first mismatch {odd[0]!r})")
+        g = np.concatenate([grads[name] for name in self.m], axis=None)
+        if g.size != self.m_flat.size:
+            bad = next(n for n in self.m if np.size(grads[n]) != self.m[n].size)
+            raise ValueError(f"gradient for parameter block {bad!r} has "
+                             f"{np.size(grads[bad])} values, expected {self.m[bad].size}")
+        if not np.isfinite(g).all():
+            bad = next(n for n in self.m if not np.isfinite(grads[n]).all())
+            raise FloatingPointError(
+                f"non-finite gradient in parameter block {bad!r}; training halted")
         c = self.cfg
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - c.beta1 ** t
         bc2 = 1.0 - c.beta2 ** t
-        for name, tensor in self.params.items():
-            g = grads.get(name)
-            if g is None:
-                continue
-            m = self.m[name]
-            v = self.v[name]
+        for start in range(0, g.size, ADAM_CHUNK):
+            part = slice(start, start + ADAM_CHUNK)
+            gc, m, v = g[part], self.m_flat[part], self.v_flat[part]
+            tmp = self._scratch[:gc.size]
             m *= c.beta1
-            m += (1.0 - c.beta1) * g
+            m += np.multiply(1.0 - c.beta1, gc, out=tmp)
             v *= c.beta2
-            v += (1.0 - c.beta2) * g * g
-            tensor.data -= c.lr * (m / bc1) / (np.sqrt(v / bc2) + c.eps)
+            np.multiply(1.0 - c.beta2, gc, out=tmp)
+            v += np.multiply(tmp, gc, out=tmp)
+            # gc becomes the update lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            np.sqrt(np.divide(v, bc2, out=tmp), out=tmp)
+            tmp += c.eps
+            np.divide(m, bc1, out=gc)
+            gc *= c.lr
+            gc /= tmp
+        for tensor, a, b in zip(self._tensors, self._bounds, self._bounds[1:]):
+            data = tensor.data
+            data -= g[a:b].reshape(data.shape)
 
 
 @dataclass
@@ -104,10 +152,16 @@ def _clip(grads: dict[str, np.ndarray], max_norm: float) -> None:
             grads[name] = g * factor  # tape gradients may share memory; scale copies
 
 
-def _accuracy_update(counts: dict[str, int], model: Model, bundle, answer: int) -> None:
-    for tag, pred in model.stream_predictions(bundle).items():
-        counts[tag] = counts.get(tag, 0) + (pred == answer)
-    counts["avg"] = counts.get("avg", 0) + (model.predict(bundle) == answer)
+def _accuracy_update(counts: dict[str, int], bundle: LogitsBundle, answers: list[int],
+                     averaged: np.ndarray | list[int]) -> None:
+    """Add a [B, c] bundle's hits per logit head, and those of the ``averaged``
+    predictions, to ``counts``."""
+    answers = np.asarray(answers)
+    for tag, t in bundle.all_logits().items():
+        counts[tag] = counts.get(tag, 0) + int(np.count_nonzero(
+            np.argmax(t.data, axis=1) == answers))
+    counts["avg"] = counts.get("avg", 0) + int(np.count_nonzero(
+        np.asarray(averaged) == answers))
 
 
 def _counts_to_metrics(counts: dict[str, int], n: int) -> dict[str, float]:
@@ -147,9 +201,9 @@ class Trainer:
             grads = dict(zip(model.params.names(),
                              tape.gradients(loss, model.params.tensors())))
             del tape
-            for value, row, answer in zip(losses.data, bundle.rows(), answers):
-                loss_sum += float(value)
-                _accuracy_update(counts, model, row, answer)
+            for value in losses.data.tolist():
+                loss_sum += value
+            _accuracy_update(counts, bundle, answers, bundle.averaged_argmax())
             if cfg.grad_clip is not None:
                 _clip(grads, cfg.grad_clip)
             self.optimizer.step(grads)
@@ -190,9 +244,10 @@ def evaluate(model: Model, dataset: Dataset,
         answers = [prep.answer_index for prep in chunk]
         bundle = model.forward_batch(chunk)
         losses = model.loss(bundle, answers)
-        for value, row, answer in zip(losses.data, bundle.rows(), answers):
-            loss_sum += float(value)
-            _accuracy_update(counts, model, row, answer)
+        for value in losses.data.tolist():
+            loss_sum += value
+        # one predict call per sample, so that callers can observe each answer
+        _accuracy_update(counts, bundle, answers, [model.predict(row) for row in bundle.rows()])
     n = len(prepared)
     record = {"n": n, "loss": loss_sum / n}
     record.update(_counts_to_metrics(counts, n))
@@ -380,9 +435,8 @@ def save_checkpoint(path: str, model: Model, optimizer: Adam | None = None) -> N
         for n in names:
             f.write(np.ascontiguousarray(model.params[n].data, dtype="<f8").tobytes())
         if optimizer is not None:
-            for state in (optimizer.m, optimizer.v):
-                for n in names:
-                    f.write(np.ascontiguousarray(state[n], dtype="<f8").tobytes())
+            for flat in (optimizer.m_flat, optimizer.v_flat):
+                f.write(flat.astype("<f8", copy=False))
 
 
 def _header_error(what: str) -> ValueError:
@@ -418,8 +472,9 @@ def _config_from_header(header: dict) -> ModelConfig:
     return ModelConfig(d_emb=_expect(header.get("d_emb"), (int,), "d_emb"), **kw)
 
 
-def _model_from_header(header) -> tuple[Model, dict | None]:
-    """The model the header describes, with its blocks checked; plus the optimizer record."""
+def _model_from_header(header) -> tuple[Model, Adam | None]:
+    """The model the header describes, with its blocks checked; plus the optimizer
+    it records, with zero moments."""
     _expect(header, (dict,), "header")
     for key in ("model_config", "word_vocab", "answer_vocab", "d_region", "d_spatial",
                 "d_emb", "blocks", "optimizer"):
@@ -438,11 +493,20 @@ def _model_from_header(header) -> tuple[Model, dict | None]:
             raise ValueError(f"block {b['name']} has shape {b.get('shape')}, "
                              f"expected {list(model.params[b['name']].data.shape)}")
     opt = header["optimizer"]
-    if opt is not None:
-        _expect(opt, (dict,), "optimizer")
-        for key in ("step", "lr", "beta1", "beta2", "eps"):
-            _expect(opt.get(key), (int,) if key == "step" else (int, float), f"optimizer.{key}")
-    return model, opt
+    if opt is None:
+        return model, None
+    _expect(opt, (dict,), "optimizer")
+    for key in ("step", "lr", "beta1", "beta2", "eps"):
+        _expect(opt.get(key), (int,) if key == "step" else (int, float), f"optimizer.{key}")
+    if opt["step"] < 0:
+        raise _header_error(f"optimizer.step must be >= 0, got {opt['step']}")
+    try:
+        cfg = AdamConfig(lr=opt["lr"], beta1=opt["beta1"], beta2=opt["beta2"], eps=opt["eps"])
+    except ValueError as e:
+        raise _header_error(f"optimizer.{e}") from None
+    optimizer = Adam(model.params, cfg)
+    optimizer.step_count = opt["step"]
+    return model, optimizer
 
 
 def load_checkpoint(path: str) -> tuple[Model, Adam | None]:
@@ -476,21 +540,25 @@ def _read_checkpoint(f) -> tuple[Model, Adam | None]:
         header = json.loads(take(hlen, "header").decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise _header_error(f"not valid JSON ({e})") from None
-    model, opt = _model_from_header(header)
+    model, optimizer = _model_from_header(header)
+    for name, t in model.params.items():
+        t.data[...] = np.frombuffer(take(t.data.size * 8, f"parameter block {name}"),
+                                    dtype="<f8").reshape(t.data.shape)
 
-    def read_blocks(section: str, into: list[np.ndarray]) -> None:
-        for name, arr in zip(model.params.names(), into):
-            arr[...] = np.frombuffer(take(arr.size * 8, f"{section} block {name}"),
-                                     dtype="<f8").reshape(arr.shape)
+    def read_flat(section: str, flat: np.ndarray, blocks: dict[str, np.ndarray]) -> None:
+        """One read of a whole moment vector, naming the block a short file ends in."""
+        have = (end - f.tell()) // 8
+        if have < flat.size:
+            name = next(n for n, stop in zip(blocks, np.cumsum([b.size for b in blocks.values()]))
+                        if have < stop)
+            raise ValueError(f"truncated checkpoint: file ends inside the {section} block {name}")
+        f.readinto(flat)
+        if sys.byteorder == "big":
+            flat.byteswap(inplace=True)  # the file is little-endian
 
-    read_blocks("parameter", [t.data for t in model.params.tensors()])
-    optimizer = None
-    if opt is not None:
-        optimizer = Adam(model.params, AdamConfig(lr=opt["lr"], beta1=opt["beta1"],
-                                                  beta2=opt["beta2"], eps=opt["eps"]))
-        optimizer.step_count = opt["step"]
-        read_blocks("optimizer first-moment", list(optimizer.m.values()))
-        read_blocks("optimizer second-moment", list(optimizer.v.values()))
+    if optimizer is not None:
+        read_flat("optimizer first-moment", optimizer.m_flat, optimizer.m)
+        read_flat("optimizer second-moment", optimizer.v_flat, optimizer.v)
     if f.tell() != end:
         raise ValueError(f"{end - f.tell()} trailing bytes after the last block")
     return model, optimizer

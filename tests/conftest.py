@@ -196,3 +196,35 @@ def reference_batch(model, preps, monkeypatch):
                 accum[name] += inv * g
             losses.append(float(loss.data))
     return np.array(losses), accum
+
+
+# ---------------------------------------------------------------------------
+# reference optimizer: textbook Adam, one block at a time
+# ---------------------------------------------------------------------------
+
+
+class TextbookAdam:
+    """Adam with bias correction, updating each parameter block on its own
+    with the elementwise operations of the textbook formula; the flat
+    chunked ``training.Adam`` must match it bitwise."""
+
+    def __init__(self, params, cfg):
+        self.params = params
+        self.cfg = cfg
+        self.step_count = 0
+        self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
+        self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
+
+    def step(self, grads):
+        c = self.cfg
+        self.step_count += 1
+        t = self.step_count
+        bc1 = 1.0 - c.beta1 ** t
+        bc2 = 1.0 - c.beta2 ** t
+        for name, tensor in self.params.items():
+            g, m, v = grads[name], self.m[name], self.v[name]
+            m *= c.beta1
+            m += (1.0 - c.beta1) * g
+            v *= c.beta2
+            v += (1.0 - c.beta2) * g * g
+            tensor.data -= c.lr * (m / bc1) / (np.sqrt(v / bc2) + c.eps)

@@ -177,17 +177,20 @@ class TestTrainEval:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["no_d_emb", "trailing", "truncated"])
+    @pytest.mark.parametrize("damage", ["no_d_emb", "trailing", "truncated", "bad_optimizer"])
     def test_damaged_checkpoint_exits_one(self, cli_corpus, cli_config, tmp_path, capsys,
                                           damage):
         ckpt = tmp_path / "model.ckpt"
         main(["train", "--data", str(cli_corpus), "--config", cli_config,
               "--out", str(ckpt), "--log", str(tmp_path / "m.jsonl")])
         blob = ckpt.read_bytes()
-        if damage == "no_d_emb":
+        if damage in ("no_d_emb", "bad_optimizer"):
             (hlen,) = struct.unpack("<Q", blob[8:16])
             header = json.loads(blob[16:16 + hlen])
-            del header["d_emb"]
+            if damage == "no_d_emb":
+                del header["d_emb"]
+            else:
+                header["optimizer"].update(lr=-1.0, beta1=7.0, eps=0.0)
             raw = json.dumps(header).encode()
             blob = blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + hlen:]
         elif damage == "trailing":

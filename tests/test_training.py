@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import struct
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 import granalign.autodiff as ad
 from granalign.data import Dataset, Sample
-from granalign.model import Model, ModelConfig
+from granalign.model import LogitsBundle, Model, ModelConfig
 from granalign import training
 from granalign.training import (
     Adam,
@@ -23,6 +24,7 @@ from granalign.training import (
     loss_value,
     save_checkpoint,
 )
+from conftest import TextbookAdam
 
 WORDS = ["what", "color", "is", "the", "there", "a",
          "girl", "dog", "brown", "left", "right"]
@@ -81,6 +83,92 @@ class TestAdam:
         for _ in range(2000):
             opt.step({"w": 2.0 * t.data})
         assert np.all(np.abs(t.data) < 0.05)
+
+    @staticmethod
+    def chunk_spanning_params(seed):
+        """A block larger than the update chunk, a total that is not a multiple
+        of it, a zero-gradient block and small ones."""
+        params = ad.Parameters()
+        rng = np.random.default_rng(seed)
+        big = training.ADAM_CHUNK + 123
+        params.new("big", (big // 3, 3), "linear", rng)
+        params.new("bias", (7,), "embed", rng)
+        params.new("frozen", (5, 4), "linear", rng)
+        params.new("gain", (11,), "ones", rng)
+        return params
+
+    @pytest.mark.parametrize("cfg", [AdamConfig(), AdamConfig(lr=3e-2, beta1=0.5,
+                                                              beta2=0.9, eps=1e-6)])
+    def test_bitwise_equal_to_textbook_adam(self, cfg):
+        fast_params, ref_params = self.chunk_spanning_params(3), self.chunk_spanning_params(3)
+        assert sum(t.data.size for t in fast_params.tensors()) % training.ADAM_CHUNK != 0
+        fast, ref = Adam(fast_params, cfg), TextbookAdam(ref_params, cfg)
+        rng = np.random.default_rng(0)
+        for step in range(60):
+            grads = {name: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=t.data.shape)
+                     for name, t in ref_params.items()}
+            grads["frozen"] = np.zeros_like(grads["frozen"])
+            if step % 7 == 3:
+                grads["big"] = grads["big"].T.copy().T  # a non-contiguous gradient
+            fast.step(grads)  # must leave the gradients as they are for ref
+            ref.step(grads)
+        for name, t in ref_params.items():
+            assert fast_params[name].data.tobytes() == t.data.tobytes(), name
+            assert fast.m[name].tobytes() == ref.m[name].tobytes(), name
+            assert fast.v[name].tobytes() == ref.v[name].tobytes(), name
+        assert fast.step_count == ref.step_count == 60
+
+    def test_moments_are_views_of_the_flat_vectors(self):
+        params = self.chunk_spanning_params(0)
+        opt = Adam(params)
+        opt.step({name: np.ones_like(t.data) for name, t in params.items()})
+        assert np.concatenate([m.reshape(-1) for m in opt.m.values()]).tobytes() == \
+            opt.m_flat.tobytes()
+        opt.v["bias"][2] = 5.0
+        assert opt.v_flat[params["big"].data.size + 2] == 5.0
+
+    def test_nonfinite_gradient_names_its_block_and_changes_nothing(self):
+        params = self.chunk_spanning_params(0)
+        opt = Adam(params)
+        opt.step({name: np.ones_like(t.data) for name, t in params.items()})
+        before = [t.data.copy() for t in params.tensors()], opt.m_flat.copy(), opt.v_flat.copy()
+        grads = {name: np.ones_like(t.data) for name, t in params.items()}
+        grads["frozen"][1, 2] = np.inf
+        with pytest.raises(FloatingPointError, match="'frozen'"):
+            opt.step(grads)
+        assert all(a.tobytes() == t.data.tobytes() for a, t in zip(before[0], params.tensors()))
+        assert before[1].tobytes() == opt.m_flat.tobytes()
+        assert before[2].tobytes() == opt.v_flat.tobytes()
+        assert opt.step_count == 1
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda g: g.pop("gain"), "'gain'"),
+        (lambda g: g.update(extra=np.ones(2)), "'extra'"),
+        (lambda g: g.update(bias=np.ones(6)), "'bias' has 6 values, expected 7"),
+    ])
+    def test_gradient_map_must_match_the_blocks(self, edit, match):
+        params = self.chunk_spanning_params(0)
+        opt = Adam(params)
+        grads = {name: np.ones_like(t.data) for name, t in params.items()}
+        edit(grads)
+        with pytest.raises(ValueError, match=match):
+            opt.step(grads)
+        assert opt.step_count == 0 and not opt.m_flat.any()
+
+
+class TestAdamConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("lr", 0.0), ("lr", -1.0), ("lr", float("nan")), ("lr", float("inf")),
+        ("eps", 0.0), ("eps", -1e-8), ("eps", float("nan")),
+        ("beta1", -0.1), ("beta1", 1.0), ("beta1", 7.0), ("beta1", float("nan")),
+        ("beta2", 1.0), ("beta2", -0.5), ("beta2", float("inf"))])
+    def test_bad_setting_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            AdamConfig(**{field: value})
+
+    def test_boundary_settings_accepted(self):
+        AdamConfig(lr=1e-12, beta1=0.0, beta2=0.0, eps=1e-300)
+        AdamConfig(beta1=0.999999, beta2=0.999999)
 
 
 class TestTrainConfig:
@@ -278,6 +366,45 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="magic|checkpoint"):
             load_checkpoint(str(path))
 
+    def test_resumed_run_is_bitwise_the_uninterrupted_run(self, girl_dog, tmp_path):
+        ds = tiny_dataset(girl_dog)
+        ds.samples = ds.samples * 3
+        cfg = TrainConfig(batch_size=4, epochs=4, seed=5, lr=1e-2)
+        whole = Trainer(tiny_model(seed=5), ds, cfg)
+        history = whole.fit()
+        first = Trainer(tiny_model(seed=5), ds, cfg)
+        head = [first.run_epoch() for _ in range(2)]
+        path = tmp_path / "half.ckpt"
+        save_checkpoint(str(path), first.model, first.optimizer)
+        model, opt = load_checkpoint(str(path))
+        resumed = Trainer(model, ds, cfg)
+        resumed.optimizer = opt
+        resumed.shuffle_rng.bit_generator.state = first.shuffle_rng.bit_generator.state
+        resumed.epoch = 2
+        tail = [resumed.run_epoch() for _ in range(2)]
+        assert head + tail == history
+        for a, b in zip(model.params.tensors(), whole.model.params.tensors()):
+            assert a.data.tobytes() == b.data.tobytes()
+        assert opt.step_count == whole.optimizer.step_count == 8
+        assert opt.m_flat.tobytes() == whole.optimizer.m_flat.tobytes()
+        assert opt.v_flat.tobytes() == whole.optimizer.v_flat.tobytes()
+
+    def test_trainer_with_a_loaded_optimizer_moves_the_model(self, girl_dog, tmp_path):
+        trainer = Trainer(tiny_model(), tiny_dataset(girl_dog),
+                          TrainConfig(batch_size=2, epochs=1, lr=1e-3))
+        trainer.fit()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), trainer.model, trainer.optimizer)
+        model, opt = load_checkpoint(str(path))
+        again = Trainer(model, tiny_dataset(girl_dog), TrainConfig(batch_size=2, lr=1e-3))
+        again.optimizer = opt  # a second Adam over the same parameters, replaced
+        before = [t.data.copy() for t in model.params.tensors()]
+        m_before = opt.m_flat.copy()
+        again.run_epoch()
+        moved = [not np.array_equal(a, t.data) for a, t in zip(before, model.params.tensors())]
+        assert sum(moved) > len(moved) // 2
+        assert opt.step_count == 2 and not np.array_equal(m_before, opt.m_flat)
+
     def test_checkpoint_interval_writes_during_fit(self, girl_dog, tmp_path):
         path = tmp_path / "periodic.ckpt"
         trainer = Trainer(tiny_model(), tiny_dataset(girl_dog),
@@ -342,10 +469,25 @@ class TestStrictCheckpoint:
         (lambda h: h["blocks"].pop(), "do not match"),
         (lambda h: h["optimizer"].update(step=1.5), "optimizer.step"),
         (lambda h: h.update(word_vocab="abc"), "word_vocab"),
+        (lambda h: h["optimizer"].update(lr=-1.0), "optimizer.lr must be > 0"),
+        (lambda h: h["optimizer"].update(beta1=7.0), r"optimizer.beta1 must lie in \[0, 1\)"),
+        (lambda h: h["optimizer"].update(beta2=1.0), r"optimizer.beta2 must lie in \[0, 1\)"),
+        (lambda h: h["optimizer"].update(eps=0.0), "optimizer.eps must be > 0"),
+        (lambda h: h["optimizer"].update(step=-1), "optimizer.step must be >= 0"),
     ])
     def test_header_keys_types_and_blocks(self, saved, edit, match):
         tmp_path, blob, _, _ = saved
         self.rejects(tmp_path, write_header(blob, edit), match)
+
+    @pytest.mark.parametrize("section, moment", [(1, "first"), (2, "second")])
+    def test_truncated_moment_names_its_block(self, saved, section, moment):
+        tmp_path, blob, params_at, param_bytes = saved
+        blocks = json.loads(blob[16:params_at])["blocks"]
+        sizes = [int(np.prod(b["shape"])) for b in blocks]
+        for i in (0, 5, len(blocks) - 1):
+            cut = params_at + section * param_bytes + 8 * (sum(sizes[:i]) + sizes[i] // 2)
+            self.rejects(tmp_path, blob[:cut], f"ends inside the optimizer {moment}-moment "
+                                               f"block {re.escape(blocks[i]['name'])}$")
 
     def test_header_not_json(self, saved):
         tmp_path, blob, params_at, _ = saved
@@ -411,6 +553,30 @@ class TestBatchedTraining:
         single = [predict(model.forward(model.prepare(scene, question, 0)))] * 34
         assert preds == single
         assert report["n"] == 34
+
+
+class TestAccuracyCounts:
+    @pytest.mark.parametrize("heads", [("f_ce", "f_rn", "f_ss"), ("f_rn",)])
+    def test_batched_counts_match_per_row_predictions(self, heads):
+        model = tiny_model()
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            b = int(rng.integers(1, 12))
+            # small integer logits: ties within a head and in the averaged scores
+            logits = {name: ad.Tensor(rng.integers(-2, 3, size=(b, 4)).astype(float))
+                      for name in (*heads, "f_ga")}
+            bundle = LogitsBundle(**{"f_ce": None, "f_rn": None, "f_ss": None, **logits})
+            answers = rng.integers(0, 4, size=b).tolist()
+            expect: dict[str, int] = {}
+            for row, answer in zip(bundle.rows(), answers):
+                for tag, pred in model.stream_predictions(row).items():
+                    expect[tag] = expect.get(tag, 0) + (pred == answer)
+                expect["avg"] = expect.get("avg", 0) + (model.predict(row) == answer)
+            got: dict[str, int] = {}
+            averaged = bundle.averaged_argmax()
+            assert averaged.tolist() == [model.predict(row) for row in bundle.rows()]
+            training._accuracy_update(got, bundle, answers, averaged)
+            assert got == expect
 
 
 class TestLossValue:
