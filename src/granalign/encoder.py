@@ -12,14 +12,26 @@ two-layer ReLU feed-forward block, and post-norm residuals.
 
 A batch of sequences runs as one packed [N, d] matrix of all their rows:
 every row-wise step works on it unchanged, and only the attention core pads
-to [B, heads, n_max, n_max], where padding is nothing but zero mask entries.
+to a [B, heads, W, W] grid, where padding is nothing but zero mask entries.
 Each encoder layer is a single tape node with a hand-written backward.
+
+A stream's sequences split into two segments, the image tokens with SEP and
+the question tokens, and a lead graph opens only some of the four segment
+blocks per layer. ``encode_stream`` finds, once per batch, which blocks each
+layer opens anywhere in the batch. A layer that opens all four scores the
+whole grid as one block. Any other layer runs on a grid with segment 0 in
+columns [0, w0) and segment 1 in [w0, W), and each row segment scores only
+the columns of the segments it reaches (its own, the other, or both); a row
+segment that reaches none is skipped and gets zero context, as a fully
+masked row does.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,38 +70,38 @@ class EncoderConfig:
 # ---------------------------------------------------------------------------
 
 
+_LOWEST = np.finfo(np.float64).min
+
+
 def _ga_forward(q, k, v, g, eps_row):
     d_k = q.shape[-1]
-    scores = np.matmul(q, np.swapaxes(k, -1, -2))
-    scores /= np.sqrt(d_k)
+    scores = np.matmul(q, k.swapaxes(-1, -2))
+    scores /= math.sqrt(d_k)
     # Stabilize over the unmasked support only, so masked tokens cannot
     # perturb even the last bit of the surviving rows. Mask-then-renormalize
     # equals a softmax restricted to the support; the common shift cancels.
     np.copyto(scores, -np.inf, where=np.logical_not(g))
     row_max = scores.max(axis=-1, keepdims=True)
-    row_max[~np.isfinite(row_max)] = 0.0
+    np.maximum(row_max, _LOWEST, out=row_max)  # a fully masked row stays -inf, not NaN
     scores -= row_max
-    np.exp(scores, out=scores)
-    scores *= g
+    np.exp(scores, out=scores)  # exp(-inf) = 0: masked cells are exactly zero
     z = scores.sum(axis=-1, keepdims=True)
-    alive = z > eps_row
-    scores /= np.where(alive, z, 1.0)
-    scores *= alive
+    scores /= np.where(z > eps_row, z, np.inf)  # dead rows divide to exactly zero
     out = np.matmul(scores, v)
     return out, (q, k, v, scores, d_k)
 
 
 def _ga_backward(grad_out, cache):
     q, k, v, normed, d_k = cache
-    d_v = np.matmul(np.swapaxes(normed, -1, -2), grad_out)
-    d_scores = np.matmul(grad_out, np.swapaxes(v, -1, -2))
+    d_v = np.matmul(normed.swapaxes(-1, -2), grad_out)
+    d_scores = np.matmul(grad_out, v.swapaxes(-1, -2))
     # Softmax-on-support Jacobian; rows of `normed` are zero off support and
     # on dead rows, which zeroes those score gradients automatically.
     d_scores -= (d_scores * normed).sum(axis=-1, keepdims=True)
     d_scores *= normed
-    d_scores /= np.sqrt(d_k)
+    d_scores /= math.sqrt(d_k)
     d_q = np.matmul(d_scores, k)
-    d_k_ = np.matmul(np.swapaxes(d_scores, -1, -2), q)
+    d_k_ = np.matmul(d_scores.swapaxes(-1, -2), q)
     return d_q, d_k_, d_v
 
 
@@ -141,14 +153,17 @@ class Layout:
 
     Row r is position ``pos[r]`` of sequence ``sample[r]``; ``lengths[b]``
     counts the rows of sequence b. Rows need not be grouped by sequence.
+    The grid is as wide as the longest sequence unless ``width`` says more.
     """
 
-    def __init__(self, sample: np.ndarray, pos: np.ndarray, lengths):
+    def __init__(self, sample: np.ndarray, pos: np.ndarray, lengths, width: int | None = None):
         self.sample = sample
         self.pos = pos
         self.lengths = np.asarray(lengths, dtype=np.intp)
         self.batch = len(self.lengths)
-        self.n_max = int(self.lengths.max()) if self.batch else 0
+        if width is None:
+            width = self.lengths.max() if self.batch else 0
+        self.n_max = int(width)
         self.index = sample * self.n_max + pos
         # every grid cell holds a row, in row order: pad and unpad are reshapes
         self.dense = (len(pos) == self.batch * self.n_max
@@ -210,13 +225,30 @@ class LayerParams:
     ln2_bias: ad.Tensor
 
 
+WHOLE_GRID = ((slice(None), slice(None)),)  # one block: every grid row over every column
+
+
+def _assemble(shape, spans, parts):
+    """Each [B, h, len(span), d_k] part added into its span of grid positions of a
+    zero [B, h, W, d_k] grid; a single part spanning the whole grid is the grid."""
+    if len(parts) == 1 and spans[0] == slice(None):
+        return parts[0]
+    out = np.zeros(shape)
+    for span, part in zip(spans, parts):
+        out[:, :, span] += part
+    return out
+
+
 def encoder_layer(x: ad.Tensor, g: np.ndarray, layer: LayerParams, cfg: EncoderConfig,
-                  layout: Layout) -> ad.Tensor:
+                  layout: Layout, blocks=WHOLE_GRID) -> ad.Tensor:
     """Post-norm residual layer: attention sublayer then feed-forward sublayer.
 
     ``x`` packs the rows of ``layout.batch`` sequences and ``g`` holds their
     padded [B, n_max, n_max] masks (one sequence of n rows: ``g[None]`` with
-    ``Layout.contiguous([n])``).
+    ``Layout.contiguous([n])``). ``blocks`` lists the (row slice, column
+    slice) blocks of the padded grid that attention scores, with disjoint
+    row slices; grid rows outside every block get zero context, exactly as
+    fully masked rows do. The default scores the whole grid as one block.
 
     Head projections live in fused [d_model, d_model] matrices whose column
     blocks are the per-head maps; every head sees its sequence's mask. The
@@ -231,6 +263,7 @@ def encoder_layer(x: ad.Tensor, g: np.ndarray, layer: LayerParams, cfg: EncoderC
     if d % h != 0:
         raise ValueError("d_model not divisible by head count")
     bsz, n_max, d_k = layout.batch, layout.n_max, d // h
+    rows, cols = [r for r, _ in blocks], [c for _, c in blocks]
 
     def split(a):  # packed [N, d] -> [B, h, n_max, d_k]
         return layout.pad(a).reshape(bsz, n_max, h, d_k).transpose(0, 2, 1, 3)
@@ -238,10 +271,15 @@ def encoder_layer(x: ad.Tensor, g: np.ndarray, layer: LayerParams, cfg: EncoderC
     def join(a):  # [B, h, n_max, d_k] -> packed [N, d]
         return layout.unpad(a.transpose(0, 2, 1, 3).reshape(bsz * n_max, d))
 
-    att, cache = _ga_forward(split(xd @ p.wq.data), split(xd @ p.wk.data),
-                             split(xd @ p.wv.data), g[:, None], cfg.eps_row)
-    ctx = join(att)
-    del att
+    q, k, v = split(xd @ p.wq.data), split(xd @ p.wk.data), split(xd @ p.wv.data)
+    parts, caches = [], []
+    for r, c in blocks:
+        out_b, cache = _ga_forward(q[:, :, r], k[:, :, c], v[:, :, c], g[:, None, r, c],
+                                   cfg.eps_row)
+        parts.append(out_b)
+        caches.append(cache)
+    ctx = join(_assemble(q.shape, rows, parts))
+    del q, k, v, parts
     y, xhat1, inv1 = ad._ln_forward(xd + ctx @ p.wo.data, p.ln1_gain.data,
                                     p.ln1_bias.data, cfg.eps_norm)
     hidden = np.maximum(y @ p.ffn_w1.data + p.ffn_b1.data, 0.0)
@@ -258,7 +296,10 @@ def encoder_layer(x: ad.Tensor, g: np.ndarray, layer: LayerParams, cfg: EncoderC
         g_h *= hidden > 0.0
         g_y = g_r2 + g_h @ p.ffn_w1.data.T
         g_r1 = ad._ln_backward(g_y, p.ln1_gain.data, xhat1, inv1)
-        d_q, d_k_, d_v = (join(a) for a in _ga_backward(split(g_r1 @ p.wo.data.T), cache))
+        g_att = split(g_r1 @ p.wo.data.T)
+        d_qkv = [_ga_backward(g_att[:, :, r], cache) for r, cache in zip(rows, caches)]
+        d_q, d_k_, d_v = (join(_assemble(g_att.shape, spans, [a[i] for a in d_qkv]))
+                          for i, spans in enumerate((rows, cols, cols)))
         g_x = g_r1 + (d_q @ p.wq.data.T + d_k_ @ p.wk.data.T + d_v @ p.wv.data.T)
         return (g_x, xd.T @ d_q, xd.T @ d_k_, xd.T @ d_v, ctx.T @ g_r1,
                 y.T @ g_h, g_h.sum(axis=0), hidden.T @ g_r2, g_r2.sum(axis=0),
@@ -268,6 +309,70 @@ def encoder_layer(x: ad.Tensor, g: np.ndarray, layer: LayerParams, cfg: EncoderC
     return ad.record(out, (x, p.wq, p.wk, p.wv, p.wo, p.ffn_w1, p.ffn_b1, p.ffn_w2,
                            p.ffn_b2, p.ln1_gain, p.ln1_bias, p.ln2_gain, p.ln2_bias),
                      backward)
+
+
+class LayerGrid(NamedTuple):
+    """One layer's attention: bool [B, W, W] masks on the padded grid of
+    ``layout`` and the blocks of that grid to score (see ``encoder_layer``)."""
+
+    mask: np.ndarray
+    layout: Layout
+    blocks: tuple = WHOLE_GRID
+
+
+def _segment_plan(layout: Layout, n0: np.ndarray, masks) -> list[LayerGrid]:
+    """Per-layer grids of a batch whose sequences split into segment 0, the
+    first ``n0[b]`` positions of sequence b, and segment 1, the rest.
+
+    ``masks`` holds each sequence's [L, n_b, n_b] masks. A layer whose four
+    segment blocks are each open somewhere in the batch scores ``layout``'s
+    grid as one block. Any other layer runs on a segment-aligned grid, with
+    segment 0 at positions [0, w0) and segment 1 at [w0, W), where each row
+    segment scores the columns of the segments it reaches. The two grids
+    coincide when every sequence has the same ``n0``.
+    """
+    g = layout.pad_masks(masks)
+    sample, pos, lengths = layout.sample, layout.pos, layout.lengths
+    starts = n0.tolist()
+    w0 = max(starts)
+    if min(starts) == w0:
+        aligned, ga = layout, g
+    else:
+        shift = w0 - n0
+        width = w0 + int((lengths - n0).max())
+        aligned = Layout(sample, np.where(pos < n0[sample], pos, pos + shift[sample]), lengths,
+                         width)
+        a = np.arange(width)
+        src = np.where(a < w0, a, a - shift[:, None])  # [B, W]: position in layout's grid
+        valid = np.where(a < w0, a < n0[:, None], src < lengths[:, None])
+        np.minimum(src, layout.n_max - 1, out=src)
+        ga = np.take_along_axis(g, src[None, :, :, None], axis=-2)
+        ga = np.take_along_axis(ga, src[None, :, None, :], axis=-1)
+        ga &= valid[:, :, None] & valid[:, None, :]
+    if w0 < aligned.n_max:
+        # opened[l, b, s, t]: in layer l some row of segment s of sequence b
+        # may attend to some column of its segment t
+        opened = np.logical_or.reduceat(np.logical_or.reduceat(ga, [0, w0], axis=-1),
+                                        [0, w0], axis=-2)
+    else:  # no segment-1 rows in the batch: one block, open or not
+        opened = np.broadcast_to(ga.any(axis=(-2, -1), keepdims=True), ga.shape[:2] + (2, 2))
+    flags = np.logical_or.reduce(opened, axis=1).tolist()
+    return [LayerGrid(g[i], layout) if o00 and o01 and o10 and o11
+            else LayerGrid(ga[i], aligned, _blocks(o00, o01, o10, o11, w0))
+            for i, ((o00, o01), (o10, o11)) in enumerate(flags)]
+
+
+@functools.lru_cache(maxsize=None)
+def _blocks(o00: bool, o01: bool, o10: bool, o11: bool, w0: int) -> tuple:
+    """The grid blocks a segment-aligned layer scores when segment s rows may
+    reach segment t columns where ``o{s}{t}``: each row segment over its own
+    segment, the other one, or both."""
+    segments = (slice(0, w0), slice(w0, None))
+    blocks = []
+    for rows, to0, to1 in ((segments[0], o00, o01), (segments[1], o10, o11)):
+        if to0 or to1:
+            blocks.append((rows, slice(None) if to0 and to1 else segments[to1]))
+    return tuple(blocks)
 
 
 class EncoderStack:
@@ -309,11 +414,12 @@ class EncoderStack:
             raise ValueError(f"sequence length {n} exceeds max_len {self.cfg.max_len}")
         return ad.add(x, ad.embedding_lookup(self.pos_table, pos))
 
-    def run(self, x: ad.Tensor, masks: np.ndarray, layout: Layout) -> ad.Tensor:
-        """Positions, then layer i with ``masks[min(i, len(masks) - 1)]``."""
+    def run(self, x: ad.Tensor, plan: Sequence[LayerGrid], layout: Layout) -> ad.Tensor:
+        """Positions of ``layout``, then layer i with ``plan[min(i, len(plan) - 1)]``."""
         x = self.add_positions(x, layout.pos)
         for i, layer in enumerate(self.layers):
-            x = encoder_layer(x, masks[min(i, len(masks) - 1)], layer, self.cfg, layout)
+            grid = plan[min(i, len(plan) - 1)]
+            x = encoder_layer(x, grid.mask, layer, self.cfg, grid.layout, grid.blocks)
         return x
 
 
@@ -327,9 +433,11 @@ def encode_stream(t_img: ad.Tensor, t_q: ad.Tensor, img_lengths: Sequence[int],
     ``plans[b]`` holds its per-layer masks, SEP included (see
     ``leadgraph.mask_plan``). The learned SEP row is added once per sample,
     positions run over each sample's combined index space, and layer i
-    applies ``plans[b][i]``. The packed rows are [all image rows; B SEP rows;
-    all question rows], so one sample reads exactly as its own sequence.
-    Returns the final hidden rows, their layout and the row of each SEP.
+    applies ``plans[b][i]``, scoring only the segment blocks (image with SEP,
+    question) that the layer opens somewhere in the batch. The packed rows
+    are [all image rows; B SEP rows; all question rows], so one sample reads
+    exactly as its own sequence. Returns the final hidden rows, their layout
+    and the row of each SEP.
     """
     if sep.data.ndim != 1:
         raise ValueError(f"SEP vector must be 1-D, got shape {sep.data.shape}")
@@ -345,12 +453,17 @@ def encode_stream(t_img: ad.Tensor, t_q: ad.Tensor, img_lengths: Sequence[int],
         raise ValueError("encode_stream: token rows do not match the mask plans")
     bsz = len(plans)
     sample = np.arange(bsz)
-    layout = Layout(np.concatenate([np.repeat(sample, n_img), sample, np.repeat(sample, n_q)]),
-                    np.concatenate([_segment_ranks(n_img), n_img,
-                                    np.repeat(n_img + 1, n_q) + _segment_ranks(n_q)]), n)
+    # the rows come in 3B pieces: each image block, each SEP, each question block
+    pieces = np.concatenate([n_img, np.ones(bsz, np.intp), n_q])
+    first_pos = np.concatenate([np.zeros(bsz, np.intp), n_img, n_img + 1])
+    first_row = np.cumsum(pieces) - pieces
+    n_rows = t_img.data.shape[0] + bsz + t_q.data.shape[0]
+    layout = Layout(np.repeat(np.concatenate([sample, sample, sample]), pieces),
+                    np.arange(n_rows) - np.repeat(first_row - first_pos, pieces), n)
     seps = ad.embedding_lookup(ad.reshape(sep, (1, sep.data.shape[0])), np.zeros(bsz, np.intp))
     x = ad.concat_rows([t_img, seps, t_q])
-    return stack.run(x, layout.pad_masks(plans), layout), layout, t_img.data.shape[0] + sample
+    plan = _segment_plan(layout, n_img + 1, plans)
+    return stack.run(x, plan, layout), layout, t_img.data.shape[0] + sample
 
 
 def sentence_pretransform(word_tokens: ad.Tensor, dep_adjacency: Sequence[np.ndarray],
@@ -377,4 +490,4 @@ def sentence_pretransform(word_tokens: ad.Tensor, dep_adjacency: Sequence[np.nda
         raise ValueError(f"adjacency sizes {lengths} do not match "
                          f"{word_tokens.data.shape[0]} tokens")
     layout = Layout.contiguous(lengths)
-    return stack.run(word_tokens, layout.pad_masks(dep_adjacency)[None], layout)
+    return stack.run(word_tokens, [LayerGrid(layout.pad_masks(dep_adjacency), layout)], layout)

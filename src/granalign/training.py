@@ -296,7 +296,13 @@ def gradcheck(model: Model, prep: PreparedSample, step: float = 1e-5,
     central difference carries signal (a coordinate whose gradient sits at
     the difference's cancellation noise floor cannot be checked at any
     tolerance). Relative error uses |g_ad - g_fd| / max(|g_ad|, |g_fd|, 1e-8).
+    ``step`` and ``tol`` must be finite and > 0, ``coords_per_block`` >= 1.
     """
+    for name, value in (("step", step), ("tol", tol)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"gradcheck {name} must be a finite value > 0, got {value}")
+    if coords_per_block < 1:
+        raise ValueError(f"gradcheck coords_per_block must be >= 1, got {coords_per_block}")
     with ad.Tape() as tape:
         bundle = model.forward(prep)
         loss = model.loss(bundle, prep.answer_index)
@@ -333,8 +339,12 @@ def gradcheck(model: Model, prep: PreparedSample, step: float = 1e-5,
 
 def run_experiment(train_ds: Dataset, eval_ds: Dataset, model_kw: dict,
                    train_kw: dict, word_vector_file=None) -> dict:
-    """Train a fresh seeded model and evaluate it; returns both metric records."""
+    """Train a fresh seeded model and evaluate it; returns both metric records
+    (the training one from the last of at least one epoch)."""
     cfg = TrainConfig(**train_kw)
+    if cfg.epochs < 1:
+        raise ValueError(f"an experiment needs epochs >= 1 to report training metrics, "
+                         f"got {cfg.epochs}")
     model = Model(ModelConfig(**model_kw), train_ds.word_vocab, train_ds.answer_vocab,
                   train_ds.d_region, train_ds.d_spatial, seed=cfg.seed,
                   word_vector_file=word_vector_file)

@@ -168,16 +168,26 @@ def feed_forward(x, layer):
     return ad.add(ad.matmul(hidden, layer.ffn_w2), layer.ffn_b2)
 
 
-def reference_encoder_layer(x, g, layer, cfg, layout):
+def reference_encoder_layer(x, g, layer, cfg, layout, blocks=None):
     """Post-norm residual layer as a chain of autodiff ops, one sequence at a time.
 
     Takes the fused layer's arguments; the layout must hold one sequence.
+    Attention always runs over the full mask ``g[0]``: ``blocks`` only names
+    where the fused layer may skip work, so it is ignored here.
     """
     assert layout.batch == 1 and layout.dense
     attended = multi_head_ga(x, g[0], layer, cfg.num_heads, cfg.eps_row)
     y = ad.layer_norm_rows(ad.add(x, attended), layer.ln1_gain, layer.ln1_bias, cfg.eps_norm)
     return ad.layer_norm_rows(ad.add(y, feed_forward(y, layer)),
                               layer.ln2_gain, layer.ln2_bias, cfg.eps_norm)
+
+
+def whole_grid_plan(layout, n0, masks):
+    """``encoder._segment_plan`` without segment groups: every layer scores the
+    whole padded grid of ``layout`` as one block, the computation the grouped
+    plan must match."""
+    g = layout.pad_masks(masks)
+    return [encoder.LayerGrid(g[i], layout) for i in range(len(g))]
 
 
 def reference_batch(model, preps, monkeypatch):

@@ -227,6 +227,16 @@ class TestGradcheckCommand:
         assert rc == 1
         assert "out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--step", "0"), ("--step", "-1"),
+                                             ("--step", "nan"), ("--tol", "-1")])
+    def test_bad_step_or_tolerance_exits_one(self, cli_corpus, capsys, flag, value):
+        rc = main(["gradcheck", "--data", str(cli_corpus), flag, value])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith(f"error: gradcheck {flag[2:]} must be a finite value > 0")
+        assert value in captured.err and "Traceback" not in captured.err
+        assert "FAIL" not in captured.out
+
 
 class TestDumpLeadgraph:
     # image side: girl->left, left->dog, right->girl, dog->right, dog->brown,
@@ -330,6 +340,15 @@ class TestAblate:
         assert rc == 0
         out = capsys.readouterr().out
         assert out.count("(relation corpus)") == 2
+
+
+    def test_zero_epochs_exits_one(self, cli_corpus, cli_config, capsys):
+        rc = main(["ablate", "--data", str(cli_corpus), "--config", cli_config,
+                   "--epochs", "0"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error: an experiment needs epochs >= 1")
+        assert "got 0" in captured.err and captured.out == ""
 
 
 class TestParser:

@@ -4,19 +4,23 @@ import numpy as np
 import pytest
 
 import granalign.autodiff as ad
+from granalign import encoder
 from granalign.encoder import (
+    WHOLE_GRID,
     EncoderConfig,
     EncoderStack,
     Layout,
     _ga_forward,
     _mask_array,
+    _segment_plan,
     encode_stream,
     encoder_layer,
     ga_attention,
     sentence_pretransform,
 )
 from granalign.leadgraph import LeadGraph, full_graph, pairs_to_matrix
-from conftest import fd_gradient, multi_head_ga, reference_encoder_layer, rel_err, weighted_sum
+from conftest import (fd_gradient, multi_head_ga, reference_encoder_layer, rel_err,
+                      weighted_sum, whole_grid_plan)
 
 
 def textbook_attention(q, k, v):
@@ -541,3 +545,194 @@ class TestEncoderConfig:
 
     def test_d_k(self):
         assert EncoderConfig(num_heads=8, d_model=32).d_k == 4
+
+
+def lead_graph_masks(rng, n_img, n_q):
+    """Random 3-layer masks over [image; SEP; question] with the lead-graph
+    block structure: layer 1 question block only, layer 2 cross blocks only,
+    layer 3 random everywhere with the SEP row open."""
+    n0 = n_img + 1
+    n = n0 + n_q
+    m = rng.random((3, n, n)) < 0.6
+    m[0, :n0] = False
+    m[0, n0:, :n0] = False
+    m[1, :n0, :n0] = False
+    m[1, n0:, n0:] = False
+    m[2, n_img] = True
+    return m
+
+
+def packed_layout(n_img, n_q):
+    """The layout ``encode_stream`` builds: all image rows, the SEP rows, all question rows."""
+    n_img, n_q = np.asarray(n_img), np.asarray(n_q)
+    b = np.arange(len(n_img))
+    sample = np.concatenate([np.repeat(b, n_img), b, np.repeat(b, n_q)])
+    pos = np.concatenate([np.arange(a) for a in n_img] + [n_img]
+                         + [a + 1 + np.arange(q) for a, q in zip(n_img, n_q)])
+    return Layout(sample, pos, n_img + 1 + n_q)
+
+
+class TestSegmentPlan:
+    """The grouped attention of ``_segment_plan`` against the one-group plan
+    that scores each layer's whole padded grid."""
+
+    LAYER_INPUTS = TestFusedLayer.LAYER_INPUTS
+
+    def run_layer(self, grid, x, layer, cfg, w):
+        with ad.Tape() as t:
+            out = encoder_layer(x, grid.mask, layer, cfg, grid.layout, grid.blocks)
+            loss = weighted_sum(out, w)
+        return out.data, t.gradients(loss, [x] + [getattr(layer, n) for n in self.LAYER_INPUTS])
+
+    def check_layers(self, n_img, n_q, masks, seed=40):
+        """Every layer of the grouped plan against the whole grid: values and
+        the 13 gradients to 1e-12, bitwise where the plan keeps the whole grid."""
+        rng = np.random.default_rng(seed)
+        cfg = EncoderConfig(num_layers=1, num_heads=2, d_model=8, d_ff=16)
+        layer = make_layer(rng, 8, 16)
+        layout = packed_layout(n_img, n_q)
+        n0 = np.asarray(n_img) + 1
+        grouped = _segment_plan(layout, n0, masks)
+        whole = whole_grid_plan(layout, n0, masks)
+        x = ad.Tensor(rng.normal(size=(len(layout.pos), 8)), requires_grad=True)
+        w = rng.normal(size=x.data.shape)
+        for got_grid, ref_grid in zip(grouped, whole):
+            out, grads = self.run_layer(got_grid, x, layer, cfg, w)
+            ref, ref_grads = self.run_layer(ref_grid, x, layer, cfg, w)
+            if got_grid.blocks == WHOLE_GRID:
+                assert got_grid.layout is layout
+                assert out.tobytes() == ref.tobytes()
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(grads, ref_grads))
+            assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+            for a, b in zip(grads, ref_grads):
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+        return grouped
+
+    def test_lead_graph_blocks(self):
+        """Layer 1 scores the question block, layer 2 the two cross blocks,
+        layer 3 the whole grid."""
+        rng = np.random.default_rng(41)
+        n_img, n_q = [3, 3], [2, 4]
+        masks = [lead_graph_masks(rng, a, b) for a, b in zip(n_img, n_q)]
+        plan = self.check_layers(n_img, n_q, masks)
+        seg0, seg1 = slice(0, 4), slice(4, None)
+        assert plan[0].blocks == ((seg1, seg1),)
+        assert plan[1].blocks == ((seg0, seg1), (seg1, seg0))
+        assert plan[2].blocks == WHOLE_GRID
+
+    def test_one_sample(self):
+        rng = np.random.default_rng(42)
+        plan = self.check_layers([5], [3], [lead_graph_masks(rng, 5, 3)])
+        assert plan[0].layout.dense
+
+    def test_mixed_lengths(self):
+        """Image segments of different lengths run on a segment-aligned grid
+        wider than the longest sequence."""
+        rng = np.random.default_rng(43)
+        n_img, n_q = [2, 6, 4, 1], [5, 0, 3, 1]
+        plan = self.check_layers(n_img, n_q,
+                                 [lead_graph_masks(rng, a, b) for a, b in zip(n_img, n_q)])
+        assert plan[0].layout.n_max == 7 + 5
+        assert plan[2].layout.n_max == 8
+
+    def test_block_open_in_one_sample_only(self):
+        """A block open in one sample is scored for the whole batch; the others
+        see only their own (closed) mask entries in it."""
+        rng = np.random.default_rng(44)
+        n_img, n_q = [3, 2, 4], [2, 3, 2]
+        masks = []
+        for b, (a, q) in enumerate(zip(n_img, n_q)):
+            m = np.zeros((1, a + 1 + q, a + 1 + q), dtype=bool)
+            m[0, a + 1:, a + 1:] = True  # question block open everywhere
+            if b == 1:
+                m[0, :a + 1, :a + 1] = rng.random((a + 1, a + 1)) < 0.7
+            masks.append(m)
+        plan = self.check_layers(n_img, n_q, masks)
+        assert plan[0].blocks == ((slice(0, 5), slice(0, 5)), (slice(5, None), slice(5, None)))
+
+    def test_overlapping_column_spans(self):
+        """Image rows reach every column and question rows their own block:
+        both blocks score the question columns, whose key and value gradients
+        add up."""
+        rng = np.random.default_rng(47)
+        n_img, n_q = [2, 4], [3, 2]
+        masks = []
+        for a, q in zip(n_img, n_q):
+            m = rng.random((1, a + 1 + q, a + 1 + q)) < 0.7
+            m[0, a + 1:, :a + 1] = False
+            masks.append(m)
+        plan = self.check_layers(n_img, n_q, masks)
+        assert plan[0].blocks == ((slice(0, 5), slice(None)), (slice(5, None), slice(5, None)))
+
+    def test_empty_question_segment(self):
+        """No question rows anywhere: one segment, scored as the whole grid."""
+        rng = np.random.default_rng(45)
+        n_img, n_q = [3, 5], [0, 0]
+        masks = [rng.random((2, a + 1, a + 1)) < 0.6 for a in n_img]
+        plan = self.check_layers(n_img, n_q, masks)
+        assert all(grid.blocks == WHOLE_GRID for grid in plan)
+
+    def test_fully_masked_layer_scores_nothing(self):
+        n_img, n_q = [2, 3], [1, 2]
+        masks = [np.zeros((1, a + 1 + q, a + 1 + q), dtype=bool) for a, q in zip(n_img, n_q)]
+        plan = self.check_layers(n_img, n_q, masks)
+        assert plan[0].blocks == ()
+
+    def test_all_ones_is_one_group(self):
+        """Without lead graphs every layer is the whole grid, bitwise."""
+        n_img, n_q = [2, 5, 3], [4, 1, 0]
+        masks = [np.ones((3, a + 1 + q, a + 1 + q), dtype=bool) for a, q in zip(n_img, n_q)]
+        plan = self.check_layers(n_img, n_q, masks)
+        assert all(grid.blocks == WHOLE_GRID for grid in plan)
+
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    @pytest.mark.parametrize("lengths", [([4], [3]), ([2, 5, 3], [3, 2, 0])],
+                             ids=["one-sample", "mixed"])
+    def test_encode_stream_matches_whole_grid(self, num_layers, lengths, monkeypatch):
+        """Stream outputs and the gradients of every stack parameter and input
+        agree with the whole-grid plan to 1e-12."""
+        n_img, n_q = lengths
+        rng = np.random.default_rng(46 + num_layers)
+        cfg = EncoderConfig(num_layers=num_layers, num_heads=2, d_model=8, d_ff=16,
+                            max_len=16)
+        params = ad.Parameters()
+        stack = EncoderStack.build(params, "enc", cfg, np.random.default_rng(0))
+        plans = [lead_graph_masks(rng, a, b)[:num_layers]
+                 for a, b in zip(n_img, n_q)]
+        t_img = ad.Tensor(rng.normal(size=(sum(n_img), 8)), requires_grad=True)
+        t_q = ad.Tensor(rng.normal(size=(sum(n_q), 8)), requires_grad=True)
+        sep = params.new("sep", (8,), "embed", rng)
+        w = rng.normal(size=(sum(n_img) + len(n_img) + sum(n_q), 8))
+        tensors = [t_img, t_q] + params.tensors()
+
+        def run():
+            with ad.Tape() as t:
+                hidden, _, _ = encode_stream(t_img, t_q, n_img, plans, stack, sep)
+                loss = weighted_sum(hidden, w)
+            return hidden.data, t.gradients(loss, tensors)
+
+        out, grads = run()
+        monkeypatch.setattr(encoder, "_segment_plan", whole_grid_plan)
+        ref, ref_grads = run()
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+        for a, b in zip(grads, ref_grads):
+            assert np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1e-300)
+
+    def test_short_plan_reuses_last_layer(self):
+        """A plan with fewer grids than layers applies its last grid to the rest."""
+        rng = np.random.default_rng(49)
+        cfg = EncoderConfig(num_layers=3, num_heads=2, d_model=8, d_ff=16, max_len=16)
+        stack = EncoderStack.build(ad.Parameters(), "enc", cfg, np.random.default_rng(1))
+        n_img, n_q = [3, 1], [2, 4]
+        layout = packed_layout(n_img, n_q)
+        masks = [lead_graph_masks(rng, a, b)[:2] for a, b in zip(n_img, n_q)]
+        n0 = np.asarray(n_img) + 1
+        x = ad.Tensor(rng.normal(size=(len(layout.pos), 8)))
+        plan = _segment_plan(layout, n0, masks)
+        grouped = stack.run(x, plan, layout).data
+        whole = stack.run(x, whole_grid_plan(layout, n0, masks), layout).data
+        assert np.abs(grouped - whole).max() <= 1e-12 * np.abs(whole).max()
+        h = stack.add_positions(x, layout.pos)
+        for grid, layer in zip([plan[0], plan[1], plan[1]], stack.layers):
+            h = encoder_layer(h, grid.mask, layer, cfg, grid.layout, grid.blocks)
+        assert h.data.tobytes() == grouped.tobytes()

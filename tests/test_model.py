@@ -11,7 +11,8 @@ from granalign.ingest import question_from_dict
 from granalign.leadgraph import layer_masks, pairs_to_matrix
 from granalign.model import STREAMS, LogitsBundle, Model, ModelConfig, StreamOutput
 from granalign.training import generic_parameter_point
-from conftest import append_sep_mask, fixture_path, level_graph, reference_batch
+from conftest import (append_sep_mask, fixture_path, level_graph, reference_batch,
+                      whole_grid_plan)
 
 WORDS = ["what", "color", "is", "the", "there", "a",
          "girl", "dog", "brown", "left", "right"]
@@ -425,3 +426,56 @@ class TestBatch:
         model, _ = mixed_batch
         with pytest.raises(ValueError, match="at least one"):
             model.forward_batch([])
+
+
+@pytest.fixture(scope="module")
+def mixed_samples(tmp_path_factory):
+    """The samples of ``mixed_batch`` with the pinned manifest, for models of
+    other configurations."""
+    root = tmp_path_factory.mktemp("mixed_samples")
+    pinned = load_manifest(gen_corpus(DEFAULT_WORLD, 6, 1, 3, str(root / "pinned"))[0])
+    wide = load_manifest(gen_corpus(ToyWorldSpec(objects_min=1, objects_max=4, grid_size=7),
+                                    6, 1, 3, str(root / "wide"))[0])
+    return pinned, pinned.samples + wide.samples
+
+
+class TestSegmentGroups:
+    """Whole-model batches through the grouped attention against the same
+    batches with every layer scoring its whole padded grid."""
+
+    def both(self, mixed_samples, monkeypatch, **cfg_kw):
+        ds, samples = mixed_samples
+        model = Model(ModelConfig(**cfg_kw), ds.word_vocab, ds.answer_vocab,
+                      ds.d_region, ds.d_spatial, seed=1)
+        generic_parameter_point(model)
+        preps = [model.prepare(s.scene, s.question, ds.answer_index(s.answer)) for s in samples]
+        grouped = batch_loss_and_grads(model, preps)
+        with monkeypatch.context() as m:
+            m.setattr(encoder, "_segment_plan", whole_grid_plan)
+            whole = batch_loss_and_grads(model, preps)
+        return grouped, whole
+
+    @pytest.mark.parametrize("cfg_kw", [{}, {"num_layers": 1}, {"num_layers": 2},
+                                        {"node_reduction": True}, {"sep_connect_all": False}],
+                             ids=["default", "one-layer", "two-layers", "node-reduction",
+                                  "sep-self-only"])
+    def test_matches_whole_grid(self, mixed_samples, monkeypatch, cfg_kw):
+        (bundle, losses, grads), (ref_bundle, ref_losses, ref_grads) = self.both(
+            mixed_samples, monkeypatch, **cfg_kw)
+        np.testing.assert_allclose(losses, ref_losses, rtol=1e-12, atol=0)
+        for tag, t in bundle.all_logits().items():
+            ref = ref_bundle.all_logits()[tag].data
+            assert np.abs(t.data - ref).max() <= 1e-12 * np.abs(ref).max(), tag
+        assert list(grads) == list(ref_grads)
+        for name, g in grads.items():
+            ref = ref_grads[name]
+            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
+    def test_without_lead_graphs_bitwise(self, mixed_samples, monkeypatch):
+        (bundle, losses, grads), (ref_bundle, ref_losses, ref_grads) = self.both(
+            mixed_samples, monkeypatch, use_lead_graphs=False)
+        assert losses.tobytes() == ref_losses.tobytes()
+        for tag, t in bundle.all_logits().items():
+            assert t.data.tobytes() == ref_bundle.all_logits()[tag].data.tobytes()
+        for name, g in grads.items():
+            assert g.tobytes() == ref_grads[name].tobytes(), name

@@ -317,6 +317,19 @@ class TestGradcheck:
         reports = gradcheck(model, prep)
         assert any(not r.passed for r in reports)
 
+    @pytest.mark.parametrize("kw, message", [
+        ({"step": 0.0}, "step must be a finite value > 0, got 0.0"),
+        ({"step": float("inf")}, "step must be a finite value > 0, got inf"),
+        ({"tol": float("nan")}, "tol must be a finite value > 0, got nan"),
+        ({"tol": -1e-5}, "tol must be a finite value > 0, got -1e-05"),
+        ({"coords_per_block": 0}, "coords_per_block must be >= 1, got 0"),
+    ])
+    def test_rejects_meaningless_settings(self, girl_dog, kw, message):
+        scene, question = girl_dog
+        model = tiny_model()
+        with pytest.raises(ValueError, match=message):
+            gradcheck(model, model.prepare(scene, question, answer_index=0), **kw)
+
 
 class TestCheckpoint:
     def test_roundtrip_restores_weights_and_optimizer(self, girl_dog, tmp_path):
