@@ -163,11 +163,10 @@ def cmd_gradcheck(args) -> int:
 def cmd_dump_leadgraph(args) -> int:
     with open(args.sample, "r", encoding="utf-8") as f:
         doc = json.load(f)
-    for key in ("scene", "question"):
-        if key not in doc:
-            raise SchemaError(f"{args.sample}: missing field {key!r}")
-    scene = ingest.scene_from_dict(doc["scene"], source=args.sample)
-    question = ingest.question_from_dict(doc["question"], source=args.sample)
+    scene = ingest.scene_from_dict(ingest._require(doc, "scene", args.sample, dict),
+                                   source=args.sample)
+    question = ingest.question_from_dict(ingest._require(doc, "question", args.sample, dict),
+                                         source=args.sample)
     levels, plans = build_streams(scene, question, ModelConfig(streams=(args.stream,)))
     stream = STREAMS[args.stream]
     print(f"# stream {args.stream} layer {args.layer}")

@@ -23,6 +23,9 @@ from .ingest import (
     SceneObject,
     SceneRelation,
     SchemaError,
+    _expect,
+    _require,
+    _strings,
     question_from_dict,
     question_to_dict,
     scene_from_dict,
@@ -116,14 +119,18 @@ class ToyWorldSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ToyWorldSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(d) - known
+        """A spec from a JSON object; each field has the JSON type of its default."""
+        bad = set(_expect(d, dict, "world spec")) - set(cls.__dataclass_fields__)
         if bad:
             raise SchemaError(f"world spec: unknown fields {sorted(bad)}")
-        kwargs = dict(d)
-        for key in ("categories", "attributes", "relations", "templates"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
+        kwargs = {}
+        for key, value in d.items():
+            what = f"world spec: field {key!r}"
+            default = getattr(cls, key)
+            if isinstance(default, tuple):
+                kwargs[key] = tuple(_strings(_expect(value, list, what), what))
+            else:
+                kwargs[key] = _expect(value, type(default), what)
         return cls(**kwargs)
 
 
@@ -408,18 +415,13 @@ def load_manifest(path: str) -> Dataset:
     except json.JSONDecodeError as e:
         raise SchemaError(f"{path}: invalid JSON: {e}") from None
 
-    def need(key):
-        if key not in doc:
-            raise SchemaError(f"{path}: missing field {key!r}")
-        return doc[key]
-
-    if need("version") != MANIFEST_VERSION:
+    if _require(doc, "version", path, int) != MANIFEST_VERSION:
         raise SchemaError(f"{path}: unsupported manifest version {doc['version']!r}")
-    answer_vocab = [str(a) for a in need("answer_vocab")]
-    word_vocab = [str(w) for w in need("word_vocab")]
+    answer_vocab = _strings(_require(doc, "answer_vocab", path, list), f"{path}: answer_vocab")
+    word_vocab = _strings(_require(doc, "word_vocab", path, list), f"{path}: word_vocab")
     base = os.path.dirname(os.path.abspath(path))
     samples = []
-    for rel in need("samples"):
+    for rel in _strings(_require(doc, "samples", path, list), f"{path}: samples"):
         spath = os.path.join(base, rel)
         try:
             with open(spath, "r", encoding="utf-8") as f:
@@ -428,22 +430,19 @@ def load_manifest(path: str) -> Dataset:
             raise SchemaError(f"{path}: sample file {rel!r} does not exist") from None
         except json.JSONDecodeError as e:
             raise SchemaError(f"{spath}: invalid JSON: {e}") from None
-        for key in ("id", "scene", "question", "answer"):
-            if key not in sdoc:
-                raise SchemaError(f"{spath}: missing field {key!r}")
-        answer = str(sdoc["answer"])
+        answer = _require(sdoc, "answer", spath, str)
         if answer not in answer_vocab:
             raise SchemaError(f"{spath}: answer {answer!r} not in the answer vocabulary")
         samples.append(Sample(
-            sample_id=str(sdoc["id"]),
-            template=str(sdoc.get("template", "")),
-            scene=scene_from_dict(sdoc["scene"], source=spath),
-            question=question_from_dict(sdoc["question"], source=spath),
+            sample_id=_require(sdoc, "id", spath, str),
+            template=_require(sdoc, "template", spath, str, ""),
+            scene=scene_from_dict(_require(sdoc, "scene", spath, dict), source=spath),
+            question=question_from_dict(_require(sdoc, "question", spath, dict), source=spath),
             answer=answer,
         ))
     ds = Dataset(samples=samples, word_vocab=word_vocab, answer_vocab=answer_vocab,
-                 d_region=int(need("d_region")), d_spatial=int(need("d_spatial")),
-                 grid_size=int(need("grid_size")))
+                 **{key: _require(doc, key, path, int)
+                    for key in ("d_region", "d_spatial", "grid_size")})
     for s in ds.samples:
         if s.scene.objects and s.scene.objects[0].region_feature.shape[0] != ds.d_region:
             raise SchemaError(f"{path}: sample {s.sample_id}: region feature dim "

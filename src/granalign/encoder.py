@@ -15,13 +15,15 @@ every row-wise step works on it unchanged, and only the attention core pads
 to a [B, heads, W, W] grid, where padding is nothing but zero mask entries.
 Each encoder layer is a single tape node with a hand-written backward.
 
-A stream's sequences split into two segments, the image tokens with SEP and
-the question tokens, and a lead graph opens only some of the four segment
-blocks per layer. ``encode_stream`` finds, once per batch, which blocks each
-layer opens anywhere in the batch. A layer that opens all four scores the
-whole grid as one block. Any other layer runs on a grid with segment 0 in
-columns [0, w0) and segment 1 in [w0, W), and each row segment scores only
-the columns of the segments it reaches (its own, the other, or both); a row
+``EncoderStack.run`` runs all four stacks, the three alignment streams and
+the sentence pre-transform. A sequence splits into segment 0 (a stream's
+image tokens with SEP, or the whole sentence) and segment 1 (a stream's
+question tokens), and a lead graph opens only some of the four segment
+blocks per layer. ``run`` finds, once per batch, which blocks each layer
+opens anywhere in the batch. A layer that opens all four scores the whole
+grid as one block. Any other layer runs on a grid with segment 0 in columns
+[0, w0) and segment 1 in [w0, W), and each row segment scores only the
+columns of the segments it reaches (its own, the other, or both); a row
 segment that reaches none is skipped and gets zero context, as a fully
 masked row does.
 """
@@ -54,6 +56,8 @@ class EncoderConfig:
             raise ValueError("encoder sizes must be positive")
         if self.d_model % self.num_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by {self.num_heads} heads")
+        if self.max_len < 1:
+            raise ValueError(f"max_len must be >= 1, got {self.max_len}")
 
     @property
     def d_k(self) -> int:
@@ -140,14 +144,6 @@ def ga_attention(q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, g,
 # ---------------------------------------------------------------------------
 
 
-def _segment_ranks(lengths) -> np.ndarray:
-    """0..n_b-1 for each length n_b, concatenated."""
-    lengths = np.asarray(lengths, dtype=np.intp)
-    total = int(lengths.sum())
-    starts = np.cumsum(lengths) - lengths
-    return np.arange(total) - np.repeat(starts, lengths)
-
-
 class Layout:
     """Where each row of a packed [N, d] matrix sits in a padded [B, n_max] grid.
 
@@ -170,10 +166,17 @@ class Layout:
                       and bool((self.index == np.arange(len(pos))).all()))
 
     @classmethod
-    def contiguous(cls, lengths) -> "Layout":
-        """Sequences stored one after another."""
-        lengths = np.asarray(lengths, dtype=np.intp)
-        return cls(np.repeat(np.arange(len(lengths)), lengths), _segment_ranks(lengths), lengths)
+    def contiguous(cls, *parts) -> "Layout":
+        """Sequences in parts, stored part-major: part 0 of every sequence, then
+        part 1, and so on. ``parts[k][b]`` counts the rows of part k of sequence
+        b; positions run over each sequence's parts in order."""
+        counts = np.array(parts, dtype=np.intp)  # [P, B]
+        ends = counts.cumsum(axis=0)  # position after each part in its sequence
+        first_pos, counts = (ends - counts).ravel(), counts.ravel()
+        first_row = counts.cumsum() - counts
+        sample = (np.arange(counts.size) % ends.shape[1]).repeat(counts)
+        pos = np.arange(len(sample)) - (first_row - first_pos).repeat(counts)
+        return cls(sample, pos, ends[-1])
 
     def pad(self, a: np.ndarray) -> np.ndarray:
         """[N, ...] rows into a zero-padded [B, n_max, ...] array."""
@@ -260,8 +263,6 @@ def encoder_layer(x: ad.Tensor, g: np.ndarray, layer: LayerParams, cfg: EncoderC
     if g.shape != (layout.batch, layout.n_max, layout.n_max):
         raise ValueError(f"encoder_layer: mask shape {g.shape} does not match the layout")
     h, d = cfg.num_heads, xd.shape[1]
-    if d % h != 0:
-        raise ValueError("d_model not divisible by head count")
     bsz, n_max, d_k = layout.batch, layout.n_max, d // h
     rows, cols = [r for r, _ in blocks], [c for _, c in blocks]
 
@@ -329,13 +330,13 @@ def _segment_plan(layout: Layout, n0: np.ndarray, masks) -> list[LayerGrid]:
     grid as one block. Any other layer runs on a segment-aligned grid, with
     segment 0 at positions [0, w0) and segment 1 at [w0, W), where each row
     segment scores the columns of the segments it reaches. The two grids
-    coincide when every sequence has the same ``n0``.
+    coincide when every sequence with segment-1 rows starts them at the same
+    position, as in a one-segment stack.
     """
     g = layout.pad_masks(masks)
     sample, pos, lengths = layout.sample, layout.pos, layout.lengths
-    starts = n0.tolist()
-    w0 = max(starts)
-    if min(starts) == w0:
+    w0 = max(n0.tolist())
+    if (n0[lengths > n0] == w0).all():
         aligned, ga = layout, g
     else:
         shift = w0 - n0
@@ -354,9 +355,9 @@ def _segment_plan(layout: Layout, n0: np.ndarray, masks) -> list[LayerGrid]:
         # may attend to some column of its segment t
         opened = np.logical_or.reduceat(np.logical_or.reduceat(ga, [0, w0], axis=-1),
                                         [0, w0], axis=-2)
+        flags = np.logical_or.reduce(opened, axis=1).tolist()
     else:  # no segment-1 rows in the batch: one block, open or not
-        opened = np.broadcast_to(ga.any(axis=(-2, -1), keepdims=True), ga.shape[:2] + (2, 2))
-    flags = np.logical_or.reduce(opened, axis=1).tolist()
+        flags = [((o, o), (o, o)) for o in ga.any(axis=(1, 2, 3)).tolist()]
     return [LayerGrid(g[i], layout) if o00 and o01 and o10 and o11
             else LayerGrid(ga[i], aligned, _blocks(o00, o01, o10, o11, w0))
             for i, ((o00, o01), (o10, o11)) in enumerate(flags)]
@@ -414,80 +415,64 @@ class EncoderStack:
             raise ValueError(f"sequence length {n} exceeds max_len {self.cfg.max_len}")
         return ad.add(x, ad.embedding_lookup(self.pos_table, pos))
 
-    def run(self, x: ad.Tensor, plan: Sequence[LayerGrid], layout: Layout) -> ad.Tensor:
-        """Positions of ``layout``, then layer i with ``plan[min(i, len(plan) - 1)]``."""
+    def run(self, x: ad.Tensor, layout: Layout, masks: Sequence[np.ndarray],
+            n0: np.ndarray) -> ad.Tensor:
+        """The stack over the packed rows ``x`` of ``layout``'s sequences: their
+        positions, then layer i with mask i of each sequence's bool
+        [num_layers, n_b, n_b] ``masks[b]``, on the segment plan of
+        ``_segment_plan`` (segment 0 of sequence b is its first ``n0[b]`` rows)."""
+        n_layers = len(self.layers)
+        if len(masks) != layout.batch or x.data.shape[0] != len(layout.pos):
+            raise ValueError(f"{len(masks)} mask sets and {x.data.shape[0]} rows do not match "
+                             f"{layout.batch} sequences of {len(layout.pos)} rows")
+        for b, (n, m) in enumerate(zip(layout.lengths.tolist(), masks)):
+            if m.shape != (n_layers, n, n):
+                raise ValueError(f"sequence {b} needs {n_layers} masks of {n} x {n}, "
+                                 f"got shape {m.shape}")
         x = self.add_positions(x, layout.pos)
-        for i, layer in enumerate(self.layers):
-            grid = plan[min(i, len(plan) - 1)]
+        for layer, grid in zip(self.layers, _segment_plan(layout, n0, masks)):
             x = encoder_layer(x, grid.mask, layer, self.cfg, grid.layout, grid.blocks)
         return x
 
 
 def encode_stream(t_img: ad.Tensor, t_q: ad.Tensor, img_lengths: Sequence[int],
-                  plans: Sequence, stack: EncoderStack, sep: ad.Tensor
-                  ) -> tuple[ad.Tensor, Layout, np.ndarray]:
+                  q_lengths: Sequence[int], plans: Sequence[np.ndarray], stack: EncoderStack,
+                  sep: ad.Tensor) -> tuple[ad.Tensor, Layout, np.ndarray]:
     """Run one alignment stream over a batch of [image tokens; SEP; question tokens].
 
     ``t_img`` and ``t_q`` pack the image and question tokens of B samples,
-    sample after sample; ``img_lengths[b]`` counts sample b's image tokens and
-    ``plans[b]`` holds its per-layer masks, SEP included (see
-    ``leadgraph.mask_plan``). The learned SEP row is added once per sample,
-    positions run over each sample's combined index space, and layer i
-    applies ``plans[b][i]``, scoring only the segment blocks (image with SEP,
-    question) that the layer opens somewhere in the batch. The packed rows
-    are [all image rows; B SEP rows; all question rows], so one sample reads
-    exactly as its own sequence. Returns the final hidden rows, their layout
-    and the row of each SEP.
+    sample after sample; sample b has ``img_lengths[b]`` image and
+    ``q_lengths[b]`` question tokens, and ``plans[b]`` holds its per-layer
+    masks, SEP included (see ``leadgraph.mask_plan``). The learned SEP row is
+    added once per sample and positions run over each sample's combined
+    index space. The packed rows are [all image rows; B SEP rows; all
+    question rows], so one sample reads exactly as its own sequence; the
+    image rows with SEP are segment 0 of ``EncoderStack.run``. Returns the
+    final hidden rows, their layout and the row of each SEP.
     """
     if sep.data.ndim != 1:
         raise ValueError(f"SEP vector must be 1-D, got shape {sep.data.shape}")
-    n_layers = len(stack.layers)
-    n_img = np.asarray(img_lengths, dtype=np.intp)
-    n = np.array([np.shape(plan)[-1] for plan in plans], dtype=np.intp)
-    n_q = n - n_img - 1
-    for b, plan in enumerate(plans):
-        if np.shape(plan) != (n_layers, n[b], n[b]) or n_q[b] < 0:
-            raise ValueError(f"encode_stream needs {n_layers} masks of {n[b]} x {n[b]} "
-                             f"for sample {b}, got shape {np.shape(plan)}")
-    if n_img.sum() != t_img.data.shape[0] or n_q.sum() != t_q.data.shape[0]:
-        raise ValueError("encode_stream: token rows do not match the mask plans")
-    bsz = len(plans)
-    sample = np.arange(bsz)
-    # the rows come in 3B pieces: each image block, each SEP, each question block
-    pieces = np.concatenate([n_img, np.ones(bsz, np.intp), n_q])
-    first_pos = np.concatenate([np.zeros(bsz, np.intp), n_img, n_img + 1])
-    first_row = np.cumsum(pieces) - pieces
-    n_rows = t_img.data.shape[0] + bsz + t_q.data.shape[0]
-    layout = Layout(np.repeat(np.concatenate([sample, sample, sample]), pieces),
-                    np.arange(n_rows) - np.repeat(first_row - first_pos, pieces), n)
+    n_img = t_img.data.shape[0]
+    if sum(img_lengths) != n_img or sum(q_lengths) != t_q.data.shape[0]:
+        raise ValueError("encode_stream: token rows do not match the token counts")
+    bsz = len(img_lengths)
+    layout = Layout.contiguous(img_lengths, [1] * bsz, q_lengths)
     seps = ad.embedding_lookup(ad.reshape(sep, (1, sep.data.shape[0])), np.zeros(bsz, np.intp))
     x = ad.concat_rows([t_img, seps, t_q])
-    plan = _segment_plan(layout, n_img + 1, plans)
-    return stack.run(x, plan, layout), layout, t_img.data.shape[0] + sample
+    hidden = stack.run(x, layout, plans, np.add(img_lengths, 1))
+    return hidden, layout, n_img + np.arange(bsz)
 
 
-def sentence_pretransform(word_tokens: ad.Tensor, dep_adjacency: Sequence[np.ndarray],
-                          stack: EncoderStack) -> ad.Tensor:
+def sentence_pretransform(word_tokens: ad.Tensor, lengths: Sequence[int],
+                          masks: Sequence[np.ndarray], stack: EncoderStack) -> ad.Tensor:
     """Context-aware question features from a dependency-masked encoder.
 
     ``word_tokens`` packs the question words of B samples, sample after
-    sample, and ``dep_adjacency[b]`` is sample b's symmetrized dependency
-    adjacency. A separate, independently parameterized stack processes the
-    words with that adjacency as the attention mask for every layer;
-    downstream alignment then treats the output as fully connectable.
+    sample, ``lengths[b]`` counts sample b's words and ``masks[b]`` is its
+    dependency adjacency for every layer (see ``model.build_streams``). A
+    separate, independently parameterized stack processes the words as one
+    segment; downstream alignment then treats the output as fully
+    connectable.
     """
-    lengths = []
-    for adj in dep_adjacency:
-        n = adj.shape[0]
-        if adj.shape != (n, n):
-            raise ValueError(f"adjacency shape {adj.shape} is not square")
-        if not np.array_equal(adj, adj.T):
-            raise ValueError("dependency adjacency must be symmetric")
-        if not np.all(np.diag(adj) == 1.0):
-            raise ValueError("dependency adjacency must have unit diagonal")
-        lengths.append(n)
-    if sum(lengths) != word_tokens.data.shape[0]:
-        raise ValueError(f"adjacency sizes {lengths} do not match "
-                         f"{word_tokens.data.shape[0]} tokens")
     layout = Layout.contiguous(lengths)
-    return stack.run(word_tokens, [LayerGrid(layout.pad_masks(dep_adjacency), layout)], layout)
+    return stack.run(word_tokens, layout, masks, layout.lengths)

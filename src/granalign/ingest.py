@@ -112,21 +112,57 @@ class LevelData:
         return 0
 
 
-def _require(d: dict, key: str, source: str):
-    if key not in d:
-        raise SchemaError(f"{source}: missing field {key!r}")
-    return d[key]
+_JSON_TYPES = {dict: (dict, "an object"), list: (list, "a list"), str: (str, "a string"),
+               int: (int, "an integer"), float: ((int, float), "a number")}
+
+
+def _expect(value, kind: type, what: str):
+    """``value`` if it is a JSON value of ``kind`` (never a bool)."""
+    types, name = _JSON_TYPES[kind]
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise SchemaError(f"{what} must be {name}, got {type(value).__name__}")
+    return value
+
+
+def _require(d, key: str, source: str, kind: type, default=None):
+    """Field ``key`` of the JSON object ``d``, a value of ``kind``. A missing
+    field is an error unless it has a ``default``."""
+    if key not in _expect(d, dict, source):
+        if default is None:
+            raise SchemaError(f"{source}: missing field {key!r}")
+        return default
+    return _expect(d[key], kind, f"{source}: field {key!r}")
+
+
+def _strings(values: list, what: str) -> list[str]:
+    bad = [v for v in values if not isinstance(v, str)]
+    if bad:
+        raise SchemaError(f"{what} must hold strings, got {type(bad[0]).__name__}")
+    return list(values)
+
+
+def _numbers(values: list, ndim: int, what: str) -> np.ndarray:
+    """The JSON numbers ``values`` as a float64 array of ``ndim`` axes."""
+    try:
+        a = np.asarray(values, dtype=np.float64)
+        if a.ndim == ndim:
+            return a
+    except (TypeError, ValueError):
+        pass
+    raise SchemaError(f"{what} must be a {ndim}-D array of numbers")
 
 
 def scene_from_dict(d: dict, source: str = "scene") -> SceneGraph:
     objects = []
-    for i, od in enumerate(_require(d, "objects", source)):
+    for i, od in enumerate(_require(d, "objects", source, list)):
         osrc = f"{source}: objects[{i}]"
         objects.append(SceneObject(
-            obj_id=str(_require(od, "id", osrc)),
-            category=str(_require(od, "category", osrc)),
-            attributes=[str(a) for a in od.get("attributes", [])],
-            region_feature=np.asarray(_require(od, "region_feature", osrc), dtype=np.float64),
+            obj_id=_require(od, "id", osrc, str),
+            category=_require(od, "category", osrc, str),
+            attributes=_strings(_require(od, "attributes", osrc, list, []),
+                                f"{osrc}: attributes"),
+            region_feature=_numbers(_require(od, "region_feature", osrc, list), 1,
+                                    f"{osrc}: region_feature"),
         ))
     if not objects:
         raise SchemaError(f"{source}: scene has no objects")
@@ -134,21 +170,21 @@ def scene_from_dict(d: dict, source: str = "scene") -> SceneGraph:
     if len(set(ids)) != len(ids):
         raise SchemaError(f"{source}: duplicate object ids")
     relations = []
-    for i, rd in enumerate(d.get("relations", [])):
+    for i, rd in enumerate(_require(d, "relations", source, list, [])):
         rsrc = f"{source}: relations[{i}]"
-        rel = SceneRelation(
-            subject=str(_require(rd, "subject", rsrc)),
-            predicate=str(_require(rd, "predicate", rsrc)),
-            object=str(_require(rd, "object", rsrc)),
-        )
+        rel = SceneRelation(*(_require(rd, key, rsrc, str)
+                              for key in ("subject", "predicate", "object")))
         for ref in (rel.subject, rel.object):
             if ref not in ids:
                 raise SchemaError(f"{rsrc}: unknown object id {ref!r}")
         relations.append(rel)
-    spatial = _require(d, "spatial", source)
-    g = int(_require(spatial, "grid_size", f"{source}: spatial"))
-    feats = np.asarray(_require(spatial, "features", f"{source}: spatial"), dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[0] != g * g:
+    ssrc = f"{source}: spatial"
+    spatial = _require(d, "spatial", source, dict)
+    g = _require(spatial, "grid_size", ssrc, int)
+    feats = _numbers(_require(spatial, "features", ssrc, list), 2, f"{ssrc}: features")
+    if g < 1:
+        raise SchemaError(f"{ssrc}: grid_size must be >= 1, got {g}")
+    if feats.shape[0] != g * g:
         raise SchemaError(f"{source}: spatial features must be a {g * g} x d matrix")
     return SceneGraph(objects=objects, relations=relations, grid_size=g, spatial_features=feats)
 
@@ -176,16 +212,19 @@ def scene_to_dict(sg: SceneGraph) -> dict:
 
 
 def question_from_dict(d: dict, source: str = "question") -> QuestionParse:
-    tokens = [str(t) for t in _require(d, "tokens", source)]
+    tokens = _strings(_require(d, "tokens", source, list), f"{source}: tokens")
     if not tokens:
         raise SchemaError(f"{source}: question has no tokens")
-    entities = [str(e) for e in _require(d, "entities", source)]
-    phrases = [[str(w) for w in p] for p in _require(d, "noun_phrases", source)]
+    entities = _strings(_require(d, "entities", source, list), f"{source}: entities")
+    phrases = [_strings(_expect(p, list, f"{source}: noun_phrases[{i}]"),
+                        f"{source}: noun_phrases[{i}]")
+               for i, p in enumerate(_require(d, "noun_phrases", source, list))]
     edges = []
-    for i, e in enumerate(_require(d, "dependency_edges", source)):
-        if len(e) != 2:
-            raise SchemaError(f"{source}: dependency_edges[{i}] must be a (head, dependent) pair")
-        h, dep = int(e[0]), int(e[1])
+    for i, e in enumerate(_require(d, "dependency_edges", source, list)):
+        if not (isinstance(e, list) and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):
+            raise SchemaError(f"{source}: dependency_edges[{i}] must be a (head, dependent) "
+                              f"pair of integers")
+        h, dep = e
         if not (0 <= h < len(tokens) and 0 <= dep < len(tokens)):
             raise SchemaError(f"{source}: dependency_edges[{i}] index out of range")
         edges.append((h, dep))
@@ -352,14 +391,15 @@ def build_noun_phrase_level(qp: QuestionParse) -> LevelData:
 
 
 def build_sentence_level(qp: QuestionParse) -> LevelData:
-    """All question words, with the symmetrized self-looped dependency adjacency."""
+    """All question words, with the symmetrized self-looped dependency adjacency
+    as a bool [n, n] array: the sentence stack's attention mask."""
     n = len(qp.tokens)
-    adj = np.eye(n)
+    adj = np.eye(n, dtype=bool)
     for h, d in qp.dependency_edges:
         if not (0 <= h < n and 0 <= d < n):
             raise ValueError(f"dependency edge ({h}, {d}) out of range for {n} tokens")
-        adj[h, d] = 1.0
-        adj[d, h] = 1.0
+        adj[h, d] = True
+        adj[d, h] = True
     return LevelData(level="sentence", labels=list(qp.tokens), full=True,
                      dep_adjacency=adj)
 

@@ -2,7 +2,8 @@
 
 ``STREAMS`` pairs one image level with one question level per stream and
 runs a separately parameterized masked encoder over the concatenated
-tokens, with per-layer masks that ``prepare`` builds once per sample. The
+tokens (the ss stream's words pass the dependency-masked sentence stack
+first). ``prepare`` builds every stack's per-layer masks once per sample. The
 fusion head pools every stream, projects and concatenates the pooled
 vectors into fused logits, and the loss is the unweighted sum of the
 per-stream and fused cross-entropies.
@@ -53,6 +54,8 @@ class ModelConfig(EncoderConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        if self.d_emb < 1:
+            raise ValueError(f"d_emb must be >= 1, got {self.d_emb}")
         if self.pooling not in ("mean", "sep"):
             raise ValueError(f"unknown pooling {self.pooling!r}")
         if not self.streams or any(s not in STREAMS for s in self.streams):
@@ -112,12 +115,14 @@ class PreparedSample:
     entity: LevelData
     noun_phrase: LevelData
     sentence: LevelData
-    plans: dict[str, list[np.ndarray]]
+    plans: dict[str, np.ndarray]
 
 
 def build_streams(scene: SceneGraph, question: QuestionParse, cfg: ModelConfig
-                  ) -> tuple[dict[str, LevelData], dict[str, list[np.ndarray]]]:
-    """The six levels of one sample and each configured stream's mask plan.
+                  ) -> tuple[dict[str, LevelData], dict[str, np.ndarray]]:
+    """The six levels of one sample and each encoder stack's per-layer masks,
+    keyed like ``Model.stacks``: a stream's mask plan, and for ``"sent"`` the
+    dependency adjacency at every layer.
 
     Raises ValueError when a stream is longer than ``cfg.max_len``.
     """
@@ -140,6 +145,9 @@ def build_streams(scene: SceneGraph, question: QuestionParse, cfg: ModelConfig
         n = img.n_tokens + 1 + q.n_tokens
         if n > cfg.max_len:
             raise ValueError(f"stream {tag} has {n} tokens, more than max_len {cfg.max_len}")
+        if STREAMS[tag].question == "sentence":
+            adj = q.dep_adjacency
+            plans["sent"] = np.broadcast_to(adj, (cfg.num_layers,) + adj.shape)
         plans[tag] = mask_plan(img, q, cfg.num_layers, cfg.use_lead_graphs,
                                cfg.sep_connect_all)
     return levels, plans
@@ -235,8 +243,8 @@ class Model:
                                    p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
     def _stream_inputs(self, tag: str, preps: Sequence[PreparedSample]
-                       ) -> tuple[ad.Tensor, ad.Tensor, list[int]]:
-        """Packed image and question tokens of a batch, and each sample's image token count."""
+                       ) -> tuple[ad.Tensor, ad.Tensor, list[int], list[int]]:
+        """Packed image and question tokens of a batch and each sample's counts of both."""
         p = self.params
         s = STREAMS[tag]
         imgs = [getattr(prep, s.image) for prep in preps]
@@ -247,13 +255,15 @@ class Model:
         else:
             t_img = self._mlp_apply([w for img in imgs for w in img.labels], s.image_input)
         t_q = self._mlp_apply([w for q in qs for w in q.labels], s.question_input)
-        if qs[0].dep_adjacency is not None:
-            t_q = sentence_pretransform(t_q, [q.dep_adjacency for q in qs], self.stacks["sent"])
-        return t_img, t_q, [img.n_tokens for img in imgs]
+        n_q = [q.n_tokens for q in qs]
+        if s.question == "sentence":
+            t_q = sentence_pretransform(t_q, n_q, [prep.plans["sent"] for prep in preps],
+                                        self.stacks["sent"])
+        return t_img, t_q, [img.n_tokens for img in imgs], n_q
 
     def run_stream(self, tag: str, preps: Sequence[PreparedSample]) -> StreamOutput:
-        t_img, t_q, n_img = self._stream_inputs(tag, preps)
-        hidden, layout, sep_rows = encode_stream(t_img, t_q, n_img,
+        t_img, t_q, n_img, n_q = self._stream_inputs(tag, preps)
+        hidden, layout, sep_rows = encode_stream(t_img, t_q, n_img, n_q,
                                                  [prep.plans[tag] for prep in preps],
                                                  self.stacks[tag], self.params[f"{tag}.sep"])
         return StreamOutput(tag, hidden, layout, sep_rows)
@@ -308,9 +318,6 @@ class Model:
         A scalar for a 1-D bundle and one answer index; the B per-sample
         sums for a [B, c] bundle and B answer indices.
         """
-        bad = [a for a in np.reshape(answer_index, -1) if not 0 <= a < self.n_answers]
-        if bad:
-            raise ValueError(f"answer index {bad[0]} out of range")
         terms = [ad.cross_entropy_logits(t, answer_index)
                  for t in bundle.all_logits().values()]
         total = terms[0]

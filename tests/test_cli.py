@@ -177,18 +177,21 @@ class TestTrainEval:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["no_d_emb", "trailing", "truncated", "bad_optimizer"])
+    @pytest.mark.parametrize("damage", ["no_d_emb", "trailing", "truncated", "bad_optimizer",
+                                        "zero_d_emb"])
     def test_damaged_checkpoint_exits_one(self, cli_corpus, cli_config, tmp_path, capsys,
                                           damage):
         ckpt = tmp_path / "model.ckpt"
         main(["train", "--data", str(cli_corpus), "--config", cli_config,
               "--out", str(ckpt), "--log", str(tmp_path / "m.jsonl")])
         blob = ckpt.read_bytes()
-        if damage in ("no_d_emb", "bad_optimizer"):
+        if damage in ("no_d_emb", "bad_optimizer", "zero_d_emb"):
             (hlen,) = struct.unpack("<Q", blob[8:16])
             header = json.loads(blob[16:16 + hlen])
             if damage == "no_d_emb":
                 del header["d_emb"]
+            elif damage == "zero_d_emb":
+                header["d_emb"] = 0
             else:
                 header["optimizer"].update(lr=-1.0, beta1=7.0, eps=0.0)
             raw = json.dumps(header).encode()
@@ -203,6 +206,8 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith(f"error: {ckpt}: ") and "Traceback" not in err
+        if damage == "zero_d_emb":
+            assert "d_emb must be >= 1, got 0" in err
 
 
 class TestGradcheckCommand:
@@ -316,6 +321,85 @@ class TestDumpLeadgraph:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("where, value, message", [
+        (("scene",), 5, "field 'scene' must be an object, got int"),
+        (("scene", "objects"), 5, "field 'objects' must be a list, got int"),
+        (("scene", "relations"), 5, "field 'relations' must be a list, got int"),
+        (("scene", "spatial"), 5, "field 'spatial' must be an object, got int"),
+        (("question", "tokens"), 5, "field 'tokens' must be a list, got int"),
+        (("question", "dependency_edges"), 5, "field 'dependency_edges' must be a list"),
+        (("question", "dependency_edges"), [[2, "0"]],
+         "dependency_edges[0] must be a (head, dependent) pair of integers"),
+        (("question", "tokens"), "abc", "field 'tokens' must be a list, got str"),
+        (("question", "noun_phrases"), "ab", "field 'noun_phrases' must be a list, got str"),
+        (("scene", "objects", 0, "region_feature"), [[0.1, 0.2], [0.3, 0.4]],
+         "objects[0]: region_feature must be a 1-D array of numbers"),
+    ], ids=["scene", "objects", "relations", "spatial", "tokens", "dependency_edges",
+            "dependency_edge-string", "tokens-string", "noun_phrases-string", "region_feature-2d"])
+    def test_malformed_sample_exits_one(self, tmp_path, capsys, where, value, message):
+        with open(fixture_path("girl_dog.json"), encoding="utf-8") as f:
+            doc = json.load(f)
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = value
+        sample = tmp_path / "bad.json"
+        sample.write_text(json.dumps(doc))
+        rc = main(["dump-leadgraph", "--sample", str(sample), "--stream", "ce", "--layer", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {sample}") and message in err
+        assert "Traceback" not in err
+
+
+class TestCorpusFiles:
+    @pytest.mark.parametrize("samples, message", [
+        (5, "field 'samples' must be a list, got int"),
+        ([5], "samples must hold strings, got int"),
+    ])
+    def test_malformed_manifest_exits_one(self, cli_corpus, cli_config, tmp_path, capsys,
+                                          samples, message):
+        ckpt = tmp_path / "model.ckpt"
+        assert main(["train", "--data", str(cli_corpus), "--config", cli_config,
+                     "--out", str(ckpt), "--log", str(tmp_path / "m.jsonl")]) == 0
+        data = tmp_path / "data"
+        data.mkdir()
+        manifest = json.loads((cli_corpus / "eval.json").read_text())
+        manifest["samples"] = samples
+        (data / "eval.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        rc = main(["eval", "--data", str(data), "--ckpt", str(ckpt)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"grid_size": "x"}, "field 'grid_size' must be an integer, got str"),
+        ({"feature_noise": "x"}, "field 'feature_noise' must be a number, got str"),
+        ({"categories": "ab"}, "field 'categories' must be a list, got str"),
+        ([2], "world spec must be an object, got list"),
+    ], ids=["grid_size", "feature_noise", "categories", "not-an-object"])
+    def test_malformed_world_spec_exits_one(self, tmp_path, capsys, spec, message):
+        spec_path = tmp_path / "world.json"
+        spec_path.write_text(json.dumps(spec))
+        rc = main(["gen-data", "--spec", str(spec_path), "--n", "3",
+                   "--out", str(tmp_path / "c")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("field, value", [("d_emb", 0), ("d_emb", -3), ("max_len", 0)])
+    def test_nonpositive_model_size_exits_one(self, cli_corpus, tmp_path, capsys, field, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{field} = {value}\nepochs = 1\n")
+        ckpt = tmp_path / "m.ckpt"
+        rc = main(["train", "--data", str(cli_corpus), "--config", str(cfg),
+                   "--out", str(ckpt)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {field} must be >= 1, got {value}")
+        assert not ckpt.exists()
 
 
 class TestAblate:

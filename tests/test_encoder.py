@@ -395,6 +395,28 @@ class TestLayout:
         assert layout.dense
         assert np.shares_memory(layout.pad(rows), rows)
 
+    def test_contiguous_parts_are_part_major(self):
+        """Three parts: all part-0 rows, then all part-1 rows, then all part-2
+        rows, each part sequence after sequence; positions run per sequence."""
+        layout = Layout.contiguous([2, 0, 1], [1, 1, 1], [1, 2, 0])
+        assert layout.sample.tolist() == [0, 0, 2, 0, 1, 2, 0, 1, 1]
+        assert layout.pos.tolist() == [0, 1, 0, 2, 0, 1, 3, 1, 2]
+        assert layout.lengths.tolist() == [4, 3, 2]
+        assert layout.n_max == 4
+        ref = packed_layout([2, 0, 1], [1, 2, 0])
+        for got, expect in ((layout.sample, ref.sample), (layout.pos, ref.pos),
+                            (layout.lengths, ref.lengths), (layout.index, ref.index)):
+            assert got.tolist() == expect.tolist()
+
+    def test_one_part_is_sequences_in_order(self):
+        lengths = [3, 1, 0, 2]
+        layout = Layout.contiguous(lengths)
+        assert layout.sample.tolist() == [0, 0, 0, 1, 3, 3]
+        assert layout.pos.tolist() == [0, 1, 2, 0, 0, 1]
+        assert layout.lengths.tolist() == lengths
+        assert not layout.dense
+        assert Layout.contiguous([5]).dense
+
     def test_mean_matrix_and_masks(self):
         layout = Layout.contiguous([1, 3])
         p = layout.mean_matrix()
@@ -434,7 +456,7 @@ class TestEncodeStream:
         t_img = ad.Tensor(rng.normal(size=(3, 4)))
         t_q = ad.Tensor(rng.normal(size=(2, 4)))
         sep = ad.Tensor(rng.normal(size=4))
-        hidden, layout, sep_rows = encode_stream(t_img, t_q, [3], [[np.ones((6, 6))] * 3],
+        hidden, layout, sep_rows = encode_stream(t_img, t_q, [3], [2], [np.ones((3, 6, 6))],
                                                  stack, sep)
         assert hidden.data.shape == (6, 4)
         assert sep_rows.tolist() == [3]
@@ -445,7 +467,7 @@ class TestEncodeStream:
         stack = self.make_stack(cfg)
         t_img = ad.Tensor(np.random.default_rng(16).normal(size=(2, 4)))
         t_q = ad.Tensor(np.zeros((0, 4)))
-        hidden, _, sep_rows = encode_stream(t_img, t_q, [2], [[np.ones((3, 3))]], stack,
+        hidden, _, sep_rows = encode_stream(t_img, t_q, [2], [0], [np.ones((1, 3, 3))], stack,
                                             ad.Tensor(np.zeros(4)))
         assert hidden.data.shape == (3, 4)
         assert sep_rows.tolist() == [2]
@@ -457,9 +479,10 @@ class TestEncodeStream:
         rng = np.random.default_rng(17)
         t_img = ad.Tensor(rng.normal(size=(2, 4)))
         t_q = ad.Tensor(rng.normal(size=(2, 4)))
-        plans = [[np.zeros((5, 5))]]
-        a, _, sep_rows = encode_stream(t_img, t_q, [2], plans, stack, ad.Tensor(np.zeros(4)))
-        b, _, _ = encode_stream(t_img, t_q, [2], plans, stack, ad.Tensor(np.arange(4.0)))
+        plans = [np.zeros((1, 5, 5))]
+        a, _, sep_rows = encode_stream(t_img, t_q, [2], [2], plans, stack,
+                                       ad.Tensor(np.zeros(4)))
+        b, _, _ = encode_stream(t_img, t_q, [2], [2], plans, stack, ad.Tensor(np.arange(4.0)))
         assert sep_rows.tolist() == [2]
         changed = [i for i in range(5) if a.data[i].tobytes() != b.data[i].tobytes()]
         assert changed == [2]
@@ -472,7 +495,7 @@ class TestEncodeStream:
         t_q = ad.Tensor(rng.normal(size=(3, 4)))
         sep = ad.Tensor(rng.normal(size=4))
         masks = [(rng.random((6, 6)) < 0.5).astype(float) for _ in range(2)]
-        hidden, _, _ = encode_stream(t_img, t_q, [2], [masks], stack, sep)
+        hidden, _, _ = encode_stream(t_img, t_q, [2], [3], [np.array(masks)], stack, sep)
         x = stack.add_positions(ad.Tensor(np.vstack([t_img.data, sep.data, t_q.data])),
                                 np.arange(6))
         for g, layer in zip(masks, stack.layers):
@@ -482,8 +505,8 @@ class TestEncodeStream:
     def test_sep_vector_must_be_1d(self):
         cfg = EncoderConfig(num_layers=1, num_heads=2, d_model=4, d_ff=8, max_len=16)
         with pytest.raises(ValueError, match="1-D"):
-            encode_stream(ad.Tensor(np.zeros((2, 4))), ad.Tensor(np.zeros((0, 4))), [2],
-                          [[np.ones((3, 3))]], self.make_stack(cfg),
+            encode_stream(ad.Tensor(np.zeros((2, 4))), ad.Tensor(np.zeros((0, 4))), [2], [0],
+                          [np.ones((1, 3, 3))], self.make_stack(cfg),
                           ad.Tensor(np.zeros((1, 4))))
 
     def test_mask_count_and_shape_checked(self):
@@ -492,16 +515,18 @@ class TestEncodeStream:
         t_img, t_q, sep = (ad.Tensor(np.zeros((2, 4))), ad.Tensor(np.zeros((1, 4))),
                            ad.Tensor(np.zeros(4)))
         with pytest.raises(ValueError, match="needs 2 masks"):
-            encode_stream(t_img, t_q, [2], [[np.ones((4, 4))]], stack, sep)
+            encode_stream(t_img, t_q, [2], [1], [np.ones((1, 4, 4))], stack, sep)
+        with pytest.raises(ValueError, match="needs 2 masks of 4 x 4"):
+            encode_stream(t_img, t_q, [2], [1], [np.ones((2, 3, 3))], stack, sep)
         with pytest.raises(ValueError, match="do not match"):
-            encode_stream(t_img, t_q, [2], [[np.ones((3, 3))] * 2], stack, sep)
+            encode_stream(t_img, t_q, [2], [0], [np.ones((2, 3, 3))], stack, sep)
 
     def test_sequence_longer_than_max_len_raises(self):
         cfg = EncoderConfig(num_layers=1, num_heads=2, d_model=4, d_ff=8, max_len=4)
         stack = self.make_stack(cfg)
         t_img = ad.Tensor(np.zeros((4, 4)))
         with pytest.raises(ValueError, match="max_len"):
-            encode_stream(t_img, ad.Tensor(np.zeros((2, 4))), [4], [[np.ones((7, 7))]],
+            encode_stream(t_img, ad.Tensor(np.zeros((2, 4))), [4], [2], [np.ones((1, 7, 7))],
                           stack, ad.Tensor(np.zeros(4)))
 
 
@@ -511,29 +536,18 @@ class TestSentencePretransform:
         params = ad.Parameters()
         return EncoderStack.build(params, "sent", cfg, np.random.default_rng(seed))
 
-    def test_rejects_asymmetric_adjacency(self):
-        stack = self.make_stack()
-        adj = np.eye(3)
-        adj[0, 1] = 1.0
-        with pytest.raises(ValueError, match="symmetric"):
-            sentence_pretransform(ad.Tensor(np.zeros((3, 4))), [adj], stack)
-
-    def test_rejects_missing_self_loops(self):
-        stack = self.make_stack()
-        with pytest.raises(ValueError, match="diagonal"):
-            sentence_pretransform(ad.Tensor(np.zeros((3, 4))), [np.zeros((3, 3))], stack)
-
     def test_disconnected_components_do_not_mix(self):
         """Tokens in different dependency components never influence each other."""
         stack = self.make_stack()
         rng = np.random.default_rng(21)
-        adj = np.eye(3)
-        adj[0, 1] = adj[1, 0] = 1.0  # component {0,1}; token 2 isolated
+        adj = np.eye(3, dtype=bool)
+        adj[0, 1] = adj[1, 0] = True  # component {0,1}; token 2 isolated
+        masks = [np.broadcast_to(adj, (2, 3, 3))]
         base = rng.normal(size=(3, 4))
         bumped = base.copy()
         bumped[2] += 5.0
-        out_a = sentence_pretransform(ad.Tensor(base), [adj], stack).data
-        out_b = sentence_pretransform(ad.Tensor(bumped), [adj], stack).data
+        out_a = sentence_pretransform(ad.Tensor(base), [3], masks, stack).data
+        out_b = sentence_pretransform(ad.Tensor(bumped), [3], masks, stack).data
         assert out_a[:2].tobytes() == out_b[:2].tobytes()
         assert out_a[2].tobytes() != out_b[2].tobytes()
 
@@ -707,7 +721,7 @@ class TestSegmentPlan:
 
         def run():
             with ad.Tape() as t:
-                hidden, _, _ = encode_stream(t_img, t_q, n_img, plans, stack, sep)
+                hidden, _, _ = encode_stream(t_img, t_q, n_img, n_q, plans, stack, sep)
                 loss = weighted_sum(hidden, w)
             return hidden.data, t.gradients(loss, tensors)
 
@@ -718,21 +732,71 @@ class TestSegmentPlan:
         for a, b in zip(grads, ref_grads):
             assert np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1e-300)
 
-    def test_short_plan_reuses_last_layer(self):
-        """A plan with fewer grids than layers applies its last grid to the rest."""
+    def test_question_free_sequences_keep_the_grid(self):
+        """Every sequence with question rows starts them at the same position:
+        the layout's own grid is already segment-aligned, so no layer gathers."""
         rng = np.random.default_rng(49)
-        cfg = EncoderConfig(num_layers=3, num_heads=2, d_model=8, d_ff=16, max_len=16)
-        stack = EncoderStack.build(ad.Parameters(), "enc", cfg, np.random.default_rng(1))
+        n_img, n_q = [4, 2, 1], [3, 0, 0]
+        plan = self.check_layers(n_img, n_q,
+                                 [lead_graph_masks(rng, a, b) for a, b in zip(n_img, n_q)])
+        assert plan[0].blocks == ((slice(5, None), slice(5, None)),)
+        assert plan[2].blocks == WHOLE_GRID
+        assert all(grid.layout is plan[2].layout for grid in plan)
+        assert plan[0].layout.n_max == 8
+
+    def test_one_segment_is_the_whole_grid(self):
+        """Segment 0 spanning every sequence, as in the sentence stack: each
+        layer scores the layout's grid with the padded masks themselves."""
+        rng = np.random.default_rng(50)
+        layout = Layout.contiguous([2, 5, 3])
+        masks = [rng.random((2, n, n)) < 0.5 for n in (2, 5, 3)]
+        plan = _segment_plan(layout, layout.lengths, masks)
+        padded = layout.pad_masks(masks)
+        for i, grid in enumerate(plan):
+            assert grid.layout is layout and grid.blocks == WHOLE_GRID
+            assert grid.mask.tobytes() == padded[i].tobytes()
+
+
+class TestStackRun:
+    def make(self, seed=51, num_layers=3):
+        cfg = EncoderConfig(num_layers=num_layers, num_heads=2, d_model=8, d_ff=16, max_len=16)
+        return cfg, EncoderStack.build(ad.Parameters(), "enc", cfg, np.random.default_rng(1))
+
+    def test_layer_i_runs_with_mask_i(self):
+        """The stack equals its layers applied one by one, layer i on grid i
+        of the segment plan, bitwise."""
+        rng = np.random.default_rng(52)
+        cfg, stack = self.make()
         n_img, n_q = [3, 1], [2, 4]
         layout = packed_layout(n_img, n_q)
-        masks = [lead_graph_masks(rng, a, b)[:2] for a, b in zip(n_img, n_q)]
+        masks = [lead_graph_masks(rng, a, b) for a, b in zip(n_img, n_q)]
         n0 = np.asarray(n_img) + 1
         x = ad.Tensor(rng.normal(size=(len(layout.pos), 8)))
-        plan = _segment_plan(layout, n0, masks)
-        grouped = stack.run(x, plan, layout).data
-        whole = stack.run(x, whole_grid_plan(layout, n0, masks), layout).data
-        assert np.abs(grouped - whole).max() <= 1e-12 * np.abs(whole).max()
+        out = stack.run(x, layout, masks, n0).data
         h = stack.add_positions(x, layout.pos)
-        for grid, layer in zip([plan[0], plan[1], plan[1]], stack.layers):
+        for grid, layer in zip(_segment_plan(layout, n0, masks), stack.layers):
             h = encoder_layer(h, grid.mask, layer, cfg, grid.layout, grid.blocks)
-        assert h.data.tobytes() == grouped.tobytes()
+        assert h.data.tobytes() == out.tobytes()
+
+    @pytest.mark.parametrize("shape, message", [
+        ((2, 6, 6), "needs 3 masks of 6 x 6"),  # one layer short: no mask is reused
+        ((4, 6, 6), "needs 3 masks of 6 x 6"),
+        ((3, 5, 5), "needs 3 masks of 6 x 6"),
+        ((3, 6, 5), "needs 3 masks of 6 x 6"),
+        ((6, 6), "needs 3 masks of 6 x 6"),
+    ])
+    def test_rejects_masks_of_the_wrong_count_or_size(self, shape, message):
+        cfg, stack = self.make()
+        layout = Layout.contiguous([4, 6])
+        masks = [np.ones((3, 4, 4), dtype=bool), np.ones(shape, dtype=bool)]
+        with pytest.raises(ValueError, match=f"sequence 1 {message}"):
+            stack.run(ad.Tensor(np.zeros((10, 8))), layout, masks, layout.lengths)
+
+    def test_rejects_rows_or_mask_sets_not_matching_the_layout(self):
+        cfg, stack = self.make()
+        layout = Layout.contiguous([4, 6])
+        masks = [np.ones((3, n, n), dtype=bool) for n in (4, 6)]
+        with pytest.raises(ValueError, match="do not match"):
+            stack.run(ad.Tensor(np.zeros((9, 8))), layout, masks, layout.lengths)
+        with pytest.raises(ValueError, match="do not match"):
+            stack.run(ad.Tensor(np.zeros((10, 8))), layout, masks[:1], layout.lengths)

@@ -10,7 +10,7 @@ from granalign.encoder import EncoderConfig, Layout, encoder_layer
 from granalign.ingest import question_from_dict
 from granalign.leadgraph import layer_masks, pairs_to_matrix
 from granalign.model import STREAMS, LogitsBundle, Model, ModelConfig, StreamOutput
-from granalign.training import generic_parameter_point
+from granalign.training import ABLATION_VARIANTS, generic_parameter_point
 from conftest import (append_sep_mask, fixture_path, level_graph, reference_batch,
                       whole_grid_plan)
 
@@ -93,6 +93,12 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="positive"):
             ModelConfig(num_layers=0)
 
+    @pytest.mark.parametrize("field", ["d_emb", "max_len"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_embedding_width_and_max_len_must_be_positive(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1, got {value}"):
+            ModelConfig(**{field: value})
+
 
 class TestPrepare:
     def test_graphs_cover_configured_streams(self, girl_dog):
@@ -108,9 +114,26 @@ class TestPrepare:
         assert np.array_equal(layer3[:ni, :ni], expect.matrix)
         assert layer3[ni + 1:, ni + 1:].shape == (nq, nq)
 
+    @pytest.mark.parametrize("variant", [name for name, _ in ABLATION_VARIANTS])
+    def test_plans_keyed_like_stacks(self, girl_dog, variant):
+        model, prep = make_model(girl_dog, **dict(ABLATION_VARIANTS)[variant])
+        assert set(prep.plans) == set(model.stacks)
+
+    def test_sentence_masks_view_the_dependency_adjacency(self, girl_dog):
+        """The sentence stack's masks are its adjacency at every layer: a
+        broadcast view, not a copy."""
+        model, prep = make_model(girl_dog, num_layers=4)
+        adj = prep.sentence.dep_adjacency
+        masks = prep.plans["sent"]
+        assert masks.shape == (4,) + adj.shape and masks.dtype == bool
+        assert np.shares_memory(masks, adj)
+        for m in masks:
+            np.testing.assert_array_equal(m, adj)
+
     def test_full_graphs_when_lead_graphs_disabled(self, girl_dog):
         model, prep = make_model(girl_dog, use_lead_graphs=False)
-        for tag, plan in prep.plans.items():
+        for tag in model.config.streams:
+            plan = prep.plans[tag]
             img, q = getattr(prep, STREAMS[tag].image), getattr(prep, STREAMS[tag].question)
             n = img.n_tokens + 1 + q.n_tokens
             assert len(plan) == model.config.num_layers
@@ -120,7 +143,8 @@ class TestPrepare:
     @pytest.mark.parametrize("node_reduction", [False, True])
     def test_plans_match_layer_masks(self, girl_dog, node_reduction):
         model, prep = make_model(girl_dog, node_reduction=node_reduction, num_layers=4)
-        for tag, plan in prep.plans.items():
+        for tag in model.config.streams:
+            plan = prep.plans[tag]
             img, q = getattr(prep, STREAMS[tag].image), getattr(prep, STREAMS[tag].question)
             masks = layer_masks(append_sep_mask(level_graph(img)), level_graph(q))
             assert len(plan) == 4
@@ -258,7 +282,7 @@ class TestVariants:
         model, prep = make_model(girl_dog, use_lead_graphs=False)
         outputs = []
         for tag in model.config.streams:
-            t_img, t_q, _ = model._stream_inputs(tag, [prep])
+            t_img, t_q, _, _ = model._stream_inputs(tag, [prep])
             sep = model.params[f"{tag}.sep"]
             stack = model.stacks[tag]
             x = ad.concat_rows([t_img, ad.reshape(sep, (1, sep.data.shape[0])), t_q])
