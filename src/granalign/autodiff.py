@@ -125,7 +125,7 @@ class Tape:
     def gradients(self, loss: Tensor, wrt: Iterable[Tensor]) -> list[np.ndarray]:
         """Like backward(), but aligned with ``wrt``; leaves off the path get zeros."""
         leaf_map = self.backward(loss)
-        return [leaf_map.get(t, np.zeros(t.data.shape)) for t in wrt]
+        return [leaf_map[t] if t in leaf_map else np.zeros(t.data.shape) for t in wrt]
 
 
 def record(out: Tensor, inputs: tuple[Tensor, ...], backward: Callable) -> Tensor:

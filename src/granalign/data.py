@@ -10,6 +10,7 @@ from the scene graph alone and serves as the ground-truth oracle.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -69,6 +70,15 @@ class ToyWorldSpec:
         object.__setattr__(self, "attributes", tuple(self.attributes))
         object.__setattr__(self, "relations", tuple(self.relations))
         object.__setattr__(self, "templates", tuple(self.templates))
+        for name in ("grid_size", "d_region", "d_spatial"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (np.isfinite(self.feature_noise) and self.feature_noise >= 0):
+            raise ValueError(f"feature_noise must be a finite value >= 0, "
+                             f"got {self.feature_noise}")
+        if not (np.isfinite(self.feature_scale) and self.feature_scale > 0):
+            raise ValueError(f"feature_scale must be a finite value > 0, "
+                             f"got {self.feature_scale}")
         if not self.categories:
             raise ValueError("empty category set")
         if not self.attributes:
@@ -173,11 +183,18 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4096)
 def hash_vector(key: str, dim: int) -> np.ndarray:
-    """Deterministic unit-scale vector for a string key, independent of any rng."""
+    """Deterministic unit-scale vector for a string key, independent of any rng.
+
+    Cached: the same few keys recur in every scene. The array is shared by
+    every caller, so it is read-only.
+    """
     digest = hashlib.sha256(key.encode("utf-8")).digest()
     seed = int.from_bytes(digest[:8], "little")
-    return np.random.default_rng(seed).standard_normal(dim)
+    vec = np.random.default_rng(seed).standard_normal(dim)
+    vec.flags.writeable = False
+    return vec
 
 
 def region_feature(category: str, attribute: str, dim: int) -> np.ndarray:
@@ -444,7 +461,8 @@ def load_manifest(path: str) -> Dataset:
                  **{key: _require(doc, key, path, int)
                     for key in ("d_region", "d_spatial", "grid_size")})
     for s in ds.samples:
-        if s.scene.objects and s.scene.objects[0].region_feature.shape[0] != ds.d_region:
-            raise SchemaError(f"{path}: sample {s.sample_id}: region feature dim "
-                              f"{s.scene.objects[0].region_feature.shape[0]} != {ds.d_region}")
+        for o in s.scene.objects:
+            if o.region_feature.shape[0] != ds.d_region:
+                raise SchemaError(f"{path}: sample {s.sample_id}: object {o.obj_id}: region "
+                                  f"feature dim {o.region_feature.shape[0]} != {ds.d_region}")
     return ds

@@ -142,14 +142,16 @@ def _strings(values: list, what: str) -> list[str]:
 
 
 def _numbers(values: list, ndim: int, what: str) -> np.ndarray:
-    """The JSON numbers ``values`` as a float64 array of ``ndim`` axes."""
+    """The finite JSON numbers ``values`` as a float64 array of ``ndim`` axes."""
     try:
         a = np.asarray(values, dtype=np.float64)
-        if a.ndim == ndim:
-            return a
     except (TypeError, ValueError):
-        pass
-    raise SchemaError(f"{what} must be a {ndim}-D array of numbers")
+        a = None
+    if a is None or a.ndim != ndim:
+        raise SchemaError(f"{what} must be a {ndim}-D array of numbers")
+    if not np.isfinite(a).all():
+        raise SchemaError(f"{what} holds a non-finite value (NaN or infinity)")
+    return a
 
 
 def scene_from_dict(d: dict, source: str = "scene") -> SceneGraph:
@@ -166,6 +168,11 @@ def scene_from_dict(d: dict, source: str = "scene") -> SceneGraph:
         ))
     if not objects:
         raise SchemaError(f"{source}: scene has no objects")
+    width = objects[0].region_feature.shape[0]
+    for i, o in enumerate(objects):
+        if o.region_feature.shape[0] != width:
+            raise SchemaError(f"{source}: objects[{i}]: region_feature has "
+                              f"{o.region_feature.shape[0]} values, objects[0] has {width}")
     ids = [o.obj_id for o in objects]
     if len(set(ids)) != len(ids):
         raise SchemaError(f"{source}: duplicate object ids")

@@ -99,9 +99,11 @@ class LogitsBundle:
 
     def averaged_argmax(self) -> np.ndarray:
         """Argmax of the mean of every head's logits, per sample; ties resolve
-        to the lowest class."""
-        return np.argmax(np.mean([t.data for t in self.all_logits().values()], axis=0),
-                         axis=-1)
+        to the lowest class. The heads are added in order and divided by their
+        count, which is bitwise ``np.mean(axis=0)`` over them at a fraction of
+        its call overhead."""
+        heads = [t.data for t in self.all_logits().values()]
+        return np.argmax(sum(heads[1:], heads[0]) / len(heads), axis=-1)
 
 
 @dataclass

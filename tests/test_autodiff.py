@@ -65,6 +65,27 @@ class TestTapeMechanics:
         assert np.array_equal(gx, np.ones(3))
         assert np.array_equal(gu, np.zeros((2, 2)))
 
+    def test_gradients_hand_over_swept_arrays_and_fill_only_unused(self, monkeypatch):
+        """An on-path leaf gets the sweep's own array; zeros are allocated only
+        for leaves off the path."""
+        swept = np.arange(3.0)
+
+        def passthrough(x):
+            return ad.record(ad.Tensor(x.data.copy()), (x,), lambda g: (swept,))
+
+        x = ad.Tensor(np.ones(3), requires_grad=True)
+        unused = ad.Tensor(np.ones((2, 2)), requires_grad=True)
+        with ad.Tape() as t:
+            loss = ad.sum_all(passthrough(x))
+        zeros_calls = []
+        real_zeros = np.zeros
+        monkeypatch.setattr(np, "zeros", lambda shape, *a, **k:
+                            zeros_calls.append(shape) or real_zeros(shape, *a, **k))
+        gx, gu, gx2 = t.gradients(loss, [x, unused, x])
+        assert gx is swept and gx2 is swept
+        assert gu.shape == (2, 2) and not gu.any()
+        assert zeros_calls == [(2, 2)]
+
     def test_gradient_accumulates_over_reuse(self):
         """A tensor feeding two branches receives the sum of both gradients."""
         x = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)

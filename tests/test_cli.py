@@ -335,8 +335,15 @@ class TestDumpLeadgraph:
         (("question", "noun_phrases"), "ab", "field 'noun_phrases' must be a list, got str"),
         (("scene", "objects", 0, "region_feature"), [[0.1, 0.2], [0.3, 0.4]],
          "objects[0]: region_feature must be a 1-D array of numbers"),
+        (("scene", "objects", 0, "region_feature"), [float("nan"), 0.2, 0.3, 0.4],
+         "objects[0]: region_feature holds a non-finite value"),
+        (("scene", "spatial", "features"), [[0.0, 0.0, 0.0, float("inf")]] * 4,
+         "spatial: features holds a non-finite value"),
+        (("scene", "objects", 1, "region_feature"), [0.1, 0.2, 0.3],
+         "objects[1]: region_feature has 3 values, objects[0] has 4"),
     ], ids=["scene", "objects", "relations", "spatial", "tokens", "dependency_edges",
-            "dependency_edge-string", "tokens-string", "noun_phrases-string", "region_feature-2d"])
+            "dependency_edge-string", "tokens-string", "noun_phrases-string", "region_feature-2d",
+            "region_feature-nan", "spatial-infinity", "region_feature-ragged"])
     def test_malformed_sample_exits_one(self, tmp_path, capsys, where, value, message):
         with open(fixture_path("girl_dog.json"), encoding="utf-8") as f:
             doc = json.load(f)
@@ -379,7 +386,17 @@ class TestCorpusFiles:
         ({"feature_noise": "x"}, "field 'feature_noise' must be a number, got str"),
         ({"categories": "ab"}, "field 'categories' must be a list, got str"),
         ([2], "world spec must be an object, got list"),
-    ], ids=["grid_size", "feature_noise", "categories", "not-an-object"])
+        ({"grid_size": 0}, "grid_size must be >= 1, got 0"),
+        ({"d_region": -1}, "d_region must be >= 1, got -1"),
+        ({"d_region": 0}, "d_region must be >= 1, got 0"),
+        ({"d_spatial": 0}, "d_spatial must be >= 1, got 0"),
+        ({"feature_noise": -1.0}, "feature_noise must be a finite value >= 0, got -1.0"),
+        ({"feature_noise": float("nan")}, "feature_noise must be a finite value >= 0, got nan"),
+        ({"feature_scale": 0.0}, "feature_scale must be a finite value > 0, got 0.0"),
+        ({"feature_scale": float("inf")}, "feature_scale must be a finite value > 0, got inf"),
+    ], ids=["grid_size", "feature_noise", "categories", "not-an-object", "grid_size-0",
+            "d_region-negative", "d_region-0", "d_spatial-0", "feature_noise-negative",
+            "feature_noise-nan", "feature_scale-0", "feature_scale-inf"])
     def test_malformed_world_spec_exits_one(self, tmp_path, capsys, spec, message):
         spec_path = tmp_path / "world.json"
         spec_path.write_text(json.dumps(spec))

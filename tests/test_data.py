@@ -1,5 +1,6 @@
 """Corpus generator: determinism, solvability, schemas, the solver oracle."""
 
+import hashlib
 import json
 import os
 
@@ -80,6 +81,13 @@ class TestFeatureSynthesis:
         assert a.tobytes() == b.tobytes()
         assert a.tobytes() != c.tobytes()
         assert a.shape == (16,)
+
+    def test_hash_vector_is_cached_and_read_only(self):
+        a = hash_vector("category:dog", 16)
+        assert hash_vector("category:dog", 16) is a
+        assert hash_vector("category:dog", 8).shape == (8,)
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
 
     def test_region_feature_is_compositional(self):
         f = region_feature("dog", "brown", 16)
@@ -220,6 +228,22 @@ class TestOnDiskCorpus:
         assert t1.keys() == t2.keys()
         assert all(t1[k] == t2[k] for k in t1)
 
+    @pytest.mark.parametrize("world, digest", [
+        ({}, "08271a83ae825d92ec3cb7a883774e4b290032a8a07753246f1c27eff51b6f42"),
+        ({"objects_min": 1, "objects_max": 4, "grid_size": 7},
+         "0325337fb5b7231bbec4688b1f326b77fe83342fc39dd73919a2bcce42a90fc5"),
+    ], ids=["default", "grid7"])
+    def test_corpus_bytes_match_committed_digest(self, tmp_path, world, digest):
+        """Generated files are pinned byte for byte, from a cold and a warm
+        feature cache alike."""
+        hash_vector.cache_clear()
+        for d in (tmp_path / "cold", tmp_path / "warm"):
+            gen_corpus(ToyWorldSpec(**world), 12, 4, 7, str(d))
+            h = hashlib.sha256()
+            for rel, blob in sorted(read_tree(d).items()):
+                h.update(rel.encode() + b"\0" + blob)
+            assert h.hexdigest() == digest
+
     def test_train_and_eval_share_vocabularies(self, tmp_path):
         train_m, eval_m = gen_corpus(DEFAULT_WORLD, 5, 4, 21, str(tmp_path))
         train = load_manifest(train_m)
@@ -310,5 +334,5 @@ class TestManifestValidation:
     def test_region_dim_mismatch_reported(self, tmp_path):
         m = self.write_corpus(tmp_path)
         self.mutate_manifest(m, lambda d: d.update(d_region=99))
-        with pytest.raises(SchemaError, match="99"):
+        with pytest.raises(SchemaError, match="object o0: region feature dim 32 != 99"):
             load_manifest(m)

@@ -240,6 +240,24 @@ class TestPredict:
         )
         assert model.predict(bundle) == 0
 
+    @pytest.mark.parametrize("batch", [None, 5], ids=["1-D", "B x c"])
+    def test_averaged_argmax_matches_np_mean(self, batch):
+        """Same answers as the argmax of ``np.mean(axis=0)`` over the heads,
+        including exact and rounding-level ties between classes."""
+        rng = np.random.default_rng(5)
+        shape = (7,) if batch is None else (batch, 7)
+        for trial in range(400):
+            streams = [s for s in ("f_ce", "f_rn", "f_ss") if rng.random() < 0.6]
+            if trial % 2:  # tenths: class scores tie exactly or within rounding
+                draw = lambda: rng.integers(-3, 4, size=shape) / 10.0
+            else:
+                draw = lambda: rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4)
+            heads = {name: draw() for name in (*streams, "f_ga")}
+            bundle = LogitsBundle(**{"f_ce": None, "f_rn": None, "f_ss": None,
+                                     **{k: ad.Tensor(v) for k, v in heads.items()}})
+            expect = np.argmax(np.mean(list(heads.values()), axis=0), axis=-1)
+            np.testing.assert_array_equal(bundle.averaged_argmax(), expect)
+
     def test_stream_predictions_keys(self, girl_dog):
         model, prep = make_model(girl_dog)
         preds = model.stream_predictions(model.forward(prep))

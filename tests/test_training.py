@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import granalign.autodiff as ad
-from granalign.data import Dataset, Sample
+from granalign.data import Dataset, Sample, ToyWorldSpec, gen_data, load_manifest
 from granalign.model import LogitsBundle, Model, ModelConfig
 from granalign import training
 from granalign.training import (
@@ -553,7 +553,7 @@ class TestBatchedTraining:
 
     def test_evaluate_runs_chunks_and_predicts_in_order(self, girl_dog, monkeypatch):
         ds = tiny_dataset(girl_dog)
-        ds.samples = ds.samples * 17  # 34 samples: chunks of 16, 16 and 2
+        ds.samples = ds.samples * 33  # 66 samples: chunks of 32, 32 and 2
         model = tiny_model()
         sizes, preds = [], []
         forward_batch, predict = model.forward_batch, model.predict
@@ -561,11 +561,33 @@ class TestBatchedTraining:
                             lambda preps: sizes.append(len(preps)) or forward_batch(preps))
         monkeypatch.setattr(model, "predict", lambda b: preds.append(predict(b)) or preds[-1])
         report = evaluate(model, ds)
-        assert sizes == [training.EVAL_CHUNK] * 2 + [2] and training.EVAL_CHUNK == 16
+        assert sizes == [training.EVAL_CHUNK] * 2 + [2] and training.EVAL_CHUNK == 32
         scene, question = girl_dog
-        single = [predict(model.forward(model.prepare(scene, question, 0)))] * 34
+        single = [predict(model.forward(model.prepare(scene, question, 0)))] * 66
         assert preds == single
-        assert report["n"] == 34
+        assert report["n"] == 66
+
+    @pytest.mark.parametrize("world, n", [({}, 100),
+                                          ({"objects_min": 1, "objects_max": 4,
+                                            "grid_size": 7}, 80)],
+                             ids=["pinned", "grid7"])
+    def test_evaluate_matches_single_questions_and_chunk_16(self, tmp_path, monkeypatch,
+                                                            world, n):
+        """On a whole eval split, one forward per 32 samples answers every
+        question as the one-question path does, and its mean loss stays within
+        rounding of 16-sample forwards."""
+        ds = load_manifest(gen_data(ToyWorldSpec(**world), n, 8, str(tmp_path), "eval"))
+        model = Model(ModelConfig(), ds.word_vocab, ds.answer_vocab, ds.d_region,
+                      ds.d_spatial, seed=7)
+        prepared = [model.prepare(s.scene, s.question, ds.answer_index(s.answer))
+                    for s in ds.samples]
+        preds, predict = [], model.predict
+        monkeypatch.setattr(model, "predict", lambda b: preds.append(predict(b)) or preds[-1])
+        report = evaluate(model, ds, prepared)
+        assert preds == [predict(model.forward(p)) for p in prepared]
+        monkeypatch.setattr(training, "EVAL_CHUNK", 16)
+        report_16 = evaluate(model, ds, prepared)
+        assert abs(report["loss"] - report_16["loss"]) <= 1e-12 * report_16["loss"]
 
 
 class TestAccuracyCounts:
