@@ -253,12 +253,13 @@ def _gen_scene(spec: ToyWorldSpec, rng: np.random.Generator) -> SceneGraph:
     occupants_by_cell: dict[tuple[int, int], list[tuple[str, list[str]]]] = {}
     for i, pos in enumerate(positions):
         occupants_by_cell.setdefault(pos, []).append((cats[i], [attrs[i]]))
-    feats = np.zeros((g * g, spec.d_spatial))
-    for cell in range(g * g):
-        row, col = divmod(cell, g)
-        base = cell_feature(row, col, occupants_by_cell.get((row, col), []), spec.d_spatial)
-        noisy = base + spec.feature_noise * rng.standard_normal(spec.d_spatial)
-        feats[cell] = spec.feature_scale * noisy
+    grid = [divmod(cell, g) for cell in range(g * g)]  # (row, col), row-major
+    base = np.stack([cell_feature(row, col, occupants_by_cell.get((row, col), []),
+                                  spec.d_spatial) for row, col in grid])
+    # the generator fills the array row by row, so this is the stream that
+    # one draw per cell gives
+    noise = rng.standard_normal((g * g, spec.d_spatial))
+    feats = spec.feature_scale * (base + spec.feature_noise * noise)
 
     return SceneGraph(objects=objects, relations=relations, grid_size=g,
                       spatial_features=feats)
@@ -369,10 +370,43 @@ def solve(scene: SceneGraph, tokens: list[str]) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _json_text(obj, indent: str = "") -> str:
+    """Exactly ``json.dumps(obj, sort_keys=True, indent=2)`` for a document
+    whose object keys are strings, at the cost of formatting its floats.
+
+    The stdlib's ``indent`` encoder is pure Python: one generator frame and
+    one ``floatstr`` call per float. Here a list of finite floats is one
+    C-level ``repr``, which renders each float as ``json`` does; its ``", "``
+    separators become the indented ones. Every scalar goes through
+    ``json.dumps``, so strings, ints, bools, ``None``, ``NaN`` and
+    ``Infinity`` follow the stdlib's rules.
+    """
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if not all(isinstance(k, str) for k in obj):
+            raise TypeError("corpus JSON object keys must be strings")
+        body = sep.join(f"{json.dumps(k)}: {_json_text(v, inner)}"
+                        for k, v in sorted(obj.items()))
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if not isinstance(obj, (list, tuple)):
+        return json.dumps(obj)
+    if not obj:
+        return "[]"
+    floats = type(obj) is list and set(map(type, obj)) == {float}
+    text = repr(obj) if floats else ""
+    if floats and "n" not in text:  # finite: only nan and inf have an "n"
+        body = text[1:-1].replace(", ", sep)
+    else:
+        body = sep.join(_json_text(v, inner) for v in obj)
+    return "[\n" + inner + body + "\n" + indent + "]"
+
+
 def _dump_json(path: str, obj: dict) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, sort_keys=True, indent=2)
-        f.write("\n")
+        f.write(_json_text(obj) + "\n")
 
 
 def sample_to_dict(s: Sample) -> dict:
@@ -465,4 +499,8 @@ def load_manifest(path: str) -> Dataset:
             if o.region_feature.shape[0] != ds.d_region:
                 raise SchemaError(f"{path}: sample {s.sample_id}: object {o.obj_id}: region "
                                   f"feature dim {o.region_feature.shape[0]} != {ds.d_region}")
+        width = s.scene.spatial_features.shape[1]
+        if width != ds.d_spatial:
+            raise SchemaError(f"{path}: sample {s.sample_id}: spatial feature "
+                              f"width {width} != d_spatial {ds.d_spatial}")
     return ds

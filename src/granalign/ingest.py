@@ -15,8 +15,10 @@ structured output.
 from __future__ import annotations
 
 import logging
+import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -145,10 +147,14 @@ def _numbers(values: list, ndim: int, what: str) -> np.ndarray:
     """The finite JSON numbers ``values`` as a float64 array of ``ndim`` axes."""
     try:
         a = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         a = None
     if a is None or a.ndim != ndim:
         raise SchemaError(f"{what} must be a {ndim}-D array of numbers")
+    # numpy also converts numeric strings and booleans; JSON numbers are ints and floats
+    bad = set(map(type, chain.from_iterable(values) if ndim == 2 else values)) - {int, float}
+    if bad:
+        raise SchemaError(f"{what} must hold numbers, got {min(t.__name__ for t in bad)}")
     if not np.isfinite(a).all():
         raise SchemaError(f"{what} holds a non-finite value (NaN or infinity)")
     return a
@@ -203,7 +209,7 @@ def scene_to_dict(sg: SceneGraph) -> dict:
                 "id": o.obj_id,
                 "category": o.category,
                 "attributes": list(o.attributes),
-                "region_feature": [float(v) for v in o.region_feature],
+                "region_feature": np.asarray(o.region_feature, dtype=np.float64).tolist(),
             }
             for o in sg.objects
         ],
@@ -213,7 +219,7 @@ def scene_to_dict(sg: SceneGraph) -> dict:
         ],
         "spatial": {
             "grid_size": sg.grid_size,
-            "features": [[float(v) for v in row] for row in sg.spatial_features],
+            "features": np.asarray(sg.spatial_features, dtype=np.float64).tolist(),
         },
     }
 
@@ -515,6 +521,9 @@ def load_word_vectors(path) -> tuple[list[str], np.ndarray]:
                 raise SchemaError(f"{path}: line {lineno}: {e}") from None
             if not vec:
                 raise SchemaError(f"{path}: line {lineno}: no vector components")
+            if not all(map(math.isfinite, vec)):
+                raise SchemaError(f"{path}: line {lineno}: non-finite vector component "
+                                  f"(NaN or infinity)")
             if rows and len(vec) != len(rows[0]):
                 raise SchemaError(f"{path}: line {lineno}: inconsistent dimension")
             words.append(parts[0])

@@ -1,6 +1,7 @@
 """Command-line interface: arguments, config files, outputs, exit codes."""
 
 import json
+import shutil
 import struct
 import subprocess
 import sys
@@ -341,9 +342,21 @@ class TestDumpLeadgraph:
          "spatial: features holds a non-finite value"),
         (("scene", "objects", 1, "region_feature"), [0.1, 0.2, 0.3],
          "objects[1]: region_feature has 3 values, objects[0] has 4"),
+        (("scene", "objects", 0, "region_feature"), ["1.5", 0.2, 0.3, 0.4],
+         "objects[0]: region_feature must hold numbers, got str"),
+        (("scene", "objects", 0, "region_feature"), [0.1, True, 0.3, 0.4],
+         "objects[0]: region_feature must hold numbers, got bool"),
+        (("scene", "spatial", "features"), [[0.0, 0.0, "0", 0.0]] * 4,
+         "spatial: features must hold numbers, got str"),
+        (("scene", "spatial", "features"), [[0.0, 0.0, 0.0, 1]] * 3 + [[False, 0.0, 0.0, 0.0]],
+         "spatial: features must hold numbers, got bool"),
+        (("scene", "objects", 0, "region_feature"), [10**400, 0.2, 0.3, 0.4],
+         "objects[0]: region_feature must be a 1-D array of numbers"),
     ], ids=["scene", "objects", "relations", "spatial", "tokens", "dependency_edges",
             "dependency_edge-string", "tokens-string", "noun_phrases-string", "region_feature-2d",
-            "region_feature-nan", "spatial-infinity", "region_feature-ragged"])
+            "region_feature-nan", "spatial-infinity", "region_feature-ragged",
+            "region_feature-string", "region_feature-bool", "spatial-string", "spatial-bool",
+            "region_feature-overflow"])
     def test_malformed_sample_exits_one(self, tmp_path, capsys, where, value, message):
         with open(fixture_path("girl_dog.json"), encoding="utf-8") as f:
             doc = json.load(f)
@@ -380,6 +393,24 @@ class TestCorpusFiles:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error:") and message in err and "Traceback" not in err
+
+    def test_spatial_width_mismatch_exits_one(self, cli_corpus, cli_config, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        assert main(["train", "--data", str(cli_corpus), "--config", cli_config,
+                     "--out", str(ckpt), "--log", str(tmp_path / "m.jsonl")]) == 0
+        data = tmp_path / "data"
+        shutil.copytree(cli_corpus, data)
+        spath = data / "samples" / "eval_0002.json"
+        doc = json.loads(spath.read_text())
+        doc["scene"]["spatial"]["features"] = [r[:3] for r in doc["scene"]["spatial"]["features"]]
+        spath.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["eval", "--data", str(data), "--ckpt", str(ckpt)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {data / 'eval.json'}: sample eval_0002: spatial feature "
+                              f"width 3 != d_spatial 32")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("spec, message", [
         ({"grid_size": "x"}, "field 'grid_size' must be an integer, got str"),

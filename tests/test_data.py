@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import math
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from granalign import data
 from granalign.data import (
     DEFAULT_WORLD,
     Dataset,
@@ -19,6 +23,7 @@ from granalign.data import (
     load_manifest,
     region_feature,
     solve,
+    _json_text,
 )
 from granalign.ingest import SchemaError, SceneObject, SceneRelation
 
@@ -244,6 +249,22 @@ class TestOnDiskCorpus:
                 h.update(rel.encode() + b"\0" + blob)
             assert h.hexdigest() == digest
 
+    @pytest.mark.parametrize("world, n_train, n_eval", [
+        ({}, 500, 100),
+        ({"objects_min": 1, "objects_max": 4, "grid_size": 7}, 400, 80),
+    ], ids=["pinned", "grid7"])
+    def test_files_match_the_stdlib_writer(self, tmp_path, monkeypatch, world, n_train, n_eval):
+        """Every file of a benchmark-sized corpus has the digest of the same
+        document written by ``json.dump(obj, f, sort_keys=True, indent=2)``."""
+        spec = ToyWorldSpec(**world)
+        gen_corpus(spec, n_train, n_eval, 7, str(tmp_path / "fast"))
+        monkeypatch.setattr(data, "_dump_json", stdlib_dump_json)
+        gen_corpus(spec, n_train, n_eval, 7, str(tmp_path / "stdlib"))
+        fast, ref = ({rel: hashlib.sha256(blob).hexdigest() for rel, blob in read_tree(d).items()}
+                     for d in (tmp_path / "fast", tmp_path / "stdlib"))
+        assert len(fast) == n_train + n_eval + 2
+        assert fast == ref
+
     def test_train_and_eval_share_vocabularies(self, tmp_path):
         train_m, eval_m = gen_corpus(DEFAULT_WORLD, 5, 4, 21, str(tmp_path))
         train = load_manifest(train_m)
@@ -277,6 +298,48 @@ class TestOnDiskCorpus:
             assert ds.answer_vocab[ds.answer_index(s.answer)] == s.answer
         with pytest.raises(ValueError, match="vocabulary"):
             ds.answer_index("purple")
+
+
+def stdlib_dump_json(path, obj):
+    """The reference corpus writer: the stdlib's own encoder."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, sort_keys=True, indent=2)
+        f.write("\n")
+
+
+_EDGE_FLOATS = [-0.0, 0.0, 1e-05, 1e+16, 5e-324, -1.5e-300, 1.7976931348623157e+308,
+                math.nan, math.inf, -math.inf]
+_FLOATS = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-10**40, 10**40), st.text(), _FLOATS,
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1),  # finite: one repr
+    st.lists(_FLOATS),
+    st.lists(st.one_of(_FLOATS, st.integers(), st.booleans())),
+)
+_JSON_DOCS = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.dictionaries(st.text(max_size=8), children, max_size=4)),
+    max_leaves=24)
+
+
+class TestJsonText:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_JSON_DOCS)
+    def test_is_the_stdlib_rendering(self, doc):
+        assert _json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("doc", [
+        [1e-05, -0.0, 5e-324, 1e+16],
+        {"b": [0.5, 2.0], "a": {"\u00e9\"\n": [[1.5], [], {}]}, "c": [0.1, 2, True, None]},
+        [0.5, math.nan], [math.inf, 0.5], [-math.inf],
+    ], ids=["finite-floats", "nested", "nan", "inf", "negative-inf"])
+    def test_examples(self, doc):
+        assert _json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+    def test_non_string_keys_rejected(self):
+        with pytest.raises(TypeError, match="keys must be strings"):
+            _json_text({1: 0.5})
 
 
 class TestManifestValidation:
@@ -335,4 +398,14 @@ class TestManifestValidation:
         m = self.write_corpus(tmp_path)
         self.mutate_manifest(m, lambda d: d.update(d_region=99))
         with pytest.raises(SchemaError, match="object o0: region feature dim 32 != 99"):
+            load_manifest(m)
+
+    def test_spatial_width_mismatch_reported(self, tmp_path):
+        m = self.write_corpus(tmp_path)
+        spath = tmp_path / "samples" / "train_0001.json"
+        doc = json.loads(spath.read_text())
+        doc["scene"]["spatial"]["features"] = [r[:3] for r in doc["scene"]["spatial"]["features"]]
+        spath.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{m}: sample train_0001: spatial feature width 3 != d_spatial 32")):
             load_manifest(m)

@@ -296,3 +296,10 @@ class TestWordVectors:
         p.write_text("a 1.0 x\n")
         with pytest.raises(SchemaError):
             load_word_vectors(p)
+
+    @pytest.mark.parametrize("component", ["nan", "inf", "-Infinity"])
+    def test_non_finite_component_names_file_and_line(self, tmp_path, component):
+        p = tmp_path / "bad.txt"
+        p.write_text(f"a 1.0 2.0\ndog {component} 0.5\n")
+        with pytest.raises(SchemaError, match=f"{p}: line 2: non-finite vector component"):
+            load_word_vectors(p)
