@@ -14,9 +14,9 @@ import os
 import sys
 
 from . import data as toydata
-from . import ingest, training
+from . import training
 from .data import DEFAULT_WORLD, ToyWorldSpec, load_manifest
-from .ingest import SchemaError
+from .ingest import SchemaError, question_from_dict, read_json, require, scene_from_dict
 from .leadgraph import LeadGraph, format_grid
 from .model import STREAMS, Model, ModelConfig, build_streams
 from .training import Trainer, TrainConfig, evaluate, gradcheck, load_checkpoint
@@ -103,8 +103,7 @@ def _manifest_path(data_dir: str, split: str) -> str:
 
 def cmd_gen_data(args) -> int:
     if args.spec:
-        with open(args.spec, "r", encoding="utf-8") as f:
-            spec = ToyWorldSpec.from_dict(json.load(f))
+        spec = ToyWorldSpec.from_dict(read_json(args.spec))
     else:
         spec = DEFAULT_WORLD
     n_eval = args.eval_n if args.eval_n is not None else max(1, args.n // 5)
@@ -161,12 +160,10 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_dump_leadgraph(args) -> int:
-    with open(args.sample, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    scene = ingest.scene_from_dict(ingest._require(doc, "scene", args.sample, dict),
-                                   source=args.sample)
-    question = ingest.question_from_dict(ingest._require(doc, "question", args.sample, dict),
-                                         source=args.sample)
+    doc = read_json(args.sample)
+    scene = scene_from_dict(require(doc, "scene", args.sample, dict), source=args.sample)
+    question = question_from_dict(require(doc, "question", args.sample, dict),
+                                  source=args.sample)
     levels, plans = build_streams(scene, question, ModelConfig(streams=(args.stream,)))
     stream = STREAMS[args.stream]
     print(f"# stream {args.stream} layer {args.layer}")

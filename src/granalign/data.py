@@ -10,6 +10,7 @@ from the scene graph alone and serves as the ground-truth oracle.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -24,13 +25,14 @@ from .ingest import (
     SceneObject,
     SceneRelation,
     SchemaError,
-    _expect,
-    _require,
-    _strings,
+    from_json,
     question_from_dict,
     question_to_dict,
+    read_json,
+    require,
     scene_from_dict,
     scene_to_dict,
+    strings,
 )
 
 MANIFEST_VERSION = 1
@@ -66,10 +68,8 @@ class ToyWorldSpec:
     templates: tuple[str, ...] = TEMPLATES
 
     def __post_init__(self):
-        object.__setattr__(self, "categories", tuple(self.categories))
-        object.__setattr__(self, "attributes", tuple(self.attributes))
-        object.__setattr__(self, "relations", tuple(self.relations))
-        object.__setattr__(self, "templates", tuple(self.templates))
+        for name in ("categories", "attributes", "relations", "templates"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         for name in ("grid_size", "d_region", "d_spatial"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -83,6 +83,9 @@ class ToyWorldSpec:
             raise ValueError("empty category set")
         if not self.attributes:
             raise ValueError("empty attribute set")
+        for name in ("categories", "attributes", "relations"):
+            if len(set(getattr(self, name))) != len(getattr(self, name)):
+                raise ValueError(f"{name} holds a duplicate entry")
         if len(self.relations) != 2:
             raise ValueError("exactly two relations (column order and its reverse)")
         if not (1 <= self.objects_min <= self.objects_max):
@@ -113,35 +116,12 @@ class ToyWorldSpec:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "categories": list(self.categories),
-            "attributes": list(self.attributes),
-            "relations": list(self.relations),
-            "objects_min": self.objects_min,
-            "objects_max": self.objects_max,
-            "grid_size": self.grid_size,
-            "d_region": self.d_region,
-            "d_spatial": self.d_spatial,
-            "feature_noise": self.feature_noise,
-            "feature_scale": self.feature_scale,
-            "templates": list(self.templates),
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ToyWorldSpec":
         """A spec from a JSON object; each field has the JSON type of its default."""
-        bad = set(_expect(d, dict, "world spec")) - set(cls.__dataclass_fields__)
-        if bad:
-            raise SchemaError(f"world spec: unknown fields {sorted(bad)}")
-        kwargs = {}
-        for key, value in d.items():
-            what = f"world spec: field {key!r}"
-            default = getattr(cls, key)
-            if isinstance(default, tuple):
-                kwargs[key] = tuple(_strings(_expect(value, list, what), what))
-            else:
-                kwargs[key] = _expect(value, type(default), what)
-        return cls(**kwargs)
+        return from_json(cls, d, "world spec", required=False)
 
 
 DEFAULT_WORLD = ToyWorldSpec()
@@ -460,39 +440,31 @@ def gen_corpus(spec: ToyWorldSpec, n_train: int, n_eval: int, seed: int,
 
 def load_manifest(path: str) -> Dataset:
     """Read and fully validate a manifest and every sample file it lists."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"{path}: invalid JSON: {e}") from None
-
-    if _require(doc, "version", path, int) != MANIFEST_VERSION:
+    doc = read_json(path)
+    if require(doc, "version", path, int) != MANIFEST_VERSION:
         raise SchemaError(f"{path}: unsupported manifest version {doc['version']!r}")
-    answer_vocab = _strings(_require(doc, "answer_vocab", path, list), f"{path}: answer_vocab")
-    word_vocab = _strings(_require(doc, "word_vocab", path, list), f"{path}: word_vocab")
+    answer_vocab = strings(require(doc, "answer_vocab", path, list), f"{path}: answer_vocab")
+    word_vocab = strings(require(doc, "word_vocab", path, list), f"{path}: word_vocab")
     base = os.path.dirname(os.path.abspath(path))
     samples = []
-    for rel in _strings(_require(doc, "samples", path, list), f"{path}: samples"):
+    for rel in strings(require(doc, "samples", path, list), f"{path}: samples"):
         spath = os.path.join(base, rel)
         try:
-            with open(spath, "r", encoding="utf-8") as f:
-                sdoc = json.load(f)
+            sdoc = read_json(spath)
         except FileNotFoundError:
             raise SchemaError(f"{path}: sample file {rel!r} does not exist") from None
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"{spath}: invalid JSON: {e}") from None
-        answer = _require(sdoc, "answer", spath, str)
+        answer = require(sdoc, "answer", spath, str)
         if answer not in answer_vocab:
             raise SchemaError(f"{spath}: answer {answer!r} not in the answer vocabulary")
         samples.append(Sample(
-            sample_id=_require(sdoc, "id", spath, str),
-            template=_require(sdoc, "template", spath, str, ""),
-            scene=scene_from_dict(_require(sdoc, "scene", spath, dict), source=spath),
-            question=question_from_dict(_require(sdoc, "question", spath, dict), source=spath),
+            sample_id=require(sdoc, "id", spath, str),
+            template=require(sdoc, "template", spath, str, ""),
+            scene=scene_from_dict(require(sdoc, "scene", spath, dict), source=spath),
+            question=question_from_dict(require(sdoc, "question", spath, dict), source=spath),
             answer=answer,
         ))
     ds = Dataset(samples=samples, word_vocab=word_vocab, answer_vocab=answer_vocab,
-                 **{key: _require(doc, key, path, int)
+                 **{key: require(doc, key, path, int)
                     for key in ("d_region", "d_spatial", "grid_size")})
     for s in ds.samples:
         for o in s.scene.objects:

@@ -58,6 +58,9 @@ class EncoderConfig:
             raise ValueError(f"d_model {self.d_model} not divisible by {self.num_heads} heads")
         if self.max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {self.max_len}")
+        for name in ("eps_norm", "eps_row"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ValueError(f"{name} must be a finite value > 0, got {getattr(self, name)}")
 
     @property
     def d_k(self) -> int:

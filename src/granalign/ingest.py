@@ -14,6 +14,8 @@ structured output.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import logging
 import math
 from collections import deque
@@ -114,33 +116,87 @@ class LevelData:
         return 0
 
 
-_JSON_TYPES = {dict: (dict, "an object"), list: (list, "a list"), str: (str, "a string"),
-               int: (int, "an integer"), float: ((int, float), "a number")}
+# ---------------------------------------------------------------------------
+# typed JSON: the one reader of sample files, manifests, world specs and
+# checkpoint headers; ``where`` names the document in every error
+# ---------------------------------------------------------------------------
+
+# a tuple passes for a list, as ``json`` writes one
+_JSON_TYPES = {dict: (dict, "an object"), list: ((list, tuple), "a list"), str: (str, "a string"),
+               int: (int, "an integer"), float: ((int, float), "a number"),
+               bool: (bool, "a boolean")}
 
 
-def _expect(value, kind: type, what: str):
-    """``value`` if it is a JSON value of ``kind`` (never a bool)."""
+def read_json(path):
+    """The JSON document in the file ``path``; a file that is not UTF-8 JSON
+    raises a SchemaError naming ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return json.load(f)
+    except (ValueError, RecursionError) as e:  # also UnicodeDecodeError, deep nesting
+        raise SchemaError(f"{path}: invalid JSON: {e}") from None
+
+
+def expect(value, kind: type, what: str):
+    """``value`` if it is a JSON value of ``kind`` (a bool only if ``kind`` is bool)."""
     types, name = _JSON_TYPES[kind]
-    if not isinstance(value, types) or isinstance(value, bool):
+    if not isinstance(value, types) or isinstance(value, bool) and kind is not bool:
         raise SchemaError(f"{what} must be {name}, got {type(value).__name__}")
     return value
 
 
-def _require(d, key: str, source: str, kind: type, default=None):
+def require(d, key: str, where: str, kind: type, default=None):
     """Field ``key`` of the JSON object ``d``, a value of ``kind``. A missing
     field is an error unless it has a ``default``."""
-    if key not in _expect(d, dict, source):
+    if key not in expect(d, dict, where):
         if default is None:
-            raise SchemaError(f"{source}: missing field {key!r}")
+            raise SchemaError(f"{where}: missing field {key!r}")
         return default
-    return _expect(d[key], kind, f"{source}: field {key!r}")
+    return expect(d[key], kind, f"{where}: field {key!r}")
 
 
-def _strings(values: list, what: str) -> list[str]:
+def strings(values: list, what: str) -> list[str]:
     bad = [v for v in values if not isinstance(v, str)]
     if bad:
         raise SchemaError(f"{what} must hold strings, got {type(bad[0]).__name__}")
     return list(values)
+
+
+def only_fields(d, where: str, names) -> dict:
+    """The JSON object ``d`` if each of its keys is one of ``names``."""
+    unknown = sorted(set(expect(d, dict, where)) - set(names))
+    if unknown:
+        raise SchemaError(f"{where}: unknown fields {unknown}")
+    return d
+
+
+def from_json(cls, obj, where: str, required: bool):
+    """The dataclass ``cls`` built from the JSON object ``obj``. Each field
+    takes the JSON type of its default: a tuple is read from a list of
+    strings, a float from any number. Unknown keys are errors, and so are
+    missing ones if ``required``. A ValueError of ``cls`` becomes a
+    SchemaError naming ``where``."""
+    only_fields(obj, where, cls.__dataclass_fields__)
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name not in obj:
+            if required:
+                raise SchemaError(f"{where}: missing field {f.name!r}")
+            continue
+        what = f"{where}: field {f.name!r}"
+        if isinstance(f.default, tuple):
+            kwargs[f.name] = tuple(strings(expect(obj[f.name], list, what), what))
+        elif isinstance(f.default, float):
+            try:
+                kwargs[f.name] = float(expect(obj[f.name], float, what))
+            except OverflowError:
+                raise SchemaError(f"{what} is out of the float range") from None
+        else:
+            kwargs[f.name] = expect(obj[f.name], type(f.default), what)
+    try:
+        return cls(**kwargs)
+    except ValueError as e:
+        raise SchemaError(f"{where}: {e}") from None
 
 
 def _numbers(values: list, ndim: int, what: str) -> np.ndarray:
@@ -162,14 +218,14 @@ def _numbers(values: list, ndim: int, what: str) -> np.ndarray:
 
 def scene_from_dict(d: dict, source: str = "scene") -> SceneGraph:
     objects = []
-    for i, od in enumerate(_require(d, "objects", source, list)):
+    for i, od in enumerate(require(d, "objects", source, list)):
         osrc = f"{source}: objects[{i}]"
         objects.append(SceneObject(
-            obj_id=_require(od, "id", osrc, str),
-            category=_require(od, "category", osrc, str),
-            attributes=_strings(_require(od, "attributes", osrc, list, []),
+            obj_id=require(od, "id", osrc, str),
+            category=require(od, "category", osrc, str),
+            attributes=strings(require(od, "attributes", osrc, list, []),
                                 f"{osrc}: attributes"),
-            region_feature=_numbers(_require(od, "region_feature", osrc, list), 1,
+            region_feature=_numbers(require(od, "region_feature", osrc, list), 1,
                                     f"{osrc}: region_feature"),
         ))
     if not objects:
@@ -183,18 +239,18 @@ def scene_from_dict(d: dict, source: str = "scene") -> SceneGraph:
     if len(set(ids)) != len(ids):
         raise SchemaError(f"{source}: duplicate object ids")
     relations = []
-    for i, rd in enumerate(_require(d, "relations", source, list, [])):
+    for i, rd in enumerate(require(d, "relations", source, list, [])):
         rsrc = f"{source}: relations[{i}]"
-        rel = SceneRelation(*(_require(rd, key, rsrc, str)
+        rel = SceneRelation(*(require(rd, key, rsrc, str)
                               for key in ("subject", "predicate", "object")))
         for ref in (rel.subject, rel.object):
             if ref not in ids:
                 raise SchemaError(f"{rsrc}: unknown object id {ref!r}")
         relations.append(rel)
     ssrc = f"{source}: spatial"
-    spatial = _require(d, "spatial", source, dict)
-    g = _require(spatial, "grid_size", ssrc, int)
-    feats = _numbers(_require(spatial, "features", ssrc, list), 2, f"{ssrc}: features")
+    spatial = require(d, "spatial", source, dict)
+    g = require(spatial, "grid_size", ssrc, int)
+    feats = _numbers(require(spatial, "features", ssrc, list), 2, f"{ssrc}: features")
     if g < 1:
         raise SchemaError(f"{ssrc}: grid_size must be >= 1, got {g}")
     if feats.shape[0] != g * g:
@@ -225,15 +281,15 @@ def scene_to_dict(sg: SceneGraph) -> dict:
 
 
 def question_from_dict(d: dict, source: str = "question") -> QuestionParse:
-    tokens = _strings(_require(d, "tokens", source, list), f"{source}: tokens")
+    tokens = strings(require(d, "tokens", source, list), f"{source}: tokens")
     if not tokens:
         raise SchemaError(f"{source}: question has no tokens")
-    entities = _strings(_require(d, "entities", source, list), f"{source}: entities")
-    phrases = [_strings(_expect(p, list, f"{source}: noun_phrases[{i}]"),
+    entities = strings(require(d, "entities", source, list), f"{source}: entities")
+    phrases = [strings(expect(p, list, f"{source}: noun_phrases[{i}]"),
                         f"{source}: noun_phrases[{i}]")
-               for i, p in enumerate(_require(d, "noun_phrases", source, list))]
+               for i, p in enumerate(require(d, "noun_phrases", source, list))]
     edges = []
-    for i, e in enumerate(_require(d, "dependency_edges", source, list)):
+    for i, e in enumerate(require(d, "dependency_edges", source, list)):
         if not (isinstance(e, list) and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):
             raise SchemaError(f"{source}: dependency_edges[{i}] must be a (head, dependent) "
                               f"pair of integers")

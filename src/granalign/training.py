@@ -19,6 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import Dataset
+from .ingest import SchemaError, from_json, only_fields, require, strings
 from .model import LogitsBundle, Model, ModelConfig, PreparedSample
 
 # samples per forward pass in evaluate: one forward per 32-sample call pays
@@ -426,7 +427,7 @@ def save_checkpoint(path: str, model: Model, optimizer: Adam | None = None) -> N
     """
     names = model.params.names()
     header = {
-        "model_config": {**model.config.__dict__, "streams": list(model.config.streams)},
+        "model_config": dataclasses.asdict(model.config),
         "word_vocab": list(model.vocab.words),
         "answer_vocab": list(model.answer_vocab),
         "d_region": model.d_region,
@@ -436,9 +437,7 @@ def save_checkpoint(path: str, model: Model, optimizer: Adam | None = None) -> N
         "optimizer": None,
     }
     if optimizer is not None:
-        c = optimizer.cfg
-        header["optimizer"] = {"step": optimizer.step_count, "lr": c.lr,
-                               "beta1": c.beta1, "beta2": c.beta2, "eps": c.eps}
+        header["optimizer"] = {"step": optimizer.step_count, **dataclasses.asdict(optimizer.cfg)}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
         f.write(CKPT_MAGIC)
@@ -452,73 +451,43 @@ def save_checkpoint(path: str, model: Model, optimizer: Adam | None = None) -> N
                 f.write(flat.astype("<f8", copy=False))
 
 
-def _header_error(what: str) -> ValueError:
-    return ValueError(f"checkpoint header: {what}")
-
-
-def _expect(value, kinds, what: str):
-    """``value`` if it is an instance of ``kinds`` (bool never counts as a number)."""
-    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
-        raise _header_error(f"{what} has the wrong type ({type(value).__name__})")
-    return value
-
-
-def _config_from_header(header: dict) -> ModelConfig:
-    raw = _expect(header.get("model_config"), (dict,), "model_config")
-    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(ModelConfig)})
-    if unknown:
-        raise _header_error(f"unknown model_config keys {unknown}")
-    kw = {}
-    for f in dataclasses.fields(ModelConfig):
-        if f.name == "d_emb":
-            continue  # from the top-level d_emb: a word-vector file may set it at train time
-        if f.name not in raw:
-            raise _header_error(f"model_config.{f.name} is missing")
-        value = raw[f.name]
-        if f.name == "streams":
-            kw[f.name] = tuple(_expect(t, (str,), "model_config.streams entry")
-                               for t in _expect(value, (list,), "model_config.streams"))
-        elif isinstance(f.default, float):
-            kw[f.name] = float(_expect(value, (int, float), f"model_config.{f.name}"))
-        else:
-            kw[f.name] = _expect(value, (type(f.default),), f"model_config.{f.name}")
-    return ModelConfig(d_emb=_expect(header.get("d_emb"), (int,), "d_emb"), **kw)
+HEADER_FIELDS = ("model_config", "word_vocab", "answer_vocab", "d_region", "d_spatial", "d_emb",
+                 "blocks", "optimizer")
 
 
 def _model_from_header(header) -> tuple[Model, Adam | None]:
     """The model the header describes, with its blocks checked; plus the optimizer
     it records, with zero moments."""
-    _expect(header, (dict,), "header")
-    for key in ("model_config", "word_vocab", "answer_vocab", "d_region", "d_spatial",
-                "d_emb", "blocks", "optimizer"):
-        if key not in header:
-            raise _header_error(f"{key} is missing")
-    config = _config_from_header(header)
-    vocabs = [[_expect(w, (str,), f"{key} entry") for w in _expect(header[key], (list,), key)]
+    where = "checkpoint header"
+    if "optimizer" not in only_fields(header, where, HEADER_FIELDS):
+        raise SchemaError(f"{where}: missing field 'optimizer'")
+    # the top-level d_emb wins: a word-vector file may set it at train time
+    config = from_json(ModelConfig, {**require(header, "model_config", where, dict),
+                                     "d_emb": require(header, "d_emb", where, int)},
+                       f"{where}: model_config", required=True)
+    vocabs = [strings(require(header, key, where, list), f"{where}: field {key!r}")
               for key in ("word_vocab", "answer_vocab")]
-    model = Model(config, *vocabs, _expect(header["d_region"], (int,), "d_region"),
-                  _expect(header["d_spatial"], (int,), "d_spatial"), seed=0)
-    blocks = _expect(header["blocks"], (list,), "blocks")
-    if [b.get("name") if isinstance(b, dict) else None for b in blocks] != model.params.names():
+    model = Model(config, *vocabs, require(header, "d_region", where, int),
+                  require(header, "d_spatial", where, int), seed=0)
+    blocks = require(header, "blocks", where, list)
+    for i, b in enumerate(blocks):
+        only_fields(b, f"{where}: blocks[{i}]", ("name", "shape"))
+    if [b.get("name") for b in blocks] != model.params.names():
         raise ValueError("parameter blocks do not match this build")
     for b in blocks:
         if b.get("shape") != list(model.params[b["name"]].data.shape):
             raise ValueError(f"block {b['name']} has shape {b.get('shape')}, "
                              f"expected {list(model.params[b['name']].data.shape)}")
-    opt = header["optimizer"]
-    if opt is None:
+    if header["optimizer"] is None:
         return model, None
-    _expect(opt, (dict,), "optimizer")
-    for key in ("step", "lr", "beta1", "beta2", "eps"):
-        _expect(opt.get(key), (int,) if key == "step" else (int, float), f"optimizer.{key}")
-    if opt["step"] < 0:
-        raise _header_error(f"optimizer.step must be >= 0, got {opt['step']}")
-    try:
-        cfg = AdamConfig(lr=opt["lr"], beta1=opt["beta1"], beta2=opt["beta2"], eps=opt["eps"])
-    except ValueError as e:
-        raise _header_error(f"optimizer.{e}") from None
+    opt, where = header["optimizer"], f"{where}: optimizer"
+    step = require(opt, "step", where, int)
+    if step < 0:
+        raise SchemaError(f"{where}: step must be >= 0, got {step}")
+    cfg = from_json(AdamConfig, {k: v for k, v in opt.items() if k != "step"}, where,
+                    required=True)
     optimizer = Adam(model.params, cfg)
-    optimizer.step_count = opt["step"]
+    optimizer.step_count = step
     return model, optimizer
 
 
@@ -551,8 +520,8 @@ def _read_checkpoint(f) -> tuple[Model, Adam | None]:
     (hlen,) = struct.unpack("<Q", take(8, "header length"))
     try:
         header = json.loads(take(hlen, "header").decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise _header_error(f"not valid JSON ({e})") from None
+    except (ValueError, RecursionError) as e:  # also UnicodeDecodeError, deep nesting
+        raise SchemaError(f"checkpoint header: not valid JSON ({e})") from None
     model, optimizer = _model_from_header(header)
     for name, t in model.params.items():
         t.data[...] = np.frombuffer(take(t.data.size * 8, f"parameter block {name}"),

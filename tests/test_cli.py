@@ -425,9 +425,14 @@ class TestCorpusFiles:
         ({"feature_noise": float("nan")}, "feature_noise must be a finite value >= 0, got nan"),
         ({"feature_scale": 0.0}, "feature_scale must be a finite value > 0, got 0.0"),
         ({"feature_scale": float("inf")}, "feature_scale must be a finite value > 0, got inf"),
+        ({"categories": ["dog", "dog", "cat"]}, "categories holds a duplicate entry"),
+        ({"attributes": ["red", "red"]}, "attributes holds a duplicate entry"),
+        ({"relations": ["left", "left"]}, "relations holds a duplicate entry"),
+        ({"feature_noise": 10**400}, "field 'feature_noise' is out of the float range"),
     ], ids=["grid_size", "feature_noise", "categories", "not-an-object", "grid_size-0",
             "d_region-negative", "d_region-0", "d_spatial-0", "feature_noise-negative",
-            "feature_noise-nan", "feature_scale-0", "feature_scale-inf"])
+            "feature_noise-nan", "feature_scale-0", "feature_scale-inf", "categories-duplicate",
+            "attributes-duplicate", "relations-duplicate", "feature_noise-overflow"])
     def test_malformed_world_spec_exits_one(self, tmp_path, capsys, spec, message):
         spec_path = tmp_path / "world.json"
         spec_path.write_text(json.dumps(spec))
@@ -448,6 +453,36 @@ class TestCorpusFiles:
         assert rc == 1
         assert err.startswith(f"error: {field} must be >= 1, got {value}")
         assert not ckpt.exists()
+
+    @pytest.mark.parametrize("damage", ["truncated", "not-utf8", "nested-too-deep"])
+    @pytest.mark.parametrize("role", ["world-spec", "sample", "manifest", "corpus-sample"])
+    def test_undecodable_json_file_exits_one(self, cli_corpus, cli_config, tmp_path, capsys,
+                                             role, damage):
+        """A file that is cut short, not UTF-8 or nested deeper than the
+        decoder's recursion limit fails with an error naming it."""
+        data = tmp_path / "data"
+        shutil.copytree(cli_corpus, data)
+        bad = {"world-spec": tmp_path / "world.json", "sample": data / "samples" / "eval_0000.json",
+               "manifest": data / "eval.json",
+               "corpus-sample": data / "samples" / "eval_0000.json"}[role]
+        text = bad.read_bytes() if bad.exists() else b'{"grid_size": 3, "d_region": 8}'
+        bad.write_bytes({"truncated": text[:len(text) // 2],
+                         "not-utf8": text.replace(b'"', b'"\xff', 1),
+                         "nested-too-deep": b"[" * 10**5}[damage])
+        ckpt = tmp_path / "model.ckpt"
+        if role in ("manifest", "corpus-sample"):
+            assert main(["train", "--data", str(cli_corpus), "--config", cli_config,
+                         "--out", str(ckpt), "--log", str(tmp_path / "m.jsonl")]) == 0
+        argv = {"world-spec": ["gen-data", "--spec", str(bad), "--n", "3",
+                               "--out", str(tmp_path / "c")],
+                "sample": ["dump-leadgraph", "--sample", str(bad), "--stream", "ce",
+                           "--layer", "1"]}.get(role, ["eval", "--data", str(data),
+                                                       "--ckpt", str(ckpt)])
+        capsys.readouterr()
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {bad}: invalid JSON: ") and "Traceback" not in err
 
 
 class TestAblate:

@@ -1,0 +1,195 @@
+"""The input contract, property-based: any JSON mutation of a sample file, a
+manifest, a world spec or a checkpoint header either loads and runs, or
+fails with a typed error (``SchemaError`` or ``ValueError``), never with any
+other exception.
+
+Each test is parametrized by a field of the document (every object key, and
+the first entry of every list), and Hypothesis draws what happens there:
+the field is replaced by arbitrary JSON, deleted, or gains an extra key.
+"""
+
+import copy
+import json
+import math
+import os
+import struct
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from granalign.data import DEFAULT_WORLD, ToyWorldSpec, load_manifest
+from granalign.ingest import question_from_dict, scene_from_dict
+from granalign.model import Model, ModelConfig
+from granalign.training import Adam, load_checkpoint, save_checkpoint
+from conftest import load_fixture
+
+TINY = dict(d_model=8, d_emb=8, num_heads=2, num_layers=2, d_ff=16, max_len=64)
+SETTINGS = settings(derandomize=True, max_examples=15, deadline=None)
+
+_SCALARS = [st.none(), st.booleans(), st.text(max_size=6),
+            st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324])]
+
+
+def json_values(ints):
+    """Arbitrary JSON values whose integers come from ``ints``."""
+    return st.recursive(
+        st.one_of(ints, *_SCALARS),
+        lambda children: st.one_of(st.lists(children, max_size=4),
+                                   st.dictionaries(st.text(max_size=6), children, max_size=4)),
+        max_leaves=10)
+
+
+# Sizes drawn into a checkpoint header, a manifest or a world spec build
+# arrays of that size, so their integers stay small; a sample's may be huge.
+SMALL_JSON = json_values(st.integers(-64, 64))
+ANY_JSON = json_values(st.one_of(st.integers(-64, 64), st.integers(-10**400, 10**400)))
+
+
+def field_paths(doc, path=()):
+    """The path of every field of ``doc``: each object key, and the first entry
+    of each list."""
+    yield path
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from field_paths(value, path + (key,))
+    elif isinstance(doc, list) and doc:
+        yield from field_paths(doc[0], path + (0,))
+
+
+def mutations(doc, path, values):
+    """``doc`` with the field at ``path`` replaced by one of ``values``,
+    deleted (in an object) or, if it is an object, given an extra key."""
+
+    def apply(action, value, key):
+        out = copy.deepcopy(doc)
+        parent = out
+        for step in path[:-1]:
+            parent = parent[step]
+        node = parent[path[-1]] if path else out
+        if action == "add" and isinstance(node, dict):
+            node[key] = value
+        elif action == "delete" and path and isinstance(parent, dict):
+            del parent[path[-1]]
+        elif not path:
+            return value
+        else:
+            parent[path[-1]] = value
+        return out
+
+    return st.builds(apply, st.sampled_from(["replace", "delete", "add"]), values,
+                     st.text(max_size=6))
+
+
+def ids(paths):
+    return ["/".join(map(str, p)) or "root" for p in paths]
+
+
+GIRL_DOG = load_fixture("girl_dog.json")
+SAMPLE = {"id": "s0", "template": "attribute", "answer": "brown", **GIRL_DOG}
+MANIFEST = {"version": 1, "split": "train", "samples": ["s0.json"],
+            "word_vocab": ["what", "color", "is", "the", "girl", "dog", "brown", "left", "right"],
+            "answer_vocab": ["brown", "red", "yes", "no"],
+            "d_region": 4, "d_spatial": 4, "grid_size": 2}
+
+
+def girl_dog():
+    return scene_from_dict(GIRL_DOG["scene"]), question_from_dict(GIRL_DOG["question"])
+
+
+def runs_or_rejects(model, scene, question):
+    """``prepare`` raises a ValueError or gives finite logits."""
+    try:
+        prep = model.prepare(scene, question, 0)
+    except ValueError as e:
+        assert str(e)
+        return
+    assert np.isfinite(model.forward(prep).f_ga.data).all()
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+class TestCorpusFiles:
+    def check(self, workdir, sample, manifest):
+        (workdir / "s0.json").write_text(json.dumps(sample))
+        (workdir / "train.json").write_text(json.dumps(manifest))
+        try:
+            ds = load_manifest(str(workdir / "train.json"))
+        except ValueError as e:  # SchemaError is a ValueError
+            assert str(e)
+            return
+        model = Model(ModelConfig(**TINY), ds.word_vocab, ds.answer_vocab or ["x"],
+                      ds.d_region, ds.d_spatial)
+        for s in ds.samples:
+            runs_or_rejects(model, s.scene, s.question)
+
+    @pytest.mark.parametrize("path", list(field_paths(SAMPLE)), ids=ids(field_paths(SAMPLE)))
+    @SETTINGS
+    @given(data=st.data())
+    def test_sample_loads_and_runs_or_is_rejected(self, workdir, path, data):
+        self.check(workdir, data.draw(mutations(SAMPLE, path, ANY_JSON)), MANIFEST)
+
+    @pytest.mark.parametrize("path", list(field_paths(MANIFEST)),
+                             ids=ids(field_paths(MANIFEST)))
+    @SETTINGS
+    @given(data=st.data())
+    def test_manifest_loads_and_runs_or_is_rejected(self, workdir, path, data):
+        self.check(workdir, SAMPLE, data.draw(mutations(MANIFEST, path, SMALL_JSON)))
+
+    def test_the_unmutated_corpus_loads(self, workdir):
+        (workdir / "s0.json").write_text(json.dumps(SAMPLE))
+        (workdir / "train.json").write_text(json.dumps(MANIFEST))
+        assert len(load_manifest(str(workdir / "train.json"))) == 1
+
+
+WORLD = json.loads(json.dumps(DEFAULT_WORLD.to_dict()))  # as a spec file holds it
+
+
+class TestWorldSpec:
+    @pytest.mark.parametrize("path", list(field_paths(WORLD)), ids=ids(field_paths(WORLD)))
+    @SETTINGS
+    @given(data=st.data())
+    def test_loads_and_round_trips_or_is_rejected(self, path, data):
+        try:
+            spec = ToyWorldSpec.from_dict(data.draw(mutations(WORLD, path, SMALL_JSON)))
+        except ValueError as e:
+            assert str(e)
+            return
+        assert ToyWorldSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+        assert spec.word_vocab() and spec.answer_vocab()
+
+
+def saved_checkpoint():
+    """A tiny model's checkpoint, with Adam's record: its JSON header and the
+    bytes before and after it."""
+    model = Model(ModelConfig(**TINY), MANIFEST["word_vocab"], MANIFEST["answer_vocab"], 4, 4)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "good.ckpt")
+        save_checkpoint(path, model, Adam(model.params))
+        with open(path, "rb") as f:
+            blob = f.read()
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    return json.loads(blob[16:16 + hlen]), blob[:8], blob[16 + hlen:]
+
+
+HEADER, HEAD, BODY = saved_checkpoint()
+
+
+class TestCheckpointHeader:
+    @pytest.mark.parametrize("path", list(field_paths(HEADER)), ids=ids(field_paths(HEADER)))
+    @SETTINGS
+    @given(data=st.data())
+    def test_loads_and_runs_or_raises_a_value_error_naming_the_file(self, workdir, path, data):
+        raw = json.dumps(data.draw(mutations(HEADER, path, SMALL_JSON))).encode("utf-8")
+        file = workdir / "mutated.ckpt"
+        file.write_bytes(HEAD + struct.pack("<Q", len(raw)) + raw + BODY)
+        try:
+            model, _ = load_checkpoint(str(file))
+        except ValueError as e:
+            assert str(e).startswith(f"{file}: ")
+            return
+        runs_or_rejects(model, *girl_dog())

@@ -99,6 +99,12 @@ class TestModelConfig:
         with pytest.raises(ValueError, match=f"{field} must be >= 1, got {value}"):
             ModelConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["eps_norm", "eps_row"])
+    @pytest.mark.parametrize("value", [0.0, -1e-5, float("nan"), float("inf")])
+    def test_epsilons_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a finite value > 0, got {value}"):
+            ModelConfig(**{field: value})
+
 
 class TestPrepare:
     def test_graphs_cover_configured_streams(self, girl_dog):

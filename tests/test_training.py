@@ -459,7 +459,8 @@ class TestStrictCheckpoint:
 
     def test_missing_d_emb(self, saved):
         tmp_path, blob, _, _ = saved
-        self.rejects(tmp_path, write_header(blob, lambda h: h.pop("d_emb")), "d_emb is missing")
+        self.rejects(tmp_path, write_header(blob, lambda h: h.pop("d_emb")),
+                     "checkpoint header: missing field 'd_emb'")
 
     def test_trailing_bytes(self, saved):
         tmp_path, blob, _, _ = saved
@@ -473,20 +474,45 @@ class TestStrictCheckpoint:
         assert cut < len(blob)
         self.rejects(tmp_path, blob[:cut], f"truncated checkpoint: file ends inside the {where}")
 
+    # The cases whose messages changed wording keep the ids the suite has
+    # always listed them under.
     @pytest.mark.parametrize("edit, match", [
-        (lambda h: h.update(d_region="4"), "d_region has the wrong type"),
-        (lambda h: h["model_config"].update(use_lead_graphs=1), "use_lead_graphs has the wrong"),
-        (lambda h: h["model_config"].update(extra=1), "unknown model_config keys"),
-        (lambda h: h["model_config"].pop("pooling"), "pooling is missing"),
+        pytest.param(lambda h: h.update(d_region="4"),
+                     "field 'd_region' must be an integer, got str",
+                     id="<lambda>-d_region has the wrong type"),
+        pytest.param(lambda h: h["model_config"].update(use_lead_graphs=1),
+                     "model_config: field 'use_lead_graphs' must be a boolean, got int",
+                     id="<lambda>-use_lead_graphs has the wrong"),
+        pytest.param(lambda h: h["model_config"].update(extra=1),
+                     r"model_config: unknown fields \['extra'\]",
+                     id="<lambda>-unknown model_config keys"),
+        pytest.param(lambda h: h["model_config"].pop("pooling"),
+                     "model_config: missing field 'pooling'", id="<lambda>-pooling is missing"),
         (lambda h: h["blocks"][3].update(shape=[1]), "has shape"),
         (lambda h: h["blocks"].pop(), "do not match"),
-        (lambda h: h["optimizer"].update(step=1.5), "optimizer.step"),
+        pytest.param(lambda h: h["optimizer"].update(step=1.5),
+                     "optimizer: field 'step' must be an integer, got float",
+                     id="<lambda>-optimizer.step"),
         (lambda h: h.update(word_vocab="abc"), "word_vocab"),
-        (lambda h: h["optimizer"].update(lr=-1.0), "optimizer.lr must be > 0"),
-        (lambda h: h["optimizer"].update(beta1=7.0), r"optimizer.beta1 must lie in \[0, 1\)"),
-        (lambda h: h["optimizer"].update(beta2=1.0), r"optimizer.beta2 must lie in \[0, 1\)"),
-        (lambda h: h["optimizer"].update(eps=0.0), "optimizer.eps must be > 0"),
-        (lambda h: h["optimizer"].update(step=-1), "optimizer.step must be >= 0"),
+        pytest.param(lambda h: h["optimizer"].update(lr=-1.0), "optimizer: lr must be > 0",
+                     id="<lambda>-optimizer.lr must be > 0"),
+        pytest.param(lambda h: h["optimizer"].update(beta1=7.0),
+                     r"optimizer: beta1 must lie in \[0, 1\)",
+                     id=r"<lambda>-optimizer.beta1 must lie in \[0, 1\)"),
+        pytest.param(lambda h: h["optimizer"].update(beta2=1.0),
+                     r"optimizer: beta2 must lie in \[0, 1\)",
+                     id=r"<lambda>-optimizer.beta2 must lie in \[0, 1\)"),
+        pytest.param(lambda h: h["optimizer"].update(eps=0.0), "optimizer: eps must be > 0",
+                     id="<lambda>-optimizer.eps must be > 0"),
+        pytest.param(lambda h: h["optimizer"].update(step=-1), "optimizer: step must be >= 0",
+                     id="<lambda>-optimizer.step must be >= 0"),
+        (lambda h: h.update(extra=1), r"checkpoint header: unknown fields \['extra'\]"),
+        (lambda h: h["optimizer"].update(extra=1), r"optimizer: unknown fields \['extra'\]"),
+        (lambda h: h["blocks"][0].update(extra=1), r"blocks\[0\]: unknown fields \['extra'\]"),
+        (lambda h: h["model_config"].update(eps_norm=float("nan")),
+         "model_config: eps_norm must be a finite value > 0, got nan"),
+        (lambda h: h["model_config"].update(eps_row=0),
+         "model_config: eps_row must be a finite value > 0, got 0.0"),
     ])
     def test_header_keys_types_and_blocks(self, saved, edit, match):
         tmp_path, blob, _, _ = saved
@@ -505,6 +531,11 @@ class TestStrictCheckpoint:
     def test_header_not_json(self, saved):
         tmp_path, blob, params_at, _ = saved
         self.rejects(tmp_path, blob[:16] + b"{" * (params_at - 16) + blob[params_at:], "JSON")
+
+    def test_header_nested_too_deep(self, saved):
+        tmp_path, blob, params_at, _ = saved
+        self.rejects(tmp_path, blob[:16] + b"[" * (params_at - 16) + blob[params_at:],
+                     "not valid JSON")
 
     def test_good_file_still_loads(self, saved):
         tmp_path, blob, _, _ = saved
