@@ -336,16 +336,29 @@ class Parameters:
     """Insertion-ordered registry of named trainable tensors.
 
     Block names are the unit of checkpointing and gradient checking, so
-    every trainable array in a model must be created through ``new``.
+    every trainable array in a model must be created through ``new``. The
+    first use of ``flat`` packs them into one vector; then each block's
+    ``data`` is a view into it and no block can be added. ``new`` checks each
+    block against ``layout``, a ``(name, shape)`` list, before drawing it.
     """
 
-    def __init__(self):
+    def __init__(self, layout: Sequence[tuple[str, list[int]]] | None = None):
         self._blocks: dict[str, Tensor] = {}
+        self._layout = layout
+        self._flat: np.ndarray | None = None
 
     def new(self, name: str, shape: Sequence[int], init: str, rng: np.random.Generator) -> Tensor:
+        if self._flat is not None:
+            raise ValueError(f"cannot add parameter block {name!r}: the blocks are packed")
         if name in self._blocks:
             raise ValueError(f"parameter block {name!r} already exists")
         shape = tuple(int(s) for s in shape)
+        if self._layout is not None:
+            i = len(self._blocks)
+            listed = self._layout[i] if i < len(self._layout) else "no block"
+            if listed != (name, list(shape)):
+                raise ValueError(f"parameter blocks do not match this build: block {i} is "
+                                 f"{(name, list(shape))}, listed as {listed}")
         if init == "linear":
             # fan_in is the first axis: weights are stored [in, out]
             bound = 1.0 / np.sqrt(max(shape[0], 1))
@@ -361,6 +374,33 @@ class Parameters:
         t = Tensor(data, requires_grad=True)
         self._blocks[name] = t
         return t
+
+    @property
+    def flat(self) -> np.ndarray:
+        """Every block's values in registration order, in one float64 vector."""
+        if self._flat is None:
+            if self._layout is not None and len(self._layout) != len(self._blocks):
+                raise ValueError(f"parameter blocks do not match this build: "
+                                 f"{len(self._layout)} listed, {len(self._blocks)} built")
+            blocks = self.tensors()
+            self._bounds = np.cumsum([0] + [t.data.size for t in blocks]).tolist()
+            self._flat = np.concatenate([np.empty(0)] + [t.data for t in blocks], axis=None)
+            for t, view in zip(blocks, self.views(self._flat).values()):
+                t.data = view
+        return self._flat
+
+    def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """One shaped view per block of ``vector``, which has the layout of ``flat``."""
+        if vector.shape != self.flat.shape:
+            raise ValueError(f"shape {vector.shape} is not the layout of {self.flat.size} values")
+        return {name: vector[a:b].reshape(t.data.shape) for (name, t), a, b
+                in zip(self._blocks.items(), self._bounds, self._bounds[1:])}
+
+    def block_at(self, index: int) -> str:
+        """Name of the block that holds element ``index`` of ``flat``."""
+        if not 0 <= index < self.flat.size:
+            raise IndexError(f"element {index} is outside the {self.flat.size} values")
+        return self.names()[int(np.searchsorted(self._bounds, index, side="right")) - 1]
 
     def __getitem__(self, name: str) -> Tensor:
         return self._blocks[name]

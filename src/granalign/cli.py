@@ -125,8 +125,6 @@ def cmd_train(args) -> int:
     finally:
         if out is not sys.stdout:
             out.close()
-    if args.out and cfg.epochs == 0:
-        training.save_checkpoint(args.out, model, trainer.optimizer)
     return 0
 
 

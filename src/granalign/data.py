@@ -96,6 +96,9 @@ class ToyWorldSpec:
             raise ValueError("objects_max exceeds the number of grid cells")
         if not self.templates or any(t not in TEMPLATES for t in self.templates):
             raise ValueError(f"templates must be a nonempty subset of {TEMPLATES}")
+        if set(self.templates) == {"relation"} and self.objects_max < 2:
+            raise ValueError("a relation question needs two objects: relation-only "
+                             "templates need objects_max >= 2")
 
     def word_vocab(self) -> list[str]:
         words = ["what", "color", "is", "the", "there", "a"]
@@ -302,7 +305,8 @@ def gen_samples(spec: ToyWorldSpec, n: int, seed_seq: np.random.SeedSequence,
             if candidates:
                 break
         else:
-            raise RuntimeError("could not generate a solvable scene; check the world spec")
+            raise ValueError("could not generate a solvable scene in 1000 draws; "
+                             "check the world spec")
         template = sorted(candidates)[int(rng.integers(len(candidates)))]
         items = candidates[template]
         choice = items[int(rng.integers(len(items)))]

@@ -160,7 +160,8 @@ class Model:
 
     def __init__(self, config: ModelConfig, word_vocab: Sequence[str],
                  answer_vocab: Sequence[str], d_region: int, d_spatial: int,
-                 seed: int = 0, word_vector_file=None):
+                 seed: int = 0, word_vector_file=None,
+                 layout: Sequence[tuple[str, list[int]]] | None = None):
         self.config = config
         self.vocab = Vocab(word_vocab)
         self.answer_vocab = list(answer_vocab)
@@ -168,7 +169,7 @@ class Model:
             raise ValueError("answer vocabulary is empty")
         self.d_region = int(d_region)
         self.d_spatial = int(d_spatial)
-        self.params = ad.Parameters()
+        self.params = ad.Parameters(layout)
         self._build_params(np.random.default_rng(seed), word_vector_file)
 
     @property
@@ -182,20 +183,16 @@ class Model:
         p = self.params
         d, c = cfg.d_model, self.n_answers
 
+        words, vectors = [], np.zeros((0, cfg.d_emb))
         if word_vector_file is not None:
             words, vectors = ingest.load_word_vectors(word_vector_file)
-            d_emb = vectors.shape[1]
-            table = rng.normal(0.0, 0.02, size=(self.vocab.size, d_emb))
-            by_word = {w: i for i, w in enumerate(words)}
-            for i, w in enumerate(self.vocab.words):
-                if w in by_word:
-                    table[i + 1] = vectors[by_word[w]]
-            self.d_emb = d_emb
-            t = p.new("embed.table", (self.vocab.size, d_emb), "zeros", rng)
-            t.data[:] = table
-        else:
-            self.d_emb = cfg.d_emb
-            p.new("embed.table", (self.vocab.size, cfg.d_emb), "embed", rng)
+        self.d_emb = vectors.shape[1]
+        # the word vectors replace the random rows of the words they cover
+        table = p.new("embed.table", (self.vocab.size, self.d_emb), "embed", rng).data
+        by_word = {w: i for i, w in enumerate(words)}
+        for i, w in enumerate(self.vocab.words):
+            if w in by_word:
+                table[i + 1] = vectors[by_word[w]]
 
         def mlp(prefix):
             p.new(f"{prefix}.w1", (self.d_emb, d), "linear", rng)

@@ -49,47 +49,29 @@ class AdamConfig:
 
 
 class Adam:
-    """Standard Adam with bias correction over named parameter blocks.
+    """Standard Adam with bias correction over ``params.flat``.
 
-    Both moments live in one flat float64 vector each, in parameter
-    registration order; ``m[name]`` and ``v[name]`` are reshaped views into
-    them. A step concatenates the gradients once and updates the moments in
-    place, ``ADAM_CHUNK`` elements at a time through one small scratch
-    buffer, with the same elementwise operations in the same order as the
-    per-block textbook update, so the results are bitwise the same.
+    The moments are flat vectors of the same layout, with per-block views
+    ``m[name]`` and ``v[name]``. A step updates them and the parameters in
+    place, ``ADAM_CHUNK`` elements at a time, with the elementwise operations
+    of the per-block textbook update in the same order: bitwise the same.
     """
 
     def __init__(self, params: ad.Parameters, cfg: AdamConfig | None = None):
         self.params = params
         self.cfg = cfg or AdamConfig()
         self.step_count = 0
-        self._tensors = params.tensors()
-        self._bounds = np.cumsum([0] + [t.data.size for t in self._tensors]).tolist()
-        size = self._bounds[-1]
-        self.m_flat = np.zeros(size)
-        self.v_flat = np.zeros(size)
+        self.m_flat, self.v_flat = np.zeros((2, params.flat.size))
+        self.m, self.v = params.views(self.m_flat), params.views(self.v_flat)
+        self._scratch = np.empty((2, min(params.flat.size, ADAM_CHUNK)))
 
-        def views(flat: np.ndarray) -> dict[str, np.ndarray]:
-            return {name: flat[a:b].reshape(t.data.shape) for (name, t), a, b
-                    in zip(params.items(), self._bounds, self._bounds[1:])}
-
-        self.m, self.v = views(self.m_flat), views(self.v_flat)
-        self._scratch = np.empty(min(size, ADAM_CHUNK))
-
-    def step(self, grads: dict[str, np.ndarray]) -> None:
-        """One update from a gradient map naming every block; raises on
-        non-finite gradients before any state changes."""
-        if grads.keys() != self.m.keys():
-            odd = [n for n in self.m if n not in grads] or sorted(set(grads) - set(self.m))
-            raise ValueError(f"gradient map does not match the parameter blocks "
-                             f"(first mismatch {odd[0]!r})")
-        g = np.concatenate([grads[name] for name in self.m], axis=None)
-        if g.size != self.m_flat.size:
-            bad = next(n for n in self.m if np.size(grads[n]) != self.m[n].size)
-            raise ValueError(f"gradient for parameter block {bad!r} has "
-                             f"{np.size(grads[bad])} values, expected {self.m[bad].size}")
+    def step(self, g: np.ndarray) -> None:
+        """One update from the flat gradient ``g``, which is left unchanged;
+        raises on a wrong shape or a non-finite value before any state changes."""
+        if g.shape != self.m_flat.shape:
+            raise ValueError(f"gradient shape {g.shape} is not the flat shape {self.m_flat.shape}")
         if not np.isfinite(g).all():
-            bad = next(n for n in self.m if not np.isfinite(grads[n]).all())
+            bad = self.params.block_at(int(np.argmin(np.isfinite(g))))
             raise FloatingPointError(
                 f"non-finite gradient in parameter block {bad!r}; training halted")
         c = self.cfg
@@ -100,21 +82,19 @@ class Adam:
         for start in range(0, g.size, ADAM_CHUNK):
             part = slice(start, start + ADAM_CHUNK)
             gc, m, v = g[part], self.m_flat[part], self.v_flat[part]
-            tmp = self._scratch[:gc.size]
+            tmp, upd = self._scratch[:, :gc.size]
             m *= c.beta1
             m += np.multiply(1.0 - c.beta1, gc, out=tmp)
             v *= c.beta2
             np.multiply(1.0 - c.beta2, gc, out=tmp)
             v += np.multiply(tmp, gc, out=tmp)
-            # gc becomes the update lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            # upd becomes lr * (m / bc1) / (sqrt(v / bc2) + eps)
             np.sqrt(np.divide(v, bc2, out=tmp), out=tmp)
             tmp += c.eps
-            np.divide(m, bc1, out=gc)
-            gc *= c.lr
-            gc /= tmp
-        for tensor, a, b in zip(self._tensors, self._bounds, self._bounds[1:]):
-            data = tensor.data
-            data -= g[a:b].reshape(data.shape)
+            np.divide(m, bc1, out=upd)
+            upd *= c.lr
+            upd /= tmp
+            self.params.flat[part] -= upd
 
 
 @dataclass
@@ -148,12 +128,12 @@ def loss_value(model: Model, prep: PreparedSample) -> float:
     return float(model.loss(bundle, prep.answer_index).data)
 
 
-def _clip(grads: dict[str, np.ndarray], max_norm: float) -> None:
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+def _clip(params: ad.Parameters, g: np.ndarray, max_norm: float) -> None:
+    """Scale the flat gradient ``g`` in place to norm at most ``max_norm``. The
+    norm sums block by block, so its rounding is that of the per-block path."""
+    total = np.sqrt(sum(float(np.sum(b * b)) for b in params.views(g).values()))
     if total > max_norm:
-        factor = max_norm / total
-        for name, g in grads.items():
-            grads[name] = g * factor  # tape gradients may share memory; scale copies
+        g *= max_norm / total
 
 
 def _accuracy_update(counts: dict[str, int], bundle: LogitsBundle, answers: list[int],
@@ -202,15 +182,14 @@ class Trainer:
                 bundle = model.forward_batch(batch)
                 losses = model.loss(bundle, answers)
                 loss = ad.scale(ad.sum_all(losses), 1.0 / len(batch))
-            grads = dict(zip(model.params.names(),
-                             tape.gradients(loss, model.params.tensors())))
+            g = np.concatenate(tape.gradients(loss, model.params.tensors()), axis=None)
             del tape
             for value in losses.data.tolist():
                 loss_sum += value
             _accuracy_update(counts, bundle, answers, bundle.averaged_argmax())
             if cfg.grad_clip is not None:
-                _clip(grads, cfg.grad_clip)
-            self.optimizer.step(grads)
+                _clip(model.params, g, cfg.grad_clip)
+            self.optimizer.step(g)
         self.epoch += 1
         n = len(self.prepared)
         record = {"epoch": self.epoch, "loss": loss_sum / n}
@@ -218,9 +197,10 @@ class Trainer:
         return record
 
     def fit(self, metrics_out=None, checkpoint_path: str | None = None) -> list[dict]:
-        """cfg.epochs passes; logs one JSON object per epoch, checkpoints on schedule."""
+        """cfg.epochs passes; logs one JSON object per epoch, checkpoints on
+        schedule and once at the end, also after zero epochs."""
         history = []
-        for _ in range(self.cfg.epochs):
+        for i in range(self.cfg.epochs):
             record = self.run_epoch()
             history.append(record)
             if metrics_out is not None:
@@ -228,8 +208,10 @@ class Trainer:
                 metrics_out.flush()
             due = (self.cfg.checkpoint_interval
                    and self.epoch % self.cfg.checkpoint_interval == 0)
-            if checkpoint_path and (due or self.epoch == self.cfg.epochs):
+            if checkpoint_path and due and i + 1 < self.cfg.epochs:
                 save_checkpoint(checkpoint_path, self.model, self.optimizer)
+        if checkpoint_path:
+            save_checkpoint(checkpoint_path, self.model, self.optimizer)
         return history
 
 
@@ -419,13 +401,11 @@ CKPT_VERSION = 1
 
 
 def save_checkpoint(path: str, model: Model, optimizer: Adam | None = None) -> None:
-    """Binary container: magic, version, JSON header, raw little-endian blocks.
+    """Binary container: magic, version, JSON header, raw little-endian float64s.
 
-    Blocks follow header order: each parameter's float64 bytes, then, if
-    optimizer state is present, its first- and second-moment blocks in the
-    same order.
+    After the header come ``params.flat`` and, if optimizer state is present,
+    its first- and second-moment vectors: each block in header order, three times.
     """
-    names = model.params.names()
     header = {
         "model_config": dataclasses.asdict(model.config),
         "word_vocab": list(model.vocab.words),
@@ -433,22 +413,22 @@ def save_checkpoint(path: str, model: Model, optimizer: Adam | None = None) -> N
         "d_region": model.d_region,
         "d_spatial": model.d_spatial,
         "d_emb": model.d_emb,
-        "blocks": [{"name": n, "shape": list(model.params[n].data.shape)} for n in names],
+        "blocks": [{"name": n, "shape": list(t.data.shape)} for n, t in model.params.items()],
         "optimizer": None,
     }
     if optimizer is not None:
         header["optimizer"] = {"step": optimizer.step_count, **dataclasses.asdict(optimizer.cfg)}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<I", CKPT_VERSION))
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        for n in names:
-            f.write(np.ascontiguousarray(model.params[n].data, dtype="<f8").tobytes())
-        if optimizer is not None:
-            for flat in (optimizer.m_flat, optimizer.v_flat):
-                f.write(flat.astype("<f8", copy=False))
+        f.write(CKPT_MAGIC + struct.pack("<IQ", CKPT_VERSION, len(blob)) + blob)
+        for _, flat in _sections(model.params, optimizer):
+            f.write(flat.astype("<f8", copy=False))
+
+
+def _sections(params: ad.Parameters, optimizer: Adam | None) -> list[tuple[str, np.ndarray]]:
+    """The flat vectors a checkpoint holds after its header, in file order."""
+    vectors = [params.flat] + ([] if optimizer is None else [optimizer.m_flat, optimizer.v_flat])
+    return list(zip(("parameter", "optimizer first-moment", "optimizer second-moment"), vectors))
 
 
 HEADER_FIELDS = ("model_config", "word_vocab", "answer_vocab", "d_region", "d_spatial", "d_emb",
@@ -456,8 +436,8 @@ HEADER_FIELDS = ("model_config", "word_vocab", "answer_vocab", "d_region", "d_sp
 
 
 def _model_from_header(header) -> tuple[Model, Adam | None]:
-    """The model the header describes, with its blocks checked; plus the optimizer
-    it records, with zero moments."""
+    """The model the header describes, built block by block against the header's
+    list; plus the optimizer it records, with zero moments."""
     where = "checkpoint header"
     if "optimizer" not in only_fields(header, where, HEADER_FIELDS):
         raise SchemaError(f"{where}: missing field 'optimizer'")
@@ -467,17 +447,13 @@ def _model_from_header(header) -> tuple[Model, Adam | None]:
                        f"{where}: model_config", required=True)
     vocabs = [strings(require(header, key, where, list), f"{where}: field {key!r}")
               for key in ("word_vocab", "answer_vocab")]
-    model = Model(config, *vocabs, require(header, "d_region", where, int),
-                  require(header, "d_spatial", where, int), seed=0)
     blocks = require(header, "blocks", where, list)
     for i, b in enumerate(blocks):
         only_fields(b, f"{where}: blocks[{i}]", ("name", "shape"))
-    if [b.get("name") for b in blocks] != model.params.names():
-        raise ValueError("parameter blocks do not match this build")
-    for b in blocks:
-        if b.get("shape") != list(model.params[b["name"]].data.shape):
-            raise ValueError(f"block {b['name']} has shape {b.get('shape')}, "
-                             f"expected {list(model.params[b['name']].data.shape)}")
+    # the build stops at the first block the header does not list
+    model = Model(config, *vocabs, require(header, "d_region", where, int),
+                  require(header, "d_spatial", where, int), seed=0,
+                  layout=[(b.get("name"), b.get("shape")) for b in blocks])
     if header["optimizer"] is None:
         return model, None
     opt, where = header["optimizer"], f"{where}: optimizer"
@@ -523,24 +499,14 @@ def _read_checkpoint(f) -> tuple[Model, Adam | None]:
     except (ValueError, RecursionError) as e:  # also UnicodeDecodeError, deep nesting
         raise SchemaError(f"checkpoint header: not valid JSON ({e})") from None
     model, optimizer = _model_from_header(header)
-    for name, t in model.params.items():
-        t.data[...] = np.frombuffer(take(t.data.size * 8, f"parameter block {name}"),
-                                    dtype="<f8").reshape(t.data.shape)
-
-    def read_flat(section: str, flat: np.ndarray, blocks: dict[str, np.ndarray]) -> None:
-        """One read of a whole moment vector, naming the block a short file ends in."""
+    for section, flat in _sections(model.params, optimizer):
         have = (end - f.tell()) // 8
         if have < flat.size:
-            name = next(n for n, stop in zip(blocks, np.cumsum([b.size for b in blocks.values()]))
-                        if have < stop)
-            raise ValueError(f"truncated checkpoint: file ends inside the {section} block {name}")
+            raise ValueError(f"truncated checkpoint: file ends inside the {section} block "
+                             f"{model.params.block_at(have)}")
         f.readinto(flat)
         if sys.byteorder == "big":
             flat.byteswap(inplace=True)  # the file is little-endian
-
-    if optimizer is not None:
-        read_flat("optimizer first-moment", optimizer.m_flat, optimizer.m)
-        read_flat("optimizer second-moment", optimizer.v_flat, optimizer.v)
     if f.tell() != end:
         raise ValueError(f"{end - f.tell()} trailing bytes after the last block")
     return model, optimizer

@@ -3,6 +3,7 @@
 import ast
 import inspect
 import pathlib
+import re
 import weakref
 
 import numpy as np
@@ -402,6 +403,80 @@ class TestParameters:
         p = ad.Parameters()
         t = p.new("w", (2,), "zeros", np.random.default_rng(0))
         assert t.requires_grad
+
+    @staticmethod
+    def three_blocks(layout=None):
+        """Blocks of 2x3, 0 and 4 values."""
+        p = ad.Parameters(layout)
+        rng = np.random.default_rng(5)
+        p.new("a", (2, 3), "linear", rng)
+        p.new("empty", (0,), "zeros", rng)
+        p.new("c", (4,), "embed", rng)
+        return p
+
+    def test_blocks_are_views_of_flat_at_registration_offsets(self):
+        p = self.three_blocks()
+        before = [t.data.copy() for t in p.tensors()]
+        flat = p.flat
+        assert flat.dtype == np.float64 and flat.shape == (10,)
+        assert flat.tobytes() == b"".join(b.tobytes() for b in before)
+        for (name, t), b in zip(p.items(), before):
+            assert t.data.shape == b.shape and t.data.flags.c_contiguous, name
+            assert t.data.base is flat, name
+        for name, start in (("a", 0), ("c", 6)):  # an empty view has no meaningful address
+            offset = (p[name].data.__array_interface__["data"][0]
+                      - flat.__array_interface__["data"][0])
+            assert offset == 8 * start, name
+        flat[7] = 42.0
+        assert p["c"].data[1] == 42.0
+        assert p.flat is flat
+
+    def test_new_raises_after_packing(self):
+        p = self.three_blocks()
+        p.flat
+        with pytest.raises(ValueError, match="'d'.*packed"):
+            p.new("d", (1,), "zeros", np.random.default_rng(0))
+        assert p.names() == ["a", "empty", "c"]
+
+    def test_block_at_is_right_at_block_boundaries(self):
+        p = self.three_blocks()
+        assert [p.block_at(i) for i in (0, 5, 6, 9)] == ["a", "a", "c", "c"]
+        for i in (-1, 10):
+            with pytest.raises(IndexError):
+                p.block_at(i)
+
+    def test_views_share_the_given_vector(self):
+        p = self.three_blocks()
+        g = np.arange(10.0)
+        views = p.views(g)
+        assert list(views) == ["a", "empty", "c"]
+        assert views["a"].tolist() == [[0, 1, 2], [3, 4, 5]] and views["c"].tolist() == [6, 7, 8, 9]
+        views["c"][0] = -1.0
+        assert g[6] == -1.0
+        with pytest.raises(ValueError, match="layout"):
+            p.views(np.zeros(9))
+
+    def test_layout_is_checked_before_each_draw(self):
+        rng = np.random.default_rng(0)
+        p = ad.Parameters([("a", [2])])
+        with pytest.raises(ValueError, match=re.escape(
+                "block 0 is ('b', [2]), listed as ('a', [2])")):
+            p.new("b", (2,), "linear", rng)
+        with pytest.raises(ValueError, match=re.escape(
+                "block 0 is ('a', [3]), listed as ('a', [2])")):
+            p.new("a", (3,), "linear", rng)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+        p.new("a", (2,), "linear", rng)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=re.escape("block 1 is ('c', [2]), listed as no block")):
+            p.new("c", (2,), "linear", rng)
+        assert rng.bit_generator.state == state
+
+    def test_layout_with_a_block_missing_fails_to_pack(self):
+        layout = [("a", [2, 3]), ("empty", [0]), ("c", [4]), ("d", [1])]
+        with pytest.raises(ValueError, match="4 listed, 3 built"):
+            self.three_blocks(layout).flat
+        assert self.three_blocks(layout[:3]).flat.size == 10
 
 
 class TestExports:

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from granalign.cli import main, parse_config_file
-from granalign.data import DEFAULT_WORLD, ToyWorldSpec, gen_corpus
+from granalign.data import DEFAULT_WORLD, ToyWorldSpec, gen_corpus, load_manifest
+from granalign.model import Model, ModelConfig
+from granalign.training import load_checkpoint
 from conftest import fixture_path
 
 SMALL_CONFIG = """\
@@ -139,6 +141,21 @@ class TestTrainEval:
         report = json.loads(capsys.readouterr().out)
         assert report["n"] == 4
         assert 0.0 <= report["acc_avg"] <= 1.0
+
+    def test_zero_epochs_writes_the_seeded_initial_checkpoint(self, cli_corpus, tmp_path):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(SMALL_CONFIG.replace("epochs = 2", "epochs = 0"))
+        ckpt, log = tmp_path / "model.ckpt", tmp_path / "metrics.jsonl"
+        rc = main(["train", "--data", str(cli_corpus), "--config", str(cfg),
+                   "--out", str(ckpt), "--log", str(log)])
+        assert rc == 0 and log.read_text() == ""
+        model, opt = load_checkpoint(str(ckpt))
+        assert opt.step_count == 0 and not opt.m_flat.any() and not opt.v_flat.any()
+        model_kw, train_kw, _ = parse_config_file(str(cfg))
+        ds = load_manifest(str(cli_corpus / "train.json"))
+        seeded = Model(ModelConfig(**model_kw), ds.word_vocab, ds.answer_vocab,
+                       ds.d_region, ds.d_spatial, seed=train_kw["seed"])
+        assert model.params.flat.tobytes() == seeded.params.flat.tobytes()
 
     def test_eval_on_train_split(self, cli_corpus, cli_config, tmp_path, capsys):
         ckpt = tmp_path / "model.ckpt"
@@ -429,10 +446,13 @@ class TestCorpusFiles:
         ({"attributes": ["red", "red"]}, "attributes holds a duplicate entry"),
         ({"relations": ["left", "left"]}, "relations holds a duplicate entry"),
         ({"feature_noise": 10**400}, "field 'feature_noise' is out of the float range"),
+        ({"templates": ["relation"], "objects_min": 1, "objects_max": 1},
+         "relation-only templates need objects_max >= 2"),
     ], ids=["grid_size", "feature_noise", "categories", "not-an-object", "grid_size-0",
             "d_region-negative", "d_region-0", "d_spatial-0", "feature_noise-negative",
             "feature_noise-nan", "feature_scale-0", "feature_scale-inf", "categories-duplicate",
-            "attributes-duplicate", "relations-duplicate", "feature_noise-overflow"])
+            "attributes-duplicate", "relations-duplicate", "feature_noise-overflow",
+            "relation-only-one-object"])
     def test_malformed_world_spec_exits_one(self, tmp_path, capsys, spec, message):
         spec_path = tmp_path / "world.json"
         spec_path.write_text(json.dumps(spec))

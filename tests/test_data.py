@@ -115,6 +115,11 @@ class TestGeneration:
         assert len(samples) == 5
         assert [s.sample_id for s in samples] == [f"train_{i:04d}" for i in range(5)]
 
+    def test_running_out_of_redraws_is_a_value_error(self, monkeypatch):
+        monkeypatch.setattr(data, "_question_candidates", lambda spec, scene: {})
+        with pytest.raises(ValueError, match="could not generate a solvable scene"):
+            gen_samples(DEFAULT_WORLD, 1, np.random.SeedSequence([3]), "train")
+
     def test_generation_is_seed_deterministic(self):
         a = gen_samples(DEFAULT_WORLD, 8, np.random.SeedSequence([9]), "x")
         b = gen_samples(DEFAULT_WORLD, 8, np.random.SeedSequence([9]), "x")

@@ -331,6 +331,17 @@ class TestVariants:
         bundle = model.forward(prep)
         assert bundle.f_ga.data.shape == (len(ANSWERS),)
 
+    def test_word_vectors_change_only_the_matched_embedding_rows(self, girl_dog):
+        path = fixture_path("wordvecs.txt")
+        seeded, _ = make_model(girl_dog, seed=4, word_vector_file=path)
+        plain, _ = make_model(girl_dog, seed=4, d_emb=3)
+        for name, t in plain.params.items():
+            if name != "embed.table":
+                assert seeded.params[name].data.tobytes() == t.data.tobytes(), name
+        changed = (seeded.params["embed.table"].data != plain.params["embed.table"].data)
+        matched = [seeded.vocab.words.index(w) + 1 for w in ("girl", "dog", "brown", "left")]
+        assert np.flatnonzero(changed.any(axis=1)).tolist() == sorted(matched)
+
     def test_unknown_pooling_rejected(self):
         with pytest.raises(ValueError):
             small_config(pooling="max")

@@ -58,21 +58,21 @@ class TestAdam:
     def test_first_step_moves_by_about_lr(self):
         params, t = self.setup_params()
         opt = Adam(params, AdamConfig(lr=0.1))
-        opt.step({"w": np.ones(3)})
+        opt.step(np.ones(3))
         # bias-corrected first step is lr * g / (|g| + eps) regardless of scale
         np.testing.assert_allclose(t.data, 1.0 - 0.1, atol=1e-6)
 
     def test_zero_gradient_leaves_parameter_unchanged(self):
         params, t = self.setup_params()
         opt = Adam(params, AdamConfig(lr=0.1))
-        opt.step({"w": np.zeros(3)})
+        opt.step(np.zeros(3))
         np.testing.assert_array_equal(t.data, np.ones(3))
 
     def test_nonfinite_gradient_raises_before_touching_state(self):
         params, t = self.setup_params()
         opt = Adam(params, AdamConfig(lr=0.1))
         with pytest.raises(FloatingPointError, match="w"):
-            opt.step({"w": np.array([1.0, np.nan, 1.0])})
+            opt.step(np.array([1.0, np.nan, 1.0]))
         np.testing.assert_array_equal(t.data, np.ones(3))
         assert opt.step_count == 0
 
@@ -81,7 +81,7 @@ class TestAdam:
         t.data[:] = 5.0
         opt = Adam(params, AdamConfig(lr=0.05))
         for _ in range(2000):
-            opt.step({"w": 2.0 * t.data})
+            opt.step(2.0 * t.data)
         assert np.all(np.abs(t.data) < 0.05)
 
     @staticmethod
@@ -108,9 +108,12 @@ class TestAdam:
             grads = {name: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=t.data.shape)
                      for name, t in ref_params.items()}
             grads["frozen"] = np.zeros_like(grads["frozen"])
+            g = np.concatenate(list(grads.values()), axis=None)
             if step % 7 == 3:
-                grads["big"] = grads["big"].T.copy().T  # a non-contiguous gradient
-            fast.step(grads)  # must leave the gradients as they are for ref
+                g = np.repeat(g, 2)[::2]  # a non-contiguous gradient
+            kept = g.copy()
+            fast.step(g)
+            assert g.tobytes() == kept.tobytes()  # the gradient is left as it was
             ref.step(grads)
         for name, t in ref_params.items():
             assert fast_params[name].data.tobytes() == t.data.tobytes(), name
@@ -121,7 +124,7 @@ class TestAdam:
     def test_moments_are_views_of_the_flat_vectors(self):
         params = self.chunk_spanning_params(0)
         opt = Adam(params)
-        opt.step({name: np.ones_like(t.data) for name, t in params.items()})
+        opt.step(np.ones(params.flat.size))
         assert np.concatenate([m.reshape(-1) for m in opt.m.values()]).tobytes() == \
             opt.m_flat.tobytes()
         opt.v["bias"][2] = 5.0
@@ -130,29 +133,26 @@ class TestAdam:
     def test_nonfinite_gradient_names_its_block_and_changes_nothing(self):
         params = self.chunk_spanning_params(0)
         opt = Adam(params)
-        opt.step({name: np.ones_like(t.data) for name, t in params.items()})
-        before = [t.data.copy() for t in params.tensors()], opt.m_flat.copy(), opt.v_flat.copy()
-        grads = {name: np.ones_like(t.data) for name, t in params.items()}
-        grads["frozen"][1, 2] = np.inf
+        opt.step(np.ones(params.flat.size))
+        before = params.flat.copy(), opt.m_flat.copy(), opt.v_flat.copy()
+        g = np.ones(params.flat.size)
+        params.views(g)["frozen"][1, 2] = np.inf
         with pytest.raises(FloatingPointError, match="'frozen'"):
-            opt.step(grads)
-        assert all(a.tobytes() == t.data.tobytes() for a, t in zip(before[0], params.tensors()))
+            opt.step(g)
+        assert before[0].tobytes() == params.flat.tobytes()
         assert before[1].tobytes() == opt.m_flat.tobytes()
         assert before[2].tobytes() == opt.v_flat.tobytes()
         assert opt.step_count == 1
 
-    @pytest.mark.parametrize("edit, match", [
-        (lambda g: g.pop("gain"), "'gain'"),
-        (lambda g: g.update(extra=np.ones(2)), "'extra'"),
-        (lambda g: g.update(bias=np.ones(6)), "'bias' has 6 values, expected 7"),
-    ])
-    def test_gradient_map_must_match_the_blocks(self, edit, match):
+    @pytest.mark.parametrize("shape", [lambda n: (n - 1,), lambda n: (n + 1,),
+                                       lambda n: (1, n), lambda n: (n, 1)],
+                             ids=["one-short", "one-long", "as-a-row", "as-a-column"])
+    def test_gradient_of_the_wrong_shape_is_rejected(self, shape):
         params = self.chunk_spanning_params(0)
         opt = Adam(params)
-        grads = {name: np.ones_like(t.data) for name, t in params.items()}
-        edit(grads)
-        with pytest.raises(ValueError, match=match):
-            opt.step(grads)
+        n = params.flat.size
+        with pytest.raises(ValueError, match=re.escape(f"is not the flat shape ({n},)")):
+            opt.step(np.ones(shape(n)))
         assert opt.step_count == 0 and not opt.m_flat.any()
 
 
@@ -247,6 +247,38 @@ class TestTrainer:
         moved_free = np.abs(free.model.params[name].data - base).max()
         moved_clipped = np.abs(clipped.model.params[name].data - base).max()
         assert moved_clipped < moved_free
+
+    def test_clipped_run_is_bitwise_the_per_block_reference(self, girl_dog):
+        """Two clipped epochs against the per-block path: one gradient per
+        block, the norm summed block by block, each block scaled on its own,
+        and the textbook Adam."""
+        ds = tiny_dataset(girl_dog)
+        ds.samples = ds.samples * 3
+        cfg = TrainConfig(batch_size=4, epochs=2, seed=3, lr=1e-2, grad_clip=4.0)
+        trainer = Trainer(tiny_model(seed=3), ds, cfg)
+        trainer.fit()
+        model = tiny_model(seed=3)
+        ref = TextbookAdam(model.params, AdamConfig(lr=cfg.lr))
+        prepared = [model.prepare(s.scene, s.question, ds.answer_index(s.answer))
+                    for s in ds.samples]
+        shuffle_rng, norms = np.random.default_rng(cfg.seed), []
+        for _ in range(cfg.epochs):
+            order = shuffle_rng.permutation(len(prepared))
+            for start in range(0, len(order), cfg.batch_size):
+                batch = [prepared[i] for i in order[start:start + cfg.batch_size]]
+                with ad.Tape() as tape:
+                    losses = model.loss(model.forward_batch(batch),
+                                        [prep.answer_index for prep in batch])
+                    loss = ad.scale(ad.sum_all(losses), 1.0 / len(batch))
+                grads = dict(zip(model.params.names(),
+                                 tape.gradients(loss, model.params.tensors())))
+                norms.append(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+                if norms[-1] > cfg.grad_clip:
+                    grads = {n: g * (cfg.grad_clip / norms[-1]) for n, g in grads.items()}
+                ref.step(grads)
+        assert min(norms) < cfg.grad_clip < max(norms)  # some steps clip, some do not
+        for (name, t), fast in zip(model.params.items(), trainer.model.params.tensors()):
+            assert fast.data.tobytes() == t.data.tobytes(), name
 
 
 class TestDeterminism:
@@ -373,6 +405,24 @@ class TestCheckpoint:
         after = restored.forward(prep2).f_ga.data
         assert before.tobytes() == after.tobytes()
 
+    def test_file_is_header_then_each_block_then_each_moment_block(self, girl_dog, tmp_path):
+        trainer = Trainer(tiny_model(), tiny_dataset(girl_dog),
+                          TrainConfig(batch_size=2, epochs=1, lr=1e-3))
+        trainer.fit()
+        params, opt = trainer.model.params, trainer.optimizer
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), trainer.model, opt)
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", blob[8:16])
+        header = blob[16:16 + hlen]
+        assert json.loads(header)["blocks"] == [{"name": n, "shape": list(t.data.shape)}
+                                                for n, t in params.items()]
+        reference = b"GALN" + struct.pack("<I", 1) + struct.pack("<Q", hlen) + header
+        reference += b"".join(t.data.astype("<f8").tobytes() for t in params.tensors())
+        reference += b"".join(moments[n].astype("<f8").tobytes()
+                              for moments in (opt.m, opt.v) for n in params.names())
+        assert blob == reference
+
     def test_bad_magic_rejected(self, girl_dog, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -488,8 +538,13 @@ class TestStrictCheckpoint:
                      id="<lambda>-unknown model_config keys"),
         pytest.param(lambda h: h["model_config"].pop("pooling"),
                      "model_config: missing field 'pooling'", id="<lambda>-pooling is missing"),
-        (lambda h: h["blocks"][3].update(shape=[1]), "has shape"),
+        pytest.param(lambda h: h["blocks"][3].update(shape=[1]),
+                     re.escape("block 3 is ('ce.concept_mlp.w2', [8, 8]), "
+                               "listed as ('ce.concept_mlp.w2', [1])"),
+                     id="<lambda>-has shape"),
         (lambda h: h["blocks"].pop(), "do not match"),
+        pytest.param(lambda h: h["blocks"].append({"name": "extra", "shape": [1]}),
+                     "do not match this build: .* listed, .* built", id="<lambda>-extra block"),
         pytest.param(lambda h: h["optimizer"].update(step=1.5),
                      "optimizer: field 'step' must be an integer, got float",
                      id="<lambda>-optimizer.step"),
@@ -517,6 +572,18 @@ class TestStrictCheckpoint:
     def test_header_keys_types_and_blocks(self, saved, edit, match):
         tmp_path, blob, _, _ = saved
         self.rejects(tmp_path, write_header(blob, edit), match)
+
+    def test_header_listing_fewer_blocks_than_its_config_stops_the_build(self, saved,
+                                                                         monkeypatch):
+        tmp_path, blob, params_at, _ = saved
+        listed = len(json.loads(blob[16:params_at])["blocks"])
+        calls = []
+        new = ad.Parameters.new
+        monkeypatch.setattr(ad.Parameters, "new",
+                            lambda self, *args: calls.append(args[0]) or new(self, *args))
+        self.rejects(tmp_path, write_header(blob, lambda h: h["model_config"].update(
+            num_layers=2000)), "parameter blocks do not match this build")
+        assert 0 < len(calls) <= listed
 
     @pytest.mark.parametrize("section, moment", [(1, "first"), (2, "second")])
     def test_truncated_moment_names_its_block(self, saved, section, moment):
@@ -578,7 +645,7 @@ class TestBatchedTraining:
                 expect[name] += g / 3
             losses.append(float(loss.data))
         assert abs(record["loss"] - sum(losses) / 3) <= 1e-12 * record["loss"]
-        for name, g in got[0].items():
+        for name, g in model.params.views(got[0]).items():
             np.testing.assert_allclose(g, expect[name], rtol=1e-10,
                                        atol=1e-12 * np.abs(expect[name]).max())
 
