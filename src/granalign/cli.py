@@ -9,6 +9,7 @@ success and nonzero with a message on error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -43,45 +44,48 @@ def _opt_float(s: str):
     return None if s.lower() == "none" else float(s)
 
 
-MODEL_KEYS = {
-    "d_model": int, "d_emb": int, "num_heads": int, "num_layers": int,
-    "d_ff": int, "max_len": int, "pooling": str, "use_lead_graphs": _bool,
-    "node_reduction": _bool, "streams": _streams, "sep_connect_all": _bool,
-}
-TRAIN_KEYS = {
-    "batch_size": int, "epochs": int, "seed": int, "lr": float,
-    "grad_clip": _opt_float, "checkpoint_interval": int,
-}
+# each key parses by the type of its field's default; grad_clip's is None
+_PARSERS = {bool: _bool, tuple: _streams, type(None): _opt_float}
+MODEL_KEYS, TRAIN_KEYS = ({f.name: _PARSERS.get(type(f.default), type(f.default))
+                           for f in dataclasses.fields(cls)} for cls in (ModelConfig, TrainConfig))
 EXTRA_KEYS = {"word_vectors": str}
 
 
 def parse_config_file(path: str | None) -> tuple[dict, dict, dict]:
-    """Flat ``key = value`` lines; '#' starts a comment. Unknown keys error."""
+    """Flat ``key = value`` lines; '#' starts a comment. Unknown and repeated
+    keys are errors, and so is a file that is not UTF-8."""
     model_kw: dict = {}
     train_kw: dict = {}
     extra: dict = {}
     if path is None:
         return model_kw, train_kw, extra
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: line {lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            try:
-                if key in MODEL_KEYS:
-                    model_kw[key] = MODEL_KEYS[key](value)
-                elif key in TRAIN_KEYS:
-                    train_kw[key] = TRAIN_KEYS[key](value)
-                elif key in EXTRA_KEYS:
-                    extra[key] = EXTRA_KEYS[key](value)
-                else:
-                    raise ValueError(f"unknown config key {key!r}")
-            except ValueError as e:
-                raise ValueError(f"{path}: line {lineno}: {e}") from None
+        try:
+            lines = f.readlines()
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: {e}") from None
+    seen: dict[str, int] = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}: line {lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if seen.setdefault(key, lineno) != lineno:
+            raise ValueError(f"{path}: line {lineno}: key {key!r} repeats line {seen[key]}")
+        try:
+            if key in MODEL_KEYS:
+                model_kw[key] = MODEL_KEYS[key](value)
+            elif key in TRAIN_KEYS:
+                train_kw[key] = TRAIN_KEYS[key](value)
+            elif key in EXTRA_KEYS:
+                extra[key] = EXTRA_KEYS[key](value)
+            else:
+                raise ValueError(f"unknown config key {key!r}")
+        except ValueError as e:
+            raise ValueError(f"{path}: line {lineno}: {e}") from None
     return model_kw, train_kw, extra
 
 

@@ -47,8 +47,6 @@ class EncoderConfig:
     num_heads: int = 8
     d_model: int = 32
     d_ff: int = 128
-    eps_norm: float = 1e-5
-    eps_row: float = 1e-12
     max_len: int = 64
 
     def __post_init__(self):
@@ -58,9 +56,6 @@ class EncoderConfig:
             raise ValueError(f"d_model {self.d_model} not divisible by {self.num_heads} heads")
         if self.max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {self.max_len}")
-        for name in ("eps_norm", "eps_row"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
-                raise ValueError(f"{name} must be a finite value > 0, got {getattr(self, name)}")
 
     @property
     def d_k(self) -> int:
@@ -78,9 +73,10 @@ class EncoderConfig:
 
 
 _LOWEST = np.finfo(np.float64).min
+EPS_NORM = 1e-5  # the variance floor of every layer norm
 
 
-def _ga_forward(q, k, v, g, eps_row):
+def _ga_forward(q, k, v, g):
     d_k = q.shape[-1]
     scores = np.matmul(q, k.swapaxes(-1, -2))
     scores /= math.sqrt(d_k)
@@ -92,8 +88,8 @@ def _ga_forward(q, k, v, g, eps_row):
     np.maximum(row_max, _LOWEST, out=row_max)  # a fully masked row stays -inf, not NaN
     scores -= row_max
     np.exp(scores, out=scores)  # exp(-inf) = 0: masked cells are exactly zero
-    z = scores.sum(axis=-1, keepdims=True)
-    scores /= np.where(z > eps_row, z, np.inf)  # dead rows divide to exactly zero
+    z = scores.sum(axis=-1, keepdims=True)  # >= 1 on a live row: its max cell is exp(0)
+    scores /= np.where(z > 0.0, z, np.inf)  # dead rows (z = 0) divide to exactly zero
     out = np.matmul(scores, v)
     return out, (q, k, v, scores, d_k)
 
@@ -116,8 +112,7 @@ def _mask_array(g) -> np.ndarray:
     return g.matrix if isinstance(g, LeadGraph) else np.asarray(g)
 
 
-def ga_attention(q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, g,
-                 eps_row: float = 1e-12) -> ad.Tensor:
+def ga_attention(q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, g) -> ad.Tensor:
     """Lead-graph-masked scaled dot-product attention for one head.
 
     ``q``, ``k``, ``v`` are [n, d_k]; ``g`` is an n x n binary mask
@@ -132,7 +127,7 @@ def ga_attention(q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, g,
         raise ValueError("ga_attention: v must have shape [n, d_v]")
     if gm.shape != (n, n):
         raise ValueError(f"ga_attention: mask shape {gm.shape} does not match {n} tokens")
-    out3, cache = _ga_forward(q.data[None], k.data[None], v.data[None], gm[None], eps_row)
+    out3, cache = _ga_forward(q.data[None], k.data[None], v.data[None], gm[None])
     out = ad.Tensor(out3[0])
 
     def backward(grad):
@@ -278,17 +273,16 @@ def encoder_layer(x: ad.Tensor, g: np.ndarray, layer: LayerParams, cfg: EncoderC
     q, k, v = split(xd @ p.wq.data), split(xd @ p.wk.data), split(xd @ p.wv.data)
     parts, caches = [], []
     for r, c in blocks:
-        out_b, cache = _ga_forward(q[:, :, r], k[:, :, c], v[:, :, c], g[:, None, r, c],
-                                   cfg.eps_row)
+        out_b, cache = _ga_forward(q[:, :, r], k[:, :, c], v[:, :, c], g[:, None, r, c])
         parts.append(out_b)
         caches.append(cache)
     ctx = join(_assemble(q.shape, rows, parts))
     del q, k, v, parts
     y, xhat1, inv1 = ad._ln_forward(xd + ctx @ p.wo.data, p.ln1_gain.data,
-                                    p.ln1_bias.data, cfg.eps_norm)
+                                    p.ln1_bias.data, EPS_NORM)
     hidden = np.maximum(y @ p.ffn_w1.data + p.ffn_b1.data, 0.0)
     z, xhat2, inv2 = ad._ln_forward(y + (hidden @ p.ffn_w2.data + p.ffn_b2.data),
-                                    p.ln2_gain.data, p.ln2_bias.data, cfg.eps_norm)
+                                    p.ln2_gain.data, p.ln2_bias.data, EPS_NORM)
     del y, hidden
     out = ad.Tensor(z)
 

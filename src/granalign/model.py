@@ -22,7 +22,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import ingest
-from .encoder import EncoderConfig, EncoderStack, Layout, encode_stream, sentence_pretransform
+from .encoder import (EPS_NORM, EncoderConfig, EncoderStack, Layout, encode_stream,
+                      sentence_pretransform)
 from .ingest import LevelData, QuestionParse, SceneGraph, Vocab
 from .leadgraph import mask_plan
 
@@ -60,6 +61,8 @@ class ModelConfig(EncoderConfig):
             raise ValueError(f"unknown pooling {self.pooling!r}")
         if not self.streams or any(s not in STREAMS for s in self.streams):
             raise ValueError(f"streams must be a nonempty subset of {tuple(STREAMS)}")
+        if len(set(self.streams)) != len(self.streams):
+            raise ValueError("streams holds a duplicate entry")
         object.__setattr__(self, "streams", tuple(self.streams))
 
 
@@ -298,7 +301,7 @@ class Model:
             tag = out.tag
             pooled = self._pool(out)
             normed = ad.layer_norm_rows(pooled, p[f"fuse.{tag}.ln_gain"],
-                                        p[f"fuse.{tag}.ln_bias"], cfg.eps_norm)
+                                        p[f"fuse.{tag}.ln_bias"], EPS_NORM)
             h = ad.matmul(normed, p[f"fuse.{tag}.w"])
             projected[tag] = h
             logits[tag] = ad.add(ad.matmul(h, p[f"fuse.{tag}.head_w"]),

@@ -8,8 +8,11 @@ epoch.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
+import itertools
 import json
+import math
 import os
 import struct
 import sys
@@ -27,25 +30,8 @@ from .model import LogitsBundle, Model, ModelConfig, PreparedSample
 # attention score grids on wide scenes
 EVAL_CHUNK = 32
 ADAM_CHUNK = 1 << 14  # elements per in-place Adam pass: 128 KiB per operand stays in cache
-
-
-@dataclass
-class AdamConfig:
-    lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        for name in ("lr", "beta1", "beta2", "eps"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("lr", "eps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+# Adam's decay rates and denominator floor: the defaults of Kingma & Ba (arXiv 1412.6980)
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
@@ -57,9 +43,11 @@ class Adam:
     of the per-block textbook update in the same order: bitwise the same.
     """
 
-    def __init__(self, params: ad.Parameters, cfg: AdamConfig | None = None):
+    def __init__(self, params: ad.Parameters, lr: float):
+        if not (math.isfinite(lr) and lr > 0):
+            raise ValueError(f"lr must be a finite value > 0, got {lr}")
         self.params = params
-        self.cfg = cfg or AdamConfig()
+        self.lr = lr
         self.step_count = 0
         self.m_flat, self.v_flat = np.zeros((2, params.flat.size))
         self.m, self.v = params.views(self.m_flat), params.views(self.v_flat)
@@ -74,25 +62,24 @@ class Adam:
             bad = self.params.block_at(int(np.argmin(np.isfinite(g))))
             raise FloatingPointError(
                 f"non-finite gradient in parameter block {bad!r}; training halted")
-        c = self.cfg
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - c.beta1 ** t
-        bc2 = 1.0 - c.beta2 ** t
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
         for start in range(0, g.size, ADAM_CHUNK):
             part = slice(start, start + ADAM_CHUNK)
             gc, m, v = g[part], self.m_flat[part], self.v_flat[part]
             tmp, upd = self._scratch[:, :gc.size]
-            m *= c.beta1
-            m += np.multiply(1.0 - c.beta1, gc, out=tmp)
-            v *= c.beta2
-            np.multiply(1.0 - c.beta2, gc, out=tmp)
+            m *= BETA1
+            m += np.multiply(1.0 - BETA1, gc, out=tmp)
+            v *= BETA2
+            np.multiply(1.0 - BETA2, gc, out=tmp)
             v += np.multiply(tmp, gc, out=tmp)
             # upd becomes lr * (m / bc1) / (sqrt(v / bc2) + eps)
             np.sqrt(np.divide(v, bc2, out=tmp), out=tmp)
-            tmp += c.eps
+            tmp += ADAM_EPS
             np.divide(m, bc1, out=upd)
-            upd *= c.lr
+            upd *= self.lr
             upd /= tmp
             self.params.flat[part] -= upd
 
@@ -163,7 +150,7 @@ class Trainer:
             raise ValueError("dataset answer vocabulary does not match the model")
         self.model = model
         self.cfg = cfg
-        self.optimizer = Adam(model.params, AdamConfig(lr=cfg.lr))
+        self.optimizer = Adam(model.params, cfg.lr)
         self.prepared = [model.prepare(s.scene, s.question, dataset.answer_index(s.answer))
                          for s in dataset.samples]
         self.shuffle_rng = np.random.default_rng(cfg.seed)
@@ -397,7 +384,8 @@ def format_ablation_table(rows: list[dict]) -> str:
 # ---------------------------------------------------------------------------
 
 CKPT_MAGIC = b"GALN"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
+SECTIONS = ("parameter", "optimizer first-moment", "optimizer second-moment")  # in file order
 
 
 def save_checkpoint(path: str, model: Model, optimizer: Adam | None = None) -> None:
@@ -417,27 +405,27 @@ def save_checkpoint(path: str, model: Model, optimizer: Adam | None = None) -> N
         "optimizer": None,
     }
     if optimizer is not None:
-        header["optimizer"] = {"step": optimizer.step_count, **dataclasses.asdict(optimizer.cfg)}
+        header["optimizer"] = {"lr": optimizer.lr, "step": optimizer.step_count}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
         f.write(CKPT_MAGIC + struct.pack("<IQ", CKPT_VERSION, len(blob)) + blob)
-        for _, flat in _sections(model.params, optimizer):
+        for flat in _sections(model.params, optimizer):
             f.write(flat.astype("<f8", copy=False))
 
 
-def _sections(params: ad.Parameters, optimizer: Adam | None) -> list[tuple[str, np.ndarray]]:
+def _sections(params: ad.Parameters, optimizer: Adam | None) -> list[np.ndarray]:
     """The flat vectors a checkpoint holds after its header, in file order."""
-    vectors = [params.flat] + ([] if optimizer is None else [optimizer.m_flat, optimizer.v_flat])
-    return list(zip(("parameter", "optimizer first-moment", "optimizer second-moment"), vectors))
+    return [params.flat] + ([] if optimizer is None else [optimizer.m_flat, optimizer.v_flat])
 
 
 HEADER_FIELDS = ("model_config", "word_vocab", "answer_vocab", "d_region", "d_spatial", "d_emb",
                  "blocks", "optimizer")
 
 
-def _model_from_header(header) -> tuple[Model, Adam | None]:
+def _model_from_header(header, left: int) -> tuple[Model, Adam | None]:
     """The model the header describes, built block by block against the header's
-    list; plus the optimizer it records, with zero moments."""
+    list; plus the optimizer it records, with zero moments. The blocks the
+    header lists must fill the ``left`` bytes after it exactly."""
     where = "checkpoint header"
     if "optimizer" not in only_fields(header, where, HEADER_FIELDS):
         raise SchemaError(f"{where}: missing field 'optimizer'")
@@ -449,20 +437,34 @@ def _model_from_header(header) -> tuple[Model, Adam | None]:
               for key in ("word_vocab", "answer_vocab")]
     blocks = require(header, "blocks", where, list)
     for i, b in enumerate(blocks):
-        only_fields(b, f"{where}: blocks[{i}]", ("name", "shape"))
+        what = f"{where}: blocks[{i}]"
+        require(only_fields(b, what, ("name", "shape")), "name", what, str)
+        if not all(type(n) is int and n >= 0 for n in require(b, "shape", what, list)):
+            raise SchemaError(f"{what}: field 'shape' must hold integers >= 0")
+    # the file size is checked against the listed blocks before any is drawn
+    ends = list(itertools.accumulate(math.prod(b["shape"]) for b in blocks))
+    want = 8 * (ends[-1] if ends else 0) * (1 if header["optimizer"] is None else len(SECTIONS))
+    if left > want:
+        raise ValueError(f"{left - want} trailing bytes after the last block")
+    if left < want:
+        section, at = divmod(left // 8, ends[-1])
+        raise ValueError(f"truncated checkpoint: file ends inside the {SECTIONS[section]} "
+                         f"block {blocks[bisect.bisect_right(ends, at)]['name']}")
     # the build stops at the first block the header does not list
     model = Model(config, *vocabs, require(header, "d_region", where, int),
                   require(header, "d_spatial", where, int), seed=0,
-                  layout=[(b.get("name"), b.get("shape")) for b in blocks])
+                  layout=[(b["name"], b["shape"]) for b in blocks])
     if header["optimizer"] is None:
         return model, None
     opt, where = header["optimizer"], f"{where}: optimizer"
-    step = require(opt, "step", where, int)
+    step = require(only_fields(opt, where, ("lr", "step")), "step", where, int)
     if step < 0:
         raise SchemaError(f"{where}: step must be >= 0, got {step}")
-    cfg = from_json(AdamConfig, {k: v for k, v in opt.items() if k != "step"}, where,
-                    required=True)
-    optimizer = Adam(model.params, cfg)
+    lr = require(opt, "lr", where, float)
+    try:
+        optimizer = Adam(model.params, float(lr))
+    except (ValueError, OverflowError) as e:  # OverflowError: an int beyond the float range
+        raise SchemaError(f"{where}: {e}") from None
     optimizer.step_count = step
     return model, optimizer
 
@@ -498,15 +500,9 @@ def _read_checkpoint(f) -> tuple[Model, Adam | None]:
         header = json.loads(take(hlen, "header").decode("utf-8"))
     except (ValueError, RecursionError) as e:  # also UnicodeDecodeError, deep nesting
         raise SchemaError(f"checkpoint header: not valid JSON ({e})") from None
-    model, optimizer = _model_from_header(header)
-    for section, flat in _sections(model.params, optimizer):
-        have = (end - f.tell()) // 8
-        if have < flat.size:
-            raise ValueError(f"truncated checkpoint: file ends inside the {section} block "
-                             f"{model.params.block_at(have)}")
+    model, optimizer = _model_from_header(header, end - f.tell())
+    for flat in _sections(model.params, optimizer):
         f.readinto(flat)
         if sys.byteorder == "big":
             flat.byteswap(inplace=True)  # the file is little-endian
-    if f.tell() != end:
-        raise ValueError(f"{end - f.tell()} trailing bytes after the last block")
     return model, optimizer

@@ -7,7 +7,7 @@ import pytest
 
 import granalign as ga
 import granalign.autodiff as ad
-from granalign import encoder
+from granalign import encoder, training
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -131,7 +131,7 @@ def parse_grid(text: str):
 # ---------------------------------------------------------------------------
 
 
-def multi_head_ga(x, g, layer, num_heads, eps_row=1e-12):
+def multi_head_ga(x, g, layer, num_heads):
     """All heads of masked attention plus the output projection, for one sequence.
 
     The head loop runs batched in one tape node, equivalent to per-head
@@ -151,7 +151,7 @@ def multi_head_ga(x, g, layer, num_heads, eps_row=1e-12):
         return a.transpose(1, 0, 2).reshape(n, d_model)
 
     out3, cache = encoder._ga_forward(split(x.data @ wq.data), split(x.data @ wk.data),
-                                      split(x.data @ wv.data), gm[None], eps_row)
+                                      split(x.data @ wv.data), gm[None])
     heads = ad.Tensor(join(out3))
 
     def backward(grad):
@@ -176,10 +176,10 @@ def reference_encoder_layer(x, g, layer, cfg, layout, blocks=None):
     where the fused layer may skip work, so it is ignored here.
     """
     assert layout.batch == 1 and layout.dense
-    attended = multi_head_ga(x, g[0], layer, cfg.num_heads, cfg.eps_row)
-    y = ad.layer_norm_rows(ad.add(x, attended), layer.ln1_gain, layer.ln1_bias, cfg.eps_norm)
+    attended = multi_head_ga(x, g[0], layer, cfg.num_heads)
+    y = ad.layer_norm_rows(ad.add(x, attended), layer.ln1_gain, layer.ln1_bias, encoder.EPS_NORM)
     return ad.layer_norm_rows(ad.add(y, feed_forward(y, layer)),
-                              layer.ln2_gain, layer.ln2_bias, cfg.eps_norm)
+                              layer.ln2_gain, layer.ln2_bias, encoder.EPS_NORM)
 
 
 def whole_grid_plan(layout, n0, masks):
@@ -218,23 +218,23 @@ class TextbookAdam:
     with the elementwise operations of the textbook formula; the flat
     chunked ``training.Adam`` must match it bitwise."""
 
-    def __init__(self, params, cfg):
+    def __init__(self, params, lr):
         self.params = params
-        self.cfg = cfg
+        self.lr = lr
         self.step_count = 0
         self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
         self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
 
     def step(self, grads):
-        c = self.cfg
+        b1, b2 = training.BETA1, training.BETA2
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - c.beta1 ** t
-        bc2 = 1.0 - c.beta2 ** t
+        bc1 = 1.0 - b1 ** t
+        bc2 = 1.0 - b2 ** t
         for name, tensor in self.params.items():
             g, m, v = grads[name], self.m[name], self.v[name]
-            m *= c.beta1
-            m += (1.0 - c.beta1) * g
-            v *= c.beta2
-            v += (1.0 - c.beta2) * g * g
-            tensor.data -= c.lr * (m / bc1) / (np.sqrt(v / bc2) + c.eps)
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            tensor.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + training.ADAM_EPS)

@@ -1,5 +1,6 @@
 """Command-line interface: arguments, config files, outputs, exit codes."""
 
+import dataclasses
 import json
 import shutil
 import struct
@@ -12,7 +13,7 @@ import pytest
 from granalign.cli import main, parse_config_file
 from granalign.data import DEFAULT_WORLD, ToyWorldSpec, gen_corpus, load_manifest
 from granalign.model import Model, ModelConfig
-from granalign.training import load_checkpoint
+from granalign.training import TrainConfig, load_checkpoint
 from conftest import fixture_path
 
 SMALL_CONFIG = """\
@@ -81,6 +82,41 @@ class TestConfigFile:
         p.write_text("epochs = many\n")
         with pytest.raises(ValueError, match="line 1"):
             parse_config_file(str(p))
+
+    def test_keys_are_the_dataclass_fields(self, tmp_path):
+        """One file sets every field of both dataclasses to a value other than
+        its default, and each value arrives in its field."""
+        model = ModelConfig(num_layers=2, num_heads=2, d_model=8, d_ff=16, max_len=40,
+                            d_emb=6, pooling="sep", use_lead_graphs=False,
+                            node_reduction=True, streams=("ss", "ce"), sep_connect_all=False)
+        train = TrainConfig(batch_size=3, epochs=4, seed=5, lr=2.5e-3, grad_clip=0.5,
+                            checkpoint_interval=2)
+        text = {bool: lambda v: "yes" if v else "no", tuple: ", ".join}
+        lines = []
+        for cfg in (model, train):
+            for f in dataclasses.fields(cfg):
+                value = getattr(cfg, f.name)
+                assert value != f.default, f.name
+                lines.append(f"{f.name} = {text.get(type(value), str)(value)}\n")
+        p = tmp_path / "all.cfg"
+        p.write_text("".join(lines))
+        model_kw, train_kw, extra = parse_config_file(str(p))
+        assert ModelConfig(**model_kw) == model and TrainConfig(**train_kw) == train
+        assert len(model_kw) == 11 and len(train_kw) == 6 and extra == {}
+
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("lr = 1e-3\nd_model = 8\n\nlr = 2e-3\n")
+        with pytest.raises(ValueError, match=f"^{p}: line 4: key 'lr' repeats line 1$"):
+            parse_config_file(str(p))
+
+    def test_file_not_utf8_names_the_path(self, cli_corpus, tmp_path, capsys):
+        p = tmp_path / "c.cfg"
+        p.write_bytes(b"epochs = 1\nlr = \xff\n")
+        rc = main(["train", "--data", str(cli_corpus), "--config", str(p)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {p}: 'utf-8' codec can't decode byte 0xff")
 
 
 class TestGenData:
@@ -211,7 +247,7 @@ class TestTrainEval:
             elif damage == "zero_d_emb":
                 header["d_emb"] = 0
             else:
-                header["optimizer"].update(lr=-1.0, beta1=7.0, eps=0.0)
+                header["optimizer"].update(lr=-1.0)
             raw = json.dumps(header).encode()
             blob = blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + hlen:]
         elif damage == "trailing":
@@ -462,8 +498,13 @@ class TestCorpusFiles:
         assert rc == 1
         assert err.startswith("error:") and message in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("field, value", [("d_emb", 0), ("d_emb", -3), ("max_len", 0)])
-    def test_nonpositive_model_size_exits_one(self, cli_corpus, tmp_path, capsys, field, value):
+    @pytest.mark.parametrize("field, value, message", [
+        pytest.param("d_emb", 0, "d_emb must be >= 1, got 0", id="d_emb-0"),
+        pytest.param("d_emb", -3, "d_emb must be >= 1, got -3", id="d_emb--3"),
+        pytest.param("max_len", 0, "max_len must be >= 1, got 0", id="max_len-0"),
+        pytest.param("streams", "ce, ce", "streams holds a duplicate entry", id="streams-ce,ce")])
+    def test_malformed_model_setting_exits_one(self, cli_corpus, tmp_path, capsys, field, value,
+                                               message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"{field} = {value}\nepochs = 1\n")
         ckpt = tmp_path / "m.ckpt"
@@ -471,7 +512,7 @@ class TestCorpusFiles:
                    "--out", str(ckpt)])
         err = capsys.readouterr().err
         assert rc == 1
-        assert err.startswith(f"error: {field} must be >= 1, got {value}")
+        assert err.startswith(f"error: {message}")
         assert not ckpt.exists()
 
     @pytest.mark.parametrize("damage", ["truncated", "not-utf8", "nested-too-deep"])

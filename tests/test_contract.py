@@ -169,7 +169,7 @@ def saved_checkpoint():
     model = Model(ModelConfig(**TINY), MANIFEST["word_vocab"], MANIFEST["answer_vocab"], 4, 4)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "good.ckpt")
-        save_checkpoint(path, model, Adam(model.params))
+        save_checkpoint(path, model, Adam(model.params, 1e-4))
         with open(path, "rb") as f:
             blob = f.read()
     (hlen,) = struct.unpack("<Q", blob[8:16])

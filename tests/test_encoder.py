@@ -84,6 +84,36 @@ class TestMaskedAttention:
         gq, _, _ = t.gradients(loss, [q, k, v])
         assert np.all(gq[1] == 0.0)
 
+    @staticmethod
+    def threshold_forward(q, k, v, g, eps_row):
+        """The attention core with the dead-row rule ``z > eps_row`` in place of
+        ``z > 0``, step by step as ``_ga_forward`` computes it."""
+        scores = np.where(g, np.matmul(q, k.swapaxes(-1, -2)) / np.sqrt(q.shape[-1]), -np.inf)
+        row_max = np.maximum(scores.max(axis=-1, keepdims=True), np.finfo(np.float64).min)
+        e = np.exp(scores - row_max)
+        z = e.sum(axis=-1, keepdims=True)
+        return np.matmul(e / np.where(z > eps_row, z, np.inf), v)
+
+    @pytest.mark.parametrize("eps_row", [1e-12, 0.999])
+    def test_dead_row_rule_is_bitwise_any_threshold_below_one(self, eps_row):
+        """A live row holds exp(0) = 1 at its max cell, so its z is at least 1:
+        ``z > 0`` keeps exactly the rows that ``z > eps_row`` keeps for any
+        threshold below 1. A row with one open cell gives it weight exactly 1."""
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n = int(rng.integers(2, 12))
+            q, k, v = (rng.normal(scale=10.0 ** rng.uniform(-3, 2.5), size=(2, n, 4))
+                       for _ in range(3))
+            g = rng.random((2, n, n)) < rng.random()
+            g[:, 0] = False  # an all-masked row
+            g[:, 1] = False
+            g[:, 1, rng.integers(n)] = True  # a row with one open cell
+            out, _ = _ga_forward(q, k, v, g)
+            assert out.tobytes() == self.threshold_forward(q, k, v, g, eps_row).tobytes()
+            weights, _ = _ga_forward(q, k, np.broadcast_to(np.eye(n), (2, n, n)), g)
+            assert not weights[:, 0].any()
+            assert (weights[:, 1] == g[:, 1]).all()
+
     def test_masked_out_token_has_exactly_zero_influence(self):
         """Perturbing a token no row may attend to changes nothing, bit for bit."""
         rng = np.random.default_rng(5)
@@ -434,11 +464,11 @@ class TestLayout:
         g = np.zeros((2, 1, 6, 6), dtype=bool)
         g[0, :, :4, :4] = rng.random((4, 4)) < 0.7
         g[1, :, :6, :6] = rng.random((6, 6)) < 0.7
-        base, _ = _ga_forward(q, k, v, g, 1e-12)
+        base, _ = _ga_forward(q, k, v, g)
         q2, k2, v2 = q.copy(), k.copy(), v.copy()
         for a in (q2, k2, v2):
             a[0, :, 4:] = 1e3
-        out, _ = _ga_forward(q2, k2, v2, g, 1e-12)
+        out, _ = _ga_forward(q2, k2, v2, g)
         assert out[0, :, :4].tobytes() == base[0, :, :4].tobytes()
         assert out[1].tobytes() == base[1].tobytes()
         assert not out[0, :, 4:].any()

@@ -99,11 +99,10 @@ class TestModelConfig:
         with pytest.raises(ValueError, match=f"{field} must be >= 1, got {value}"):
             ModelConfig(**{field: value})
 
-    @pytest.mark.parametrize("field", ["eps_norm", "eps_row"])
-    @pytest.mark.parametrize("value", [0.0, -1e-5, float("nan"), float("inf")])
-    def test_epsilons_must_be_finite_and_positive(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be a finite value > 0, got {value}"):
-            ModelConfig(**{field: value})
+    @pytest.mark.parametrize("streams", [("ce", "ce"), ("rn", "ss", "rn")])
+    def test_repeated_stream_rejected(self, streams):
+        with pytest.raises(ValueError, match="streams holds a duplicate entry"):
+            ModelConfig(streams=streams)
 
 
 class TestPrepare:
