@@ -143,7 +143,7 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     model_kw, train_kw, extra = parse_config_file(args.config)
     dataset = load_manifest(_manifest_path(args.data, "train"))
-    seed = train_kw.get("seed", 0)
+    seed = TrainConfig(**train_kw).seed
     model = _build_model(dataset, model_kw, extra, seed=seed)
     if not 0 <= args.sample < len(dataset.samples):
         raise ValueError(f"sample index {args.sample} out of range")

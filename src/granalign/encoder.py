@@ -19,13 +19,13 @@ Each encoder layer is a single tape node with a hand-written backward.
 the sentence pre-transform. A sequence splits into segment 0 (a stream's
 image tokens with SEP, or the whole sentence) and segment 1 (a stream's
 question tokens), and a lead graph opens only some of the four segment
-blocks per layer. ``run`` finds, once per batch, which blocks each layer
-opens anywhere in the batch. A layer that opens all four scores the whole
-grid as one block. Any other layer runs on a grid with segment 0 in columns
-[0, w0) and segment 1 in [w0, W), and each row segment scores only the
-columns of the segments it reaches (its own, the other, or both); a row
-segment that reaches none is skipped and gets zero context, as a fully
-masked row does.
+blocks per layer. ``run`` pads the batch once onto a grid with segment 0 in
+columns [0, w0) and segment 1 in [w0, W), and finds which blocks each layer
+opens anywhere in the batch. Every layer runs on that grid: a layer that
+opens all four scores it as one block, and in any other layer each row
+segment scores only the columns of the segments it reaches (its own, the
+other, or both); a row segment that reaches none is skipped and gets zero
+context, as a fully masked row does.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -189,13 +189,19 @@ class Layout:
         """[B * n_max, ...] padded rows back to the packed [N, ...] rows."""
         return a if self.dense else a[self.index]
 
-    def pad_masks(self, masks) -> np.ndarray:
-        """Per-sequence [..., n_b, n_b] masks into one bool [..., B, n_max, n_max]."""
+    def pad_masks(self, masks, n0: np.ndarray | None = None) -> np.ndarray:
+        """Per-sequence [..., n_b, n_b] masks into one bool [..., B, n_max, n_max].
+        The first ``n0[b]`` positions of sequence b (all of them without ``n0``)
+        keep their grid positions; the rest start at grid position ``max(n0)``."""
+        n0 = self.lengths if n0 is None else n0
+        w0 = max(n0.tolist())
         lead = np.shape(masks[0])[:-2]
         out = np.zeros(lead + (self.batch, self.n_max, self.n_max), dtype=bool)
-        for b, m in enumerate(masks):
-            n = self.lengths[b]
-            out[..., b, :n, :n] = m
+        for b, (k, n, m) in enumerate(zip(n0.tolist(), self.lengths.tolist(), masks)):
+            spans = ((slice(0, k), slice(0, k)), (slice(w0, w0 + n - k), slice(k, n)))
+            for grid_rows, rows in spans:  # (grid span, mask span) of each segment
+                for grid_cols, cols in spans:
+                    out[..., b, grid_rows, grid_cols] = m[..., rows, cols]
         return out
 
     def mean_matrix(self) -> np.ndarray:
@@ -309,62 +315,40 @@ def encoder_layer(x: ad.Tensor, g: np.ndarray, layer: LayerParams, cfg: EncoderC
                      backward)
 
 
-class LayerGrid(NamedTuple):
-    """One layer's attention: bool [B, W, W] masks on the padded grid of
-    ``layout`` and the blocks of that grid to score (see ``encoder_layer``)."""
+def _segment_plan(layout: Layout, n0: np.ndarray, masks) -> tuple[Layout, np.ndarray, list]:
+    """The one grid of a batch whose sequences split into segment 0, the first
+    ``n0[b]`` positions of sequence b, and segment 1, the rest.
 
-    mask: np.ndarray
-    layout: Layout
-    blocks: tuple = WHOLE_GRID
-
-
-def _segment_plan(layout: Layout, n0: np.ndarray, masks) -> list[LayerGrid]:
-    """Per-layer grids of a batch whose sequences split into segment 0, the
-    first ``n0[b]`` positions of sequence b, and segment 1, the rest.
-
-    ``masks`` holds each sequence's [L, n_b, n_b] masks. A layer whose four
-    segment blocks are each open somewhere in the batch scores ``layout``'s
-    grid as one block. Any other layer runs on a segment-aligned grid, with
-    segment 0 at positions [0, w0) and segment 1 at [w0, W), where each row
-    segment scores the columns of the segments it reaches. The two grids
-    coincide when every sequence with segment-1 rows starts them at the same
-    position, as in a one-segment stack.
+    ``masks`` holds each sequence's [L, n_b, n_b] masks. Returns the
+    segment-aligned layout of ``layout``'s rows, with segment 0 at positions
+    [0, w0) and segment 1 at [w0, W), the bool [L, B, W, W] masks on its grid,
+    and per layer the blocks to score (see ``_blocks``). The aligned grid has
+    ``layout``'s own positions and width when every sequence with segment-1
+    rows starts them at the same position, as in a one-segment stack.
     """
-    g = layout.pad_masks(masks)
     sample, pos, lengths = layout.sample, layout.pos, layout.lengths
     w0 = max(n0.tolist())
-    if (n0[lengths > n0] == w0).all():
-        aligned, ga = layout, g
-    else:
-        shift = w0 - n0
-        width = w0 + int((lengths - n0).max())
-        aligned = Layout(sample, np.where(pos < n0[sample], pos, pos + shift[sample]), lengths,
-                         width)
-        a = np.arange(width)
-        src = np.where(a < w0, a, a - shift[:, None])  # [B, W]: position in layout's grid
-        valid = np.where(a < w0, a < n0[:, None], src < lengths[:, None])
-        np.minimum(src, layout.n_max - 1, out=src)
-        ga = np.take_along_axis(g, src[None, :, :, None], axis=-2)
-        ga = np.take_along_axis(ga, src[None, :, None, :], axis=-1)
-        ga &= valid[:, :, None] & valid[:, None, :]
-    if w0 < aligned.n_max:
+    grid = Layout(sample, np.where(pos < n0[sample], pos, pos + (w0 - n0)[sample]), lengths,
+                  w0 + int((lengths - n0).max()))
+    g = grid.pad_masks(masks, n0)
+    if w0 < grid.n_max:
         # opened[l, b, s, t]: in layer l some row of segment s of sequence b
         # may attend to some column of its segment t
-        opened = np.logical_or.reduceat(np.logical_or.reduceat(ga, [0, w0], axis=-1),
+        opened = np.logical_or.reduceat(np.logical_or.reduceat(g, [0, w0], axis=-1),
                                         [0, w0], axis=-2)
         flags = np.logical_or.reduce(opened, axis=1).tolist()
     else:  # no segment-1 rows in the batch: one block, open or not
-        flags = [((o, o), (o, o)) for o in ga.any(axis=(1, 2, 3)).tolist()]
-    return [LayerGrid(g[i], layout) if o00 and o01 and o10 and o11
-            else LayerGrid(ga[i], aligned, _blocks(o00, o01, o10, o11, w0))
-            for i, ((o00, o01), (o10, o11)) in enumerate(flags)]
+        flags = [((o, o), (o, o)) for o in g.any(axis=(1, 2, 3)).tolist()]
+    return grid, g, [_blocks(o00, o01, o10, o11, w0) for (o00, o01), (o10, o11) in flags]
 
 
 @functools.lru_cache(maxsize=None)
 def _blocks(o00: bool, o01: bool, o10: bool, o11: bool, w0: int) -> tuple:
-    """The grid blocks a segment-aligned layer scores when segment s rows may
-    reach segment t columns where ``o{s}{t}``: each row segment over its own
-    segment, the other one, or both."""
+    """The grid blocks a layer scores when segment s rows may reach segment t
+    columns where ``o{s}{t}``: the whole grid when all four are open, else
+    each row segment over its own segment, the other one, or both."""
+    if o00 and o01 and o10 and o11:
+        return WHOLE_GRID
     segments = (slice(0, w0), slice(w0, None))
     blocks = []
     for rows, to0, to1 in ((segments[0], o00, o01), (segments[1], o10, o11)):
@@ -416,7 +400,7 @@ class EncoderStack:
             n0: np.ndarray) -> ad.Tensor:
         """The stack over the packed rows ``x`` of ``layout``'s sequences: their
         positions, then layer i with mask i of each sequence's bool
-        [num_layers, n_b, n_b] ``masks[b]``, on the segment plan of
+        [num_layers, n_b, n_b] ``masks[b]``, every layer on the one grid of
         ``_segment_plan`` (segment 0 of sequence b is its first ``n0[b]`` rows)."""
         n_layers = len(self.layers)
         if len(masks) != layout.batch or x.data.shape[0] != len(layout.pos):
@@ -427,8 +411,9 @@ class EncoderStack:
                 raise ValueError(f"sequence {b} needs {n_layers} masks of {n} x {n}, "
                                  f"got shape {m.shape}")
         x = self.add_positions(x, layout.pos)
-        for layer, grid in zip(self.layers, _segment_plan(layout, n0, masks)):
-            x = encoder_layer(x, grid.mask, layer, self.cfg, grid.layout, grid.blocks)
+        grid, g, blocks = _segment_plan(layout, n0, masks)
+        for layer, mask, layer_blocks in zip(self.layers, g, blocks):
+            x = encoder_layer(x, mask, layer, self.cfg, grid, layer_blocks)
         return x
 
 

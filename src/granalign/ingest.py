@@ -404,18 +404,11 @@ def merge_duplicate_concept_tokens(level: LevelData) -> LevelData:
             first[key] = len(keep)
             target[i] = len(keep)
             keep.append(i)
-    pairs: list[Pair] = []
-    seen: set[Pair] = set()
-    for s, d in level.pairs:
-        p = (target[s], target[d])
-        if p not in seen:
-            seen.add(p)
-            pairs.append(p)
     return LevelData(
         level="concept",
         labels=[level.labels[i] for i in keep],
         kinds=[level.kinds[i] for i in keep],
-        pairs=pairs,
+        pairs=list(dict.fromkeys((target[s], target[d]) for s, d in level.pairs)),
     )
 
 
@@ -423,13 +416,8 @@ def build_region_level(sg: SceneGraph) -> LevelData:
     """Per-object visual features; one pair per semantic relation, deduplicated."""
     index_of_obj = {o.obj_id: i for i, o in enumerate(sg.objects)}
     feats = np.stack([o.region_feature for o in sg.objects])
-    pairs: list[Pair] = []
-    seen: set[Pair] = set()
-    for rel in sg.relations:
-        p = (index_of_obj[rel.subject], index_of_obj[rel.object])
-        if p not in seen:
-            seen.add(p)
-            pairs.append(p)
+    pairs = list(dict.fromkeys((index_of_obj[rel.subject], index_of_obj[rel.object])
+                               for rel in sg.relations))
     return LevelData(level="region", features=feats, pairs=pairs)
 
 
@@ -506,12 +494,8 @@ def node_reduction(image_level: LevelData, question_level: LevelData) -> LevelDa
     n_q = question_level.n_tokens
     q_pairs = ([(s, d) for s in range(n_q) for d in range(n_q)] if question_level.full
                else question_level.pairs)
-    pairs: list[Pair] = []
-    seen: set[Pair] = set()
-    for s, d in list(image_level.pairs) + [(mapping[s], mapping[d]) for s, d in q_pairs]:
-        if (s, d) not in seen:
-            seen.add((s, d))
-            pairs.append((s, d))
+    pairs = list(dict.fromkeys([(s, d) for s, d in image_level.pairs]
+                               + [(mapping[s], mapping[d]) for s, d in q_pairs]))
     return LevelData(level="concept", labels=labels, kinds=kinds, pairs=pairs)
 
 
@@ -563,8 +547,9 @@ def project_features(features: np.ndarray, w: ad.Tensor, b: ad.Tensor) -> ad.Ten
 
 
 def load_word_vectors(path) -> tuple[list[str], np.ndarray]:
-    """Read a plain text word-vector file: one ``word v1 ... vd`` line per word."""
-    words: list[str] = []
+    """Read a plain text word-vector file: one ``word v1 ... vd`` line per word.
+    A word given twice is an error naming both lines."""
+    words: dict[str, int] = {}  # each word's line, in file order
     rows: list[list[float]] = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -582,8 +567,10 @@ def load_word_vectors(path) -> tuple[list[str], np.ndarray]:
                                   f"(NaN or infinity)")
             if rows and len(vec) != len(rows[0]):
                 raise SchemaError(f"{path}: line {lineno}: inconsistent dimension")
-            words.append(parts[0])
+            if words.setdefault(parts[0], lineno) != lineno:
+                raise SchemaError(f"{path}: line {lineno}: word {parts[0]!r} repeats line "
+                                  f"{words[parts[0]]}")
             rows.append(vec)
     if not words:
         raise SchemaError(f"{path}: empty word-vector file")
-    return words, np.array(rows)
+    return list(words), np.array(rows)

@@ -98,6 +98,8 @@ class TrainConfig:
             raise ValueError("batch size must be >= 1")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be a finite value > 0, got {self.lr}")
         if self.grad_clip is not None and not (np.isfinite(self.grad_clip)

@@ -187,7 +187,7 @@ def whole_grid_plan(layout, n0, masks):
     whole padded grid of ``layout`` as one block, the computation the grouped
     plan must match."""
     g = layout.pad_masks(masks)
-    return [encoder.LayerGrid(g[i], layout) for i in range(len(g))]
+    return layout, g, [encoder.WHOLE_GRID] * len(g)
 
 
 def reference_batch(model, preps, monkeypatch):

@@ -296,6 +296,21 @@ class TestGradcheckCommand:
         assert value in captured.err and "Traceback" not in captured.err
         assert "FAIL" not in captured.out
 
+    @pytest.mark.parametrize("setting, message", [
+        ("batch_size = 0", "batch size must be >= 1"),
+        ("epochs = -3", "epochs must be >= 0, got -3"),
+        ("seed = -1", "seed must be >= 0, got -1")])
+    def test_training_setting_rejected_as_by_train(self, cli_corpus, tmp_path, capsys, setting,
+                                                   message):
+        """The training settings of the config file pass the same checks as in
+        ``train``, before any block is checked."""
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{setting}\n")
+        rc = main(["gradcheck", "--data", str(cli_corpus), "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith(f"error: {message}") and captured.out == ""
+
 
 class TestDumpLeadgraph:
     # image side: girl->left, left->dog, right->girl, dog->right, dog->brown,
@@ -502,7 +517,8 @@ class TestCorpusFiles:
         pytest.param("d_emb", 0, "d_emb must be >= 1, got 0", id="d_emb-0"),
         pytest.param("d_emb", -3, "d_emb must be >= 1, got -3", id="d_emb--3"),
         pytest.param("max_len", 0, "max_len must be >= 1, got 0", id="max_len-0"),
-        pytest.param("streams", "ce, ce", "streams holds a duplicate entry", id="streams-ce,ce")])
+        pytest.param("streams", "ce, ce", "streams holds a duplicate entry", id="streams-ce,ce"),
+        pytest.param("seed", -1, "seed must be >= 0, got -1", id="seed--1")])
     def test_malformed_model_setting_exits_one(self, cli_corpus, tmp_path, capsys, field, value,
                                                message):
         cfg = tmp_path / "bad.cfg"

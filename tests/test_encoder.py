@@ -456,6 +456,21 @@ class TestLayout:
         assert m[0].sum() == 1 and m[0, 0, 0]
         np.testing.assert_array_equal(m[1], np.eye(3, dtype=bool))
 
+    def test_masks_with_segment_1_moved_to_the_longest_segment_0(self):
+        """Position p of sequence b lands at grid position p below ``n0[b]``
+        and at p + max(n0) - n0[b] from there on."""
+        rng = np.random.default_rng(36)
+        n0, lengths = np.array([2, 4, 3]), [5, 4, 3]
+        layout = Layout(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), lengths, 7)
+        masks = [rng.random((2, n, n)) < 0.5 for n in lengths]
+        m = layout.pad_masks(masks, n0)
+        assert m.shape == (2, 3, 7, 7)
+        for b, (k, n) in enumerate(zip(n0, lengths)):
+            at = np.where(np.arange(n) < k, np.arange(n), np.arange(n) + 4 - k)
+            ref = np.zeros((2, 7, 7), dtype=bool)
+            ref[:, at[:, None], at] = masks[b]
+            np.testing.assert_array_equal(m[:, b], ref)
+
     def test_padded_keys_and_values_have_no_influence(self):
         """Garbage in the padded rows of q, k and v leaves the real rows of
         the attention output bitwise unchanged: padding is zero mask entries."""
@@ -616,41 +631,47 @@ def packed_layout(n_img, n_q):
     return Layout(sample, pos, n_img + 1 + n_q)
 
 
+def same_grid(a, b):
+    """Two layouts that put every row at the same cell of equally wide grids."""
+    return a.n_max == b.n_max and np.array_equal(a.pos, b.pos)
+
+
 class TestSegmentPlan:
     """The grouped attention of ``_segment_plan`` against the one-group plan
     that scores each layer's whole padded grid."""
 
     LAYER_INPUTS = TestFusedLayer.LAYER_INPUTS
 
-    def run_layer(self, grid, x, layer, cfg, w):
+    def run_layer(self, layout, mask, blocks, x, layer, cfg, w):
         with ad.Tape() as t:
-            out = encoder_layer(x, grid.mask, layer, cfg, grid.layout, grid.blocks)
+            out = encoder_layer(x, mask, layer, cfg, layout, blocks)
             loss = weighted_sum(out, w)
         return out.data, t.gradients(loss, [x] + [getattr(layer, n) for n in self.LAYER_INPUTS])
 
     def check_layers(self, n_img, n_q, masks, seed=40):
         """Every layer of the grouped plan against the whole grid: values and
-        the 13 gradients to 1e-12, bitwise where the plan keeps the whole grid."""
+        the 13 gradients to 1e-12, bitwise where the plan keeps the layout's
+        grid and scores it whole. Returns the plan's grid and blocks."""
         rng = np.random.default_rng(seed)
         cfg = EncoderConfig(num_layers=1, num_heads=2, d_model=8, d_ff=16)
         layer = make_layer(rng, 8, 16)
         layout = packed_layout(n_img, n_q)
         n0 = np.asarray(n_img) + 1
-        grouped = _segment_plan(layout, n0, masks)
-        whole = whole_grid_plan(layout, n0, masks)
+        grid, g, blocks = _segment_plan(layout, n0, masks)
+        _, ref_g, _ = whole_grid_plan(layout, n0, masks)
+        assert g.shape == (len(ref_g), layout.batch, grid.n_max, grid.n_max)
         x = ad.Tensor(rng.normal(size=(len(layout.pos), 8)), requires_grad=True)
         w = rng.normal(size=x.data.shape)
-        for got_grid, ref_grid in zip(grouped, whole):
-            out, grads = self.run_layer(got_grid, x, layer, cfg, w)
-            ref, ref_grads = self.run_layer(ref_grid, x, layer, cfg, w)
-            if got_grid.blocks == WHOLE_GRID:
-                assert got_grid.layout is layout
+        for mask, layer_blocks, ref_mask in zip(g, blocks, ref_g):
+            out, grads = self.run_layer(grid, mask, layer_blocks, x, layer, cfg, w)
+            ref, ref_grads = self.run_layer(layout, ref_mask, WHOLE_GRID, x, layer, cfg, w)
+            if same_grid(grid, layout) and layer_blocks == WHOLE_GRID:
                 assert out.tobytes() == ref.tobytes()
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(grads, ref_grads))
             assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
             for a, b in zip(grads, ref_grads):
                 assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
-        return grouped
+        return grid, blocks
 
     def test_lead_graph_blocks(self):
         """Layer 1 scores the question block, layer 2 the two cross blocks,
@@ -658,26 +679,26 @@ class TestSegmentPlan:
         rng = np.random.default_rng(41)
         n_img, n_q = [3, 3], [2, 4]
         masks = [lead_graph_masks(rng, a, b) for a, b in zip(n_img, n_q)]
-        plan = self.check_layers(n_img, n_q, masks)
+        _, blocks = self.check_layers(n_img, n_q, masks)
         seg0, seg1 = slice(0, 4), slice(4, None)
-        assert plan[0].blocks == ((seg1, seg1),)
-        assert plan[1].blocks == ((seg0, seg1), (seg1, seg0))
-        assert plan[2].blocks == WHOLE_GRID
+        assert blocks[0] == ((seg1, seg1),)
+        assert blocks[1] == ((seg0, seg1), (seg1, seg0))
+        assert blocks[2] == WHOLE_GRID
 
     def test_one_sample(self):
         rng = np.random.default_rng(42)
-        plan = self.check_layers([5], [3], [lead_graph_masks(rng, 5, 3)])
-        assert plan[0].layout.dense
+        grid, _ = self.check_layers([5], [3], [lead_graph_masks(rng, 5, 3)])
+        assert grid.dense
 
     def test_mixed_lengths(self):
         """Image segments of different lengths run on a segment-aligned grid
-        wider than the longest sequence."""
+        wider than the longest sequence, the fully open layer 3 too."""
         rng = np.random.default_rng(43)
         n_img, n_q = [2, 6, 4, 1], [5, 0, 3, 1]
-        plan = self.check_layers(n_img, n_q,
-                                 [lead_graph_masks(rng, a, b) for a, b in zip(n_img, n_q)])
-        assert plan[0].layout.n_max == 7 + 5
-        assert plan[2].layout.n_max == 8
+        grid, blocks = self.check_layers(
+            n_img, n_q, [lead_graph_masks(rng, a, b) for a, b in zip(n_img, n_q)])
+        assert grid.n_max == 7 + 5
+        assert blocks[2] == WHOLE_GRID
 
     def test_block_open_in_one_sample_only(self):
         """A block open in one sample is scored for the whole batch; the others
@@ -691,8 +712,8 @@ class TestSegmentPlan:
             if b == 1:
                 m[0, :a + 1, :a + 1] = rng.random((a + 1, a + 1)) < 0.7
             masks.append(m)
-        plan = self.check_layers(n_img, n_q, masks)
-        assert plan[0].blocks == ((slice(0, 5), slice(0, 5)), (slice(5, None), slice(5, None)))
+        _, blocks = self.check_layers(n_img, n_q, masks)
+        assert blocks[0] == ((slice(0, 5), slice(0, 5)), (slice(5, None), slice(5, None)))
 
     def test_overlapping_column_spans(self):
         """Image rows reach every column and question rows their own block:
@@ -705,29 +726,29 @@ class TestSegmentPlan:
             m = rng.random((1, a + 1 + q, a + 1 + q)) < 0.7
             m[0, a + 1:, :a + 1] = False
             masks.append(m)
-        plan = self.check_layers(n_img, n_q, masks)
-        assert plan[0].blocks == ((slice(0, 5), slice(None)), (slice(5, None), slice(5, None)))
+        _, blocks = self.check_layers(n_img, n_q, masks)
+        assert blocks[0] == ((slice(0, 5), slice(None)), (slice(5, None), slice(5, None)))
 
     def test_empty_question_segment(self):
         """No question rows anywhere: one segment, scored as the whole grid."""
         rng = np.random.default_rng(45)
         n_img, n_q = [3, 5], [0, 0]
         masks = [rng.random((2, a + 1, a + 1)) < 0.6 for a in n_img]
-        plan = self.check_layers(n_img, n_q, masks)
-        assert all(grid.blocks == WHOLE_GRID for grid in plan)
+        _, blocks = self.check_layers(n_img, n_q, masks)
+        assert blocks == [WHOLE_GRID] * 2
 
     def test_fully_masked_layer_scores_nothing(self):
         n_img, n_q = [2, 3], [1, 2]
         masks = [np.zeros((1, a + 1 + q, a + 1 + q), dtype=bool) for a, q in zip(n_img, n_q)]
-        plan = self.check_layers(n_img, n_q, masks)
-        assert plan[0].blocks == ()
+        _, blocks = self.check_layers(n_img, n_q, masks)
+        assert blocks == [()]
 
     def test_all_ones_is_one_group(self):
-        """Without lead graphs every layer is the whole grid, bitwise."""
+        """Without lead graphs every layer scores its whole grid as one block."""
         n_img, n_q = [2, 5, 3], [4, 1, 0]
         masks = [np.ones((3, a + 1 + q, a + 1 + q), dtype=bool) for a, q in zip(n_img, n_q)]
-        plan = self.check_layers(n_img, n_q, masks)
-        assert all(grid.blocks == WHOLE_GRID for grid in plan)
+        _, blocks = self.check_layers(n_img, n_q, masks)
+        assert blocks == [WHOLE_GRID] * 3
 
     @pytest.mark.parametrize("num_layers", [1, 2, 3])
     @pytest.mark.parametrize("lengths", [([4], [3]), ([2, 5, 3], [3, 2, 0])],
@@ -764,15 +785,14 @@ class TestSegmentPlan:
 
     def test_question_free_sequences_keep_the_grid(self):
         """Every sequence with question rows starts them at the same position:
-        the layout's own grid is already segment-aligned, so no layer gathers."""
+        the segment-aligned grid puts every row where the layout does."""
         rng = np.random.default_rng(49)
         n_img, n_q = [4, 2, 1], [3, 0, 0]
-        plan = self.check_layers(n_img, n_q,
-                                 [lead_graph_masks(rng, a, b) for a, b in zip(n_img, n_q)])
-        assert plan[0].blocks == ((slice(5, None), slice(5, None)),)
-        assert plan[2].blocks == WHOLE_GRID
-        assert all(grid.layout is plan[2].layout for grid in plan)
-        assert plan[0].layout.n_max == 8
+        grid, blocks = self.check_layers(
+            n_img, n_q, [lead_graph_masks(rng, a, b) for a, b in zip(n_img, n_q)])
+        assert blocks[0] == ((slice(5, None), slice(5, None)),)
+        assert blocks[2] == WHOLE_GRID
+        assert same_grid(grid, packed_layout(n_img, n_q)) and grid.n_max == 8
 
     def test_one_segment_is_the_whole_grid(self):
         """Segment 0 spanning every sequence, as in the sentence stack: each
@@ -780,11 +800,32 @@ class TestSegmentPlan:
         rng = np.random.default_rng(50)
         layout = Layout.contiguous([2, 5, 3])
         masks = [rng.random((2, n, n)) < 0.5 for n in (2, 5, 3)]
-        plan = _segment_plan(layout, layout.lengths, masks)
-        padded = layout.pad_masks(masks)
-        for i, grid in enumerate(plan):
-            assert grid.layout is layout and grid.blocks == WHOLE_GRID
-            assert grid.mask.tobytes() == padded[i].tobytes()
+        grid, g, blocks = _segment_plan(layout, layout.lengths, masks)
+        assert same_grid(grid, layout) and blocks == [WHOLE_GRID] * 2
+        assert g.tobytes() == layout.pad_masks(masks).tobytes()
+
+    @pytest.mark.parametrize("n_img, n_q", [([2, 6, 4, 1], [5, 0, 3, 1]), ([3, 3], [2, 4])],
+                             ids=["aligned-grid", "layout-grid"])
+    def test_every_layer_of_a_call_gets_one_layout(self, n_img, n_q, monkeypatch):
+        """The three layers of one stack call, partly and fully open, all run
+        on the one grid of the plan."""
+        rng = np.random.default_rng(53)
+        cfg = EncoderConfig(num_layers=3, num_heads=2, d_model=8, d_ff=16, max_len=16)
+        stack = EncoderStack.build(ad.Parameters(), "enc", cfg, np.random.default_rng(1))
+        layout = packed_layout(n_img, n_q)
+        masks = [lead_graph_masks(rng, a, b) for a, b in zip(n_img, n_q)]
+        n0 = np.asarray(n_img) + 1
+        seen = []
+
+        def spy(x, g, layer, cfg, grid, blocks):
+            seen.append((grid, blocks))
+            return encoder_layer(x, g, layer, cfg, grid, blocks)
+
+        monkeypatch.setattr(encoder, "encoder_layer", spy)
+        stack.run(ad.Tensor(rng.normal(size=(len(layout.pos), 8))), layout, masks, n0)
+        assert len(seen) == 3 and seen[0][1] != WHOLE_GRID and seen[2][1] == WHOLE_GRID
+        assert all(grid is seen[0][0] for grid, _ in seen)
+        assert seen[0][0].n_max == max(n_img) + 1 + max(n_q)
 
 
 class TestStackRun:
@@ -793,8 +834,8 @@ class TestStackRun:
         return cfg, EncoderStack.build(ad.Parameters(), "enc", cfg, np.random.default_rng(1))
 
     def test_layer_i_runs_with_mask_i(self):
-        """The stack equals its layers applied one by one, layer i on grid i
-        of the segment plan, bitwise."""
+        """The stack equals its layers applied one by one on the grid of the
+        segment plan, layer i with mask i and blocks i, bitwise."""
         rng = np.random.default_rng(52)
         cfg, stack = self.make()
         n_img, n_q = [3, 1], [2, 4]
@@ -804,8 +845,9 @@ class TestStackRun:
         x = ad.Tensor(rng.normal(size=(len(layout.pos), 8)))
         out = stack.run(x, layout, masks, n0).data
         h = stack.add_positions(x, layout.pos)
-        for grid, layer in zip(_segment_plan(layout, n0, masks), stack.layers):
-            h = encoder_layer(h, grid.mask, layer, cfg, grid.layout, grid.blocks)
+        grid, g, blocks = _segment_plan(layout, n0, masks)
+        for mask, layer_blocks, layer in zip(g, blocks, stack.layers):
+            h = encoder_layer(h, mask, layer, cfg, grid, layer_blocks)
         assert h.data.tobytes() == out.tobytes()
 
     @pytest.mark.parametrize("shape, message", [

@@ -303,3 +303,9 @@ class TestWordVectors:
         p.write_text(f"a 1.0 2.0\ndog {component} 0.5\n")
         with pytest.raises(SchemaError, match=f"{p}: line 2: non-finite vector component"):
             load_word_vectors(p)
+
+    def test_repeated_word_names_both_lines(self, tmp_path):
+        p = tmp_path / "twice.txt"
+        p.write_text("dog 1.0 2.0\n\ngirl 0.0 1.0\ndog 3.0 4.0\n")
+        with pytest.raises(SchemaError, match=f"{p}: line 4: word 'dog' repeats line 1"):
+            load_word_vectors(p)

@@ -497,16 +497,30 @@ def mixed_samples(tmp_path_factory):
     return pinned, pinned.samples + wide.samples
 
 
+def uniform_n0(preps):
+    """The largest group of at least two samples whose image levels match in
+    length on every stream, so each stream's segment 0 is equally long."""
+    groups = {}
+    for p in preps:
+        groups.setdefault(tuple(getattr(p, s.image).n_tokens for s in STREAMS.values()),
+                          []).append(p)
+    group = max(groups.values(), key=len)
+    assert len(group) > 1
+    return group
+
+
 class TestSegmentGroups:
     """Whole-model batches through the grouped attention against the same
     batches with every layer scoring its whole padded grid."""
 
-    def both(self, mixed_samples, monkeypatch, **cfg_kw):
+    def both(self, mixed_samples, monkeypatch, pick=list, **cfg_kw):
+        """Grouped and whole-grid results on ``pick`` of the prepared samples."""
         ds, samples = mixed_samples
         model = Model(ModelConfig(**cfg_kw), ds.word_vocab, ds.answer_vocab,
                       ds.d_region, ds.d_spatial, seed=1)
         generic_parameter_point(model)
-        preps = [model.prepare(s.scene, s.question, ds.answer_index(s.answer)) for s in samples]
+        preps = pick([model.prepare(s.scene, s.question, ds.answer_index(s.answer))
+                      for s in samples])
         grouped = batch_loss_and_grads(model, preps)
         with monkeypatch.context() as m:
             m.setattr(encoder, "_segment_plan", whole_grid_plan)
@@ -514,9 +528,10 @@ class TestSegmentGroups:
         return grouped, whole
 
     @pytest.mark.parametrize("cfg_kw", [{}, {"num_layers": 1}, {"num_layers": 2},
-                                        {"node_reduction": True}, {"sep_connect_all": False}],
+                                        {"node_reduction": True}, {"sep_connect_all": False},
+                                        {"use_lead_graphs": False}],
                              ids=["default", "one-layer", "two-layers", "node-reduction",
-                                  "sep-self-only"])
+                                  "sep-self-only", "no-lead-graphs"])
     def test_matches_whole_grid(self, mixed_samples, monkeypatch, cfg_kw):
         (bundle, losses, grads), (ref_bundle, ref_losses, ref_grads) = self.both(
             mixed_samples, monkeypatch, **cfg_kw)
@@ -529,9 +544,13 @@ class TestSegmentGroups:
             ref = ref_grads[name]
             assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max(), name
 
-    def test_without_lead_graphs_bitwise(self, mixed_samples, monkeypatch):
+    @pytest.mark.parametrize("pick", [lambda preps: preps[-1:], uniform_n0],
+                             ids=["one-sample", "uniform-n0"])
+    def test_without_lead_graphs_bitwise(self, mixed_samples, monkeypatch, pick):
+        """Where every stream's segment 0 is equally long, the plan keeps the
+        layout's grid and scores it whole, as the whole-grid plan does."""
         (bundle, losses, grads), (ref_bundle, ref_losses, ref_grads) = self.both(
-            mixed_samples, monkeypatch, use_lead_graphs=False)
+            mixed_samples, monkeypatch, pick, use_lead_graphs=False)
         assert losses.tobytes() == ref_losses.tobytes()
         for tag, t in bundle.all_logits().items():
             assert t.data.tobytes() == ref_bundle.all_logits()[tag].data.tobytes()
