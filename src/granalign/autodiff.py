@@ -1,12 +1,13 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Everything downstream (encoders, fusion, training) runs on this engine.
-Tensors wrap contiguous float64 numpy arrays; operations executed inside a
-``Tape`` context record one node per call, in execution order, so a single
-reverse sweep over the tape yields gradients for every trainable leaf.
-
-The engine is deliberately small: only the operations the model needs, all
-with hand-derived backward rules that are validated against central finite
+Tensors wrap contiguous float64 numpy arrays. The engine has no generic
+operations: each fused step of the model (an input MLP, a feature
+projection, a stack's input rows, an encoder layer, the fusion head, the
+loss) computes its forward in numpy and, inside a ``Tape`` context, records
+itself as one node with a hand-written backward, like PyTorch's
+``autograd.Function``. A single reverse sweep over the tape yields gradients
+for every trainable leaf. Every backward is validated against central finite
 differences in the test suite.
 """
 
@@ -17,22 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-__all__ = [
-    "Tensor",
-    "Tape",
-    "Parameters",
-    "record",
-    "matmul",
-    "add",
-    "scale",
-    "relu",
-    "layer_norm_rows",
-    "cross_entropy_logits",
-    "concat_rows",
-    "embedding_lookup",
-    "reshape",
-    "sum_all",
-]
+__all__ = ["Tensor", "Tape", "Parameters", "record"]
 
 
 class Tensor:
@@ -77,10 +63,11 @@ class Tape:
     """
 
     def __init__(self):
-        # each node: (out, inputs, backward_fn); backward_fn(grad_out)
-        # returns one gradient array per input (entries for constant
-        # inputs are ignored).
-        self.nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        # each node: (out, inputs, backward_fn). ``out`` is a Tensor or a
+        # tuple of them; backward_fn takes one object, the output gradient
+        # or the tuple of output gradients, and returns one gradient array
+        # per input (entries for constant inputs are ignored).
+        self.nodes: list[tuple[Tensor | tuple[Tensor, ...], tuple[Tensor, ...], Callable]] = []
         self._tracked: set[int] = set()
 
     def __enter__(self) -> "Tape":
@@ -96,23 +83,31 @@ class Tape:
     def tracks(self, t: Tensor) -> bool:
         return t.requires_grad or id(t) in self._tracked
 
-    def add_node(self, out: Tensor, inputs: tuple[Tensor, ...], backward: Callable) -> None:
+    def add_node(self, out: Tensor | tuple[Tensor, ...], inputs: tuple[Tensor, ...],
+                 backward: Callable) -> None:
         self.nodes.append((out, inputs, backward))
-        self._tracked.add(id(out))
+        self._tracked.update(map(id, out) if isinstance(out, tuple) else (id(out),))
 
-    def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
-        """Gradients of a scalar loss for every requires_grad leaf on the tape."""
-        if loss.data.shape != ():
-            raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
-        accum: dict[int, np.ndarray] = {id(loss): np.ones(())}
+    def backward(self, loss: Tensor, grad: np.ndarray | None = None) -> dict[Tensor, np.ndarray]:
+        """Gradients of ``loss`` for every requires_grad leaf on the tape: of a
+        scalar loss, or of ``sum(loss * grad)`` given the output gradient ``grad``."""
+        if grad is None and loss.data.shape != ():
+            raise ValueError(f"loss of shape {loss.data.shape} needs an output gradient")
+        grad = np.ones(()) if grad is None else np.asarray(grad, dtype=np.float64)
+        if grad.shape != loss.data.shape:
+            raise ValueError(f"output gradient of shape {grad.shape} does not match "
+                             f"the loss shape {loss.data.shape}")
+        accum: dict[int, np.ndarray] = {id(loss): grad}
         leaves: dict[Tensor, np.ndarray] = {}
         for out, inputs, backward in reversed(self.nodes):
             # every consumer of `out` ran later and is already swept, so its
             # gradient is complete; drop it once passed on to the inputs
-            g = accum.pop(id(out), None)
-            if g is None:
+            outs = out if isinstance(out, tuple) else (out,)
+            gs = [accum.pop(id(o), None) for o in outs]
+            if all(g is None for g in gs):
                 continue
-            input_grads = backward(g)
+            gs = tuple(np.zeros(o.data.shape) if g is None else g for o, g in zip(outs, gs))
+            input_grads = backward(gs if isinstance(out, tuple) else gs[0])
             for t, gi in zip(inputs, input_grads):
                 if not self.tracks(t):
                     continue
@@ -122,14 +117,16 @@ class Tape:
                     leaves[t] = accum[id(t)]
         return leaves
 
-    def gradients(self, loss: Tensor, wrt: Iterable[Tensor]) -> list[np.ndarray]:
+    def gradients(self, loss: Tensor, wrt: Iterable[Tensor],
+                  grad: np.ndarray | None = None) -> list[np.ndarray]:
         """Like backward(), but aligned with ``wrt``; leaves off the path get zeros."""
-        leaf_map = self.backward(loss)
+        leaf_map = self.backward(loss, grad)
         return [leaf_map[t] if t in leaf_map else np.zeros(t.data.shape) for t in wrt]
 
 
-def record(out: Tensor, inputs: tuple[Tensor, ...], backward: Callable) -> Tensor:
-    """Attach ``out`` to the active tape if any input is tracked."""
+def record(out, inputs: tuple[Tensor, ...], backward: Callable):
+    """Attach ``out``, a Tensor or a tuple of them, to the active tape if any
+    input is tracked; returns ``out``."""
     tape = active_tape()
     if tape is not None and any(tape.tracks(t) for t in inputs):
         tape.add_node(out, inputs, backward)
@@ -137,66 +134,13 @@ def record(out: Tensor, inputs: tuple[Tensor, ...], backward: Callable) -> Tenso
 
 
 # ---------------------------------------------------------------------------
-# operations
+# backward math shared by the nodes
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Product of 2-D matrices."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError(f"matmul: operands must be 2-D, got {a.data.shape} x {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"matmul: inner dimensions disagree {a.data.shape} x {b.data.shape}")
-    out = Tensor(a.data @ b.data)
-
-    def backward(g):
-        return g @ b.data.T, a.data.T @ g
-
-    return record(out, (a, b), backward)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also accepts a 1-D bias broadcast over the rows of a."""
-    if a.data.shape == b.data.shape:
-        out = Tensor(a.data + b.data)
-
-        def backward(g):
-            return g, g
-
-        return record(out, (a, b), backward)
-    if a.data.ndim == 2 and b.data.ndim == 1 and a.data.shape[1] == b.data.shape[0]:
-        out = Tensor(a.data + b.data)
-
-        def backward(g):
-            return g, g.sum(axis=0)
-
-        return record(out, (a, b), backward)
-    raise ValueError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}")
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out = Tensor(a.data * c)
-
-    def backward(g):
-        return (g * c,)
-
-    return record(out, (a,), backward)
-
-
-def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0))
-    pos = a.data > 0.0
-
-    def backward(g):
-        return (g * pos,)
-
-    return record(out, (a,), backward)
-
-
-# Layer-norm math shared by layer_norm_rows and the fused encoder layer. A
-# mean is sum / d, which is bitwise what np.mean computes, without its
-# Python-level overhead.
+# Layer-norm math of the encoder layers and the fusion head. A mean is
+# sum / d, which is bitwise what np.mean computes, without its Python-level
+# overhead.
 
 
 def _ln_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
@@ -218,113 +162,12 @@ def _ln_backward(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray,
             - xhat * ((gh * xhat).sum(axis=-1, keepdims=True) / d)) * inv_std
 
 
-def layer_norm_rows(a: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
-    """Per-row layer normalization of a 2-D [m, d] tensor with biased variance;
-    ``gain`` and ``bias`` are 1-D [d]."""
-    if a.data.ndim != 2:
-        raise ValueError(f"layer_norm_rows: expected 2-D input, got {a.data.shape}")
-    d = a.data.shape[1]
-    if gain.data.shape != (d,) or bias.data.shape != (d,):
-        raise ValueError("layer_norm_rows: gain/bias shape must match the feature dim")
-    y, xhat, inv_std = _ln_forward(a.data, gain.data, bias.data, eps)
-    out = Tensor(y)
-
-    def backward(g):
-        return (_ln_backward(g, gain.data, xhat, inv_std),
-                (g * xhat).sum(axis=0), g.sum(axis=0))
-
-    return record(out, (a, gain, bias), backward)
-
-
-def cross_entropy_logits(logits: Tensor, answer) -> Tensor:
-    """Negative log softmax probability of the answer class.
-
-    A 1-D logit vector and an int give a scalar; [B, c] logits and B answers
-    give the B per-row losses.
-    """
-    z = logits.data
-    if z.ndim not in (1, 2):
-        raise ValueError(f"cross_entropy_logits: expected 1-D or 2-D logits, got {z.shape}")
-    n = z.shape[-1]
-    rows = z.reshape(-1, n)
-    idx = np.asarray(answer, dtype=np.intp).reshape(-1)
-    if idx.shape != (rows.shape[0],) or (z.ndim == 1) != (np.ndim(answer) == 0):
-        raise ValueError(f"cross_entropy_logits: {np.shape(answer)} answers for logits {z.shape}")
-    bad = (idx < 0) | (idx >= n)
-    if bad.any():
-        raise ValueError(f"cross_entropy_logits: answer {idx[bad][0]} out of range [0, {n})")
-    r = np.arange(rows.shape[0])
-    m = rows.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(rows - m).sum(axis=1, keepdims=True))
-    losses = lse[:, 0] - rows[r, idx]
-    out = Tensor(losses.reshape(z.shape[:-1]))
-    p = np.exp(rows - lse)
-
-    def backward(g):
-        g = np.reshape(g, (-1, 1))
-        dz = p * g
-        dz[r, idx] -= g[:, 0]
-        return (dz.reshape(z.shape),)
-
-    return record(out, (logits,), backward)
-
-
-def concat_rows(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate 2-D tensors along the rows (equal column counts), or with
-    ``axis=1`` along the columns (equal row counts)."""
-    if not tensors:
-        raise ValueError("concat_rows: need at least one tensor")
-    if axis not in (0, 1) or any(t.data.ndim != 2 for t in tensors):
-        raise ValueError(f"concat_rows: cannot join along axis {axis}; tensors must be 2-D")
-    other = {t.data.shape[1 - axis] for t in tensors}
-    if len(other) != 1:
-        what = "column" if axis == 0 else "row"
-        raise ValueError(f"concat_rows: {what} counts disagree: {sorted(other)}")
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    ends = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-
-    def backward(g):
-        return tuple(np.split(g, ends, axis=axis))
-
-    return record(out, tuple(tensors), backward)
-
-
-def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
-    """Gather rows of ``table`` by integer id; gradients scatter-add back."""
-    if table.data.ndim != 2:
-        raise ValueError(f"embedding_lookup: table must be 2-D, got {table.data.shape}")
-    idx = np.asarray(ids, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ValueError("embedding_lookup: ids must be a flat sequence")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
-        raise ValueError("embedding_lookup: id out of range")
-    out = Tensor(table.data[idx])
-
-    def backward(g):
-        dt = np.zeros(table.data.shape)
-        np.add.at(dt, idx, g)
-        return (dt,)
-
-    return record(out, (table,), backward)
-
-
-def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    out = Tensor(a.data.reshape(shape))
-
-    def backward(g):
-        return (g.reshape(a.data.shape),)
-
-    return record(out, (a,), backward)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(np.asarray(a.data.sum()))
-
-    def backward(g):
-        return (np.broadcast_to(g, a.data.shape).copy(),)
-
-    return record(out, (a,), backward)
+def _scatter_rows(n_rows: int, idx: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of the row gather ``table[idx]`` of an ``n_rows``-row table:
+    row i of ``g`` added into row ``idx[i]``, repeats accumulating in order."""
+    out = np.zeros((n_rows,) + g.shape[1:])
+    np.add.at(out, idx, g)
+    return out
 
 
 # ---------------------------------------------------------------------------

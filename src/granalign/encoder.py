@@ -389,28 +389,44 @@ class EncoderStack:
         pos = params.new(f"{prefix}.pos", (cfg.max_len, cfg.d_model), "embed", rng)
         return cls(cfg, layers, pos)
 
-    def add_positions(self, x: ad.Tensor, pos: np.ndarray) -> ad.Tensor:
-        """Add the positional rows ``pos`` (each row's index in its sequence) to ``x``."""
-        n = int(pos.max()) + 1 if len(pos) else 0
+    def _input_rows(self, parts: Sequence[ad.Tensor], layout: Layout) -> ad.Tensor:
+        """The rows of ``parts`` stacked in order plus each row's positional
+        row, as one tape node; a 1-D part gives one row per sequence."""
+        n = int(layout.pos.max()) + 1 if len(layout.pos) else 0
         if n > self.cfg.max_len:
             raise ValueError(f"sequence length {n} exceeds max_len {self.cfg.max_len}")
-        return ad.add(x, ad.embedding_lookup(self.pos_table, pos))
+        bsz = layout.batch
+        rows = [t.data if t.data.ndim == 2 else np.broadcast_to(t.data, (bsz,) + t.data.shape)
+                for t in parts]
+        out = ad.Tensor(np.concatenate(rows) + self.pos_table.data[layout.pos])
+        ends = np.cumsum([len(r) for r in rows]).tolist()
 
-    def run(self, x: ad.Tensor, layout: Layout, masks: Sequence[np.ndarray],
+        def backward(g):
+            grads = [g[a:b] if t.data.ndim == 2 else
+                     ad._scatter_rows(1, np.zeros(bsz, np.intp), g[a:b])[0]
+                     for t, a, b in zip(parts, [0] + ends, ends)]
+            return (*grads, ad._scatter_rows(len(self.pos_table.data), layout.pos, g))
+
+        return ad.record(out, (*parts, self.pos_table), backward)
+
+    def run(self, parts: Sequence[ad.Tensor], layout: Layout, masks: Sequence[np.ndarray],
             n0: np.ndarray) -> ad.Tensor:
-        """The stack over the packed rows ``x`` of ``layout``'s sequences: their
-        positions, then layer i with mask i of each sequence's bool
-        [num_layers, n_b, n_b] ``masks[b]``, every layer on the one grid of
-        ``_segment_plan`` (segment 0 of sequence b is its first ``n0[b]`` rows)."""
+        """The stack over ``layout``'s sequences, whose packed rows are the rows
+        of ``parts`` in order (a 1-D part, the SEP vector, gives one row per
+        sequence): their positions, then layer i with mask i of each
+        sequence's bool [num_layers, n_b, n_b] ``masks[b]``, every layer on
+        the one grid of ``_segment_plan`` (segment 0 of sequence b is its
+        first ``n0[b]`` rows)."""
         n_layers = len(self.layers)
-        if len(masks) != layout.batch or x.data.shape[0] != len(layout.pos):
-            raise ValueError(f"{len(masks)} mask sets and {x.data.shape[0]} rows do not match "
+        n_rows = sum(t.data.shape[0] if t.data.ndim == 2 else layout.batch for t in parts)
+        if len(masks) != layout.batch or n_rows != len(layout.pos):
+            raise ValueError(f"{len(masks)} mask sets and {n_rows} rows do not match "
                              f"{layout.batch} sequences of {len(layout.pos)} rows")
         for b, (n, m) in enumerate(zip(layout.lengths.tolist(), masks)):
             if m.shape != (n_layers, n, n):
                 raise ValueError(f"sequence {b} needs {n_layers} masks of {n} x {n}, "
                                  f"got shape {m.shape}")
-        x = self.add_positions(x, layout.pos)
+        x = self._input_rows(parts, layout)
         grid, g, blocks = _segment_plan(layout, n0, masks)
         for layer, mask, layer_blocks in zip(self.layers, g, blocks):
             x = encoder_layer(x, mask, layer, self.cfg, grid, layer_blocks)
@@ -439,9 +455,7 @@ def encode_stream(t_img: ad.Tensor, t_q: ad.Tensor, img_lengths: Sequence[int],
         raise ValueError("encode_stream: token rows do not match the token counts")
     bsz = len(img_lengths)
     layout = Layout.contiguous(img_lengths, [1] * bsz, q_lengths)
-    seps = ad.embedding_lookup(ad.reshape(sep, (1, sep.data.shape[0])), np.zeros(bsz, np.intp))
-    x = ad.concat_rows([t_img, seps, t_q])
-    hidden = stack.run(x, layout, plans, np.add(img_lengths, 1))
+    hidden = stack.run([t_img, sep, t_q], layout, plans, np.add(img_lengths, 1))
     return hidden, layout, n_img + np.arange(bsz)
 
 
@@ -457,4 +471,4 @@ def sentence_pretransform(word_tokens: ad.Tensor, lengths: Sequence[int],
     connectable.
     """
     layout = Layout.contiguous(lengths)
-    return stack.run(word_tokens, layout, masks, layout.lengths)
+    return stack.run([word_tokens], layout, masks, layout.lengths)

@@ -535,15 +535,30 @@ class Vocab:
 
 def embed_tokens(labels: Sequence[str], vocab: Vocab, table: ad.Tensor,
                  w1: ad.Tensor, b1: ad.Tensor, w2: ad.Tensor, b2: ad.Tensor) -> ad.Tensor:
-    """Label tokens through the embedding table and a two-layer ReLU MLP."""
-    rows = ad.embedding_lookup(table, vocab.ids(labels))
-    hidden = ad.relu(ad.add(ad.matmul(rows, w1), b1))
-    return ad.add(ad.matmul(hidden, w2), b2)
+    """Label tokens through the embedding table and a two-layer ReLU MLP; one tape node."""
+    idx = np.asarray(vocab.ids(labels), dtype=np.intp)
+    rows = table.data[idx]
+    pre = rows @ w1.data + b1.data
+    hidden = np.maximum(pre, 0.0)
+    out = ad.Tensor(hidden @ w2.data + b2.data)
+
+    def backward(g):
+        g_pre = (g @ w2.data.T) * (pre > 0.0)
+        return (ad._scatter_rows(table.data.shape[0], idx, g_pre @ w1.data.T),
+                rows.T @ g_pre, g_pre.sum(axis=0), hidden.T @ g, g.sum(axis=0))
+
+    return ad.record(out, (table, w1, b1, w2, b2), backward)
 
 
 def project_features(features: np.ndarray, w: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
-    """Raw feature vectors through a level-specific linear projection."""
-    return ad.add(ad.matmul(ad.Tensor(features), w), b)
+    """Raw feature vectors through a level-specific linear projection; one tape node."""
+    x = np.asarray(features, dtype=np.float64)
+    out = ad.Tensor(x @ w.data + b.data)
+
+    def backward(g):
+        return x.T @ g, g.sum(axis=0)
+
+    return ad.record(out, (w, b), backward)
 
 
 def load_word_vectors(path) -> tuple[list[str], np.ndarray]:

@@ -6,7 +6,9 @@ tokens (the ss stream's words pass the dependency-masked sentence stack
 first). ``prepare`` builds every stack's per-layer masks once per sample. The
 fusion head pools every stream, projects and concatenates the pooled
 vectors into fused logits, and the loss is the unweighted sum of the
-per-stream and fused cross-entropies.
+per-stream and fused cross-entropies. The head and the loss are one tape
+node each, with hand-written backwards; the head's node has the logits of
+every head as its tuple of outputs.
 
 ``forward_batch`` is the one forward path: it packs the tokens of a whole
 minibatch into one matrix per stream (see ``encoder.Layout``), and
@@ -278,54 +280,106 @@ class Model:
 
     def forward(self, prep: PreparedSample) -> LogitsBundle:
         """1-D logits of one sample: ``forward_batch`` with B = 1."""
-        bundle = self.forward_batch([prep])
-        c = self.n_answers
-        return LogitsBundle(*(None if t is None else ad.reshape(t, (c,))
-                              for t in (bundle.f_ce, bundle.f_rn, bundle.f_ss, bundle.f_ga)))
+        return self._fuse([self.run_stream(tag, [prep]) for tag in self.config.streams],
+                          (self.n_answers,))
 
     # -- decision fusion ----------------------------------------------------
 
-    def _pool(self, out: StreamOutput) -> ad.Tensor:
-        """[B, d_model]: each sample's SEP row, or the mean of its rows."""
-        if self.config.pooling == "sep":
-            return ad.embedding_lookup(out.hidden, out.sep_rows)
-        return ad.matmul(ad.Tensor(out.layout.mean_matrix()), out.hidden)
-
     def fuse(self, outputs: Sequence[StreamOutput]) -> LogitsBundle:
         """Pool, normalize, project, and concatenate the stream outputs; [B, c] logits."""
-        p = self.params
-        cfg = self.config
-        projected: dict[str, ad.Tensor] = {}
-        logits: dict[str, ad.Tensor] = {}
-        for out in outputs:
-            tag = out.tag
-            pooled = self._pool(out)
-            normed = ad.layer_norm_rows(pooled, p[f"fuse.{tag}.ln_gain"],
-                                        p[f"fuse.{tag}.ln_bias"], EPS_NORM)
-            h = ad.matmul(normed, p[f"fuse.{tag}.w"])
-            projected[tag] = h
-            logits[tag] = ad.add(ad.matmul(h, p[f"fuse.{tag}.head_w"]),
-                                 p[f"fuse.{tag}.head_b"])
-        cat = ad.concat_rows([projected[tag] for tag in cfg.streams], axis=1)
-        h_ga = ad.matmul(cat, p["fuse.ga.w"])
-        f_ga = ad.add(ad.matmul(h_ga, p["fuse.ga.head_w"]), p["fuse.ga.head_b"])
-        return LogitsBundle(f_ce=logits.get("ce"), f_rn=logits.get("rn"),
-                            f_ss=logits.get("ss"), f_ga=f_ga)
+        return self._fuse(outputs, (outputs[0].layout.batch, self.n_answers))
+
+    def _fuse(self, outputs: Sequence[StreamOutput], shape: tuple[int, ...]) -> LogitsBundle:
+        """``fuse`` as one tape node whose outputs are the logits of every head,
+        shaped ``shape``. Per stream: each sample's SEP row or the mean of its
+        rows, layer norm, projection ``h`` and head; the fused head reads the
+        streams' ``h`` side by side."""
+        p, c = self.params, self.n_answers
+        tags = self.config.streams
+        by_tag = {out.tag: out for out in outputs}
+        per_stream = [[p[f"fuse.{tag}.{n}"] for n in ("ln_gain", "ln_bias", "w", "head_w",
+                                                       "head_b")] for tag in tags]
+        ga_w, ga_head_w, ga_head_b = (p[f"fuse.ga.{n}"] for n in ("w", "head_w", "head_b"))
+        saved, logits = [], []
+        for tag, (gain, bias, w, head_w, head_b) in zip(tags, per_stream):
+            out = by_tag[tag]
+            if self.config.pooling == "sep":
+                pool = None
+                pooled = out.hidden.data[out.sep_rows]
+            else:
+                pool = out.layout.mean_matrix()
+                pooled = pool @ out.hidden.data
+            normed, xhat, inv_std = ad._ln_forward(pooled, gain.data, bias.data, EPS_NORM)
+            h = normed @ w.data
+            saved.append((out, pool, normed, xhat, inv_std, h))
+            logits.append(h @ head_w.data + head_b.data)
+        cat = np.concatenate([h for *_, h in saved], axis=1)
+        h_ga = cat @ ga_w.data
+        logits.append(h_ga @ ga_head_w.data + ga_head_b.data)
+        result = tuple(ad.Tensor(z.reshape(shape)) for z in logits)
+
+        def backward(grads):
+            *g_heads, g_ga = (np.reshape(g, (-1, c)) for g in grads)
+            g_hga = g_ga @ ga_head_w.data.T
+            g_cat = g_hga @ ga_w.data.T
+            d = self.config.d_model
+            g_hidden, g_blocks = [], []
+            for i, ((out, pool, normed, xhat, inv_std, h), g, (gain, _, w, head_w, _)) in \
+                    enumerate(zip(saved, g_heads, per_stream)):
+                g_h = g_cat[:, i * d:(i + 1) * d] + g @ head_w.data.T
+                g_normed = g_h @ w.data.T
+                g_pooled = ad._ln_backward(g_normed, gain.data, xhat, inv_std)
+                g_hidden.append(ad._scatter_rows(len(out.hidden.data), out.sep_rows, g_pooled)
+                                if pool is None else pool.T @ g_pooled)
+                g_blocks += [(g_normed * xhat).sum(axis=0), g_normed.sum(axis=0),
+                             normed.T @ g_h, h.T @ g, g.sum(axis=0)]
+            return (*g_hidden, *g_blocks, cat.T @ g_hga, h_ga.T @ g_ga, g_ga.sum(axis=0))
+
+        inputs = (*(by_tag[tag].hidden for tag in tags), *(t for b in per_stream for t in b),
+                  ga_w, ga_head_w, ga_head_b)
+        ad.record(result, inputs, backward)
+        heads = dict(zip(tags, result))
+        return LogitsBundle(f_ce=heads.get("ce"), f_rn=heads.get("rn"), f_ss=heads.get("ss"),
+                            f_ga=result[-1])
 
     # -- loss and prediction -----------------------------------------------
 
     def loss(self, bundle: LogitsBundle, answer_index) -> ad.Tensor:
-        """Unweighted sum of the per-stream and fused cross-entropies.
+        """Unweighted sum of the per-stream and fused cross-entropies, as one
+        tape node.
 
         A scalar for a 1-D bundle and one answer index; the B per-sample
         sums for a [B, c] bundle and B answer indices.
         """
-        terms = [ad.cross_entropy_logits(t, answer_index)
-                 for t in bundle.all_logits().values()]
+        heads = tuple(bundle.all_logits().values())
+        shape = heads[0].data.shape
+        if len(shape) not in (1, 2):
+            raise ValueError(f"loss: expected 1-D or 2-D logits, got {shape}")
+        n = shape[-1]
+        z = np.stack([t.data for t in heads]).reshape(len(heads), -1, n)
+        idx = np.asarray(answer_index, dtype=np.intp).reshape(-1)
+        if idx.shape != (z.shape[1],) or (len(shape) == 1) != (np.ndim(answer_index) == 0):
+            raise ValueError(f"loss: {np.shape(answer_index)} answers for logits {shape}")
+        bad = (idx < 0) | (idx >= n)
+        if bad.any():
+            raise ValueError(f"loss: answer {idx[bad][0]} out of range [0, {n})")
+        r = np.arange(z.shape[1])
+        m = z.max(axis=2, keepdims=True)
+        lse = m + np.log(np.exp(z - m).sum(axis=2, keepdims=True))
+        terms = lse[:, :, 0] - z[:, r, idx]
         total = terms[0]
         for t in terms[1:]:
-            total = ad.add(total, t)
-        return total
+            total = total + t
+        out = ad.Tensor(total.reshape(shape[:-1]))
+        p = np.exp(z - lse)
+
+        def backward(g):
+            g = np.reshape(g, (1, -1, 1))
+            dz = p * g
+            dz[:, r, idx] -= g[0, :, 0]
+            return tuple(dz.reshape((len(heads),) + shape))
+
+        return ad.record(out, heads, backward)
 
     def predict(self, bundle: LogitsBundle) -> int:
         """Argmax of the averaged logits; ties resolve to the lowest class."""

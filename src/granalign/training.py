@@ -170,8 +170,9 @@ class Trainer:
             with ad.Tape() as tape:
                 bundle = model.forward_batch(batch)
                 losses = model.loss(bundle, answers)
-                loss = ad.scale(ad.sum_all(losses), 1.0 / len(batch))
-            g = np.concatenate(tape.gradients(loss, model.params.tensors()), axis=None)
+            # the batch loss is the mean of the per-sample losses
+            g = np.concatenate(tape.gradients(losses, model.params.tensors(),
+                                              np.full(len(batch), 1.0 / len(batch))), axis=None)
             del tape
             for value in losses.data.tolist():
                 loss_sum += value
@@ -395,6 +396,8 @@ def save_checkpoint(path: str, model: Model, optimizer: Adam | None = None) -> N
 
     After the header come ``params.flat`` and, if optimizer state is present,
     its first- and second-moment vectors: each block in header order, three times.
+    The bytes go to a temporary file beside ``path`` that replaces it only once
+    written and synced, so a failed or interrupted save leaves the old file whole.
     """
     header = {
         "model_config": dataclasses.asdict(model.config),
@@ -409,10 +412,19 @@ def save_checkpoint(path: str, model: Model, optimizer: Adam | None = None) -> N
     if optimizer is not None:
         header["optimizer"] = {"lr": optimizer.lr, "step": optimizer.step_count}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CKPT_MAGIC + struct.pack("<IQ", CKPT_VERSION, len(blob)) + blob)
-        for flat in _sections(model.params, optimizer):
-            f.write(flat.astype("<f8", copy=False))
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CKPT_MAGIC + struct.pack("<IQ", CKPT_VERSION, len(blob)) + blob)
+            for flat in _sections(model.params, optimizer):
+                f.write(flat.astype("<f8", copy=False))
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _sections(params: ad.Parameters, optimizer: Adam | None) -> list[np.ndarray]:

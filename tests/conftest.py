@@ -8,6 +8,7 @@ import pytest
 import granalign as ga
 import granalign.autodiff as ad
 from granalign import encoder, training
+from reference_ops import add, layer_norm_rows, matmul, relu, reshape
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -75,8 +76,8 @@ def rel_err(a: float, b: float) -> float:
 def weighted_sum(t, w) -> "ad.Tensor":
     """Scalar sum(t * w) for a constant array ``w``, taped as reshape and matmul."""
     w = np.asarray(w, dtype=np.float64)
-    row = ad.reshape(t, (1, w.size))
-    return ad.reshape(ad.matmul(row, ad.Tensor(w.reshape(w.size, 1))), ())
+    row = reshape(t, (1, w.size))
+    return reshape(matmul(row, ad.Tensor(w.reshape(w.size, 1))), ())
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +161,12 @@ def multi_head_ga(x, g, layer, num_heads):
         return d_x, x.data.T @ d_q, x.data.T @ d_k_, x.data.T @ d_v
 
     ad.record(heads, (x, wq, wk, wv), backward)
-    return ad.matmul(heads, layer.wo)
+    return matmul(heads, layer.wo)
 
 
 def feed_forward(x, layer):
-    hidden = ad.relu(ad.add(ad.matmul(x, layer.ffn_w1), layer.ffn_b1))
-    return ad.add(ad.matmul(hidden, layer.ffn_w2), layer.ffn_b2)
+    hidden = relu(add(matmul(x, layer.ffn_w1), layer.ffn_b1))
+    return add(matmul(hidden, layer.ffn_w2), layer.ffn_b2)
 
 
 def reference_encoder_layer(x, g, layer, cfg, layout, blocks=None):
@@ -177,9 +178,9 @@ def reference_encoder_layer(x, g, layer, cfg, layout, blocks=None):
     """
     assert layout.batch == 1 and layout.dense
     attended = multi_head_ga(x, g[0], layer, cfg.num_heads)
-    y = ad.layer_norm_rows(ad.add(x, attended), layer.ln1_gain, layer.ln1_bias, encoder.EPS_NORM)
-    return ad.layer_norm_rows(ad.add(y, feed_forward(y, layer)),
-                              layer.ln2_gain, layer.ln2_bias, encoder.EPS_NORM)
+    y = layer_norm_rows(add(x, attended), layer.ln1_gain, layer.ln1_bias, encoder.EPS_NORM)
+    return layer_norm_rows(add(y, feed_forward(y, layer)),
+                           layer.ln2_gain, layer.ln2_bias, encoder.EPS_NORM)
 
 
 def whole_grid_plan(layout, n0, masks):

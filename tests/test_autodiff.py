@@ -1,4 +1,5 @@
-"""Tape-based reverse-mode autodiff: op semantics against independent oracles."""
+"""Tape-based reverse-mode autodiff: the tape, the parameter registry, and the
+op-by-op reference operations (``reference_ops``) against independent oracles."""
 
 import ast
 import inspect
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import granalign.autodiff as ad
+import reference_ops as refops
 from conftest import fd_gradient, rel_err, weighted_sum
 
 
@@ -44,7 +46,7 @@ class TestTensor:
 class TestTapeMechanics:
     def test_no_recording_outside_tape(self):
         x = ad.Tensor(np.ones((2, 2)), requires_grad=True)
-        y = ad.relu(x)
+        y = refops.relu(x)
         with ad.Tape() as t:
             pass
         assert t.nodes == []
@@ -53,15 +55,66 @@ class TestTapeMechanics:
     def test_backward_rejects_nonscalar(self):
         x = ad.Tensor(np.ones(3), requires_grad=True)
         with ad.Tape() as t:
-            y = ad.relu(x)
-        with pytest.raises(ValueError):
+            y = refops.relu(x)
+        with pytest.raises(ValueError, match=r"loss of shape \(3,\) needs an output gradient"):
             t.backward(y)
+
+    def test_backward_takes_the_output_gradient_of_a_nonscalar_loss(self):
+        x = ad.Tensor(np.array([-1.0, 2.0, 3.0]), requires_grad=True)
+        with ad.Tape() as t:
+            y = refops.relu(x)
+        (gx,) = t.gradients(y, [x], np.array([5.0, 6.0, 7.0]))
+        np.testing.assert_array_equal(gx, [0.0, 6.0, 7.0])
+
+    @pytest.mark.parametrize("shape", [(), (2,), (3, 1), (1, 3)])
+    def test_backward_rejects_an_output_gradient_of_the_wrong_shape(self, shape):
+        x = ad.Tensor(np.ones(3), requires_grad=True)
+        with ad.Tape() as t:
+            y = refops.relu(x)
+        with pytest.raises(ValueError, match=r"does not match the loss shape \(3,\)"):
+            t.backward(y, np.ones(shape))
+
+    @staticmethod
+    def split_node(x, seen):
+        """x's two halves as one tape node with a tuple output; ``seen`` collects
+        what each backward call receives."""
+        halves = (ad.Tensor(x.data[:2] * 2.0), ad.Tensor(x.data[2:] * 3.0))
+
+        def backward(grads):
+            seen.append(grads)
+            g_a, g_b = grads
+            return (np.concatenate([g_a * 2.0, g_b * 3.0]),)
+
+        return ad.record(halves, (x,), backward)
+
+    def test_tuple_node_gets_one_tuple_and_zeros_for_an_unused_output(self):
+        x = ad.Tensor(np.ones(5), requires_grad=True)
+        seen = []
+        with ad.Tape() as t:
+            a, b = self.split_node(x, seen)
+            loss = refops.sum_all(b)
+        assert len(t.nodes) == 2 and t.nodes[0][0] == (a, b)
+        (gx,) = t.gradients(loss, [x])
+        (g_a, g_b), = seen
+        assert g_a.shape == (2,) and not g_a.any()
+        np.testing.assert_array_equal(g_b, np.ones(3))
+        np.testing.assert_array_equal(gx, [0.0, 0.0, 3.0, 3.0, 3.0])
+
+    def test_tuple_node_with_no_used_output_is_skipped(self):
+        x = ad.Tensor(np.ones(5), requires_grad=True)
+        seen = []
+        with ad.Tape() as t:
+            self.split_node(x, seen)
+            loss = refops.sum_all(x)
+        (gx,) = t.gradients(loss, [x])
+        assert seen == []
+        np.testing.assert_array_equal(gx, np.ones(5))
 
     def test_gradients_zero_fill_unreached_leaves(self):
         x = ad.Tensor(np.ones(3), requires_grad=True)
         unused = ad.Tensor(np.ones((2, 2)), requires_grad=True)
         with ad.Tape() as t:
-            loss = ad.sum_all(ad.relu(x))
+            loss = refops.sum_all(refops.relu(x))
         gx, gu = t.gradients(loss, [x, unused])
         assert np.array_equal(gx, np.ones(3))
         assert np.array_equal(gu, np.zeros((2, 2)))
@@ -77,7 +130,7 @@ class TestTapeMechanics:
         x = ad.Tensor(np.ones(3), requires_grad=True)
         unused = ad.Tensor(np.ones((2, 2)), requires_grad=True)
         with ad.Tape() as t:
-            loss = ad.sum_all(passthrough(x))
+            loss = refops.sum_all(passthrough(x))
         zeros_calls = []
         real_zeros = np.zeros
         monkeypatch.setattr(np, "zeros", lambda shape, *a, **k:
@@ -91,7 +144,7 @@ class TestTapeMechanics:
         """A tensor feeding two branches receives the sum of both gradients."""
         x = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
         with ad.Tape() as t:
-            loss = ad.sum_all(ad.add(x, x))
+            loss = refops.sum_all(refops.add(x, x))
         (gx,) = t.gradients(loss, [x])
         assert np.array_equal(gx, np.full(2, 2.0))
 
@@ -103,7 +156,7 @@ class TestTapeMechanics:
             x = ad.Tensor(a, requires_grad=True)
             w = ad.Tensor(a.T, requires_grad=True)
             with ad.Tape() as t:
-                loss = ad.sum_all(ad.layer_norm_rows(ad.matmul(x, w), ad.Tensor(a[0]),
+                loss = refops.sum_all(refops.layer_norm_rows(refops.matmul(x, w), ad.Tensor(a[0]),
                                                       ad.Tensor(a[1]), 1e-5))
             return t.gradients(loss, [x, w])
 
@@ -132,7 +185,7 @@ class TestTapeMechanics:
             y = x
             for _ in range(6):
                 y = double(y)
-            loss = ad.sum_all(y)
+            loss = refops.sum_all(y)
         (g,) = t.gradients(loss, [x])
         assert alive == [0] * 6  # none of the gradients handed over before
         np.testing.assert_array_equal(g, np.full(64, 64.0))
@@ -143,17 +196,17 @@ class TestMatmul:
         rng = np.random.default_rng(0)
         for n, k, m in [(1, 1, 1), (2, 3, 4), (5, 2, 5)]:
             a, b = rng.normal(size=(n, k)), rng.normal(size=(k, m))
-            got = ad.matmul(ad.Tensor(a), ad.Tensor(b)).data
+            got = refops.matmul(ad.Tensor(a), ad.Tensor(b)).data
             np.testing.assert_allclose(got, matmul_oracle(a, b), rtol=1e-13, atol=1e-13)
 
     def test_vector_times_matrix(self):
         """Operands are 2-D only; a row vector is a [1, k] matrix."""
         with pytest.raises(ValueError, match="2-D"):
-            ad.matmul(ad.Tensor(np.ones(4)), ad.Tensor(np.ones((4, 3))))
+            refops.matmul(ad.Tensor(np.ones(4)), ad.Tensor(np.ones((4, 3))))
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
-            ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))))
+            refops.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))))
 
     def test_backward_against_finite_differences(self):
         rng = np.random.default_rng(2)
@@ -161,7 +214,7 @@ class TestMatmul:
         b = rng.normal(size=(4, 2))
         ta, tb = ad.Tensor(a, requires_grad=True), ad.Tensor(b, requires_grad=True)
         with ad.Tape() as t:
-            loss = ad.sum_all(ad.relu(ad.matmul(ta, tb)))
+            loss = refops.sum_all(refops.relu(refops.matmul(ta, tb)))
         ga_, gb = t.gradients(loss, [ta, tb])
 
         def f():
@@ -178,23 +231,23 @@ class TestElementwiseOps:
         x = ad.Tensor(np.zeros((3, 2)), requires_grad=True)
         b = ad.Tensor(np.zeros(2), requires_grad=True)
         with ad.Tape() as t:
-            loss = ad.sum_all(ad.add(x, b))
+            loss = refops.sum_all(refops.add(x, b))
         _, gb = t.gradients(loss, [x, b])
         assert np.array_equal(gb, np.full(2, 3.0))
 
     def test_add_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
-            ad.add(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((3, 2))))
+            refops.add(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((3, 2))))
 
     def test_scale_relu_values(self):
         x = np.array([-2.0, 0.0, 3.0])
-        assert np.array_equal(ad.relu(ad.Tensor(x)).data, [0.0, 0.0, 3.0])
-        assert np.array_equal(ad.scale(ad.Tensor(x), -1.5).data, [3.0, -0.0, -4.5])
+        assert np.array_equal(refops.relu(ad.Tensor(x)).data, [0.0, 0.0, 3.0])
+        assert np.array_equal(refops.scale(ad.Tensor(x), -1.5).data, [3.0, -0.0, -4.5])
 
     def test_relu_gradient_zero_in_dead_region(self):
         x = ad.Tensor(np.array([-1.0, 2.0]), requires_grad=True)
         with ad.Tape() as t:
-            loss = ad.sum_all(ad.relu(x))
+            loss = refops.sum_all(refops.relu(x))
         (g,) = t.gradients(loss, [x])
         assert np.array_equal(g, [0.0, 1.0])
 
@@ -205,12 +258,12 @@ class TestLayerNormRows:
         x = rng.normal(size=(4, 8)) * 3 + 2
         gain = ad.Tensor(np.ones(8))
         bias = ad.Tensor(np.zeros(8))
-        y = ad.layer_norm_rows(ad.Tensor(x), gain, bias, 1e-12).data
+        y = refops.layer_norm_rows(ad.Tensor(x), gain, bias, 1e-12).data
         np.testing.assert_allclose(y.mean(axis=1), np.zeros(4), atol=1e-12)
         np.testing.assert_allclose(y.var(axis=1), np.ones(4), atol=1e-9)
 
     def test_constant_row_stays_finite(self):
-        y = ad.layer_norm_rows(ad.Tensor(np.full((1, 4), 5.0)),
+        y = refops.layer_norm_rows(ad.Tensor(np.full((1, 4), 5.0)),
                                ad.Tensor(np.ones(4)), ad.Tensor(np.zeros(4)), 1e-5).data
         assert np.all(np.isfinite(y))
         np.testing.assert_allclose(y, np.zeros((1, 4)), atol=1e-12)
@@ -218,7 +271,7 @@ class TestLayerNormRows:
     def test_one_dimensional_input(self):
         """Input is 2-D only; a single vector is a [1, d] matrix."""
         with pytest.raises(ValueError, match="2-D"):
-            ad.layer_norm_rows(ad.Tensor(np.ones(4)), ad.Tensor(np.ones(4)),
+            refops.layer_norm_rows(ad.Tensor(np.ones(4)), ad.Tensor(np.ones(4)),
                                ad.Tensor(np.zeros(4)), 1e-5)
 
     def test_backward_against_finite_differences(self):
@@ -236,7 +289,7 @@ class TestLayerNormRows:
             return float(((xh * gain.data + bias.data) * w).sum())
 
         with ad.Tape() as t:
-            y = ad.layer_norm_rows(x, gain, bias, eps)
+            y = refops.layer_norm_rows(x, gain, bias, eps)
             loss = weighted_sum(y, w)
         grads = t.gradients(loss, [x, gain, bias])
         for tensor, g in zip((x, gain, bias), grads):
@@ -253,14 +306,14 @@ class TestLayerNormRows:
         centered = x - x.mean(axis=-1, keepdims=True)
         inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-5)
         expect = gain * (centered * inv_std) + bias
-        got = ad.layer_norm_rows(ad.Tensor(x), ad.Tensor(gain), ad.Tensor(bias), 1e-5).data
+        got = refops.layer_norm_rows(ad.Tensor(x), ad.Tensor(gain), ad.Tensor(bias), 1e-5).data
         assert got.tobytes() == expect.tobytes()
 
 
 class TestCrossEntropy:
     def test_uniform_logits_equal_log_classes(self):
         for c in (2, 5, 10):
-            loss = ad.cross_entropy_logits(ad.Tensor(np.zeros(c)), 0)
+            loss = refops.cross_entropy_logits(ad.Tensor(np.zeros(c)), 0)
             assert rel_err(float(loss.data), np.log(c)) < 1e-12
 
     def test_matches_negative_log_softmax(self):
@@ -269,14 +322,14 @@ class TestCrossEntropy:
         p = np.exp(z - z.max())
         p /= p.sum()
         for a in range(6):
-            loss = ad.cross_entropy_logits(ad.Tensor(z), a)
+            loss = refops.cross_entropy_logits(ad.Tensor(z), a)
             assert rel_err(float(loss.data), -np.log(p[a])) < 1e-12
 
     def test_gradient_is_softmax_minus_onehot(self):
         z = np.array([0.5, -1.0, 2.0])
         x = ad.Tensor(z, requires_grad=True)
         with ad.Tape() as t:
-            loss = ad.cross_entropy_logits(x, 2)
+            loss = refops.cross_entropy_logits(x, 2)
         (g,) = t.gradients(loss, [x])
         p = np.exp(z - z.max())
         p /= p.sum()
@@ -291,38 +344,38 @@ class TestCrossEntropy:
         x = ad.Tensor(z, requires_grad=True)
         w = rng.normal(size=4)
         with ad.Tape() as t:
-            losses = ad.cross_entropy_logits(x, answers)
+            losses = refops.cross_entropy_logits(x, answers)
             loss = weighted_sum(losses, w)
         (g,) = t.gradients(loss, [x])
         assert losses.data.shape == (4,)
         for i, a in enumerate(answers):
             row = ad.Tensor(z[i], requires_grad=True)
             with ad.Tape() as t1:
-                single = ad.cross_entropy_logits(row, a)
+                single = refops.cross_entropy_logits(row, a)
             assert losses.data[i] == single.data
             np.testing.assert_allclose(g[i], w[i] * t1.gradients(single, [row])[0],
                                        rtol=1e-14, atol=1e-16)
 
     def test_answer_count_must_match_rows(self):
         with pytest.raises(ValueError, match="answers"):
-            ad.cross_entropy_logits(ad.Tensor(np.zeros((3, 4))), [0, 1])
+            refops.cross_entropy_logits(ad.Tensor(np.zeros((3, 4))), [0, 1])
         with pytest.raises(ValueError, match="answers"):
-            ad.cross_entropy_logits(ad.Tensor(np.zeros(4)), [0])
+            refops.cross_entropy_logits(ad.Tensor(np.zeros(4)), [0])
         with pytest.raises(ValueError, match="out of range"):
-            ad.cross_entropy_logits(ad.Tensor(np.zeros((2, 4))), [0, 4])
+            refops.cross_entropy_logits(ad.Tensor(np.zeros((2, 4))), [0, 4])
 
     def test_answer_out_of_range(self):
         with pytest.raises(ValueError):
-            ad.cross_entropy_logits(ad.Tensor(np.zeros(3)), 3)
+            refops.cross_entropy_logits(ad.Tensor(np.zeros(3)), 3)
         with pytest.raises(ValueError):
-            ad.cross_entropy_logits(ad.Tensor(np.zeros(3)), -1)
+            refops.cross_entropy_logits(ad.Tensor(np.zeros(3)), -1)
 
 
 class TestStructuralOps:
     def test_concat_and_slice_roundtrip(self):
         a = np.arange(6.0).reshape(2, 3)
         b = np.arange(6.0, 15.0).reshape(3, 3)
-        cat = ad.concat_rows([ad.Tensor(a), ad.Tensor(b)])
+        cat = refops.concat_rows([ad.Tensor(a), ad.Tensor(b)])
         assert cat.data.shape == (5, 3)
         np.testing.assert_array_equal(cat.data[:2], a)
         np.testing.assert_array_equal(cat.data[2:], b)
@@ -331,7 +384,7 @@ class TestStructuralOps:
         a = ad.Tensor(np.ones((2, 2)), requires_grad=True)
         b = ad.Tensor(np.ones((1, 2)), requires_grad=True)
         with ad.Tape() as t:
-            cat = ad.concat_rows([a, b])
+            cat = refops.concat_rows([a, b])
             loss = weighted_sum(cat, [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
         ga_, gb = t.gradients(loss, [a, b])
         assert np.array_equal(ga_, np.zeros((2, 2)))
@@ -342,23 +395,23 @@ class TestStructuralOps:
         b = ad.Tensor(np.full((2, 1), 2.0), requires_grad=True)
         w = np.arange(8.0).reshape(2, 4)
         with ad.Tape() as t:
-            cat = ad.concat_rows([a, b], axis=1)
+            cat = refops.concat_rows([a, b], axis=1)
             loss = weighted_sum(cat, w)
         np.testing.assert_array_equal(cat.data, [[1, 1, 1, 2], [1, 1, 1, 2]])
         ga_, gb = t.gradients(loss, [a, b])
         np.testing.assert_array_equal(ga_, w[:, :3])
         np.testing.assert_array_equal(gb, w[:, 3:])
         with pytest.raises(ValueError, match="row counts"):
-            ad.concat_rows([a, ad.Tensor(np.ones((3, 1)))], axis=1)
+            refops.concat_rows([a, ad.Tensor(np.ones((3, 1)))], axis=1)
         with pytest.raises(ValueError, match="2-D"):
-            ad.concat_rows([ad.Tensor(np.ones(2)), ad.Tensor(np.ones(2))])
+            refops.concat_rows([ad.Tensor(np.ones(2)), ad.Tensor(np.ones(2))])
 
     def test_embedding_lookup_scatter_adds_repeats(self):
         """The same row looked up twice accumulates both output gradients."""
         table = ad.Tensor(np.zeros((4, 2)), requires_grad=True)
         with ad.Tape() as t:
-            rows = ad.embedding_lookup(table, [1, 1, 3])
-            loss = ad.sum_all(rows)
+            rows = refops.embedding_lookup(table, [1, 1, 3])
+            loss = refops.sum_all(rows)
         (g,) = t.gradients(loss, [table])
         np.testing.assert_array_equal(g, [[0, 0], [2, 2], [0, 0], [1, 1]])
 
@@ -366,7 +419,7 @@ class TestStructuralOps:
         x = ad.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         w = np.arange(6.0).reshape(3, 2)
         with ad.Tape() as t:
-            loss = weighted_sum(ad.reshape(x, (3, 2)), w)
+            loss = weighted_sum(refops.reshape(x, (3, 2)), w)
         (g,) = t.gradients(loss, [x])
         np.testing.assert_array_equal(g, w.reshape(2, 3))
 
@@ -480,6 +533,11 @@ class TestParameters:
 
 
 class TestExports:
+    def test_the_engine_exports_no_operations(self):
+        """Every node is a fused step with its own backward; the engine itself
+        exports only the tape, its tensors, the parameters and ``record``."""
+        assert ad.__all__ == ["Tensor", "Tape", "Parameters", "record"]
+
     def test_every_exported_op_is_called_from_src(self):
         """Each ``__all__`` name exists, and every exported function is called
         from some other ``granalign`` module: the engine keeps only the

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 import granalign.autodiff as ad
-from granalign import encoder, leadgraph
+from granalign import encoder, ingest, leadgraph
 from granalign.data import DEFAULT_WORLD, ToyWorldSpec, gen_corpus, load_manifest
 from granalign.encoder import EncoderConfig, Layout, encoder_layer
 from granalign.ingest import question_from_dict
 from granalign.leadgraph import layer_masks, pairs_to_matrix
 from granalign.model import STREAMS, LogitsBundle, Model, ModelConfig, StreamOutput
 from granalign.training import ABLATION_VARIANTS, generic_parameter_point
-from conftest import (append_sep_mask, fixture_path, level_graph, reference_batch,
-                      whole_grid_plan)
+import reference_ops as refops
+from conftest import (append_sep_mask, fd_gradient, fixture_path, level_graph, reference_batch,
+                      rel_err, weighted_sum, whole_grid_plan)
 
 WORDS = ["what", "color", "is", "the", "there", "a",
          "girl", "dog", "brown", "left", "right"]
@@ -271,18 +272,34 @@ class TestPredict:
 
 
 class TestPooling:
+    @staticmethod
+    def outputs(model, prep):
+        return [model.run_stream(tag, [prep]) for tag in model.config.streams]
+
     def test_sep_pool_reads_sep_row(self, girl_dog):
+        """Under SEP pooling the head reads nothing of a stream but its SEP row."""
         model, prep = make_model(girl_dog, pooling="sep")
-        out = model.run_stream("ce", [prep])
-        pooled = model._pool(out)
-        np.testing.assert_array_equal(pooled.data, out.hidden.data[out.sep_rows])
+        outputs = self.outputs(model, prep)
+        base = model.fuse(outputs).all_logits()
+        for out in outputs:
+            others = np.ones(len(out.hidden.data), dtype=bool)
+            others[out.sep_rows] = False
+            out.hidden.data[others] += np.arange(out.hidden.data.shape[1])
+        bumped = model.fuse(outputs).all_logits()
+        for tag, t in base.items():
+            assert bumped[tag].data.tobytes() == t.data.tobytes()
+        outputs[0].hidden.data[outputs[0].sep_rows] += np.arange(outputs[0].hidden.data.shape[1])
+        assert not np.allclose(model.fuse(outputs).f_ce.data, base["ce"].data)
 
     def test_mean_pool_averages_rows(self, girl_dog):
+        """Under mean pooling each stream's rows act as their mean alone."""
         model, prep = make_model(girl_dog, pooling="mean")
-        out = model.run_stream("ce", [prep])
-        pooled = model._pool(out)
-        np.testing.assert_allclose(pooled.data, out.hidden.data.mean(axis=0, keepdims=True),
-                                   atol=1e-12)
+        outputs = self.outputs(model, prep)
+        means = [StreamOutput(out.tag, ad.Tensor(out.hidden.data.mean(axis=0, keepdims=True)),
+                              Layout.contiguous([1]), np.array([0])) for out in outputs]
+        got, expect = model.fuse(outputs).all_logits(), model.fuse(means).all_logits()
+        for tag in got:
+            np.testing.assert_allclose(got[tag].data, expect[tag].data, rtol=1e-12, atol=1e-12)
 
     def test_pooling_changes_logits(self, girl_dog):
         m_mean, prep_mean = make_model(girl_dog, pooling="mean")
@@ -308,10 +325,10 @@ class TestVariants:
             t_img, t_q, _, _ = model._stream_inputs(tag, [prep])
             sep = model.params[f"{tag}.sep"]
             stack = model.stacks[tag]
-            x = ad.concat_rows([t_img, ad.reshape(sep, (1, sep.data.shape[0])), t_q])
-            n = x.data.shape[0]
+            rows = np.concatenate([t_img.data, sep.data[None], t_q.data])
+            n = len(rows)
             layout = Layout.contiguous([n])
-            x = stack.add_positions(x, layout.pos)
+            x = ad.Tensor(rows + stack.pos_table.data[:n])
             for layer in stack.layers:
                 x = encoder_layer(x, np.ones((1, n, n)), layer, stack.cfg, layout)
             outputs.append(StreamOutput(tag, x, layout, np.array([t_img.data.shape[0]])))
@@ -379,9 +396,8 @@ def batch_loss_and_grads(model, preps):
     with ad.Tape() as tape:
         bundle = model.forward_batch(preps)
         losses = model.loss(bundle, [p.answer_index for p in preps])
-        loss = ad.scale(ad.sum_all(losses), 1.0 / len(preps))
-    return bundle, losses.data, dict(zip(model.params.names(),
-                                         tape.gradients(loss, model.params.tensors())))
+    grads = tape.gradients(losses, model.params.tensors(), np.full(len(preps), 1.0 / len(preps)))
+    return bundle, losses.data, dict(zip(model.params.names(), grads))
 
 
 class TestBatch:
@@ -556,3 +572,179 @@ class TestSegmentGroups:
             assert t.data.tobytes() == ref_bundle.all_logits()[tag].data.tobytes()
         for name, g in grads.items():
             assert g.tobytes() == ref_grads[name].tobytes(), name
+
+
+@pytest.fixture(scope="module")
+def seed7_corpora(tmp_path_factory):
+    """16 training samples each of the seed-7 pinned corpus and the seed-7
+    7x7-grid corpus."""
+    root = tmp_path_factory.mktemp("seed7")
+    specs = {"pinned": DEFAULT_WORLD,
+             "grid": ToyWorldSpec(objects_min=1, objects_max=4, grid_size=7)}
+    return {name: load_manifest(gen_corpus(spec, 16, 1, 7, str(root / name))[0])
+            for name, spec in specs.items()}
+
+
+def seed7_model(corpora, corpus, **cfg_kw):
+    ds = corpora[corpus]
+    model = Model(ModelConfig(**cfg_kw), ds.word_vocab, ds.answer_vocab, ds.d_region,
+                  ds.d_spatial, seed=1)
+    generic_parameter_point(model)
+    return model, [model.prepare(s.scene, s.question, ds.answer_index(s.answer))
+                   for s in ds.samples]
+
+
+CONFIGS = {"default": {}, "no-lead-graphs": {"use_lead_graphs": False},
+           "sep-pooling": {"pooling": "sep"},
+           "sep-no-lead-graphs": {"pooling": "sep", "use_lead_graphs": False},
+           "two-streams": {"streams": ("ce", "ss")}}
+
+
+class TestOpByOpReference:
+    """The fused input, head and loss nodes against the op-by-op chain of
+    ``reference_ops``: logits, per-sample losses and every block's gradient,
+    bitwise."""
+
+    @pytest.mark.parametrize("config", list(CONFIGS))
+    @pytest.mark.parametrize("corpus", ["pinned", "grid"])
+    @pytest.mark.parametrize("batch", [16, 1])
+    def test_batch_bitwise(self, seed7_corpora, config, corpus, batch):
+        model, preps = seed7_model(seed7_corpora, corpus, **CONFIGS[config])
+        bundle, losses, grads = batch_loss_and_grads(model, preps[:batch])
+        ref_bundle, ref_losses, ref_grads = refops.reference_batch_gradients(model, preps[:batch])
+        assert losses.shape == (batch,) and losses.tobytes() == ref_losses.tobytes()
+        ref_logits = ref_bundle.all_logits()
+        assert list(bundle.all_logits()) == list(ref_logits)
+        for tag, t in bundle.all_logits().items():
+            assert t.data.shape == ref_logits[tag].data.shape
+            assert t.data.tobytes() == ref_logits[tag].data.tobytes(), tag
+        assert list(grads) == list(ref_grads)
+        for name, g in grads.items():
+            assert g.tobytes() == ref_grads[name].tobytes(), name
+
+    @pytest.mark.parametrize("config", list(CONFIGS))
+    @pytest.mark.parametrize("corpus", ["pinned", "grid"])
+    def test_one_sample_forward_bitwise(self, seed7_corpora, config, corpus):
+        """``forward``'s 1-D logits and the scalar loss gradcheck differentiates."""
+        model, preps = seed7_model(seed7_corpora, corpus, **CONFIGS[config])
+        prep = preps[5]
+
+        def run(forward, loss):
+            with ad.Tape() as tape:
+                bundle = forward(prep)
+                value = loss(bundle, prep.answer_index)
+            return bundle.all_logits(), value.data, tape.gradients(value, model.params.tensors())
+
+        logits, value, grads = run(model.forward, model.loss)
+        ref_logits, ref_value, ref_grads = run(lambda p: refops.reference_forward(model, p),
+                                               refops.reference_loss)
+        assert value.shape == () and value.tobytes() == ref_value.tobytes()
+        for tag, t in logits.items():
+            assert t.data.shape == (model.n_answers,)
+            assert t.data.tobytes() == ref_logits[tag].data.tobytes(), tag
+        for name, g, ref in zip(model.params.names(), grads, ref_grads):
+            assert g.tobytes() == ref.tobytes(), name
+
+
+class TestTapeNodes:
+    """Each fused step records one tape node: per stream an input node for
+    each side, one stack-input node per stack and one node per layer; then
+    the head and the loss."""
+
+    @pytest.mark.parametrize("streams, expect", [(tuple(STREAMS), 24), (("ce", "ss"), 18)])
+    def test_nodes_per_batch(self, seed7_corpora, streams, expect):
+        model, preps = seed7_model(seed7_corpora, "pinned", streams=streams)
+        with ad.Tape() as tape:
+            model.loss(model.forward_batch(preps), [p.answer_index for p in preps])
+        assert len(preps) == 16 and len(tape.nodes) == expect
+
+    def test_nodes_of_one_sample(self, seed7_corpora):
+        model, preps = seed7_model(seed7_corpora, "pinned")
+        with ad.Tape() as tape:
+            model.loss(model.forward(preps[0]), preps[0].answer_index)
+        assert len(tape.nodes) == 24
+
+
+def check_node(fn, tensors, seed, coords=4, tol=1e-6):
+    """Tape gradients of ``sum_i(out_i * w_i)`` over the output(s) of ``fn()``,
+    for random weights ``w_i``, against central differences at ``coords``
+    seeded random coordinates of each tensor."""
+    rng = np.random.default_rng(seed)
+
+    def outputs():
+        out = fn()
+        return out if isinstance(out, tuple) else (out,)
+
+    weights = [rng.normal(size=o.data.shape) for o in outputs()]
+
+    def value():
+        return sum(float((o.data * w).sum()) for o, w in zip(outputs(), weights))
+
+    with ad.Tape() as tape:
+        terms = [weighted_sum(o, w) for o, w in zip(outputs(), weights)]
+        total = terms[0]
+        for t in terms[1:]:
+            total = refops.add(total, t)
+    for tensor, grad in zip(tensors, tape.gradients(total, tensors)):
+        picked = rng.choice(tensor.data.size, min(coords, tensor.data.size), replace=False)
+        for c, fd in fd_gradient(value, tensor.data, picked).items():
+            assert rel_err(grad.reshape(-1)[c], fd) < tol, (tensor.data.shape, c)
+
+
+class TestFusedNodes:
+    """Every fused node's hand-written backward against central differences."""
+
+    @pytest.fixture(scope="class")
+    def batch(self, seed7_corpora):
+        return seed7_model(seed7_corpora, "pinned")
+
+    def test_input_mlp(self, batch):
+        model, preps = batch
+        p = model.params
+        blocks = [p["embed.table"]] + [p[f"ce.entity_mlp.{n}"] for n in ("w1", "b1", "w2", "b2")]
+        labels = [w for prep in preps[:4] for w in prep.entity.labels]
+        check_node(lambda: ingest.embed_tokens(labels, model.vocab, *blocks), blocks, seed=60,
+                   coords=6)
+
+    def test_feature_projection(self, batch):
+        model, preps = batch
+        p = model.params
+        features = np.concatenate([prep.region.features for prep in preps[:4]])
+        blocks = [p["rn.region_proj.w"], p["rn.region_proj.b"]]
+        check_node(lambda: ingest.project_features(features, *blocks), blocks, seed=61)
+
+    def test_stack_input_rows_with_sep(self, batch):
+        model, _ = batch
+        stack = model.stacks["ce"]
+        rng = np.random.default_rng(62)
+        n_img, n_q = [3, 1, 4], [2, 0, 3]
+        t_img = ad.Tensor(rng.normal(size=(sum(n_img), 32)), requires_grad=True)
+        t_q = ad.Tensor(rng.normal(size=(sum(n_q), 32)), requires_grad=True)
+        sep = model.params["ce.sep"]
+        layout = Layout.contiguous(n_img, [1] * 3, n_q)
+        tensors = [t_img, sep, t_q, stack.pos_table]
+        check_node(lambda: stack._input_rows([t_img, sep, t_q], layout), tensors, seed=63,
+                   coords=8)
+
+    @pytest.mark.parametrize("pooling", ["mean", "sep"])
+    def test_head(self, seed7_corpora, pooling):
+        model, preps = seed7_model(seed7_corpora, "pinned", pooling=pooling)
+        outputs = [StreamOutput(out.tag, ad.Tensor(out.hidden.data, requires_grad=True),
+                                out.layout, out.sep_rows)
+                   for out in (model.run_stream(tag, preps[:4]) for tag in model.config.streams)]
+        tensors = [out.hidden for out in outputs] + [
+            t for name, t in model.params.items() if name.startswith("fuse.")]
+        check_node(lambda: tuple(model.fuse(outputs).all_logits().values()), tensors,
+                   seed=64 if pooling == "mean" else 65)
+
+    @pytest.mark.parametrize("batch_size", [None, 5], ids=["1-D", "B x c"])
+    def test_loss(self, batch_size, girl_dog):
+        model, _ = make_model(girl_dog)
+        rng = np.random.default_rng(66)
+        shape = (model.n_answers,) if batch_size is None else (batch_size, model.n_answers)
+        heads = [ad.Tensor(rng.normal(size=shape) * 2.0, requires_grad=True) for _ in range(4)]
+        bundle = LogitsBundle(*heads)
+        answers = 2 if batch_size is None else rng.integers(0, model.n_answers, batch_size)
+        # random coordinates include small gradients, which sit closer to the
+        # central difference's noise floor; hence the looser tolerance
+        check_node(lambda: model.loss(bundle, answers), heads, seed=67, tol=1e-5)

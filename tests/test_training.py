@@ -1,7 +1,9 @@
 """Optimizer behavior, the training loop, gradient checking, checkpoints."""
 
+import errno
 import io
 import json
+import os
 import re
 import struct
 
@@ -23,6 +25,7 @@ from granalign.training import (
     loss_value,
     save_checkpoint,
 )
+import reference_ops as refops
 from conftest import TextbookAdam
 
 WORDS = ["what", "color", "is", "the", "there", "a",
@@ -257,7 +260,7 @@ class TestTrainer:
                 with ad.Tape() as tape:
                     losses = model.loss(model.forward_batch(batch),
                                         [prep.answer_index for prep in batch])
-                    loss = ad.scale(ad.sum_all(losses), 1.0 / len(batch))
+                    loss = refops.scale(refops.sum_all(losses), 1.0 / len(batch))
                 grads = dict(zip(model.params.names(),
                                  tape.gradients(loss, model.params.tensors())))
                 norms.append(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
@@ -318,22 +321,17 @@ class TestGradcheck:
         failed = [r for r in reports if not r.passed]
         assert failed == []
 
-    def test_detects_a_corrupted_backward(self, girl_dog, monkeypatch):
-        """Negative control: a wrong gradient rule must be caught."""
+    @pytest.mark.parametrize("rule", ["_ln_backward", "_scatter_rows"])
+    def test_detects_a_corrupted_backward(self, girl_dog, monkeypatch, rule):
+        """Negative control: a wrong gradient rule must be caught. The layer
+        norm rule serves the encoder layers and the fusion head; the row
+        scatter serves the embedding lookup and the stack input rows."""
         scene, question = girl_dog
         model = tiny_model()
         generic_parameter_point(model)
         prep = model.prepare(scene, question, answer_index=0)
-
-        def bad_relu(x):
-            out = ad.Tensor(np.maximum(x.data, 0.0))
-
-            def backward(grad):
-                return (grad * (x.data > 0.0) * 1.01,)
-
-            return ad.record(out, (x,), backward)
-
-        monkeypatch.setattr(ad, "relu", bad_relu)
+        original = getattr(ad, rule)
+        monkeypatch.setattr(ad, rule, lambda *args: original(*args) * 1.01)
         reports = gradcheck(model, prep)
         assert any(not r.passed for r in reports)
 
@@ -349,6 +347,64 @@ class TestGradcheck:
         model = tiny_model()
         with pytest.raises(ValueError, match=message):
             gradcheck(model, model.prepare(scene, question, answer_index=0), **kw)
+
+
+class CutWriter:
+    """A binary file that fails with "no space left" once ``limit`` bytes are written."""
+
+    def __init__(self, path, limit):
+        self.file = open(path, "wb")
+        self.left = limit
+
+    def write(self, data):
+        data = memoryview(data).cast("B")
+        self.file.write(data[:self.left])
+        if len(data) > self.left:
+            self.left = 0
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.left -= len(data)
+        return len(data)
+
+    def flush(self):
+        self.file.flush()
+
+    def fileno(self):
+        return self.file.fileno()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+
+class TestAtomicCheckpoint:
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        """A save that fails after k bytes, for k from none to all but one,
+        leaves the previous checkpoint byte-identical and no temporary file."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), tiny_model(seed=1))
+        before = path.read_bytes()
+        model = tiny_model(seed=2)
+        optimizer = training.Adam(model.params, 1e-3)
+        save_checkpoint(str(tmp_path / "other.ckpt"), model, optimizer)
+        total = (tmp_path / "other.ckpt").stat().st_size
+        os.remove(tmp_path / "other.ckpt")
+        for k in (0, 5, 1000, total // 2, total - 1):
+            monkeypatch.setattr(training, "open", lambda p, mode: CutWriter(p, k), raising=False)
+            with pytest.raises(OSError, match="No space left"):
+                save_checkpoint(str(path), model, optimizer)
+            monkeypatch.undo()
+            assert path.read_bytes() == before, k
+            assert os.listdir(tmp_path) == ["model.ckpt"], k
+
+    def test_save_replaces_the_old_file(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), tiny_model(seed=1))
+        save_checkpoint(str(path), tiny_model(seed=2))
+        save_checkpoint(str(tmp_path / "fresh.ckpt"), tiny_model(seed=2))
+        assert path.read_bytes() == (tmp_path / "fresh.ckpt").read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["fresh.ckpt", "model.ckpt"]
 
 
 class TestCheckpoint:
