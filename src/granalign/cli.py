@@ -163,9 +163,8 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_dump_leadgraph(args) -> int:
     doc = read_json(args.sample)
-    scene = scene_from_dict(require(doc, "scene", args.sample, dict), source=args.sample)
-    question = question_from_dict(require(doc, "question", args.sample, dict),
-                                  source=args.sample)
+    scene = scene_from_dict(require(doc, "scene", args.sample, dict), args.sample)
+    question = question_from_dict(require(doc, "question", args.sample, dict), args.sample)
     levels, plans = build_streams(scene, question, ModelConfig(streams=(args.stream,)))
     stream = STREAMS[args.stream]
     print(f"# stream {args.stream} layer {args.layer}")

@@ -10,7 +10,6 @@ from the scene graph alone and serves as the ground-truth oracle.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import hashlib
 import json
@@ -25,14 +24,12 @@ from .ingest import (
     SceneObject,
     SceneRelation,
     SchemaError,
+    SpatialGrid,
     from_json,
-    question_from_dict,
-    question_to_dict,
     read_json,
     require,
-    scene_from_dict,
-    scene_to_dict,
     strings,
+    to_json,
 )
 
 MANIFEST_VERSION = 1
@@ -56,7 +53,7 @@ class ToyWorldSpec:
 
     categories: tuple[str, ...] = ("girl", "dog", "cat", "ball")
     attributes: tuple[str, ...] = ("brown", "red", "blue", "green")
-    relations: tuple[str, str] = ("left", "right")
+    relations: tuple[str, ...] = ("left", "right")  # exactly two
     objects_min: int = 2
     objects_max: int = 2
     grid_size: int = 2
@@ -119,7 +116,7 @@ class ToyWorldSpec:
         return out
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return to_json(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ToyWorldSpec":
@@ -132,8 +129,8 @@ DEFAULT_WORLD = ToyWorldSpec()
 
 @dataclass
 class Sample:
-    sample_id: str
-    template: str
+    sample_id: str = field(metadata={"json": "id"})
+    template: str = field(metadata={"missing": ""})
     scene: SceneGraph
     question: QuestionParse
     answer: str
@@ -244,8 +241,7 @@ def _gen_scene(spec: ToyWorldSpec, rng: np.random.Generator) -> SceneGraph:
     noise = rng.standard_normal((g * g, spec.d_spatial))
     feats = spec.feature_scale * (base + spec.feature_noise * noise)
 
-    return SceneGraph(objects=objects, relations=relations, grid_size=g,
-                      spatial_features=feats)
+    return SceneGraph(objects=objects, relations=relations, spatial=SpatialGrid(g, feats))
 
 
 def _question_candidates(spec: ToyWorldSpec, scene: SceneGraph) -> dict[str, list]:
@@ -393,16 +389,6 @@ def _dump_json(path: str, obj: dict) -> None:
         f.write(_json_text(obj) + "\n")
 
 
-def sample_to_dict(s: Sample) -> dict:
-    return {
-        "id": s.sample_id,
-        "template": s.template,
-        "scene": scene_to_dict(s.scene),
-        "question": question_to_dict(s.question),
-        "answer": s.answer,
-    }
-
-
 def gen_data(spec: ToyWorldSpec, n: int, seed: int, out_dir: str,
              split: str = "train") -> str:
     """Write one split (manifest + per-sample files); returns the manifest path.
@@ -416,7 +402,7 @@ def gen_data(spec: ToyWorldSpec, n: int, seed: int, out_dir: str,
     rel_paths = []
     for s in samples:
         rel = os.path.join("samples", f"{s.sample_id}.json")
-        _dump_json(os.path.join(out_dir, rel), sample_to_dict(s))
+        _dump_json(os.path.join(out_dir, rel), to_json(s))
         rel_paths.append(rel)
     manifest = {
         "version": MANIFEST_VERSION,
@@ -449,34 +435,28 @@ def load_manifest(path: str) -> Dataset:
         raise SchemaError(f"{path}: unsupported manifest version {doc['version']!r}")
     answer_vocab = strings(require(doc, "answer_vocab", path, list), f"{path}: answer_vocab")
     word_vocab = strings(require(doc, "word_vocab", path, list), f"{path}: word_vocab")
+    for key, vocab in (("answer_vocab", answer_vocab), ("word_vocab", word_vocab)):
+        if len(set(vocab)) != len(vocab):
+            repeated = next(w for i, w in enumerate(vocab) if w in vocab[:i])
+            raise SchemaError(f"{path}: {key} repeats {repeated!r}")
+    dims = {key: require(doc, key, path, int) for key in ("d_region", "d_spatial", "grid_size")}
     base = os.path.dirname(os.path.abspath(path))
     samples = []
     for rel in strings(require(doc, "samples", path, list), f"{path}: samples"):
         spath = os.path.join(base, rel)
         try:
-            sdoc = read_json(spath)
+            s = from_json(Sample, read_json(spath), spath, required=True)
         except FileNotFoundError:
             raise SchemaError(f"{path}: sample file {rel!r} does not exist") from None
-        answer = require(sdoc, "answer", spath, str)
-        if answer not in answer_vocab:
-            raise SchemaError(f"{spath}: answer {answer!r} not in the answer vocabulary")
-        samples.append(Sample(
-            sample_id=require(sdoc, "id", spath, str),
-            template=require(sdoc, "template", spath, str, ""),
-            scene=scene_from_dict(require(sdoc, "scene", spath, dict), source=spath),
-            question=question_from_dict(require(sdoc, "question", spath, dict), source=spath),
-            answer=answer,
-        ))
-    ds = Dataset(samples=samples, word_vocab=word_vocab, answer_vocab=answer_vocab,
-                 **{key: require(doc, key, path, int)
-                    for key in ("d_region", "d_spatial", "grid_size")})
-    for s in ds.samples:
-        for o in s.scene.objects:
-            if o.region_feature.shape[0] != ds.d_region:
-                raise SchemaError(f"{path}: sample {s.sample_id}: object {o.obj_id}: region "
-                                  f"feature dim {o.region_feature.shape[0]} != {ds.d_region}")
-        width = s.scene.spatial_features.shape[1]
-        if width != ds.d_spatial:
+        if s.answer not in answer_vocab:
+            raise SchemaError(f"{spath}: answer {s.answer!r} not in the answer vocabulary")
+        o = s.scene.objects[0]  # a scene's region features share one width
+        if o.region_feature.shape[0] != dims["d_region"]:
+            raise SchemaError(f"{path}: sample {s.sample_id}: object {o.obj_id}: region "
+                              f"feature dim {o.region_feature.shape[0]} != {dims['d_region']}")
+        width = s.scene.spatial.features.shape[1]
+        if width != dims["d_spatial"]:
             raise SchemaError(f"{path}: sample {s.sample_id}: spatial feature "
-                              f"width {width} != d_spatial {ds.d_spatial}")
-    return ds
+                              f"width {width} != d_spatial {dims['d_spatial']}")
+        samples.append(s)
+    return Dataset(samples=samples, word_vocab=word_vocab, answer_vocab=answer_vocab, **dims)

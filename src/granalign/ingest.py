@@ -9,19 +9,24 @@ Images and questions each contribute three granularity levels:
 Each level yields an ordered token set plus directed (src, dst) index pairs,
 or a ``full`` flag, that become the level's binary lead graph. Feature
 extraction and parsing happen upstream; this module only consumes their
-structured output.
+structured output: the records ``SceneGraph`` and ``QuestionParse``, whose
+annotations and ``__post_init__`` rules are the sample-file schema. The one
+typed-JSON reader ``from_json`` reads them, and every other JSON document,
+and ``to_json`` writes them.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import logging
 import math
+import typing
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,6 +45,11 @@ POSITIONAL_WORDS = frozenset(
 
 LEVEL_TAGS = ("concept", "region", "spatial", "entity", "noun_phrase", "sentence")
 
+# Largest feature magnitude a sample file may hold: squares of features (layer
+# norm, Adam's second moment) stay finite. Near the float64 maximum (about
+# 5e307) the input projection's sums overflow and the forward is NaN.
+FEATURE_LIMIT = 1e150
+
 
 class SchemaError(ValueError):
     """An input document does not match the expected schema."""
@@ -52,10 +62,10 @@ class SchemaError(ValueError):
 
 @dataclass
 class SceneObject:
-    obj_id: str
+    obj_id: str = field(metadata={"json": "id"})
     category: str
-    attributes: list[str]
-    region_feature: np.ndarray
+    attributes: list[str] = field(metadata={"missing": []})
+    region_feature: np.ndarray = field(metadata={"ndim": 1})
 
 
 @dataclass
@@ -66,11 +76,42 @@ class SceneRelation:
 
 
 @dataclass
+class SpatialGrid:
+    grid_size: int
+    features: np.ndarray = field(metadata={"ndim": 2})  # [grid_size**2, d_spatial]
+
+    def __post_init__(self):
+        if self.grid_size < 1:
+            raise ValueError(f"grid_size must be >= 1, got {self.grid_size}")
+        if self.features.shape[0] != self.grid_size ** 2:
+            raise ValueError(f"features must be a {self.grid_size ** 2} x d matrix")
+
+
+@dataclass
 class SceneGraph:
     objects: list[SceneObject]
-    relations: list[SceneRelation]
-    grid_size: int
-    spatial_features: np.ndarray  # [grid_size**2, d_spatial]
+    relations: list[SceneRelation] = field(metadata={"missing": []})
+    spatial: SpatialGrid
+
+    def __post_init__(self):
+        if not self.objects:
+            raise ValueError("scene has no objects")
+        width = self.objects[0].region_feature.shape[0]
+        for i, o in enumerate(self.objects):
+            if o.region_feature.shape[0] != width:
+                raise ValueError(f"objects[{i}]: region_feature has "
+                                 f"{o.region_feature.shape[0]} values, objects[0] has {width}")
+        ids = {o.obj_id for o in self.objects}
+        if len(ids) != len(self.objects):
+            raise ValueError("duplicate object ids")
+        for i, rel in enumerate(self.relations):
+            for ref in (rel.subject, rel.object):
+                if ref not in ids:
+                    raise ValueError(f"relations[{i}]: unknown object id {ref!r}")
+
+
+# the token indices of a dependency's head and of its dependent
+DependencyEdge = NamedTuple("DependencyEdge", [("head", int), ("dependent", int)])
 
 
 @dataclass
@@ -78,7 +119,15 @@ class QuestionParse:
     tokens: list[str]
     entities: list[str]
     noun_phrases: list[list[str]]
-    dependency_edges: list[Pair]
+    dependency_edges: list[DependencyEdge]
+
+    def __post_init__(self):
+        if not self.tokens:
+            raise ValueError("question has no tokens")
+        n = len(self.tokens)
+        for i, (h, dep) in enumerate(self.dependency_edges):
+            if not (0 <= h < n and 0 <= dep < n):
+                raise ValueError(f"dependency_edges[{i}] index out of range")
 
 
 @dataclass
@@ -121,10 +170,10 @@ class LevelData:
 # checkpoint headers; ``where`` names the document in every error
 # ---------------------------------------------------------------------------
 
-# a tuple passes for a list, as ``json`` writes one
-_JSON_TYPES = {dict: (dict, "an object"), list: ((list, tuple), "a list"), str: (str, "a string"),
-               int: (int, "an integer"), float: ((int, float), "a number"),
-               bool: (bool, "a boolean")}
+# the Python types of each JSON type; a tuple passes for a list, as ``json`` writes one
+_JSON_TYPES = {dict: ((dict,), "an object"), list: ((list, tuple), "a list"),
+               str: ((str,), "a string"), int: ((int,), "an integer"),
+               float: ((int, float), "a number"), bool: ((bool,), "a boolean")}
 
 
 def read_json(path):
@@ -145,13 +194,10 @@ def expect(value, kind: type, what: str):
     return value
 
 
-def require(d, key: str, where: str, kind: type, default=None):
-    """Field ``key`` of the JSON object ``d``, a value of ``kind``. A missing
-    field is an error unless it has a ``default``."""
+def require(d, key: str, where: str, kind: type):
+    """Field ``key`` of the JSON object ``d``, a value of ``kind``."""
     if key not in expect(d, dict, where):
-        if default is None:
-            raise SchemaError(f"{where}: missing field {key!r}")
-        return default
+        raise SchemaError(f"{where}: missing field {key!r}")
     return expect(d[key], kind, f"{where}: field {key!r}")
 
 
@@ -171,32 +217,82 @@ def only_fields(d, where: str, names) -> dict:
 
 
 def from_json(cls, obj, where: str, required: bool):
-    """The dataclass ``cls`` built from the JSON object ``obj``. Each field
-    takes the JSON type of its default: a tuple is read from a list of
-    strings, a float from any number. Unknown keys are errors, and so are
-    missing ones if ``required``. A ValueError of ``cls`` becomes a
-    SchemaError naming ``where``."""
-    only_fields(obj, where, cls.__dataclass_fields__)
+    """The dataclass ``cls`` from the JSON object ``obj``, each field read by its
+    annotation (``_codec``). Field metadata give the JSON key (``json``), an
+    absent key's value (``missing``) and an array's axes (``ndim``). Unknown
+    keys are errors, and so are absent ones without ``missing`` if ``required``.
+    Errors name the path from ``where``, as does a ValueError of ``cls``."""
+    keys, fields = _schema(cls)
+    if type(obj) is not dict or not keys.issuperset(obj):
+        only_fields(obj, where, keys)  # raises for a non-object or an unknown key
     kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name not in obj:
+    for name, key, kind, read, _, missing in fields:
+        value = obj.get(key, missing)
+        if value is dataclasses.MISSING:
             if required:
-                raise SchemaError(f"{where}: missing field {f.name!r}")
+                raise SchemaError(f"{where}: missing field {key!r}")
             continue
-        what = f"{where}: field {f.name!r}"
-        if isinstance(f.default, tuple):
-            kwargs[f.name] = tuple(strings(expect(obj[f.name], list, what), what))
-        elif isinstance(f.default, float):
-            try:
-                kwargs[f.name] = float(expect(obj[f.name], float, what))
-            except OverflowError:
-                raise SchemaError(f"{what} is out of the float range") from None
-        else:
-            kwargs[f.name] = expect(obj[f.name], type(f.default), what)
+        if type(value) not in _JSON_TYPES[kind][0]:
+            expect(value, kind, f"{where}: field {key!r}")
+        try:
+            kwargs[name] = value if read is None else read(value, where, key)
+        except OverflowError:  # an integer beyond the float range
+            raise SchemaError(f"{where}: field {key!r} is out of the float range") from None
     try:
         return cls(**kwargs)
     except ValueError as e:
         raise SchemaError(f"{where}: {e}") from None
+
+
+def to_json(record) -> dict:
+    """The JSON object of the dataclass ``record``, which ``from_json`` reads back."""
+    return {key: getattr(record, name) if write is None else write(getattr(record, name))
+            for name, key, _, _, write, _ in _schema(type(record))[1]}
+
+
+@functools.cache
+def _schema(cls) -> tuple[frozenset, tuple]:
+    """The JSON keys of the dataclass ``cls``; per field its name, JSON key,
+    JSON type, reader, writer and the value of an absent key."""
+    hints = typing.get_type_hints(cls)
+    fields = tuple((f.name, f.metadata.get("json", f.name),
+                    *_codec(hints[f.name], f.metadata.get("ndim")),
+                    f.metadata.get("missing", dataclasses.MISSING))
+                   for f in dataclasses.fields(cls))
+    return frozenset(f[1] for f in fields), fields
+
+
+def _codec(tp, ndim):
+    """The JSON type of a value annotated ``tp``, its reader ``(value, where,
+    key)`` and its writer ``(value)``, each None for the value as it is. A
+    dataclass is an object, a list or ``tuple[X, ...]`` a list read item by
+    item, a named pair such as ``DependencyEdge`` a list of two integers, and
+    an array a list of numbers or of rows (``_numbers``)."""
+    if dataclasses.is_dataclass(tp):
+        return dict, lambda v, where, key: from_json(tp, v, f"{where}: {key}", True), to_json
+    if tp is np.ndarray:
+        return list, lambda v, where, key: _numbers(v, ndim, f"{where}: {key}"), np.ndarray.tolist
+    if tp is float:
+        return float, lambda v, where, key: float(v), None
+    if hasattr(tp, "_fields"):
+        def pair(v, where, key):
+            if len(v) != 2 or type(v[0]) is not int or type(v[1]) is not int:
+                raise SchemaError(f"{where}: {key} must be a ({', '.join(tp._fields)}) "
+                                  f"pair of integers")
+            return tp(*v)
+        return list, pair, list
+    wrap = typing.get_origin(tp)
+    if wrap not in (list, tuple):
+        return tp, None, None
+    kind, read, write = _codec(typing.get_args(tp)[0], ndim)
+    types = _JSON_TYPES[kind][0]
+
+    def items(v, where, key):
+        if kind is str:
+            return wrap(strings(v, f"{where}: {key}"))
+        return wrap(read(x if type(x) in types else expect(x, kind, f"{where}: {key}[{i}]"),
+                         where, f"{key}[{i}]") for i, x in enumerate(v))
+    return list, items, list if write is None else lambda v: [write(x) for x in v]
 
 
 def _numbers(values: list, ndim: int, what: str) -> np.ndarray:
@@ -211,103 +307,19 @@ def _numbers(values: list, ndim: int, what: str) -> np.ndarray:
     bad = set(map(type, chain.from_iterable(values) if ndim == 2 else values)) - {int, float}
     if bad:
         raise SchemaError(f"{what} must hold numbers, got {min(t.__name__ for t in bad)}")
-    if not np.isfinite(a).all():
-        raise SchemaError(f"{what} holds a non-finite value (NaN or infinity)")
+    if not np.abs(a).max(initial=0.0) <= FEATURE_LIMIT:  # also NaN
+        bad = ("a non-finite value (NaN or infinity)" if not np.isfinite(a).all()
+               else f"a value beyond ±{FEATURE_LIMIT:g}")
+        raise SchemaError(f"{what} holds {bad}")
     return a
 
 
 def scene_from_dict(d: dict, source: str = "scene") -> SceneGraph:
-    objects = []
-    for i, od in enumerate(require(d, "objects", source, list)):
-        osrc = f"{source}: objects[{i}]"
-        objects.append(SceneObject(
-            obj_id=require(od, "id", osrc, str),
-            category=require(od, "category", osrc, str),
-            attributes=strings(require(od, "attributes", osrc, list, []),
-                                f"{osrc}: attributes"),
-            region_feature=_numbers(require(od, "region_feature", osrc, list), 1,
-                                    f"{osrc}: region_feature"),
-        ))
-    if not objects:
-        raise SchemaError(f"{source}: scene has no objects")
-    width = objects[0].region_feature.shape[0]
-    for i, o in enumerate(objects):
-        if o.region_feature.shape[0] != width:
-            raise SchemaError(f"{source}: objects[{i}]: region_feature has "
-                              f"{o.region_feature.shape[0]} values, objects[0] has {width}")
-    ids = [o.obj_id for o in objects]
-    if len(set(ids)) != len(ids):
-        raise SchemaError(f"{source}: duplicate object ids")
-    relations = []
-    for i, rd in enumerate(require(d, "relations", source, list, [])):
-        rsrc = f"{source}: relations[{i}]"
-        rel = SceneRelation(*(require(rd, key, rsrc, str)
-                              for key in ("subject", "predicate", "object")))
-        for ref in (rel.subject, rel.object):
-            if ref not in ids:
-                raise SchemaError(f"{rsrc}: unknown object id {ref!r}")
-        relations.append(rel)
-    ssrc = f"{source}: spatial"
-    spatial = require(d, "spatial", source, dict)
-    g = require(spatial, "grid_size", ssrc, int)
-    feats = _numbers(require(spatial, "features", ssrc, list), 2, f"{ssrc}: features")
-    if g < 1:
-        raise SchemaError(f"{ssrc}: grid_size must be >= 1, got {g}")
-    if feats.shape[0] != g * g:
-        raise SchemaError(f"{source}: spatial features must be a {g * g} x d matrix")
-    return SceneGraph(objects=objects, relations=relations, grid_size=g, spatial_features=feats)
-
-
-def scene_to_dict(sg: SceneGraph) -> dict:
-    return {
-        "objects": [
-            {
-                "id": o.obj_id,
-                "category": o.category,
-                "attributes": list(o.attributes),
-                "region_feature": np.asarray(o.region_feature, dtype=np.float64).tolist(),
-            }
-            for o in sg.objects
-        ],
-        "relations": [
-            {"subject": r.subject, "predicate": r.predicate, "object": r.object}
-            for r in sg.relations
-        ],
-        "spatial": {
-            "grid_size": sg.grid_size,
-            "features": np.asarray(sg.spatial_features, dtype=np.float64).tolist(),
-        },
-    }
+    return from_json(SceneGraph, d, source, required=True)
 
 
 def question_from_dict(d: dict, source: str = "question") -> QuestionParse:
-    tokens = strings(require(d, "tokens", source, list), f"{source}: tokens")
-    if not tokens:
-        raise SchemaError(f"{source}: question has no tokens")
-    entities = strings(require(d, "entities", source, list), f"{source}: entities")
-    phrases = [strings(expect(p, list, f"{source}: noun_phrases[{i}]"),
-                        f"{source}: noun_phrases[{i}]")
-               for i, p in enumerate(require(d, "noun_phrases", source, list))]
-    edges = []
-    for i, e in enumerate(require(d, "dependency_edges", source, list)):
-        if not (isinstance(e, list) and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):
-            raise SchemaError(f"{source}: dependency_edges[{i}] must be a (head, dependent) "
-                              f"pair of integers")
-        h, dep = e
-        if not (0 <= h < len(tokens) and 0 <= dep < len(tokens)):
-            raise SchemaError(f"{source}: dependency_edges[{i}] index out of range")
-        edges.append((h, dep))
-    return QuestionParse(tokens=tokens, entities=entities, noun_phrases=phrases,
-                         dependency_edges=edges)
-
-
-def question_to_dict(qp: QuestionParse) -> dict:
-    return {
-        "tokens": list(qp.tokens),
-        "entities": list(qp.entities),
-        "noun_phrases": [list(p) for p in qp.noun_phrases],
-        "dependency_edges": [[h, d] for h, d in qp.dependency_edges],
-    }
+    return from_json(QuestionParse, d, source, required=True)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +344,6 @@ def build_concept_level(sg: SceneGraph) -> LevelData:
     edges: list[Pair] = []
 
     for rel in sg.relations:
-        if rel.subject not in index_of_obj or rel.object not in index_of_obj:
-            raise ValueError(f"relation references unknown object: {rel}")
         node = len(labels)
         labels.append(rel.predicate)
         kinds.append("relation")
@@ -367,9 +377,6 @@ def build_concept_level(sg: SceneGraph) -> LevelData:
                     seen[v] = True
                     order.append(v)
                     queue.append(v)
-    for v in range(len(labels)):  # unreachable nodes cannot occur for valid scenes
-        if not seen[v]:
-            order.append(v)
 
     new_index = {old: new for new, old in enumerate(order)}
     return LevelData(
@@ -423,10 +430,7 @@ def build_region_level(sg: SceneGraph) -> LevelData:
 
 def build_spatial_level(sg: SceneGraph) -> LevelData:
     """Grid-cell features in row-major order, fully connected."""
-    n = sg.grid_size * sg.grid_size
-    if sg.spatial_features.shape[0] != n:
-        raise ValueError("spatial grid features do not match grid size")
-    return LevelData(level="spatial", features=sg.spatial_features, full=True)
+    return LevelData(level="spatial", features=sg.spatial.features, full=True)
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +457,6 @@ def build_sentence_level(qp: QuestionParse) -> LevelData:
     n = len(qp.tokens)
     adj = np.eye(n, dtype=bool)
     for h, d in qp.dependency_edges:
-        if not (0 <= h < n and 0 <= d < n):
-            raise ValueError(f"dependency edge ({h}, {d}) out of range for {n} tokens")
         adj[h, d] = True
         adj[d, h] = True
     return LevelData(level="sentence", labels=list(qp.tokens), full=True,

@@ -6,9 +6,14 @@ other exception.
 Each test is parametrized by a field of the document (every object key, and
 the first entry of every list), and Hypothesis draws what happens there:
 the field is replaced by arbitrary JSON, deleted, or gains an extra key.
+Schema-valid scenes and parses, drawn whole, round-trip through the one
+writer and reader of sample files.
 """
 
+import contextlib
 import copy
+import functools
+import io
 import json
 import math
 import os
@@ -18,9 +23,13 @@ import tempfile
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from granalign.data import DEFAULT_WORLD, ToyWorldSpec, load_manifest
-from granalign.ingest import question_from_dict, scene_from_dict
+from granalign.cli import main
+from granalign.data import DEFAULT_WORLD, ToyWorldSpec, _json_text, load_manifest
+from granalign.ingest import (FEATURE_LIMIT, DependencyEdge, QuestionParse, SceneGraph,
+                              SceneObject, SceneRelation, SpatialGrid, question_from_dict,
+                              scene_from_dict, to_json)
 from granalign.model import Model, ModelConfig
 from granalign.training import Adam, load_checkpoint, save_checkpoint
 from conftest import load_fixture
@@ -193,3 +202,90 @@ class TestCheckpointHeader:
             assert str(e).startswith(f"{file}: ")
             return
         runs_or_rejects(model, *girl_dog())
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("path", list(field_paths(SAMPLE)), ids=ids(field_paths(SAMPLE)))
+    @SETTINGS
+    @given(data=st.data())
+    def test_dump_leadgraph_exits_zero_or_with_an_error_line(self, workdir, path, data):
+        sample = workdir / "cli.json"
+        sample.write_text(json.dumps(data.draw(mutations(SAMPLE, path, ANY_JSON))))
+        stream = data.draw(st.sampled_from(["ce", "rn", "ss"]))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["dump-leadgraph", "--sample", str(sample), "--stream", stream,
+                       "--layer", "1"])
+        assert rc == 0 or rc == 1 and err.getvalue().startswith("error:")
+        assert "Traceback" not in err.getvalue()
+
+
+# Schema-valid records. Words come from the manifest's vocabulary and one
+# unknown word; features are any float64 the schema admits.
+WORDS = st.sampled_from(MANIFEST["word_vocab"] + ["zebra"])
+FINITE = st.floats(-FEATURE_LIMIT, FEATURE_LIMIT)
+
+
+@st.composite
+def scenes(draw):
+    d_region, d_spatial = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ids = draw(st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True))
+    objects = [SceneObject(i, draw(WORDS), draw(st.lists(WORDS, max_size=2)),
+                           draw(arrays(np.float64, d_region, elements=FINITE)))
+               for i in ids]
+    relations = draw(st.lists(st.builds(SceneRelation, st.sampled_from(ids), WORDS,
+                                        st.sampled_from(ids)), max_size=4))
+    g = draw(st.integers(1, 7))
+    spatial = SpatialGrid(g, draw(arrays(np.float64, (g * g, d_spatial), elements=FINITE)))
+    return SceneGraph(objects, relations, spatial)
+
+
+@st.composite
+def parses(draw):
+    tokens = draw(st.lists(WORDS, min_size=1, max_size=8))
+    index = st.integers(0, len(tokens) - 1)
+    return QuestionParse(tokens, draw(st.lists(WORDS, max_size=3)),
+                         draw(st.lists(st.lists(WORDS, min_size=1, max_size=3), max_size=2)),
+                         draw(st.lists(st.builds(DependencyEdge, index, index), max_size=6)))
+
+
+def same_record(a, b):
+    """Equal records, with arrays bitwise equal."""
+    assert type(a) is type(b)
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            same_record(x, y)
+    elif hasattr(a, "__dataclass_fields__"):
+        for name in a.__dataclass_fields__:
+            same_record(getattr(a, name), getattr(b, name))
+    else:
+        assert a == b
+
+
+@functools.cache
+def tiny_model(d_region, d_spatial):
+    return Model(ModelConfig(**TINY), MANIFEST["word_vocab"], MANIFEST["answer_vocab"],
+                 d_region, d_spatial)
+
+
+class TestRecords:
+    @pytest.mark.parametrize("strategy, read", [(scenes(), scene_from_dict),
+                                                (parses(), question_from_dict)],
+                             ids=["scene", "question"])
+    @SETTINGS
+    @given(data=st.data())
+    def test_round_trip_through_the_file_text(self, strategy, read, data):
+        record = data.draw(strategy)
+        text = _json_text(to_json(record))
+        again = read(json.loads(text))
+        same_record(again, record)
+        assert _json_text(to_json(again)) == text
+
+    @SETTINGS
+    @given(scene=scenes(), question=parses())
+    def test_prepare_rejects_or_forward_is_finite(self, scene, question):
+        model = tiny_model(scene.objects[0].region_feature.size, scene.spatial.features.shape[1])
+        runs_or_rejects(model, scene, question)

@@ -126,8 +126,8 @@ class TestGeneration:
         for s, t in zip(a, b):
             assert s.question.tokens == t.question.tokens
             assert s.answer == t.answer
-            np.testing.assert_array_equal(s.scene.spatial_features,
-                                          t.scene.spatial_features)
+            np.testing.assert_array_equal(s.scene.spatial.features,
+                                          t.scene.spatial.features)
 
     def test_solver_reproduces_every_label(self):
         for s in gen_samples(DEFAULT_WORLD, 30, np.random.SeedSequence([4]), "t"):
@@ -142,7 +142,7 @@ class TestGeneration:
             for o in scene.objects:
                 assert len(o.attributes) == 1
                 assert o.region_feature.shape == (DEFAULT_WORLD.d_region,)
-            assert scene.spatial_features.shape == (4, DEFAULT_WORLD.d_spatial)
+            assert scene.spatial.features.shape == (4, DEFAULT_WORLD.d_spatial)
 
     def test_relations_follow_column_order(self):
         for s in gen_samples(DEFAULT_WORLD, 12, np.random.SeedSequence([6]), "t"):
@@ -191,8 +191,7 @@ class TestGeneration:
         ]
         from granalign.ingest import SceneGraph
         changed = SceneGraph(objects=mutated, relations=scene.relations,
-                             grid_size=scene.grid_size,
-                             spatial_features=scene.spatial_features)
+                             spatial=scene.spatial)
         assert solve(changed, attr.question.tokens) != attr.answer
 
 
@@ -204,9 +203,8 @@ class TestSolver:
         ]
         rels = [SceneRelation("o0", "left", "o1"),
                 SceneRelation("o1", "right", "o0")]
-        from granalign.ingest import SceneGraph
-        return SceneGraph(objects=objs, relations=rels, grid_size=2,
-                          spatial_features=np.zeros((4, 4)))
+        from granalign.ingest import SceneGraph, SpatialGrid
+        return SceneGraph(objects=objs, relations=rels, spatial=SpatialGrid(2, np.zeros((4, 4))))
 
     def test_attribute_question(self):
         assert solve(self.scene(), ["what", "color", "is", "the", "dog"]) == "brown"
@@ -403,6 +401,38 @@ class TestManifestValidation:
         m = self.write_corpus(tmp_path)
         self.mutate_manifest(m, lambda d: d.update(d_region=99))
         with pytest.raises(SchemaError, match="object o0: region feature dim 32 != 99"):
+            load_manifest(m)
+
+    @pytest.mark.parametrize("where, key, misspelt", [
+        ((), "template", "templates"),
+        (("scene",), "relations", "relation"),
+        (("scene", "objects", 0), "attributes", "attribute"),
+        (("scene", "relations", 0), "predicate", "predicates"),
+        (("scene", "spatial"), "features", "feature"),
+        (("question",), "entities", "entity"),
+    ], ids=["sample", "scene", "object", "relation", "spatial", "question"])
+    def test_misspelt_sample_key_rejected(self, tmp_path, where, key, misspelt):
+        """A misspelt key is an error naming its path; an optional field
+        (template, relations, attributes) is not silently left empty."""
+        m = self.write_corpus(tmp_path)
+        spath = tmp_path / "samples" / "train_0000.json"
+        doc = json.loads(spath.read_text())
+        node = doc
+        for step in where:
+            node = node[step]
+        node[misspelt] = node.pop(key)
+        spath.write_text(json.dumps(doc))
+        at = "".join(f"[{s}]" if isinstance(s, int) else f": {s}" for s in where)
+        with pytest.raises(SchemaError, match=re.escape(f"{spath}{at}: unknown fields "
+                                                        f"['{misspelt}']")):
+            load_manifest(m)
+
+    @pytest.mark.parametrize("key", ["answer_vocab", "word_vocab"])
+    def test_repeated_vocabulary_entry_rejected(self, tmp_path, key):
+        m = self.write_corpus(tmp_path)
+        first = json.load(open(m))[key][0]
+        self.mutate_manifest(m, lambda d: d[key].append(first))
+        with pytest.raises(SchemaError, match=re.escape(f"{m}: {key} repeats {first!r}")):
             load_manifest(m)
 
     def test_spatial_width_mismatch_reported(self, tmp_path):

@@ -23,7 +23,7 @@ from granalign.ingest import (
     node_reduction,
     question_from_dict,
     scene_from_dict,
-    scene_to_dict,
+    to_json,
 )
 from conftest import fixture_path, level_graph
 
@@ -54,11 +54,25 @@ class TestSchemaParsing:
         with pytest.raises(SchemaError, match="duplicate object ids"):
             scene_from_dict(d)
 
+    @pytest.mark.parametrize("value, ok", [(ingest.FEATURE_LIMIT, True), (-1e151, False),
+                                           (1.7e308, False)])
+    @pytest.mark.parametrize("where", ["region_feature", "spatial"])
+    def test_feature_magnitude_limit(self, value, ok, where):
+        d = {"objects": [{"id": "a", "category": "dog", "region_feature": [0.5, 0.0]}],
+             "spatial": {"grid_size": 1, "features": [[0.5, 0.0]]}}
+        (d["objects"][0]["region_feature"] if where == "region_feature"
+         else d["spatial"]["features"][0])[1] = value
+        if ok:
+            scene_from_dict(d)
+        else:
+            with pytest.raises(SchemaError, match=f"{where}.* holds a value beyond ±1e\\+150"):
+                scene_from_dict(d)
+
     def test_scene_roundtrip(self, girl_dog):
         scene, _ = girl_dog
-        again = scene_from_dict(scene_to_dict(scene))
+        again = scene_from_dict(to_json(scene))
         assert [o.category for o in again.objects] == ["girl", "dog"]
-        np.testing.assert_array_equal(again.spatial_features, scene.spatial_features)
+        np.testing.assert_array_equal(again.spatial.features, scene.spatial.features)
 
     def test_scene_without_objects_rejected(self):
         d = {"objects": [], "spatial": {"grid_size": 1, "features": [[0.0]]}}
