@@ -146,11 +146,13 @@ def record(out, inputs: tuple[Tensor, ...], backward: Callable):
 def _ln_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
     """Normalize the last axis; returns (output, xhat, inv_std) for the backward."""
     d = x.shape[-1]
-    centered = x - x.sum(axis=-1, keepdims=True) / d
-    var = (centered * centered).sum(axis=-1, keepdims=True) / d
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    return gain * xhat + bias, xhat, inv_std
+    xhat = x - x.sum(axis=-1, keepdims=True) / d
+    sq = np.multiply(xhat, xhat)
+    inv_std = 1.0 / np.sqrt(sq.sum(axis=-1, keepdims=True) / d + eps)
+    xhat *= inv_std
+    out = np.multiply(xhat, gain, out=sq)
+    out += bias
+    return out, xhat, inv_std
 
 
 def _ln_backward(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray,
@@ -158,8 +160,13 @@ def _ln_backward(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray,
     """Gradient of the normalized input from the output gradient ``g``."""
     d = g.shape[-1]
     gh = g * gain
-    return (gh - gh.sum(axis=-1, keepdims=True) / d
-            - xhat * ((gh * xhat).sum(axis=-1, keepdims=True) / d)) * inv_std
+    mean = gh.sum(axis=-1, keepdims=True) / d
+    tmp = np.multiply(gh, xhat)
+    proj = tmp.sum(axis=-1, keepdims=True) / d
+    gh -= mean
+    gh -= np.multiply(xhat, proj, out=tmp)
+    gh *= inv_std
+    return gh
 
 
 def _scatter_rows(n_rows: int, idx: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -28,7 +28,6 @@ from .ingest import (
     from_json,
     read_json,
     require,
-    strings,
     to_json,
 )
 
@@ -134,6 +133,30 @@ class Sample:
     scene: SceneGraph
     question: QuestionParse
     answer: str
+
+
+@dataclass
+class Manifest:
+    """A split's manifest file: the world spec it was drawn from, its
+    vocabularies and feature widths, and its sample files (paths relative to
+    the manifest)."""
+
+    version: int
+    split: str
+    world: ToyWorldSpec
+    word_vocab: list[str]
+    answer_vocab: list[str]
+    d_region: int
+    d_spatial: int
+    grid_size: int
+    samples: list[str]
+
+    def __post_init__(self):
+        for key in ("answer_vocab", "word_vocab"):
+            vocab = getattr(self, key)
+            if len(set(vocab)) != len(vocab):
+                repeated = next(w for i, w in enumerate(vocab) if w in vocab[:i])
+                raise ValueError(f"{key} repeats {repeated!r}")
 
 
 @dataclass
@@ -404,19 +427,12 @@ def gen_data(spec: ToyWorldSpec, n: int, seed: int, out_dir: str,
         rel = os.path.join("samples", f"{s.sample_id}.json")
         _dump_json(os.path.join(out_dir, rel), to_json(s))
         rel_paths.append(rel)
-    manifest = {
-        "version": MANIFEST_VERSION,
-        "split": split,
-        "world": spec.to_dict(),
-        "word_vocab": spec.word_vocab(),
-        "answer_vocab": spec.answer_vocab(),
-        "d_region": spec.d_region,
-        "d_spatial": spec.d_spatial,
-        "grid_size": spec.grid_size,
-        "samples": rel_paths,
-    }
+    manifest = Manifest(version=MANIFEST_VERSION, split=split, world=spec,
+                        word_vocab=spec.word_vocab(), answer_vocab=spec.answer_vocab(),
+                        d_region=spec.d_region, d_spatial=spec.d_spatial,
+                        grid_size=spec.grid_size, samples=rel_paths)
     path = os.path.join(out_dir, f"{split}.json")
-    _dump_json(path, manifest)
+    _dump_json(path, to_json(manifest))
     return path
 
 
@@ -431,32 +447,28 @@ def gen_corpus(spec: ToyWorldSpec, n_train: int, n_eval: int, seed: int,
 def load_manifest(path: str) -> Dataset:
     """Read and fully validate a manifest and every sample file it lists."""
     doc = read_json(path)
+    # the version first: another version may hold other fields
     if require(doc, "version", path, int) != MANIFEST_VERSION:
         raise SchemaError(f"{path}: unsupported manifest version {doc['version']!r}")
-    answer_vocab = strings(require(doc, "answer_vocab", path, list), f"{path}: answer_vocab")
-    word_vocab = strings(require(doc, "word_vocab", path, list), f"{path}: word_vocab")
-    for key, vocab in (("answer_vocab", answer_vocab), ("word_vocab", word_vocab)):
-        if len(set(vocab)) != len(vocab):
-            repeated = next(w for i, w in enumerate(vocab) if w in vocab[:i])
-            raise SchemaError(f"{path}: {key} repeats {repeated!r}")
-    dims = {key: require(doc, key, path, int) for key in ("d_region", "d_spatial", "grid_size")}
+    m = from_json(Manifest, doc, path, required=True)
     base = os.path.dirname(os.path.abspath(path))
     samples = []
-    for rel in strings(require(doc, "samples", path, list), f"{path}: samples"):
+    for rel in m.samples:
         spath = os.path.join(base, rel)
         try:
             s = from_json(Sample, read_json(spath), spath, required=True)
         except FileNotFoundError:
             raise SchemaError(f"{path}: sample file {rel!r} does not exist") from None
-        if s.answer not in answer_vocab:
+        if s.answer not in m.answer_vocab:
             raise SchemaError(f"{spath}: answer {s.answer!r} not in the answer vocabulary")
         o = s.scene.objects[0]  # a scene's region features share one width
-        if o.region_feature.shape[0] != dims["d_region"]:
+        if o.region_feature.shape[0] != m.d_region:
             raise SchemaError(f"{path}: sample {s.sample_id}: object {o.obj_id}: region "
-                              f"feature dim {o.region_feature.shape[0]} != {dims['d_region']}")
+                              f"feature dim {o.region_feature.shape[0]} != {m.d_region}")
         width = s.scene.spatial.features.shape[1]
-        if width != dims["d_spatial"]:
+        if width != m.d_spatial:
             raise SchemaError(f"{path}: sample {s.sample_id}: spatial feature "
-                              f"width {width} != d_spatial {dims['d_spatial']}")
+                              f"width {width} != d_spatial {m.d_spatial}")
         samples.append(s)
-    return Dataset(samples=samples, word_vocab=word_vocab, answer_vocab=answer_vocab, **dims)
+    return Dataset(samples=samples, word_vocab=m.word_vocab, answer_vocab=m.answer_vocab,
+                   d_region=m.d_region, d_spatial=m.d_spatial, grid_size=m.grid_size)

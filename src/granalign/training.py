@@ -142,14 +142,24 @@ def _counts_to_metrics(counts: dict[str, int], n: int) -> dict[str, float]:
     return {f"acc_{k}": counts[k] / n for k in order if k in counts}
 
 
+def _check_fits(model: Model, dataset: Dataset) -> None:
+    """A ValueError unless ``dataset`` has ``model``'s answers and feature widths."""
+    if dataset.answer_vocab != model.answer_vocab:
+        raise ValueError("dataset answer vocabulary does not match the model")
+    for key in ("d_region", "d_spatial"):
+        data_width, model_width = getattr(dataset, key), getattr(model, key)
+        if data_width != model_width:
+            raise ValueError(f"dataset {key} {data_width} does not match the model's "
+                             f"{model_width}")
+
+
 class Trainer:
     """Minibatch training: one forward pass and one tape per batch."""
 
     def __init__(self, model: Model, dataset: Dataset, cfg: TrainConfig):
         if not dataset.samples:
             raise ValueError("training dataset is empty")
-        if dataset.answer_vocab != model.answer_vocab:
-            raise ValueError("dataset answer vocabulary does not match the model")
+        _check_fits(model, dataset)
         self.model = model
         self.cfg = cfg
         self.optimizer = Adam(model.params, cfg.lr)
@@ -210,6 +220,7 @@ def evaluate(model: Model, dataset: Dataset,
     """Top-1 accuracy of the averaged prediction and of each logit head."""
     if not dataset.samples:
         raise ValueError("cannot evaluate on an empty dataset")
+    _check_fits(model, dataset)
     if prepared is None:
         prepared = [model.prepare(s.scene, s.question, dataset.answer_index(s.answer))
                     for s in dataset.samples]

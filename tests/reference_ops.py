@@ -7,11 +7,16 @@ tape node each. This module keeps those operations and that chain:
 ``Model.forward_batch`` and ``Model.loss`` compute, op by op, and the tests
 require the fused nodes to match them bitwise. The encoder layers themselves
 run fused in both (their reference is ``conftest.reference_encoder_layer``).
+It also keeps the attention core as it was before the softmax division was
+deferred, ``normalized_forward`` and ``normalized_backward``, which
+``encoder._ga_forward`` and ``encoder._ga_backward`` must match to 1e-12.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+import math
 
 import numpy as np
 
@@ -291,3 +296,35 @@ def reference_batch_gradients(model, preps):
         loss = scale(sum_all(losses), 1.0 / len(preps))
     return bundle, losses.data, dict(zip(model.params.names(),
                                          tape.gradients(loss, model.params.tensors())))
+
+
+# ---------------------------------------------------------------------------
+# normalized attention core: the softmax weights divided by their row sum
+# before they multiply V
+# ---------------------------------------------------------------------------
+
+
+def normalized_forward(q, k, v, g):
+    """``encoder._ga_forward`` with the weights normalized on the score grid."""
+    d_k = q.shape[-1]
+    scores = np.matmul(q, k.swapaxes(-1, -2))
+    scores /= math.sqrt(d_k)
+    np.copyto(scores, -np.inf, where=np.logical_not(g))
+    row_max = scores.max(axis=-1, keepdims=True)
+    np.maximum(row_max, np.finfo(np.float64).min, out=row_max)
+    scores -= row_max
+    np.exp(scores, out=scores)
+    z = scores.sum(axis=-1, keepdims=True)
+    scores /= np.where(z > 0.0, z, np.inf)
+    return np.matmul(scores, v), (q, k, v, scores, d_k)
+
+
+def normalized_backward(grad_out, cache):
+    """The gradients of ``normalized_forward``'s q, k and v."""
+    q, k, v, normed, d_k = cache
+    d_v = np.matmul(normed.swapaxes(-1, -2), grad_out)
+    d_scores = np.matmul(grad_out, v.swapaxes(-1, -2))
+    d_scores -= (d_scores * normed).sum(axis=-1, keepdims=True)
+    d_scores *= normed
+    d_scores /= math.sqrt(d_k)
+    return np.matmul(d_scores, k), np.matmul(d_scores.swapaxes(-1, -2), q), d_v

@@ -210,6 +210,29 @@ class TestTrainEval:
         assert len(lines) == 2
         json.loads(lines[0])
 
+    @pytest.mark.parametrize("change, message", [
+        ("answers", "dataset answer vocabulary does not match the model"),
+        ("d_region", "dataset d_region 6 does not match the model's 32"),
+    ])
+    def test_eval_on_a_corpus_the_model_does_not_fit_exits_one(
+            self, cli_corpus, cli_config, tmp_path, capsys, change, message):
+        ckpt = tmp_path / "model.ckpt"
+        assert main(["train", "--data", str(cli_corpus), "--config", cli_config,
+                     "--out", str(ckpt), "--log", str(tmp_path / "m.jsonl")]) == 0
+        data = tmp_path / "data"
+        if change == "d_region":
+            gen_corpus(dataclasses.replace(DEFAULT_WORLD, d_region=6), 4, 4, 23, str(data))
+        else:
+            shutil.copytree(cli_corpus, data)
+            manifest = json.loads((data / "eval.json").read_text())
+            manifest["answer_vocab"].reverse()
+            (data / "eval.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        rc = main(["eval", "--data", str(data), "--ckpt", str(ckpt)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_missing_corpus_exits_one(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "nowhere")])
         assert rc == 1

@@ -97,7 +97,8 @@ def ids(paths):
 
 GIRL_DOG = load_fixture("girl_dog.json")
 SAMPLE = {"id": "s0", "template": "attribute", "answer": "brown", **GIRL_DOG}
-MANIFEST = {"version": 1, "split": "train", "samples": ["s0.json"],
+WORLD = json.loads(json.dumps(DEFAULT_WORLD.to_dict()))  # as a spec file holds it
+MANIFEST = {"version": 1, "split": "train", "world": WORLD, "samples": ["s0.json"],
             "word_vocab": ["what", "color", "is", "the", "girl", "dog", "brown", "left", "right"],
             "answer_vocab": ["brown", "red", "yes", "no"],
             "d_region": 4, "d_spatial": 4, "grid_size": 2}
@@ -153,9 +154,6 @@ class TestCorpusFiles:
         (workdir / "s0.json").write_text(json.dumps(SAMPLE))
         (workdir / "train.json").write_text(json.dumps(MANIFEST))
         assert len(load_manifest(str(workdir / "train.json"))) == 1
-
-
-WORLD = json.loads(json.dumps(DEFAULT_WORLD.to_dict()))  # as a spec file holds it
 
 
 class TestWorldSpec:

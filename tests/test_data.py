@@ -14,6 +14,7 @@ from granalign import data
 from granalign.data import (
     DEFAULT_WORLD,
     Dataset,
+    Manifest,
     ToyWorldSpec,
     cell_feature,
     gen_corpus,
@@ -25,7 +26,7 @@ from granalign.data import (
     solve,
     _json_text,
 )
-from granalign.ingest import SchemaError, SceneObject, SceneRelation
+from granalign.ingest import SchemaError, SceneObject, SceneRelation, from_json, to_json
 
 
 def read_tree(root):
@@ -426,6 +427,28 @@ class TestManifestValidation:
         with pytest.raises(SchemaError, match=re.escape(f"{spath}{at}: unknown fields "
                                                         f"['{misspelt}']")):
             load_manifest(m)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda d: d.update(sampels=d["samples"]), "unknown fields ['sampels']"),
+        (lambda d: d.update(world="not a world"), "field 'world' must be an object, got str"),
+        (lambda d: d.update(split=7), "field 'split' must be a string, got int"),
+        (lambda d: d.pop("world"), "missing field 'world'"),
+        (lambda d: d["world"].update(grid_size=0), "world: grid_size must be >= 1, got 0"),
+        (lambda d: d["world"].update(colour="red"), "world: unknown fields ['colour']"),
+    ], ids=["unknown key", "world not an object", "split not a string", "no world",
+            "bad world", "unknown world key"])
+    def test_manifest_is_a_record(self, tmp_path, change, message):
+        m = self.write_corpus(tmp_path)
+        self.mutate_manifest(m, change)
+        with pytest.raises(SchemaError, match=re.escape(f"{m}: {message}")):
+            load_manifest(m)
+
+    def test_manifest_reads_back_as_written(self, tmp_path):
+        m = self.write_corpus(tmp_path)
+        doc = json.load(open(m))
+        manifest = from_json(Manifest, doc, m, required=True)
+        assert manifest.world == DEFAULT_WORLD and manifest.split == "train"
+        assert to_json(manifest) == doc
 
     @pytest.mark.parametrize("key", ["answer_vocab", "word_vocab"])
     def test_repeated_vocabulary_entry_rejected(self, tmp_path, key):

@@ -10,6 +10,7 @@ from granalign.encoder import (
     EncoderConfig,
     EncoderStack,
     Layout,
+    _ga_backward,
     _ga_forward,
     _mask_array,
     _segment_plan,
@@ -89,11 +90,11 @@ class TestMaskedAttention:
     def threshold_forward(q, k, v, g, eps_row):
         """The attention core with the dead-row rule ``z > eps_row`` in place of
         ``z > 0``, step by step as ``_ga_forward`` computes it."""
-        scores = np.where(g, np.matmul(q, k.swapaxes(-1, -2)) / np.sqrt(q.shape[-1]), -np.inf)
+        scores = np.where(g, np.matmul(q / np.sqrt(q.shape[-1]), k.swapaxes(-1, -2)), -np.inf)
         row_max = np.maximum(scores.max(axis=-1, keepdims=True), np.finfo(np.float64).min)
         e = np.exp(scores - row_max)
         z = e.sum(axis=-1, keepdims=True)
-        return np.matmul(e / np.where(z > eps_row, z, np.inf), v)
+        return np.matmul(e, v) / np.where(z > eps_row, z, np.inf)
 
     @pytest.mark.parametrize("eps_row", [1e-12, 0.999])
     def test_dead_row_rule_is_bitwise_any_threshold_below_one(self, eps_row):
@@ -204,6 +205,66 @@ def make_layer(rng, d, f):
         ln2_gain=ad.Tensor(np.ones(d), requires_grad=True),
         ln2_bias=ad.Tensor(np.zeros(d), requires_grad=True),
     )
+
+
+class TestDeferredDivision:
+    """``_ga_forward`` divides e V by the softmax row sum and ``_ga_backward``
+    takes the row term with vecdot; the reference core (``reference_ops``)
+    normalizes the weights on the score grid first."""
+
+    @staticmethod
+    def close(got, expect):
+        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    @staticmethod
+    def case(rng):
+        """Three sequences padded onto one grid, each with a dead row and a row
+        with one open cell; q, k and v hold garbage in the padded rows. Returns
+        them with the blocks of a random segment split."""
+        bsz, heads, d_k = 3, 2, 4
+        lengths = rng.integers(2, 9, size=bsz)
+        width = int(lengths.max()) + int(rng.integers(0, 3))
+        g = np.zeros((bsz, width, width), dtype=bool)
+        for b, n in enumerate(lengths.tolist()):
+            g[b, :n, :n] = rng.random((n, n)) < rng.uniform(0.2, 0.9)
+            dead, single = rng.choice(n, 2, replace=False)
+            g[b, dead] = False
+            g[b, single] = False
+            g[b, single, rng.integers(n)] = True
+        # unit scale: at 10x a saturated one-row block's d_q nearly cancels,
+        # and both cores round it to about 2e-11 of its size
+        q, k, v = (rng.normal(size=(bsz, heads, width, d_k)) for _ in range(3))
+        w0 = int(rng.integers(1, width))
+        blocks = encoder._blocks(*(rng.random(4) < 0.7).tolist(), w0) or WHOLE_GRID
+        return q, k, v, g, blocks
+
+    def test_matches_the_normalized_core(self):
+        """Outputs and the q, k, v gradients agree to 1e-12 on every block;
+        rows with one open cell get exactly zero score gradients (zero d_q
+        rows), and dead rows exactly zero outputs and no gradient anywhere."""
+        rng = np.random.default_rng(50)
+        n_dead = n_single = 0
+        for _ in range(60):
+            q, k, v, g, blocks = self.case(rng)
+            for r, c in blocks:
+                args = (q[:, :, r], k[:, :, c], v[:, :, c], g[:, None, r, c])
+                out, cache = _ga_forward(*args)
+                ref, ref_cache = refops.normalized_forward(*args)
+                grad = rng.normal(size=out.shape)
+                got = _ga_backward(grad, cache)
+                self.close(out, ref)
+                for a, b in zip(got, refops.normalized_backward(grad, ref_cache)):
+                    self.close(a, b)
+                open_cells = np.broadcast_to(args[3].sum(axis=-1), out.shape[:-1])
+                dead = open_cells == 0
+                assert not out[dead].any()
+                assert not got[0][open_cells <= 1].any()
+                grad[dead] = 1e3  # a dead row passes nothing back
+                again = _ga_backward(grad, cache)
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(again, got))
+                n_dead += int(dead.sum())
+                n_single += int((open_cells == 1).sum())
+        assert n_dead > 100 and n_single > 100
 
 
 class TestMultiHead:
@@ -405,6 +466,32 @@ class TestFusedLayer:
         tensors = [x] + [getattr(layer, n) for n in self.LAYER_INPUTS]
         for tensor, grad in zip(tensors, grads):
             coords = rng.choice(tensor.data.size, min(3, tensor.data.size), replace=False)
+            for c, val in fd_gradient(f, tensor.data, coords).items():
+                assert rel_err(grad.reshape(-1)[c], val) < 2e-6
+
+    def test_finite_differences_at_three_sequences_on_two_blocks(self):
+        """Three sequences of mixed lengths on a padded segment grid, scored as
+        the two cross blocks of a lead-graph layer: seeded random coordinates
+        of x and of all 12 blocks against central differences."""
+        rng, cfg, layer = self.make(37, d=4, f=8)
+        n_img, n_q = [2, 4, 1], [3, 1, 2]
+        layout = packed_layout(n_img, n_q)
+        masks = [lead_graph_masks(rng, a, b) for a, b in zip(n_img, n_q)]
+        grid, g, blocks = _segment_plan(layout, np.add(n_img, 1), masks)
+        g, blocks = g[1], blocks[1]
+        assert len(blocks) == 2 and len(grid.pos) < grid.batch * grid.n_max
+        x = ad.Tensor(rng.normal(size=(len(grid.pos), 4)), requires_grad=True)
+        w = rng.normal(size=x.data.shape)
+        _, grads = self.grads(lambda t: encoder_layer(t, g, layer, cfg, grid, blocks),
+                              x, layer, w)
+
+        def f():
+            return float((encoder_layer(ad.Tensor(x.data), g, layer, cfg, grid, blocks).data
+                          * w).sum())
+
+        tensors = [x] + [getattr(layer, n) for n in self.LAYER_INPUTS]
+        for tensor, grad in zip(tensors, grads):
+            coords = rng.choice(tensor.data.size, min(4, tensor.data.size), replace=False)
             for c, val in fd_gradient(f, tensor.data, coords).items():
                 assert rel_err(grad.reshape(-1)[c], val) < 2e-6
 

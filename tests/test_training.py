@@ -1,5 +1,6 @@
 """Optimizer behavior, the training loop, gradient checking, checkpoints."""
 
+import dataclasses
 import errno
 import io
 import json
@@ -298,6 +299,20 @@ class TestEvaluate:
         ds.samples = []
         with pytest.raises(ValueError, match="empty"):
             evaluate(tiny_model(), ds)
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(answer_vocab=ANSWERS[::-1]), "dataset answer vocabulary does not match the model"),
+        (dict(d_region=5), "dataset d_region 5 does not match the model's 4"),
+        (dict(d_spatial=3), "dataset d_spatial 3 does not match the model's 4"),
+    ], ids=["answers", "d_region", "d_spatial"])
+    def test_dataset_the_model_does_not_fit_rejected(self, girl_dog, change, message):
+        """The same check as ``Trainer``: no accuracy against another
+        vocabulary, no numpy shape error for another feature width."""
+        ds = dataclasses.replace(tiny_dataset(girl_dog), **change)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            evaluate(tiny_model(), ds)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Trainer(tiny_model(), ds, TrainConfig())
 
     def test_report_fields_and_ranges(self, girl_dog):
         report = evaluate(tiny_model(), tiny_dataset(girl_dog))
