@@ -312,9 +312,10 @@ def _make_question(template: str, choice) -> QuestionParse:
 
 def gen_samples(spec: ToyWorldSpec, n: int, seed_seq: np.random.SeedSequence,
                 prefix: str) -> list[Sample]:
-    """Generate n solvable samples; scenes with no valid question are redrawn."""
+    """Generate n solvable samples; scenes with no valid question are redrawn.
+    ``prefix`` starts every sample id (the split's name) and the error message."""
     if n < 1:
-        raise ValueError("sample count must be >= 1")
+        raise ValueError(f"{prefix}: sample count must be >= 1, got {n}")
     rng = np.random.default_rng(seed_seq)
     samples = []
     for i in range(n):
@@ -419,7 +420,11 @@ def gen_data(spec: ToyWorldSpec, n: int, seed: int, out_dir: str,
     The vocabularies derive from the world spec, not the drawn samples, so
     splits generated from the same spec share stable indices.
     """
-    samples = gen_samples(spec, n, np.random.SeedSequence([seed]), split)
+    return _write_split(spec, gen_samples(spec, n, np.random.SeedSequence([seed]), split),
+                        out_dir, split)
+
+
+def _write_split(spec: ToyWorldSpec, samples: list[Sample], out_dir: str, split: str) -> str:
     sample_dir = os.path.join(out_dir, "samples")
     os.makedirs(sample_dir, exist_ok=True)
     rel_paths = []
@@ -438,10 +443,12 @@ def gen_data(spec: ToyWorldSpec, n: int, seed: int, out_dir: str,
 
 def gen_corpus(spec: ToyWorldSpec, n_train: int, n_eval: int, seed: int,
                out_dir: str) -> tuple[str, str]:
-    """Train and eval splits with disjoint sample streams from one seed."""
-    train = gen_data(spec, n_train, seed, out_dir, split="train")
-    ev = gen_data(spec, n_eval, seed + 1, out_dir, split="eval")
-    return train, ev
+    """Train and eval splits with disjoint sample streams from one seed. Both
+    are drawn before any file is written, so an error leaves ``out_dir`` as
+    it was."""
+    train = gen_samples(spec, n_train, np.random.SeedSequence([seed]), "train")
+    ev = gen_samples(spec, n_eval, np.random.SeedSequence([seed + 1]), "eval")
+    return _write_split(spec, train, out_dir, "train"), _write_split(spec, ev, out_dir, "eval")
 
 
 def load_manifest(path: str) -> Dataset:

@@ -25,13 +25,15 @@ Each encoder layer is a single tape node with a hand-written backward.
 the sentence pre-transform. A sequence splits into segment 0 (a stream's
 image tokens with SEP, or the whole sentence) and segment 1 (a stream's
 question tokens), and a lead graph opens only some of the four segment
-blocks per layer. ``run`` pads the batch once onto a grid with segment 0 in
-columns [0, w0) and segment 1 in [w0, W), and finds which blocks each layer
-opens anywhere in the batch. Every layer runs on that grid: a layer that
-opens all four scores it as one block, and in any other layer each row
-segment scores only the columns of the segments it reaches (its own, the
-other, or both); a row segment that reaches none is skipped and gets zero
-context, as a fully masked row does.
+blocks per layer. The call's one ``Layout`` puts every row on a grid with
+segment 0 in columns [0, w0) and segment 1 in [w0, W), one description of
+packing and segments as in FlashAttention-2's varlen interface (arXiv
+2307.08691); ``run`` pads the masks onto it once and finds which blocks
+each layer opens anywhere in the batch. Every layer runs on that grid: a
+layer that opens all four scores it as one block, and in any other layer
+each row segment scores only the columns of the segments it reaches (its
+own, the other, or both); a row segment that reaches none is skipped and
+gets zero context, as a fully masked row does.
 """
 
 from __future__ import annotations
@@ -160,38 +162,34 @@ def ga_attention(q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, g) -> ad.Tensor:
 
 
 class Layout:
-    """Where each row of a packed [N, d] matrix sits in a padded [B, n_max] grid.
+    """The packed [N, d] rows of a stack call and their cells on its padded
+    [B, n_max] grid. ``parts[k][b]`` counts the rows of part k of sequence b;
+    rows are stored part-major (part 0 of every sequence, then part 1, ...),
+    and row r is position ``pos[r]`` of sequence ``sample[r]``. The first
+    ``split`` parts (1 to all; all by default) are segment 0: the first
+    ``n0[b]`` positions of sequence b, at their own columns of the grid.
+    Segment 1 starts at column ``w0 = max(n0)``. Row r sits at cell
+    ``index[r]``; B must be at least 1."""
 
-    Row r is position ``pos[r]`` of sequence ``sample[r]``; ``lengths[b]``
-    counts the rows of sequence b. Rows need not be grouped by sequence.
-    The grid is as wide as the longest sequence unless ``width`` says more.
-    """
-
-    def __init__(self, sample: np.ndarray, pos: np.ndarray, lengths, width: int | None = None):
-        self.sample = sample
-        self.pos = pos
-        self.lengths = np.asarray(lengths, dtype=np.intp)
-        self.batch = len(self.lengths)
-        if width is None:
-            width = self.lengths.max() if self.batch else 0
-        self.n_max = int(width)
-        self.index = sample * self.n_max + pos
-        # every grid cell holds a row, in row order: pad and unpad are reshapes
-        self.dense = (len(pos) == self.batch * self.n_max
-                      and bool((self.index == np.arange(len(pos))).all()))
-
-    @classmethod
-    def contiguous(cls, *parts) -> "Layout":
-        """Sequences in parts, stored part-major: part 0 of every sequence, then
-        part 1, and so on. ``parts[k][b]`` counts the rows of part k of sequence
-        b; positions run over each sequence's parts in order."""
+    def __init__(self, *parts, split: int | None = None):
+        split = len(parts) if split is None else split
         counts = np.array(parts, dtype=np.intp)  # [P, B]
         ends = counts.cumsum(axis=0)  # position after each part in its sequence
-        first_pos, counts = (ends - counts).ravel(), counts.ravel()
+        starts = ends - counts
+        self.lengths, self.n0 = ends[-1], ends[split - 1]
+        self.batch = len(self.lengths)
+        self.w0 = max(self.n0.tolist())
+        self.n_max = self.w0 + max((self.lengths - self.n0).tolist())
+        cells = starts + np.arange(self.batch) * self.n_max  # grid cell of each part's first row
+        cells[split:] += self.w0 - self.n0
+        counts = counts.ravel()
         first_row = counts.cumsum() - counts
-        sample = (np.arange(counts.size) % ends.shape[1]).repeat(counts)
-        pos = np.arange(len(sample)) - (first_row - first_pos).repeat(counts)
-        return cls(sample, pos, ends[-1])
+        rows = np.arange(first_row[-1] + counts[-1])
+        self.sample = (np.arange(counts.size) % self.batch).repeat(counts)
+        self.pos = rows - (first_row - starts.ravel()).repeat(counts)
+        self.index = rows - (first_row - cells.ravel()).repeat(counts)
+        # every grid cell holds a row, in row order: pad and unpad are reshapes
+        self.dense = len(rows) == self.batch * self.n_max and bool((self.index == rows).all())
 
     def pad(self, a: np.ndarray) -> np.ndarray:
         """[N, ...] rows into a zero-padded [B, n_max, ...] array."""
@@ -206,16 +204,13 @@ class Layout:
         """[B * n_max, ...] padded rows back to the packed [N, ...] rows."""
         return a if self.dense else a[self.index]
 
-    def pad_masks(self, masks, n0: np.ndarray | None = None) -> np.ndarray:
-        """Per-sequence [..., n_b, n_b] masks into one bool [..., B, n_max, n_max].
-        The first ``n0[b]`` positions of sequence b (all of them without ``n0``)
-        keep their grid positions; the rest start at grid position ``max(n0)``."""
-        n0 = self.lengths if n0 is None else n0
-        w0 = max(n0.tolist())
+    def pad_masks(self, masks) -> np.ndarray:
+        """Per-sequence [..., n_b, n_b] masks into one bool [..., B, n_max, n_max],
+        each entry at the grid columns of its two positions."""
         lead = np.shape(masks[0])[:-2]
         out = np.zeros(lead + (self.batch, self.n_max, self.n_max), dtype=bool)
-        for b, (k, n, m) in enumerate(zip(n0.tolist(), self.lengths.tolist(), masks)):
-            spans = ((slice(0, k), slice(0, k)), (slice(w0, w0 + n - k), slice(k, n)))
+        for b, (k, n, m) in enumerate(zip(self.n0.tolist(), self.lengths.tolist(), masks)):
+            spans = ((slice(0, k), slice(0, k)), (slice(self.w0, self.w0 + n - k), slice(k, n)))
             for grid_rows, rows in spans:  # (grid span, mask span) of each segment
                 for grid_cols, cols in spans:
                     out[..., b, grid_rows, grid_cols] = m[..., rows, cols]
@@ -269,10 +264,10 @@ def encoder_layer(x: ad.Tensor, g: np.ndarray, layer: LayerParams, cfg: EncoderC
 
     ``x`` packs the rows of ``layout.batch`` sequences and ``g`` holds their
     padded [B, n_max, n_max] masks (one sequence of n rows: ``g[None]`` with
-    ``Layout.contiguous([n])``). ``blocks`` lists the (row slice, column
-    slice) blocks of the padded grid that attention scores, with disjoint
-    row slices; grid rows outside every block get zero context, exactly as
-    fully masked rows do. The default scores the whole grid as one block.
+    ``Layout([n])``). ``blocks`` lists the (row slice, column slice) blocks
+    of the padded grid that attention scores, with disjoint row slices; grid
+    rows outside every block get zero context, exactly as fully masked rows
+    do. The default scores the whole grid as one block.
 
     Head projections live in fused [d_model, d_model] matrices whose column
     blocks are the per-head maps; every head sees its sequence's mask. The
@@ -345,23 +340,13 @@ def encoder_layer(x: ad.Tensor, g: np.ndarray, layer: LayerParams, cfg: EncoderC
                      backward)
 
 
-def _segment_plan(layout: Layout, n0: np.ndarray, masks) -> tuple[Layout, np.ndarray, list]:
-    """The one grid of a batch whose sequences split into segment 0, the first
-    ``n0[b]`` positions of sequence b, and segment 1, the rest.
-
-    ``masks`` holds each sequence's [L, n_b, n_b] masks. Returns the
-    segment-aligned layout of ``layout``'s rows, with segment 0 at positions
-    [0, w0) and segment 1 at [w0, W), the bool [L, B, W, W] masks on its grid,
-    and per layer the blocks to score (see ``_blocks``). The aligned grid has
-    ``layout``'s own positions and width when every sequence with segment-1
-    rows starts them at the same position, as in a one-segment stack.
-    """
-    sample, pos, lengths = layout.sample, layout.pos, layout.lengths
-    w0 = max(n0.tolist())
-    grid = Layout(sample, np.where(pos < n0[sample], pos, pos + (w0 - n0)[sample]), lengths,
-                  w0 + int((lengths - n0).max()))
-    g = grid.pad_masks(masks, n0)
-    if w0 < grid.n_max:
+def _segment_plan(layout: Layout, masks) -> tuple[np.ndarray, list]:
+    """The bool [L, B, W, W] masks of a stack call on ``layout``'s grid, from
+    each sequence's [L, n_b, n_b] ``masks``, and per layer the blocks to score
+    (see ``_blocks``)."""
+    g = layout.pad_masks(masks)
+    w0 = layout.w0
+    if w0 < layout.n_max:
         # opened[l, b, s, t]: in layer l some row of segment s of sequence b
         # may attend to some column of its segment t
         opened = np.logical_or.reduceat(np.logical_or.reduceat(g, [0, w0], axis=-1),
@@ -369,7 +354,7 @@ def _segment_plan(layout: Layout, n0: np.ndarray, masks) -> tuple[Layout, np.nda
         flags = np.logical_or.reduce(opened, axis=1).tolist()
     else:  # no segment-1 rows in the batch: one block, open or not
         flags = [((o, o), (o, o)) for o in g.any(axis=(1, 2, 3)).tolist()]
-    return grid, g, [_blocks(o00, o01, o10, o11, w0) for (o00, o01), (o10, o11) in flags]
+    return g, [_blocks(o00, o01, o10, o11, w0) for (o00, o01), (o10, o11) in flags]
 
 
 @functools.lru_cache(maxsize=None)
@@ -439,14 +424,14 @@ class EncoderStack:
 
         return ad.record(out, (*parts, self.pos_table), backward)
 
-    def run(self, parts: Sequence[ad.Tensor], layout: Layout, masks: Sequence[np.ndarray],
-            n0: np.ndarray) -> ad.Tensor:
+    def run(self, parts: Sequence[ad.Tensor], layout: Layout,
+            masks: Sequence[np.ndarray]) -> ad.Tensor:
         """The stack over ``layout``'s sequences, whose packed rows are the rows
         of ``parts`` in order (a 1-D part, the SEP vector, gives one row per
         sequence): their positions, then layer i with mask i of each
         sequence's bool [num_layers, n_b, n_b] ``masks[b]``, every layer on
-        the one grid of ``_segment_plan`` (segment 0 of sequence b is its
-        first ``n0[b]`` rows)."""
+        ``layout``'s segment-aligned grid and the blocks ``_segment_plan``
+        finds for it."""
         n_layers = len(self.layers)
         n_rows = sum(t.data.shape[0] if t.data.ndim == 2 else layout.batch for t in parts)
         if len(masks) != layout.batch or n_rows != len(layout.pos):
@@ -457,9 +442,9 @@ class EncoderStack:
                 raise ValueError(f"sequence {b} needs {n_layers} masks of {n} x {n}, "
                                  f"got shape {m.shape}")
         x = self._input_rows(parts, layout)
-        grid, g, blocks = _segment_plan(layout, n0, masks)
+        g, blocks = _segment_plan(layout, masks)
         for layer, mask, layer_blocks in zip(self.layers, g, blocks):
-            x = encoder_layer(x, mask, layer, self.cfg, grid, layer_blocks)
+            x = encoder_layer(x, mask, layer, self.cfg, layout, layer_blocks)
         return x
 
 
@@ -484,8 +469,8 @@ def encode_stream(t_img: ad.Tensor, t_q: ad.Tensor, img_lengths: Sequence[int],
     if sum(img_lengths) != n_img or sum(q_lengths) != t_q.data.shape[0]:
         raise ValueError("encode_stream: token rows do not match the token counts")
     bsz = len(img_lengths)
-    layout = Layout.contiguous(img_lengths, [1] * bsz, q_lengths)
-    hidden = stack.run([t_img, sep, t_q], layout, plans, np.add(img_lengths, 1))
+    layout = Layout(img_lengths, [1] * bsz, q_lengths, split=2)
+    hidden = stack.run([t_img, sep, t_q], layout, plans)
     return hidden, layout, n_img + np.arange(bsz)
 
 
@@ -500,5 +485,4 @@ def sentence_pretransform(word_tokens: ad.Tensor, lengths: Sequence[int],
     segment; downstream alignment then treats the output as fully
     connectable.
     """
-    layout = Layout.contiguous(lengths)
-    return stack.run([word_tokens], layout, masks, layout.lengths)
+    return stack.run([word_tokens], Layout(lengths), masks)

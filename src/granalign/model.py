@@ -280,21 +280,20 @@ class Model:
 
     def forward(self, prep: PreparedSample) -> LogitsBundle:
         """1-D logits of one sample: ``forward_batch`` with B = 1."""
-        return self._fuse([self.run_stream(tag, [prep]) for tag in self.config.streams],
-                          (self.n_answers,))
+        return self.fuse([self.run_stream(tag, [prep]) for tag in self.config.streams],
+                         (self.n_answers,))
 
     # -- decision fusion ----------------------------------------------------
 
-    def fuse(self, outputs: Sequence[StreamOutput]) -> LogitsBundle:
-        """Pool, normalize, project, and concatenate the stream outputs; [B, c] logits."""
-        return self._fuse(outputs, (outputs[0].layout.batch, self.n_answers))
-
-    def _fuse(self, outputs: Sequence[StreamOutput], shape: tuple[int, ...]) -> LogitsBundle:
-        """``fuse`` as one tape node whose outputs are the logits of every head,
-        shaped ``shape``. Per stream: each sample's SEP row or the mean of its
-        rows, layer norm, projection ``h`` and head; the fused head reads the
-        streams' ``h`` side by side."""
+    def fuse(self, outputs: Sequence[StreamOutput],
+             shape: tuple[int, ...] | None = None) -> LogitsBundle:
+        """Pool, normalize, project, and concatenate the stream outputs, as one
+        tape node whose outputs are the logits of every head: [B, c], or
+        ``shape`` when given. Per stream: each sample's SEP row or the mean of
+        its rows, layer norm, projection ``h`` and head; the fused head reads
+        the streams' ``h`` side by side."""
         p, c = self.params, self.n_answers
+        shape = (outputs[0].layout.batch, c) if shape is None else shape
         tags = self.config.streams
         by_tag = {out.tag: out for out in outputs}
         per_stream = [[p[f"fuse.{tag}.{n}"] for n in ("ln_gain", "ln_bias", "w", "head_w",

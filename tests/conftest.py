@@ -183,12 +183,22 @@ def reference_encoder_layer(x, g, layer, cfg, layout, blocks=None):
                            layer.ln2_gain, layer.ln2_bias, encoder.EPS_NORM)
 
 
-def whole_grid_plan(layout, n0, masks):
+def whole_grid_plan(layout, masks):
     """``encoder._segment_plan`` without segment groups: every layer scores the
     whole padded grid of ``layout`` as one block, the computation the grouped
     plan must match."""
     g = layout.pad_masks(masks)
-    return layout, g, [encoder.WHOLE_GRID] * len(g)
+    return g, [encoder.WHOLE_GRID] * len(g)
+
+
+def whole_grid(m):
+    """Make every stack call under the monkeypatch context ``m`` run on the
+    one-segment layout of its parts, whose grid holds each row at its
+    sequence position, and score each layer's whole grid: the unaligned
+    reference of the grouped, segment-aligned path."""
+    layout = encoder.Layout
+    m.setattr(encoder, "Layout", lambda *parts, split=None: layout(*parts))
+    m.setattr(encoder, "_segment_plan", whole_grid_plan)
 
 
 def reference_batch(model, preps, monkeypatch):

@@ -22,7 +22,7 @@ import numpy as np
 
 import granalign.autodiff as ad
 from granalign import encoder
-from granalign.encoder import EPS_NORM, Layout
+from granalign.encoder import EPS_NORM
 from granalign.model import STREAMS, LogitsBundle
 
 # ---------------------------------------------------------------------------
@@ -207,16 +207,16 @@ def project_features(features, w, b) -> ad.Tensor:
     return add(matmul(ad.Tensor(features), w), b)
 
 
-def stack_run(stack, x, layout, masks, n0) -> ad.Tensor:
+def stack_run(stack, x, layout, masks) -> ad.Tensor:
     """``EncoderStack.run`` on the packed rows ``x``: positions added by a
     lookup, then the fused layers."""
     n = int(layout.pos.max()) + 1 if len(layout.pos) else 0
     if n > stack.cfg.max_len:
         raise ValueError(f"sequence length {n} exceeds max_len {stack.cfg.max_len}")
     x = add(x, embedding_lookup(stack.pos_table, layout.pos))
-    grid, g, blocks = encoder._segment_plan(layout, n0, masks)
+    g, blocks = encoder._segment_plan(layout, masks)
     for layer, mask, layer_blocks in zip(stack.layers, g, blocks):
-        x = encoder.encoder_layer(x, mask, layer, stack.cfg, grid, layer_blocks)
+        x = encoder.encoder_layer(x, mask, layer, stack.cfg, layout, layer_blocks)
     return x
 
 
@@ -238,15 +238,14 @@ def run_stream(model, tag, preps):
     t_q = mlp([w for q in qs for w in q.labels], s.question_input)
     n_img, n_q = [img.n_tokens for img in imgs], [q.n_tokens for q in qs]
     if s.question == "sentence":
-        words = Layout.contiguous(n_q)
-        t_q = stack_run(model.stacks["sent"], t_q, words, [prep.plans["sent"] for prep in preps],
-                        words.lengths)
+        t_q = stack_run(model.stacks["sent"], t_q, encoder.Layout(n_q),
+                        [prep.plans["sent"] for prep in preps])
     bsz = len(preps)
-    layout = Layout.contiguous(n_img, [1] * bsz, n_q)
+    layout = encoder.Layout(n_img, [1] * bsz, n_q, split=2)
     sep = p[f"{tag}.sep"]
     seps = embedding_lookup(reshape(sep, (1, sep.data.shape[0])), np.zeros(bsz, np.intp))
     hidden = stack_run(model.stacks[tag], concat_rows([t_img, seps, t_q]), layout,
-                       [prep.plans[tag] for prep in preps], np.add(n_img, 1))
+                       [prep.plans[tag] for prep in preps])
     return hidden, layout, t_img.data.shape[0] + np.arange(bsz)
 
 

@@ -156,6 +156,22 @@ class TestGenData:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("counts, split", [(["--n", "3", "--eval-n", "0"], "eval"),
+                                               (["--n", "0", "--eval-n", "2"], "train")])
+    def test_bad_count_leaves_the_corpus_as_it_was(self, tmp_path, capsys, counts, split):
+        """A split size below 1 exits 1 naming the split, before any file of an
+        existing corpus in ``--out`` is written."""
+        out = tmp_path / "c"
+        assert main(["gen-data", "--n", "2", "--eval-n", "1", "--seed", "4",
+                     "--out", str(out)]) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        rc = main(["gen-data", *counts, "--seed", "9", "--out", str(out)])
+        assert rc == 1
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{split}: sample count must be >= 1" in err
+
 
 class TestTrainEval:
     def test_train_then_eval_roundtrip(self, cli_corpus, cli_config, tmp_path, capsys):

@@ -171,8 +171,8 @@ class TestWorldSpec:
 
 
 def saved_checkpoint():
-    """A tiny model's checkpoint, with Adam's record: its JSON header and the
-    bytes before and after it."""
+    """A tiny model's checkpoint, with Adam's record: its JSON header, the
+    bytes before and after it, and the whole file."""
     model = Model(ModelConfig(**TINY), MANIFEST["word_vocab"], MANIFEST["answer_vocab"], 4, 4)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "good.ckpt")
@@ -180,10 +180,10 @@ def saved_checkpoint():
         with open(path, "rb") as f:
             blob = f.read()
     (hlen,) = struct.unpack("<Q", blob[8:16])
-    return json.loads(blob[16:16 + hlen]), blob[:8], blob[16 + hlen:]
+    return json.loads(blob[16:16 + hlen]), blob[:8], blob[16 + hlen:], blob
 
 
-HEADER, HEAD, BODY = saved_checkpoint()
+HEADER, HEAD, BODY, CHECKPOINT = saved_checkpoint()
 
 
 class TestCheckpointHeader:
@@ -200,6 +200,24 @@ class TestCheckpointHeader:
             assert str(e).startswith(f"{file}: ")
             return
         runs_or_rejects(model, *girl_dog())
+
+
+class TestCheckpointLength:
+    @SETTINGS
+    @given(offset=st.integers(0, len(CHECKPOINT)), extra=st.binary(min_size=1, max_size=64))
+    def test_cut_or_extended_raises_a_value_error_naming_the_file(self, workdir, offset, extra):
+        """The file cut at ``offset``, or with bytes inserted there (appended at
+        its end), is rejected; the whole file loads with Adam's record."""
+        file = workdir / "resized.ckpt"
+        file.write_bytes(CHECKPOINT)
+        assert load_checkpoint(str(file))[1] is not None
+        for blob in (CHECKPOINT[:offset], CHECKPOINT[:offset] + extra + CHECKPOINT[offset:]):
+            if blob == CHECKPOINT:
+                continue  # a cut at the very end
+            file.write_bytes(blob)
+            with pytest.raises(ValueError) as e:
+                load_checkpoint(str(file))
+            assert str(e.value).startswith(f"{file}: ")
 
 
 class TestCommandLine:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import granalign.autodiff as ad
 from granalign import encoder
@@ -21,8 +22,9 @@ from granalign.encoder import (
 )
 from granalign.leadgraph import LeadGraph, full_graph, pairs_to_matrix
 import reference_ops as refops
+from test_contract import SETTINGS
 from conftest import (fd_gradient, multi_head_ga, reference_encoder_layer, rel_err,
-                      weighted_sum, whole_grid_plan)
+                      weighted_sum, whole_grid, whole_grid_plan)
 
 
 def textbook_attention(q, k, v):
@@ -321,7 +323,7 @@ class TestMultiHead:
 def one_sequence(x, g, layer, cfg):
     """encoder_layer on one [n, d] sequence and its n x n mask (LeadGraph or array)."""
     return encoder_layer(x, _mask_array(g)[None], layer, cfg,
-                         Layout.contiguous([x.data.shape[0]]))
+                         Layout([x.data.shape[0]]))
 
 
 class TestEncoderLayer:
@@ -398,9 +400,9 @@ class TestFusedLayer:
         rng, cfg, layer = self.make(35)
         x = ad.Tensor(rng.normal(size=(5, 8)))
         with pytest.raises(ValueError, match="does not match"):
-            encoder_layer(x, np.ones((5, 5)), layer, cfg, Layout.contiguous([5]))
+            encoder_layer(x, np.ones((5, 5)), layer, cfg, Layout([5]))
         with pytest.raises(ValueError, match="does not match"):
-            encoder_layer(x, np.ones((1, 4, 4)), layer, cfg, Layout.contiguous([5]))
+            encoder_layer(x, np.ones((1, 4, 4)), layer, cfg, Layout([5]))
 
     def test_matches_reference_chain(self):
         """One sequence: bitwise values, and gradients of x and all 12 blocks
@@ -411,7 +413,7 @@ class TestFusedLayer:
         g = (rng.random((n, n)) < 0.5).astype(float)
         g[2] = 0.0  # one dead row
         w = rng.normal(size=(n, 8))
-        layout = Layout.contiguous([n])
+        layout = Layout([n])
         out, grads = self.grads(lambda t: encoder_layer(t, g[None], layer, cfg, layout),
                                 x, layer, w)
         ref, ref_grads = self.grads(
@@ -421,19 +423,19 @@ class TestFusedLayer:
             np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-14)
 
     def test_packed_batch_matches_each_sequence(self):
-        """Three sequences of different lengths packed out of order match
+        """Three sequences of different lengths, stored part-major in three
+        parts (so not grouped by sequence) on a segment-aligned grid, match
         three separate calls, values and gradients."""
         rng, cfg, layer = self.make(32)
-        lengths = [3, 7, 5]
+        layout = Layout([2, 0, 4], [1, 5, 0], [0, 2, 1], split=1)
+        lengths = layout.lengths.tolist()
+        assert lengths == [3, 7, 5] and not layout.dense
         seqs = [rng.normal(size=(n, 8)) for n in lengths]
         masks = [(rng.random((n, n)) < 0.6).astype(float) for n in lengths]
         ws = [rng.normal(size=(n, 8)) for n in lengths]
-        order = rng.permutation(sum(lengths))  # rows need not be grouped by sequence
-        sample = np.repeat(np.arange(3), lengths)[order]
-        pos = np.concatenate([np.arange(n) for n in lengths])[order]
-        layout = Layout(sample, pos, lengths)
-        packed = np.concatenate(seqs)[order]
-        x = ad.Tensor(packed, requires_grad=True)
+        sample, pos = layout.sample, layout.pos
+        order = np.cumsum([0] + lengths[:-1])[sample] + pos  # row pos[r] of sequence sample[r]
+        x = ad.Tensor(np.concatenate(seqs)[order], requires_grad=True)
         out, grads = self.grads(
             lambda t: encoder_layer(t, layout.pad_masks(masks), layer, cfg, layout),
             x, layer, np.concatenate(ws)[order])
@@ -452,7 +454,7 @@ class TestFusedLayer:
 
     def test_finite_differences_on_packed_batch(self):
         rng, cfg, layer = self.make(33, d=4, f=8)
-        layout = Layout.contiguous([2, 4])
+        layout = Layout([2, 4])
         masks = [np.ones((2, 2)), (rng.random((4, 4)) < 0.7).astype(float)]
         g = layout.pad_masks(masks)
         x = ad.Tensor(rng.normal(size=(6, 4)), requires_grad=True)
@@ -475,9 +477,9 @@ class TestFusedLayer:
         of x and of all 12 blocks against central differences."""
         rng, cfg, layer = self.make(37, d=4, f=8)
         n_img, n_q = [2, 4, 1], [3, 1, 2]
-        layout = packed_layout(n_img, n_q)
+        grid = stream_layout(n_img, n_q)
         masks = [lead_graph_masks(rng, a, b) for a, b in zip(n_img, n_q)]
-        grid, g, blocks = _segment_plan(layout, np.add(n_img, 1), masks)
+        g, blocks = _segment_plan(grid, masks)
         g, blocks = g[1], blocks[1]
         assert len(blocks) == 2 and len(grid.pos) < grid.batch * grid.n_max
         x = ad.Tensor(rng.normal(size=(len(grid.pos), 4)), requires_grad=True)
@@ -496,68 +498,97 @@ class TestFusedLayer:
                 assert rel_err(grad.reshape(-1)[c], val) < 2e-6
 
 
+@st.composite
+def part_counts(draw):
+    """Row counts of 1-4 parts of 1-6 sequences, zeros included, and a split point."""
+    bsz, n_parts = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    sizes = st.lists(st.integers(0, 5), min_size=bsz, max_size=bsz)
+    parts = draw(st.lists(sizes, min_size=n_parts, max_size=n_parts))
+    return parts, draw(st.integers(1, n_parts))
+
+
 class TestLayout:
-    def test_pad_unpad_roundtrip(self):
-        layout = Layout(np.array([1, 0, 1, 0, 1]), np.array([0, 0, 1, 1, 2]), [2, 3])
-        rows = np.arange(10.0).reshape(5, 2)
-        padded = layout.pad(rows)
-        assert padded.shape == (2, 3, 2)
-        np.testing.assert_array_equal(padded[0, 2], [0.0, 0.0])
-        np.testing.assert_array_equal(padded[1, 2], rows[4])
-        assert not layout.dense
-        np.testing.assert_array_equal(layout.unpad(padded.reshape(6, 2)), rows)
+    @SETTINGS
+    @given(drawn=part_counts(), seed=st.integers(0, 2**32 - 1))
+    def test_rows_cells_padding_and_masks(self, drawn, seed):
+        """Rows run part-major over sequence positions; segment 0 keeps its
+        positions on the grid and segment 1 starts at column w0; the cells
+        are distinct, ``pad`` and ``unpad`` round-trip, and ``pad_masks``
+        puts entry (i, j) at the grid columns of positions i and j."""
+        parts, split = drawn
+        layout = Layout(*parts, split=split)
+        counts = np.array(parts)
+        starts = counts.cumsum(axis=0) - counts
+        n0, lengths = counts[:split].sum(axis=0), counts.sum(axis=0)
+        assert layout.n0.tolist() == n0.tolist() and layout.lengths.tolist() == lengths.tolist()
+        w0, bsz = int(n0.max()), len(lengths)
+        assert layout.w0 == w0 and layout.n_max == w0 + (lengths - n0).max()
+        rows = [(b, p) for k, part in enumerate(parts) for b, n in enumerate(part)
+                for p in range(starts[k, b], starts[k, b] + n)]
+        assert list(zip(layout.sample.tolist(), layout.pos.tolist())) == rows
+        sample, pos = layout.sample, layout.pos
+        cell = sample * layout.n_max + pos + np.where(pos < n0[sample], 0, w0 - n0[sample])
+        assert layout.index.tolist() == cell.tolist()
+        assert len(set(cell.tolist())) == len(cell)
+
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(len(rows), 3))
+        padded = layout.pad(x)
+        assert padded.shape == (bsz, layout.n_max, 3)
+        flat = padded.reshape(-1, 3)
+        assert layout.unpad(flat).tobytes() == x.tobytes()
+        assert flat[cell].tobytes() == x.tobytes()
+        assert not np.delete(flat, cell, axis=0).any()
+
+        masks = [rng.random((2, n, n)) < 0.5 for n in lengths]
+        g = layout.pad_masks(masks)
+        assert g.dtype == bool and g.shape == (2, bsz, layout.n_max, layout.n_max)
+        for b, (k, n) in enumerate(zip(n0, lengths)):
+            at = np.where(np.arange(n) < k, np.arange(n), np.arange(n) + w0 - k)
+            ref = np.zeros((2, layout.n_max, layout.n_max), dtype=bool)
+            ref[:, at[:, None], at] = masks[b]
+            assert np.array_equal(g[:, b], ref)
 
     def test_single_sequence_is_dense(self):
-        layout = Layout.contiguous([4])
+        layout = Layout([4])
         rows = np.arange(8.0).reshape(4, 2)
         assert layout.dense
         assert np.shares_memory(layout.pad(rows), rows)
+        assert Layout([3], [1], [2], split=2).dense
 
-    def test_contiguous_parts_are_part_major(self):
+    def test_parts_are_part_major(self):
         """Three parts: all part-0 rows, then all part-1 rows, then all part-2
-        rows, each part sequence after sequence; positions run per sequence."""
-        layout = Layout.contiguous([2, 0, 1], [1, 1, 1], [1, 2, 0])
+        rows, each part sequence after sequence; positions run per sequence.
+        With two parts in segment 0, the third part's rows move right to the
+        end of the longest segment 0."""
+        parts = ([2, 0, 1], [1, 1, 1], [1, 2, 0])
+        layout = Layout(*parts)
         assert layout.sample.tolist() == [0, 0, 2, 0, 1, 2, 0, 1, 1]
         assert layout.pos.tolist() == [0, 1, 0, 2, 0, 1, 3, 1, 2]
         assert layout.lengths.tolist() == [4, 3, 2]
-        assert layout.n_max == 4
-        ref = packed_layout([2, 0, 1], [1, 2, 0])
-        for got, expect in ((layout.sample, ref.sample), (layout.pos, ref.pos),
-                            (layout.lengths, ref.lengths), (layout.index, ref.index)):
-            assert got.tolist() == expect.tolist()
+        assert layout.n_max == 4 and layout.index.tolist() == [0, 1, 8, 2, 4, 9, 3, 5, 6]
+        aligned = Layout(*parts, split=2)
+        assert aligned.pos.tolist() == layout.pos.tolist()
+        assert aligned.n0.tolist() == [3, 1, 2] and aligned.w0 == 3 and aligned.n_max == 5
+        assert aligned.index.tolist() == [0, 1, 10, 2, 5, 11, 3, 8, 9]
 
     def test_one_part_is_sequences_in_order(self):
         lengths = [3, 1, 0, 2]
-        layout = Layout.contiguous(lengths)
+        layout = Layout(lengths)
         assert layout.sample.tolist() == [0, 0, 0, 1, 3, 3]
         assert layout.pos.tolist() == [0, 1, 2, 0, 0, 1]
         assert layout.lengths.tolist() == lengths
         assert not layout.dense
-        assert Layout.contiguous([5]).dense
+        assert Layout([5]).dense
 
     def test_mean_matrix_and_masks(self):
-        layout = Layout.contiguous([1, 3])
+        layout = Layout([1, 3])
         p = layout.mean_matrix()
         np.testing.assert_allclose(p, [[1, 0, 0, 0], [0, 1 / 3, 1 / 3, 1 / 3]])
         m = layout.pad_masks([np.ones((1, 1)), np.eye(3)])
         assert m.dtype == bool and m.shape == (2, 3, 3)
         assert m[0].sum() == 1 and m[0, 0, 0]
         np.testing.assert_array_equal(m[1], np.eye(3, dtype=bool))
-
-    def test_masks_with_segment_1_moved_to_the_longest_segment_0(self):
-        """Position p of sequence b lands at grid position p below ``n0[b]``
-        and at p + max(n0) - n0[b] from there on."""
-        rng = np.random.default_rng(36)
-        n0, lengths = np.array([2, 4, 3]), [5, 4, 3]
-        layout = Layout(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), lengths, 7)
-        masks = [rng.random((2, n, n)) < 0.5 for n in lengths]
-        m = layout.pad_masks(masks, n0)
-        assert m.shape == (2, 3, 7, 7)
-        for b, (k, n) in enumerate(zip(n0, lengths)):
-            at = np.where(np.arange(n) < k, np.arange(n), np.arange(n) + 4 - k)
-            ref = np.zeros((2, 7, 7), dtype=bool)
-            ref[:, at[:, None], at] = masks[b]
-            np.testing.assert_array_equal(m[:, b], ref)
 
     def test_padded_keys_and_values_have_no_influence(self):
         """Garbage in the padded rows of q, k and v leaves the real rows of
@@ -708,19 +739,16 @@ def lead_graph_masks(rng, n_img, n_q):
     return m
 
 
-def packed_layout(n_img, n_q):
-    """The layout ``encode_stream`` builds: all image rows, the SEP rows, all question rows."""
-    n_img, n_q = np.asarray(n_img), np.asarray(n_q)
-    b = np.arange(len(n_img))
-    sample = np.concatenate([np.repeat(b, n_img), b, np.repeat(b, n_q)])
-    pos = np.concatenate([np.arange(a) for a in n_img] + [n_img]
-                         + [a + 1 + np.arange(q) for a, q in zip(n_img, n_q)])
-    return Layout(sample, pos, n_img + 1 + n_q)
+def stream_layout(n_img, n_q, split=2):
+    """The layout ``encode_stream`` builds: all image rows, the SEP rows, all
+    question rows, with image rows and SEP as segment 0 (one segment with
+    ``split=None``)."""
+    return Layout(n_img, [1] * len(n_img), n_q, split=split)
 
 
 def same_grid(a, b):
     """Two layouts that put every row at the same cell of equally wide grids."""
-    return a.n_max == b.n_max and np.array_equal(a.pos, b.pos)
+    return a.n_max == b.n_max and np.array_equal(a.index, b.index)
 
 
 class TestSegmentPlan:
@@ -742,11 +770,10 @@ class TestSegmentPlan:
         rng = np.random.default_rng(seed)
         cfg = EncoderConfig(num_layers=1, num_heads=2, d_model=8, d_ff=16)
         layer = make_layer(rng, 8, 16)
-        layout = packed_layout(n_img, n_q)
-        n0 = np.asarray(n_img) + 1
-        grid, g, blocks = _segment_plan(layout, n0, masks)
-        _, ref_g, _ = whole_grid_plan(layout, n0, masks)
-        assert g.shape == (len(ref_g), layout.batch, grid.n_max, grid.n_max)
+        grid, layout = stream_layout(n_img, n_q), stream_layout(n_img, n_q, None)
+        g, blocks = _segment_plan(grid, masks)
+        ref_g, _ = whole_grid_plan(layout, masks)
+        assert g.shape == (len(ref_g), grid.batch, grid.n_max, grid.n_max)
         x = ad.Tensor(rng.normal(size=(len(layout.pos), 8)), requires_grad=True)
         w = rng.normal(size=x.data.shape)
         for mask, layer_blocks, ref_mask in zip(g, blocks, ref_g):
@@ -864,7 +891,7 @@ class TestSegmentPlan:
             return hidden.data, t.gradients(loss, tensors)
 
         out, grads = run()
-        monkeypatch.setattr(encoder, "_segment_plan", whole_grid_plan)
+        whole_grid(monkeypatch)
         ref, ref_grads = run()
         assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
         for a, b in zip(grads, ref_grads):
@@ -879,29 +906,29 @@ class TestSegmentPlan:
             n_img, n_q, [lead_graph_masks(rng, a, b) for a, b in zip(n_img, n_q)])
         assert blocks[0] == ((slice(5, None), slice(5, None)),)
         assert blocks[2] == WHOLE_GRID
-        assert same_grid(grid, packed_layout(n_img, n_q)) and grid.n_max == 8
+        assert same_grid(grid, stream_layout(n_img, n_q, None)) and grid.n_max == 8
 
     def test_one_segment_is_the_whole_grid(self):
         """Segment 0 spanning every sequence, as in the sentence stack: each
         layer scores the layout's grid with the padded masks themselves."""
         rng = np.random.default_rng(50)
-        layout = Layout.contiguous([2, 5, 3])
+        layout = Layout([2, 5, 3])
         masks = [rng.random((2, n, n)) < 0.5 for n in (2, 5, 3)]
-        grid, g, blocks = _segment_plan(layout, layout.lengths, masks)
-        assert same_grid(grid, layout) and blocks == [WHOLE_GRID] * 2
+        g, blocks = _segment_plan(layout, masks)
+        assert layout.w0 == layout.n_max == 5 and blocks == [WHOLE_GRID] * 2
+        assert layout.index.tolist() == (layout.sample * 5 + layout.pos).tolist()
         assert g.tobytes() == layout.pad_masks(masks).tobytes()
 
     @pytest.mark.parametrize("n_img, n_q", [([2, 6, 4, 1], [5, 0, 3, 1]), ([3, 3], [2, 4])],
                              ids=["aligned-grid", "layout-grid"])
     def test_every_layer_of_a_call_gets_one_layout(self, n_img, n_q, monkeypatch):
         """The three layers of one stack call, partly and fully open, all run
-        on the one grid of the plan."""
+        on the call's own layout."""
         rng = np.random.default_rng(53)
         cfg = EncoderConfig(num_layers=3, num_heads=2, d_model=8, d_ff=16, max_len=16)
         stack = EncoderStack.build(ad.Parameters(), "enc", cfg, np.random.default_rng(1))
-        layout = packed_layout(n_img, n_q)
+        layout = stream_layout(n_img, n_q)
         masks = [lead_graph_masks(rng, a, b) for a, b in zip(n_img, n_q)]
-        n0 = np.asarray(n_img) + 1
         seen = []
 
         def spy(x, g, layer, cfg, grid, blocks):
@@ -909,9 +936,9 @@ class TestSegmentPlan:
             return encoder_layer(x, g, layer, cfg, grid, blocks)
 
         monkeypatch.setattr(encoder, "encoder_layer", spy)
-        stack.run([ad.Tensor(rng.normal(size=(len(layout.pos), 8)))], layout, masks, n0)
+        stack.run([ad.Tensor(rng.normal(size=(len(layout.pos), 8)))], layout, masks)
         assert len(seen) == 3 and seen[0][1] != WHOLE_GRID and seen[2][1] == WHOLE_GRID
-        assert all(grid is seen[0][0] for grid, _ in seen)
+        assert all(grid is layout for grid, _ in seen)
         assert seen[0][0].n_max == max(n_img) + 1 + max(n_q)
 
 
@@ -926,15 +953,14 @@ class TestStackRun:
         rng = np.random.default_rng(52)
         cfg, stack = self.make()
         n_img, n_q = [3, 1], [2, 4]
-        layout = packed_layout(n_img, n_q)
+        layout = stream_layout(n_img, n_q)
         masks = [lead_graph_masks(rng, a, b) for a, b in zip(n_img, n_q)]
-        n0 = np.asarray(n_img) + 1
         x = ad.Tensor(rng.normal(size=(len(layout.pos), 8)))
-        out = stack.run([x], layout, masks, n0).data
+        out = stack.run([x], layout, masks).data
         h = ad.Tensor(x.data + stack.pos_table.data[layout.pos])
-        grid, g, blocks = _segment_plan(layout, n0, masks)
+        g, blocks = _segment_plan(layout, masks)
         for mask, layer_blocks, layer in zip(g, blocks, stack.layers):
-            h = encoder_layer(h, mask, layer, cfg, grid, layer_blocks)
+            h = encoder_layer(h, mask, layer, cfg, layout, layer_blocks)
         assert h.data.tobytes() == out.tobytes()
 
     @pytest.mark.parametrize("shape, message", [
@@ -946,16 +972,16 @@ class TestStackRun:
     ])
     def test_rejects_masks_of_the_wrong_count_or_size(self, shape, message):
         cfg, stack = self.make()
-        layout = Layout.contiguous([4, 6])
+        layout = Layout([4, 6])
         masks = [np.ones((3, 4, 4), dtype=bool), np.ones(shape, dtype=bool)]
         with pytest.raises(ValueError, match=f"sequence 1 {message}"):
-            stack.run([ad.Tensor(np.zeros((10, 8)))], layout, masks, layout.lengths)
+            stack.run([ad.Tensor(np.zeros((10, 8)))], layout, masks)
 
     def test_rejects_rows_or_mask_sets_not_matching_the_layout(self):
         cfg, stack = self.make()
-        layout = Layout.contiguous([4, 6])
+        layout = Layout([4, 6])
         masks = [np.ones((3, n, n), dtype=bool) for n in (4, 6)]
         with pytest.raises(ValueError, match="do not match"):
-            stack.run([ad.Tensor(np.zeros((9, 8)))], layout, masks, layout.lengths)
+            stack.run([ad.Tensor(np.zeros((9, 8)))], layout, masks)
         with pytest.raises(ValueError, match="do not match"):
-            stack.run([ad.Tensor(np.zeros((10, 8)))], layout, masks[:1], layout.lengths)
+            stack.run([ad.Tensor(np.zeros((10, 8)))], layout, masks[:1])

@@ -13,7 +13,7 @@ from granalign.model import STREAMS, LogitsBundle, Model, ModelConfig, StreamOut
 from granalign.training import ABLATION_VARIANTS, generic_parameter_point
 import reference_ops as refops
 from conftest import (append_sep_mask, fd_gradient, fixture_path, level_graph, reference_batch,
-                      rel_err, weighted_sum, whole_grid_plan)
+                      rel_err, weighted_sum, whole_grid)
 
 WORDS = ["what", "color", "is", "the", "there", "a",
          "girl", "dog", "brown", "left", "right"]
@@ -296,7 +296,7 @@ class TestPooling:
         model, prep = make_model(girl_dog, pooling="mean")
         outputs = self.outputs(model, prep)
         means = [StreamOutput(out.tag, ad.Tensor(out.hidden.data.mean(axis=0, keepdims=True)),
-                              Layout.contiguous([1]), np.array([0])) for out in outputs]
+                              Layout([1]), np.array([0])) for out in outputs]
         got, expect = model.fuse(outputs).all_logits(), model.fuse(means).all_logits()
         for tag in got:
             np.testing.assert_allclose(got[tag].data, expect[tag].data, rtol=1e-12, atol=1e-12)
@@ -327,7 +327,7 @@ class TestVariants:
             stack = model.stacks[tag]
             rows = np.concatenate([t_img.data, sep.data[None], t_q.data])
             n = len(rows)
-            layout = Layout.contiguous([n])
+            layout = Layout([n])
             x = ad.Tensor(rows + stack.pos_table.data[:n])
             for layer in stack.layers:
                 x = encoder_layer(x, np.ones((1, n, n)), layer, stack.cfg, layout)
@@ -539,7 +539,7 @@ class TestSegmentGroups:
                       for s in samples])
         grouped = batch_loss_and_grads(model, preps)
         with monkeypatch.context() as m:
-            m.setattr(encoder, "_segment_plan", whole_grid_plan)
+            whole_grid(m)
             whole = batch_loss_and_grads(model, preps)
         return grouped, whole
 
@@ -665,6 +665,34 @@ class TestTapeNodes:
         assert len(tape.nodes) == 24
 
 
+class TestOneLayoutPerStackCall:
+    @pytest.mark.parametrize("batch", [None, 16], ids=["forward", "forward_batch"])
+    def test_every_layer_runs_on_its_calls_layout(self, seed7_corpora, monkeypatch, batch):
+        """A default forward builds one ``Layout`` per stack call (ce, rn, the
+        sentence stack, ss), and every layer of a call receives that layout."""
+        model, preps = seed7_model(seed7_corpora, "pinned")
+        built, used = [], []
+        init, layer = encoder.Layout.__init__, encoder.encoder_layer
+
+        def spy_init(self, *parts, **kw):
+            built.append(self)
+            init(self, *parts, **kw)
+
+        def spy_layer(x, g, params, cfg, layout, blocks):
+            used.append(layout)
+            return layer(x, g, params, cfg, layout, blocks)
+
+        monkeypatch.setattr(encoder.Layout, "__init__", spy_init)
+        monkeypatch.setattr(encoder, "encoder_layer", spy_layer)
+        if batch is None:
+            model.forward(preps[0])
+        else:
+            model.forward_batch(preps[:batch])
+        assert len(built) == 4
+        assert [layout.batch for layout in built] == [batch or 1] * 4
+        assert used == [layout for layout in built for _ in range(model.config.num_layers)]
+
+
 def check_node(fn, tensors, seed, coords=4, tol=1e-6):
     """Tape gradients of ``sum_i(out_i * w_i)`` over the output(s) of ``fn()``,
     for random weights ``w_i``, against central differences at ``coords``
@@ -721,7 +749,7 @@ class TestFusedNodes:
         t_img = ad.Tensor(rng.normal(size=(sum(n_img), 32)), requires_grad=True)
         t_q = ad.Tensor(rng.normal(size=(sum(n_q), 32)), requires_grad=True)
         sep = model.params["ce.sep"]
-        layout = Layout.contiguous(n_img, [1] * 3, n_q)
+        layout = Layout(n_img, [1] * 3, n_q, split=2)
         tensors = [t_img, sep, t_q, stack.pos_table]
         check_node(lambda: stack._input_rows([t_img, sep, t_q], layout), tensors, seed=63,
                    coords=8)
