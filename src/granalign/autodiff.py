@@ -6,9 +6,10 @@ operations: each fused step of the model (an input MLP, a feature
 projection, a stack's input rows, an encoder layer, the fusion head, the
 loss) computes its forward in numpy and, inside a ``Tape`` context, records
 itself as one node with a hand-written backward, like PyTorch's
-``autograd.Function``. A single reverse sweep over the tape yields gradients
-for every trainable leaf. Every backward is validated against central finite
-differences in the test suite.
+``autograd.Function``. Tensors carry no flag: one reverse sweep yields the
+gradient of every tensor that a node read and no node made, and the caller
+takes those it names, like JAX's ``grad(f, argnums)``. Every backward is
+validated against central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -22,27 +23,25 @@ __all__ = ["Tensor", "Tape", "Parameters", "record"]
 
 
 class Tensor:
-    """A dense float64 array plus the flags the tape needs.
+    """A dense float64 array.
 
     ``data`` is always a C-contiguous float64 ndarray, so ``data.ravel()``
     is the flat row-major view of the values.
     """
 
-    __slots__ = ("data", "requires_grad")
+    __slots__ = ("data",)
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         # asarray with order="C", not ascontiguousarray: the latter would
         # promote 0-d (scalar) values to shape (1,)
-        arr = np.asarray(data, dtype=np.float64, order="C")
-        self.data = arr
-        self.requires_grad = bool(requires_grad)
+        self.data = np.asarray(data, dtype=np.float64, order="C")
 
     @property
     def shape(self) -> tuple:
         return self.data.shape
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape})"
 
 
 # One active tape per thread; independent model instances on separate
@@ -63,12 +62,10 @@ class Tape:
     """
 
     def __init__(self):
-        # each node: (out, inputs, backward_fn). ``out`` is a Tensor or a
-        # tuple of them; backward_fn takes one object, the output gradient
-        # or the tuple of output gradients, and returns one gradient array
-        # per input (entries for constant inputs are ignored).
+        # each node: (out, inputs, backward_fn). ``out`` is a Tensor or a tuple
+        # of them; backward_fn takes the output gradient, or the tuple of them,
+        # and returns one gradient array per input.
         self.nodes: list[tuple[Tensor | tuple[Tensor, ...], tuple[Tensor, ...], Callable]] = []
-        self._tracked: set[int] = set()
 
     def __enter__(self) -> "Tape":
         if active_tape() is not None:
@@ -80,17 +77,14 @@ class Tape:
         _LOCAL.tape = None
         return False
 
-    def tracks(self, t: Tensor) -> bool:
-        return t.requires_grad or id(t) in self._tracked
-
     def add_node(self, out: Tensor | tuple[Tensor, ...], inputs: tuple[Tensor, ...],
                  backward: Callable) -> None:
         self.nodes.append((out, inputs, backward))
-        self._tracked.update(map(id, out) if isinstance(out, tuple) else (id(out),))
 
-    def backward(self, loss: Tensor, grad: np.ndarray | None = None) -> dict[Tensor, np.ndarray]:
-        """Gradients of ``loss`` for every requires_grad leaf on the tape: of a
-        scalar loss, or of ``sum(loss * grad)`` given the output gradient ``grad``."""
+    def backward(self, loss: Tensor, grad: np.ndarray | None = None) -> dict[int, np.ndarray]:
+        """Gradients of a scalar ``loss``, or of ``sum(loss * grad)`` given the
+        output gradient ``grad``, keyed by ``id``: one for every tensor that a
+        node read and no node made."""
         if grad is None and loss.data.shape != ():
             raise ValueError(f"loss of shape {loss.data.shape} needs an output gradient")
         grad = np.ones(()) if grad is None else np.asarray(grad, dtype=np.float64)
@@ -98,7 +92,6 @@ class Tape:
             raise ValueError(f"output gradient of shape {grad.shape} does not match "
                              f"the loss shape {loss.data.shape}")
         accum: dict[int, np.ndarray] = {id(loss): grad}
-        leaves: dict[Tensor, np.ndarray] = {}
         for out, inputs, backward in reversed(self.nodes):
             # every consumer of `out` ran later and is already swept, so its
             # gradient is complete; drop it once passed on to the inputs
@@ -109,26 +102,22 @@ class Tape:
             gs = tuple(np.zeros(o.data.shape) if g is None else g for o, g in zip(outs, gs))
             input_grads = backward(gs if isinstance(out, tuple) else gs[0])
             for t, gi in zip(inputs, input_grads):
-                if not self.tracks(t):
-                    continue
                 prev = accum.get(id(t))
                 accum[id(t)] = gi if prev is None else prev + gi
-                if t.requires_grad:
-                    leaves[t] = accum[id(t)]
-        return leaves
+        return accum
 
     def gradients(self, loss: Tensor, wrt: Iterable[Tensor],
                   grad: np.ndarray | None = None) -> list[np.ndarray]:
-        """Like backward(), but aligned with ``wrt``; leaves off the path get zeros."""
-        leaf_map = self.backward(loss, grad)
-        return [leaf_map[t] if t in leaf_map else np.zeros(t.data.shape) for t in wrt]
+        """Like backward(), but aligned with ``wrt``; a tensor the loss does not
+        reach, or that a node made, gets zeros."""
+        grads = self.backward(loss, grad)
+        return [grads[id(t)] if id(t) in grads else np.zeros(t.data.shape) for t in wrt]
 
 
 def record(out, inputs: tuple[Tensor, ...], backward: Callable):
-    """Attach ``out``, a Tensor or a tuple of them, to the active tape if any
-    input is tracked; returns ``out``."""
+    """Attach ``out``, a Tensor or a tuple of them, to the active tape if any; return it."""
     tape = active_tape()
-    if tape is not None and any(tape.tracks(t) for t in inputs):
+    if tape is not None:
         tape.add_node(out, inputs, backward)
     return out
 
@@ -221,8 +210,7 @@ class Parameters:
             data = np.ones(shape)
         else:
             raise ValueError(f"unknown init {init!r}")
-        t = Tensor(data, requires_grad=True)
-        self._blocks[name] = t
+        t = self._blocks[name] = Tensor(data)
         return t
 
     @property

@@ -17,7 +17,8 @@ import sys
 from . import data as toydata
 from . import training
 from .data import DEFAULT_WORLD, ToyWorldSpec, load_manifest
-from .ingest import SchemaError, question_from_dict, read_json, require, scene_from_dict
+from .ingest import (SchemaError, question_from_dict, read_json, read_lines, require,
+                     scene_from_dict)
 from .leadgraph import LeadGraph, format_grid
 from .model import STREAMS, Model, ModelConfig, build_streams
 from .training import Trainer, TrainConfig, evaluate, gradcheck, load_checkpoint
@@ -59,13 +60,8 @@ def parse_config_file(path: str | None) -> tuple[dict, dict, dict]:
     extra: dict = {}
     if path is None:
         return model_kw, train_kw, extra
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            lines = f.readlines()
-        except UnicodeDecodeError as e:
-            raise ValueError(f"{path}: {e}") from None
     seen: dict[str, int] = {}
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(read_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -114,9 +114,6 @@ class ToyWorldSpec:
                 out.append(yn)
         return out
 
-    def to_dict(self) -> dict:
-        return to_json(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "ToyWorldSpec":
         """A spec from a JSON object; each field has the JSON type of its default."""

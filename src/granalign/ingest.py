@@ -11,8 +11,8 @@ or a ``full`` flag, that become the level's binary lead graph. Feature
 extraction and parsing happen upstream; this module only consumes their
 structured output: the records ``SceneGraph`` and ``QuestionParse``, whose
 annotations and ``__post_init__`` rules are the sample-file schema. The one
-typed-JSON reader ``from_json`` reads them, and every other JSON document,
-and ``to_json`` writes them.
+typed-JSON reader ``from_json`` reads them and every other input document
+(of a checkpoint header, only ``model_config``), and ``to_json`` writes them.
 """
 
 from __future__ import annotations
@@ -184,6 +184,16 @@ def read_json(path):
             return json.load(f)
     except (ValueError, RecursionError) as e:  # also UnicodeDecodeError, deep nesting
         raise SchemaError(f"{path}: invalid JSON: {e}") from None
+
+
+def read_lines(path) -> list[str]:
+    """The lines of the text file ``path``; a file that is not UTF-8 raises a
+    SchemaError naming ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.readlines()
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{path}: {e}") from None
 
 
 def expect(value, kind: type, what: str):
@@ -568,26 +578,25 @@ def load_word_vectors(path) -> tuple[list[str], np.ndarray]:
     A word given twice is an error naming both lines."""
     words: dict[str, int] = {}  # each word's line, in file order
     rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            try:
-                vec = [float(v) for v in parts[1:]]
-            except ValueError as e:
-                raise SchemaError(f"{path}: line {lineno}: {e}") from None
-            if not vec:
-                raise SchemaError(f"{path}: line {lineno}: no vector components")
-            if not all(map(math.isfinite, vec)):
-                raise SchemaError(f"{path}: line {lineno}: non-finite vector component "
-                                  f"(NaN or infinity)")
-            if rows and len(vec) != len(rows[0]):
-                raise SchemaError(f"{path}: line {lineno}: inconsistent dimension")
-            if words.setdefault(parts[0], lineno) != lineno:
-                raise SchemaError(f"{path}: line {lineno}: word {parts[0]!r} repeats line "
-                                  f"{words[parts[0]]}")
-            rows.append(vec)
+    for lineno, line in enumerate(read_lines(path), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        try:
+            vec = [float(v) for v in parts[1:]]
+        except ValueError as e:
+            raise SchemaError(f"{path}: line {lineno}: {e}") from None
+        if not vec:
+            raise SchemaError(f"{path}: line {lineno}: no vector components")
+        if not all(map(math.isfinite, vec)):
+            raise SchemaError(f"{path}: line {lineno}: non-finite vector component "
+                              f"(NaN or infinity)")
+        if rows and len(vec) != len(rows[0]):
+            raise SchemaError(f"{path}: line {lineno}: inconsistent dimension")
+        if words.setdefault(parts[0], lineno) != lineno:
+            raise SchemaError(f"{path}: line {lineno}: word {parts[0]!r} repeats line "
+                              f"{words[parts[0]]}")
+        rows.append(vec)
     if not words:
         raise SchemaError(f"{path}: empty word-vector file")
     return list(words), np.array(rows)

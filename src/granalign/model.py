@@ -383,6 +383,3 @@ class Model:
     def predict(self, bundle: LogitsBundle) -> int:
         """Argmax of the averaged logits; ties resolve to the lowest class."""
         return int(bundle.averaged_argmax())
-
-    def stream_predictions(self, bundle: LogitsBundle) -> dict[str, int]:
-        return {tag: int(np.argmax(t.data)) for tag, t in bundle.all_logits().items()}

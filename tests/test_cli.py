@@ -12,6 +12,7 @@ import pytest
 
 from granalign.cli import main, parse_config_file
 from granalign.data import DEFAULT_WORLD, ToyWorldSpec, gen_corpus, load_manifest
+from granalign.ingest import to_json
 from granalign.model import Model, ModelConfig
 from granalign.training import TrainConfig, load_checkpoint
 from conftest import fixture_path
@@ -118,6 +119,16 @@ class TestConfigFile:
         assert rc == 1
         assert err.startswith(f"error: {p}: 'utf-8' codec can't decode byte 0xff")
 
+    def test_word_vector_file_not_utf8_names_the_path(self, cli_corpus, tmp_path, capsys):
+        wv = tmp_path / "wv.txt"
+        wv.write_bytes(b"dog 0.1 0.2\n\xff\xfe 0.3 0.4\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"epochs = 1\nword_vectors = {wv}\n")
+        rc = main(["train", "--data", str(cli_corpus), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc == 1 and "Traceback" not in err
+        assert err.startswith(f"error: {wv}: 'utf-8' codec can't decode byte 0xff")
+
 
 class TestGenData:
     def test_writes_both_manifests(self, tmp_path, capsys):
@@ -140,7 +151,7 @@ class TestGenData:
     def test_spec_file_controls_the_world(self, tmp_path, capsys):
         spec = ToyWorldSpec(grid_size=3, d_region=8, d_spatial=8)
         spec_path = tmp_path / "world.json"
-        spec_path.write_text(json.dumps(spec.to_dict()))
+        spec_path.write_text(json.dumps(to_json(spec)))
         rc = main(["gen-data", "--spec", str(spec_path), "--n", "3",
                    "--out", str(tmp_path / "c")])
         assert rc == 0

@@ -97,7 +97,7 @@ def ids(paths):
 
 GIRL_DOG = load_fixture("girl_dog.json")
 SAMPLE = {"id": "s0", "template": "attribute", "answer": "brown", **GIRL_DOG}
-WORLD = json.loads(json.dumps(DEFAULT_WORLD.to_dict()))  # as a spec file holds it
+WORLD = json.loads(json.dumps(to_json(DEFAULT_WORLD)))  # as a spec file holds it
 MANIFEST = {"version": 1, "split": "train", "world": WORLD, "samples": ["s0.json"],
             "word_vocab": ["what", "color", "is", "the", "girl", "dog", "brown", "left", "right"],
             "answer_vocab": ["brown", "red", "yes", "no"],
@@ -166,7 +166,7 @@ class TestWorldSpec:
         except ValueError as e:
             assert str(e)
             return
-        assert ToyWorldSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+        assert ToyWorldSpec.from_dict(json.loads(json.dumps(to_json(spec)))) == spec
         assert spec.word_vocab() and spec.answer_vocab()
 
 
@@ -220,20 +220,51 @@ class TestCheckpointLength:
             assert str(e.value).startswith(f"{file}: ")
 
 
+@pytest.fixture(scope="module")
+def cli_corpus(workdir):
+    """A one-sample corpus whose sample file each test rewrites and, per
+    stream, the config file of a one-layer model of that stream alone trained
+    for one epoch and its checkpoint, trained on the unmutated sample."""
+    corpus = workdir / "cli_corpus"
+    corpus.mkdir()
+    (corpus / "s0.json").write_text(json.dumps(SAMPLE))
+    (corpus / "train.json").write_text(json.dumps(MANIFEST))
+    runs = {}
+    for stream in ("ce", "rn", "ss"):
+        config, ckpt = workdir / f"cli-{stream}.cfg", workdir / f"cli-{stream}.ckpt"
+        config.write_text("".join(f"{k} = {v}\n" for k, v in {
+            **TINY, "num_layers": 1, "epochs": 1, "streams": stream}.items()))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["train", "--data", str(corpus), "--config", str(config),
+                         "--out", str(ckpt)]) == 0
+        runs[stream] = str(config), str(ckpt)
+    return corpus, runs
+
+
 class TestCommandLine:
     @pytest.mark.parametrize("path", list(field_paths(SAMPLE)), ids=ids(field_paths(SAMPLE)))
     @SETTINGS
     @given(data=st.data())
-    def test_dump_leadgraph_exits_zero_or_with_an_error_line(self, workdir, path, data):
-        sample = workdir / "cli.json"
+    def test_commands_exit_zero_or_with_an_error_line(self, cli_corpus, path, data):
+        """Each command that reads a sample file, on one whose field at ``path``
+        is mutated: ``dump-leadgraph`` of the drawn stream, and ``train``,
+        ``eval`` and ``gradcheck`` of a one-layer model of that stream alone (a
+        model of all three streams would make gradcheck cost 5x)."""
+        corpus, runs = cli_corpus
+        sample = corpus / "s0.json"
         sample.write_text(json.dumps(data.draw(mutations(SAMPLE, path, ANY_JSON))))
         stream = data.draw(st.sampled_from(["ce", "rn", "ss"]))
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            rc = main(["dump-leadgraph", "--sample", str(sample), "--stream", stream,
-                       "--layer", "1"])
-        assert rc == 0 or rc == 1 and err.getvalue().startswith("error:")
-        assert "Traceback" not in err.getvalue()
+        config, ckpt = runs[stream]
+        for argv in (["dump-leadgraph", "--sample", str(sample), "--stream", stream,
+                      "--layer", "1"],
+                     ["train", "--data", str(corpus), "--config", config, "--log", os.devnull],
+                     ["eval", "--data", str(corpus), "--split", "train", "--ckpt", ckpt],
+                     ["gradcheck", "--data", str(corpus), "--config", config]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main(argv)
+            assert rc == 0 or rc == 1 and err.getvalue().startswith("error:"), argv[0]
+            assert "Traceback" not in err.getvalue()
 
 
 # Schema-valid records. Words come from the manifest's vocabulary and one

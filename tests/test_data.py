@@ -61,7 +61,7 @@ class TestWorldSpec:
     def test_roundtrip_through_dict(self):
         spec = ToyWorldSpec(grid_size=3, d_region=8, feature_noise=0.1,
                             feature_scale=0.5)
-        again = ToyWorldSpec.from_dict(spec.to_dict())
+        again = ToyWorldSpec.from_dict(to_json(spec))
         assert again == spec
 
     def test_validation_errors(self):

@@ -78,9 +78,9 @@ class TestMaskedAttention:
 
     def test_all_zero_row_gradient_exactly_zero(self):
         rng = np.random.default_rng(4)
-        q = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        k = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        v = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        q = ad.Tensor(rng.normal(size=(3, 4)))
+        k = ad.Tensor(rng.normal(size=(3, 4)))
+        v = ad.Tensor(rng.normal(size=(3, 4)))
         g = np.ones((3, 3))
         g[1, :] = 0.0
         with ad.Tape() as t:
@@ -164,9 +164,9 @@ class TestMaskedAttention:
 
     def test_qkv_gradients_against_finite_differences(self):
         rng = np.random.default_rng(8)
-        q = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        k = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        v = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        q = ad.Tensor(rng.normal(size=(4, 3)))
+        k = ad.Tensor(rng.normal(size=(4, 3)))
+        v = ad.Tensor(rng.normal(size=(4, 3)))
         g = pairs_to_matrix([(0, 0), (0, 1), (1, 2), (1, 1), (2, 0), (2, 3),
                              (3, 3)], 4)
         w = rng.normal(size=(4, 3))
@@ -195,17 +195,17 @@ class TestMaskedAttention:
 
 def make_layer(rng, d, f):
     def t(shape):
-        return ad.Tensor(rng.normal(size=shape) / np.sqrt(shape[0]), requires_grad=True)
+        return ad.Tensor(rng.normal(size=shape) / np.sqrt(shape[0]))
 
     from granalign.encoder import LayerParams
     return LayerParams(
         wq=t((d, d)), wk=t((d, d)), wv=t((d, d)), wo=t((d, d)),
-        ffn_w1=t((d, f)), ffn_b1=ad.Tensor(np.zeros(f), requires_grad=True),
-        ffn_w2=t((f, d)), ffn_b2=ad.Tensor(np.zeros(d), requires_grad=True),
-        ln1_gain=ad.Tensor(np.ones(d), requires_grad=True),
-        ln1_bias=ad.Tensor(np.zeros(d), requires_grad=True),
-        ln2_gain=ad.Tensor(np.ones(d), requires_grad=True),
-        ln2_bias=ad.Tensor(np.zeros(d), requires_grad=True),
+        ffn_w1=t((d, f)), ffn_b1=ad.Tensor(np.zeros(f)),
+        ffn_w2=t((f, d)), ffn_b2=ad.Tensor(np.zeros(d)),
+        ln1_gain=ad.Tensor(np.ones(d)),
+        ln1_bias=ad.Tensor(np.zeros(d)),
+        ln2_gain=ad.Tensor(np.ones(d)),
+        ln2_bias=ad.Tensor(np.zeros(d)),
     )
 
 
@@ -296,7 +296,7 @@ class TestMultiHead:
         rng = np.random.default_rng(11)
         d, heads, n = 4, 2, 3
         layer = make_layer(rng, d, 8)
-        x = ad.Tensor(rng.normal(size=(n, d)), requires_grad=True)
+        x = ad.Tensor(rng.normal(size=(n, d)))
         g = full_graph(n)
         w = rng.normal(size=(n, d))
         with ad.Tape() as t:
@@ -356,7 +356,7 @@ class TestEncoderLayer:
         d = 4
         cfg = EncoderConfig(num_layers=1, num_heads=2, d_model=d, d_ff=8)
         layer = make_layer(rng, d, 8)
-        x = ad.Tensor(rng.normal(size=(3, d)), requires_grad=True)
+        x = ad.Tensor(rng.normal(size=(3, d)))
         g = pairs_to_matrix([(0, 0), (1, 1), (2, 2), (0, 2), (2, 1)], 3)
         w = rng.normal(size=(3, d))
         with ad.Tape() as t:
@@ -391,7 +391,7 @@ class TestFusedLayer:
 
     def test_one_tape_node_per_layer(self):
         rng, cfg, layer = self.make(30)
-        x = ad.Tensor(rng.normal(size=(5, 8)), requires_grad=True)
+        x = ad.Tensor(rng.normal(size=(5, 8)))
         with ad.Tape() as t:
             one_sequence(x, np.ones((5, 5)), layer, cfg)
         assert len(t.nodes) == 1
@@ -409,7 +409,7 @@ class TestFusedLayer:
         equal to the op-by-op chain's to 1e-12."""
         rng, cfg, layer = self.make(31)
         n = 6
-        x = ad.Tensor(rng.normal(size=(n, 8)), requires_grad=True)
+        x = ad.Tensor(rng.normal(size=(n, 8)))
         g = (rng.random((n, n)) < 0.5).astype(float)
         g[2] = 0.0  # one dead row
         w = rng.normal(size=(n, 8))
@@ -435,13 +435,13 @@ class TestFusedLayer:
         ws = [rng.normal(size=(n, 8)) for n in lengths]
         sample, pos = layout.sample, layout.pos
         order = np.cumsum([0] + lengths[:-1])[sample] + pos  # row pos[r] of sequence sample[r]
-        x = ad.Tensor(np.concatenate(seqs)[order], requires_grad=True)
+        x = ad.Tensor(np.concatenate(seqs)[order])
         out, grads = self.grads(
             lambda t: encoder_layer(t, layout.pad_masks(masks), layer, cfg, layout),
             x, layer, np.concatenate(ws)[order])
         block_sum = [np.zeros_like(gr) for gr in grads[1:]]
         for b, n in enumerate(lengths):
-            xb = ad.Tensor(seqs[b], requires_grad=True)
+            xb = ad.Tensor(seqs[b])
             ob, gb = self.grads(lambda t: one_sequence(t, masks[b], layer, cfg),
                                 xb, layer, ws[b])
             rows = np.flatnonzero(sample == b)[np.argsort(pos[sample == b])]
@@ -457,7 +457,7 @@ class TestFusedLayer:
         layout = Layout([2, 4])
         masks = [np.ones((2, 2)), (rng.random((4, 4)) < 0.7).astype(float)]
         g = layout.pad_masks(masks)
-        x = ad.Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        x = ad.Tensor(rng.normal(size=(6, 4)))
         w = rng.normal(size=(6, 4))
         _, grads = self.grads(lambda t: encoder_layer(t, g, layer, cfg, layout), x, layer, w)
 
@@ -482,7 +482,7 @@ class TestFusedLayer:
         g, blocks = _segment_plan(grid, masks)
         g, blocks = g[1], blocks[1]
         assert len(blocks) == 2 and len(grid.pos) < grid.batch * grid.n_max
-        x = ad.Tensor(rng.normal(size=(len(grid.pos), 4)), requires_grad=True)
+        x = ad.Tensor(rng.normal(size=(len(grid.pos), 4)))
         w = rng.normal(size=x.data.shape)
         _, grads = self.grads(lambda t: encoder_layer(t, g, layer, cfg, grid, blocks),
                               x, layer, w)
@@ -774,7 +774,7 @@ class TestSegmentPlan:
         g, blocks = _segment_plan(grid, masks)
         ref_g, _ = whole_grid_plan(layout, masks)
         assert g.shape == (len(ref_g), grid.batch, grid.n_max, grid.n_max)
-        x = ad.Tensor(rng.normal(size=(len(layout.pos), 8)), requires_grad=True)
+        x = ad.Tensor(rng.normal(size=(len(layout.pos), 8)))
         w = rng.normal(size=x.data.shape)
         for mask, layer_blocks, ref_mask in zip(g, blocks, ref_g):
             out, grads = self.run_layer(grid, mask, layer_blocks, x, layer, cfg, w)
@@ -878,8 +878,8 @@ class TestSegmentPlan:
         stack = EncoderStack.build(params, "enc", cfg, np.random.default_rng(0))
         plans = [lead_graph_masks(rng, a, b)[:num_layers]
                  for a, b in zip(n_img, n_q)]
-        t_img = ad.Tensor(rng.normal(size=(sum(n_img), 8)), requires_grad=True)
-        t_q = ad.Tensor(rng.normal(size=(sum(n_q), 8)), requires_grad=True)
+        t_img = ad.Tensor(rng.normal(size=(sum(n_img), 8)))
+        t_q = ad.Tensor(rng.normal(size=(sum(n_q), 8)))
         sep = params.new("sep", (8,), "embed", rng)
         w = rng.normal(size=(sum(n_img) + len(n_img) + sum(n_q), 8))
         tensors = [t_img, t_q] + params.tensors()

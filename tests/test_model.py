@@ -266,7 +266,8 @@ class TestPredict:
 
     def test_stream_predictions_keys(self, girl_dog):
         model, prep = make_model(girl_dog)
-        preds = model.stream_predictions(model.forward(prep))
+        bundle = model.forward(prep)
+        preds = {tag: int(np.argmax(t.data)) for tag, t in bundle.all_logits().items()}
         assert list(preds) == ["ce", "rn", "ss", "ga"]
         assert all(0 <= v < len(ANSWERS) for v in preds.values())
 
@@ -746,8 +747,8 @@ class TestFusedNodes:
         stack = model.stacks["ce"]
         rng = np.random.default_rng(62)
         n_img, n_q = [3, 1, 4], [2, 0, 3]
-        t_img = ad.Tensor(rng.normal(size=(sum(n_img), 32)), requires_grad=True)
-        t_q = ad.Tensor(rng.normal(size=(sum(n_q), 32)), requires_grad=True)
+        t_img = ad.Tensor(rng.normal(size=(sum(n_img), 32)))
+        t_q = ad.Tensor(rng.normal(size=(sum(n_q), 32)))
         sep = model.params["ce.sep"]
         layout = Layout(n_img, [1] * 3, n_q, split=2)
         tensors = [t_img, sep, t_q, stack.pos_table]
@@ -757,7 +758,7 @@ class TestFusedNodes:
     @pytest.mark.parametrize("pooling", ["mean", "sep"])
     def test_head(self, seed7_corpora, pooling):
         model, preps = seed7_model(seed7_corpora, "pinned", pooling=pooling)
-        outputs = [StreamOutput(out.tag, ad.Tensor(out.hidden.data, requires_grad=True),
+        outputs = [StreamOutput(out.tag, ad.Tensor(out.hidden.data),
                                 out.layout, out.sep_rows)
                    for out in (model.run_stream(tag, preps[:4]) for tag in model.config.streams)]
         tensors = [out.hidden for out in outputs] + [
@@ -770,7 +771,7 @@ class TestFusedNodes:
         model, _ = make_model(girl_dog)
         rng = np.random.default_rng(66)
         shape = (model.n_answers,) if batch_size is None else (batch_size, model.n_answers)
-        heads = [ad.Tensor(rng.normal(size=shape) * 2.0, requires_grad=True) for _ in range(4)]
+        heads = [ad.Tensor(rng.normal(size=shape) * 2.0) for _ in range(4)]
         bundle = LogitsBundle(*heads)
         answers = 2 if batch_size is None else rng.integers(0, model.n_answers, batch_size)
         # random coordinates include small gradients, which sit closer to the
