@@ -1,5 +1,8 @@
 """Lead-graph masks: level conversion, per-layer block structure, SEP growth, plans."""
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from granalign.leadgraph import (
     mask_plan,
     pairs_to_matrix,
 )
+from granalign.model import ModelConfig, build_streams
 from conftest import append_sep_mask, level_graph, mask_for_layer, parse_grid
 
 
@@ -166,3 +170,45 @@ class TestGridFormat:
     def test_parse_skips_comments(self):
         g = parse_grid("# header\n1 0\n0 1\n")
         np.testing.assert_array_equal(g.matrix, np.eye(2))
+
+
+class TestCommittedDigest:
+    """Every mask is pinned bit for bit: bool and float64 0/1 bytes do not
+    depend on the platform, so a change of any mask changes the digest."""
+
+    PLANS = "28a9699c79befee51cb42e8befbae80e026798c25414aa7d9c8ab67f7681d560"
+    GRAPHS = "9f31abed13be5d2c89684e1d94df4390723140c73fa7bf2b86243a7bd3474544"
+
+    @staticmethod
+    def update(h, name, a):
+        h.update(f"{name} {a.shape} {a.dtype.str}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+
+    def test_plans_match_committed_digest(self, small_corpus):
+        samples = small_corpus[0].samples + small_corpus[1].samples
+        h = hashlib.sha256()
+        for num_layers, use, reduce, connect_all in itertools.product(
+                (1, 2, 3, 5), (True, False), (False, True), (True, False)):
+            cfg = ModelConfig(num_layers=num_layers, use_lead_graphs=use,
+                              node_reduction=reduce, sep_connect_all=connect_all)
+            for s in samples:
+                _, plans = build_streams(s.scene, s.question, cfg)
+                for name in sorted(plans):
+                    self.update(h, name, plans[name])
+        assert h.hexdigest() == self.PLANS
+
+    def test_graphs_match_committed_digest(self):
+        rng = np.random.default_rng(21)
+        h = hashlib.sha256()
+        for _ in range(100):
+            graphs = []
+            for n in rng.integers(0, 7, size=2):
+                n = int(n)
+                if rng.random() < 0.25:
+                    graphs.append(full_graph(n))
+                    continue
+                cells = rng.integers(0, n, size=(int(rng.integers(0, 2 * n + 1)), 2)) if n else []
+                graphs.append(pairs_to_matrix([(int(a), int(b)) for a, b in cells], n))
+            for g in (*graphs, *layer_masks(*graphs)):
+                self.update(h, "graph", g.matrix.astype("<f8"))
+        assert h.hexdigest() == self.GRAPHS
