@@ -16,10 +16,10 @@ import sys
 
 from . import data as toydata
 from . import training
-from .data import DEFAULT_WORLD, ToyWorldSpec, load_manifest
-from .ingest import (SchemaError, question_from_dict, read_json, read_lines, require,
-                     scene_from_dict)
-from .leadgraph import LeadGraph, format_grid
+from .data import DEFAULT_WORLD, Sample, ToyWorldSpec, load_manifest
+from .ingest import (SchemaError, _schema, only_fields, question_from_dict, read_json,
+                     read_lines, require, scene_from_dict)
+from .leadgraph import format_grid
 from .model import STREAMS, Model, ModelConfig, build_streams
 from .training import Trainer, TrainConfig, evaluate, gradcheck, load_checkpoint
 
@@ -158,7 +158,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_dump_leadgraph(args) -> int:
-    doc = read_json(args.sample)
+    doc = only_fields(read_json(args.sample), args.sample, _schema(Sample)[0])
     scene = scene_from_dict(require(doc, "scene", args.sample, dict), args.sample)
     question = question_from_dict(require(doc, "question", args.sample, dict), args.sample)
     levels, plans = build_streams(scene, question, ModelConfig(streams=(args.stream,)))
@@ -166,7 +166,7 @@ def cmd_dump_leadgraph(args) -> int:
     print(f"# stream {args.stream} layer {args.layer}")
     print(f"# image_tokens {levels[stream.image].n_tokens} sep 1 "
           f"question_tokens {levels[stream.question].n_tokens}")
-    print(format_grid(LeadGraph(plans[args.stream][args.layer - 1])))
+    print(format_grid(plans[args.stream][args.layer - 1]))
     return 0
 
 

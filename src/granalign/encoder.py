@@ -46,7 +46,6 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .leadgraph import LeadGraph
 
 
 @dataclass(frozen=True)
@@ -127,18 +126,14 @@ def _ga_backward(grad_out, cache):
     return d_q, d_k_, d_v
 
 
-def _mask_array(g) -> np.ndarray:
-    return g.matrix if isinstance(g, LeadGraph) else np.asarray(g)
-
-
 def ga_attention(q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, g) -> ad.Tensor:
     """Lead-graph-masked scaled dot-product attention for one head.
 
-    ``q``, ``k``, ``v`` are [n, d_k]; ``g`` is an n x n binary mask
-    (LeadGraph or array). Rows of the masked attention matrix renormalize
-    to sum to 1, except all-masked rows, which yield a zero output row.
+    ``q``, ``k``, ``v`` are [n, d_k]; ``g`` is an n x n ``LeadGraph``. Rows of
+    the masked attention matrix renormalize to sum to 1, except all-masked
+    rows, which yield a zero output row.
     """
-    gm = _mask_array(g)
+    gm = g.matrix
     n = q.data.shape[0]
     if q.data.ndim != 2 or k.data.shape != q.data.shape:
         raise ValueError("ga_attention: q and k must share shape [n, d_k]")

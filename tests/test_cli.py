@@ -426,6 +426,17 @@ class TestDumpLeadgraph:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_unknown_top_level_key_exits_one(self, tmp_path, capsys):
+        with open(fixture_path("girl_dog.json"), encoding="utf-8") as f:
+            doc = json.load(f)
+        doc["answr"] = "x"
+        sample = tmp_path / "typo.json"
+        sample.write_text(json.dumps(doc))
+        rc = main(["dump-leadgraph", "--sample", str(sample), "--stream", "ce", "--layer", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {sample}: unknown fields ['answr']\n"
+
     @pytest.mark.parametrize("part, field, message", [
         ("scene", "objects", "scene has no objects"),
         ("question", "tokens", "question has no tokens"),

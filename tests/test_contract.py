@@ -12,6 +12,7 @@ writer and reader of sample files.
 
 import contextlib
 import copy
+import dataclasses
 import functools
 import io
 import json
@@ -274,8 +275,8 @@ FINITE = st.floats(-FEATURE_LIMIT, FEATURE_LIMIT)
 
 
 @st.composite
-def scenes(draw):
-    d_region, d_spatial = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+def scenes(draw, widths=None):
+    d_region, d_spatial = widths or (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
     ids = draw(st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True))
     objects = [SceneObject(i, draw(WORDS), draw(st.lists(WORDS, max_size=2)),
                            draw(arrays(np.float64, d_region, elements=FINITE)))
@@ -313,9 +314,21 @@ def same_record(a, b):
 
 
 @functools.cache
-def tiny_model(d_region, d_spatial):
-    return Model(ModelConfig(**TINY), MANIFEST["word_vocab"], MANIFEST["answer_vocab"],
-                 d_region, d_spatial)
+def tiny_model(d_region, d_spatial, **switches):
+    return Model(ModelConfig(**TINY, **switches), MANIFEST["word_vocab"],
+                 MANIFEST["answer_vocab"], d_region, d_spatial)
+
+
+@st.composite
+def redrawn_features(draw, scene):
+    """``scene`` with every region and spatial feature value drawn anew, in the
+    same shapes."""
+    def redraw(a):
+        return draw(arrays(np.float64, a.shape, elements=FINITE))
+    objects = [dataclasses.replace(o, region_feature=redraw(o.region_feature))
+               for o in scene.objects]
+    spatial = dataclasses.replace(scene.spatial, features=redraw(scene.spatial.features))
+    return dataclasses.replace(scene, objects=objects, spatial=spatial)
 
 
 class TestRecords:
@@ -336,3 +349,28 @@ class TestRecords:
     def test_prepare_rejects_or_forward_is_finite(self, scene, question):
         model = tiny_model(scene.objects[0].region_feature.size, scene.spatial.features.shape[1])
         runs_or_rejects(model, scene, question)
+
+
+class TestBatchmates:
+    @pytest.mark.parametrize("switches", [{}, {"pooling": "sep"}, {"use_lead_graphs": False},
+                                          {"node_reduction": True}],
+                             ids=["default", "sep_pooling", "no_lead_graph", "node_reduction"])
+    @SETTINGS
+    @given(data=st.data())
+    def test_batchmate_values_cannot_reach_a_samples_logits(self, switches, data):
+        """Sample a's row of every head is bitwise the same beside b and beside
+        b with other feature values. Batch size and membership are held fixed:
+        they may move the last bits."""
+        widths = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        model = tiny_model(*widths, **switches)
+        a, b = data.draw(scenes(widths)), data.draw(scenes(widths))
+        b_other = data.draw(redrawn_features(b))
+        qa, qb = data.draw(parses()), data.draw(parses())
+        try:
+            pa, pb, pb_other = (model.prepare(s, q, 0) for s, q in
+                                ((a, qa), (b, qb), (b_other, qb)))
+        except ValueError:
+            return
+        rows = [{tag: t.data[0].tobytes() for tag, t in
+                 model.forward_batch([pa, p]).all_logits().items()} for p in (pb, pb_other)]
+        assert rows[0] == rows[1]

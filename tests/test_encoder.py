@@ -13,7 +13,6 @@ from granalign.encoder import (
     Layout,
     _ga_backward,
     _ga_forward,
-    _mask_array,
     _segment_plan,
     encode_stream,
     encoder_layer,
@@ -322,7 +321,8 @@ class TestMultiHead:
 
 def one_sequence(x, g, layer, cfg):
     """encoder_layer on one [n, d] sequence and its n x n mask (LeadGraph or array)."""
-    return encoder_layer(x, _mask_array(g)[None], layer, cfg,
+    gm = g.matrix if isinstance(g, LeadGraph) else np.asarray(g)
+    return encoder_layer(x, gm[None], layer, cfg,
                          Layout([x.data.shape[0]]))
 
 

@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from granalign.ingest import LevelData
 from granalign.leadgraph import (
@@ -17,6 +18,8 @@ from granalign.leadgraph import (
 )
 from granalign.model import ModelConfig, build_streams
 from conftest import append_sep_mask, level_graph, mask_for_layer, parse_grid
+
+ORACLE_SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
 
 
 class TestLeadGraphType:
@@ -164,7 +167,7 @@ class TestMaskPlan:
 class TestGridFormat:
     def test_roundtrip(self):
         g = pairs_to_matrix([(0, 2), (2, 1), (1, 1)], 3)
-        back = parse_grid(format_grid(g))
+        back = parse_grid(format_grid(g.matrix))
         np.testing.assert_array_equal(back.matrix, g.matrix)
 
     def test_parse_skips_comments(self):
@@ -212,3 +215,52 @@ class TestCommittedDigest:
             for g in (*graphs, *layer_masks(*graphs)):
                 self.update(h, "graph", g.matrix.astype("<f8"))
         assert h.hexdigest() == self.GRAPHS
+
+
+@st.composite
+def levels(draw, tag):
+    """A level of 0-6 tokens, ``full`` or with up to 12 drawn pairs."""
+    labels = ["t"] * draw(st.integers(0, 6))
+    if not labels or draw(st.booleans()):
+        return LevelData(level=tag, labels=labels, full=draw(st.booleans()))
+    index = st.integers(0, len(labels) - 1)
+    return LevelData(level=tag, labels=labels, pairs=draw(st.lists(st.tuples(index, index),
+                                                                   max_size=12)))
+
+
+def oracle_cell(layer, img, q, sep, connect_all, a, b):
+    """Whether 0-based ``layer`` opens cell (a, b) over [image; SEP; question],
+    with the SEP position only if ``sep``; written out cell by cell."""
+    ni = img.n_tokens + sep
+    if layer == 0:  # both question positions
+        return a >= ni and b >= ni
+    if (a < ni) != (b < ni):  # exactly one image position, SEP counted as one
+        return True
+    if layer == 1:
+        return False
+    if a >= ni:  # the question graph
+        return q.full or (a - ni, b - ni) in q.pairs
+    if sep and ni - 1 in (a, b):  # the SEP row or column
+        return connect_all or a == b
+    return img.full or (a, b) in img.pairs  # the image graph
+
+
+class TestLayerRuleOracle:
+    @ORACLE_SETTINGS
+    @given(img=levels("concept"), q=levels("entity"), num_layers=st.integers(1, 5),
+           use=st.booleans(), connect_all=st.booleans())
+    def test_plan_cells(self, img, q, num_layers, use, connect_all):
+        plan = mask_plan(img, q, num_layers, use, connect_all)
+        n = img.n_tokens + 1 + q.n_tokens
+        assert plan.shape == (num_layers, n, n) and plan.dtype == bool
+        for i, a, b in itertools.product(range(num_layers), range(n), range(n)):
+            expect = not use or oracle_cell(i, img, q, True, connect_all, a, b)
+            assert plan[i, a, b] == expect, (i, a, b)
+
+    @ORACLE_SETTINGS
+    @given(img=levels("concept"), q=levels("entity"))
+    def test_layer_mask_cells(self, img, q):
+        masks = layer_masks(level_graph(img), level_graph(q))
+        n = img.n_tokens + q.n_tokens
+        for i, a, b in itertools.product(range(3), range(n), range(n)):
+            assert masks[i].matrix[a, b] == oracle_cell(i, img, q, False, True, a, b), (i, a, b)
