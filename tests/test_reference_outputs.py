@@ -1,0 +1,48 @@
+"""The model's outputs against the committed reference outputs.
+
+Logits, losses, gradients, the metric log and the checkpoint bytes of every
+case in ``reference_outputs.CASES`` are bitwise those of the committed file
+on the platform that wrote it, and their summaries agree within 1e-12
+relative on any platform. ``python tests/reference_outputs.py --write``
+rewrites the file when a change moves numbers on purpose.
+"""
+
+import json
+
+import pytest
+
+import reference_outputs as ref
+
+REL_TOL = 1e-12
+
+
+@pytest.fixture(scope="module")
+def committed():
+    with open(ref.PATH, encoding="utf-8") as f:
+        return json.load(f)
+
+
+@pytest.fixture(scope="module")
+def fresh():
+    return ref.compute()
+
+
+def test_file_covers_every_case(committed):
+    assert sorted(committed["cases"]) == sorted(ref.CASES)
+
+
+@pytest.mark.parametrize("case", ref.CASES)
+def test_digests(committed, fresh, case):
+    if committed["platform"] != ref.platform_key():
+        pytest.skip(f"digests were written on {committed['platform']}, "
+                    f"this is {ref.platform_key()}")
+    assert fresh[case]["sha256"] == committed["cases"][case]["sha256"]
+
+
+@pytest.mark.parametrize("case", ref.CASES)
+def test_summaries(committed, fresh, case):
+    want = ref.flat_summary(committed["cases"][case]["summary"])
+    got = ref.flat_summary(fresh[case]["summary"])
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, rel=REL_TOL, abs=0.0), key
