@@ -42,6 +42,7 @@ STREAMS = {
     "rn": Stream("region", "noun_phrase", "rn.region_proj", "rn.np_mlp"),
     "ss": Stream("spatial", "sentence", "ss.spatial_proj", "ss.sent_mlp"),
 }
+HEADS = (*STREAMS, "ga")  # the logit heads: one per stream, then the fused head
 
 
 @dataclass(frozen=True)
@@ -76,10 +77,10 @@ class StreamOutput:
     sep_rows: np.ndarray  # row of each sample's SEP in ``hidden``
 
 
-@dataclass
-class LogitsBundle:
-    """Per-stream and fused answer logits: 1-D [c] class scores for one
-    sample, or [B, c] for a batch."""
+class LogitsBundle(NamedTuple):
+    """The answer logits of every head, one field per head in ``HEADS`` order:
+    1-D [c] class scores for one sample, or [B, c] for a batch. A stream the
+    model does not run has None."""
 
     f_ce: ad.Tensor | None
     f_rn: ad.Tensor | None
@@ -88,19 +89,13 @@ class LogitsBundle:
 
     def rows(self) -> list["LogitsBundle"]:
         """One untaped 1-D bundle per sample of a [B, c] bundle."""
-        arrays = [None if t is None else t.data for t in (self.f_ce, self.f_rn, self.f_ss)]
-        return [LogitsBundle(*(None if a is None else ad.Tensor(a[i]) for a in arrays),
-                             f_ga=ad.Tensor(row))
-                for i, row in enumerate(self.f_ga.data)]
-
-    def stream_logits(self) -> dict[str, ad.Tensor]:
-        present = {"ce": self.f_ce, "rn": self.f_rn, "ss": self.f_ss}
-        return {tag: t for tag, t in present.items() if t is not None}
+        arrays = [None if t is None else t.data for t in self]
+        return [LogitsBundle(*(None if a is None else ad.Tensor(a[i]) for a in arrays))
+                for i in range(len(self.f_ga.data))]
 
     def all_logits(self) -> dict[str, ad.Tensor]:
-        out = self.stream_logits()
-        out["ga"] = self.f_ga
-        return out
+        """The heads the model runs, keyed in ``HEADS`` order."""
+        return {head: t for head, t in zip(HEADS, self) if t is not None}
 
     def averaged_argmax(self) -> np.ndarray:
         """Argmax of the mean of every head's logits, per sample; ties resolve
@@ -113,23 +108,19 @@ class LogitsBundle:
 
 @dataclass
 class PreparedSample:
-    """Ingested levels plus each configured stream's per-layer masks."""
+    """The six ingested levels, keyed by level tag, plus each configured
+    stream's per-layer masks."""
 
     answer_index: int
-    concept: LevelData
-    region: LevelData
-    spatial: LevelData
-    entity: LevelData
-    noun_phrase: LevelData
-    sentence: LevelData
+    levels: dict[str, LevelData]
     plans: dict[str, np.ndarray]
 
 
 def build_streams(scene: SceneGraph, question: QuestionParse, cfg: ModelConfig
                   ) -> tuple[dict[str, LevelData], dict[str, np.ndarray]]:
-    """The six levels of one sample and each encoder stack's per-layer masks,
-    keyed like ``Model.stacks``: a stream's mask plan, and for ``"sent"`` the
-    dependency adjacency at every layer.
+    """The six levels of one sample, keyed by level tag, and each encoder
+    stack's per-layer masks, keyed like ``Model.stacks``: a stream's mask
+    plan, and for ``"sent"`` the dependency adjacency at every layer.
 
     Raises ValueError when a stream is longer than ``cfg.max_len``.
     """
@@ -138,14 +129,10 @@ def build_streams(scene: SceneGraph, question: QuestionParse, cfg: ModelConfig
     if cfg.node_reduction:
         concept = ingest.node_reduction(concept, entity)
         entity = LevelData(level="entity", labels=[])
-    levels = {
-        "concept": concept,
-        "region": ingest.build_region_level(scene),
-        "spatial": ingest.build_spatial_level(scene),
-        "entity": entity,
-        "noun_phrase": ingest.build_noun_phrase_level(question),
-        "sentence": ingest.build_sentence_level(question),
-    }
+    levels = {lv.level: lv for lv in (concept, ingest.build_region_level(scene),
+                                      ingest.build_spatial_level(scene), entity,
+                                      ingest.build_noun_phrase_level(question),
+                                      ingest.build_sentence_level(question))}
     plans = {}
     for tag in cfg.streams:
         img, q = levels[STREAMS[tag].image], levels[STREAMS[tag].question]
@@ -235,8 +222,7 @@ class Model:
     def prepare(self, scene: SceneGraph, question: QuestionParse,
                 answer_index: int) -> PreparedSample:
         """Ingest one sample into its levels and per-stream mask plans."""
-        levels, plans = build_streams(scene, question, self.config)
-        return PreparedSample(answer_index=int(answer_index), plans=plans, **levels)
+        return PreparedSample(int(answer_index), *build_streams(scene, question, self.config))
 
     # -- forward ------------------------------------------------------------
 
@@ -251,8 +237,8 @@ class Model:
         """Packed image and question tokens of a batch and each sample's counts of both."""
         p = self.params
         s = STREAMS[tag]
-        imgs = [getattr(prep, s.image) for prep in preps]
-        qs = [getattr(prep, s.question) for prep in preps]
+        imgs = [prep.levels[s.image] for prep in preps]
+        qs = [prep.levels[s.question] for prep in preps]
         if imgs[0].features is not None:
             t_img = ingest.project_features(np.concatenate([img.features for img in imgs]),
                                             p[f"{s.image_input}.w"], p[f"{s.image_input}.b"])
@@ -338,8 +324,7 @@ class Model:
                   ga_w, ga_head_w, ga_head_b)
         ad.record(result, inputs, backward)
         heads = dict(zip(tags, result))
-        return LogitsBundle(f_ce=heads.get("ce"), f_rn=heads.get("rn"), f_ss=heads.get("ss"),
-                            f_ga=result[-1])
+        return LogitsBundle(*map(heads.get, STREAMS), result[-1])
 
     # -- loss and prediction -----------------------------------------------
 

@@ -137,9 +137,10 @@ def _accuracy_update(counts: dict[str, int], bundle: LogitsBundle, answers: list
         np.asarray(averaged) == answers))
 
 
-def _counts_to_metrics(counts: dict[str, int], n: int) -> dict[str, float]:
-    order = ["ce", "rn", "ss", "ga", "avg"]
-    return {f"acc_{k}": counts[k] / n for k in order if k in counts}
+def _metrics(loss_sum: float, counts: dict[str, int], n: int) -> dict[str, float]:
+    """The mean loss over ``n`` samples and the accuracy of each entry of
+    ``counts``, in the order ``_accuracy_update`` first filled them."""
+    return {"loss": loss_sum / n, **{f"acc_{k}": hits / n for k, hits in counts.items()}}
 
 
 def _check_fits(model: Model, dataset: Dataset) -> None:
@@ -191,10 +192,7 @@ class Trainer:
                 _clip(model.params, g, cfg.grad_clip)
             self.optimizer.step(g)
         self.epoch += 1
-        n = len(self.prepared)
-        record = {"epoch": self.epoch, "loss": loss_sum / n}
-        record.update(_counts_to_metrics(counts, n))
-        return record
+        return {"epoch": self.epoch, **_metrics(loss_sum, counts, len(self.prepared))}
 
     def fit(self, metrics_out=None, checkpoint_path: str | None = None) -> list[dict]:
         """cfg.epochs passes; logs one JSON object per epoch, checkpoints on
@@ -235,10 +233,7 @@ def evaluate(model: Model, dataset: Dataset,
             loss_sum += value
         # one predict call per sample, so that callers can observe each answer
         _accuracy_update(counts, bundle, answers, [model.predict(row) for row in bundle.rows()])
-    n = len(prepared)
-    record = {"n": n, "loss": loss_sum / n}
-    record.update(_counts_to_metrics(counts, n))
-    return record
+    return {"n": len(prepared), **_metrics(loss_sum, counts, len(prepared))}
 
 
 # ---------------------------------------------------------------------------

@@ -223,8 +223,8 @@ def stack_run(stack, x, layout, masks) -> ad.Tensor:
 def run_stream(model, tag, preps):
     """Hidden rows, layout and SEP rows of one stream over a batch."""
     p, s = model.params, STREAMS[tag]
-    imgs = [getattr(prep, s.image) for prep in preps]
-    qs = [getattr(prep, s.question) for prep in preps]
+    imgs = [prep.levels[s.image] for prep in preps]
+    qs = [prep.levels[s.question] for prep in preps]
 
     def mlp(labels, prefix):
         return embed_tokens(labels, model.vocab, p["embed.table"], p[f"{prefix}.w1"],

@@ -114,9 +114,9 @@ class TestPrepare:
 
     def test_concept_graph_matches_pairs(self, girl_dog):
         model, prep = make_model(girl_dog)
-        ni, nq = prep.concept.n_tokens, prep.entity.n_tokens
+        ni, nq = prep.levels["concept"].n_tokens, prep.levels["entity"].n_tokens
         layer3 = prep.plans["ce"][2]
-        expect = pairs_to_matrix(prep.concept.pairs, ni)
+        expect = pairs_to_matrix(prep.levels["concept"].pairs, ni)
         assert np.array_equal(layer3[:ni, :ni], expect.matrix)
         assert layer3[ni + 1:, ni + 1:].shape == (nq, nq)
 
@@ -129,7 +129,7 @@ class TestPrepare:
         """The sentence stack's masks are its adjacency at every layer: a
         broadcast view, not a copy."""
         model, prep = make_model(girl_dog, num_layers=4)
-        adj = prep.sentence.dep_adjacency
+        adj = prep.levels["sentence"].dep_adjacency
         masks = prep.plans["sent"]
         assert masks.shape == (4,) + adj.shape and masks.dtype == bool
         assert np.shares_memory(masks, adj)
@@ -140,7 +140,7 @@ class TestPrepare:
         model, prep = make_model(girl_dog, use_lead_graphs=False)
         for tag in model.config.streams:
             plan = prep.plans[tag]
-            img, q = getattr(prep, STREAMS[tag].image), getattr(prep, STREAMS[tag].question)
+            img, q = prep.levels[STREAMS[tag].image], prep.levels[STREAMS[tag].question]
             n = img.n_tokens + 1 + q.n_tokens
             assert len(plan) == model.config.num_layers
             for m in plan:
@@ -151,7 +151,7 @@ class TestPrepare:
         model, prep = make_model(girl_dog, node_reduction=node_reduction, num_layers=4)
         for tag in model.config.streams:
             plan = prep.plans[tag]
-            img, q = getattr(prep, STREAMS[tag].image), getattr(prep, STREAMS[tag].question)
+            img, q = prep.levels[STREAMS[tag].image], prep.levels[STREAMS[tag].question]
             masks = layer_masks(append_sep_mask(level_graph(img)), level_graph(q))
             assert len(plan) == 4
             assert plan.dtype == bool
@@ -182,7 +182,7 @@ class TestPrepare:
 
     def test_node_reduction_empties_entity_level(self, girl_dog):
         model, prep = make_model(girl_dog, node_reduction=True)
-        assert prep.entity.n_tokens == 0
+        assert prep.levels["entity"].n_tokens == 0
         bundle = model.forward(prep)
         assert bundle.f_ce.data.shape == (len(ANSWERS),)
 
@@ -442,14 +442,14 @@ class TestBatch:
         batch's logits bitwise equal."""
         model, preps = mixed_batch
         base = model.forward_batch(preps).all_logits()
-        victim = preps[7]
-        saved = [victim.region.features.copy(), victim.spatial.features.copy()]
+        victim = preps[7].levels
+        saved = [victim["region"].features.copy(), victim["spatial"].features.copy()]
         try:
-            victim.region.features += 0.5
-            victim.spatial.features -= 0.25
+            victim["region"].features += 0.5
+            victim["spatial"].features -= 0.25
             bumped = model.forward_batch(preps).all_logits()
         finally:
-            victim.region.features[...], victim.spatial.features[...] = saved
+            victim["region"].features[...], victim["spatial"].features[...] = saved
         for tag in base:
             others = [i for i in range(len(preps)) if i != 7]
             assert bumped[tag].data[others].tobytes() == base[tag].data[others].tobytes()
@@ -519,7 +519,7 @@ def uniform_n0(preps):
     length on every stream, so each stream's segment 0 is equally long."""
     groups = {}
     for p in preps:
-        groups.setdefault(tuple(getattr(p, s.image).n_tokens for s in STREAMS.values()),
+        groups.setdefault(tuple(p.levels[s.image].n_tokens for s in STREAMS.values()),
                           []).append(p)
     group = max(groups.values(), key=len)
     assert len(group) > 1
@@ -731,14 +731,14 @@ class TestFusedNodes:
         model, preps = batch
         p = model.params
         blocks = [p["embed.table"]] + [p[f"ce.entity_mlp.{n}"] for n in ("w1", "b1", "w2", "b2")]
-        labels = [w for prep in preps[:4] for w in prep.entity.labels]
+        labels = [w for prep in preps[:4] for w in prep.levels["entity"].labels]
         check_node(lambda: ingest.embed_tokens(labels, model.vocab, *blocks), blocks, seed=60,
                    coords=6)
 
     def test_feature_projection(self, batch):
         model, preps = batch
         p = model.params
-        features = np.concatenate([prep.region.features for prep in preps[:4]])
+        features = np.concatenate([prep.levels["region"].features for prep in preps[:4]])
         blocks = [p["rn.region_proj.w"], p["rn.region_proj.b"]]
         check_node(lambda: ingest.project_features(features, *blocks), blocks, seed=61)
 
