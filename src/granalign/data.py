@@ -417,8 +417,13 @@ def gen_data(spec: ToyWorldSpec, n: int, seed: int, out_dir: str,
     The vocabularies derive from the world spec, not the drawn samples, so
     splits generated from the same spec share stable indices.
     """
-    return _write_split(spec, gen_samples(spec, n, np.random.SeedSequence([seed]), split),
-                        out_dir, split)
+    return _write_split(spec, gen_samples(spec, n, _seed_sequence(seed), split), out_dir, split)
+
+
+def _seed_sequence(seed: int) -> np.random.SeedSequence:
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.random.SeedSequence([seed])
 
 
 def _write_split(spec: ToyWorldSpec, samples: list[Sample], out_dir: str, split: str) -> str:
@@ -443,8 +448,8 @@ def gen_corpus(spec: ToyWorldSpec, n_train: int, n_eval: int, seed: int,
     """Train and eval splits with disjoint sample streams from one seed. Both
     are drawn before any file is written, so an error leaves ``out_dir`` as
     it was."""
-    train = gen_samples(spec, n_train, np.random.SeedSequence([seed]), "train")
-    ev = gen_samples(spec, n_eval, np.random.SeedSequence([seed + 1]), "eval")
+    train = gen_samples(spec, n_train, _seed_sequence(seed), "train")
+    ev = gen_samples(spec, n_eval, _seed_sequence(seed + 1), "eval")
     return _write_split(spec, train, out_dir, "train"), _write_split(spec, ev, out_dir, "eval")
 
 

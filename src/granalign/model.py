@@ -3,12 +3,14 @@
 ``STREAMS`` pairs one image level with one question level per stream and
 runs a separately parameterized masked encoder over the concatenated
 tokens (the ss stream's words pass the dependency-masked sentence stack
-first). ``prepare`` builds every stack's per-layer masks once per sample. The
-fusion head pools every stream, projects and concatenates the pooled
-vectors into fused logits, and the loss is the unweighted sum of the
-per-stream and fused cross-entropies. The head and the loss are one tape
-node each, with hand-written backwards; the head's node has the logits of
-every head as its tuple of outputs.
+first). ``prepare`` keeps a sample's six levels keyed by level tag and
+builds every stack's per-layer masks once per sample. The fusion head pools
+every stream, projects and concatenates the pooled vectors into fused
+logits, and the loss is the unweighted sum of the per-stream and fused
+cross-entropies. ``HEADS`` names the heads, the streams and then the fused
+one, and a ``LogitsBundle`` is a named tuple of their logits in that order.
+The head and the loss are one tape node each, with hand-written backwards;
+the head's node has the logits of every head as its tuple of outputs.
 
 ``forward_batch`` is the one forward path: it packs the tokens of a whole
 minibatch into one matrix per stream (see ``encoder.Layout``), and
@@ -18,6 +20,7 @@ minibatch into one matrix per stream (see ``encoder.Layout``), and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -89,9 +92,8 @@ class LogitsBundle(NamedTuple):
 
     def rows(self) -> list["LogitsBundle"]:
         """One untaped 1-D bundle per sample of a [B, c] bundle."""
-        arrays = [None if t is None else t.data for t in self]
-        return [LogitsBundle(*(None if a is None else ad.Tensor(a[i]) for a in arrays))
-                for i in range(len(self.f_ga.data))]
+        columns = [repeat(None) if t is None else map(ad.Tensor, t.data) for t in self]
+        return [LogitsBundle(*heads) for heads in zip(*columns)]
 
     def all_logits(self) -> dict[str, ad.Tensor]:
         """The heads the model runs, keyed in ``HEADS`` order."""

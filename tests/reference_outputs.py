@@ -113,12 +113,12 @@ def case_outputs(ds, config: dict, root: str) -> tuple[dict[str, bytes], dict]:
     return outputs, summary
 
 
-def compute(cases=CASES) -> dict:
+def compute() -> dict:
     """Every case's digests and summaries, keyed ``<world>/<config>``."""
     out = {}
     with tempfile.TemporaryDirectory() as root:
         data = corpora(root)
-        for case in cases:
+        for case in CASES:
             world, config = case.split("/")
             outputs, summary = case_outputs(data[world], CONFIGS[config], root)
             out[case] = {"sha256": {k: hashlib.sha256(v).hexdigest() for k, v in outputs.items()},

@@ -183,6 +183,20 @@ class TestGenData:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{split}: sample count must be >= 1" in err
 
+    def test_negative_seed_names_the_seed_and_writes_nothing(self, tmp_path, capsys):
+        out, fresh = tmp_path / "c", tmp_path / "fresh"
+        assert main(["gen-data", "--n", "2", "--eval-n", "1", "--out", str(out)]) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        for target in (out, fresh):
+            rc = main(["gen-data", "--n", "8", "--eval-n", "4", "--seed", "-1",
+                       "--out", str(target)])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err == "error: seed must be >= 0, got -1\n"
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+        assert not fresh.exists()
+
 
 class TestTrainEval:
     def test_train_then_eval_roundtrip(self, cli_corpus, cli_config, tmp_path, capsys):

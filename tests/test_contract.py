@@ -26,12 +26,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import granalign.autodiff as ad
 from granalign.cli import main
 from granalign.data import DEFAULT_WORLD, ToyWorldSpec, _json_text, load_manifest
 from granalign.ingest import (FEATURE_LIMIT, DependencyEdge, QuestionParse, SceneGraph,
                               SceneObject, SceneRelation, SpatialGrid, question_from_dict,
                               scene_from_dict, to_json)
-from granalign.model import Model, ModelConfig
+from granalign.model import STREAMS, Model, ModelConfig
 from granalign.training import Adam, load_checkpoint, save_checkpoint
 from conftest import load_fixture
 
@@ -219,6 +220,47 @@ class TestCheckpointLength:
             with pytest.raises(ValueError) as e:
                 load_checkpoint(str(file))
             assert str(e.value).startswith(f"{file}: ")
+
+
+@st.composite
+def model_configs(draw):
+    """A tiny ``ModelConfig``: 1-2 layers, a head count dividing ``d_model``,
+    either pooling, each flag and a nonempty subset of the streams."""
+    d_model = draw(st.sampled_from([4, 6, 8]))
+    return ModelConfig(
+        d_model=d_model, d_emb=draw(st.integers(2, 6)), d_ff=draw(st.sampled_from([4, 8])),
+        num_heads=draw(st.sampled_from([h for h in (1, 2, 3, 4) if d_model % h == 0])),
+        num_layers=draw(st.integers(1, 2)), max_len=64,
+        pooling=draw(st.sampled_from(["mean", "sep"])), use_lead_graphs=draw(st.booleans()),
+        node_reduction=draw(st.booleans()), sep_connect_all=draw(st.booleans()),
+        streams=tuple(draw(st.lists(st.sampled_from(tuple(STREAMS)), min_size=1, unique=True))))
+
+
+class TestCheckpointRoundTrip:
+    @pytest.mark.parametrize("adam", [False, True], ids=["no_optimizer", "adam_one_step"])
+    @SETTINGS
+    @given(config=model_configs(), seed=st.integers(0, 2**32 - 1))
+    def test_save_load_save_gives_the_same_bytes_and_logits(self, workdir, adam, config, seed):
+        """A checkpoint loaded and saved again is byte-identical, with and
+        without Adam's state after one step, and the loaded model's logits are
+        bitwise the saved model's."""
+        model = Model(config, MANIFEST["word_vocab"], MANIFEST["answer_vocab"], 4, 4, seed=seed)
+        prep = model.prepare(*girl_dog(), 0)
+        optimizer = Adam(model.params, 1e-3) if adam else None
+        if adam:
+            with ad.Tape() as tape:
+                loss = model.loss(model.forward(prep), 0)
+            optimizer.step(np.concatenate(tape.gradients(loss, model.params.tensors()),
+                                          axis=None))
+        first, second = workdir / "first.ckpt", workdir / "second.ckpt"
+        save_checkpoint(str(first), model, optimizer)
+        loaded, loaded_optimizer = load_checkpoint(str(first))
+        assert (loaded_optimizer is None) == (optimizer is None)
+        save_checkpoint(str(second), loaded, loaded_optimizer)
+        assert second.read_bytes() == first.read_bytes()
+        logits = [{head: t.data.tobytes() for head, t in m.forward(m.prepare(*girl_dog(), 0))
+                   .all_logits().items()} for m in (model, loaded)]
+        assert logits[0] == logits[1]
 
 
 @pytest.fixture(scope="module")

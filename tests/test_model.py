@@ -9,7 +9,7 @@ from granalign.data import DEFAULT_WORLD, ToyWorldSpec, gen_corpus, load_manifes
 from granalign.encoder import EncoderConfig, Layout, encoder_layer
 from granalign.ingest import question_from_dict
 from granalign.leadgraph import layer_masks, pairs_to_matrix
-from granalign.model import STREAMS, LogitsBundle, Model, ModelConfig, StreamOutput
+from granalign.model import HEADS, STREAMS, LogitsBundle, Model, ModelConfig, StreamOutput
 from granalign.training import ABLATION_VARIANTS, generic_parameter_point
 import reference_ops as refops
 from conftest import (append_sep_mask, fd_gradient, fixture_path, level_graph, reference_batch,
@@ -223,6 +223,35 @@ class TestLoss:
         with ad.Tape():
             loss = model.loss(bundle, 0)
         assert abs(float(loss.data) - 2.0 * np.log(len(ANSWERS))) <= 1e-9
+
+
+class TestNames:
+    """The heads are named once, in ``HEADS``; the levels once, in
+    ``ingest.LEVEL_TAGS``."""
+
+    def test_heads_are_the_streams_then_the_fused_head(self):
+        assert HEADS == (*STREAMS, "ga")
+        assert LogitsBundle._fields == tuple(f"f_{h}" for h in HEADS)
+
+    @pytest.mark.parametrize("node_reduction", [False, True])
+    def test_prepared_levels_are_keyed_by_level_tag(self, girl_dog, node_reduction):
+        _, prep = make_model(girl_dog, node_reduction=node_reduction)
+        assert set(prep.levels) == set(ingest.LEVEL_TAGS)
+        assert all(level.level == tag for tag, level in prep.levels.items())
+
+    @pytest.mark.parametrize("streams", [("ss", "ce"), ("rn",), ("ce", "rn", "ss")])
+    def test_a_stream_subset_keeps_heads_order(self, girl_dog, streams):
+        """``all_logits`` and ``rows`` follow ``HEADS``, whatever the order of
+        the configured streams."""
+        model, prep = make_model(girl_dog, streams=streams)
+        bundle = model.forward_batch([prep, prep])
+        want = [h for h in HEADS if h in streams or h == "ga"]
+        assert list(bundle.all_logits()) == want
+        for i, row in enumerate(bundle.rows()):
+            assert [t is None for t in row] == [t is None for t in bundle]
+            assert list(row.all_logits()) == want
+            for head, t in row.all_logits().items():
+                assert t.data.tobytes() == bundle.all_logits()[head].data[i].tobytes()
 
 
 class TestPredict:

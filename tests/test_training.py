@@ -322,6 +322,15 @@ class TestEvaluate:
         for key in ("acc_ce", "acc_rn", "acc_ss", "acc_ga", "acc_avg"):
             assert 0.0 <= report[key] <= 1.0
 
+    def test_records_list_the_heads_in_heads_order(self, girl_dog):
+        """Both metric records list each head the model runs in ``HEADS`` order,
+        then the averaged prediction, whatever the order of the streams."""
+        model = tiny_model(streams=("ss", "ce"))
+        trainer = Trainer(model, tiny_dataset(girl_dog), TrainConfig(batch_size=2, epochs=1))
+        want = ["loss", "acc_ce", "acc_ss", "acc_ga", "acc_avg"]
+        assert list(trainer.run_epoch()) == ["epoch", *want]
+        assert list(evaluate(model, tiny_dataset(girl_dog))) == ["n", *want]
+
 
 class TestGradcheck:
     def test_every_block_reported_once_and_passes(self, girl_dog):
