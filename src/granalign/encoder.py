@@ -158,17 +158,17 @@ def ga_attention(q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, g) -> ad.Tensor:
 
 class Layout:
     """The packed [N, d] rows of a stack call and their cells on its padded
-    [B, n_max] grid. ``parts[k][b]`` counts the rows of part k of sequence b;
-    rows are stored part-major (part 0 of every sequence, then part 1, ...),
-    and row r is position ``pos[r]`` of sequence ``sample[r]``. The first
-    ``split`` parts (1 to all; all by default) are segment 0: the first
-    ``n0[b]`` positions of sequence b, at their own columns of the grid.
+    [B, n_max] grid. ``counts[k, b] = parts[k][b]`` counts the rows of part k
+    of sequence b; rows are stored part-major (part 0 of every sequence, then
+    part 1, ...), and row r is position ``pos[r]`` of sequence ``sample[r]``.
+    The first ``split`` parts (1 to all; all by default) are segment 0: the
+    first ``n0[b]`` positions of sequence b, at their own columns of the grid.
     Segment 1 starts at column ``w0 = max(n0)``. Row r sits at cell
     ``index[r]``; B must be at least 1."""
 
     def __init__(self, *parts, split: int | None = None):
         split = len(parts) if split is None else split
-        counts = np.array(parts, dtype=np.intp)  # [P, B]
+        self.counts = counts = np.array(parts, dtype=np.intp)  # [P, B]
         ends = counts.cumsum(axis=0)  # position after each part in its sequence
         starts = ends - counts
         self.lengths, self.n0 = ends[-1], ends[split - 1]
@@ -211,10 +211,16 @@ class Layout:
                     out[..., b, grid_rows, grid_cols] = m[..., rows, cols]
         return out
 
-    def mean_matrix(self) -> np.ndarray:
-        """[B, N] matrix whose product with the rows is each sequence's row mean."""
+    def mean_matrix(self, part: int | None = None) -> np.ndarray:
+        """[B, N] matrix whose product with the rows is each sequence's mean over
+        all its rows, or over the rows of part ``part`` alone. Part k's rows are
+        one run, since rows are stored part-major."""
+        counts = self.lengths if part is None else self.counts[part]
+        start = 0 if part is None else int(self.counts[:part].sum())
+        rows = np.arange(start, start + int(counts.sum()))
+        sample = self.sample[rows]
         p = np.zeros((self.batch, len(self.sample)))
-        p[self.sample, np.arange(len(self.sample))] = 1.0 / self.lengths[self.sample]
+        p[sample, rows] = 1.0 / counts[sample]
         return p
 
 
@@ -441,32 +447,6 @@ class EncoderStack:
         for layer, mask, layer_blocks in zip(self.layers, g, blocks):
             x = encoder_layer(x, mask, layer, self.cfg, layout, layer_blocks)
         return x
-
-
-def encode_stream(t_img: ad.Tensor, t_q: ad.Tensor, img_lengths: Sequence[int],
-                  q_lengths: Sequence[int], plans: Sequence[np.ndarray], stack: EncoderStack,
-                  sep: ad.Tensor) -> tuple[ad.Tensor, Layout, np.ndarray]:
-    """Run one alignment stream over a batch of [image tokens; SEP; question tokens].
-
-    ``t_img`` and ``t_q`` pack the image and question tokens of B samples,
-    sample after sample; sample b has ``img_lengths[b]`` image and
-    ``q_lengths[b]`` question tokens, and ``plans[b]`` holds its per-layer
-    masks, SEP included (see ``leadgraph.mask_plan``). The learned SEP row is
-    added once per sample and positions run over each sample's combined
-    index space. The packed rows are [all image rows; B SEP rows; all
-    question rows], so one sample reads exactly as its own sequence; the
-    image rows with SEP are segment 0 of ``EncoderStack.run``. Returns the
-    final hidden rows, their layout and the row of each SEP.
-    """
-    if sep.data.ndim != 1:
-        raise ValueError(f"SEP vector must be 1-D, got shape {sep.data.shape}")
-    n_img = t_img.data.shape[0]
-    if sum(img_lengths) != n_img or sum(q_lengths) != t_q.data.shape[0]:
-        raise ValueError("encode_stream: token rows do not match the token counts")
-    bsz = len(img_lengths)
-    layout = Layout(img_lengths, [1] * bsz, q_lengths, split=2)
-    hidden = stack.run([t_img, sep, t_q], layout, plans)
-    return hidden, layout, n_img + np.arange(bsz)
 
 
 def sentence_pretransform(word_tokens: ad.Tensor, lengths: Sequence[int],

@@ -27,8 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import ingest
-from .encoder import (EPS_NORM, EncoderConfig, EncoderStack, Layout, encode_stream,
-                      sentence_pretransform)
+from .encoder import EPS_NORM, EncoderConfig, EncoderStack, Layout, sentence_pretransform
 from .ingest import LevelData, QuestionParse, SceneGraph, Vocab
 from .leadgraph import mask_plan
 
@@ -70,14 +69,6 @@ class ModelConfig(EncoderConfig):
         if len(set(self.streams)) != len(self.streams):
             raise ValueError("streams holds a duplicate entry")
         object.__setattr__(self, "streams", tuple(self.streams))
-
-
-@dataclass
-class StreamOutput:
-    tag: str
-    hidden: ad.Tensor  # packed [N, d_model] rows of the batch's streams
-    layout: Layout
-    sep_rows: np.ndarray  # row of each sample's SEP in ``hidden``
 
 
 class LogitsBundle(NamedTuple):
@@ -234,11 +225,13 @@ class Model:
                                    p[f"{prefix}.w1"], p[f"{prefix}.b1"],
                                    p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
-    def _stream_inputs(self, tag: str, preps: Sequence[PreparedSample]
-                       ) -> tuple[ad.Tensor, ad.Tensor, list[int], list[int]]:
-        """Packed image and question tokens of a batch and each sample's counts of both."""
-        p = self.params
-        s = STREAMS[tag]
+    def run_stream(self, tag: str, preps: Sequence[PreparedSample]
+                   ) -> tuple[ad.Tensor, np.ndarray]:
+        """One alignment stream over a batch: the final rows of every sample's
+        [image tokens; SEP; question tokens], packed part-major with the image
+        rows and SEP as segment 0 (see ``encoder.Layout``), and the [B, N]
+        matrix that pools them, each sample's row mean or its SEP row."""
+        p, s = self.params, STREAMS[tag]
         imgs = [prep.levels[s.image] for prep in preps]
         qs = [prep.levels[s.question] for prep in preps]
         if imgs[0].features is not None:
@@ -251,14 +244,10 @@ class Model:
         if s.question == "sentence":
             t_q = sentence_pretransform(t_q, n_q, [prep.plans["sent"] for prep in preps],
                                         self.stacks["sent"])
-        return t_img, t_q, [img.n_tokens for img in imgs], n_q
-
-    def run_stream(self, tag: str, preps: Sequence[PreparedSample]) -> StreamOutput:
-        t_img, t_q, n_img, n_q = self._stream_inputs(tag, preps)
-        hidden, layout, sep_rows = encode_stream(t_img, t_q, n_img, n_q,
-                                                 [prep.plans[tag] for prep in preps],
-                                                 self.stacks[tag], self.params[f"{tag}.sep"])
-        return StreamOutput(tag, hidden, layout, sep_rows)
+        layout = Layout([img.n_tokens for img in imgs], [1] * len(preps), n_q, split=2)
+        hidden = self.stacks[tag].run([t_img, p[f"{tag}.sep"], t_q], layout,
+                                      [prep.plans[tag] for prep in preps])
+        return hidden, layout.mean_matrix(1 if self.config.pooling == "sep" else None)
 
     def forward_batch(self, preps: Sequence[PreparedSample]) -> LogitsBundle:
         """[B, c] logits of a minibatch, all samples in one pass."""
@@ -273,32 +262,26 @@ class Model:
 
     # -- decision fusion ----------------------------------------------------
 
-    def fuse(self, outputs: Sequence[StreamOutput],
+    def fuse(self, outputs: Sequence[tuple[ad.Tensor, np.ndarray]],
              shape: tuple[int, ...] | None = None) -> LogitsBundle:
         """Pool, normalize, project, and concatenate the stream outputs, as one
         tape node whose outputs are the logits of every head: [B, c], or
-        ``shape`` when given. Per stream: each sample's SEP row or the mean of
-        its rows, layer norm, projection ``h`` and head; the fused head reads
-        the streams' ``h`` side by side."""
+        ``shape`` when given. ``outputs`` holds ``run_stream``'s ``(hidden,
+        pool)`` of each configured stream, in ``config.streams`` order. Per
+        stream: the pooled rows ``pool @ hidden``, layer norm, projection
+        ``h`` and head; the fused head reads the streams' ``h`` side by side."""
         p, c = self.params, self.n_answers
-        shape = (outputs[0].layout.batch, c) if shape is None else shape
+        shape = (len(outputs[0][1]), c) if shape is None else shape
         tags = self.config.streams
-        by_tag = {out.tag: out for out in outputs}
         per_stream = [[p[f"fuse.{tag}.{n}"] for n in ("ln_gain", "ln_bias", "w", "head_w",
                                                        "head_b")] for tag in tags]
         ga_w, ga_head_w, ga_head_b = (p[f"fuse.ga.{n}"] for n in ("w", "head_w", "head_b"))
         saved, logits = [], []
-        for tag, (gain, bias, w, head_w, head_b) in zip(tags, per_stream):
-            out = by_tag[tag]
-            if self.config.pooling == "sep":
-                pool = None
-                pooled = out.hidden.data[out.sep_rows]
-            else:
-                pool = out.layout.mean_matrix()
-                pooled = pool @ out.hidden.data
-            normed, xhat, inv_std = ad._ln_forward(pooled, gain.data, bias.data, EPS_NORM)
+        for (hidden, pool), (gain, bias, w, head_w, head_b) in zip(outputs, per_stream):
+            normed, xhat, inv_std = ad._ln_forward(pool @ hidden.data, gain.data, bias.data,
+                                                   EPS_NORM)
             h = normed @ w.data
-            saved.append((out, pool, normed, xhat, inv_std, h))
+            saved.append((pool, normed, xhat, inv_std, h))
             logits.append(h @ head_w.data + head_b.data)
         cat = np.concatenate([h for *_, h in saved], axis=1)
         h_ga = cat @ ga_w.data
@@ -311,18 +294,17 @@ class Model:
             g_cat = g_hga @ ga_w.data.T
             d = self.config.d_model
             g_hidden, g_blocks = [], []
-            for i, ((out, pool, normed, xhat, inv_std, h), g, (gain, _, w, head_w, _)) in \
+            for i, ((pool, normed, xhat, inv_std, h), g, (gain, _, w, head_w, _)) in \
                     enumerate(zip(saved, g_heads, per_stream)):
                 g_h = g_cat[:, i * d:(i + 1) * d] + g @ head_w.data.T
                 g_normed = g_h @ w.data.T
                 g_pooled = ad._ln_backward(g_normed, gain.data, xhat, inv_std)
-                g_hidden.append(ad._scatter_rows(len(out.hidden.data), out.sep_rows, g_pooled)
-                                if pool is None else pool.T @ g_pooled)
+                g_hidden.append(pool.T @ g_pooled)
                 g_blocks += [(g_normed * xhat).sum(axis=0), g_normed.sum(axis=0),
                              normed.T @ g_h, h.T @ g, g.sum(axis=0)]
             return (*g_hidden, *g_blocks, cat.T @ g_hga, h_ga.T @ g_ga, g_ga.sum(axis=0))
 
-        inputs = (*(by_tag[tag].hidden for tag in tags), *(t for b in per_stream for t in b),
+        inputs = (*(hidden for hidden, _ in outputs), *(t for b in per_stream for t in b),
                   ga_w, ga_head_w, ga_head_b)
         ad.record(result, inputs, backward)
         heads = dict(zip(tags, result))

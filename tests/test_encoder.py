@@ -14,7 +14,6 @@ from granalign.encoder import (
     _ga_backward,
     _ga_forward,
     _segment_plan,
-    encode_stream,
     encoder_layer,
     ga_attention,
     sentence_pretransform,
@@ -585,10 +584,29 @@ class TestLayout:
         layout = Layout([1, 3])
         p = layout.mean_matrix()
         np.testing.assert_allclose(p, [[1, 0, 0, 0], [0, 1 / 3, 1 / 3, 1 / 3]])
+        assert p.tobytes() == layout.mean_matrix(0).tobytes()
         m = layout.pad_masks([np.ones((1, 1)), np.eye(3)])
         assert m.dtype == bool and m.shape == (2, 3, 3)
         assert m[0].sum() == 1 and m[0, 0, 0]
         np.testing.assert_array_equal(m[1], np.eye(3, dtype=bool))
+
+    def test_mean_matrix_of_one_part(self):
+        """On a stream layout, part 1 pools each sample's SEP row alone, with one
+        exact 1.0; without a part every row of a sample weighs 1 / its length,
+        bitwise as a scatter of ``1.0 / lengths`` over the rows."""
+        n_img, n_q = [3, 0, 5, 1], [2, 4, 0, 1]
+        layout = stream_layout(n_img, n_q)
+        sep = layout.mean_matrix(1)
+        assert sep.shape == (4, len(layout.pos))
+        for b, row in enumerate(sep):
+            (r,) = np.flatnonzero(row)
+            assert row[r] == 1.0 and layout.sample[r] == b and layout.pos[r] == n_img[b]
+        whole = np.zeros((4, len(layout.pos)))
+        whole[layout.sample, np.arange(len(layout.pos))] = 1.0 / layout.lengths[layout.sample]
+        assert layout.mean_matrix().tobytes() == whole.tobytes()
+        image = layout.mean_matrix(0)
+        np.testing.assert_allclose(image.sum(axis=1), [1, 0, 1, 1], rtol=1e-15)
+        assert not image[:, sum(n_img):].any()
 
     def test_padded_keys_and_values_have_no_influence(self):
         """Garbage in the padded rows of q, k and v leaves the real rows of
@@ -620,10 +638,10 @@ class TestEncodeStream:
         t_img = ad.Tensor(rng.normal(size=(3, 4)))
         t_q = ad.Tensor(rng.normal(size=(2, 4)))
         sep = ad.Tensor(rng.normal(size=4))
-        hidden, layout, sep_rows = encode_stream(t_img, t_q, [3], [2], [np.ones((3, 6, 6))],
-                                                 stack, sep)
+        layout = stream_layout([3], [2])
+        hidden = stack.run([t_img, sep, t_q], layout, [np.ones((3, 6, 6))])
         assert hidden.data.shape == (6, 4)
-        assert sep_rows.tolist() == [3]
+        assert np.flatnonzero(layout.mean_matrix(1)).tolist() == [3]
         assert layout.pos.tolist() == list(range(6))
 
     def test_empty_question_side(self):
@@ -631,10 +649,10 @@ class TestEncodeStream:
         stack = self.make_stack(cfg)
         t_img = ad.Tensor(np.random.default_rng(16).normal(size=(2, 4)))
         t_q = ad.Tensor(np.zeros((0, 4)))
-        hidden, _, sep_rows = encode_stream(t_img, t_q, [2], [0], [np.ones((1, 3, 3))], stack,
-                                            ad.Tensor(np.zeros(4)))
+        layout = stream_layout([2], [0])
+        hidden = stack.run([t_img, ad.Tensor(np.zeros(4)), t_q], layout, [np.ones((1, 3, 3))])
         assert hidden.data.shape == (3, 4)
-        assert sep_rows.tolist() == [2]
+        assert np.flatnonzero(layout.mean_matrix(1)).tolist() == [2]
 
     def test_sep_row_follows_image_tokens(self):
         """With all-zero masks rows do not mix, so the SEP vector moves only its own row."""
@@ -643,11 +661,10 @@ class TestEncodeStream:
         rng = np.random.default_rng(17)
         t_img = ad.Tensor(rng.normal(size=(2, 4)))
         t_q = ad.Tensor(rng.normal(size=(2, 4)))
-        plans = [np.zeros((1, 5, 5))]
-        a, _, sep_rows = encode_stream(t_img, t_q, [2], [2], plans, stack,
-                                       ad.Tensor(np.zeros(4)))
-        b, _, _ = encode_stream(t_img, t_q, [2], [2], plans, stack, ad.Tensor(np.arange(4.0)))
-        assert sep_rows.tolist() == [2]
+        plans, layout = [np.zeros((1, 5, 5))], stream_layout([2], [2])
+        a, b = (stack.run([t_img, ad.Tensor(sep), t_q], layout, plans)
+                for sep in (np.zeros(4), np.arange(4.0)))
+        assert np.flatnonzero(layout.mean_matrix(1)).tolist() == [2]
         changed = [i for i in range(5) if a.data[i].tobytes() != b.data[i].tobytes()]
         assert changed == [2]
 
@@ -659,18 +676,11 @@ class TestEncodeStream:
         t_q = ad.Tensor(rng.normal(size=(3, 4)))
         sep = ad.Tensor(rng.normal(size=4))
         masks = [(rng.random((6, 6)) < 0.5).astype(float) for _ in range(2)]
-        hidden, _, _ = encode_stream(t_img, t_q, [2], [3], [np.array(masks)], stack, sep)
+        hidden = stack.run([t_img, sep, t_q], stream_layout([2], [3]), [np.array(masks)])
         x = ad.Tensor(np.vstack([t_img.data, sep.data, t_q.data]) + stack.pos_table.data[:6])
         for g, layer in zip(masks, stack.layers):
             x = one_sequence(x, g, layer, cfg)
         assert hidden.data.tobytes() == x.data.tobytes()
-
-    def test_sep_vector_must_be_1d(self):
-        cfg = EncoderConfig(num_layers=1, num_heads=2, d_model=4, d_ff=8, max_len=16)
-        with pytest.raises(ValueError, match="1-D"):
-            encode_stream(ad.Tensor(np.zeros((2, 4))), ad.Tensor(np.zeros((0, 4))), [2], [0],
-                          [np.ones((1, 3, 3))], self.make_stack(cfg),
-                          ad.Tensor(np.zeros((1, 4))))
 
     def test_mask_count_and_shape_checked(self):
         cfg = EncoderConfig(num_layers=2, num_heads=2, d_model=4, d_ff=8, max_len=16)
@@ -678,19 +688,19 @@ class TestEncodeStream:
         t_img, t_q, sep = (ad.Tensor(np.zeros((2, 4))), ad.Tensor(np.zeros((1, 4))),
                            ad.Tensor(np.zeros(4)))
         with pytest.raises(ValueError, match="needs 2 masks"):
-            encode_stream(t_img, t_q, [2], [1], [np.ones((1, 4, 4))], stack, sep)
+            stack.run([t_img, sep, t_q], stream_layout([2], [1]), [np.ones((1, 4, 4))])
         with pytest.raises(ValueError, match="needs 2 masks of 4 x 4"):
-            encode_stream(t_img, t_q, [2], [1], [np.ones((2, 3, 3))], stack, sep)
+            stack.run([t_img, sep, t_q], stream_layout([2], [1]), [np.ones((2, 3, 3))])
         with pytest.raises(ValueError, match="do not match"):
-            encode_stream(t_img, t_q, [2], [0], [np.ones((2, 3, 3))], stack, sep)
+            stack.run([t_img, sep, t_q], stream_layout([2], [0]), [np.ones((2, 3, 3))])
 
     def test_sequence_longer_than_max_len_raises(self):
         cfg = EncoderConfig(num_layers=1, num_heads=2, d_model=4, d_ff=8, max_len=4)
         stack = self.make_stack(cfg)
         t_img = ad.Tensor(np.zeros((4, 4)))
         with pytest.raises(ValueError, match="max_len"):
-            encode_stream(t_img, ad.Tensor(np.zeros((2, 4))), [4], [2], [np.ones((1, 7, 7))],
-                          stack, ad.Tensor(np.zeros(4)))
+            stack.run([t_img, ad.Tensor(np.zeros(4)), ad.Tensor(np.zeros((2, 4)))],
+                      stream_layout([4], [2]), [np.ones((1, 7, 7))])
 
 
 class TestSentencePretransform:
@@ -740,7 +750,7 @@ def lead_graph_masks(rng, n_img, n_q):
 
 
 def stream_layout(n_img, n_q, split=2):
-    """The layout ``encode_stream`` builds: all image rows, the SEP rows, all
+    """The layout ``Model.run_stream`` builds: all image rows, the SEP rows, all
     question rows, with image rows and SEP as segment 0 (one segment with
     ``split=None``)."""
     return Layout(n_img, [1] * len(n_img), n_q, split=split)
@@ -886,7 +896,7 @@ class TestSegmentPlan:
 
         def run():
             with ad.Tape() as t:
-                hidden, _, _ = encode_stream(t_img, t_q, n_img, n_q, plans, stack, sep)
+                hidden = stack.run([t_img, sep, t_q], stream_layout(n_img, n_q), plans)
                 loss = weighted_sum(hidden, w)
             return hidden.data, t.gradients(loss, tensors)
 

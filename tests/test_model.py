@@ -9,7 +9,7 @@ from granalign.data import DEFAULT_WORLD, ToyWorldSpec, gen_corpus, load_manifes
 from granalign.encoder import EncoderConfig, Layout, encoder_layer
 from granalign.ingest import question_from_dict
 from granalign.leadgraph import layer_masks, pairs_to_matrix
-from granalign.model import HEADS, STREAMS, LogitsBundle, Model, ModelConfig, StreamOutput
+from granalign.model import HEADS, STREAMS, LogitsBundle, Model, ModelConfig
 from granalign.training import ABLATION_VARIANTS, generic_parameter_point
 import reference_ops as refops
 from conftest import (append_sep_mask, fd_gradient, fixture_path, level_graph, reference_batch,
@@ -307,26 +307,32 @@ class TestPooling:
         return [model.run_stream(tag, [prep]) for tag in model.config.streams]
 
     def test_sep_pool_reads_sep_row(self, girl_dog):
-        """Under SEP pooling the head reads nothing of a stream but its SEP row."""
+        """Under SEP pooling the head reads nothing of a stream but its SEP row,
+        the one row after the image rows."""
         model, prep = make_model(girl_dog, pooling="sep")
         outputs = self.outputs(model, prep)
         base = model.fuse(outputs).all_logits()
-        for out in outputs:
-            others = np.ones(len(out.hidden.data), dtype=bool)
-            others[out.sep_rows] = False
-            out.hidden.data[others] += np.arange(out.hidden.data.shape[1])
+        sep_rows = []
+        for tag, (hidden, pool) in zip(model.config.streams, outputs):
+            (sep_row,) = np.flatnonzero(pool[0])
+            assert sep_row == prep.levels[STREAMS[tag].image].n_tokens and pool[0, sep_row] == 1
+            sep_rows.append(sep_row)
+            others = np.ones(len(hidden.data), dtype=bool)
+            others[sep_row] = False
+            hidden.data[others] += np.arange(hidden.data.shape[1])
         bumped = model.fuse(outputs).all_logits()
         for tag, t in base.items():
             assert bumped[tag].data.tobytes() == t.data.tobytes()
-        outputs[0].hidden.data[outputs[0].sep_rows] += np.arange(outputs[0].hidden.data.shape[1])
+        hidden = outputs[0][0].data
+        hidden[sep_rows[0]] += np.arange(hidden.shape[1])
         assert not np.allclose(model.fuse(outputs).f_ce.data, base["ce"].data)
 
     def test_mean_pool_averages_rows(self, girl_dog):
         """Under mean pooling each stream's rows act as their mean alone."""
         model, prep = make_model(girl_dog, pooling="mean")
         outputs = self.outputs(model, prep)
-        means = [StreamOutput(out.tag, ad.Tensor(out.hidden.data.mean(axis=0, keepdims=True)),
-                              Layout([1]), np.array([0])) for out in outputs]
+        means = [(ad.Tensor(hidden.data.mean(axis=0, keepdims=True)), np.ones((1, 1)))
+                 for hidden, _ in outputs]
         got, expect = model.fuse(outputs).all_logits(), model.fuse(means).all_logits()
         for tag in got:
             np.testing.assert_allclose(got[tag].data, expect[tag].data, rtol=1e-12, atol=1e-12)
@@ -347,23 +353,30 @@ class TestVariants:
         b = ones.forward(prep_o).f_ga.data
         assert not np.allclose(a, b)
 
-    def test_all_ones_plan_matches_reference_loop(self, girl_dog):
-        """Without lead graphs the logits equal a plain unmasked encoder loop, bitwise."""
+    def test_all_ones_plan_matches_reference_loop(self, girl_dog, monkeypatch):
+        """Without lead graphs the logits equal a plain unmasked encoder loop,
+        bitwise, over the parts ``run_stream`` hands each stream's stack."""
         model, prep = make_model(girl_dog, use_lead_graphs=False)
+        parts, run = {}, encoder.EncoderStack.run
+
+        def capture(stack, tensors, layout, masks):
+            parts[id(stack)] = [t.data for t in tensors]
+            return run(stack, tensors, layout, masks)
+
+        monkeypatch.setattr(encoder.EncoderStack, "run", capture)
+        got = model.forward_batch([prep]).all_logits()
+        monkeypatch.undo()
         outputs = []
         for tag in model.config.streams:
-            t_img, t_q, _, _ = model._stream_inputs(tag, [prep])
-            sep = model.params[f"{tag}.sep"]
             stack = model.stacks[tag]
-            rows = np.concatenate([t_img.data, sep.data[None], t_q.data])
+            t_img, sep, t_q = parts[id(stack)]
+            rows = np.concatenate([t_img, sep[None], t_q])
             n = len(rows)
-            layout = Layout([n])
             x = ad.Tensor(rows + stack.pos_table.data[:n])
             for layer in stack.layers:
-                x = encoder_layer(x, np.ones((1, n, n)), layer, stack.cfg, layout)
-            outputs.append(StreamOutput(tag, x, layout, np.array([t_img.data.shape[0]])))
+                x = encoder_layer(x, np.ones((1, n, n)), layer, stack.cfg, Layout([n]))
+            outputs.append((x, Layout([n]).mean_matrix()))
         reference = model.fuse(outputs).all_logits()
-        got = model.forward_batch([prep]).all_logits()
         assert list(got) == list(reference)
         for tag in got:
             assert got[tag].data.tobytes() == reference[tag].data.tobytes()
@@ -787,10 +800,9 @@ class TestFusedNodes:
     @pytest.mark.parametrize("pooling", ["mean", "sep"])
     def test_head(self, seed7_corpora, pooling):
         model, preps = seed7_model(seed7_corpora, "pinned", pooling=pooling)
-        outputs = [StreamOutput(out.tag, ad.Tensor(out.hidden.data),
-                                out.layout, out.sep_rows)
-                   for out in (model.run_stream(tag, preps[:4]) for tag in model.config.streams)]
-        tensors = [out.hidden for out in outputs] + [
+        outputs = [(ad.Tensor(hidden.data), pool) for hidden, pool in
+                   (model.run_stream(tag, preps[:4]) for tag in model.config.streams)]
+        tensors = [hidden for hidden, _ in outputs] + [
             t for name, t in model.params.items() if name.startswith("fuse.")]
         check_node(lambda: tuple(model.fuse(outputs).all_logits().values()), tensors,
                    seed=64 if pooling == "mean" else 65)
