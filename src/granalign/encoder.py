@@ -22,10 +22,12 @@ to a [B, heads, W, W] grid, where padding is nothing but zero mask entries.
 Each encoder layer is a single tape node with a hand-written backward.
 
 ``EncoderStack.run`` runs all four stacks, the three alignment streams and
-the sentence pre-transform. A sequence splits into segment 0 (a stream's
-image tokens with SEP, or the whole sentence) and segment 1 (a stream's
-question tokens), and a lead graph opens only some of the four segment
-blocks per layer. The call's one ``Layout`` puts every row on a grid with
+the sentence pre-transform (``model.Model.run_stream`` packs a stream's
+[image tokens; SEP; question tokens] and takes its pooling matrix from
+``Layout.mean_matrix``). A sequence splits into segment 0 (a stream's image
+tokens with SEP, or the whole sentence) and segment 1 (a stream's question
+tokens), and a lead graph opens only some of the four segment blocks per
+layer. The call's one ``Layout`` puts every row on a grid with
 segment 0 in columns [0, w0) and segment 1 in [w0, W), one description of
 packing and segments as in FlashAttention-2's varlen interface (arXiv
 2307.08691); ``run`` pads the masks onto it once and finds which blocks

@@ -12,9 +12,10 @@ one, and a ``LogitsBundle`` is a named tuple of their logits in that order.
 The head and the loss are one tape node each, with hand-written backwards;
 the head's node has the logits of every head as its tuple of outputs.
 
-``forward_batch`` is the one forward path: it packs the tokens of a whole
-minibatch into one matrix per stream (see ``encoder.Layout``), and
-``forward`` is its one-sample case.
+``forward_batch`` is the one forward path and ``forward`` its one-sample
+case. ``run_stream`` packs a stream's tokens of a whole minibatch into one
+matrix (see ``encoder.Layout``), runs its stack and returns the matrix that
+pools its rows, so ``fuse`` pools the row mean and the SEP row alike.
 """
 
 from __future__ import annotations
@@ -83,6 +84,8 @@ class LogitsBundle(NamedTuple):
 
     def rows(self) -> list["LogitsBundle"]:
         """One untaped 1-D bundle per sample of a [B, c] bundle."""
+        if self.f_ga.data.ndim != 2:
+            raise ValueError(f"rows: expected [B, c] logits, got shape {self.f_ga.data.shape}")
         columns = [repeat(None) if t is None else map(ad.Tensor, t.data) for t in self]
         return [LogitsBundle(*heads) for heads in zip(*columns)]
 

@@ -15,7 +15,9 @@ A change that moves numbers on purpose rewrites the file with
     python tests/reference_outputs.py --write
 
 (``granalign`` installed, or ``PYTHONPATH=src``), which prints the largest
-absolute and relative change of each case's summaries.
+absolute and relative change of each case's summaries. Without ``--write``
+it prints the same and exits 1 when a digest moved, or a case is missing,
+on the platform the file was written on: a bitwise claim is one command.
 """
 
 from __future__ import annotations
@@ -153,17 +155,21 @@ def main(argv=None) -> int:
     parser.add_argument("--write", action="store_true",
                         help=f"rewrite {os.path.relpath(PATH)} from a fresh run")
     args = parser.parse_args(argv)
-    old = {}
+    old = {"platform": None, "cases": {}}
     if os.path.exists(PATH):
         with open(PATH, encoding="utf-8") as f:
-            old = json.load(f)["cases"]
+            old = json.load(f)
     new = compute()
+    failed = False
     for case, entry in new.items():
-        if case not in old:
+        if case not in old["cases"]:
             print(f"{case}: new")
+            failed = True
             continue
-        moved = [k for k, v in entry["sha256"].items() if old[case]["sha256"].get(k) != v]
-        abs_d, rel_d = largest_change(old[case]["summary"], entry["summary"])
+        was = old["cases"][case]
+        moved = [k for k, v in entry["sha256"].items() if was["sha256"].get(k) != v]
+        failed |= bool(moved)
+        abs_d, rel_d = largest_change(was["summary"], entry["summary"])
         print(f"{case}: largest change {abs_d:.3e} abs, {rel_d:.3e} rel; "
               f"digests moved: {', '.join(moved) or 'none'}")
     if args.write:
@@ -171,7 +177,12 @@ def main(argv=None) -> int:
             json.dump({"platform": platform_key(), "cases": new}, f, indent=1, sort_keys=True)
             f.write("\n")
         print(f"wrote {PATH}")
-    return 0
+        return 0
+    if old["platform"] != platform_key():
+        print(f"digests were written on {old['platform']}, this is {platform_key()}: "
+              "not checked")
+        return 0
+    return int(failed)
 
 
 if __name__ == "__main__":

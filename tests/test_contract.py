@@ -416,3 +416,29 @@ class TestBatchmates:
         rows = [{tag: t.data[0].tobytes() for tag, t in
                  model.forward_batch([pa, p]).all_logits().items()} for p in (pb, pb_other)]
         assert rows[0] == rows[1]
+
+
+class TestBatchComposition:
+    @pytest.mark.parametrize("switches", [{}, {"pooling": "sep"}, {"use_lead_graphs": False},
+                                          {"node_reduction": True}],
+                             ids=["default", "sep_pooling", "no_lead_graph", "node_reduction"])
+    @SETTINGS
+    @given(data=st.data())
+    def test_a_samples_batch_row_is_its_forward(self, switches, data):
+        """Each sample's row of every head in a batch of 2-5 drawn samples
+        agrees with its own ``forward`` within 1e-13 of its largest logit:
+        the batch's size and membership move only the last bits."""
+        widths = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        model = tiny_model(*widths, **switches)
+        n = data.draw(st.integers(2, 5))
+        drawn = [(data.draw(scenes(widths)), data.draw(parses())) for _ in range(n)]
+        try:
+            preps = [model.prepare(s, q, 0) for s, q in drawn]
+        except ValueError:
+            return
+        batch = model.forward_batch(preps).all_logits()
+        for b, prep in enumerate(preps):
+            alone = model.forward(prep).all_logits()
+            top = max(float(np.abs(t.data).max()) for t in alone.values())
+            for head, t in alone.items():
+                assert np.abs(batch[head].data[b] - t.data).max() <= 1e-13 * top, head

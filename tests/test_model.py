@@ -528,6 +528,13 @@ class TestBatch:
             for tag, t in row.all_logits().items():
                 assert t.data.tobytes() == bundle.all_logits()[tag].data[i].tobytes()
 
+    def test_rows_of_a_one_sample_bundle_raise(self, mixed_batch):
+        """``forward``'s 1-D bundle has no rows to split: a ValueError naming
+        the shape, not one bundle of 0-d tensors per class."""
+        model, preps = mixed_batch
+        with pytest.raises(ValueError, match=rf"\({model.n_answers},\)"):
+            model.forward(preps[0]).rows()
+
     def test_batch_loss_is_per_sample(self, mixed_batch):
         model, preps = mixed_batch
         answers = [p.answer_index for p in preps[:4]]

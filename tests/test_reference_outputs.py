@@ -7,6 +7,7 @@ relative on any platform. ``python tests/reference_outputs.py --write``
 rewrites the file when a change moves numbers on purpose.
 """
 
+import copy
 import json
 
 import pytest
@@ -46,3 +47,17 @@ def test_summaries(committed, fresh, case):
     assert got.keys() == want.keys()
     for key, value in want.items():
         assert got[key] == pytest.approx(value, rel=REL_TOL, abs=0.0), key
+
+
+def test_the_script_exits_1_when_a_digest_moves(committed, monkeypatch, capsys):
+    """Without ``--write`` the script fails on a moved digest, on the platform
+    the file was written on only."""
+    cases = copy.deepcopy(committed["cases"])
+    monkeypatch.setattr(ref, "compute", lambda: cases)
+    monkeypatch.setattr(ref, "platform_key", lambda: committed["platform"])
+    assert ref.main([]) == 0
+    cases[ref.CASES[0]]["sha256"]["losses"] = "0" * 64
+    assert ref.main([]) == 1
+    assert "digests moved: losses" in capsys.readouterr().out
+    monkeypatch.setattr(ref, "platform_key", lambda: {"numpy": "another"})
+    assert ref.main([]) == 0
