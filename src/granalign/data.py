@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ingest import (
+    FEATURE_LIMIT,
     QuestionParse,
     SceneGraph,
     SceneObject,
@@ -97,22 +98,11 @@ class ToyWorldSpec:
                              "templates need objects_max >= 2")
 
     def word_vocab(self) -> list[str]:
-        words = ["what", "color", "is", "the", "there", "a"]
-        for group in (self.categories, self.attributes, self.relations):
-            for w in group:
-                if w not in words:
-                    words.append(w)
-        return words
+        return list(dict.fromkeys(("what", "color", "is", "the", "there", "a",
+                                   *self.categories, *self.attributes, *self.relations)))
 
     def answer_vocab(self) -> list[str]:
-        out = list(self.attributes)
-        for c in self.categories:
-            if c not in out:
-                out.append(c)
-        for yn in ("yes", "no"):
-            if yn not in out:
-                out.append(yn)
-        return out
+        return list(dict.fromkeys((*self.attributes, *self.categories, "yes", "no")))
 
     @classmethod
     def from_dict(cls, d: dict) -> "ToyWorldSpec":
@@ -260,6 +250,12 @@ def _gen_scene(spec: ToyWorldSpec, rng: np.random.Generator) -> SceneGraph:
     # one draw per cell gives
     noise = rng.standard_normal((g * g, spec.d_spatial))
     feats = spec.feature_scale * (base + spec.feature_noise * noise)
+    # the bound sample files are read with; one check over the scene's values
+    values = np.concatenate([feats.ravel(), *(o.region_feature for o in objects)])
+    if not np.abs(values).max() <= FEATURE_LIMIT:  # also NaN and infinity
+        raise ValueError(f"feature_scale {spec.feature_scale:g} and feature_noise "
+                         f"{spec.feature_noise:g} give a feature value beyond "
+                         f"±{FEATURE_LIMIT:g}")
 
     return SceneGraph(objects=objects, relations=relations, spatial=SpatialGrid(g, feats))
 

@@ -7,7 +7,9 @@ Images and questions each contribute three granularity levels:
   question: entity, noun phrase, sentence (words plus dependency adjacency)
 
 Each level yields an ordered token set plus directed (src, dst) index pairs,
-or a ``full`` flag, that become the level's binary lead graph. Feature
+or a ``full`` flag, that become the level's binary lead graph. Repeated
+concept nodes, and in node reduction the question tokens that repeat a
+label, collapse by one first-occurrence rule (``_collapse``). Feature
 extraction and parsing happen upstream; this module only consumes their
 structured output: the records ``SceneGraph`` and ``QuestionParse``, whose
 annotations and ``__post_init__`` rules are the sample-file schema. The one
@@ -406,27 +408,28 @@ def merge_duplicate_concept_tokens(level: LevelData) -> LevelData:
     if level.level != "concept":
         raise ValueError("merge_duplicate_concept_tokens expects the concept level")
     assert level.labels is not None and level.kinds is not None
-    first: dict[tuple[str, str], int] = {}
+    return _collapse(level.labels, level.kinds, zip(level.kinds, level.labels),
+                     [kind != "object" for kind in level.kinds], level.pairs)
+
+
+def _collapse(labels: list[str], kinds: list[str], keys, merges, pairs) -> LevelData:
+    """The concept level of the tokens ``labels`` of ``kinds``, each token that
+    ``merges`` collapsed onto the first kept token with its key in ``keys``,
+    if there is one. Every other token is kept, in order; ``pairs`` are
+    re-pointed at the kept tokens and deduplicated in order."""
+    first: dict = {}
     keep: list[int] = []
-    target: dict[int, int] = {}
-    for i, (label, kind) in enumerate(zip(level.labels, level.kinds)):
-        if kind == "object":
-            target[i] = len(keep)
-            keep.append(i)
-            continue
-        key = (kind, label)
-        if key in first:
-            target[i] = first[key]
+    target: list[int] = []
+    for i, (key, merge) in enumerate(zip(keys, merges)):
+        if merge and key in first:
+            target.append(first[key])
         else:
-            first[key] = len(keep)
-            target[i] = len(keep)
+            first.setdefault(key, len(keep))
+            target.append(len(keep))
             keep.append(i)
-    return LevelData(
-        level="concept",
-        labels=[level.labels[i] for i in keep],
-        kinds=[level.kinds[i] for i in keep],
-        pairs=list(dict.fromkeys((target[s], target[d]) for s, d in level.pairs)),
-    )
+    return LevelData(level="concept", labels=[labels[i] for i in keep],
+                     kinds=[kinds[i] for i in keep],
+                     pairs=list(dict.fromkeys((target[s], target[d]) for s, d in pairs)))
 
 
 def build_region_level(sg: SceneGraph) -> LevelData:
@@ -481,34 +484,20 @@ def build_sentence_level(qp: QuestionParse) -> LevelData:
 def node_reduction(image_level: LevelData, question_level: LevelData) -> LevelData:
     """Merge identically labeled tokens of two labeled levels into shared nodes.
 
-    Question tokens whose label already occurs on the image side collapse
-    onto that node (first occurrence); the remaining question tokens are
-    appended. Edge sets (every pair for a ``full`` level) are unioned,
-    re-indexed, and deduplicated. Used by the node-reduction ablation only.
+    Each question token whose label an image token or an earlier question
+    token has collapses onto the first such node; the others are appended.
+    Edge sets (every pair for a ``full`` level) are unioned, re-indexed,
+    and deduplicated. Used by the node-reduction ablation only.
     """
     if image_level.labels is None or question_level.labels is None:
         raise ValueError("node_reduction needs two labeled levels")
-    labels = list(image_level.labels)
-    kinds = list(image_level.kinds or ["object"] * len(labels))
-    first = {}
-    for i, label in enumerate(labels):
-        first.setdefault(label, i)
-    mapping: dict[int, int] = {}
-    for j, label in enumerate(question_level.labels):
-        if label in first:
-            mapping[j] = first[label]
-        else:
-            idx = len(labels)
-            labels.append(label)
-            kinds.append("entity")
-            first[label] = idx
-            mapping[j] = idx
-    n_q = question_level.n_tokens
+    n_img, n_q = image_level.n_tokens, question_level.n_tokens
+    labels = image_level.labels + question_level.labels
     q_pairs = ([(s, d) for s in range(n_q) for d in range(n_q)] if question_level.full
                else question_level.pairs)
-    pairs = list(dict.fromkeys([(s, d) for s, d in image_level.pairs]
-                               + [(mapping[s], mapping[d]) for s, d in q_pairs]))
-    return LevelData(level="concept", labels=labels, kinds=kinds, pairs=pairs)
+    return _collapse(labels, (image_level.kinds or ["object"] * n_img) + ["entity"] * n_q,
+                     labels, [False] * n_img + [True] * n_q,
+                     chain(image_level.pairs, ((s + n_img, d + n_img) for s, d in q_pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +564,9 @@ def project_features(features: np.ndarray, w: ad.Tensor, b: ad.Tensor) -> ad.Ten
 
 def load_word_vectors(path) -> tuple[list[str], np.ndarray]:
     """Read a plain text word-vector file: one ``word v1 ... vd`` line per word.
-    A word given twice is an error naming both lines."""
+    A word given twice is an error naming both lines; a component that is not
+    finite or lies beyond ±``FEATURE_LIMIT``, as for sample features, is an
+    error naming its line."""
     words: dict[str, int] = {}  # each word's line, in file order
     rows: list[list[float]] = []
     for lineno, line in enumerate(read_lines(path), start=1):
@@ -588,9 +579,11 @@ def load_word_vectors(path) -> tuple[list[str], np.ndarray]:
             raise SchemaError(f"{path}: line {lineno}: {e}") from None
         if not vec:
             raise SchemaError(f"{path}: line {lineno}: no vector components")
-        if not all(map(math.isfinite, vec)):
-            raise SchemaError(f"{path}: line {lineno}: non-finite vector component "
-                              f"(NaN or infinity)")
+        if not all(abs(v) <= FEATURE_LIMIT for v in vec):  # also NaN
+            bad = ("non-finite vector component (NaN or infinity)"
+                   if not all(map(math.isfinite, vec)) else
+                   f"vector component beyond ±{FEATURE_LIMIT:g}")
+            raise SchemaError(f"{path}: line {lineno}: {bad}")
         if rows and len(vec) != len(rows[0]):
             raise SchemaError(f"{path}: line {lineno}: inconsistent dimension")
         if words.setdefault(parts[0], lineno) != lineno:

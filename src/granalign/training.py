@@ -277,7 +277,8 @@ def gradcheck(model: Model, prep: PreparedSample, step: float = 1e-5,
     block the largest-magnitude gradient coordinates are probed, where the
     central difference carries signal (a coordinate whose gradient sits at
     the difference's cancellation noise floor cannot be checked at any
-    tolerance). Relative error uses |g_ad - g_fd| / max(|g_ad|, |g_fd|, 1e-8).
+    tolerance). Relative error uses |g_ad - g_fd| / max(|g_ad|, |g_fd|, 1e-8);
+    a non-finite one fails its block, which reports ``max_rel_err`` NaN.
     ``step`` and ``tol`` must be finite and > 0, ``coords_per_block`` >= 1.
     """
     for name, value in (("step", step), ("tol", tol)):
@@ -308,7 +309,7 @@ def gradcheck(model: Model, prep: PreparedSample, step: float = 1e-5,
             g_fd = (up - down) / (2.0 * step)
             g_ad = float(grads[name].reshape(-1)[c])
             rel = abs(g_ad - g_fd) / max(abs(g_ad), abs(g_fd), 1e-8)
-            worst = max(worst, rel)
+            worst = max(worst, rel) if math.isfinite(rel) else math.nan  # NaN fails
         reports.append(BlockReport(name=name, checked=k, max_rel_err=worst,
                                    passed=worst < tol))
     return reports

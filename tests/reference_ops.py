@@ -10,6 +10,11 @@ run fused in both (their reference is ``conftest.reference_encoder_layer``).
 It also keeps the attention core as it was before the softmax division was
 deferred, ``normalized_forward`` and ``normalized_backward``, which
 ``encoder._ga_forward`` and ``encoder._ga_backward`` must match to 1e-12.
+And it keeps the first-occurrence loops that concept merging, node reduction
+and the world's vocabularies were written with before they shared one
+collapse (``ingest._collapse``): ``merge_duplicate_concept_tokens``,
+``node_reduction``, ``word_vocab`` and ``answer_vocab``, whose results the
+tests require the package's to equal exactly.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import numpy as np
 import granalign.autodiff as ad
 from granalign import encoder
 from granalign.encoder import EPS_NORM
+from granalign.ingest import LevelData
 from granalign.model import STREAMS, LogitsBundle
 
 # ---------------------------------------------------------------------------
@@ -327,3 +333,80 @@ def normalized_backward(grad_out, cache):
     d_scores *= normed
     d_scores /= math.sqrt(d_k)
     return np.matmul(d_scores, k), np.matmul(d_scores.swapaxes(-1, -2), q), d_v
+
+
+# ---------------------------------------------------------------------------
+# first-occurrence loops: concept merging, node reduction, vocabularies
+# ---------------------------------------------------------------------------
+
+
+def merge_duplicate_concept_tokens(level: LevelData) -> LevelData:
+    """Same-label relation and attribute nodes merged onto the first one."""
+    first: dict[tuple[str, str], int] = {}
+    keep: list[int] = []
+    target: dict[int, int] = {}
+    for i, (label, kind) in enumerate(zip(level.labels, level.kinds)):
+        if kind == "object":
+            target[i] = len(keep)
+            keep.append(i)
+            continue
+        key = (kind, label)
+        if key in first:
+            target[i] = first[key]
+        else:
+            first[key] = len(keep)
+            target[i] = len(keep)
+            keep.append(i)
+    return LevelData(
+        level="concept",
+        labels=[level.labels[i] for i in keep],
+        kinds=[level.kinds[i] for i in keep],
+        pairs=list(dict.fromkeys((target[s], target[d]) for s, d in level.pairs)),
+    )
+
+
+def node_reduction(image_level: LevelData, question_level: LevelData) -> LevelData:
+    """Question tokens merged onto the first token with their label."""
+    labels = list(image_level.labels)
+    kinds = list(image_level.kinds or ["object"] * len(labels))
+    first = {}
+    for i, label in enumerate(labels):
+        first.setdefault(label, i)
+    mapping: dict[int, int] = {}
+    for j, label in enumerate(question_level.labels):
+        if label in first:
+            mapping[j] = first[label]
+        else:
+            idx = len(labels)
+            labels.append(label)
+            kinds.append("entity")
+            first[label] = idx
+            mapping[j] = idx
+    n_q = question_level.n_tokens
+    q_pairs = ([(s, d) for s in range(n_q) for d in range(n_q)] if question_level.full
+               else question_level.pairs)
+    pairs = list(dict.fromkeys([(s, d) for s, d in image_level.pairs]
+                               + [(mapping[s], mapping[d]) for s, d in q_pairs]))
+    return LevelData(level="concept", labels=labels, kinds=kinds, pairs=pairs)
+
+
+def word_vocab(spec) -> list[str]:
+    """``ToyWorldSpec.word_vocab``: the fixed words, then each new world word."""
+    words = ["what", "color", "is", "the", "there", "a"]
+    for group in (spec.categories, spec.attributes, spec.relations):
+        for w in group:
+            if w not in words:
+                words.append(w)
+    return words
+
+
+def answer_vocab(spec) -> list[str]:
+    """``ToyWorldSpec.answer_vocab``: attributes, new categories, yes and no."""
+    out = list(spec.attributes)
+    for c in spec.categories:
+        if c not in out:
+            out.append(c)
+    for yn in ("yes", "no"):
+        if yn not in out:
+            out.append(yn)
+    return out

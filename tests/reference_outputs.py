@@ -140,14 +140,15 @@ def flat_summary(summary: dict) -> dict[str, float]:
 
 
 def largest_change(old: dict, new: dict) -> tuple[float, float]:
-    """Largest absolute and relative change over the numbers both summaries hold."""
+    """Largest absolute and relative change over the numbers both summaries
+    hold; NaN if either holds a NaN (or an infinity) among them."""
     old, new = flat_summary(old), flat_summary(new)
-    abs_d = rel_d = 0.0
-    for key in old.keys() & new.keys():
-        d = abs(new[key] - old[key])
-        abs_d = max(abs_d, d)
-        rel_d = max(rel_d, d / max(abs(old[key]), abs(new[key]), 1e-300))
-    return abs_d, rel_d
+    keys = sorted(old.keys() & new.keys())
+    a, b = (np.array([s[k] for k in keys], dtype=np.float64) for s in (old, new))
+    with np.errstate(invalid="ignore"):  # inf - inf
+        d = np.abs(b - a)
+        rel = d / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
+    return float(d.max(initial=0.0)), float(rel.max(initial=0.0))
 
 
 def main(argv=None) -> int:

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from granalign import training
 from granalign.cli import main, parse_config_file
 from granalign.data import DEFAULT_WORLD, ToyWorldSpec, gen_corpus, load_manifest
 from granalign.ingest import to_json
@@ -345,6 +346,22 @@ class TestGradcheckCommand:
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_a_nan_parameter_fails_and_exits_one(self, cli_corpus, monkeypatch, capsys):
+        """A block whose relative error is NaN fails, and is printed as nan."""
+        point = training.generic_parameter_point
+
+        def nan_point(model, seed):
+            point(model, seed=seed)
+            model.params["fuse.ga.head_b"].data[0] = np.nan
+
+        monkeypatch.setattr(training, "generic_parameter_point", nan_point)
+        rc = main(["gradcheck", "--data", str(cli_corpus), "--sample", "0"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "FAIL fuse.ga.head_b max_rel_err=nan " in out
+        passed, total = out.splitlines()[-1].split()[0].split("/")
+        assert int(passed) < int(total)
+
     def test_sample_index_out_of_range(self, cli_corpus, capsys):
         rc = main(["gradcheck", "--data", str(cli_corpus), "--sample", "99"])
         assert rc == 1
@@ -574,12 +591,19 @@ class TestCorpusFiles:
         ({"feature_noise": 10**400}, "field 'feature_noise' is out of the float range"),
         ({"templates": ["relation"], "objects_min": 1, "objects_max": 1},
          "relation-only templates need objects_max >= 2"),
+        ({"feature_scale": 1e200}, "feature_scale 1e+200 and feature_noise 0.05 give a "
+                                   "feature value beyond ±1e+150"),
+        ({"feature_noise": 1e300}, "feature_scale 1 and feature_noise 1e+300 give a "
+                                   "feature value beyond ±1e+150"),
     ], ids=["grid_size", "feature_noise", "categories", "not-an-object", "grid_size-0",
             "d_region-negative", "d_region-0", "d_spatial-0", "feature_noise-negative",
             "feature_noise-nan", "feature_scale-0", "feature_scale-inf", "categories-duplicate",
             "attributes-duplicate", "relations-duplicate", "feature_noise-overflow",
-            "relation-only-one-object"])
+            "relation-only-one-object", "feature_scale-beyond-limit",
+            "feature_noise-beyond-limit"])
     def test_malformed_world_spec_exits_one(self, tmp_path, capsys, spec, message):
+        """Also a spec whose features its corpus's reader would reject; no file
+        is written."""
         spec_path = tmp_path / "world.json"
         spec_path.write_text(json.dumps(spec))
         rc = main(["gen-data", "--spec", str(spec_path), "--n", "3",
@@ -587,6 +611,7 @@ class TestCorpusFiles:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error:") and message in err and "Traceback" not in err
+        assert not (tmp_path / "c").exists()
 
     @pytest.mark.parametrize("field, value, message", [
         pytest.param("d_emb", 0, "d_emb must be >= 1, got 0", id="d_emb-0"),

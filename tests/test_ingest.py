@@ -4,9 +4,11 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import granalign.autodiff as ad
 from granalign import ingest
+from granalign.data import ToyWorldSpec
 from granalign.ingest import (
     LevelData,
     SchemaError,
@@ -25,7 +27,10 @@ from granalign.ingest import (
     scene_from_dict,
     to_json,
 )
+from granalign.model import Model, ModelConfig
 from conftest import fixture_path, level_graph
+import reference_ops as refops
+from test_contract import SETTINGS
 
 
 class TestSchemaParsing:
@@ -260,6 +265,65 @@ class TestNodeReduction:
         assert merged.pairs.count((0, 1)) == 1
 
 
+# few labels, so that they repeat: across kinds, among objects, between the
+# image and the question, and in the question
+_LABELS = st.sampled_from(["dog", "cat", "left", "red", "color"])
+
+
+@st.composite
+def labeled_levels(draw, level, kinds):
+    """A level of 1-7 drawn labels with kinds drawn from ``kinds`` (none if it
+    is None), and either up to 10 pairs, repeats included, or, for a question
+    level, possibly ``full``."""
+    n = draw(st.integers(1, 7))
+    labels = draw(st.lists(_LABELS, min_size=n, max_size=n))
+    if kinds is not None:
+        kinds = draw(st.lists(st.sampled_from(kinds), min_size=n, max_size=n))
+    full = level != "concept" and draw(st.booleans())
+    index = st.integers(0, n - 1)
+    pairs = [] if full else draw(st.lists(st.tuples(index, index), max_size=10))
+    return LevelData(level=level, labels=labels, kinds=kinds, pairs=pairs, full=full)
+
+
+_CONCEPT_KINDS = ("object", "relation", "attribute")
+# world words that overlap each other and the fixed words of the vocabularies
+_WORLD_WORDS = ["dog", "cat", "red", "left", "right", "what", "is", "a", "yes", "no"]
+
+
+@st.composite
+def world_specs(draw):
+    words = st.sampled_from(_WORLD_WORDS)
+    return ToyWorldSpec(categories=draw(st.lists(words, min_size=2, max_size=5, unique=True)),
+                        attributes=draw(st.lists(words, min_size=1, max_size=5, unique=True)),
+                        relations=draw(st.lists(words, min_size=2, max_size=2, unique=True)))
+
+
+class TestFirstOccurrenceCollapse:
+    """Concept merging, node reduction and the world's vocabularies give
+    exactly what the loops they replaced gave (``reference_ops``)."""
+
+    @SETTINGS
+    @given(labeled_levels("concept", _CONCEPT_KINDS))
+    def test_concept_merge_matches_the_loop(self, level):
+        got = merge_duplicate_concept_tokens(level)
+        want = refops.merge_duplicate_concept_tokens(level)
+        assert (got.labels, got.kinds, got.pairs) == (want.labels, want.kinds, want.pairs)
+
+    @SETTINGS
+    @given(st.one_of(labeled_levels("concept", _CONCEPT_KINDS), labeled_levels("concept", None)),
+           labeled_levels("entity", None))
+    def test_node_reduction_matches_the_loop(self, image, question):
+        got = node_reduction(image, question)
+        want = refops.node_reduction(image, question)
+        assert (got.labels, got.kinds, got.pairs) == (want.labels, want.kinds, want.pairs)
+
+    @SETTINGS
+    @given(world_specs())
+    def test_vocabularies_match_the_loops(self, spec):
+        assert spec.word_vocab() == refops.word_vocab(spec)
+        assert spec.answer_vocab() == refops.answer_vocab(spec)
+
+
 class TestVocabAndEmbedding:
     def test_unknown_word_warns_once_and_maps_to_zero(self, caplog):
         v = Vocab(["dog", "cat"])
@@ -311,12 +375,29 @@ class TestWordVectors:
         with pytest.raises(SchemaError):
             load_word_vectors(p)
 
-    @pytest.mark.parametrize("component", ["nan", "inf", "-Infinity"])
-    def test_non_finite_component_names_file_and_line(self, tmp_path, component):
+    @pytest.mark.parametrize("component, message", [
+        ("nan", "non-finite vector component"), ("inf", "non-finite vector component"),
+        ("-Infinity", "non-finite vector component"),
+        ("1e200", "vector component beyond ±1e\\+150"),
+        ("-1.0000000000000002e150", "vector component beyond ±1e\\+150")],
+        ids=["nan", "inf", "-Infinity", "1e200", "beyond--1e150"])
+    def test_non_finite_component_names_file_and_line(self, tmp_path, component, message):
+        """Components beyond the sample-feature bound fail as NaN does."""
         p = tmp_path / "bad.txt"
         p.write_text(f"a 1.0 2.0\ndog {component} 0.5\n")
-        with pytest.raises(SchemaError, match=f"{p}: line 2: non-finite vector component"):
+        with pytest.raises(SchemaError, match=f"{p}: line 2: {message}"):
             load_word_vectors(p)
+
+    def test_components_at_the_bound_load_and_forward_finite(self, tmp_path, girl_dog):
+        p = tmp_path / "edge.txt"
+        p.write_text("dog 1e150 -1e150 1e150\ngirl -1e150 1e150 0.0\n")
+        _, vectors = load_word_vectors(p)
+        assert np.abs(vectors).max() == ingest.FEATURE_LIMIT
+        scene, question = girl_dog
+        model = Model(ModelConfig(d_model=8, num_heads=2, d_ff=16), ["girl", "dog", "brown"],
+                      ["brown", "yes"], d_region=4, d_spatial=4, word_vector_file=p)
+        bundle = model.forward(model.prepare(scene, question, answer_index=0))
+        assert all(np.isfinite(logits.data).all() for logits in bundle.all_logits().values())
 
     def test_repeated_word_names_both_lines(self, tmp_path):
         p = tmp_path / "twice.txt"

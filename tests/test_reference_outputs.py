@@ -61,3 +61,14 @@ def test_the_script_exits_1_when_a_digest_moves(committed, monkeypatch, capsys):
     assert "digests moved: losses" in capsys.readouterr().out
     monkeypatch.setattr(ref, "platform_key", lambda: {"numpy": "another"})
     assert ref.main([]) == 0
+
+
+def test_a_nan_summary_prints_as_a_change(committed, monkeypatch, capsys):
+    """``max`` drops a NaN, so a NaN summary once printed as no change."""
+    cases = copy.deepcopy(committed["cases"])
+    monkeypatch.setattr(ref, "compute", lambda: cases)
+    summary = cases[ref.CASES[0]]["summary"]
+    key = next(k for k, v in summary.items() if not isinstance(v, dict))
+    summary[key] = float("nan")
+    ref.main([])
+    assert f"{ref.CASES[0]}: largest change nan abs, nan rel" in capsys.readouterr().out

@@ -359,6 +359,19 @@ class TestGradcheck:
         reports = gradcheck(model, prep)
         assert any(not r.passed for r in reports)
 
+    def test_a_nan_parameter_fails_its_blocks(self, girl_dog):
+        """A NaN relative error fails its block and is reported as NaN; ``max``
+        would drop it and pass every block."""
+        scene, question = girl_dog
+        model = tiny_model()
+        generic_parameter_point(model)
+        prep = model.prepare(scene, question, answer_index=0)
+        model.params["fuse.ga.head_b"].data[0] = np.nan
+        reports = {r.name: r for r in gradcheck(model, prep)}
+        assert not reports["fuse.ga.head_b"].passed
+        assert np.isnan(reports["fuse.ga.head_b"].max_rel_err)
+        assert all(np.isnan(r.max_rel_err) for r in reports.values() if not r.passed)
+
     @pytest.mark.parametrize("kw, message", [
         ({"step": 0.0}, "step must be a finite value > 0, got 0.0"),
         ({"step": float("inf")}, "step must be a finite value > 0, got inf"),
