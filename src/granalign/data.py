@@ -26,6 +26,7 @@ from .ingest import (
     SceneRelation,
     SchemaError,
     SpatialGrid,
+    check_bound,
     from_json,
     read_json,
     require,
@@ -68,14 +69,9 @@ class ToyWorldSpec:
         for name in ("categories", "attributes", "relations", "templates"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         for name in ("grid_size", "d_region", "d_spatial"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not (np.isfinite(self.feature_noise) and self.feature_noise >= 0):
-            raise ValueError(f"feature_noise must be a finite value >= 0, "
-                             f"got {self.feature_noise}")
-        if not (np.isfinite(self.feature_scale) and self.feature_scale > 0):
-            raise ValueError(f"feature_scale must be a finite value > 0, "
-                             f"got {self.feature_scale}")
+            check_bound(name, getattr(self, name), 1)
+        check_bound("feature_noise", self.feature_noise, 0.0)
+        check_bound("feature_scale", self.feature_scale, 0.0, strict=True)
         if not self.categories:
             raise ValueError("empty category set")
         if not self.attributes:
@@ -85,8 +81,8 @@ class ToyWorldSpec:
                 raise ValueError(f"{name} holds a duplicate entry")
         if len(self.relations) != 2:
             raise ValueError("exactly two relations (column order and its reverse)")
-        if not (1 <= self.objects_min <= self.objects_max):
-            raise ValueError("objects per scene range is invalid")
+        check_bound("objects_min", self.objects_min, 1)
+        check_bound("objects_max", self.objects_max, self.objects_min)
         if self.objects_max > len(self.categories):
             raise ValueError("objects_max exceeds the category set (sampling is without replacement)")
         if self.objects_max > self.grid_size ** 2:
@@ -307,8 +303,7 @@ def gen_samples(spec: ToyWorldSpec, n: int, seed_seq: np.random.SeedSequence,
                 prefix: str) -> list[Sample]:
     """Generate n solvable samples; scenes with no valid question are redrawn.
     ``prefix`` starts every sample id (the split's name) and the error message."""
-    if n < 1:
-        raise ValueError(f"{prefix}: sample count must be >= 1, got {n}")
+    check_bound(f"{prefix}: sample count", n, 1)
     rng = np.random.default_rng(seed_seq)
     samples = []
     for i in range(n):
@@ -417,8 +412,7 @@ def gen_data(spec: ToyWorldSpec, n: int, seed: int, out_dir: str,
 
 
 def _seed_sequence(seed: int) -> np.random.SeedSequence:
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    check_bound("seed", seed, 0)
     return np.random.SeedSequence([seed])
 
 

@@ -48,6 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
+from .ingest import check_bound
 
 
 @dataclass(frozen=True)
@@ -59,12 +60,11 @@ class EncoderConfig:
     max_len: int = 64
 
     def __post_init__(self):
-        if self.num_layers < 1 or self.num_heads < 1 or self.d_model < 1 or self.d_ff < 1:
-            raise ValueError("encoder sizes must be positive")
+        for name in ("num_layers", "num_heads", "d_model", "d_ff"):
+            check_bound(name, getattr(self, name), 1)
         if self.d_model % self.num_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by {self.num_heads} heads")
-        if self.max_len < 1:
-            raise ValueError(f"max_len must be >= 1, got {self.max_len}")
+        check_bound("max_len", self.max_len, 1)
 
     @property
     def d_k(self) -> int:

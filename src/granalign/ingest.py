@@ -57,6 +57,14 @@ class SchemaError(ValueError):
     """An input document does not match the expected schema."""
 
 
+def check_bound(name: str, value, low, strict: bool = False) -> None:
+    """ValueError unless ``value`` is finite and ``>= low`` (``> low`` if ``strict``)."""
+    if not ((isinstance(value, int) or math.isfinite(value))
+            and (value > low if strict else value >= low)):
+        kind, low = ("a finite value ", f"{low:g}") if isinstance(low, float) else ("", low)
+        raise ValueError(f"{name} must be {kind}{'>' if strict else '>='} {low}, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # input structures
 # ---------------------------------------------------------------------------
@@ -83,8 +91,7 @@ class SpatialGrid:
     features: np.ndarray = field(metadata={"ndim": 2})  # [grid_size**2, d_spatial]
 
     def __post_init__(self):
-        if self.grid_size < 1:
-            raise ValueError(f"grid_size must be >= 1, got {self.grid_size}")
+        check_bound("grid_size", self.grid_size, 1)
         if self.features.shape[0] != self.grid_size ** 2:
             raise ValueError(f"features must be a {self.grid_size ** 2} x d matrix")
 

@@ -61,8 +61,7 @@ class ModelConfig(EncoderConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.d_emb < 1:
-            raise ValueError(f"d_emb must be >= 1, got {self.d_emb}")
+        ingest.check_bound("d_emb", self.d_emb, 1)
         if self.pooling not in ("mean", "sep"):
             raise ValueError(f"unknown pooling {self.pooling!r}")
         if not self.streams or any(s not in STREAMS for s in self.streams):

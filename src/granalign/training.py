@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import Dataset
-from .ingest import SchemaError, from_json, only_fields, require, strings
+from .ingest import SchemaError, check_bound, from_json, only_fields, require, strings
 from .model import LogitsBundle, Model, ModelConfig, PreparedSample
 
 # samples per forward pass in evaluate: one forward per 32-sample call pays
@@ -44,8 +44,7 @@ class Adam:
     """
 
     def __init__(self, params: ad.Parameters, lr: float):
-        if not (math.isfinite(lr) and lr > 0):
-            raise ValueError(f"lr must be a finite value > 0, got {lr}")
+        check_bound("lr", lr, 0.0, strict=True)
         self.params = params
         self.lr = lr
         self.step_count = 0
@@ -94,21 +93,13 @@ class TrainConfig:
     checkpoint_interval: int = 0  # epochs between checkpoint writes; 0 disables
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not (np.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be a finite value > 0, got {self.lr}")
-        if self.grad_clip is not None and not (np.isfinite(self.grad_clip)
-                                               and self.grad_clip > 0):
-            raise ValueError(f"grad_clip must be None or a finite value > 0, "
-                             f"got {self.grad_clip}")
-        if self.checkpoint_interval < 0:
-            raise ValueError(f"checkpoint_interval must be >= 0, "
-                             f"got {self.checkpoint_interval}")
+        check_bound("batch_size", self.batch_size, 1)
+        check_bound("epochs", self.epochs, 0)
+        check_bound("seed", self.seed, 0)
+        check_bound("lr", self.lr, 0.0, strict=True)
+        if self.grad_clip is not None:
+            check_bound("grad_clip", self.grad_clip, 0.0, strict=True)
+        check_bound("checkpoint_interval", self.checkpoint_interval, 0)
 
 
 def loss_value(model: Model, prep: PreparedSample) -> float:
@@ -281,11 +272,9 @@ def gradcheck(model: Model, prep: PreparedSample, step: float = 1e-5,
     a non-finite one fails its block, which reports ``max_rel_err`` NaN.
     ``step`` and ``tol`` must be finite and > 0, ``coords_per_block`` >= 1.
     """
-    for name, value in (("step", step), ("tol", tol)):
-        if not (np.isfinite(value) and value > 0):
-            raise ValueError(f"gradcheck {name} must be a finite value > 0, got {value}")
-    if coords_per_block < 1:
-        raise ValueError(f"gradcheck coords_per_block must be >= 1, got {coords_per_block}")
+    check_bound("gradcheck step", step, 0.0, strict=True)
+    check_bound("gradcheck tol", tol, 0.0, strict=True)
+    check_bound("gradcheck coords_per_block", coords_per_block, 1)
     with ad.Tape() as tape:
         bundle = model.forward(prep)
         loss = model.loss(bundle, prep.answer_index)
@@ -479,10 +468,9 @@ def _model_from_header(header, left: int) -> tuple[Model, Adam | None]:
         return model, None
     opt, where = header["optimizer"], f"{where}: optimizer"
     step = require(only_fields(opt, where, ("lr", "step")), "step", where, int)
-    if step < 0:
-        raise SchemaError(f"{where}: step must be >= 0, got {step}")
     lr = require(opt, "lr", where, float)
     try:
+        check_bound("step", step, 0)
         optimizer = Adam(model.params, float(lr))
     except (ValueError, OverflowError) as e:  # OverflowError: an int beyond the float range
         raise SchemaError(f"{where}: {e}") from None

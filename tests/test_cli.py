@@ -378,7 +378,7 @@ class TestGradcheckCommand:
         assert "FAIL" not in captured.out
 
     @pytest.mark.parametrize("setting, message", [
-        ("batch_size = 0", "batch size must be >= 1"),
+        ("batch_size = 0", "batch_size must be >= 1, got 0"),
         ("epochs = -3", "epochs must be >= 0, got -3"),
         ("seed = -1", "seed must be >= 0, got -1")])
     def test_training_setting_rejected_as_by_train(self, cli_corpus, tmp_path, capsys, setting,
@@ -390,7 +390,7 @@ class TestGradcheckCommand:
         rc = main(["gradcheck", "--data", str(cli_corpus), "--config", str(cfg)])
         captured = capsys.readouterr()
         assert rc == 1
-        assert captured.err.startswith(f"error: {message}") and captured.out == ""
+        assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
 class TestDumpLeadgraph:

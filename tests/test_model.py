@@ -91,7 +91,7 @@ class TestModelConfig:
     def test_encoder_sizes_validated(self):
         with pytest.raises(ValueError, match="divisible"):
             ModelConfig(d_model=30)
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="^num_layers must be >= 1, got 0$"):
             ModelConfig(num_layers=0)
 
     @pytest.mark.parametrize("field", ["d_emb", "max_len"])
