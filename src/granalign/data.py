@@ -209,6 +209,7 @@ def cell_feature(row: int, col: int, occupants: list[tuple[str, list[str]]],
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(over="ignore")  # the feature bound below rejects a scene that overflows
 def _gen_scene(spec: ToyWorldSpec, rng: np.random.Generator) -> SceneGraph:
     n = int(rng.integers(spec.objects_min, spec.objects_max + 1))
     cats = [spec.categories[i] for i in rng.choice(len(spec.categories), n, replace=False)]

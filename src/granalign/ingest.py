@@ -15,6 +15,7 @@ structured output: the records ``SceneGraph`` and ``QuestionParse``, whose
 annotations and ``__post_init__`` rules are the sample-file schema. The one
 typed-JSON reader ``from_json`` reads them and every other input document
 (of a checkpoint header, only ``model_config``), and ``to_json`` writes them.
+``check_bound`` is the one lower-bound check, and error wording, of every numeric setting.
 """
 
 from __future__ import annotations

@@ -18,6 +18,11 @@ A change that moves numbers on purpose rewrites the file with
 absolute and relative change of each case's summaries. Without ``--write``
 it prints the same and exits 1 when a digest moved, or a case is missing,
 on the platform the file was written on: a bitwise claim is one command.
+
+The cases run in a child process at ``BLAS_THREADS`` BLAS threads, whatever
+the caller's environment says: OpenBLAS splits the large products of the
+7x7-grid world by thread count, which moves the last bits of the gradient,
+and it reads the count once, when numpy loads.
 """
 
 from __future__ import annotations
@@ -28,11 +33,13 @@ import io
 import json
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 
 import numpy as np
 
+import granalign
 import granalign.autodiff as ad
 from granalign.data import DEFAULT_WORLD, ToyWorldSpec, gen_corpus, load_manifest
 from granalign.model import Model, ModelConfig
@@ -49,13 +56,16 @@ CONFIGS = {"default": {}, "no-lead-graphs": {"use_lead_graphs": False},
            "sep-self-only": {"sep_connect_all": False}, "two-streams": {"streams": ("ce", "ss")}}
 CASES = [f"{world}/{config}" for world in WORLDS for config in CONFIGS]
 TINY = dict(d_model=8, d_emb=8, num_heads=2, num_layers=2, d_ff=16)
+BLAS_THREADS = 1
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def platform_key() -> dict[str, str]:
-    """What the digests depend on besides the code: numpy, its BLAS, the CPU family."""
+    """What the digests depend on besides the code: numpy, its BLAS and the
+    thread count it runs at, the CPU family."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__, "blas": f"{blas['name']} {blas.get('version')}",
-            "machine": platform.machine()}
+            "blas_threads": str(BLAS_THREADS), "machine": platform.machine()}
 
 
 def corpora(root: str) -> dict:
@@ -116,7 +126,20 @@ def case_outputs(ds, config: dict, root: str) -> tuple[dict[str, bytes], dict]:
 
 
 def compute() -> dict:
-    """Every case's digests and summaries, keyed ``<world>/<config>``."""
+    """Every case's digests and summaries, keyed ``<world>/<config>``, from
+    ``compute_here`` in a child process at ``BLAS_THREADS`` BLAS threads."""
+    paths = [os.path.dirname(os.path.abspath(__file__)),
+             os.path.dirname(os.path.dirname(granalign.__file__)), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, **dict.fromkeys(THREAD_VARS, str(BLAS_THREADS)),
+           "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    child = "import json, sys, reference_outputs as r; json.dump(r.compute_here(), sys.stdout)"
+    run = subprocess.run([sys.executable, "-c", child], env=env, stdout=subprocess.PIPE,
+                         text=True, check=True)
+    return json.loads(run.stdout)
+
+
+def compute_here() -> dict:
+    """``compute`` in this process, at the BLAS thread count numpy loaded with."""
     out = {}
     with tempfile.TemporaryDirectory() as root:
         data = corpora(root)

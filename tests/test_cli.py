@@ -184,6 +184,19 @@ class TestGenData:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{split}: sample count must be >= 1" in err
 
+    def test_overflowing_spec_prints_only_its_error(self, tmp_path):
+        """The feature products that overflow print no numpy warning before the
+        error that rejects them."""
+        spec_path = tmp_path / "world.json"
+        spec_path.write_text(json.dumps({"feature_scale": 1e200, "feature_noise": 1e200}))
+        proc = subprocess.run([sys.executable, "-m", "granalign.cli", "gen-data", "--spec",
+                               str(spec_path), "--n", "3", "--out", str(tmp_path / "c")],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: feature_scale 1e+200 and feature_noise 1e+200 give a "
+                               "feature value beyond ±1e+150\n")
+        assert not (tmp_path / "c").exists()
+
     def test_negative_seed_names_the_seed_and_writes_nothing(self, tmp_path, capsys):
         out, fresh = tmp_path / "c", tmp_path / "fresh"
         assert main(["gen-data", "--n", "2", "--eval-n", "1", "--out", str(out)]) == 0
@@ -512,11 +525,13 @@ class TestDumpLeadgraph:
          "spatial: features must hold numbers, got bool"),
         (("scene", "objects", 0, "region_feature"), [10**400, 0.2, 0.3, 0.4],
          "objects[0]: region_feature must be a 1-D array of numbers"),
+        (("scene", "spatial", "features"), [[0.0, 0.0, 0.0, 0.0]] * 3,
+         "spatial: features must be a 4 x d matrix"),
     ], ids=["scene", "objects", "relations", "spatial", "tokens", "dependency_edges",
             "dependency_edge-string", "tokens-string", "noun_phrases-string", "region_feature-2d",
             "region_feature-nan", "spatial-infinity", "region_feature-ragged",
             "region_feature-string", "region_feature-bool", "spatial-string", "spatial-bool",
-            "region_feature-overflow"])
+            "region_feature-overflow", "spatial-rows"])
     def test_malformed_sample_exits_one(self, tmp_path, capsys, where, value, message):
         with open(fixture_path("girl_dog.json"), encoding="utf-8") as f:
             doc = json.load(f)
@@ -595,12 +610,17 @@ class TestCorpusFiles:
                                    "feature value beyond ±1e+150"),
         ({"feature_noise": 1e300}, "feature_scale 1 and feature_noise 1e+300 give a "
                                    "feature value beyond ±1e+150"),
+        ({"objects_min": 3, "objects_max": 2}, "objects_max must be >= 3, got 2"),
+        ({"objects_max": 5}, "objects_max exceeds the category set"),
+        ({"categories": ["a", "b", "c", "d", "e"], "objects_max": 5},
+         "objects_max exceeds the number of grid cells"),
     ], ids=["grid_size", "feature_noise", "categories", "not-an-object", "grid_size-0",
             "d_region-negative", "d_region-0", "d_spatial-0", "feature_noise-negative",
             "feature_noise-nan", "feature_scale-0", "feature_scale-inf", "categories-duplicate",
             "attributes-duplicate", "relations-duplicate", "feature_noise-overflow",
             "relation-only-one-object", "feature_scale-beyond-limit",
-            "feature_noise-beyond-limit"])
+            "feature_noise-beyond-limit", "objects_max-below-objects_min",
+            "objects_max-beyond-categories", "objects_max-beyond-grid-cells"])
     def test_malformed_world_spec_exits_one(self, tmp_path, capsys, spec, message):
         """Also a spec whose features its corpus's reader would reject; no file
         is written."""
@@ -618,17 +638,29 @@ class TestCorpusFiles:
         pytest.param("d_emb", -3, "d_emb must be >= 1, got -3", id="d_emb--3"),
         pytest.param("max_len", 0, "max_len must be >= 1, got 0", id="max_len-0"),
         pytest.param("streams", "ce, ce", "streams holds a duplicate entry", id="streams-ce,ce"),
-        pytest.param("seed", -1, "seed must be >= 0, got -1", id="seed--1")])
+        pytest.param("seed", -1, "seed must be >= 0, got -1", id="seed--1"),
+        pytest.param("num_heads", 0, "num_heads must be >= 1, got 0", id="num_heads-0"),
+        pytest.param("use_lead_graphs", "maybe",
+                     "{cfg}: line 1: expected a boolean, got 'maybe'", id="use_lead_graphs-maybe"),
+        pytest.param("word_vectors", b"", "{wv}: empty word-vector file",
+                     id="word_vectors-empty"),
+        pytest.param("word_vectors", b"dog\n", "{wv}: line 1: no vector components",
+                     id="word_vectors-no-components")])
     def test_malformed_model_setting_exits_one(self, cli_corpus, tmp_path, capsys, field, value,
                                                message):
-        cfg = tmp_path / "bad.cfg"
+        """``{cfg}`` in a message is the config file's path and ``{wv}`` the
+        word-vector file's, whose content a bytes ``value`` is."""
+        cfg, wv = tmp_path / "bad.cfg", tmp_path / "wv.txt"
+        if isinstance(value, bytes):
+            wv.write_bytes(value)
+            value = wv
         cfg.write_text(f"{field} = {value}\nepochs = 1\n")
         ckpt = tmp_path / "m.ckpt"
         rc = main(["train", "--data", str(cli_corpus), "--config", str(cfg),
                    "--out", str(ckpt)])
         err = capsys.readouterr().err
         assert rc == 1
-        assert err.startswith(f"error: {message}")
+        assert err.startswith(f"error: {message.format(cfg=cfg, wv=wv)}")
         assert not ckpt.exists()
 
     @pytest.mark.parametrize("damage", ["truncated", "not-utf8", "nested-too-deep"])

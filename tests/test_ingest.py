@@ -1,17 +1,25 @@
 """Granularity levels from scene graphs and question parses."""
 
+import functools
+import json
 import logging
+import os
+import re
+import struct
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import granalign.autodiff as ad
-from granalign import ingest
-from granalign.data import ToyWorldSpec
+from granalign import ingest, training
+from granalign.data import DEFAULT_WORLD, ToyWorldSpec, _seed_sequence, gen_samples
+from granalign.encoder import EncoderConfig
 from granalign.ingest import (
     LevelData,
     SchemaError,
+    SpatialGrid,
     Vocab,
     build_concept_level,
     build_entity_level,
@@ -28,6 +36,7 @@ from granalign.ingest import (
     to_json,
 )
 from granalign.model import Model, ModelConfig
+from granalign.training import Adam, TrainConfig
 from conftest import fixture_path, level_graph
 import reference_ops as refops
 from test_contract import SETTINGS
@@ -404,3 +413,124 @@ class TestWordVectors:
         p.write_text("dog 1.0 2.0\n\ngirl 0.0 1.0\ndog 3.0 4.0\n")
         with pytest.raises(SchemaError, match=f"{p}: line 4: word 'dog' repeats line 1"):
             load_word_vectors(p)
+
+
+class _Reached(Exception):
+    """A stub model's forward was called: gradcheck's settings passed."""
+
+
+class _StubModel:
+    def forward(self, prep):
+        raise _Reached
+
+
+def _gradcheck(**kw):
+    try:
+        training.gradcheck(_StubModel(), None, **kw)
+    except _Reached:
+        pass
+
+
+@functools.cache
+def _tiny_model() -> Model:
+    return Model(ModelConfig(d_model=8, d_emb=8, num_heads=2, num_layers=1, d_ff=8),
+                 ["dog"], ["yes", "no"], d_region=4, d_spatial=4, seed=0)
+
+
+@functools.cache
+def _tiny_checkpoint() -> tuple[dict, int]:
+    """The header of a tiny checkpoint with optimizer state, and the bytes after it."""
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        path = os.path.join(tmp_dir, "tiny.ckpt")
+        training.save_checkpoint(path, _tiny_model(), Adam(_tiny_model().params, 1e-3))
+        with open(path, "rb") as f:
+            blob = f.read()
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    return json.loads(blob[16:16 + hlen]), len(blob) - 16 - hlen
+
+
+def _header_step(step):
+    header, left = _tiny_checkpoint()
+    training._model_from_header({**header, "optimizer": {**header["optimizer"], "step": step}},
+                                left)
+
+
+# every bounded setting: (what the message names it, a call that sets it to
+# a value, the bound, strict)
+BOUNDS = {
+    **{f"EncoderConfig.{name}": (name, lambda v, name=name: EncoderConfig(
+        **{name: v}, **({"num_heads": 1} if name == "d_model" else {})), 1, False)
+       for name in ("num_layers", "num_heads", "d_model", "d_ff", "max_len")},
+    "ModelConfig.d_emb": ("d_emb", lambda v: ModelConfig(d_emb=v), 1, False),
+    **{f"TrainConfig.{name}": (name, lambda v, name=name: TrainConfig(**{name: v}), low,
+                               strict)
+       for name, low, strict in (("batch_size", 1, False), ("epochs", 0, False),
+                                 ("seed", 0, False), ("lr", 0.0, True),
+                                 ("checkpoint_interval", 0, False), ("grad_clip", 0.0, True))},
+    "Adam.lr": ("lr", lambda v: Adam(_tiny_model().params, v), 0.0, True),
+    "gradcheck.step": ("gradcheck step", lambda v: _gradcheck(step=v), 0.0, True),
+    "gradcheck.tol": ("gradcheck tol", lambda v: _gradcheck(tol=v), 0.0, True),
+    "gradcheck.coords_per_block": ("gradcheck coords_per_block",
+                                   lambda v: _gradcheck(coords_per_block=v), 1, False),
+    "checkpoint.step": ("checkpoint header: optimizer: step", _header_step, 0, False),
+    # one object fits a 1 x 1 grid
+    "ToyWorldSpec.grid_size": ("grid_size", lambda v: ToyWorldSpec(
+        grid_size=v, objects_min=1, objects_max=1), 1, False),
+    **{f"ToyWorldSpec.{name}": (name, lambda v, name=name: ToyWorldSpec(**{name: v}), low,
+                                strict)
+       for name, low, strict in (("d_region", 1, False),
+                                 ("d_spatial", 1, False), ("feature_noise", 0.0, False),
+                                 ("feature_scale", 0.0, True), ("objects_min", 1, False))},
+    # objects_max is bounded by objects_min, 2 by default
+    "ToyWorldSpec.objects_max": ("objects_max", lambda v: ToyWorldSpec(objects_max=v), 2,
+                                 False),
+    "gen_samples.n": ("train: sample count", lambda v: gen_samples(
+        DEFAULT_WORLD, v, np.random.SeedSequence(0), "train"), 1, False),
+    "gen_data.seed": ("seed", lambda v: _seed_sequence(v), 0, False),
+    "SpatialGrid.grid_size": ("grid_size", lambda v: SpatialGrid(v, np.zeros((1, 3))), 1,
+                              False),
+}
+
+
+def _edges(low, strict):
+    """The last value the bound passes and the first it fails (no integer
+    bound is strict)."""
+    if isinstance(low, float):
+        below, above = np.nextafter(low, -np.inf), np.nextafter(low, np.inf)
+        return (float(above), low) if strict else (low, float(below))
+    return low, low - 1
+
+
+class TestCheckBound:
+    """Every numeric setting is checked by ``ingest.check_bound``, worded
+    ``{name} must be [a finite value ]>=|> {low}, got {value}``."""
+
+    def test_every_bound_is_listed(self):
+        assert len(BOUNDS) == 27
+
+    @pytest.mark.parametrize("key", list(BOUNDS))
+    def test_at_the_bound_passes_one_step_past_fails(self, key):
+        name, call, low, strict = BOUNDS[key]
+        passing, failing = _edges(low, strict)
+        call(passing)
+        kind = "a finite value " if isinstance(low, float) else ""
+        shown = f"{low:g}" if isinstance(low, float) else low
+        want = f"{name} must be {kind}{'>' if strict else '>='} {shown}, got {failing}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            call(failing)
+
+    @pytest.mark.parametrize("key", [k for k, v in BOUNDS.items() if isinstance(v[2], float)])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_float_bound_rejects_nan_and_infinity(self, key, value):
+        name, call, low, strict = BOUNDS[key]
+        want = f"{name} must be a finite value {'>' if strict else '>='} {low:g}, got {value}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            call(value)
+
+    def test_grad_clip_none_passes(self):
+        assert TrainConfig(grad_clip=None).grad_clip is None
+
+    def test_integers_beyond_the_float_range_are_finite(self):
+        ingest.check_bound("seed", 10**400, 0)
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            ingest.check_bound("seed", -1, 0)
