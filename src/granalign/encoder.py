@@ -15,6 +15,11 @@ The core defers the softmax division, as FlashAttention does (arXiv
 returns (e V) / z, and its backward takes the softmax row term with a
 vecdot instead of a grid-sized product. Each way it makes 7 passes over the
 [..., n, n] score grid, against 9 with the weights normalized on the grid.
+A block with no closed cell skips the mask pass and the two dead-row guards,
+so its forward makes 6. The row max is the reduction over the last axis on
+a small block and, from COLUMN_MAX_ROWS rows per column, a running maximum
+over the columns, one call per column; a max is exact, so both give the
+same bits.
 
 A batch of sequences runs as one packed [N, d] matrix of all their rows:
 every row-wise step works on it unchanged, and only the attention core pads
@@ -78,17 +83,35 @@ class EncoderConfig:
 # mask broadcasts against the [..., n, n] scores. Saved intermediates make
 # the backward pass a handful of batched matmuls. One [..., n, n] array is
 # alive at a time each way, updated in place. The forward passes over it
-# are q k^T, the mask, the row max, the shift, exp, the row sum and e V;
-# the backward's are e^T g, g v^T, the row vecdot, the subtraction, the
-# product with e and the two products that give d_q and d_k.
+# are q k^T, the mask (none on an open block), the row max, the shift, exp,
+# the row sum and e V; the backward's are e^T g, g v^T, the row vecdot, the
+# subtraction, the product with e and the two products that give d_q and d_k.
 # ---------------------------------------------------------------------------
 
 
 _LOWEST = np.finfo(np.float64).min
 EPS_NORM = 1e-5  # the variance floor of every layer norm
+# The fast paths' size rules, in one place: from COLUMN_MAX_ROWS rows per
+# column a block's row max runs over its columns, 2-20x cheaper there than the
+# reduction over a short last axis, which wins on smaller blocks (B = 1); a
+# layout of one sequence is built in plain Python (Layout).
+COLUMN_MAX_ROWS = 32
+
+
+def _row_max(scores):
+    """The [..., n, 1] max of each row of the [..., n, w] ``scores``."""
+    w = scores.shape[-1]
+    if scores.size < COLUMN_MAX_ROWS * w * w:
+        return scores.max(axis=-1, keepdims=True)
+    row_max = scores[..., 0].copy()
+    for j in range(1, w):
+        np.maximum(row_max, scores[..., j], out=row_max)
+    return row_max[..., None]
 
 
 def _ga_forward(q, k, v, g):
+    """``g`` broadcasts against the scores; None marks a block with no closed
+    cell, where the three mask steps are the identity and are skipped."""
     d_k = q.shape[-1]
     scores = np.matmul(q / math.sqrt(d_k), k.swapaxes(-1, -2))
     # Stabilize over the unmasked support only, so masked tokens cannot
@@ -97,13 +120,16 @@ def _ga_forward(q, k, v, g):
     # Masked cells become -inf by a broadcast minimum (for any score but
     # NaN), which runs 2.7x faster than copyto with where= on the
     # [16, 8, 55, 55] wide-grid scores.
-    np.minimum(scores, np.where(g, np.inf, -np.inf), out=scores)
-    row_max = scores.max(axis=-1, keepdims=True)
-    np.maximum(row_max, _LOWEST, out=row_max)  # a fully masked row stays -inf, not NaN
+    if g is not None:
+        np.minimum(scores, np.where(g, np.inf, -np.inf), out=scores)
+    row_max = _row_max(scores)
+    if g is not None:
+        np.maximum(row_max, _LOWEST, out=row_max)  # a fully masked row stays -inf, not NaN
     scores -= row_max
     e = np.exp(scores, out=scores)  # exp(-inf) = 0: masked cells are exactly zero
     z = e.sum(axis=-1, keepdims=True)  # >= 1 on a live row: its max cell is exp(0)
-    z = np.where(z > 0.0, z, np.inf)  # dead rows (z = 0) divide to exactly zero
+    if g is not None:
+        z = np.where(z > 0.0, z, np.inf)  # dead rows (z = 0) divide to exactly zero
     # The division by z is deferred to the [..., n, d_k] rows of e V.
     out = np.matmul(e, v)
     out /= z
@@ -171,6 +197,14 @@ class Layout:
     def __init__(self, *parts, split: int | None = None):
         split = len(parts) if split is None else split
         self.counts = counts = np.array(parts, dtype=np.intp)  # [P, B]
+        if counts.shape[1] == 1:  # one sequence: row r is position r and cell r
+            sizes = [int(p[0]) for p in parts]
+            n0, n = sum(sizes[:split]), sum(sizes)
+            self.lengths, self.n0 = np.array([n]), np.array([n0])
+            self.batch, self.w0, self.n_max, self.dense = 1, n0, n, True
+            self.sample, self.pos = np.zeros(n, dtype=np.intp), np.arange(n)
+            self.index = self.pos
+            return
         ends = counts.cumsum(axis=0)  # position after each part in its sequence
         starts = ends - counts
         self.lengths, self.n0 = ends[-1], ends[split - 1]
@@ -204,6 +238,8 @@ class Layout:
     def pad_masks(self, masks) -> np.ndarray:
         """Per-sequence [..., n_b, n_b] masks into one bool [..., B, n_max, n_max],
         each entry at the grid columns of its two positions."""
+        if self.batch == 1:  # the grid is the sequence's own
+            return np.asarray(masks[0], dtype=bool)[..., None, :, :]
         lead = np.shape(masks[0])[:-2]
         out = np.zeros(lead + (self.batch, self.n_max, self.n_max), dtype=bool)
         for b, (k, n, m) in enumerate(zip(self.n0.tolist(), self.lengths.tolist(), masks)):
@@ -294,7 +330,9 @@ def encoder_layer(x: ad.Tensor, g: np.ndarray, layer: LayerParams, cfg: EncoderC
     q, k, v = split(xd @ p.wq.data), split(xd @ p.wk.data), split(xd @ p.wv.data)
     parts, caches = [], []
     for r, c in blocks:
-        out_b, cache = _ga_forward(q[:, :, r], k[:, :, c], v[:, :, c], g[:, None, r, c])
+        g_b = g[:, None, r, c]
+        out_b, cache = _ga_forward(q[:, :, r], k[:, :, c], v[:, :, c],
+                                   None if g_b.all() else g_b)
         parts.append(out_b)
         caches.append(cache)
     ctx = join(_assemble(q.shape, rows, parts))

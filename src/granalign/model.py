@@ -341,11 +341,10 @@ class Model:
         for t in terms[1:]:
             total = total + t
         out = ad.Tensor(total.reshape(shape[:-1]))
-        p = np.exp(z - lse)
 
-        def backward(g):
+        def backward(g):  # the softmax is computed only when a tape sweeps back
             g = np.reshape(g, (1, -1, 1))
-            dz = p * g
+            dz = np.exp(z - lse) * g
             dz[:, r, idx] -= g[0, :, 0]
             return tuple(dz.reshape((len(heads),) + shape))
 

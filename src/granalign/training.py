@@ -25,9 +25,10 @@ from .data import Dataset
 from .ingest import SchemaError, check_bound, from_json, only_fields, require, strings
 from .model import LogitsBundle, Model, ModelConfig, PreparedSample
 
-# samples per forward pass in evaluate: one forward per 32-sample call pays
-# the ~3 ms fixed cost of a forward once; 64 is no faster and holds 2x the
-# attention score grids on wide scenes
+# samples per forward pass in evaluate: a forward pays ~1.9 ms of fixed cost
+# (pinned corpus, one BLAS thread), so one 32-sample call is ~13% faster per
+# sample than two of 16; 64 would be ~7% faster again, but holds 2x the
+# attention score grids on wide scenes and moves the losses' last bits
 EVAL_CHUNK = 32
 ADAM_CHUNK = 1 << 14  # elements per in-place Adam pass: 128 KiB per operand stays in cache
 # Adam's decay rates and denominator floor: the defaults of Kingma & Ba (arXiv 1412.6980)

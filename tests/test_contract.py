@@ -27,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import granalign.autodiff as ad
+from granalign import encoder
 from granalign.cli import main
 from granalign.data import DEFAULT_WORLD, ToyWorldSpec, _json_text, load_manifest
 from granalign.ingest import (FEATURE_LIMIT, DependencyEdge, QuestionParse, SceneGraph,
@@ -442,3 +443,50 @@ class TestBatchComposition:
             top = max(float(np.abs(t.data).max()) for t in alone.values())
             for head, t in alone.items():
                 assert np.abs(batch[head].data[b] - t.data).max() <= 1e-13 * top, head
+
+
+@st.composite
+def block_masks(draw):
+    """A bool [B, 1, n, w] mask of one scored block: fully open, or each row
+    dead, open in one cell, open throughout or drawn cell by cell."""
+    bsz, n, w = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        return np.ones((bsz, 1, n, w), dtype=bool)
+    rows = []
+    for _ in range(bsz * n):
+        kind = draw(st.sampled_from(("dead", "single", "open", "drawn")))
+        if kind == "drawn":
+            rows.append(draw(st.lists(st.booleans(), min_size=w, max_size=w)))
+        elif kind == "single":
+            rows.append(np.arange(w) == draw(st.integers(0, w - 1)))
+        else:
+            rows.append([kind == "open"] * w)
+    return np.array(rows, dtype=bool).reshape(bsz, 1, n, w)
+
+
+class TestAttentionCore:
+    @SETTINGS
+    @given(g=block_masks(), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 1e3, 1e6]))
+    def test_closed_columns_cannot_reach_the_output(self, g, seed, scale):
+        """Redrawing the k and v rows of every column a block closes in all its
+        rows leaves the core's output bitwise unchanged on each path: the row
+        max by reduction, by columns and, on a fully open block, without the
+        mask; and every path gives the same bits."""
+        rng = np.random.default_rng(seed)
+        bsz, _, n, w = g.shape
+        q = rng.normal(size=(bsz, 2, n, 4))
+        k, v = (rng.normal(size=(bsz, 2, w, 4)) for _ in range(2))
+        closed = ~g[:, 0].any(axis=1)  # [B, w]
+        k2, v2 = k.copy(), v.copy()
+        for a in (k2, v2):
+            a.transpose(0, 2, 1, 3)[closed] = scale * rng.normal(size=(closed.sum(), 2, 4))
+        outs = set()
+        with pytest.MonkeyPatch.context() as mp:
+            for rule in (0, 10**9):  # columns always, the reduction always
+                mp.setattr(encoder, "COLUMN_MAX_ROWS", rule)
+                for mask in ([g, None] if g.all() else [g]):
+                    base = encoder._ga_forward(q, k, v, mask)[0].tobytes()
+                    assert encoder._ga_forward(q, k2, v2, mask)[0].tobytes() == base
+                    outs.add(base)
+        assert len(outs) == 1

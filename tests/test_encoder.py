@@ -267,6 +267,82 @@ class TestDeferredDivision:
         assert n_dead > 100 and n_single > 100
 
 
+class TestFastPaths:
+    """The core's fast paths against the paths they replace, bitwise: the row
+    max over the columns against the reduction, and an open block (no closed
+    cell, g = None) against the masked path."""
+
+    @pytest.mark.parametrize("w", [1, 2, 5, 10, 55])
+    def test_column_max_is_the_reduction_at_both_edges(self, w, monkeypatch):
+        """One row below COLUMN_MAX_ROWS rows per column and at it, with dead
+        (-inf) rows and -inf cells, the rule's path, the column path and the
+        reduction all give the reduction's bits, and none a view of the
+        scores."""
+        rng = np.random.default_rng(w)
+        edge = encoder.COLUMN_MAX_ROWS * w
+        for rows in (edge - 1, edge):
+            s = rng.normal(size=(rows, w))
+            s[rng.random((rows, w)) < 0.3] = -np.inf
+            s[::7] = -np.inf
+            expect = s.max(axis=-1, keepdims=True).tobytes()
+            for rule in (encoder.COLUMN_MAX_ROWS, 0, rows + 1):  # the rule, columns, reduction
+                monkeypatch.setattr(encoder, "COLUMN_MAX_ROWS", rule)
+                got = encoder._row_max(s)
+                assert got.shape == (rows, 1) and got.tobytes() == expect
+                assert not np.shares_memory(got, s)
+
+    @pytest.mark.parametrize("shape", [(1, 8, 4, 4), (1, 8, 1, 9), (16, 8, 5, 5),
+                                       (16, 8, 12, 55)])
+    def test_open_block_is_the_masked_path(self, shape):
+        """On either side of the column rule, a block with every cell open gives
+        bitwise the same output, weights, row sums and q, k, v gradients
+        without its mask as with it."""
+        rng = np.random.default_rng(sum(shape))
+        bsz, heads, n, w = shape
+        q = rng.normal(size=(bsz, heads, n, 4))
+        k, v = (rng.normal(size=(bsz, heads, w, 4)) for _ in range(2))
+        masked = _ga_forward(q, k, v, np.ones((bsz, 1, n, w), dtype=bool))
+        open_ = _ga_forward(q, k, v, None)
+        assert masked[0].tobytes() == open_[0].tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(masked[1][3:5], open_[1][3:5]))
+        grad = rng.normal(size=masked[0].shape)
+        for a, b in zip(_ga_backward(grad, masked[1]), _ga_backward(grad, open_[1])):
+            assert a.tobytes() == b.tobytes()
+
+    def test_layer_sends_only_open_blocks_unmasked(self, monkeypatch):
+        """``encoder_layer`` passes None for exactly the scored blocks with no
+        closed cell, and its output and every gradient are bitwise those of
+        the masked path on every block."""
+        rng = np.random.default_rng(62)
+        cfg = EncoderConfig(num_layers=1, num_heads=2, d_model=8, d_ff=16)
+        layer = make_layer(rng, 8, 16)
+        x = ad.Tensor(rng.normal(size=(6, 8)))
+        w = rng.normal(size=(6, 8))
+        g = np.ones((1, 6, 6), dtype=bool)
+        g[0, 3:, :3] = False  # segment 1 rows reach segment 1 only
+        g[0, 5, 4] = False
+        blocks = encoder._blocks(True, True, False, True, 3)
+        real, seen = encoder._ga_forward, []
+
+        def run(force_mask):
+            def core(q, k, v, g_b):
+                seen.append(g_b is None)
+                if force_mask and g_b is None:
+                    g_b = np.ones(q.shape[:1] + (1,) + q.shape[2:3] + k.shape[2:3], dtype=bool)
+                return real(q, k, v, g_b)
+
+            monkeypatch.setattr(encoder, "_ga_forward", core)
+            with ad.Tape() as t:
+                out = encoder_layer(x, g, layer, cfg, Layout([6]), blocks)
+                loss = weighted_sum(out, w)
+            tensors = [x] + [getattr(layer, n) for n in TestFusedLayer.LAYER_INPUTS]
+            return [out.data] + t.gradients(loss, tensors)
+
+        fast, masked = run(False), run(True)
+        assert seen == [True, False] * 2
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(fast, masked))
+
+
 class TestMultiHead:
     def test_fused_heads_match_per_head_loop(self):
         """The batched head computation equals slicing the fused projections
@@ -547,6 +623,31 @@ class TestLayout:
             ref = np.zeros((2, layout.n_max, layout.n_max), dtype=bool)
             ref[:, at[:, None], at] = masks[b]
             assert np.array_equal(g[:, b], ref)
+
+    @SETTINGS
+    @given(drawn=part_counts(), seed=st.integers(0, 2**32 - 1))
+    def test_one_sequence_is_the_general_build(self, drawn, seed):
+        """A layout of one sequence, built in plain Python, agrees attribute by
+        attribute with the general build of that sequence beside an empty
+        second one, whose cells cannot move it; zero-size parts included.
+        Its masks are the sequence's own, bool."""
+        parts, split = drawn
+        one = Layout(*[p[:1] for p in parts], split=split)
+        pair = Layout(*[p[:1] + [0] for p in parts], split=split)
+        assert (one.batch, one.dense) == (1, True)
+        for name in ("counts", "lengths", "n0", "sample", "pos", "index"):
+            a, b = getattr(one, name), getattr(pair, name)
+            b = b[..., :1] if name in ("counts", "lengths", "n0") else b
+            assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+        assert (one.w0, one.n_max) == (pair.w0, pair.n_max)
+        assert type(one.w0) is int and type(one.n_max) is int
+        n = int(one.lengths[0])
+        assert one.pos.tolist() == one.index.tolist() == list(range(n))
+        m = np.random.default_rng(seed).random((2, n, n)) < 0.5
+        g = one.pad_masks([m.astype(float)])
+        assert g.dtype == bool and g.shape == (2, 1, n, n)
+        assert g.tobytes() == pair.pad_masks([m, np.zeros((2, 0, 0))])[:, :1].tobytes()
+        assert one.mean_matrix().tobytes() == pair.mean_matrix()[:1].tobytes()
 
     def test_single_sequence_is_dense(self):
         layout = Layout([4])
