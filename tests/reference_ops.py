@@ -14,7 +14,11 @@ And it keeps the first-occurrence loops that concept merging, node reduction
 and the world's vocabularies were written with before they shared one
 collapse (``ingest._collapse``): ``merge_duplicate_concept_tokens``,
 ``node_reduction``, ``word_vocab`` and ``answer_vocab``, whose results the
-tests require the package's to equal exactly.
+tests require the package's to equal exactly. Last, ``ablation_rows`` keeps
+the ablation loop as it ran before it shared the train command's model
+builder and split reader: per variant a fresh ``TrainConfig``, a ``Model``,
+``Trainer.fit`` and ``evaluate``, whose rows ``training.ablation_table`` must
+equal float for float.
 """
 
 from __future__ import annotations
@@ -22,14 +26,17 @@ from __future__ import annotations
 from typing import Sequence
 
 import math
+import os
 
 import numpy as np
 
 import granalign.autodiff as ad
 from granalign import encoder
+from granalign.data import load_manifest
 from granalign.encoder import EPS_NORM
 from granalign.ingest import LevelData
-from granalign.model import STREAMS, LogitsBundle
+from granalign.model import STREAMS, LogitsBundle, Model, ModelConfig
+from granalign.training import ABLATION_VARIANTS, Trainer, TrainConfig, evaluate
 
 # ---------------------------------------------------------------------------
 # operations
@@ -410,3 +417,27 @@ def answer_vocab(spec) -> list[str]:
         if yn not in out:
             out.append(yn)
     return out
+
+
+def ablation_rows(data_dir: str, model_kw: dict, train_kw: dict,
+                  word_vector_file=None, relation_data: str | None = None) -> list[dict]:
+    """``training.ablation_table``: every variant on ``data_dir``, then the
+    full and mask-free variants on ``relation_data``, each trained from a
+    fresh seeded model and evaluated on its corpus's eval split."""
+    rows = []
+    runs = [("", data_dir, ABLATION_VARIANTS)]
+    if relation_data is not None:
+        runs.append((" (relation corpus)", relation_data, ABLATION_VARIANTS[:2]))
+    for suffix, d, variants in runs:
+        train_ds = load_manifest(os.path.join(d, "train.json"))
+        eval_ds = load_manifest(os.path.join(d, "eval.json"))
+        for name, patch in variants:
+            cfg = TrainConfig(**train_kw)
+            model = Model(ModelConfig(**{**model_kw, **patch}), train_ds.word_vocab,
+                          train_ds.answer_vocab, train_ds.d_region, train_ds.d_spatial,
+                          seed=cfg.seed, word_vector_file=word_vector_file)
+            train = Trainer(model, train_ds, cfg).fit()[-1]
+            report = evaluate(model, eval_ds)
+            rows.append({"variant": name + suffix, "train_acc": train["acc_avg"],
+                         "eval_acc": report["acc_avg"], "eval_loss": report["loss"]})
+    return rows

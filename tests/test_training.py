@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import granalign.autodiff as ad
-from granalign.data import Dataset, Sample, ToyWorldSpec, gen_data, load_manifest
+from granalign.data import DEFAULT_WORLD, Dataset, Sample, ToyWorldSpec, gen_corpus, gen_data, load_manifest
 from granalign.model import LogitsBundle, Model, ModelConfig
 from granalign import training
 from granalign.training import (
@@ -27,7 +27,7 @@ from granalign.training import (
     save_checkpoint,
 )
 import reference_ops as refops
-from conftest import TextbookAdam
+from conftest import TextbookAdam, fixture_path
 
 WORDS = ["what", "color", "is", "the", "there", "a",
          "girl", "dog", "brown", "left", "right"]
@@ -859,3 +859,24 @@ class TestLossValue:
             bundle = model.forward(prep)
             tape_loss = float(model.loss(bundle, 1).data)
         assert loss_value(model, prep) == tape_loss
+
+
+class TestAblationTable:
+    @pytest.mark.parametrize("word_vectors", [None, "wordvecs.txt"], ids=["init", "vectors"])
+    def test_rows_are_the_per_variant_reference_runs(self, tmp_path, word_vectors):
+        """Every row, float for float, is a fresh seeded model trained by
+        ``Trainer.fit`` and scored by ``evaluate``, as the reference loop runs it."""
+        data, rel = tmp_path / "full", tmp_path / "relation"
+        gen_corpus(DEFAULT_WORLD, 8, 4, 23, str(data))
+        gen_corpus(ToyWorldSpec(templates=("relation",)), 4, 2, 31, str(rel))
+        model_kw = dict(d_model=8, d_emb=8, num_heads=2, num_layers=2, d_ff=16)
+        train_kw = dict(batch_size=4, epochs=1, seed=5, lr=1e-3)
+        vectors = word_vectors and fixture_path(word_vectors)
+        rows = training.ablation_table(str(data), model_kw, train_kw,
+                                       {} if vectors is None else {"word_vectors": vectors},
+                                       relation_data=str(rel))
+        assert rows == refops.ablation_rows(str(data), model_kw, train_kw, vectors,
+                                            relation_data=str(rel))
+        assert [r["variant"] for r in rows] == [
+            *(name for name, _ in training.ABLATION_VARIANTS),
+            "full (relation corpus)", "no_lead_graph (relation corpus)"]
