@@ -11,17 +11,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 from . import data as toydata
 from . import training
-from .data import DEFAULT_WORLD, Sample, ToyWorldSpec, load_manifest
+from .data import DEFAULT_WORLD, Sample, ToyWorldSpec, load_split
 from .ingest import (SchemaError, _schema, only_fields, question_from_dict, read_json,
                      read_lines, require, scene_from_dict)
 from .leadgraph import format_grid
-from .model import STREAMS, Model, ModelConfig, build_streams
-from .training import Trainer, TrainConfig, evaluate, gradcheck, load_checkpoint
+from .model import STREAMS, ModelConfig, build_streams
+from .training import Trainer, TrainConfig, build_model, evaluate, gradcheck, load_checkpoint
 
 # ---------------------------------------------------------------------------
 # config file
@@ -85,17 +84,6 @@ def parse_config_file(path: str | None) -> tuple[dict, dict, dict]:
     return model_kw, train_kw, extra
 
 
-def _build_model(dataset, model_kw: dict, extra: dict, seed: int) -> Model:
-    config = ModelConfig(**model_kw)
-    return Model(config, dataset.word_vocab, dataset.answer_vocab,
-                 dataset.d_region, dataset.d_spatial, seed=seed,
-                 word_vector_file=extra.get("word_vectors"))
-
-
-def _manifest_path(data_dir: str, split: str) -> str:
-    return os.path.join(data_dir, f"{split}.json")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -115,9 +103,9 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     model_kw, train_kw, extra = parse_config_file(args.config)
-    dataset = load_manifest(_manifest_path(args.data, "train"))
+    dataset = load_split(args.data, "train")
     cfg = TrainConfig(**train_kw)
-    model = _build_model(dataset, model_kw, extra, seed=cfg.seed)
+    model = build_model(dataset, model_kw, cfg.seed, extra.get("word_vectors"))
     trainer = Trainer(model, dataset, cfg)
     out = open(args.log, "w", encoding="utf-8") if args.log else sys.stdout
     try:
@@ -130,7 +118,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model, _ = load_checkpoint(args.ckpt)
-    dataset = load_manifest(_manifest_path(args.data, args.split))
+    dataset = load_split(args.data, args.split)
     report = evaluate(model, dataset)
     print(json.dumps(report, sort_keys=True))
     return 0
@@ -138,9 +126,9 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     model_kw, train_kw, extra = parse_config_file(args.config)
-    dataset = load_manifest(_manifest_path(args.data, "train"))
+    dataset = load_split(args.data, "train")
     seed = TrainConfig(**train_kw).seed
-    model = _build_model(dataset, model_kw, extra, seed=seed)
+    model = build_model(dataset, model_kw, seed, extra.get("word_vectors"))
     if not 0 <= args.sample < len(dataset.samples):
         raise ValueError(f"sample index {args.sample} out of range")
     s = dataset.samples[args.sample]
@@ -245,7 +233,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, SchemaError, FloatingPointError, OSError) as e:
+    except (ValueError, SchemaError, FloatingPointError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -5,7 +5,9 @@ relations follow from column order. Questions come from three fixed
 templates (attribute, relation, existence) with hand-built parses.
 Region and spatial features are seeded hash-to-vector maps plus noise,
 so labels never depend on the noise. ``solve`` re-derives every answer
-from the scene graph alone and serves as the ground-truth oracle.
+from the scene graph alone and serves as the ground-truth oracle. A corpus
+directory holds one ``{split}.json`` manifest per split, which ``load_split``
+reads by the split's name.
 """
 
 from __future__ import annotations
@@ -472,3 +474,8 @@ def load_manifest(path: str) -> Dataset:
         samples.append(s)
     return Dataset(samples=samples, word_vocab=m.word_vocab, answer_vocab=m.answer_vocab,
                    d_region=m.d_region, d_spatial=m.d_spatial, grid_size=m.grid_size)
+
+
+def load_split(data_dir: str, split: str) -> Dataset:
+    """``load_manifest`` of the ``split`` that ``gen_data`` wrote into ``data_dir``."""
+    return load_manifest(os.path.join(data_dir, f"{split}.json"))

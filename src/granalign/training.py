@@ -1,4 +1,4 @@
-"""Adam optimizer, training loop, evaluation, gradient check, checkpoints.
+"""Adam optimizer, training loop, evaluation, gradient check, ablations, checkpoints.
 
 All arithmetic is 64-bit and deterministic given (seed, config, data):
 shuffling uses a dedicated generator, each minibatch runs as one forward
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import Dataset
+from .data import Dataset, load_split
 from .ingest import SchemaError, check_bound, from_json, only_fields, require, strings
 from .model import LogitsBundle, Model, ModelConfig, PreparedSample
 
@@ -136,7 +136,9 @@ def _metrics(loss_sum: float, counts: dict[str, int], n: int) -> dict[str, float
 
 
 def _check_fits(model: Model, dataset: Dataset) -> None:
-    """A ValueError unless ``dataset`` has ``model``'s answers and feature widths."""
+    """A ValueError unless ``dataset`` has samples, ``model``'s answers and feature widths."""
+    if not dataset.samples:
+        raise ValueError("dataset is empty")
     if dataset.answer_vocab != model.answer_vocab:
         raise ValueError("dataset answer vocabulary does not match the model")
     for key in ("d_region", "d_spatial"):
@@ -150,8 +152,6 @@ class Trainer:
     """Minibatch training: one forward pass and one tape per batch."""
 
     def __init__(self, model: Model, dataset: Dataset, cfg: TrainConfig):
-        if not dataset.samples:
-            raise ValueError("training dataset is empty")
         _check_fits(model, dataset)
         self.model = model
         self.cfg = cfg
@@ -208,8 +208,6 @@ class Trainer:
 def evaluate(model: Model, dataset: Dataset,
              prepared: list[PreparedSample] | None = None) -> dict[str, float]:
     """Top-1 accuracy of the averaged prediction and of each logit head."""
-    if not dataset.samples:
-        raise ValueError("cannot evaluate on an empty dataset")
     _check_fits(model, dataset)
     if prepared is None:
         prepared = [model.prepare(s.scene, s.question, dataset.answer_index(s.answer))
@@ -310,20 +308,10 @@ def gradcheck(model: Model, prep: PreparedSample, step: float = 1e-5,
 # ---------------------------------------------------------------------------
 
 
-def run_experiment(train_ds: Dataset, eval_ds: Dataset, model_kw: dict,
-                   train_kw: dict, word_vector_file=None) -> dict:
-    """Train a fresh seeded model and evaluate it; returns both metric records
-    (the training one from the last of at least one epoch)."""
-    cfg = TrainConfig(**train_kw)
-    if cfg.epochs < 1:
-        raise ValueError(f"an experiment needs epochs >= 1 to report training metrics, "
-                         f"got {cfg.epochs}")
-    model = Model(ModelConfig(**model_kw), train_ds.word_vocab, train_ds.answer_vocab,
-                  train_ds.d_region, train_ds.d_spatial, seed=cfg.seed,
-                  word_vector_file=word_vector_file)
-    trainer = Trainer(model, train_ds, cfg)
-    history = trainer.fit()
-    return {"train": history[-1], "eval": evaluate(model, eval_ds), "model": model}
+def build_model(dataset: Dataset, model_kw: dict, seed: int, word_vectors=None) -> Model:
+    """A fresh seeded model for ``dataset``'s vocabularies and feature widths."""
+    return Model(ModelConfig(**model_kw), dataset.word_vocab, dataset.answer_vocab,
+                 dataset.d_region, dataset.d_spatial, seed=seed, word_vector_file=word_vectors)
 
 
 ABLATION_VARIANTS = (
@@ -340,33 +328,30 @@ def ablation_table(data_dir: str, model_kw: dict, train_kw: dict, extra: dict,
                    relation_data: str | None = None) -> list[dict]:
     """Train every ablation variant on one corpus and report accuracies.
 
-    ``relation_data`` optionally names a relation-question-only corpus; the
-    full and mask-free variants run on it too, as extra rows. Rows report
-    numbers, not verdicts: orderings are not asserted anywhere.
+    Each variant is a fresh ``build_model`` trained by ``Trainer.fit`` on the
+    ``train`` split and scored by ``evaluate`` on the ``eval`` split, with one
+    ``TrainConfig`` for all. ``relation_data`` optionally names a
+    relation-question-only corpus; the full and mask-free variants run on it
+    too, as extra rows. Rows report numbers, not verdicts: orderings are not
+    asserted anywhere.
     """
-    from .data import load_manifest
-
-    def corpus(d):
-        return (load_manifest(os.path.join(d, "train.json")),
-                load_manifest(os.path.join(d, "eval.json")))
-
-    rows = []
-
-    def add_rows(tag_suffix, train_ds, eval_ds, variants):
-        for name, patch in variants:
-            res = run_experiment(train_ds, eval_ds, {**model_kw, **patch},
-                                 dict(train_kw), extra.get("word_vectors"))
-            rows.append({
-                "variant": name + tag_suffix,
-                "train_acc": res["train"]["acc_avg"],
-                "eval_acc": res["eval"]["acc_avg"],
-                "eval_loss": res["eval"]["loss"],
-            })
-
-    add_rows("", *corpus(data_dir), ABLATION_VARIANTS)
+    cfg = TrainConfig(**train_kw)
+    if cfg.epochs < 1:
+        raise ValueError(f"an experiment needs epochs >= 1 to report training metrics, "
+                         f"got {cfg.epochs}")
+    runs = [("", data_dir, ABLATION_VARIANTS)]
     if relation_data is not None:
-        add_rows(" (relation corpus)", *corpus(relation_data),
-                 (ABLATION_VARIANTS[0], ABLATION_VARIANTS[1]))
+        runs.append((" (relation corpus)", relation_data, ABLATION_VARIANTS[:2]))
+    rows = []
+    for suffix, d, variants in runs:
+        train_ds, eval_ds = load_split(d, "train"), load_split(d, "eval")
+        for name, patch in variants:
+            model = build_model(train_ds, {**model_kw, **patch}, cfg.seed,
+                                extra.get("word_vectors"))
+            train = Trainer(model, train_ds, cfg).fit()[-1]
+            report = evaluate(model, eval_ds)
+            rows.append({"variant": name + suffix, "train_acc": train["acc_avg"],
+                         "eval_acc": report["acc_avg"], "eval_loss": report["loss"]})
     return rows
 
 

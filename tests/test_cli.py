@@ -197,6 +197,18 @@ class TestGenData:
                                "feature value beyond ±1e+150\n")
         assert not (tmp_path / "c").exists()
 
+    def test_allocation_beyond_any_memory_exits_one(self, tmp_path, capsys):
+        """A feature width of 1e13 fails at its first allocation: an error
+        line, exit 1 and no traceback, and nothing written."""
+        spec_path = tmp_path / "world.json"
+        spec_path.write_text(json.dumps({"d_region": 10_000_000_000_000}))
+        rc = main(["gen-data", "--spec", str(spec_path), "--n", "3",
+                   "--out", str(tmp_path / "c")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "c").exists()
+
     def test_negative_seed_names_the_seed_and_writes_nothing(self, tmp_path, capsys):
         out, fresh = tmp_path / "c", tmp_path / "fresh"
         assert main(["gen-data", "--n", "2", "--eval-n", "1", "--out", str(out)]) == 0
@@ -302,6 +314,19 @@ class TestTrainEval:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "epochs" in err
+        assert not ckpt.exists()
+
+    def test_model_beyond_any_memory_exits_one(self, cli_corpus, tmp_path, capsys):
+        """A d_model of 8e12 fails at its first allocation: an error line,
+        exit 1 and no traceback, and no checkpoint."""
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("d_model = 8000000000000\n")
+        ckpt = tmp_path / "m.ckpt"
+        rc = main(["train", "--data", str(cli_corpus), "--config", str(cfg),
+                   "--out", str(ckpt)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
         assert not ckpt.exists()
 
     def test_missing_checkpoint_exits_one(self, cli_corpus, capsys):

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import granalign.autodiff as ad
-from granalign.data import DEFAULT_WORLD, Dataset, Sample, ToyWorldSpec, gen_corpus, gen_data, load_manifest
+from granalign.data import (DEFAULT_WORLD, Dataset, Sample, ToyWorldSpec, gen_corpus, gen_data,
+                            load_manifest)
 from granalign.model import LogitsBundle, Model, ModelConfig
 from granalign import training
 from granalign.training import (
@@ -862,8 +863,9 @@ class TestLossValue:
 
 
 class TestAblationTable:
-    @pytest.mark.parametrize("word_vectors", [None, "wordvecs.txt"], ids=["init", "vectors"])
-    def test_rows_are_the_per_variant_reference_runs(self, tmp_path, word_vectors):
+    @pytest.mark.parametrize("vectors", [None, fixture_path("wordvecs.txt")],
+                             ids=["init", "vectors"])
+    def test_rows_are_the_per_variant_reference_runs(self, tmp_path, vectors):
         """Every row, float for float, is a fresh seeded model trained by
         ``Trainer.fit`` and scored by ``evaluate``, as the reference loop runs it."""
         data, rel = tmp_path / "full", tmp_path / "relation"
@@ -871,7 +873,6 @@ class TestAblationTable:
         gen_corpus(ToyWorldSpec(templates=("relation",)), 4, 2, 31, str(rel))
         model_kw = dict(d_model=8, d_emb=8, num_heads=2, num_layers=2, d_ff=16)
         train_kw = dict(batch_size=4, epochs=1, seed=5, lr=1e-3)
-        vectors = word_vectors and fixture_path(word_vectors)
         rows = training.ablation_table(str(data), model_kw, train_kw,
                                        {} if vectors is None else {"word_vectors": vectors},
                                        relation_data=str(rel))
