@@ -7,7 +7,7 @@ into a joint answer prediction. Everything numerical is float64 numpy.
 
 from . import autodiff, data, encoder, ingest, leadgraph, model, training
 from .autodiff import Parameters, Tape, Tensor
-from .data import DEFAULT_WORLD, Dataset, Sample, ToyWorldSpec, gen_corpus, gen_data, load_manifest, solve
+from .data import DEFAULT_WORLD, Dataset, Sample, ToyWorldSpec, gen_corpus, load_manifest, solve
 from .encoder import EncoderConfig, EncoderStack, ga_attention, sentence_pretransform
 from .ingest import LevelData, QuestionParse, SceneGraph, SchemaError, Vocab
 from .leadgraph import LeadGraph, full_graph, layer_masks, pairs_to_matrix

@@ -16,8 +16,7 @@ import sys
 from . import data as toydata
 from . import training
 from .data import DEFAULT_WORLD, Sample, ToyWorldSpec, load_split
-from .ingest import (SchemaError, _schema, only_fields, question_from_dict, read_json,
-                     read_lines, require, scene_from_dict)
+from .ingest import SchemaError, expect, from_json, read_json, read_lines
 from .leadgraph import format_grid
 from .model import STREAMS, ModelConfig, build_streams
 from .training import Trainer, TrainConfig, build_model, evaluate, gradcheck, load_checkpoint
@@ -146,10 +145,10 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_dump_leadgraph(args) -> int:
-    doc = only_fields(read_json(args.sample), args.sample, _schema(Sample)[0])
-    scene = scene_from_dict(require(doc, "scene", args.sample, dict), args.sample)
-    question = question_from_dict(require(doc, "question", args.sample, dict), args.sample)
-    levels, plans = build_streams(scene, question, ModelConfig(streams=(args.stream,)))
+    # a lone sample file may leave out the id and answer that a corpus holds
+    doc = {"id": "", "answer": "", **expect(read_json(args.sample), dict, args.sample)}
+    s = from_json(Sample, doc, args.sample, required=True)
+    levels, plans = build_streams(s.scene, s.question, ModelConfig(streams=(args.stream,)))
     stream = STREAMS[args.stream]
     print(f"# stream {args.stream} layer {args.layer}")
     print(f"# image_tokens {levels[stream.image].n_tokens} sep 1 "

@@ -29,9 +29,10 @@ from .ingest import (
     SchemaError,
     SpatialGrid,
     check_bound,
+    check_size,
+    expect,
     from_json,
     read_json,
-    require,
     to_json,
 )
 
@@ -85,6 +86,8 @@ class ToyWorldSpec:
             raise ValueError("exactly two relations (column order and its reverse)")
         check_bound("objects_min", self.objects_min, 1)
         check_bound("objects_max", self.objects_max, self.objects_min)
+        check_size("a scene's feature count (grid_size² × d_spatial + objects_max × d_region)",
+                   self.grid_size ** 2 * self.d_spatial + self.objects_max * self.d_region)
         if self.objects_max > len(self.categories):
             raise ValueError("objects_max exceeds the category set (sampling is without replacement)")
         if self.objects_max > self.grid_size ** 2:
@@ -404,22 +407,15 @@ def _dump_json(path: str, obj: dict) -> None:
         f.write(_json_text(obj) + "\n")
 
 
-def gen_data(spec: ToyWorldSpec, n: int, seed: int, out_dir: str,
-             split: str = "train") -> str:
-    """Write one split (manifest + per-sample files); returns the manifest path.
-
-    The vocabularies derive from the world spec, not the drawn samples, so
-    splits generated from the same spec share stable indices.
-    """
-    return _write_split(spec, gen_samples(spec, n, _seed_sequence(seed), split), out_dir, split)
-
-
 def _seed_sequence(seed: int) -> np.random.SeedSequence:
     check_bound("seed", seed, 0)
     return np.random.SeedSequence([seed])
 
 
 def _write_split(spec: ToyWorldSpec, samples: list[Sample], out_dir: str, split: str) -> str:
+    """Write one split (manifest + per-sample files); returns the manifest path.
+    The vocabularies derive from the world spec, not the drawn samples, so
+    splits generated from the same spec share stable indices."""
     sample_dir = os.path.join(out_dir, "samples")
     os.makedirs(sample_dir, exist_ok=True)
     rel_paths = []
@@ -450,8 +446,8 @@ def load_manifest(path: str) -> Dataset:
     """Read and fully validate a manifest and every sample file it lists."""
     doc = read_json(path)
     # the version first: another version may hold other fields
-    if require(doc, "version", path, int) != MANIFEST_VERSION:
-        raise SchemaError(f"{path}: unsupported manifest version {doc['version']!r}")
+    if (version := expect(doc, dict, path).get("version")) != MANIFEST_VERSION:
+        raise SchemaError(f"{path}: unsupported manifest version {version!r}")
     m = from_json(Manifest, doc, path, required=True)
     base = os.path.dirname(os.path.abspath(path))
     samples = []
@@ -477,5 +473,5 @@ def load_manifest(path: str) -> Dataset:
 
 
 def load_split(data_dir: str, split: str) -> Dataset:
-    """``load_manifest`` of the ``split`` that ``gen_data`` wrote into ``data_dir``."""
+    """``load_manifest`` of the ``split`` manifest in ``data_dir``, as ``gen_corpus`` names it."""
     return load_manifest(os.path.join(data_dir, f"{split}.json"))

@@ -53,7 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .ingest import check_bound
+from .ingest import check_bound, check_size
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,9 @@ class EncoderConfig:
         if self.d_model % self.num_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by {self.num_heads} heads")
         check_bound("max_len", self.max_len, 1)
+        d, f = self.d_model, self.d_ff  # the blocks EncoderStack.build draws
+        check_size("an encoder stack's parameter count (num_layers, d_model, d_ff, max_len)",
+                   self.num_layers * (4 * d * d + 2 * d * f + f + 5 * d) + self.max_len * d)
 
     @property
     def d_k(self) -> int:

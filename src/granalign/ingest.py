@@ -13,9 +13,10 @@ label, collapse by one first-occurrence rule (``_collapse``). Feature
 extraction and parsing happen upstream; this module only consumes their
 structured output: the records ``SceneGraph`` and ``QuestionParse``, whose
 annotations and ``__post_init__`` rules are the sample-file schema. The one
-typed-JSON reader ``from_json`` reads them and every other input document
-(of a checkpoint header, only ``model_config``), and ``to_json`` writes them.
-``check_bound`` is the one lower-bound check, and error wording, of every numeric setting.
+typed-JSON reader ``from_json`` reads them and every other input document,
+checkpoint headers included, and ``to_json`` writes them and those headers.
+``check_bound`` is the one lower-bound check, and error wording, of every numeric setting,
+and ``check_size`` the one upper bound on the values a size setting makes.
 """
 
 from __future__ import annotations
@@ -64,6 +65,18 @@ def check_bound(name: str, value, low, strict: bool = False) -> None:
             and (value > low if strict else value >= low)):
         kind, low = ("a finite value ", f"{low:g}") if isinstance(low, float) else ("", low)
         raise ValueError(f"{name} must be {kind}{'>' if strict else '>='} {low}, got {value}")
+
+
+# Most values one size setting may make: an encoder stack's parameters or a
+# generated scene's features, 80 MB of float64. Checked before the first draw,
+# so a huge setting fails at once rather than filling memory draw by draw.
+SIZE_LIMIT = 10**7
+
+
+def check_size(what: str, count: int) -> None:
+    """ValueError if ``count``, the values that ``what`` counts, exceeds ``SIZE_LIMIT``."""
+    if count > SIZE_LIMIT:
+        raise ValueError(f"{what} is {count}, beyond the limit {SIZE_LIMIT:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +197,8 @@ class LevelData:
 _JSON_TYPES = {dict: ((dict,), "an object"), list: ((list, tuple), "a list"),
                str: ((str,), "a string"), int: ((int,), "an integer"),
                float: ((int, float), "a number"), bool: ((bool,), "a boolean")}
+_JSON_TYPES.update({kind | None: (types + (type(None),), f"{name} or null")
+                    for kind, (types, name) in _JSON_TYPES.items()})
 
 
 def read_json(path):
@@ -207,33 +222,11 @@ def read_lines(path) -> list[str]:
 
 
 def expect(value, kind: type, what: str):
-    """``value`` if it is a JSON value of ``kind`` (a bool only if ``kind`` is bool)."""
+    """``value`` if it is a JSON value of ``kind`` (a bool only if ``kind`` admits bool)."""
     types, name = _JSON_TYPES[kind]
-    if not isinstance(value, types) or isinstance(value, bool) and kind is not bool:
+    if not isinstance(value, types) or isinstance(value, bool) and bool not in types:
         raise SchemaError(f"{what} must be {name}, got {type(value).__name__}")
     return value
-
-
-def require(d, key: str, where: str, kind: type):
-    """Field ``key`` of the JSON object ``d``, a value of ``kind``."""
-    if key not in expect(d, dict, where):
-        raise SchemaError(f"{where}: missing field {key!r}")
-    return expect(d[key], kind, f"{where}: field {key!r}")
-
-
-def strings(values: list, what: str) -> list[str]:
-    bad = [v for v in values if not isinstance(v, str)]
-    if bad:
-        raise SchemaError(f"{what} must hold strings, got {type(bad[0]).__name__}")
-    return list(values)
-
-
-def only_fields(d, where: str, names) -> dict:
-    """The JSON object ``d`` if each of its keys is one of ``names``."""
-    unknown = sorted(set(expect(d, dict, where)) - set(names))
-    if unknown:
-        raise SchemaError(f"{where}: unknown fields {unknown}")
-    return d
 
 
 def from_json(cls, obj, where: str, required: bool):
@@ -244,7 +237,8 @@ def from_json(cls, obj, where: str, required: bool):
     Errors name the path from ``where``, as does a ValueError of ``cls``."""
     keys, fields = _schema(cls)
     if type(obj) is not dict or not keys.issuperset(obj):
-        only_fields(obj, where, keys)  # raises for a non-object or an unknown key
+        if unknown := sorted(set(expect(obj, dict, where)) - keys):
+            raise SchemaError(f"{where}: unknown fields {unknown}")
     kwargs = {}
     for name, key, kind, read, _, missing in fields:
         value = obj.get(key, missing)
@@ -285,9 +279,13 @@ def _schema(cls) -> tuple[frozenset, tuple]:
 def _codec(tp, ndim):
     """The JSON type of a value annotated ``tp``, its reader ``(value, where,
     key)`` and its writer ``(value)``, each None for the value as it is. A
-    dataclass is an object, a list or ``tuple[X, ...]`` a list read item by
-    item, a named pair such as ``DependencyEdge`` a list of two integers, and
-    an array a list of numbers or of rows (``_numbers``)."""
+    dataclass is an object, ``X | None`` null or an X, a list or ``tuple[X,
+    ...]`` a list read item by item (plain values in one pass), a named pair
+    such as ``DependencyEdge`` two integers, and an array numbers or rows."""
+    if type(None) in typing.get_args(tp):  # X | None
+        kind, read, write = _codec(typing.get_args(tp)[0], ndim)
+        return (kind | None, read and (lambda v, w, k: v if v is None else read(v, w, k)),
+                write and (lambda v: v if v is None else write(v)))
     if dataclasses.is_dataclass(tp):
         return dict, lambda v, where, key: from_json(tp, v, f"{where}: {key}", True), to_json
     if tp is np.ndarray:
@@ -305,11 +303,14 @@ def _codec(tp, ndim):
     if wrap not in (list, tuple):
         return tp, None, None
     kind, read, write = _codec(typing.get_args(tp)[0], ndim)
-    types = _JSON_TYPES[kind][0]
+    types, name = _JSON_TYPES[kind]
 
     def items(v, where, key):
-        if kind is str:
-            return wrap(strings(v, f"{where}: {key}"))
+        if read is None:  # plain values in one pass; a bool is not an integer
+            if bad := [x for x in v if type(x) not in types]:
+                raise SchemaError(f"{where}: {key} must hold {name.split()[-1]}s, "
+                                  f"got {type(bad[0]).__name__}")
+            return wrap(v)
         return wrap(read(x if type(x) in types else expect(x, kind, f"{where}: {key}[{i}]"),
                          where, f"{key}[{i}]") for i, x in enumerate(v))
     return list, items, list if write is None else lambda v: [write(x) for x in v]

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import Dataset, load_split
-from .ingest import SchemaError, check_bound, from_json, only_fields, require, strings
+from .ingest import SchemaError, check_bound, from_json, to_json
 from .model import LogitsBundle, Model, ModelConfig, PreparedSample
 
 # samples per forward pass in evaluate: a forward pays ~1.9 ms of fixed cost
@@ -381,19 +381,11 @@ def save_checkpoint(path: str, model: Model, optimizer: Adam | None = None) -> N
     The bytes go to a temporary file beside ``path`` that replaces it only once
     written and synced, so a failed or interrupted save leaves the old file whole.
     """
-    header = {
-        "model_config": dataclasses.asdict(model.config),
-        "word_vocab": list(model.vocab.words),
-        "answer_vocab": list(model.answer_vocab),
-        "d_region": model.d_region,
-        "d_spatial": model.d_spatial,
-        "d_emb": model.d_emb,
-        "blocks": [{"name": n, "shape": list(t.data.shape)} for n, t in model.params.items()],
-        "optimizer": None,
-    }
-    if optimizer is not None:
-        header["optimizer"] = {"lr": optimizer.lr, "step": optimizer.step_count}
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    header = Header(model.config, model.vocab.words, model.answer_vocab, model.d_region,
+                    model.d_spatial, model.d_emb,
+                    [Block(n, list(t.data.shape)) for n, t in model.params.items()],
+                    None if optimizer is None else AdamState(optimizer.lr, optimizer.step_count))
+    blob = json.dumps(to_json(header), sort_keys=True).encode("utf-8")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
@@ -414,53 +406,66 @@ def _sections(params: ad.Parameters, optimizer: Adam | None) -> list[np.ndarray]
     return [params.flat] + ([] if optimizer is None else [optimizer.m_flat, optimizer.v_flat])
 
 
-HEADER_FIELDS = ("model_config", "word_vocab", "answer_vocab", "d_region", "d_spatial", "d_emb",
-                 "blocks", "optimizer")
+@dataclass
+class Block:
+    name: str
+    shape: list[int]
+
+    def __post_init__(self):
+        if any(n < 0 for n in self.shape):
+            raise ValueError("field 'shape' must hold integers >= 0")
 
 
-def _model_from_header(header, left: int) -> tuple[Model, Adam | None]:
-    """The model the header describes, built block by block against the header's
-    list; plus the optimizer it records, with zero moments. The blocks the
-    header lists must fill the ``left`` bytes after it exactly."""
-    where = "checkpoint header"
-    if "optimizer" not in only_fields(header, where, HEADER_FIELDS):
-        raise SchemaError(f"{where}: missing field 'optimizer'")
-    # the top-level d_emb wins: a word-vector file may set it at train time
-    config = from_json(ModelConfig, {**require(header, "model_config", where, dict),
-                                     "d_emb": require(header, "d_emb", where, int)},
-                       f"{where}: model_config", required=True)
-    vocabs = [strings(require(header, key, where, list), f"{where}: field {key!r}")
-              for key in ("word_vocab", "answer_vocab")]
-    blocks = require(header, "blocks", where, list)
-    for i, b in enumerate(blocks):
-        what = f"{where}: blocks[{i}]"
-        require(only_fields(b, what, ("name", "shape")), "name", what, str)
-        if not all(type(n) is int and n >= 0 for n in require(b, "shape", what, list)):
-            raise SchemaError(f"{what}: field 'shape' must hold integers >= 0")
+@dataclass
+class AdamState:
+    lr: float
+    step: int
+
+    def __post_init__(self):
+        check_bound("lr", self.lr, 0.0, strict=True)
+        check_bound("step", self.step, 0)
+
+
+@dataclass
+class Header:
+    """A checkpoint's JSON header: its blocks in file order, and ``d_emb`` the
+    model's, which a word-vector file sets apart from ``model_config``'s."""
+
+    model_config: ModelConfig
+    word_vocab: list[str]
+    answer_vocab: list[str]
+    d_region: int
+    d_spatial: int
+    d_emb: int
+    blocks: list[Block]
+    optimizer: AdamState | None
+
+    def __post_init__(self):
+        check_bound("d_emb", self.d_emb, 1)
+
+
+def _model_from_header(doc, left: int) -> tuple[Model, Adam | None]:
+    """The model the header ``doc`` describes, built block by block against the
+    header's list; plus the optimizer it records, with zero moments. The blocks
+    the header lists must fill the ``left`` bytes after it exactly."""
+    h = from_json(Header, doc, "checkpoint header", required=True)
     # the file size is checked against the listed blocks before any is drawn
-    ends = list(itertools.accumulate(math.prod(b["shape"]) for b in blocks))
-    want = 8 * (ends[-1] if ends else 0) * (1 if header["optimizer"] is None else len(SECTIONS))
+    ends = list(itertools.accumulate(math.prod(b.shape) for b in h.blocks))
+    want = 8 * (ends[-1] if ends else 0) * (1 if h.optimizer is None else len(SECTIONS))
     if left > want:
         raise ValueError(f"{left - want} trailing bytes after the last block")
     if left < want:
         section, at = divmod(left // 8, ends[-1])
         raise ValueError(f"truncated checkpoint: file ends inside the {SECTIONS[section]} "
-                         f"block {blocks[bisect.bisect_right(ends, at)]['name']}")
-    # the build stops at the first block the header does not list
-    model = Model(config, *vocabs, require(header, "d_region", where, int),
-                  require(header, "d_spatial", where, int), seed=0,
-                  layout=[(b["name"], b["shape"]) for b in blocks])
-    if header["optimizer"] is None:
+                         f"block {h.blocks[bisect.bisect_right(ends, at)].name}")
+    # the top-level d_emb wins; the build stops at the first block the header does not list
+    model = Model(dataclasses.replace(h.model_config, d_emb=h.d_emb), h.word_vocab,
+                  h.answer_vocab, h.d_region, h.d_spatial, seed=0,
+                  layout=[(b.name, b.shape) for b in h.blocks])
+    if h.optimizer is None:
         return model, None
-    opt, where = header["optimizer"], f"{where}: optimizer"
-    step = require(only_fields(opt, where, ("lr", "step")), "step", where, int)
-    lr = require(opt, "lr", where, float)
-    try:
-        check_bound("step", step, 0)
-        optimizer = Adam(model.params, float(lr))
-    except (ValueError, OverflowError) as e:  # OverflowError: an int beyond the float range
-        raise SchemaError(f"{where}: {e}") from None
-    optimizer.step_count = step
+    optimizer = Adam(model.params, h.optimizer.lr)
+    optimizer.step_count = h.optimizer.step
     return model, optimizer
 
 

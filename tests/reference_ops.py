@@ -18,13 +18,16 @@ tests require the package's to equal exactly. Last, ``ablation_rows`` keeps
 the ablation loop as it ran before it shared the train command's model
 builder and split reader: per variant a fresh ``TrainConfig``, a ``Model``,
 ``Trainer.fit`` and ``evaluate``, whose rows ``training.ablation_table`` must
-equal float for float.
+equal float for float. And ``checkpoint_header`` keeps the checkpoint header
+as it was written field by field before it became the ``training.Header``
+record, whose JSON bytes ``save_checkpoint`` must equal.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+import dataclasses
 import math
 import os
 
@@ -441,3 +444,21 @@ def ablation_rows(data_dir: str, model_kw: dict, train_kw: dict,
             rows.append({"variant": name + suffix, "train_acc": train["acc_avg"],
                          "eval_acc": report["acc_avg"], "eval_loss": report["loss"]})
     return rows
+
+
+def checkpoint_header(model: Model, optimizer=None) -> dict:
+    """The JSON header ``training.save_checkpoint`` writes for ``model`` and
+    ``optimizer``, key by key."""
+    header = {
+        "model_config": dataclasses.asdict(model.config),
+        "word_vocab": list(model.vocab.words),
+        "answer_vocab": list(model.answer_vocab),
+        "d_region": model.d_region,
+        "d_spatial": model.d_spatial,
+        "d_emb": model.d_emb,
+        "blocks": [{"name": n, "shape": list(t.data.shape)} for n, t in model.params.items()],
+        "optimizer": None,
+    }
+    if optimizer is not None:
+        header["optimizer"] = {"lr": optimizer.lr, "step": optimizer.step_count}
+    return header

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import shutil
 import struct
 import subprocess
@@ -198,8 +199,8 @@ class TestGenData:
         assert not (tmp_path / "c").exists()
 
     def test_allocation_beyond_any_memory_exits_one(self, tmp_path, capsys):
-        """A feature width of 1e13 fails at its first allocation: an error
-        line, exit 1 and no traceback, and nothing written."""
+        """A feature width of 1e13 fails at the size rule, before any draw: an
+        error line, exit 1 and no traceback, and nothing written."""
         spec_path = tmp_path / "world.json"
         spec_path.write_text(json.dumps({"d_region": 10_000_000_000_000}))
         rc = main(["gen-data", "--spec", str(spec_path), "--n", "3",
@@ -316,11 +317,12 @@ class TestTrainEval:
         assert err.startswith("error:") and "epochs" in err
         assert not ckpt.exists()
 
-    def test_model_beyond_any_memory_exits_one(self, cli_corpus, tmp_path, capsys):
-        """A d_model of 8e12 fails at its first allocation: an error line,
-        exit 1 and no traceback, and no checkpoint."""
+    @pytest.mark.parametrize("setting", ["d_model = 8000000000000", "d_emb = 8000000000000"])
+    def test_model_beyond_any_memory_exits_one(self, cli_corpus, tmp_path, capsys, setting):
+        """A d_model of 8e12 fails at the size rule and a d_emb of 8e12 at its
+        first allocation: an error line, exit 1 and no traceback, and no checkpoint."""
         cfg = tmp_path / "huge.cfg"
-        cfg.write_text("d_model = 8000000000000\n")
+        cfg.write_text(setting + "\n")
         ckpt = tmp_path / "m.ckpt"
         rc = main(["train", "--data", str(cli_corpus), "--config", str(cfg),
                    "--out", str(ckpt)])
@@ -365,6 +367,46 @@ class TestTrainEval:
         assert err.startswith(f"error: {ckpt}: ") and "Traceback" not in err
         if damage == "zero_d_emb":
             assert "d_emb must be >= 1, got 0" in err
+
+
+class TestSizeRule:
+    """A size setting beyond ``ingest.SIZE_LIMIT`` fails before the first
+    draw. Each case runs alone in a child process with a 5 s timeout and 2 GB
+    of address space, so a setting that hangs or fills memory fails here
+    rather than stalling the suite."""
+
+    @pytest.mark.parametrize("command, setting", [
+        ("train", "num_layers = 100000000000000000000000"),
+        ("train", "d_model = 1000000000000"),
+        ("train", "d_ff = 1000000000000"),
+        ("train", "max_len = 1000000000000"),
+        ("gen-data", {"grid_size": 10**12}),
+        ("gen-data", {"d_spatial": 10**12}),
+        ("gen-data", {"d_region": 10**12}),
+    ], ids=["num_layers", "d_model", "d_ff", "max_len", "grid_size", "d_spatial", "d_region"])
+    def test_huge_size_setting_exits_one_at_once(self, cli_corpus, tmp_path, command,
+                                                 setting):
+        out = tmp_path / "out"
+        if command == "train":
+            cfg = tmp_path / "huge.cfg"
+            cfg.write_text(setting + "\n")
+            argv = ["train", "--data", str(cli_corpus), "--config", str(cfg), "--out", str(out)]
+        else:
+            spec = tmp_path / "world.json"
+            spec.write_text(json.dumps(setting))
+            argv = ["gen-data", "--spec", str(spec), "--n", "3", "--out", str(out)]
+        limited = ("import resource, sys; "
+                   "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+                   "from granalign.cli import main; sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run([sys.executable, "-c", limited, *argv], capture_output=True,
+                              text=True, timeout=5,
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+        assert (proc.returncode, proc.stdout) == (1, "")
+        what = ("an encoder stack's parameter count" if command == "train"
+                else "world spec: a scene's feature count")
+        assert proc.stderr.startswith(f"error: {what} (") and proc.stderr.endswith(
+            ", beyond the limit 1e+07\n")
+        assert not out.exists()
 
 
 class TestGradcheckCommand:
@@ -494,6 +536,19 @@ class TestDumpLeadgraph:
                    "--stream", "ce", "--layer", "1"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_sample_id_of_the_wrong_type_exits_one(self, tmp_path, capsys):
+        """The file is read as a ``Sample`` record: only an absent id or answer
+        is filled in (the fixture has neither), so an id of 5 is an error."""
+        with open(fixture_path("girl_dog.json"), encoding="utf-8") as f:
+            doc = json.load(f)
+        assert "id" not in doc and "answer" not in doc
+        sample = tmp_path / "numbered.json"
+        sample.write_text(json.dumps({**doc, "id": 5}))
+        rc = main(["dump-leadgraph", "--sample", str(sample), "--stream", "ce", "--layer", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"error: {sample}: field 'id' must be a string, "
+                                           f"got int\n")
 
     def test_unknown_top_level_key_exits_one(self, tmp_path, capsys):
         with open(fixture_path("girl_dog.json"), encoding="utf-8") as f:

@@ -18,7 +18,6 @@ from granalign.data import (
     ToyWorldSpec,
     cell_feature,
     gen_corpus,
-    gen_data,
     gen_samples,
     hash_vector,
     load_manifest,
@@ -278,7 +277,7 @@ class TestOnDiskCorpus:
         assert len(train) == 5 and len(ev) == 4
 
     def test_load_roundtrip_preserves_samples(self, tmp_path):
-        manifest = gen_data(DEFAULT_WORLD, 4, 13, str(tmp_path))
+        manifest = gen_corpus(DEFAULT_WORLD, 4, 1, 13, str(tmp_path))[0]
         ds = load_manifest(manifest)
         originals = gen_samples(DEFAULT_WORLD, 4, np.random.SeedSequence([13]), "train")
         for loaded, orig in zip(ds.samples, originals):
@@ -290,13 +289,13 @@ class TestOnDiskCorpus:
                 orig.scene.objects[0].region_feature)
 
     def test_manifest_is_sorted_pretty_json(self, tmp_path):
-        manifest = gen_data(DEFAULT_WORLD, 2, 1, str(tmp_path))
+        manifest = gen_corpus(DEFAULT_WORLD, 2, 1, 1, str(tmp_path))[0]
         text = open(manifest).read()
         doc = json.loads(text)
         assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     def test_answer_index_lookup(self, tmp_path):
-        manifest = gen_data(DEFAULT_WORLD, 3, 2, str(tmp_path))
+        manifest = gen_corpus(DEFAULT_WORLD, 3, 1, 2, str(tmp_path))[0]
         ds = load_manifest(manifest)
         for s in ds.samples:
             assert ds.answer_vocab[ds.answer_index(s.answer)] == s.answer
@@ -348,7 +347,7 @@ class TestJsonText:
 
 class TestManifestValidation:
     def write_corpus(self, tmp_path):
-        return gen_data(DEFAULT_WORLD, 2, 5, str(tmp_path))
+        return gen_corpus(DEFAULT_WORLD, 2, 1, 5, str(tmp_path))[0]
 
     def mutate_manifest(self, path, fn):
         doc = json.load(open(path))
@@ -360,6 +359,18 @@ class TestManifestValidation:
         m = self.write_corpus(tmp_path)
         self.mutate_manifest(m, lambda d: d.pop("answer_vocab"))
         with pytest.raises(SchemaError, match=r"answer_vocab"):
+            load_manifest(m)
+
+    @pytest.mark.parametrize("change, shown", [(lambda d: d.pop("version"), "None"),
+                                               (lambda d: d.update(version="1"), "'1'")],
+                             ids=["missing", "string"])
+    def test_version_checked_first(self, tmp_path, change, shown):
+        """The version is read before any other field, so a manifest without one
+        fails naming the version even when its other fields are wrong too."""
+        m = self.write_corpus(tmp_path)
+        self.mutate_manifest(m, lambda d: (change(d), d.pop("samples")))
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{m}: unsupported manifest version {shown}")):
             load_manifest(m)
 
     def test_bad_version_rejected(self, tmp_path):

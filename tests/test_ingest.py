@@ -2,6 +2,7 @@
 
 import functools
 import json
+from dataclasses import dataclass
 import logging
 import os
 import re
@@ -31,6 +32,7 @@ from granalign.ingest import (
     load_word_vectors,
     merge_duplicate_concept_tokens,
     node_reduction,
+    from_json,
     question_from_dict,
     scene_from_dict,
     to_json,
@@ -102,6 +104,66 @@ class TestSchemaParsing:
         with pytest.raises(SchemaError, match="dependency_edges"):
             question_from_dict({"tokens": ["a"], "entities": [], "noun_phrases": [],
                                 "dependency_edges": [[0, 5]]})
+
+
+@dataclass
+class _Inner:
+    n: int
+
+
+@dataclass
+class _Outer:
+    inner: _Inner | None
+    limit: int | None
+    sizes: list[int]
+    names: tuple[str, ...]
+
+
+class TestCodec:
+    """``from_json`` reads ``X | None`` as null or an X, and a list of plain
+    values item by item in one pass; ``to_json`` writes both back."""
+
+    DOC = {"inner": {"n": 2}, "limit": None, "sizes": [0, 3], "names": ["a"]}
+
+    def read(self, **change):
+        return from_json(_Outer, {**self.DOC, **change}, "doc", required=True)
+
+    @pytest.mark.parametrize("inner, limit", [(None, None), ({"n": 2}, 7)],
+                             ids=["null", "record"])
+    def test_optional_reads_null_or_the_value_and_writes_it_back(self, inner, limit):
+        record = self.read(inner=inner, limit=limit)
+        assert record == _Outer(None if inner is None else _Inner(2), limit, [0, 3], ("a",))
+        assert to_json(record) == {**self.DOC, "inner": inner, "limit": limit}
+
+    @pytest.mark.parametrize("change, message", [
+        ({"inner": 5}, "doc: field 'inner' must be an object or null, got int"),
+        ({"inner": []}, "doc: field 'inner' must be an object or null, got list"),
+        ({"inner": {"n": "2"}}, "doc: inner: field 'n' must be an integer, got str"),
+        ({"inner": {"n": 2, "m": 1}}, "doc: inner: unknown fields ['m']"),
+        ({"limit": True}, "doc: field 'limit' must be an integer or null, got bool"),
+        ({"limit": 1.5}, "doc: field 'limit' must be an integer or null, got float"),
+    ], ids=["int for a record", "list for a record", "bad inner field", "unknown inner key",
+            "bool for an integer", "float for an integer"])
+    def test_optional_of_the_wrong_type_rejected(self, change, message):
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            self.read(**change)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"sizes": [1, True]}, "doc: sizes must hold integers, got bool"),
+        ({"sizes": [False]}, "doc: sizes must hold integers, got bool"),
+        ({"sizes": [1, 2.0]}, "doc: sizes must hold integers, got float"),
+        ({"sizes": [None]}, "doc: sizes must hold integers, got NoneType"),
+        ({"names": ["a", 1]}, "doc: names must hold strings, got int"),
+        ({"sizes": 3}, "doc: field 'sizes' must be a list, got int"),
+    ], ids=["bool", "false", "float", "null", "int for a string", "not a list"])
+    def test_plain_list_item_of_the_wrong_type_rejected(self, change, message):
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            self.read(**change)
+
+    def test_plain_list_is_a_copy(self):
+        sizes = [4, 5]
+        record = self.read(sizes=sizes)
+        assert record.sizes == sizes and record.sizes is not sizes
 
 
 class TestConceptLevel:
