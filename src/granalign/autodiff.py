@@ -14,6 +14,7 @@ validated against central finite differences in the test suite.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Iterable, Sequence
 
@@ -172,60 +173,38 @@ def _scatter_rows(n_rows: int, idx: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 class Parameters:
-    """Insertion-ordered registry of named trainable tensors.
+    """Named trainable tensors in declaration order, drawn into one vector.
 
     Block names are the unit of checkpointing and gradient checking, so
-    every trainable array in a model must be created through ``new``. The
-    first use of ``flat`` packs them into one vector; then each block's
-    ``data`` is a view into it and no block can be added. ``new`` checks each
-    block against ``layout``, a ``(name, shape)`` list, before drawing it.
+    every trainable array in a model is declared here as a ``(name, shape,
+    init)`` triple. ``flat`` is allocated once and each block is drawn from
+    ``rng`` in order into its view of it, so each block's ``data`` is a
+    view of ``flat``.
     """
 
-    def __init__(self, layout: Sequence[tuple[str, list[int]]] | None = None):
+    def __init__(self, blocks: Sequence[tuple[str, Sequence[int], str]],
+                 rng: np.random.Generator):
+        for name, shape, _ in blocks:
+            if any(s < 0 for s in shape):
+                raise ValueError(f"parameter block {name!r} has a negative size {shape}")
+        self._bounds = np.cumsum([0] + [math.prod(shape) for _, shape, _ in blocks]).tolist()
+        self.flat = np.empty(self._bounds[-1])
         self._blocks: dict[str, Tensor] = {}
-        self._layout = layout
-        self._flat: np.ndarray | None = None
-
-    def new(self, name: str, shape: Sequence[int], init: str, rng: np.random.Generator) -> Tensor:
-        if self._flat is not None:
-            raise ValueError(f"cannot add parameter block {name!r}: the blocks are packed")
-        if name in self._blocks:
-            raise ValueError(f"parameter block {name!r} already exists")
-        shape = tuple(int(s) for s in shape)
-        if self._layout is not None:
-            i = len(self._blocks)
-            listed = self._layout[i] if i < len(self._layout) else "no block"
-            if listed != (name, list(shape)):
-                raise ValueError(f"parameter blocks do not match this build: block {i} is "
-                                 f"{(name, list(shape))}, listed as {listed}")
-        if init == "linear":
-            # fan_in is the first axis: weights are stored [in, out]
-            bound = 1.0 / np.sqrt(max(shape[0], 1))
-            data = rng.uniform(-bound, bound, size=shape)
-        elif init == "embed":
-            data = rng.normal(0.0, 0.02, size=shape)
-        elif init == "zeros":
-            data = np.zeros(shape)
-        elif init == "ones":
-            data = np.ones(shape)
-        else:
-            raise ValueError(f"unknown init {init!r}")
-        t = self._blocks[name] = Tensor(data)
-        return t
-
-    @property
-    def flat(self) -> np.ndarray:
-        """Every block's values in registration order, in one float64 vector."""
-        if self._flat is None:
-            if self._layout is not None and len(self._layout) != len(self._blocks):
-                raise ValueError(f"parameter blocks do not match this build: "
-                                 f"{len(self._layout)} listed, {len(self._blocks)} built")
-            blocks = self.tensors()
-            self._bounds = np.cumsum([0] + [t.data.size for t in blocks]).tolist()
-            self._flat = np.concatenate([np.empty(0)] + [t.data for t in blocks], axis=None)
-            for t, view in zip(blocks, self.views(self._flat).values()):
-                t.data = view
-        return self._flat
+        for (name, shape, init), a, b in zip(blocks, self._bounds, self._bounds[1:]):
+            if name in self._blocks:
+                raise ValueError(f"parameter block {name!r} already exists")
+            if init not in ("linear", "embed", "zeros", "ones"):
+                raise ValueError(f"unknown init {init!r}")
+            self._blocks[name] = Tensor(self.flat[a:b].reshape(shape))
+        for (_, _, init), t in zip(blocks, self._blocks.values()):
+            if init == "linear":
+                # fan_in is the first axis: weights are stored [in, out]
+                bound = 1.0 / np.sqrt(max(t.data.shape[0], 1))
+                t.data[...] = rng.uniform(-bound, bound, size=t.data.shape)
+            elif init == "embed":
+                t.data[...] = rng.normal(0.0, 0.02, size=t.data.shape)
+            else:
+                t.data[...] = 1.0 if init == "ones" else 0.0
 
     def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
         """One shaped view per block of ``vector``, which has the layout of ``flat``."""

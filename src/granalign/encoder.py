@@ -48,7 +48,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,9 +70,9 @@ class EncoderConfig:
         if self.d_model % self.num_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by {self.num_heads} heads")
         check_bound("max_len", self.max_len, 1)
-        d, f = self.d_model, self.d_ff  # the blocks EncoderStack.build draws
+        layer = sum(math.prod(shape) for _, shape, _ in _layer_blocks(self.d_model, self.d_ff))
         check_size("an encoder stack's parameter count (num_layers, d_model, d_ff, max_len)",
-                   self.num_layers * (4 * d * d + 2 * d * f + f + 5 * d) + self.max_len * d)
+                   self.num_layers * layer + self.max_len * self.d_model)
 
     @property
     def d_k(self) -> int:
@@ -270,20 +270,26 @@ class Layout:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LayerParams:
-    wq: ad.Tensor
-    wk: ad.Tensor
-    wv: ad.Tensor
-    wo: ad.Tensor
-    ffn_w1: ad.Tensor
-    ffn_b1: ad.Tensor
-    ffn_w2: ad.Tensor
-    ffn_b2: ad.Tensor
-    ln1_gain: ad.Tensor
-    ln1_bias: ad.Tensor
-    ln2_gain: ad.Tensor
-    ln2_bias: ad.Tensor
+def _layer_blocks(d: int, f: int) -> list[tuple[str, tuple[int, ...], str]]:
+    """One layer's blocks at width ``d`` and FFN width ``f``, as ``(field of
+    LayerParams, shape, init)`` in draw order."""
+    return [("wq", (d, d), "linear"),
+            ("wk", (d, d), "linear"),
+            ("wv", (d, d), "linear"),
+            ("wo", (d, d), "linear"),
+            ("ffn_w1", (d, f), "linear"),
+            ("ffn_b1", (f,), "zeros"),
+            ("ffn_w2", (f, d), "linear"),
+            ("ffn_b2", (d,), "zeros"),
+            ("ln1_gain", (d,), "ones"),
+            ("ln1_bias", (d,), "zeros"),
+            ("ln2_gain", (d,), "ones"),
+            ("ln2_bias", (d,), "zeros")]
+
+
+# A layer's blocks in draw order, which is also the order of its tape node's inputs.
+LayerParams = NamedTuple("LayerParams",
+                         [(field, ad.Tensor) for field, _, _ in _layer_blocks(0, 0)])
 
 
 WHOLE_GRID = ((slice(None), slice(None)),)  # one block: every grid row over every column
@@ -379,9 +385,7 @@ def encoder_layer(x: ad.Tensor, g: np.ndarray, layer: LayerParams, cfg: EncoderC
                 (g_y * xhat1).sum(axis=0), g_y.sum(axis=0),
                 (gz * xhat2).sum(axis=0), gz.sum(axis=0))
 
-    return ad.record(out, (x, p.wq, p.wk, p.wv, p.wo, p.ffn_w1, p.ffn_b1, p.ffn_w2,
-                           p.ffn_b2, p.ln1_gain, p.ln1_bias, p.ln2_gain, p.ln2_bias),
-                     backward)
+    return ad.record(out, (x, *p), backward)
 
 
 def _segment_plan(layout: Layout, masks) -> tuple[np.ndarray, list]:
@@ -424,29 +428,20 @@ class EncoderStack:
         self.layers = layers
         self.pos_table = pos_table
 
+    @staticmethod
+    def blocks(prefix: str, cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], str]]:
+        """The ``(name, shape, init)`` declarations of a stack's blocks, in draw order."""
+        layer = _layer_blocks(cfg.d_model, cfg.d_ff)
+        return [(f"{prefix}.layer{i}.{field}", shape, init)
+                for i in range(cfg.num_layers) for field, shape, init in layer] + [
+            (f"{prefix}.pos", (cfg.max_len, cfg.d_model), "embed")]
+
     @classmethod
-    def build(cls, params: ad.Parameters, prefix: str, cfg: EncoderConfig,
-              rng: np.random.Generator) -> "EncoderStack":
-        layers = []
-        d, f = cfg.d_model, cfg.d_ff
-        for i in range(cfg.num_layers):
-            p = f"{prefix}.layer{i}"
-            layers.append(LayerParams(
-                wq=params.new(f"{p}.wq", (d, d), "linear", rng),
-                wk=params.new(f"{p}.wk", (d, d), "linear", rng),
-                wv=params.new(f"{p}.wv", (d, d), "linear", rng),
-                wo=params.new(f"{p}.wo", (d, d), "linear", rng),
-                ffn_w1=params.new(f"{p}.ffn_w1", (d, f), "linear", rng),
-                ffn_b1=params.new(f"{p}.ffn_b1", (f,), "zeros", rng),
-                ffn_w2=params.new(f"{p}.ffn_w2", (f, d), "linear", rng),
-                ffn_b2=params.new(f"{p}.ffn_b2", (d,), "zeros", rng),
-                ln1_gain=params.new(f"{p}.ln1_gain", (d,), "ones", rng),
-                ln1_bias=params.new(f"{p}.ln1_bias", (d,), "zeros", rng),
-                ln2_gain=params.new(f"{p}.ln2_gain", (d,), "ones", rng),
-                ln2_bias=params.new(f"{p}.ln2_bias", (d,), "zeros", rng),
-            ))
-        pos = params.new(f"{prefix}.pos", (cfg.max_len, cfg.d_model), "embed", rng)
-        return cls(cfg, layers, pos)
+    def of(cls, params: ad.Parameters, prefix: str, cfg: EncoderConfig) -> "EncoderStack":
+        """The stack over the blocks of ``params`` that ``blocks(prefix, cfg)`` declares."""
+        layers = [LayerParams(*(params[f"{prefix}.layer{i}.{f}"] for f in LayerParams._fields))
+                  for i in range(cfg.num_layers)]
+        return cls(cfg, layers, params[f"{prefix}.pos"])
 
     def _input_rows(self, parts: Sequence[ad.Tensor], layout: Layout) -> ad.Tensor:
         """The rows of ``parts`` stacked in order plus each row's positional

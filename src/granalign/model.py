@@ -20,6 +20,7 @@ pools its rows, so ``fuse`` pools the row mean and the SEP row alike.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple, Sequence
@@ -156,61 +157,75 @@ class Model:
             raise ValueError("answer vocabulary is empty")
         self.d_region = int(d_region)
         self.d_spatial = int(d_spatial)
-        self.params = ad.Parameters(layout)
-        self._build_params(np.random.default_rng(seed), word_vector_file)
+        words, vectors = [], np.zeros((0, config.d_emb))
+        if word_vector_file is not None:
+            words, vectors = ingest.load_word_vectors(word_vector_file)
+        self.d_emb = vectors.shape[1]
+        # every check on the declared blocks runs before the first draw
+        blocks = list(self._blocks())
+        ingest.check_size("a model's parameter count",
+                          sum(math.prod(shape) for _, shape, _ in blocks))
+        if layout is not None:
+            declared = [(name, list(shape)) for name, shape, _ in blocks]
+            if declared != list(layout):
+                i = next((i for i, (a, b) in enumerate(zip(declared, layout)) if a != b), None)
+                raise ValueError("parameter blocks do not match this build: " + (
+                    f"{len(layout)} listed, {len(declared)} built" if i is None
+                    else f"block {i} is {declared[i]}, listed as {layout[i]}"))
+        self.params = ad.Parameters(blocks, np.random.default_rng(seed))
+        # the word vectors replace the random rows of the words they cover
+        table = self.params["embed.table"].data
+        by_word = {w: i for i, w in enumerate(words)}
+        for i, w in enumerate(self.vocab.words):
+            if w in by_word:
+                table[i + 1] = vectors[by_word[w]]
+        self.stacks: dict[str, EncoderStack] = {}
+        for tag in config.streams:
+            if STREAMS[tag].question == "sentence":
+                self.stacks["sent"] = EncoderStack.of(self.params, "sent.enc", config)
+            self.stacks[tag] = EncoderStack.of(self.params, f"{tag}.enc", config)
 
     @property
     def n_answers(self) -> int:
         return len(self.answer_vocab)
 
-    # -- parameter construction -------------------------------------------
+    # -- parameter declaration ----------------------------------------------
 
-    def _build_params(self, rng: np.random.Generator, word_vector_file) -> None:
+    def _blocks(self):
+        """Every parameter block as ``(name, shape, init)``, in draw order."""
         cfg = self.config
-        p = self.params
         d, c = cfg.d_model, self.n_answers
 
-        words, vectors = [], np.zeros((0, cfg.d_emb))
-        if word_vector_file is not None:
-            words, vectors = ingest.load_word_vectors(word_vector_file)
-        self.d_emb = vectors.shape[1]
-        # the word vectors replace the random rows of the words they cover
-        table = p.new("embed.table", (self.vocab.size, self.d_emb), "embed", rng).data
-        by_word = {w: i for i, w in enumerate(words)}
-        for i, w in enumerate(self.vocab.words):
-            if w in by_word:
-                table[i + 1] = vectors[by_word[w]]
-
         def mlp(prefix):
-            p.new(f"{prefix}.w1", (self.d_emb, d), "linear", rng)
-            p.new(f"{prefix}.b1", (d,), "zeros", rng)
-            p.new(f"{prefix}.w2", (d, d), "linear", rng)
-            p.new(f"{prefix}.b2", (d,), "zeros", rng)
+            return [(f"{prefix}.w1", (self.d_emb, d), "linear"),
+                    (f"{prefix}.b1", (d,), "zeros"),
+                    (f"{prefix}.w2", (d, d), "linear"),
+                    (f"{prefix}.b2", (d,), "zeros")]
 
+        yield "embed.table", (self.vocab.size, self.d_emb), "embed"
         feature_dims = {"region": self.d_region, "spatial": self.d_spatial}
-        self.stacks: dict[str, EncoderStack] = {}
         for tag in cfg.streams:
             s = STREAMS[tag]
             if s.image in feature_dims:
-                p.new(f"{s.image_input}.w", (feature_dims[s.image], d), "linear", rng)
-                p.new(f"{s.image_input}.b", (d,), "zeros", rng)
+                yield f"{s.image_input}.w", (feature_dims[s.image], d), "linear"
+                yield f"{s.image_input}.b", (d,), "zeros"
             else:
-                mlp(s.image_input)
-            mlp(s.question_input)
+                yield from mlp(s.image_input)
+            yield from mlp(s.question_input)
             if s.question == "sentence":
-                self.stacks["sent"] = EncoderStack.build(p, "sent.enc", cfg, rng)
-            p.new(f"{tag}.sep", (d,), "embed", rng)
-            self.stacks[tag] = EncoderStack.build(p, f"{tag}.enc", cfg, rng)
+                yield from EncoderStack.blocks("sent.enc", cfg)
+            yield f"{tag}.sep", (d,), "embed"
+            yield from EncoderStack.blocks(f"{tag}.enc", cfg)
 
         for tag in cfg.streams:
-            p.new(f"fuse.{tag}.ln_gain", (d,), "ones", rng)
-            p.new(f"fuse.{tag}.ln_bias", (d,), "zeros", rng)
-            p.new(f"fuse.{tag}.w", (d, d), "linear", rng)
-            p.new(f"fuse.{tag}.head_w", (d, c), "linear", rng)
-            p.new(f"fuse.{tag}.head_b", (c,), "zeros", rng)
-        p.new("fuse.ga.w", (len(cfg.streams) * d, d), "linear", rng)
-        p.new("fuse.ga.head_w", (d, c), "linear", rng)
-        p.new("fuse.ga.head_b", (c,), "zeros", rng)
+            yield f"fuse.{tag}.ln_gain", (d,), "ones"
+            yield f"fuse.{tag}.ln_bias", (d,), "zeros"
+            yield f"fuse.{tag}.w", (d, d), "linear"
+            yield f"fuse.{tag}.head_w", (d, c), "linear"
+            yield f"fuse.{tag}.head_b", (c,), "zeros"
+        yield "fuse.ga.w", (len(cfg.streams) * d, d), "linear"
+        yield "fuse.ga.head_w", (d, c), "linear"
+        yield "fuse.ga.head_b", (c,), "zeros"
 
     # -- sample preparation -----------------------------------------------
 

@@ -263,7 +263,7 @@ def gradcheck(model: Model, prep: PreparedSample, step: float = 1e-5,
               tol: float = 1e-5, coords_per_block: int = 2) -> list[BlockReport]:
     """Central finite differences vs the tape gradient, per parameter block.
 
-    Every registered block appears in the report exactly once; within a
+    Every declared block appears in the report exactly once; within a
     block the largest-magnitude gradient coordinates are probed, where the
     central difference carries signal (a coordinate whose gradient sits at
     the difference's cancellation noise floor cannot be checked at any
@@ -445,9 +445,9 @@ class Header:
 
 
 def _model_from_header(doc, left: int) -> tuple[Model, Adam | None]:
-    """The model the header ``doc`` describes, built block by block against the
-    header's list; plus the optimizer it records, with zero moments. The blocks
-    the header lists must fill the ``left`` bytes after it exactly."""
+    """The model the header ``doc`` describes, checked against the header's
+    blocks before any is drawn; plus the optimizer it records, with zero
+    moments. The blocks the header lists must fill the ``left`` bytes after it."""
     h = from_json(Header, doc, "checkpoint header", required=True)
     # the file size is checked against the listed blocks before any is drawn
     ends = list(itertools.accumulate(math.prod(b.shape) for b in h.blocks))
@@ -458,7 +458,7 @@ def _model_from_header(doc, left: int) -> tuple[Model, Adam | None]:
         section, at = divmod(left // 8, ends[-1])
         raise ValueError(f"truncated checkpoint: file ends inside the {SECTIONS[section]} "
                          f"block {h.blocks[bisect.bisect_right(ends, at)].name}")
-    # the top-level d_emb wins; the build stops at the first block the header does not list
+    # the top-level d_emb wins; a build that declares other blocks than the header draws none
     model = Model(dataclasses.replace(h.model_config, d_emb=h.d_emb), h.word_vocab,
                   h.answer_vocab, h.d_region, h.d_spatial, seed=0,
                   layout=[(b.name, b.shape) for b in h.blocks])

@@ -20,7 +20,10 @@ builder and split reader: per variant a fresh ``TrainConfig``, a ``Model``,
 ``Trainer.fit`` and ``evaluate``, whose rows ``training.ablation_table`` must
 equal float for float. And ``checkpoint_header`` keeps the checkpoint header
 as it was written field by field before it became the ``training.Header``
-record, whose JSON bytes ``save_checkpoint`` must equal.
+record, whose JSON bytes ``save_checkpoint`` must equal. ``incremental_draw``
+keeps how a model's blocks were drawn before ``autodiff.Parameters``
+allocated one vector and drew each block into its view: an array per block,
+then one concatenation, which the arena's bytes must equal.
 """
 
 from __future__ import annotations
@@ -462,3 +465,29 @@ def checkpoint_header(model: Model, optimizer=None) -> dict:
     if optimizer is not None:
         header["optimizer"] = {"lr": optimizer.lr, "step": optimizer.step_count}
     return header
+
+
+# ---------------------------------------------------------------------------
+# incremental parameter draw
+# ---------------------------------------------------------------------------
+
+
+def incremental_draw(blocks, rng: np.random.Generator, table_rows=None) -> np.ndarray:
+    """Each ``(name, shape, init)`` block drawn from ``rng`` into an array of
+    its own, in order, then all of them concatenated. ``table_rows`` maps a
+    row of the first block, the embedding table, to the word vector that
+    replaces it."""
+    arrays = []
+    for _, shape, init in blocks:
+        if init == "linear":
+            bound = 1.0 / np.sqrt(max(shape[0], 1))
+            arrays.append(rng.uniform(-bound, bound, size=shape))
+        elif init == "embed":
+            arrays.append(rng.normal(0.0, 0.02, size=shape))
+        elif init == "ones":
+            arrays.append(np.ones(shape))
+        else:
+            arrays.append(np.zeros(shape))
+    for row, vector in (table_rows or {}).items():
+        arrays[0][row] = vector
+    return np.concatenate([np.empty(0)] + arrays, axis=None)

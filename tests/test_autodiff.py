@@ -4,7 +4,6 @@ op-by-op reference operations (``reference_ops``) against independent oracles.""
 import ast
 import inspect
 import pathlib
-import re
 import weakref
 
 import numpy as np
@@ -443,51 +442,50 @@ class TestStructuralOps:
 
 class TestParameters:
     def test_registration_order_is_stable(self):
-        p = ad.Parameters()
-        rng = np.random.default_rng(0)
-        p.new("b", (2,), "zeros", rng)
-        p.new("a", (3,), "ones", rng)
+        p = ad.Parameters([("b", (2,), "zeros"), ("a", (3,), "ones")],
+                          np.random.default_rng(0))
         assert p.names() == ["b", "a"]
         assert [t.data.shape for t in p.tensors()] == [(2,), (3,)]
+        assert p.flat.tolist() == [0, 0, 1, 1, 1]
 
-    def test_duplicate_name_rejected(self):
-        p = ad.Parameters()
+    @pytest.mark.parametrize("blocks, match", [
+        ([("w", (2, 2), "linear"), ("w", (2, 2), "linear")], "'w' already exists"),
+        ([("w", (2, 2), "linear"), ("v", (2, -1), "zeros")], "'v' has a negative size"),
+        ([("w", (2, 2), "linear"), ("v", (2,), "xavier")], "unknown init 'xavier'"),
+    ], ids=["duplicate", "negative", "unknown-init"])
+    def test_bad_declaration_rejected_before_any_draw(self, blocks, match):
         rng = np.random.default_rng(0)
-        p.new("w", (2, 2), "linear", rng)
-        with pytest.raises(ValueError):
-            p.new("w", (2, 2), "linear", rng)
+        with pytest.raises(ValueError, match=match):
+            ad.Parameters(blocks, rng)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
     def test_linear_init_bounded_by_fan_in(self):
-        p = ad.Parameters()
-        w = p.new("w", (64, 32), "linear", np.random.default_rng(9))
+        w = ad.Parameters([("w", (64, 32), "linear")], np.random.default_rng(9))["w"]
         bound = 1.0 / np.sqrt(64)
         assert np.all(np.abs(w.data) <= bound)
         assert w.data.std() > bound / 4  # actually spread out, not degenerate
 
     def test_embed_init_scale(self):
-        p = ad.Parameters()
-        e = p.new("e", (500, 40), "embed", np.random.default_rng(10))
+        e = ad.Parameters([("e", (500, 40), "embed")], np.random.default_rng(10))["e"]
         assert 0.015 < e.data.std() < 0.025
 
-    @staticmethod
-    def three_blocks(layout=None):
+    THREE_BLOCKS = [("a", (2, 3), "linear"), ("empty", (0,), "zeros"), ("c", (4,), "embed")]
+
+    @classmethod
+    def three_blocks(cls):
         """Blocks of 2x3, 0 and 4 values."""
-        p = ad.Parameters(layout)
-        rng = np.random.default_rng(5)
-        p.new("a", (2, 3), "linear", rng)
-        p.new("empty", (0,), "zeros", rng)
-        p.new("c", (4,), "embed", rng)
-        return p
+        return ad.Parameters(cls.THREE_BLOCKS, np.random.default_rng(5))
 
     def test_blocks_are_views_of_flat_at_registration_offsets(self):
         p = self.three_blocks()
-        before = [t.data.copy() for t in p.tensors()]
         flat = p.flat
         assert flat.dtype == np.float64 and flat.shape == (10,)
-        assert flat.tobytes() == b"".join(b.tobytes() for b in before)
-        for (name, t), b in zip(p.items(), before):
-            assert t.data.shape == b.shape and t.data.flags.c_contiguous, name
+        assert flat.tobytes() == refops.incremental_draw(
+            self.THREE_BLOCKS, np.random.default_rng(5)).tobytes()
+        for name, t in p.items():
+            assert t.data.flags.c_contiguous, name
             assert t.data.base is flat, name
+        assert [t.data.shape for t in p.tensors()] == [(2, 3), (0,), (4,)]
         for name, start in (("a", 0), ("c", 6)):  # an empty view has no meaningful address
             offset = (p[name].data.__array_interface__["data"][0]
                       - flat.__array_interface__["data"][0])
@@ -496,12 +494,9 @@ class TestParameters:
         assert p["c"].data[1] == 42.0
         assert p.flat is flat
 
-    def test_new_raises_after_packing(self):
-        p = self.three_blocks()
-        p.flat
-        with pytest.raises(ValueError, match="'d'.*packed"):
-            p.new("d", (1,), "zeros", np.random.default_rng(0))
-        assert p.names() == ["a", "empty", "c"]
+    def test_no_blocks_is_an_empty_vector(self):
+        p = ad.Parameters([], np.random.default_rng(0))
+        assert len(p) == 0 and p.flat.shape == (0,) and p.views(np.zeros(0)) == {}
 
     def test_block_at_is_right_at_block_boundaries(self):
         p = self.three_blocks()
@@ -521,27 +516,6 @@ class TestParameters:
         with pytest.raises(ValueError, match="layout"):
             p.views(np.zeros(9))
 
-    def test_layout_is_checked_before_each_draw(self):
-        rng = np.random.default_rng(0)
-        p = ad.Parameters([("a", [2])])
-        with pytest.raises(ValueError, match=re.escape(
-                "block 0 is ('b', [2]), listed as ('a', [2])")):
-            p.new("b", (2,), "linear", rng)
-        with pytest.raises(ValueError, match=re.escape(
-                "block 0 is ('a', [3]), listed as ('a', [2])")):
-            p.new("a", (3,), "linear", rng)
-        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
-        p.new("a", (2,), "linear", rng)
-        state = rng.bit_generator.state
-        with pytest.raises(ValueError, match=re.escape("block 1 is ('c', [2]), listed as no block")):
-            p.new("c", (2,), "linear", rng)
-        assert rng.bit_generator.state == state
-
-    def test_layout_with_a_block_missing_fails_to_pack(self):
-        layout = [("a", [2, 3]), ("empty", [0]), ("c", [4]), ("d", [1])]
-        with pytest.raises(ValueError, match="4 listed, 3 built"):
-            self.three_blocks(layout).flat
-        assert self.three_blocks(layout[:3]).flat.size == 10
 
 
 class TestExports:

@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+import granalign.autodiff as ad
 from granalign import training
 from granalign.cli import main, parse_config_file
 from granalign.data import DEFAULT_WORLD, ToyWorldSpec, gen_corpus, load_manifest
@@ -319,8 +320,8 @@ class TestTrainEval:
 
     @pytest.mark.parametrize("setting", ["d_model = 8000000000000", "d_emb = 8000000000000"])
     def test_model_beyond_any_memory_exits_one(self, cli_corpus, tmp_path, capsys, setting):
-        """A d_model of 8e12 fails at the size rule and a d_emb of 8e12 at its
-        first allocation: an error line, exit 1 and no traceback, and no checkpoint."""
+        """A d_model or a d_emb of 8e12 fails at the size rule, before any draw:
+        an error line, exit 1 and no traceback, and no checkpoint."""
         cfg = tmp_path / "huge.cfg"
         cfg.write_text(setting + "\n")
         ckpt = tmp_path / "m.ckpt"
@@ -329,6 +330,20 @@ class TestTrainEval:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert not ckpt.exists()
+
+    def test_memory_error_in_the_build_exits_one(self, cli_corpus, tmp_path, capsys,
+                                                 monkeypatch):
+        """An allocation that fails while the model is built is one error line."""
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 8.00 TiB for an array with shape (10**12,)")
+
+        monkeypatch.setattr(ad, "Parameters", no_memory)
+        ckpt = tmp_path / "m.ckpt"
+        rc = main(["train", "--data", str(cli_corpus), "--out", str(ckpt)])
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: Unable to allocate 8.00 TiB for an array "
+                                           "with shape (10**12,)\n")
         assert not ckpt.exists()
 
     def test_missing_checkpoint_exits_one(self, cli_corpus, capsys):
@@ -375,26 +390,40 @@ class TestSizeRule:
     of address space, so a setting that hangs or fills memory fails here
     rather than stalling the suite."""
 
-    @pytest.mark.parametrize("command, setting", [
-        ("train", "num_layers = 100000000000000000000000"),
-        ("train", "d_model = 1000000000000"),
-        ("train", "d_ff = 1000000000000"),
-        ("train", "max_len = 1000000000000"),
-        ("gen-data", {"grid_size": 10**12}),
-        ("gen-data", {"d_spatial": 10**12}),
-        ("gen-data", {"d_region": 10**12}),
-    ], ids=["num_layers", "d_model", "d_ff", "max_len", "grid_size", "d_spatial", "d_region"])
+    ENCODER = "an encoder stack's parameter count (num_layers, d_model, d_ff, max_len)"
+    MODEL = "a model's parameter count"
+    SCENE = ("world spec: a scene's feature count "
+             "(grid_size² × d_spatial + objects_max × d_region)")
+
+    @pytest.mark.parametrize("command, setting, what", [
+        ("train", "num_layers = 100000000000000000000000", ENCODER),
+        ("train", "d_model = 1000000000000", ENCODER),
+        ("train", "d_ff = 1000000000000", ENCODER),
+        ("train", "max_len = 1000000000000", ENCODER),
+        ("gen-data", {"grid_size": 10**12}, SCENE),
+        ("gen-data", {"d_spatial": 10**12}, SCENE),
+        ("gen-data", {"d_region": 10**12}, SCENE),
+        ("train", "d_emb = 1000000000000", MODEL),
+        ("gradcheck", "num_layers = 100000000000000000000000", ENCODER),
+        ("gradcheck", "d_emb = 1000000000000", MODEL),
+        ("ablate", "d_model = 1000000000000", ENCODER),
+        ("ablate", "d_emb = 1000000000000", MODEL),
+    ], ids=["num_layers", "d_model", "d_ff", "max_len", "grid_size", "d_spatial", "d_region",
+            "d_emb", "gradcheck-num_layers", "gradcheck-d_emb", "ablate-d_model",
+            "ablate-d_emb"])
     def test_huge_size_setting_exits_one_at_once(self, cli_corpus, tmp_path, command,
-                                                 setting):
+                                                 setting, what):
         out = tmp_path / "out"
-        if command == "train":
-            cfg = tmp_path / "huge.cfg"
-            cfg.write_text(setting + "\n")
-            argv = ["train", "--data", str(cli_corpus), "--config", str(cfg), "--out", str(out)]
-        else:
+        if command == "gen-data":
             spec = tmp_path / "world.json"
             spec.write_text(json.dumps(setting))
             argv = ["gen-data", "--spec", str(spec), "--n", "3", "--out", str(out)]
+        else:
+            cfg = tmp_path / "huge.cfg"
+            cfg.write_text(setting + "\n")
+            argv = [command, "--data", str(cli_corpus), "--config", str(cfg)]
+            argv += {"train": ["--out", str(out)], "gradcheck": [],
+                     "ablate": ["--epochs", "1"]}[command]
         limited = ("import resource, sys; "
                    "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
                    "from granalign.cli import main; sys.exit(main(sys.argv[1:]))")
@@ -402,9 +431,7 @@ class TestSizeRule:
                               text=True, timeout=5,
                               env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
         assert (proc.returncode, proc.stdout) == (1, "")
-        what = ("an encoder stack's parameter count" if command == "train"
-                else "world spec: a scene's feature count")
-        assert proc.stderr.startswith(f"error: {what} (") and proc.stderr.endswith(
+        assert proc.stderr.startswith(f"error: {what} is ") and proc.stderr.endswith(
             ", beyond the limit 1e+07\n")
         assert not out.exists()
 

@@ -1,5 +1,7 @@
 """Masked attention semantics, the fused multi-head path, and stream encoding."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -189,6 +191,12 @@ class TestMaskedAttention:
         q, k, v = rand_qkv(rng, 3, 2)
         with pytest.raises(ValueError):
             ga_attention(q, k, v, full_graph(4))
+
+
+def build_stack(cfg, seed, prefix="enc"):
+    """A stack whose blocks alone are drawn from ``seed``."""
+    params = ad.Parameters(EncoderStack.blocks(prefix, cfg), np.random.default_rng(seed))
+    return EncoderStack.of(params, prefix, cfg)
 
 
 def make_layer(rng, d, f):
@@ -729,8 +737,7 @@ class TestLayout:
 
 class TestEncodeStream:
     def make_stack(self, cfg, seed=0):
-        params = ad.Parameters()
-        return EncoderStack.build(params, "enc", cfg, np.random.default_rng(seed))
+        return build_stack(cfg, seed)
 
     def test_layout_and_sep_index(self):
         cfg = EncoderConfig(num_layers=3, num_heads=2, d_model=4, d_ff=8, max_len=16)
@@ -807,8 +814,7 @@ class TestEncodeStream:
 class TestSentencePretransform:
     def make_stack(self, seed=20):
         cfg = EncoderConfig(num_layers=2, num_heads=2, d_model=4, d_ff=8, max_len=8)
-        params = ad.Parameters()
-        return EncoderStack.build(params, "sent", cfg, np.random.default_rng(seed))
+        return build_stack(cfg, seed, "sent")
 
     def test_disconnected_components_do_not_mix(self):
         """Tokens in different dependency components never influence each other."""
@@ -833,6 +839,14 @@ class TestEncoderConfig:
 
     def test_d_k(self):
         assert EncoderConfig(num_heads=8, d_model=32).d_k == 4
+
+    @pytest.mark.parametrize("kw", [{}, dict(num_layers=2, num_heads=1, d_model=3, d_ff=5,
+                                             max_len=7)], ids=["default", "odd-widths"])
+    def test_size_rule_counts_what_a_stack_declares(self, kw, monkeypatch):
+        counts = []
+        monkeypatch.setattr(encoder, "check_size", lambda what, n: counts.append(n))
+        cfg = EncoderConfig(**kw)
+        assert counts == [sum(math.prod(shape) for _, shape, _ in EncoderStack.blocks("s", cfg))]
 
 
 def lead_graph_masks(rng, n_img, n_q):
@@ -985,13 +999,13 @@ class TestSegmentPlan:
         rng = np.random.default_rng(46 + num_layers)
         cfg = EncoderConfig(num_layers=num_layers, num_heads=2, d_model=8, d_ff=16,
                             max_len=16)
-        params = ad.Parameters()
-        stack = EncoderStack.build(params, "enc", cfg, np.random.default_rng(0))
+        params = ad.Parameters(EncoderStack.blocks("enc", cfg) + [("sep", (8,), "embed")],
+                               np.random.default_rng(0))
+        stack, sep = EncoderStack.of(params, "enc", cfg), params["sep"]
         plans = [lead_graph_masks(rng, a, b)[:num_layers]
                  for a, b in zip(n_img, n_q)]
         t_img = ad.Tensor(rng.normal(size=(sum(n_img), 8)))
         t_q = ad.Tensor(rng.normal(size=(sum(n_q), 8)))
-        sep = params.new("sep", (8,), "embed", rng)
         w = rng.normal(size=(sum(n_img) + len(n_img) + sum(n_q), 8))
         tensors = [t_img, t_q] + params.tensors()
 
@@ -1037,7 +1051,7 @@ class TestSegmentPlan:
         on the call's own layout."""
         rng = np.random.default_rng(53)
         cfg = EncoderConfig(num_layers=3, num_heads=2, d_model=8, d_ff=16, max_len=16)
-        stack = EncoderStack.build(ad.Parameters(), "enc", cfg, np.random.default_rng(1))
+        stack = build_stack(cfg, 1)
         layout = stream_layout(n_img, n_q)
         masks = [lead_graph_masks(rng, a, b) for a, b in zip(n_img, n_q)]
         seen = []
@@ -1056,7 +1070,7 @@ class TestSegmentPlan:
 class TestStackRun:
     def make(self, seed=51, num_layers=3):
         cfg = EncoderConfig(num_layers=num_layers, num_heads=2, d_model=8, d_ff=16, max_len=16)
-        return cfg, EncoderStack.build(ad.Parameters(), "enc", cfg, np.random.default_rng(1))
+        return cfg, build_stack(cfg, 1)
 
     def test_layer_i_runs_with_mask_i(self):
         """The stack equals its layers applied one by one on the grid of the

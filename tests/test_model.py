@@ -1,5 +1,7 @@
 """End-to-end model contracts: logits, fusion, loss, prediction, variants."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,50 @@ class TestForward:
             assert t1.data.tobytes() == t2.data.tobytes()
         assert any(t1.data.tobytes() != t3.data.tobytes()
                    for t1, t3 in zip(m1.params.tensors(), m3.params.tensors()))
+
+
+class TestParameterDraw:
+    """The model's blocks drawn into one vector against the reference that
+    draws each block into an array of its own and concatenates them."""
+
+    @pytest.mark.parametrize("streams, vectors", [(tuple(STREAMS), None), (("ce",), None),
+                                                  (tuple(STREAMS), "wordvecs.txt")],
+                             ids=["default", "ce-only", "word-vectors"])
+    def test_flat_matches_the_incremental_draw(self, streams, vectors):
+        path = vectors and fixture_path(vectors)
+        model = Model(ModelConfig(streams=streams), WORDS, ANSWERS, d_region=4, d_spatial=4,
+                      seed=3, word_vector_file=path)
+        rows = {}
+        if path:
+            words, table = ingest.load_word_vectors(path)
+            rows = {i + 1: table[words.index(w)] for i, w in enumerate(model.vocab.words)
+                    if w in words}
+            assert rows
+        ref = refops.incremental_draw(list(model._blocks()), np.random.default_rng(3), rows)
+        assert model.params.flat.tobytes() == ref.tobytes()
+        assert all(t.data.base is model.params.flat for t in model.params.tensors())
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda layout: layout[:-1], r"do not match this build: 189 listed, 190 built$"),
+        (lambda layout: layout + [("extra", [0])], r": 191 listed, 190 built$"),
+        (lambda layout: [("x", [1])] + layout[1:],
+         re.escape(": block 0 is ('embed.table', [12, 32]), listed as ('x', [1])")),
+    ], ids=["one-fewer", "one-more", "other-block"])
+    def test_layout_mismatch_draws_no_block(self, edit, match, monkeypatch):
+        layout = [(n, list(t.data.shape)) for n, t in
+                  Model(ModelConfig(), WORDS, ANSWERS, 4, 4).params.items()]
+        calls = []
+        monkeypatch.setattr(ad, "Parameters", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=match):
+            Model(ModelConfig(), WORDS, ANSWERS, 4, 4, layout=edit(layout))
+        assert calls == []
+
+    def test_model_beyond_the_size_limit_draws_no_block(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ad, "Parameters", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=r"^a model's parameter count is \d+, beyond"):
+            Model(ModelConfig(d_emb=10**12), WORDS, ANSWERS, 4, 4)
+        assert calls == []
 
 
 class TestModelConfig:
