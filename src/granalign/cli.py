@@ -159,7 +159,7 @@ def cmd_dump_leadgraph(args) -> int:
 
 def cmd_ablate(args) -> int:
     model_kw, train_kw, extra = parse_config_file(args.config)
-    train_kw["epochs"] = args.epochs
+    train_kw["epochs"] = train_kw.get("epochs", 30) if args.epochs is None else args.epochs
     rows = training.ablation_table(args.data, model_kw, train_kw, extra,
                                    relation_data=args.relation_data)
     print(training.format_ablation_table(rows))
@@ -219,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="train ablation variants and print a table")
     p.add_argument("--data", required=True)
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--epochs", type=int, default=30)
+    p.add_argument("--epochs", type=int,
+                   help="epochs per variant (default: the config's epochs, else 30)")
     p.add_argument("--relation-data",
                    help="relation-template-only corpus directory for the extra row")
     p.set_defaults(func=cmd_ablate)

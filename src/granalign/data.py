@@ -36,7 +36,7 @@ from .ingest import (
     to_json,
 )
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 TEMPLATES = ("attribute", "relation", "exist")
 
@@ -87,7 +87,7 @@ class ToyWorldSpec:
         check_bound("objects_min", self.objects_min, 1)
         check_bound("objects_max", self.objects_max, self.objects_min)
         check_size("a scene's feature count (grid_size² × d_spatial + objects_max × d_region)",
-                   self.grid_size ** 2 * self.d_spatial + self.objects_max * self.d_region)
+                   self.scene_feature_count)
         if self.objects_max > len(self.categories):
             raise ValueError("objects_max exceeds the category set (sampling is without replacement)")
         if self.objects_max > self.grid_size ** 2:
@@ -97,6 +97,11 @@ class ToyWorldSpec:
         if set(self.templates) == {"relation"} and self.objects_max < 2:
             raise ValueError("a relation question needs two objects: relation-only "
                              "templates need objects_max >= 2")
+
+    @property
+    def scene_feature_count(self) -> int:
+        """The most feature values one scene holds."""
+        return self.grid_size ** 2 * self.d_spatial + self.objects_max * self.d_region
 
     def word_vocab(self) -> list[str]:
         return list(dict.fromkeys(("what", "color", "is", "the", "there", "a",
@@ -125,26 +130,14 @@ class Sample:
 
 @dataclass
 class Manifest:
-    """A split's manifest file: the world spec it was drawn from, its
-    vocabularies and feature widths, and its sample files (paths relative to
-    the manifest)."""
+    """A split's manifest file: the world spec it was drawn from, which gives
+    its vocabularies and feature widths, and its sample files (paths relative
+    to the manifest)."""
 
     version: int
     split: str
     world: ToyWorldSpec
-    word_vocab: list[str]
-    answer_vocab: list[str]
-    d_region: int
-    d_spatial: int
-    grid_size: int
     samples: list[str]
-
-    def __post_init__(self):
-        for key in ("answer_vocab", "word_vocab"):
-            vocab = getattr(self, key)
-            if len(set(vocab)) != len(vocab):
-                repeated = next(w for i, w in enumerate(vocab) if w in vocab[:i])
-                raise ValueError(f"{key} repeats {repeated!r}")
 
 
 @dataclass
@@ -368,43 +361,9 @@ def solve(scene: SceneGraph, tokens: list[str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _json_text(obj, indent: str = "") -> str:
-    """Exactly ``json.dumps(obj, sort_keys=True, indent=2)`` for a document
-    whose object keys are strings, at the cost of formatting its floats.
-
-    The stdlib's ``indent`` encoder is pure Python: one generator frame and
-    one ``floatstr`` call per float. Here a list of finite floats is one
-    C-level ``repr``, which renders each float as ``json`` does; its ``", "``
-    separators become the indented ones. Every scalar goes through
-    ``json.dumps``, so strings, ints, bools, ``None``, ``NaN`` and
-    ``Infinity`` follow the stdlib's rules.
-    """
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        if not all(isinstance(k, str) for k in obj):
-            raise TypeError("corpus JSON object keys must be strings")
-        body = sep.join(f"{json.dumps(k)}: {_json_text(v, inner)}"
-                        for k, v in sorted(obj.items()))
-        return "{\n" + inner + body + "\n" + indent + "}"
-    if not isinstance(obj, (list, tuple)):
-        return json.dumps(obj)
-    if not obj:
-        return "[]"
-    floats = type(obj) is list and set(map(type, obj)) == {float}
-    text = repr(obj) if floats else ""
-    if floats and "n" not in text:  # finite: only nan and inf have an "n"
-        body = text[1:-1].replace(", ", sep)
-    else:
-        body = sep.join(_json_text(v, inner) for v in obj)
-    return "[\n" + inner + body + "\n" + indent + "]"
-
-
 def _dump_json(path: str, obj: dict) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        f.write(_json_text(obj) + "\n")
+        f.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
 def _seed_sequence(seed: int) -> np.random.SeedSequence:
@@ -414,8 +373,8 @@ def _seed_sequence(seed: int) -> np.random.SeedSequence:
 
 def _write_split(spec: ToyWorldSpec, samples: list[Sample], out_dir: str, split: str) -> str:
     """Write one split (manifest + per-sample files); returns the manifest path.
-    The vocabularies derive from the world spec, not the drawn samples, so
-    splits generated from the same spec share stable indices."""
+    Its vocabularies are its world spec's, not the drawn samples', so splits
+    generated from the same spec share stable indices."""
     sample_dir = os.path.join(out_dir, "samples")
     os.makedirs(sample_dir, exist_ok=True)
     rel_paths = []
@@ -423,10 +382,7 @@ def _write_split(spec: ToyWorldSpec, samples: list[Sample], out_dir: str, split:
         rel = os.path.join("samples", f"{s.sample_id}.json")
         _dump_json(os.path.join(out_dir, rel), to_json(s))
         rel_paths.append(rel)
-    manifest = Manifest(version=MANIFEST_VERSION, split=split, world=spec,
-                        word_vocab=spec.word_vocab(), answer_vocab=spec.answer_vocab(),
-                        d_region=spec.d_region, d_spatial=spec.d_spatial,
-                        grid_size=spec.grid_size, samples=rel_paths)
+    manifest = Manifest(version=MANIFEST_VERSION, split=split, world=spec, samples=rel_paths)
     path = os.path.join(out_dir, f"{split}.json")
     _dump_json(path, to_json(manifest))
     return path
@@ -437,6 +393,8 @@ def gen_corpus(spec: ToyWorldSpec, n_train: int, n_eval: int, seed: int,
     """Train and eval splits with disjoint sample streams from one seed. Both
     are drawn before any file is written, so an error leaves ``out_dir`` as
     it was."""
+    check_size("a corpus's feature count ((n_train + n_eval) × (grid_size² × d_spatial "
+               "+ objects_max × d_region))", (n_train + n_eval) * spec.scene_feature_count)
     train = gen_samples(spec, n_train, _seed_sequence(seed), "train")
     ev = gen_samples(spec, n_eval, _seed_sequence(seed + 1), "eval")
     return _write_split(spec, train, out_dir, "train"), _write_split(spec, ev, out_dir, "eval")
@@ -449,6 +407,7 @@ def load_manifest(path: str) -> Dataset:
     if (version := expect(doc, dict, path).get("version")) != MANIFEST_VERSION:
         raise SchemaError(f"{path}: unsupported manifest version {version!r}")
     m = from_json(Manifest, doc, path, required=True)
+    w, answers = m.world, m.world.answer_vocab()
     base = os.path.dirname(os.path.abspath(path))
     samples = []
     for rel in m.samples:
@@ -457,19 +416,19 @@ def load_manifest(path: str) -> Dataset:
             s = from_json(Sample, read_json(spath), spath, required=True)
         except FileNotFoundError:
             raise SchemaError(f"{path}: sample file {rel!r} does not exist") from None
-        if s.answer not in m.answer_vocab:
+        if s.answer not in answers:
             raise SchemaError(f"{spath}: answer {s.answer!r} not in the answer vocabulary")
         o = s.scene.objects[0]  # a scene's region features share one width
-        if o.region_feature.shape[0] != m.d_region:
+        if o.region_feature.shape[0] != w.d_region:
             raise SchemaError(f"{path}: sample {s.sample_id}: object {o.obj_id}: region "
-                              f"feature dim {o.region_feature.shape[0]} != {m.d_region}")
+                              f"feature dim {o.region_feature.shape[0]} != {w.d_region}")
         width = s.scene.spatial.features.shape[1]
-        if width != m.d_spatial:
+        if width != w.d_spatial:
             raise SchemaError(f"{path}: sample {s.sample_id}: spatial feature "
-                              f"width {width} != d_spatial {m.d_spatial}")
+                              f"width {width} != d_spatial {w.d_spatial}")
         samples.append(s)
-    return Dataset(samples=samples, word_vocab=m.word_vocab, answer_vocab=m.answer_vocab,
-                   d_region=m.d_region, d_spatial=m.d_spatial, grid_size=m.grid_size)
+    return Dataset(samples=samples, word_vocab=w.word_vocab(), answer_vocab=answers,
+                   d_region=w.d_region, d_spatial=w.d_spatial, grid_size=w.grid_size)
 
 
 def load_split(data_dir: str, split: str) -> Dataset:

@@ -159,8 +159,9 @@ class TestGenData:
                    "--out", str(tmp_path / "c")])
         assert rc == 0
         manifest = json.loads((tmp_path / "c" / "train.json").read_text())
-        assert manifest["grid_size"] == 3
-        assert manifest["d_region"] == 8
+        assert ToyWorldSpec.from_dict(manifest["world"]) == spec
+        ds = load_manifest(str(tmp_path / "c" / "train.json"))
+        assert (ds.grid_size, ds.d_region, ds.d_spatial) == (3, 8, 8)
 
     def test_bad_spec_file_exits_one(self, tmp_path, capsys):
         spec_path = tmp_path / "world.json"
@@ -294,7 +295,7 @@ class TestTrainEval:
         else:
             shutil.copytree(cli_corpus, data)
             manifest = json.loads((data / "eval.json").read_text())
-            manifest["answer_vocab"].reverse()
+            manifest["world"]["attributes"].reverse()
             (data / "eval.json").write_text(json.dumps(manifest))
         capsys.readouterr()
         rc = main(["eval", "--data", str(data), "--ckpt", str(ckpt)])
@@ -394,6 +395,8 @@ class TestSizeRule:
     MODEL = "a model's parameter count"
     SCENE = ("world spec: a scene's feature count "
              "(grid_size² × d_spatial + objects_max × d_region)")
+    CORPUS = ("a corpus's feature count ((n_train + n_eval) × "
+              "(grid_size² × d_spatial + objects_max × d_region))")
 
     @pytest.mark.parametrize("command, setting, what", [
         ("train", "num_layers = 100000000000000000000000", ENCODER),
@@ -403,18 +406,21 @@ class TestSizeRule:
         ("gen-data", {"grid_size": 10**12}, SCENE),
         ("gen-data", {"d_spatial": 10**12}, SCENE),
         ("gen-data", {"d_region": 10**12}, SCENE),
+        ("gen-data", "1000000000000", CORPUS),
         ("train", "d_emb = 1000000000000", MODEL),
         ("gradcheck", "num_layers = 100000000000000000000000", ENCODER),
         ("gradcheck", "d_emb = 1000000000000", MODEL),
         ("ablate", "d_model = 1000000000000", ENCODER),
         ("ablate", "d_emb = 1000000000000", MODEL),
     ], ids=["num_layers", "d_model", "d_ff", "max_len", "grid_size", "d_spatial", "d_region",
-            "d_emb", "gradcheck-num_layers", "gradcheck-d_emb", "ablate-d_model",
+            "corpus", "d_emb", "gradcheck-num_layers", "gradcheck-d_emb", "ablate-d_model",
             "ablate-d_emb"])
     def test_huge_size_setting_exits_one_at_once(self, cli_corpus, tmp_path, command,
                                                  setting, what):
         out = tmp_path / "out"
-        if command == "gen-data":
+        if command == "gen-data" and isinstance(setting, str):  # the sample count
+            argv = ["gen-data", "--n", setting, "--out", str(out)]
+        elif command == "gen-data":
             spec = tmp_path / "world.json"
             spec.write_text(json.dumps(setting))
             argv = ["gen-data", "--spec", str(spec), "--n", "3", "--out", str(out)]
@@ -832,6 +838,17 @@ class TestAblate:
         assert rc == 1
         assert captured.err.startswith("error: an experiment needs epochs >= 1")
         assert "got 0" in captured.err and captured.out == ""
+
+    def test_config_epochs_apply_without_the_flag(self, cli_corpus, tmp_path, capsys):
+        """Without ``--epochs`` the config file's ``epochs`` counts; with it
+        the flag wins (``test_zero_epochs_exits_one``)."""
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(SMALL_CONFIG.replace("epochs = 2", "epochs = 0"))
+        rc = main(["ablate", "--data", str(cli_corpus), "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (1, "")
+        assert captured.err == ("error: an experiment needs epochs >= 1 to report training "
+                                "metrics, got 0\n")
 
 
 class TestParser:

@@ -29,7 +29,7 @@ from hypothesis.extra.numpy import arrays
 import granalign.autodiff as ad
 from granalign import encoder
 from granalign.cli import main
-from granalign.data import DEFAULT_WORLD, ToyWorldSpec, _json_text, load_manifest
+from granalign.data import DEFAULT_WORLD, ToyWorldSpec, load_manifest
 from granalign.ingest import (FEATURE_LIMIT, DependencyEdge, QuestionParse, SceneGraph,
                               SceneObject, SceneRelation, SpatialGrid, question_from_dict,
                               scene_from_dict, to_json)
@@ -101,10 +101,12 @@ def ids(paths):
 GIRL_DOG = load_fixture("girl_dog.json")
 SAMPLE = {"id": "s0", "template": "attribute", "answer": "brown", **GIRL_DOG}
 WORLD = json.loads(json.dumps(to_json(DEFAULT_WORLD)))  # as a spec file holds it
-MANIFEST = {"version": 1, "split": "train", "world": WORLD, "samples": ["s0.json"],
-            "word_vocab": ["what", "color", "is", "the", "girl", "dog", "brown", "left", "right"],
-            "answer_vocab": ["brown", "red", "yes", "no"],
-            "d_region": 4, "d_spatial": 4, "grid_size": 2}
+# the world of the girl_dog sample: its words, and features 4 wide
+CORPUS_WORLD = ToyWorldSpec(categories=("girl", "dog"), attributes=("brown", "red"),
+                            d_region=4, d_spatial=4)
+WORD_VOCAB, ANSWER_VOCAB = CORPUS_WORLD.word_vocab(), CORPUS_WORLD.answer_vocab()
+MANIFEST = {"version": 2, "split": "train", "samples": ["s0.json"],
+            "world": json.loads(json.dumps(to_json(CORPUS_WORLD)))}
 
 
 def girl_dog():
@@ -176,7 +178,7 @@ class TestWorldSpec:
 def saved_checkpoint():
     """A tiny model's checkpoint, with Adam's record: its JSON header, the
     bytes before and after it, and the whole file."""
-    model = Model(ModelConfig(**TINY), MANIFEST["word_vocab"], MANIFEST["answer_vocab"], 4, 4)
+    model = Model(ModelConfig(**TINY), WORD_VOCAB, ANSWER_VOCAB, 4, 4)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "good.ckpt")
         save_checkpoint(path, model, Adam(model.params, 1e-4))
@@ -245,7 +247,7 @@ class TestCheckpointRoundTrip:
         """A checkpoint loaded and saved again is byte-identical, with and
         without Adam's state after one step, and the loaded model's logits are
         bitwise the saved model's."""
-        model = Model(config, MANIFEST["word_vocab"], MANIFEST["answer_vocab"], 4, 4, seed=seed)
+        model = Model(config, WORD_VOCAB, ANSWER_VOCAB, 4, 4, seed=seed)
         prep = model.prepare(*girl_dog(), 0)
         optimizer = Adam(model.params, 1e-3) if adam else None
         if adam:
@@ -311,9 +313,9 @@ class TestCommandLine:
             assert "Traceback" not in err.getvalue()
 
 
-# Schema-valid records. Words come from the manifest's vocabulary and one
+# Schema-valid records. Words come from the corpus world's vocabulary and one
 # unknown word; features are any float64 the schema admits.
-WORDS = st.sampled_from(MANIFEST["word_vocab"] + ["zebra"])
+WORDS = st.sampled_from(WORD_VOCAB + ["zebra"])
 FINITE = st.floats(-FEATURE_LIMIT, FEATURE_LIMIT)
 
 
@@ -358,8 +360,8 @@ def same_record(a, b):
 
 @functools.cache
 def tiny_model(d_region, d_spatial, **switches):
-    return Model(ModelConfig(**TINY, **switches), MANIFEST["word_vocab"],
-                 MANIFEST["answer_vocab"], d_region, d_spatial)
+    return Model(ModelConfig(**TINY, **switches), WORD_VOCAB, ANSWER_VOCAB,
+                 d_region, d_spatial)
 
 
 @st.composite
@@ -382,10 +384,10 @@ class TestRecords:
     @given(data=st.data())
     def test_round_trip_through_the_file_text(self, strategy, read, data):
         record = data.draw(strategy)
-        text = _json_text(to_json(record))
+        text = json.dumps(to_json(record), sort_keys=True)
         again = read(json.loads(text))
         same_record(again, record)
-        assert _json_text(to_json(again)) == text
+        assert json.dumps(to_json(again), sort_keys=True) == text
 
     @SETTINGS
     @given(scene=scenes(), question=parses())

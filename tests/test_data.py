@@ -2,13 +2,11 @@
 
 import hashlib
 import json
-import math
 import os
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from granalign import data
 from granalign.data import (
@@ -23,8 +21,8 @@ from granalign.data import (
     load_manifest,
     region_feature,
     solve,
-    _json_text,
 )
+from granalign.cli import main
 from granalign.ingest import SchemaError, SceneObject, SceneRelation, from_json, to_json
 
 
@@ -35,6 +33,14 @@ def read_tree(root):
             p = os.path.join(dirpath, name)
             out[os.path.relpath(p, root)] = open(p, "rb").read()
     return out
+
+
+# a small pinned world and a 7x7 grid with one to four objects
+WORLDS = {"pinned": {}, "grid7": {"objects_min": 1, "objects_max": 4, "grid_size": 7}}
+
+
+def feature_arrays(sample):
+    return [o.region_feature for o in sample.scene.objects] + [sample.scene.spatial.features]
 
 
 class TestWorldSpec:
@@ -237,9 +243,9 @@ class TestOnDiskCorpus:
         assert all(t1[k] == t2[k] for k in t1)
 
     @pytest.mark.parametrize("world, digest", [
-        ({}, "08271a83ae825d92ec3cb7a883774e4b290032a8a07753246f1c27eff51b6f42"),
+        ({}, "d53fd066acd4c82aaa3279f5f9fe2ead65c821d07150b6d81d3ae6d8f6aeefff"),
         ({"objects_min": 1, "objects_max": 4, "grid_size": 7},
-         "0325337fb5b7231bbec4688b1f326b77fe83342fc39dd73919a2bcce42a90fc5"),
+         "1c498ab991f2d8138afc02508a755e8a273bd680dfd1083f8f4e6f5b92705062"),
     ], ids=["default", "grid7"])
     def test_corpus_bytes_match_committed_digest(self, tmp_path, world, digest):
         """Generated files are pinned byte for byte, from a cold and a warm
@@ -252,22 +258,6 @@ class TestOnDiskCorpus:
                 h.update(rel.encode() + b"\0" + blob)
             assert h.hexdigest() == digest
 
-    @pytest.mark.parametrize("world, n_train, n_eval", [
-        ({}, 500, 100),
-        ({"objects_min": 1, "objects_max": 4, "grid_size": 7}, 400, 80),
-    ], ids=["pinned", "grid7"])
-    def test_files_match_the_stdlib_writer(self, tmp_path, monkeypatch, world, n_train, n_eval):
-        """Every file of a benchmark-sized corpus has the digest of the same
-        document written by ``json.dump(obj, f, sort_keys=True, indent=2)``."""
-        spec = ToyWorldSpec(**world)
-        gen_corpus(spec, n_train, n_eval, 7, str(tmp_path / "fast"))
-        monkeypatch.setattr(data, "_dump_json", stdlib_dump_json)
-        gen_corpus(spec, n_train, n_eval, 7, str(tmp_path / "stdlib"))
-        fast, ref = ({rel: hashlib.sha256(blob).hexdigest() for rel, blob in read_tree(d).items()}
-                     for d in (tmp_path / "fast", tmp_path / "stdlib"))
-        assert len(fast) == n_train + n_eval + 2
-        assert fast == ref
-
     def test_train_and_eval_share_vocabularies(self, tmp_path):
         train_m, eval_m = gen_corpus(DEFAULT_WORLD, 5, 4, 21, str(tmp_path))
         train = load_manifest(train_m)
@@ -276,23 +266,46 @@ class TestOnDiskCorpus:
         assert train.answer_vocab == ev.answer_vocab
         assert len(train) == 5 and len(ev) == 4
 
-    def test_load_roundtrip_preserves_samples(self, tmp_path):
-        manifest = gen_corpus(DEFAULT_WORLD, 4, 1, 13, str(tmp_path))[0]
-        ds = load_manifest(manifest)
-        originals = gen_samples(DEFAULT_WORLD, 4, np.random.SeedSequence([13]), "train")
-        for loaded, orig in zip(ds.samples, originals):
-            assert loaded.sample_id == orig.sample_id
-            assert loaded.question.tokens == orig.question.tokens
-            assert loaded.answer == orig.answer
-            np.testing.assert_allclose(
-                loaded.scene.objects[0].region_feature,
-                orig.scene.objects[0].region_feature)
+    @pytest.mark.parametrize("world", WORLDS.values(), ids=WORLDS.keys())
+    def test_load_roundtrip_preserves_samples(self, tmp_path, world):
+        """Each loaded sample is the one drawn: every field equal, every
+        feature array bit for bit."""
+        spec = ToyWorldSpec(**world)
+        train_m, eval_m = gen_corpus(spec, 6, 3, 13, str(tmp_path))
+        for path, n, seed, split in ((train_m, 6, 13, "train"), (eval_m, 3, 14, "eval")):
+            drawn = gen_samples(spec, n, np.random.SeedSequence([seed]), split)
+            loaded = load_manifest(path).samples
+            assert len(loaded) == n
+            for got, want in zip(loaded, drawn):
+                assert to_json(got) == to_json(want)
+                for a, b in zip(feature_arrays(got), feature_arrays(want)):
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes()
 
-    def test_manifest_is_sorted_pretty_json(self, tmp_path):
-        manifest = gen_corpus(DEFAULT_WORLD, 2, 1, 1, str(tmp_path))[0]
-        text = open(manifest).read()
-        doc = json.loads(text)
-        assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    def test_every_file_and_line_written_is_the_compact_stdlib_rendering(self, tmp_path,
+                                                                           capsys):
+        """Every corpus file is ``json.dumps(doc, sort_keys=True)`` and a
+        newline, and so is each ``train --log`` line and the ``eval`` report."""
+        texts = []
+        for name, world in WORLDS.items():
+            spec = tmp_path / f"{name}.json"
+            spec.write_text(json.dumps(world))
+            assert main(["gen-data", "--spec", str(spec), "--n", "4", "--eval-n", "2",
+                         "--seed", "3", "--out", str(tmp_path / name)]) == 0
+            texts += [blob.decode("utf-8") for blob in read_tree(tmp_path / name).values()]
+        corpus, log, ckpt = str(tmp_path / "pinned"), tmp_path / "m.jsonl", tmp_path / "m.ckpt"
+        config = tmp_path / "small.cfg"
+        config.write_text("d_model = 8\nd_emb = 8\nnum_heads = 2\nnum_layers = 1\n"
+                          "d_ff = 16\nepochs = 2\nbatch_size = 4\n")
+        assert main(["train", "--data", corpus, "--config", str(config), "--log", str(log),
+                     "--out", str(ckpt)]) == 0
+        texts += log.read_text().splitlines(keepends=True)
+        capsys.readouterr()
+        assert main(["eval", "--data", corpus, "--ckpt", str(ckpt)]) == 0
+        texts.append(capsys.readouterr().out)
+        assert len(texts) == 2 * (4 + 2 + 2) + 2 + 1
+        for text in texts:
+            assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
 
     def test_answer_index_lookup(self, tmp_path):
         manifest = gen_corpus(DEFAULT_WORLD, 3, 1, 2, str(tmp_path))[0]
@@ -301,48 +314,6 @@ class TestOnDiskCorpus:
             assert ds.answer_vocab[ds.answer_index(s.answer)] == s.answer
         with pytest.raises(ValueError, match="vocabulary"):
             ds.answer_index("purple")
-
-
-def stdlib_dump_json(path, obj):
-    """The reference corpus writer: the stdlib's own encoder."""
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, sort_keys=True, indent=2)
-        f.write("\n")
-
-
-_EDGE_FLOATS = [-0.0, 0.0, 1e-05, 1e+16, 5e-324, -1.5e-300, 1.7976931348623157e+308,
-                math.nan, math.inf, -math.inf]
-_FLOATS = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))
-_JSON_LEAVES = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.integers(-10**40, 10**40), st.text(), _FLOATS,
-    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1),  # finite: one repr
-    st.lists(_FLOATS),
-    st.lists(st.one_of(_FLOATS, st.integers(), st.booleans())),
-)
-_JSON_DOCS = st.recursive(
-    _JSON_LEAVES,
-    lambda children: st.one_of(st.lists(children, max_size=4),
-                               st.dictionaries(st.text(max_size=8), children, max_size=4)),
-    max_leaves=24)
-
-
-class TestJsonText:
-    @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(_JSON_DOCS)
-    def test_is_the_stdlib_rendering(self, doc):
-        assert _json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
-
-    @pytest.mark.parametrize("doc", [
-        [1e-05, -0.0, 5e-324, 1e+16],
-        {"b": [0.5, 2.0], "a": {"\u00e9\"\n": [[1.5], [], {}]}, "c": [0.1, 2, True, None]},
-        [0.5, math.nan], [math.inf, 0.5], [-math.inf],
-    ], ids=["finite-floats", "nested", "nan", "inf", "negative-inf"])
-    def test_examples(self, doc):
-        assert _json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
-
-    def test_non_string_keys_rejected(self):
-        with pytest.raises(TypeError, match="keys must be strings"):
-            _json_text({1: 0.5})
 
 
 class TestManifestValidation:
@@ -357,8 +328,9 @@ class TestManifestValidation:
 
     def test_missing_field_names_field_and_file(self, tmp_path):
         m = self.write_corpus(tmp_path)
-        self.mutate_manifest(m, lambda d: d.pop("answer_vocab"))
-        with pytest.raises(SchemaError, match=r"answer_vocab"):
+        self.mutate_manifest(m, lambda d: d["world"].pop("attributes"))
+        with pytest.raises(SchemaError, match=re.escape(f"{m}: world: missing field "
+                                                        f"'attributes'")):
             load_manifest(m)
 
     @pytest.mark.parametrize("change, shown", [(lambda d: d.pop("version"), "None"),
@@ -371,6 +343,27 @@ class TestManifestValidation:
         self.mutate_manifest(m, lambda d: (change(d), d.pop("samples")))
         with pytest.raises(SchemaError, match=re.escape(
                 f"{m}: unsupported manifest version {shown}")):
+            load_manifest(m)
+
+    def test_version_one_manifest_rejected(self, tmp_path):
+        """A manifest in the version-1 format, indented and with the fields
+        its world gives, is refused; regenerating the corpus replaces it."""
+        m = self.write_corpus(tmp_path)
+        doc = json.load(open(m))
+        doc.update(version=1, word_vocab=DEFAULT_WORLD.word_vocab(),
+                   answer_vocab=DEFAULT_WORLD.answer_vocab(), d_region=32, d_spatial=32,
+                   grid_size=2)
+        with open(m, "w") as f:
+            f.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        with pytest.raises(SchemaError, match=re.escape(f"{m}: unsupported manifest version 1")):
+            load_manifest(m)
+
+    def test_manifest_cannot_restate_its_world(self, tmp_path):
+        """A vocabulary beside the world is an unknown field, so a manifest
+        cannot contradict the world it was drawn from."""
+        m = self.write_corpus(tmp_path)
+        self.mutate_manifest(m, lambda d: d.update(word_vocab=["zebra", "what"]))
+        with pytest.raises(SchemaError, match=re.escape(f"{m}: unknown fields ['word_vocab']")):
             load_manifest(m)
 
     def test_bad_version_rejected(self, tmp_path):
@@ -411,7 +404,7 @@ class TestManifestValidation:
 
     def test_region_dim_mismatch_reported(self, tmp_path):
         m = self.write_corpus(tmp_path)
-        self.mutate_manifest(m, lambda d: d.update(d_region=99))
+        self.mutate_manifest(m, lambda d: d["world"].update(d_region=99))
         with pytest.raises(SchemaError, match="object o0: region feature dim 32 != 99"):
             load_manifest(m)
 
@@ -460,14 +453,6 @@ class TestManifestValidation:
         manifest = from_json(Manifest, doc, m, required=True)
         assert manifest.world == DEFAULT_WORLD and manifest.split == "train"
         assert to_json(manifest) == doc
-
-    @pytest.mark.parametrize("key", ["answer_vocab", "word_vocab"])
-    def test_repeated_vocabulary_entry_rejected(self, tmp_path, key):
-        m = self.write_corpus(tmp_path)
-        first = json.load(open(m))[key][0]
-        self.mutate_manifest(m, lambda d: d[key].append(first))
-        with pytest.raises(SchemaError, match=re.escape(f"{m}: {key} repeats {first!r}")):
-            load_manifest(m)
 
     def test_spatial_width_mismatch_reported(self, tmp_path):
         m = self.write_corpus(tmp_path)
