@@ -850,6 +850,15 @@ class TestAblate:
         assert captured.err == ("error: an experiment needs epochs >= 1 to report training "
                                 "metrics, got 0\n")
 
+    def test_epochs_flag_wins_over_the_config(self, cli_corpus, tmp_path, capsys):
+        """``--epochs 1`` trains every variant although the config says 0."""
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(SMALL_CONFIG.replace("epochs = 2", "epochs = 0"))
+        rc = main(["ablate", "--data", str(cli_corpus), "--config", str(cfg), "--epochs", "1"])
+        captured = capsys.readouterr()
+        assert (rc, captured.err) == (0, "")
+        assert len(captured.out.splitlines()) == 2 + 6
+
 
 class TestParser:
     def test_unknown_flag_exits_two(self):

@@ -23,7 +23,8 @@ from granalign.data import (
     solve,
 )
 from granalign.cli import main
-from granalign.ingest import SchemaError, SceneObject, SceneRelation, from_json, to_json
+from granalign.ingest import (SIZE_LIMIT, SchemaError, SceneObject, SceneRelation,
+                              from_json, to_json)
 
 
 def read_tree(root):
@@ -258,6 +259,38 @@ class TestOnDiskCorpus:
                 h.update(rel.encode() + b"\0" + blob)
             assert h.hexdigest() == digest
 
+    @pytest.mark.parametrize("world", WORLDS.values(), ids=WORLDS.keys())
+    def test_dataset_takes_vocabularies_and_widths_from_the_world(self, tmp_path, world):
+        spec = ToyWorldSpec(**world)
+        for path in gen_corpus(spec, 3, 2, 9, str(tmp_path)):
+            ds = load_manifest(path)
+            assert (ds.word_vocab, ds.answer_vocab) == (spec.word_vocab(), spec.answer_vocab())
+            assert (ds.d_region, ds.d_spatial, ds.grid_size) == (
+                spec.d_region, spec.d_spatial, spec.grid_size)
+
+    @pytest.mark.parametrize("world", WORLDS.values(), ids=WORLDS.keys())
+    def test_corpus_bound_checked_before_the_first_draw(self, tmp_path, monkeypatch, world):
+        """A corpus of ``SIZE_LIMIT // scene_feature_count`` samples reaches
+        the draw; one more sample fails with nothing drawn or written."""
+        spec = ToyWorldSpec(**world)
+        most = SIZE_LIMIT // spec.scene_feature_count
+        drawn = []
+
+        def gen_samples_stub(spec, n, seq, split):
+            drawn.append(n)
+            raise InterruptedError("stop before drawing")
+
+        monkeypatch.setattr(data, "gen_samples", gen_samples_stub)
+        with pytest.raises(InterruptedError):
+            gen_corpus(spec, most - 1, 1, 0, str(tmp_path / "at"))
+        assert drawn == [most - 1]
+        with pytest.raises(ValueError, match=re.escape(
+                f"a corpus's feature count ((n_train + n_eval) × (grid_size² × d_spatial "
+                f"+ objects_max × d_region)) is {(most + 1) * spec.scene_feature_count}, "
+                f"beyond the limit")):
+            gen_corpus(spec, most, 1, 0, str(tmp_path / "over"))
+        assert drawn == [most - 1] and not (tmp_path / "over").exists()
+
     def test_train_and_eval_share_vocabularies(self, tmp_path):
         train_m, eval_m = gen_corpus(DEFAULT_WORLD, 5, 4, 21, str(tmp_path))
         train = load_manifest(train_m)
@@ -358,12 +391,25 @@ class TestManifestValidation:
         with pytest.raises(SchemaError, match=re.escape(f"{m}: unsupported manifest version 1")):
             load_manifest(m)
 
-    def test_manifest_cannot_restate_its_world(self, tmp_path):
-        """A vocabulary beside the world is an unknown field, so a manifest
-        cannot contradict the world it was drawn from."""
+    @pytest.mark.parametrize("key, value", [
+        ("word_vocab", ["zebra", "what"]), ("answer_vocab", ["brown", "purple"]),
+        ("d_region", 32), ("d_spatial", 32), ("grid_size", 9),
+    ], ids=["word_vocab", "answer_vocab", "d_region", "d_spatial", "grid_size"])
+    def test_manifest_cannot_restate_its_world(self, tmp_path, key, value):
+        """Each field a version-1 manifest held beside its world is an unknown
+        field, so a manifest cannot contradict the world it was drawn from."""
         m = self.write_corpus(tmp_path)
-        self.mutate_manifest(m, lambda d: d.update(word_vocab=["zebra", "what"]))
-        with pytest.raises(SchemaError, match=re.escape(f"{m}: unknown fields ['word_vocab']")):
+        self.mutate_manifest(m, lambda d: d.update({key: value}))
+        with pytest.raises(SchemaError, match=re.escape(f"{m}: unknown fields ['{key}']")):
+            load_manifest(m)
+
+    @pytest.mark.parametrize("key", ["categories", "attributes", "relations"])
+    def test_repeated_vocabulary_entry_rejected(self, tmp_path, key):
+        """A world that repeats a word is refused by the manifest that holds it."""
+        m = self.write_corpus(tmp_path)
+        self.mutate_manifest(m, lambda d: d["world"][key].append(d["world"][key][0]))
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{m}: world: {key} holds a duplicate entry")):
             load_manifest(m)
 
     def test_bad_version_rejected(self, tmp_path):
@@ -436,10 +482,12 @@ class TestManifestValidation:
         (lambda d: d.update(sampels=d["samples"]), "unknown fields ['sampels']"),
         (lambda d: d.update(world="not a world"), "field 'world' must be an object, got str"),
         (lambda d: d.update(split=7), "field 'split' must be a string, got int"),
+        (lambda d: d.update(version=2.0), "field 'version' must be an integer, got float"),
         (lambda d: d.pop("world"), "missing field 'world'"),
         (lambda d: d["world"].update(grid_size=0), "world: grid_size must be >= 1, got 0"),
         (lambda d: d["world"].update(colour="red"), "world: unknown fields ['colour']"),
-    ], ids=["unknown key", "world not an object", "split not a string", "no world",
+    ], ids=["unknown key", "world not an object", "split not a string", "float version",
+            "no world",
             "bad world", "unknown world key"])
     def test_manifest_is_a_record(self, tmp_path, change, message):
         m = self.write_corpus(tmp_path)
