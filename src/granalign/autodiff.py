@@ -179,16 +179,17 @@ class Parameters:
     every trainable array in a model is declared here as a ``(name, shape,
     init)`` triple. ``flat`` is allocated once and each block is drawn from
     ``rng`` in order into its view of it, so each block's ``data`` is a
-    view of ``flat``.
+    view of ``flat``. Without ``rng`` nothing is drawn and ``flat`` holds
+    zeros, for a caller that fills every value itself (a checkpoint load).
     """
 
     def __init__(self, blocks: Sequence[tuple[str, Sequence[int], str]],
-                 rng: np.random.Generator):
+                 rng: np.random.Generator | None):
         for name, shape, _ in blocks:
             if any(s < 0 for s in shape):
                 raise ValueError(f"parameter block {name!r} has a negative size {shape}")
         self._bounds = np.cumsum([0] + [math.prod(shape) for _, shape, _ in blocks]).tolist()
-        self.flat = np.empty(self._bounds[-1])
+        self.flat = np.zeros(self._bounds[-1])
         self._blocks: dict[str, Tensor] = {}
         for (name, shape, init), a, b in zip(blocks, self._bounds, self._bounds[1:]):
             if name in self._blocks:
@@ -197,6 +198,8 @@ class Parameters:
                 raise ValueError(f"unknown init {init!r}")
             self._blocks[name] = Tensor(self.flat[a:b].reshape(shape))
         for (_, _, init), t in zip(blocks, self._blocks.values()):
+            if rng is None or init == "zeros":
+                continue
             if init == "linear":
                 # fan_in is the first axis: weights are stored [in, out]
                 bound = 1.0 / np.sqrt(max(t.data.shape[0], 1))
@@ -204,7 +207,13 @@ class Parameters:
             elif init == "embed":
                 t.data[...] = rng.normal(0.0, 0.02, size=t.data.shape)
             else:
-                t.data[...] = 1.0 if init == "ones" else 0.0
+                t.data[...] = 1.0
+
+    def span(self, first: str, last: str) -> np.ndarray:
+        """The run of ``flat`` from the start of block ``first`` to the end of
+        block ``last``."""
+        names = self.names()
+        return self.flat[self._bounds[names.index(first)]:self._bounds[names.index(last) + 1]]
 
     def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
         """One shaped view per block of ``vector``, which has the layout of ``flat``."""

@@ -426,6 +426,9 @@ def load_manifest(path: str) -> Dataset:
         if width != w.d_spatial:
             raise SchemaError(f"{path}: sample {s.sample_id}: spatial feature "
                               f"width {width} != d_spatial {w.d_spatial}")
+        if s.scene.spatial.grid_size != w.grid_size:
+            raise SchemaError(f"{spath}: spatial grid_size {s.scene.spatial.grid_size} != "
+                              f"the world's grid_size {w.grid_size}")
         samples.append(s)
     return Dataset(samples=samples, word_vocab=w.word_vocab(), answer_vocab=answers,
                    d_region=w.d_region, d_spatial=w.d_spatial, grid_size=w.grid_size)

@@ -25,9 +25,14 @@ A batch of sequences runs as one packed [N, d] matrix of all their rows:
 every row-wise step works on it unchanged, and only the attention core pads
 to a [B, heads, W, W] grid, where padding is nothing but zero mask entries.
 Each encoder layer is a single tape node with a hand-written backward.
+Same-shaped stacks can run as one call (``StackGroup``, after PyTorch's
+``torch.func.stack_module_state``): their layers' weights enter as [S, ...]
+stacks, each product is one batched matmul, and the rows a layer sees are
+the grid's cells, group by group. That pays while the grid is small
+(``merges``).
 
-``EncoderStack.run`` runs all four stacks, the three alignment streams and
-the sentence pre-transform (``model.Model.run_stream`` packs a stream's
+``StackGroup.run`` runs all four stacks, the three alignment streams and
+the sentence pre-transform (``model.Model.encode`` packs each stream's
 [image tokens; SEP; question tokens] and takes its pooling matrix from
 ``Layout.mean_matrix``). A sequence splits into segment 0 (a stream's image
 tokens with SEP, or the whole sentence) and segment 1 (a stream's question
@@ -46,6 +51,7 @@ gets zero context, as a fully masked row does.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -53,7 +59,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .ingest import check_bound, check_size
+from .ingest import BLOCK_LIMIT, check_bound, check_size
 
 
 @dataclass(frozen=True)
@@ -70,9 +76,12 @@ class EncoderConfig:
         if self.d_model % self.num_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by {self.num_heads} heads")
         check_bound("max_len", self.max_len, 1)
-        layer = sum(math.prod(shape) for _, shape, _ in _layer_blocks(self.d_model, self.d_ff))
+        layer = _layer_blocks(self.d_model, self.d_ff)
         check_size("an encoder stack's parameter count (num_layers, d_model, d_ff, max_len)",
-                   self.num_layers * layer + self.max_len * self.d_model)
+                   self.num_layers * sum(math.prod(shape) for _, shape, _ in layer)
+                   + self.max_len * self.d_model)
+        check_size("an encoder stack's block count (num_layers)",
+                   self.num_layers * len(layer) + 1, BLOCK_LIMIT)
 
     @property
     def d_k(self) -> int:
@@ -97,8 +106,21 @@ EPS_NORM = 1e-5  # the variance floor of every layer norm
 # The fast paths' size rules, in one place: from COLUMN_MAX_ROWS rows per
 # column a block's row max runs over its columns, 2-20x cheaper there than the
 # reduction over a short last axis, which wins on smaller blocks (B = 1); a
-# layout of one sequence is built in plain Python (Layout).
+# layout of one sequence is built in plain Python (Layout). Same-shaped stacks
+# run as one call while its padded grid holds fewer than MERGE_GRID_CELLS
+# cells (``merges``): every one-question forward of the pinned world (at most
+# 432 cells) and none of a 7x7-grid world (8,748 and up) or of a pinned batch
+# of 4 or more (1,200 and up). As one call, the three stream stacks took 0.80x
+# the time of three calls at B = 1 and 0.68x at B = 2 on the pinned world,
+# 1.03x at B = 4 and 1.21x at B = 16, and 1.31x for one 7x7-grid question
+# (2-core x86-64, one BLAS thread).
 COLUMN_MAX_ROWS = 32
+MERGE_GRID_CELLS = 1024
+
+
+def merges(n_sequences: int, n_max: int) -> bool:
+    """Whether a call of ``n_sequences`` sequences on a grid ``n_max`` wide runs as one."""
+    return n_sequences * n_max * n_max < MERGE_GRID_CELLS
 
 
 def _row_max(scores):
@@ -195,11 +217,20 @@ class Layout:
     The first ``split`` parts (1 to all; all by default) are segment 0: the
     first ``n0[b]`` positions of sequence b, at their own columns of the grid.
     Segment 1 starts at column ``w0 = max(n0)``. Row r sits at cell
-    ``index[r]``; B must be at least 1."""
+    ``index[r]``; B must be at least 1.
 
-    def __init__(self, *parts, split: int | None = None):
+    A call of S ``groups`` (S same-shaped stacks run as one) holds S·b'
+    sequences, sequence s·b' + b being group s's sample b. Its layers work on
+    the grid's cells themselves, padding included: ``rows`` places the packed
+    rows there, and group s owns the s-th 1/S of them. With one group the
+    layers work on the packed rows."""
+
+    def __init__(self, *parts, split: int | None = None, groups: int = 1):
         split = len(parts) if split is None else split
+        self.groups = groups
         self.counts = counts = np.array(parts, dtype=np.intp)  # [P, B]
+        if counts.shape[1] % groups:
+            raise ValueError(f"{counts.shape[1]} sequences do not split into {groups} groups")
         if counts.shape[1] == 1:  # one sequence: row r is position r and cell r
             sizes = [int(p[0]) for p in parts]
             n0, n = sum(sizes[:split]), sum(sizes)
@@ -207,6 +238,7 @@ class Layout:
             self.batch, self.w0, self.n_max, self.dense = 1, n0, n, True
             self.sample, self.pos = np.zeros(n, dtype=np.intp), np.arange(n)
             self.index = self.pos
+            self.n_rows = n
             return
         ends = counts.cumsum(axis=0)  # position after each part in its sequence
         starts = ends - counts
@@ -222,11 +254,22 @@ class Layout:
         self.sample = (np.arange(counts.size) % self.batch).repeat(counts)
         self.pos = rows - (first_row - starts.ravel()).repeat(counts)
         self.index = rows - (first_row - cells.ravel()).repeat(counts)
-        # every grid cell holds a row, in row order: pad and unpad are reshapes
-        self.dense = len(rows) == self.batch * self.n_max and bool((self.index == rows).all())
+        # every grid cell holds a layer row, in order: pad and unpad are reshapes
+        self.dense = groups > 1 or (len(rows) == self.batch * self.n_max
+                                    and bool((self.index == rows).all()))
+        self.n_rows = self.batch * self.n_max if groups > 1 else len(rows)  # layer rows
+
+    def rows(self, a: np.ndarray) -> np.ndarray:
+        """The layer rows of the packed [N, ...] rows ``a``: ``a`` itself, or
+        with more than one group ``a`` at its cells of a zero grid."""
+        if self.groups == 1:
+            return a
+        out = np.zeros((self.batch * self.n_max,) + a.shape[1:])
+        out[self.index] = a
+        return out
 
     def pad(self, a: np.ndarray) -> np.ndarray:
-        """[N, ...] rows into a zero-padded [B, n_max, ...] array."""
+        """[N, ...] layer rows into a zero-padded [B, n_max, ...] array."""
         shape = (self.batch, self.n_max) + a.shape[1:]
         if self.dense:
             return a.reshape(shape)
@@ -235,7 +278,7 @@ class Layout:
         return out.reshape(shape)
 
     def unpad(self, a: np.ndarray) -> np.ndarray:
-        """[B * n_max, ...] padded rows back to the packed [N, ...] rows."""
+        """[B * n_max, ...] padded rows back to the [N, ...] layer rows."""
         return a if self.dense else a[self.index]
 
     def pad_masks(self, masks) -> np.ndarray:
@@ -246,6 +289,9 @@ class Layout:
         lead = np.shape(masks[0])[:-2]
         out = np.zeros(lead + (self.batch, self.n_max, self.n_max), dtype=bool)
         for b, (k, n, m) in enumerate(zip(self.n0.tolist(), self.lengths.tolist(), masks)):
+            if k == self.w0:  # no gap between the segments: the mask lands whole
+                out[..., b, :n, :n] = m
+                continue
             spans = ((slice(0, k), slice(0, k)), (slice(self.w0, self.w0 + n - k), slice(k, n)))
             for grid_rows, rows in spans:  # (grid span, mask span) of each segment
                 for grid_cols, cols in spans:
@@ -253,15 +299,15 @@ class Layout:
         return out
 
     def mean_matrix(self, part: int | None = None) -> np.ndarray:
-        """[B, N] matrix whose product with the rows is each sequence's mean over
-        all its rows, or over the rows of part ``part`` alone. Part k's rows are
-        one run, since rows are stored part-major."""
+        """[B, N] matrix whose product with the layer rows is each sequence's
+        mean over all its rows, or over the rows of part ``part`` alone. Part
+        k's rows are one run, since rows are stored part-major."""
         counts = self.lengths if part is None else self.counts[part]
         start = 0 if part is None else int(self.counts[:part].sum())
         rows = np.arange(start, start + int(counts.sum()))
         sample = self.sample[rows]
-        p = np.zeros((self.batch, len(self.sample)))
-        p[sample, rows] = 1.0 / counts[sample]
+        p = np.zeros((self.batch, self.n_rows))
+        p[sample, rows if self.groups == 1 else self.index[rows]] = 1.0 / counts[sample]
         return p
 
 
@@ -306,37 +352,58 @@ def _assemble(shape, spans, parts):
     return out
 
 
-def encoder_layer(x: ad.Tensor, g: np.ndarray, layer: LayerParams, cfg: EncoderConfig,
-                  layout: Layout, blocks=WHOLE_GRID) -> ad.Tensor:
+def _stacked(layers: Sequence[LayerParams]) -> LayerParams:
+    """The [S, ...] stacks of S layers' blocks, vectors as [S, 1, n] (see
+    ``StackGroup``)."""
+    return LayerParams(*(np.stack([t.data for t in ts]).reshape(
+        (len(ts),) + (ts[0].data.shape if ts[0].data.ndim > 1 else (1, -1)))
+        for ts in zip(*layers)))
+
+
+def encoder_layer(x: ad.Tensor, g: np.ndarray, layer, cfg: EncoderConfig,
+                  layout: Layout, blocks=WHOLE_GRID, weights: LayerParams | None = None
+                  ) -> ad.Tensor:
     """Post-norm residual layer: attention sublayer then feed-forward sublayer.
 
-    ``x`` packs the rows of ``layout.batch`` sequences and ``g`` holds their
-    padded [B, n_max, n_max] masks (one sequence of n rows: ``g[None]`` with
-    ``Layout([n])``). ``blocks`` lists the (row slice, column slice) blocks
-    of the padded grid that attention scores, with disjoint row slices; grid
-    rows outside every block get zero context, exactly as fully masked rows
-    do. The default scores the whole grid as one block.
+    ``x`` packs the layer rows of ``layout.batch`` sequences and ``g`` holds
+    their padded [B, n_max, n_max] masks (one sequence of n rows: ``g[None]``
+    with ``Layout([n])``). ``blocks`` lists the (row slice, column slice)
+    blocks of the padded grid that attention scores, with disjoint row
+    slices; grid rows outside every block get zero context, exactly as fully
+    masked rows do. The default scores the whole grid as one block.
 
-    Head projections live in fused [d_model, d_model] matrices whose column
-    blocks are the per-head maps; every head sees its sequence's mask. The
-    whole layer is one tape node. Its backward recomputes the feed-forward
-    hidden activations instead of keeping them.
+    ``layer`` holds one stack's ``LayerParams``, or S of them for a layout of
+    S groups, whose rows multiply the weights of their own group's layer.
+    ``weights`` holds the same values as [S, ...] stacks, vectors as [S, 1,
+    n] (by default stacked from ``layer``); each product is one batched
+    matmul over them. Head projections live in fused [d_model, d_model]
+    matrices whose column blocks are the per-head maps; every head sees its
+    sequence's mask. The whole layer is one tape node whose inputs are ``x``
+    and every layer's blocks; their gradients are views of the stacked ones.
+    Its backward recomputes the feed-forward hidden activations instead of
+    keeping them.
     """
-    p = layer
+    layers = (layer,) if isinstance(layer, LayerParams) else tuple(layer)
+    w = _stacked(layers) if weights is None else weights
     xd = x.data
     if g.shape != (layout.batch, layout.n_max, layout.n_max):
         raise ValueError(f"encoder_layer: mask shape {g.shape} does not match the layout")
-    h, d = cfg.num_heads, xd.shape[1]
+    h, d, n_groups = cfg.num_heads, xd.shape[1], len(layers)
     bsz, n_max, d_k = layout.batch, layout.n_max, d // h
     rows, cols = [r for r, _ in blocks], [c for _, c in blocks]
+    x3 = xd.reshape(n_groups, -1, d)  # group s's rows: the s-th 1/S of them
 
-    def split(a):  # packed [N, d] -> [B, h, n_max, d_k]
-        return layout.pad(a).reshape(bsz, n_max, h, d_k).transpose(0, 2, 1, 3)
+    def split(a):  # [S, R, d] layer rows -> [B, h, n_max, d_k]
+        return layout.pad(a.reshape(-1, d)).reshape(bsz, n_max, h, d_k).transpose(0, 2, 1, 3)
 
-    def join(a):  # [B, h, n_max, d_k] -> packed [N, d]
-        return layout.unpad(a.transpose(0, 2, 1, 3).reshape(bsz * n_max, d))
+    def join(a):  # [B, h, n_max, d_k] -> [S, R, d] layer rows
+        return layout.unpad(a.transpose(0, 2, 1, 3).reshape(bsz * n_max, d)).reshape(
+            n_groups, -1, d)
 
-    q, k, v = split(xd @ p.wq.data), split(xd @ p.wk.data), split(xd @ p.wv.data)
+    def t(a):  # each group's matrix transposed
+        return a.swapaxes(-1, -2)
+
+    q, k, v = split(x3 @ w.wq), split(x3 @ w.wk), split(x3 @ w.wv)
     parts, caches = [], []
     for r, c in blocks:
         g_b = g[:, None, r, c]
@@ -346,46 +413,48 @@ def encoder_layer(x: ad.Tensor, g: np.ndarray, layer: LayerParams, cfg: EncoderC
         caches.append(cache)
     ctx = join(_assemble(q.shape, rows, parts))
     del q, k, v, parts
-    # The row-wise steps update fresh [N, d] products in place; a sum is
+    # The row-wise steps update fresh [S, R, d] products in place; a sum is
     # commutative, so `a += x` is bitwise `x + a`.
-    r1 = ctx @ p.wo.data
-    r1 += xd
-    y, xhat1, inv1 = ad._ln_forward(r1, p.ln1_gain.data, p.ln1_bias.data, EPS_NORM)
-    hidden = y @ p.ffn_w1.data
-    hidden += p.ffn_b1.data
-    r2 = np.maximum(hidden, 0.0, out=hidden) @ p.ffn_w2.data
-    r2 += p.ffn_b2.data
+    r1 = ctx @ w.wo
+    r1 += x3
+    y, xhat1, inv1 = ad._ln_forward(r1, w.ln1_gain, w.ln1_bias, EPS_NORM)
+    hidden = y @ w.ffn_w1
+    hidden += w.ffn_b1
+    r2 = np.maximum(hidden, 0.0, out=hidden) @ w.ffn_w2
+    r2 += w.ffn_b2
     r2 += y
-    z, xhat2, inv2 = ad._ln_forward(r2, p.ln2_gain.data, p.ln2_bias.data, EPS_NORM)
+    z, xhat2, inv2 = ad._ln_forward(r2, w.ln2_gain, w.ln2_bias, EPS_NORM)
     del r1, y, hidden, r2
-    out = ad.Tensor(z)
+    out = ad.Tensor(z.reshape(-1, d))
 
     def backward(gz):
-        g_r2 = ad._ln_backward(gz, p.ln2_gain.data, xhat2, inv2)
-        y = xhat1 * p.ln1_gain.data
-        y += p.ln1_bias.data
-        hidden = y @ p.ffn_w1.data  # the forward's hidden, recomputed bitwise
-        hidden += p.ffn_b1.data
+        gz = gz.reshape(n_groups, -1, d)
+        g_r2 = ad._ln_backward(gz, w.ln2_gain, xhat2, inv2)
+        y = xhat1 * w.ln1_gain
+        y += w.ln1_bias
+        hidden = y @ w.ffn_w1  # the forward's hidden, recomputed bitwise
+        hidden += w.ffn_b1
         np.maximum(hidden, 0.0, out=hidden)
-        g_h = g_r2 @ p.ffn_w2.data.T
+        g_h = g_r2 @ t(w.ffn_w2)
         g_h *= hidden > 0.0
-        g_y = g_h @ p.ffn_w1.data.T
+        g_y = g_h @ t(w.ffn_w1)
         g_y += g_r2
-        g_r1 = ad._ln_backward(g_y, p.ln1_gain.data, xhat1, inv1)
-        g_att = split(g_r1 @ p.wo.data.T)
+        g_r1 = ad._ln_backward(g_y, w.ln1_gain, xhat1, inv1)
+        g_att = split(g_r1 @ t(w.wo))
         d_qkv = [_ga_backward(g_att[:, :, r], cache) for r, cache in zip(rows, caches)]
         d_q, d_k_, d_v = (join(_assemble(g_att.shape, spans, [a[i] for a in d_qkv]))
                           for i, spans in enumerate((rows, cols, cols)))
-        g_x = d_q @ p.wq.data.T
-        g_x += d_k_ @ p.wk.data.T
-        g_x += d_v @ p.wv.data.T
+        g_x = d_q @ t(w.wq)
+        g_x += d_k_ @ t(w.wk)
+        g_x += d_v @ t(w.wv)
         g_x += g_r1
-        return (g_x, xd.T @ d_q, xd.T @ d_k_, xd.T @ d_v, ctx.T @ g_r1,
-                y.T @ g_h, g_h.sum(axis=0), hidden.T @ g_r2, g_r2.sum(axis=0),
-                (g_y * xhat1).sum(axis=0), g_y.sum(axis=0),
-                (gz * xhat2).sum(axis=0), gz.sum(axis=0))
+        stacked = (t(x3) @ d_q, t(x3) @ d_k_, t(x3) @ d_v, t(ctx) @ g_r1,
+                   t(y) @ g_h, g_h.sum(axis=1), t(hidden) @ g_r2, g_r2.sum(axis=1),
+                   (g_y * xhat1).sum(axis=1), g_y.sum(axis=1),
+                   (gz * xhat2).sum(axis=1), gz.sum(axis=1))
+        return (g_x.reshape(-1, d), *(a[s] for s in range(n_groups) for a in stacked))
 
-    return ad.record(out, (x, *p), backward)
+    return ad.record(out, (x, *itertools.chain.from_iterable(layers)), backward)
 
 
 def _segment_plan(layout: Layout, masks) -> tuple[np.ndarray, list]:
@@ -421,12 +490,16 @@ def _blocks(o00: bool, o01: bool, o10: bool, o11: bool, w0: int) -> tuple:
 
 
 class EncoderStack:
-    """A stack of identically shaped layers plus its positional table."""
+    """A stack of identically shaped layers plus its positional table, whose
+    blocks are one run of the parameter vector, ``flat``."""
 
-    def __init__(self, cfg: EncoderConfig, layers: list[LayerParams], pos_table: ad.Tensor):
+    def __init__(self, cfg: EncoderConfig, layers: list[LayerParams], pos_table: ad.Tensor,
+                 flat: np.ndarray):
         self.cfg = cfg
         self.layers = layers
         self.pos_table = pos_table
+        self.flat = flat
+        self.group = StackGroup([self])
 
     @staticmethod
     def blocks(prefix: str, cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], str]]:
@@ -438,41 +511,92 @@ class EncoderStack:
 
     @classmethod
     def of(cls, params: ad.Parameters, prefix: str, cfg: EncoderConfig) -> "EncoderStack":
-        """The stack over the blocks of ``params`` that ``blocks(prefix, cfg)`` declares."""
+        """The stack over the blocks of ``params`` that ``blocks(prefix, cfg)`` declares,
+        which must be declared in that order, one after another."""
         layers = [LayerParams(*(params[f"{prefix}.layer{i}.{f}"] for f in LayerParams._fields))
                   for i in range(cfg.num_layers)]
-        return cls(cfg, layers, params[f"{prefix}.pos"])
-
-    def _input_rows(self, parts: Sequence[ad.Tensor], layout: Layout) -> ad.Tensor:
-        """The rows of ``parts`` stacked in order plus each row's positional
-        row, as one tape node; a 1-D part gives one row per sequence."""
-        n = int(layout.pos.max()) + 1 if len(layout.pos) else 0
-        if n > self.cfg.max_len:
-            raise ValueError(f"sequence length {n} exceeds max_len {self.cfg.max_len}")
-        bsz = layout.batch
-        rows = [t.data if t.data.ndim == 2 else np.broadcast_to(t.data, (bsz,) + t.data.shape)
-                for t in parts]
-        out = ad.Tensor(np.concatenate(rows) + self.pos_table.data[layout.pos])
-        ends = np.cumsum([len(r) for r in rows]).tolist()
-
-        def backward(g):
-            grads = [g[a:b] if t.data.ndim == 2 else
-                     ad._scatter_rows(1, np.zeros(bsz, np.intp), g[a:b])[0]
-                     for t, a, b in zip(parts, [0] + ends, ends)]
-            return (*grads, ad._scatter_rows(len(self.pos_table.data), layout.pos, g))
-
-        return ad.record(out, (*parts, self.pos_table), backward)
+        flat = params.span(f"{prefix}.layer0.{LayerParams._fields[0]}", f"{prefix}.pos")
+        if flat.size != sum(math.prod(shape) for _, shape, _ in cls.blocks(prefix, cfg)):
+            raise ValueError(f"the blocks of stack {prefix!r} are not one run of the parameters")
+        return cls(cfg, layers, params[f"{prefix}.pos"], flat)
 
     def run(self, parts: Sequence[ad.Tensor], layout: Layout,
             masks: Sequence[np.ndarray]) -> ad.Tensor:
-        """The stack over ``layout``'s sequences, whose packed rows are the rows
-        of ``parts`` in order (a 1-D part, the SEP vector, gives one row per
-        sequence): their positions, then layer i with mask i of each
-        sequence's bool [num_layers, n_b, n_b] ``masks[b]``, every layer on
+        """``StackGroup.run`` of this stack alone."""
+        return self.group.run(parts, layout, masks)
+
+
+class StackGroup:
+    """S ``EncoderStack``s of one config run as one call, as PyTorch's
+    ``torch.func.stack_module_state`` runs same-shaped modules under ``vmap``:
+    sequence s·B + b of the call's ``Layout`` of S groups is stack s's sample
+    b. Each layer's weights enter as [S, ...] views of one [S, size] array,
+    vectors as [S, 1, n]: for one stack, views of its own run of the
+    parameters; for more, of a workspace that one contiguous copy per stack
+    refills on every call, so it never holds values from before an update."""
+
+    def __init__(self, stacks: Sequence[EncoderStack]):
+        self.stacks = tuple(stacks)
+        self.cfg = cfg = stacks[0].cfg
+        n_groups = len(stacks)
+        self.weights = (stacks[0].flat[None] if n_groups == 1
+                        else np.empty((n_groups, stacks[0].flat.size)))
+        self.layers, at = [], 0
+        for _ in range(cfg.num_layers):
+            views = []
+            for _, shape, _ in _layer_blocks(cfg.d_model, cfg.d_ff):
+                size = math.prod(shape)
+                views.append(self.weights[:, at:at + size].reshape(
+                    (n_groups,) + (shape if len(shape) > 1 else (1, size))))
+                at += size
+            self.layers.append(LayerParams(*views))
+        self.pos = self.weights[:, at:].reshape(n_groups, cfg.max_len, cfg.d_model)
+
+    def refill(self) -> None:
+        """Copy each stack's values into the workspace, one contiguous copy per
+        stack; with one stack the views are its parameters and nothing is copied."""
+        if len(self.stacks) > 1:
+            for row, stack in zip(self.weights, self.stacks):
+                row[...] = stack.flat
+
+    def _input_rows(self, parts: Sequence[ad.Tensor], layout: Layout) -> ad.Tensor:
+        """The rows of ``parts`` stacked in order plus each row's positional
+        row from its own stack's table, on ``layout``'s layer rows, as one tape
+        node; a 1-D part gives one row per sequence of one group."""
+        n = int(layout.pos.max()) + 1 if len(layout.pos) else 0
+        if n > self.cfg.max_len:
+            raise ValueError(f"sequence length {n} exceeds max_len {self.cfg.max_len}")
+        n_groups, max_len = len(self.stacks), self.cfg.max_len
+        bsz = layout.batch // n_groups
+        group = layout.sample // bsz
+        rows = [t.data if t.data.ndim == 2 else t.data[None].repeat(bsz, axis=0) for t in parts]
+        out = ad.Tensor(layout.rows(np.concatenate(rows) + self.pos[group, layout.pos]))
+        ends = list(itertools.accumulate(map(len, rows)))
+
+        def backward(g):
+            if layout.groups > 1:  # the packed rows' gradients
+                g = g[layout.index]
+            grads = [g[a:b] if t.data.ndim == 2 else
+                     ad._scatter_rows(1, np.zeros(bsz, np.intp), g[a:b])[0]
+                     for t, a, b in zip(parts, [0] + ends, ends)]
+            g_pos = ad._scatter_rows(n_groups * max_len, group * max_len + layout.pos, g)
+            return (*grads, *g_pos.reshape(n_groups, max_len, -1))
+
+        return ad.record(out, (*parts, *(s.pos_table for s in self.stacks)), backward)
+
+    def run(self, parts: Sequence[ad.Tensor], layout: Layout,
+            masks: Sequence[np.ndarray]) -> ad.Tensor:
+        """The stacks over ``layout``'s sequences, whose packed rows are the rows
+        of ``parts`` in order (a 1-D part, a SEP vector, gives one row per
+        sequence of one group): their positions, then layer i with mask i of
+        each sequence's bool [num_layers, n_b, n_b] ``masks[b]``, every layer on
         ``layout``'s segment-aligned grid and the blocks ``_segment_plan``
-        finds for it."""
-        n_layers = len(self.layers)
-        n_rows = sum(t.data.shape[0] if t.data.ndim == 2 else layout.batch for t in parts)
+        finds for it. Returns the layer rows of the last layer."""
+        n_layers, n_groups = self.cfg.num_layers, len(self.stacks)
+        if layout.groups != n_groups:
+            raise ValueError(f"a layout of {layout.groups} groups for {n_groups} stacks")
+        n_rows = sum(t.data.shape[0] if t.data.ndim == 2 else layout.batch // n_groups
+                     for t in parts)
         if len(masks) != layout.batch or n_rows != len(layout.pos):
             raise ValueError(f"{len(masks)} mask sets and {n_rows} rows do not match "
                              f"{layout.batch} sequences of {len(layout.pos)} rows")
@@ -480,10 +604,12 @@ class EncoderStack:
             if m.shape != (n_layers, n, n):
                 raise ValueError(f"sequence {b} needs {n_layers} masks of {n} x {n}, "
                                  f"got shape {m.shape}")
+        self.refill()
         x = self._input_rows(parts, layout)
         g, blocks = _segment_plan(layout, masks)
-        for layer, mask, layer_blocks in zip(self.layers, g, blocks):
-            x = encoder_layer(x, mask, layer, self.cfg, layout, layer_blocks)
+        for i, (mask, layer_blocks) in enumerate(zip(g, blocks)):
+            x = encoder_layer(x, mask, [s.layers[i] for s in self.stacks], self.cfg, layout,
+                              layer_blocks, self.layers[i])
         return x
 
 

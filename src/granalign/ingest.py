@@ -71,12 +71,17 @@ def check_bound(name: str, value, low, strict: bool = False) -> None:
 # generated scene's features, 80 MB of float64. Checked before the first draw,
 # so a huge setting fails at once rather than filling memory draw by draw.
 SIZE_LIMIT = 10**7
+# Most parameter blocks one encoder stack may declare (12 per layer, so up to
+# 8,333 layers): a block costs Python objects whatever its width, so one-wide
+# layers pass SIZE_LIMIT by the million and would fill memory block by block.
+BLOCK_LIMIT = 10**5
 
 
-def check_size(what: str, count: int) -> None:
-    """ValueError if ``count``, the values that ``what`` counts, exceeds ``SIZE_LIMIT``."""
-    if count > SIZE_LIMIT:
-        raise ValueError(f"{what} is {count}, beyond the limit {SIZE_LIMIT:g}")
+def check_size(what: str, count: int, limit: int = SIZE_LIMIT) -> None:
+    """ValueError if ``count``, the values (or blocks) that ``what`` counts,
+    exceeds ``limit``."""
+    if count > limit:
+        raise ValueError(f"{what} is {count}, beyond the limit {limit:g}")
 
 
 # ---------------------------------------------------------------------------

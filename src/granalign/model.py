@@ -13,9 +13,11 @@ The head and the loss are one tape node each, with hand-written backwards;
 the head's node has the logits of every head as its tuple of outputs.
 
 ``forward_batch`` is the one forward path and ``forward`` its one-sample
-case. ``run_stream`` packs a stream's tokens of a whole minibatch into one
-matrix (see ``encoder.Layout``), runs its stack and returns the matrix that
-pools its rows, so ``fuse`` pools the row mean and the SEP row alike.
+case. ``encode`` packs the streams' tokens of a whole minibatch into one
+matrix per stack call (see ``encoder.Layout``): the three stream stacks as
+one call while its padded grid is small (one question of the pinned world),
+else each alone. It returns each stream's rows and the matrix that pools
+them, so ``fuse`` pools the row mean and the SEP row alike.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import ingest
-from .encoder import EPS_NORM, EncoderConfig, EncoderStack, Layout, sentence_pretransform
+from .encoder import (EPS_NORM, EncoderConfig, EncoderStack, Layout, StackGroup, merges,
+                      sentence_pretransform)
 from .ingest import LevelData, QuestionParse, SceneGraph, Vocab
 from .leadgraph import mask_plan
 
@@ -148,7 +151,7 @@ class Model:
 
     def __init__(self, config: ModelConfig, word_vocab: Sequence[str],
                  answer_vocab: Sequence[str], d_region: int, d_spatial: int,
-                 seed: int = 0, word_vector_file=None,
+                 seed: int | None = 0, word_vector_file=None,
                  layout: Sequence[tuple[str, list[int]]] | None = None):
         self.config = config
         self.vocab = Vocab(word_vocab)
@@ -172,7 +175,8 @@ class Model:
                 raise ValueError("parameter blocks do not match this build: " + (
                     f"{len(layout)} listed, {len(declared)} built" if i is None
                     else f"block {i} is {declared[i]}, listed as {layout[i]}"))
-        self.params = ad.Parameters(blocks, np.random.default_rng(seed))
+        # without a seed nothing is drawn: a checkpoint load fills every value
+        self.params = ad.Parameters(blocks, None if seed is None else np.random.default_rng(seed))
         # the word vectors replace the random rows of the words they cover
         table = self.params["embed.table"].data
         by_word = {w: i for i, w in enumerate(words)}
@@ -184,6 +188,11 @@ class Model:
             if STREAMS[tag].question == "sentence":
                 self.stacks["sent"] = EncoderStack.of(self.params, "sent.enc", config)
             self.stacks[tag] = EncoderStack.of(self.params, f"{tag}.enc", config)
+        # each stream stack alone, and the stream stacks as one call
+        self.groups: dict[tuple[str, ...], StackGroup] = {
+            (tag,): self.stacks[tag].group for tag in config.streams}
+        if len(config.streams) > 1:
+            self.groups[config.streams] = StackGroup([self.stacks[t] for t in config.streams])
 
     @property
     def n_answers(self) -> int:
@@ -243,11 +252,11 @@ class Model:
                                    p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
     def run_stream(self, tag: str, preps: Sequence[PreparedSample]
-                   ) -> tuple[ad.Tensor, np.ndarray]:
-        """One alignment stream over a batch: the final rows of every sample's
-        [image tokens; SEP; question tokens], packed part-major with the image
-        rows and SEP as segment 0 (see ``encoder.Layout``), and the [B, N]
-        matrix that pools them, each sample's row mean or its SEP row."""
+                   ) -> tuple[list[ad.Tensor], list[int], list[int]]:
+        """One alignment stream's input to its stack over a batch: the parts
+        [image tokens, SEP, question tokens], the question words through the
+        sentence stack first on a sentence stream, and each sample's image
+        and question token counts."""
         p, s = self.params, STREAMS[tag]
         imgs = [prep.levels[s.image] for prep in preps]
         qs = [prep.levels[s.question] for prep in preps]
@@ -261,21 +270,45 @@ class Model:
         if s.question == "sentence":
             t_q = sentence_pretransform(t_q, n_q, [prep.plans["sent"] for prep in preps],
                                         self.stacks["sent"])
-        layout = Layout([img.n_tokens for img in imgs], [1] * len(preps), n_q, split=2)
-        hidden = self.stacks[tag].run([t_img, p[f"{tag}.sep"], t_q], layout,
-                                      [prep.plans[tag] for prep in preps])
-        return hidden, layout.mean_matrix(1 if self.config.pooling == "sep" else None)
+        return [t_img, p[f"{tag}.sep"], t_q], [img.n_tokens for img in imgs], n_q
+
+    def encode(self, preps: Sequence[PreparedSample]) -> list[tuple[ad.Tensor, np.ndarray]]:
+        """Every configured stream's final rows and the [B, N] matrix that pools
+        them, each sample's row mean or its SEP row, in ``config.streams``
+        order: ``fuse``'s input.
+
+        The stream stacks run as one ``StackGroup`` call on one ``Layout`` of
+        S·B sequences, sequence s·B + b being stream s of sample b, when its
+        padded grid is small enough (``encoder.merges``); otherwise each runs
+        alone, a group of one. A sequence packs its [image tokens; SEP;
+        question tokens] part-major, the image rows and SEP being segment 0.
+        A group's streams share its rows and each pools its own."""
+        tags, bsz = self.config.streams, len(preps)
+        inputs = {tag: self.run_stream(tag, preps) for tag in tags}
+        n_max = (max(n for _, n_img, _ in inputs.values() for n in n_img) + 1
+                 + max(n for *_, n_q in inputs.values() for n in n_q))
+        part = 1 if self.config.pooling == "sep" else None
+        outputs = []
+        for group in [tags] if merges(len(tags) * bsz, n_max) else [(tag,) for tag in tags]:
+            parts, n_img, n_q = zip(*(inputs[tag] for tag in group))
+            layout = Layout([n for ns in n_img for n in ns], [1] * (len(group) * bsz),
+                            [n for ns in n_q for n in ns], split=2, groups=len(group))
+            hidden = self.groups[group].run(  # part-major, then stream by stream
+                [ps[k] for k in range(3) for ps in parts], layout,
+                [prep.plans[tag] for tag in group for prep in preps])
+            pool = layout.mean_matrix(part)
+            outputs += [(hidden, pool[s * bsz:(s + 1) * bsz]) for s in range(len(group))]
+        return outputs
 
     def forward_batch(self, preps: Sequence[PreparedSample]) -> LogitsBundle:
         """[B, c] logits of a minibatch, all samples in one pass."""
         if not preps:
             raise ValueError("forward_batch needs at least one sample")
-        return self.fuse([self.run_stream(tag, preps) for tag in self.config.streams])
+        return self.fuse(self.encode(preps))
 
     def forward(self, prep: PreparedSample) -> LogitsBundle:
         """1-D logits of one sample: ``forward_batch`` with B = 1."""
-        return self.fuse([self.run_stream(tag, [prep]) for tag in self.config.streams],
-                         (self.n_answers,))
+        return self.fuse(self.encode([prep]), (self.n_answers,))
 
     # -- decision fusion ----------------------------------------------------
 
@@ -283,8 +316,8 @@ class Model:
              shape: tuple[int, ...] | None = None) -> LogitsBundle:
         """Pool, normalize, project, and concatenate the stream outputs, as one
         tape node whose outputs are the logits of every head: [B, c], or
-        ``shape`` when given. ``outputs`` holds ``run_stream``'s ``(hidden,
-        pool)`` of each configured stream, in ``config.streams`` order. Per
+        ``shape`` when given. ``outputs`` holds ``encode``'s ``(hidden, pool)``
+        of each configured stream, in ``config.streams`` order. Per
         stream: the pooled rows ``pool @ hidden``, layer norm, projection
         ``h`` and head; the fused head reads the streams' ``h`` side by side."""
         p, c = self.params, self.n_answers

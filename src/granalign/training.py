@@ -458,9 +458,9 @@ def _model_from_header(doc, left: int) -> tuple[Model, Adam | None]:
         section, at = divmod(left // 8, ends[-1])
         raise ValueError(f"truncated checkpoint: file ends inside the {SECTIONS[section]} "
                          f"block {h.blocks[bisect.bisect_right(ends, at)].name}")
-    # the top-level d_emb wins; a build that declares other blocks than the header draws none
+    # the top-level d_emb wins; nothing is drawn, as the file holds every value
     model = Model(dataclasses.replace(h.model_config, d_emb=h.d_emb), h.word_vocab,
-                  h.answer_vocab, h.d_region, h.d_spatial, seed=0,
+                  h.answer_vocab, h.d_region, h.d_spatial, seed=None,
                   layout=[(b.name, b.shape) for b in h.blocks])
     if h.optimizer is None:
         return model, None

@@ -169,14 +169,18 @@ def feed_forward(x, layer):
     return add(matmul(hidden, layer.ffn_w2), layer.ffn_b2)
 
 
-def reference_encoder_layer(x, g, layer, cfg, layout, blocks=None):
+def reference_encoder_layer(x, g, layer, cfg, layout, blocks=None, weights=None):
     """Post-norm residual layer as a chain of autodiff ops, one sequence at a time.
 
-    Takes the fused layer's arguments; the layout must hold one sequence.
-    Attention always runs over the full mask ``g[0]``: ``blocks`` only names
-    where the fused layer may skip work, so it is ignored here.
+    Takes the fused layer's arguments; the layout must hold one sequence of
+    one stack, whose ``LayerParams`` ``layer`` is, or holds alone. Attention
+    always runs over the full mask ``g[0]``: ``blocks`` only names where the
+    fused layer may skip work, and ``weights`` holds ``layer``'s values, so
+    both are ignored here.
     """
     assert layout.batch == 1 and layout.dense
+    if not isinstance(layer, encoder.LayerParams):
+        (layer,) = layer
     attended = multi_head_ga(x, g[0], layer, cfg.num_heads)
     y = layer_norm_rows(add(x, attended), layer.ln1_gain, layer.ln1_bias, encoder.EPS_NORM)
     return layer_norm_rows(add(y, feed_forward(y, layer)),
@@ -197,19 +201,22 @@ def whole_grid(m):
     sequence position, and score each layer's whole grid: the unaligned
     reference of the grouped, segment-aligned path."""
     layout = encoder.Layout
-    m.setattr(encoder, "Layout", lambda *parts, split=None: layout(*parts))
+    m.setattr(encoder, "Layout", lambda *parts, split=None, groups=1: layout(*parts,
+                                                                              groups=groups))
     m.setattr(encoder, "_segment_plan", whole_grid_plan)
 
 
 def reference_batch(model, preps, monkeypatch):
     """Per-sample losses and batch-mean gradients the per-sample way: one tape
-    per sample through the reference layer chain, ``accum += g / B``."""
+    per sample through the reference layer chain, ``accum += g / B``, each
+    stream's stack run alone, since the chain runs one sequence at a time."""
     names = model.params.names()
     accum = {name: np.zeros_like(t.data) for name, t in model.params.items()}
     inv = 1.0 / len(preps)
     losses = []
     with monkeypatch.context() as m:
         m.setattr(encoder, "encoder_layer", reference_encoder_layer)
+        m.setattr(encoder, "MERGE_GRID_CELLS", 0)
         for prep in preps:
             with ad.Tape() as tape:
                 loss = model.loss(model.forward(prep), prep.answer_index)

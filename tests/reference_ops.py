@@ -6,7 +6,8 @@ tape node each. This module keeps those operations and that chain:
 ``reference_forward_batch`` and ``reference_loss`` compute what
 ``Model.forward_batch`` and ``Model.loss`` compute, op by op, and the tests
 require the fused nodes to match them bitwise. The encoder layers themselves
-run fused in both (their reference is ``conftest.reference_encoder_layer``).
+run fused in both (their reference is ``conftest.reference_encoder_layer``),
+with the stream stacks grouped into calls as ``Model.encode`` groups them.
 It also keeps the attention core as it was before the softmax division was
 deferred, ``normalized_forward`` and ``normalized_backward``, which
 ``encoder._ga_forward`` and ``encoder._ga_backward`` must match to 1e-12.
@@ -226,21 +227,41 @@ def project_features(features, w, b) -> ad.Tensor:
     return add(matmul(ad.Tensor(features), w), b)
 
 
-def stack_run(stack, x, layout, masks) -> ad.Tensor:
-    """``EncoderStack.run`` on the packed rows ``x``: positions added by a
-    lookup, then the fused layers."""
+def place_rows(x: ad.Tensor, index: np.ndarray, n_rows: int) -> ad.Tensor:
+    """The rows of ``x`` at rows ``index`` of an ``n_rows``-row zero matrix."""
+    out = np.zeros((n_rows, x.data.shape[1]))
+    out[index] = x.data
+
+    def backward(g):
+        return (g[index],)
+
+    return ad.record(ad.Tensor(out), (x,), backward)
+
+
+def stack_run(stacks, x, layout, masks) -> ad.Tensor:
+    """``StackGroup.run`` of ``stacks`` on the packed rows ``x``: positions
+    added by a lookup in the stacks' tables one after another, the rows
+    placed on the layer rows of ``layout`` (its grid's cells for more than one
+    stack), then the fused layers."""
+    cfg = stacks[0].cfg
     n = int(layout.pos.max()) + 1 if len(layout.pos) else 0
-    if n > stack.cfg.max_len:
-        raise ValueError(f"sequence length {n} exceeds max_len {stack.cfg.max_len}")
-    x = add(x, embedding_lookup(stack.pos_table, layout.pos))
+    if n > cfg.max_len:
+        raise ValueError(f"sequence length {n} exceeds max_len {cfg.max_len}")
+    group = layout.sample // (layout.batch // len(stacks))
+    tables = concat_rows([stack.pos_table for stack in stacks])
+    x = add(x, embedding_lookup(tables, group * cfg.max_len + layout.pos))
+    if len(stacks) > 1:
+        x = place_rows(x, layout.index, layout.n_rows)
     g, blocks = encoder._segment_plan(layout, masks)
-    for layer, mask, layer_blocks in zip(stack.layers, g, blocks):
-        x = encoder.encoder_layer(x, mask, layer, stack.cfg, layout, layer_blocks)
+    for i, (mask, layer_blocks) in enumerate(zip(g, blocks)):
+        x = encoder.encoder_layer(x, mask, [stack.layers[i] for stack in stacks], cfg, layout,
+                                  layer_blocks)
     return x
 
 
-def run_stream(model, tag, preps):
-    """Hidden rows, layout and SEP rows of one stream over a batch."""
+def stream_parts(model, tag, preps):
+    """One stream's [image rows, SEP rows, question rows] over a batch, and
+    each sample's image and question token counts."""
     p, s = model.params, STREAMS[tag]
     imgs = [prep.levels[s.image] for prep in preps]
     qs = [prep.levels[s.question] for prep in preps]
@@ -257,27 +278,47 @@ def run_stream(model, tag, preps):
     t_q = mlp([w for q in qs for w in q.labels], s.question_input)
     n_img, n_q = [img.n_tokens for img in imgs], [q.n_tokens for q in qs]
     if s.question == "sentence":
-        t_q = stack_run(model.stacks["sent"], t_q, encoder.Layout(n_q),
+        t_q = stack_run([model.stacks["sent"]], t_q, encoder.Layout(n_q),
                         [prep.plans["sent"] for prep in preps])
-    bsz = len(preps)
-    layout = encoder.Layout(n_img, [1] * bsz, n_q, split=2)
     sep = p[f"{tag}.sep"]
-    seps = embedding_lookup(reshape(sep, (1, sep.data.shape[0])), np.zeros(bsz, np.intp))
-    hidden = stack_run(model.stacks[tag], concat_rows([t_img, seps, t_q]), layout,
-                       [prep.plans[tag] for prep in preps])
-    return hidden, layout, t_img.data.shape[0] + np.arange(bsz)
+    seps = embedding_lookup(reshape(sep, (1, sep.data.shape[0])), np.zeros(len(preps), np.intp))
+    return [t_img, seps, t_q], n_img, n_q
+
+
+def run_streams(model, preps):
+    """Each stream's hidden rows, layout and group index, with the stream
+    stacks grouped as ``Model.encode`` groups them: all in one call where
+    ``encoder.merges`` allows it, else each alone."""
+    tags, bsz = model.config.streams, len(preps)
+    inputs = {tag: stream_parts(model, tag, preps) for tag in tags}
+    n_max = (max(n for _, n_img, _ in inputs.values() for n in n_img) + 1
+             + max(n for *_, n_q in inputs.values() for n in n_q))
+    merged = encoder.merges(len(tags) * bsz, n_max)
+    out = {}
+    for group in [tags] if merged else [(tag,) for tag in tags]:
+        parts, n_img, n_q = zip(*(inputs[tag] for tag in group))
+        layout = encoder.Layout(sum(n_img, []), [1] * (len(group) * bsz), sum(n_q, []),
+                                split=2, groups=len(group))
+        hidden = stack_run([model.stacks[tag] for tag in group],
+                           concat_rows([ps[k] for k in range(3) for ps in parts]), layout,
+                           [prep.plans[tag] for tag in group for prep in preps])
+        out.update({tag: (hidden, layout, s) for s, tag in enumerate(group)})
+    return out
 
 
 def reference_forward_batch(model, preps) -> LogitsBundle:
     """[B, c] logits of ``Model.forward_batch``, op by op."""
-    p, cfg = model.params, model.config
+    p, cfg, bsz = model.params, model.config, len(preps)
     projected, logits = {}, {}
-    for tag in cfg.streams:
-        hidden, layout, sep_rows = run_stream(model, tag, preps)
+    for tag, (hidden, layout, s) in run_streams(model, preps).items():
+        rows = slice(s * bsz, (s + 1) * bsz)
         if cfg.pooling == "sep":
-            pooled = embedding_lookup(hidden, sep_rows)
+            sep_rows = int(layout.counts[0].sum()) + np.arange(layout.batch)  # packed
+            if layout.groups > 1:
+                sep_rows = layout.index[sep_rows]
+            pooled = embedding_lookup(hidden, sep_rows[rows])
         else:
-            pooled = matmul(ad.Tensor(layout.mean_matrix()), hidden)
+            pooled = matmul(ad.Tensor(layout.mean_matrix()[rows]), hidden)
         normed = layer_norm_rows(pooled, p[f"fuse.{tag}.ln_gain"], p[f"fuse.{tag}.ln_bias"],
                                  EPS_NORM)
         projected[tag] = matmul(normed, p[f"fuse.{tag}.w"])

@@ -430,6 +430,24 @@ class TestSizeRule:
             argv = [command, "--data", str(cli_corpus), "--config", str(cfg)]
             argv += {"train": ["--out", str(out)], "gradcheck": [],
                      "ablate": ["--epochs", "1"]}[command]
+        self.exits_one_at_once(argv, what, "1e+07")
+        assert not out.exists()
+
+    def test_one_wide_layers_by_the_hundred_thousand(self, cli_corpus, tmp_path):
+        """200,000 layers of width 1 hold few values but 2.4 million blocks per
+        stack, beyond ``ingest.BLOCK_LIMIT``."""
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text("num_layers = 200000\nd_model = 1\nnum_heads = 1\nd_ff = 1\n")
+        out = tmp_path / "out"
+        self.exits_one_at_once(["train", "--data", str(cli_corpus), "--config", str(cfg),
+                                "--out", str(out)],
+                               "an encoder stack's block count (num_layers)", "100000")
+        assert not out.exists()
+
+    @staticmethod
+    def exits_one_at_once(argv, what, limit):
+        """The CLI on ``argv``, alone in a child process under the class's
+        rule, exits 1 with one ``error:`` line: ``what`` beyond ``limit``."""
         limited = ("import resource, sys; "
                    "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
                    "from granalign.cli import main; sys.exit(main(sys.argv[1:]))")
@@ -438,8 +456,7 @@ class TestSizeRule:
                               env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr.startswith(f"error: {what} is ") and proc.stderr.endswith(
-            ", beyond the limit 1e+07\n")
-        assert not out.exists()
+            f", beyond the limit {limit}\n")
 
 
 class TestGradcheckCommand:

@@ -502,6 +502,19 @@ class TestManifestValidation:
         assert manifest.world == DEFAULT_WORLD and manifest.split == "train"
         assert to_json(manifest) == doc
 
+    def test_grid_size_mismatch_names_the_sample_file(self, tmp_path):
+        """A sample edited to a 3x3 grid in a corpus of 2x2 scenes is refused."""
+        m = self.write_corpus(tmp_path)
+        spath = tmp_path / "samples" / "train_0001.json"
+        doc = json.loads(spath.read_text())
+        spatial = doc["scene"]["spatial"]
+        spatial["features"] = (spatial["features"] * 3)[:9]
+        spatial["grid_size"] = 3
+        spath.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{spath}: spatial grid_size 3 != the world's grid_size 2")):
+            load_manifest(m)
+
     def test_spatial_width_mismatch_reported(self, tmp_path):
         m = self.write_corpus(tmp_path)
         spath = tmp_path / "samples" / "train_0001.json"

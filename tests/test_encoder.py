@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import granalign.autodiff as ad
-from granalign import encoder
+from granalign import encoder, ingest
 from granalign.encoder import (
     WHOLE_GRID,
     EncoderConfig,
@@ -843,10 +843,14 @@ class TestEncoderConfig:
     @pytest.mark.parametrize("kw", [{}, dict(num_layers=2, num_heads=1, d_model=3, d_ff=5,
                                              max_len=7)], ids=["default", "odd-widths"])
     def test_size_rule_counts_what_a_stack_declares(self, kw, monkeypatch):
+        """Its values against ``SIZE_LIMIT`` and its blocks against ``BLOCK_LIMIT``."""
         counts = []
-        monkeypatch.setattr(encoder, "check_size", lambda what, n: counts.append(n))
+        monkeypatch.setattr(encoder, "check_size",
+                            lambda what, n, limit=ingest.SIZE_LIMIT: counts.append((n, limit)))
         cfg = EncoderConfig(**kw)
-        assert counts == [sum(math.prod(shape) for _, shape, _ in EncoderStack.blocks("s", cfg))]
+        blocks = EncoderStack.blocks("s", cfg)
+        assert counts == [(sum(math.prod(shape) for _, shape, _ in blocks), ingest.SIZE_LIMIT),
+                          (len(blocks), ingest.BLOCK_LIMIT)]
 
 
 def lead_graph_masks(rng, n_img, n_q):
@@ -1056,9 +1060,9 @@ class TestSegmentPlan:
         masks = [lead_graph_masks(rng, a, b) for a, b in zip(n_img, n_q)]
         seen = []
 
-        def spy(x, g, layer, cfg, grid, blocks):
+        def spy(x, g, layer, cfg, grid, blocks, weights):
             seen.append((grid, blocks))
-            return encoder_layer(x, g, layer, cfg, grid, blocks)
+            return encoder_layer(x, g, layer, cfg, grid, blocks, weights)
 
         monkeypatch.setattr(encoder, "encoder_layer", spy)
         stack.run([ad.Tensor(rng.normal(size=(len(layout.pos), 8)))], layout, masks)

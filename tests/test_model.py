@@ -12,7 +12,7 @@ from granalign.encoder import EncoderConfig, Layout, encoder_layer
 from granalign.ingest import question_from_dict
 from granalign.leadgraph import layer_masks, pairs_to_matrix
 from granalign.model import HEADS, STREAMS, LogitsBundle, Model, ModelConfig
-from granalign.training import ABLATION_VARIANTS, generic_parameter_point
+from granalign.training import ABLATION_VARIANTS, Adam, generic_parameter_point
 import reference_ops as refops
 from conftest import (append_sep_mask, fd_gradient, fixture_path, level_graph, reference_batch,
                       rel_err, weighted_sum, whole_grid)
@@ -347,38 +347,46 @@ class TestPredict:
         assert all(0 <= v < len(ANSWERS) for v in preds.values())
 
 
-class TestPooling:
-    @staticmethod
-    def outputs(model, prep):
-        return [model.run_stream(tag, [prep]) for tag in model.config.streams]
+CALLS = {"merged": 10**9, "per-stream": 0}  # MERGE_GRID_CELLS that forces each kind of call
 
-    def test_sep_pool_reads_sep_row(self, girl_dog):
+
+class TestPooling:
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_sep_pool_reads_sep_row(self, girl_dog, monkeypatch, call):
         """Under SEP pooling the head reads nothing of a stream but its SEP row,
-        the one row after the image rows."""
+        the one row after the image rows of the stream's share of the rows."""
+        monkeypatch.setattr(encoder, "MERGE_GRID_CELLS", CALLS[call])
         model, prep = make_model(girl_dog, pooling="sep")
-        outputs = self.outputs(model, prep)
+        outputs = model.encode([prep])
         base = model.fuse(outputs).all_logits()
-        sep_rows = []
-        for tag, (hidden, pool) in zip(model.config.streams, outputs):
+        sep_rows = {}  # per distinct hidden: the hidden and its streams' SEP rows
+        for s, (tag, (hidden, pool)) in enumerate(zip(model.config.streams, outputs)):
             (sep_row,) = np.flatnonzero(pool[0])
-            assert sep_row == prep.levels[STREAMS[tag].image].n_tokens and pool[0, sep_row] == 1
-            sep_rows.append(sep_row)
+            n_groups = sum(h is hidden for h, _ in outputs)  # streams sharing the rows
+            start = (s if n_groups > 1 else 0) * len(hidden.data) // n_groups
+            assert sep_row == start + prep.levels[STREAMS[tag].image].n_tokens
+            assert pool[0, sep_row] == 1
+            sep_rows.setdefault(id(hidden), (hidden, []))[1].append(sep_row)
+        assert len(sep_rows) == (1 if call == "merged" else 3)
+        for hidden, rows in sep_rows.values():
             others = np.ones(len(hidden.data), dtype=bool)
-            others[sep_row] = False
+            others[rows] = False
             hidden.data[others] += np.arange(hidden.data.shape[1])
         bumped = model.fuse(outputs).all_logits()
         for tag, t in base.items():
             assert bumped[tag].data.tobytes() == t.data.tobytes()
         hidden = outputs[0][0].data
-        hidden[sep_rows[0]] += np.arange(hidden.shape[1])
+        hidden[np.flatnonzero(outputs[0][1][0])] += np.arange(hidden.shape[1])
         assert not np.allclose(model.fuse(outputs).f_ce.data, base["ce"].data)
 
-    def test_mean_pool_averages_rows(self, girl_dog):
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_mean_pool_averages_rows(self, girl_dog, monkeypatch, call):
         """Under mean pooling each stream's rows act as their mean alone."""
+        monkeypatch.setattr(encoder, "MERGE_GRID_CELLS", CALLS[call])
         model, prep = make_model(girl_dog, pooling="mean")
-        outputs = self.outputs(model, prep)
-        means = [(ad.Tensor(hidden.data.mean(axis=0, keepdims=True)), np.ones((1, 1)))
-                 for hidden, _ in outputs]
+        outputs = model.encode([prep])
+        means = [(ad.Tensor(hidden.data[pool[0] > 0].mean(axis=0, keepdims=True)),
+                  np.ones((1, 1))) for hidden, pool in outputs]
         got, expect = model.fuse(outputs).all_logits(), model.fuse(means).all_logits()
         for tag in got:
             np.testing.assert_allclose(got[tag].data, expect[tag].data, rtol=1e-12, atol=1e-12)
@@ -399,17 +407,22 @@ class TestVariants:
         b = ones.forward(prep_o).f_ga.data
         assert not np.allclose(a, b)
 
-    def test_all_ones_plan_matches_reference_loop(self, girl_dog, monkeypatch):
-        """Without lead graphs the logits equal a plain unmasked encoder loop,
-        bitwise, over the parts ``run_stream`` hands each stream's stack."""
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_all_ones_plan_matches_reference_loop(self, girl_dog, monkeypatch, call):
+        """Without lead graphs the logits equal a plain unmasked encoder loop
+        over the parts ``run_stream`` hands each stream's stack: bitwise when
+        each stack runs alone, within 1e-12 when they run as one call, whose
+        grid pads every stream to the widest."""
+        monkeypatch.setattr(encoder, "MERGE_GRID_CELLS", CALLS[call])
         model, prep = make_model(girl_dog, use_lead_graphs=False)
-        parts, run = {}, encoder.EncoderStack.run
+        parts, run = {}, encoder.StackGroup.run
 
-        def capture(stack, tensors, layout, masks):
-            parts[id(stack)] = [t.data for t in tensors]
-            return run(stack, tensors, layout, masks)
+        def capture(group, tensors, layout, masks):
+            for s, stack in enumerate(group.stacks):  # tensors: part-major, stack by stack
+                parts[id(stack)] = [t.data for t in tensors[s::len(group.stacks)]]
+            return run(group, tensors, layout, masks)
 
-        monkeypatch.setattr(encoder.EncoderStack, "run", capture)
+        monkeypatch.setattr(encoder.StackGroup, "run", capture)
         got = model.forward_batch([prep]).all_logits()
         monkeypatch.undo()
         outputs = []
@@ -425,7 +438,11 @@ class TestVariants:
         reference = model.fuse(outputs).all_logits()
         assert list(got) == list(reference)
         for tag in got:
-            assert got[tag].data.tobytes() == reference[tag].data.tobytes()
+            ref = reference[tag].data
+            if call == "per-stream":
+                assert got[tag].data.tobytes() == ref.tobytes()
+            else:
+                assert np.abs(got[tag].data - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_word_vector_file_seeds_embedding_rows(self, girl_dog):
         path = fixture_path("wordvecs.txt")
@@ -742,10 +759,84 @@ class TestOpByOpReference:
             assert g.tobytes() == ref.tobytes(), name
 
 
+def within(got, ref, what):
+    """``got`` equals ``ref`` to 1e-12 of ``ref``'s largest magnitude."""
+    assert got.shape == ref.shape, what
+    assert np.abs(got - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max(initial=0.0), what
+
+
+def merged_and_per_stream(model, preps, monkeypatch):
+    """``batch_loss_and_grads`` with the stream stacks forced into one call,
+    then with each forced to run alone."""
+    results = []
+    for cells in (CALLS["merged"], CALLS["per-stream"]):
+        with monkeypatch.context() as m:
+            m.setattr(encoder, "MERGE_GRID_CELLS", cells)
+            results.append(batch_loss_and_grads(model, preps))
+    return results
+
+
+class TestMergedCall:
+    """The stream stacks run as one call against each running alone: the
+    same logits and gradients to 1e-12, the one call padding every stream to
+    the widest."""
+
+    @pytest.mark.parametrize("config", [*CONFIGS, "ce-only", "node-reduction"])
+    @pytest.mark.parametrize("corpus", ["pinned", "grid"])
+    @pytest.mark.parametrize("size", [1, 4])
+    def test_matches_per_stream_calls(self, seed7_corpora, monkeypatch, config, corpus, size):
+        extra = {"ce-only": {"streams": ("ce",)}, "node-reduction": {"node_reduction": True}}
+        model, preps = seed7_model(seed7_corpora, corpus, **{**CONFIGS, **extra}[config])
+        (bundle, losses, grads), (ref_bundle, ref_losses, ref_grads) = merged_and_per_stream(
+            model, preps[3:3 + size], monkeypatch)
+        within(losses, ref_losses, "losses")
+        assert list(bundle.all_logits()) == list(ref_bundle.all_logits())
+        for tag, t in bundle.all_logits().items():
+            within(t.data, ref_bundle.all_logits()[tag].data, tag)
+        assert list(grads) == list(ref_grads) == model.params.names()
+        for name, g in grads.items():
+            within(g, ref_grads[name], name)
+
+    def test_workspace_follows_an_optimizer_step(self, seed7_corpora, monkeypatch):
+        """A merged forward after ``Adam.step`` reads the updated weights."""
+        model, preps = seed7_model(seed7_corpora, "pinned")
+        opt, logits = Adam(model.params, 1e-2), []
+        for _ in range(2):
+            (bundle, _, grads), (ref_bundle, _, _) = merged_and_per_stream(
+                model, preps[:1], monkeypatch)
+            for tag, t in bundle.all_logits().items():
+                within(t.data, ref_bundle.all_logits()[tag].data, tag)
+            logits.append(bundle.f_ga.data)
+            opt.step(np.concatenate(list(grads.values()), axis=None))
+        assert np.abs(logits[1] - logits[0]).max() > 1e-3  # the step moved the logits
+
+    def test_size_rule(self, seed7_corpora, monkeypatch):
+        """Every one-question forward of the pinned world runs its stream
+        stacks as one call; a batch of 16 of either world and one question of
+        the 7x7 world run them one by one."""
+        groups, run = [], encoder.StackGroup.run
+
+        def spy(group, parts, layout, masks):
+            groups.append(len(group.stacks))
+            return run(group, parts, layout, masks)
+
+        monkeypatch.setattr(encoder.StackGroup, "run", spy)
+        for corpus in ("pinned", "grid"):
+            model, preps = seed7_model(seed7_corpora, corpus)
+            for prep in preps:
+                groups.clear()
+                model.forward(prep)
+                assert groups == ([1, 3] if corpus == "pinned" else [1] * 4), corpus
+            groups.clear()
+            model.forward_batch(preps)
+            assert len(preps) == 16 and groups == [1] * 4, corpus
+
+
 class TestTapeNodes:
     """Each fused step records one tape node: per stream an input node for
-    each side, one stack-input node per stack and one node per layer; then
-    the head and the loss."""
+    each side, one stack-input node per stack call and one node per layer;
+    then the head and the loss. One question runs the three stream stacks
+    as one call."""
 
     @pytest.mark.parametrize("streams, expect", [(tuple(STREAMS), 24), (("ce", "ss"), 18)])
     def test_nodes_per_batch(self, seed7_corpora, streams, expect):
@@ -758,14 +849,18 @@ class TestTapeNodes:
         model, preps = seed7_model(seed7_corpora, "pinned")
         with ad.Tape() as tape:
             model.loss(model.forward(preps[0]), preps[0].answer_index)
-        assert len(tape.nodes) == 24
+        assert len(tape.nodes) == 16
 
 
 class TestOneLayoutPerStackCall:
-    @pytest.mark.parametrize("batch", [None, 16], ids=["forward", "forward_batch"])
-    def test_every_layer_runs_on_its_calls_layout(self, seed7_corpora, monkeypatch, batch):
-        """A default forward builds one ``Layout`` per stack call (ce, rn, the
-        sentence stack, ss), and every layer of a call receives that layout."""
+    @pytest.mark.parametrize("batch, calls", [(None, [1, 3]), (16, [16] * 4)],
+                             ids=["forward", "forward_batch"])
+    def test_every_layer_runs_on_its_calls_layout(self, seed7_corpora, monkeypatch, batch,
+                                                  calls):
+        """A default forward builds one ``Layout`` per stack call, and every
+        layer of a call receives that layout: for one question the sentence
+        stack's and one of the three streams as one call; for a batch of 16
+        the sentence stack's and one per stream."""
         model, preps = seed7_model(seed7_corpora, "pinned")
         built, used = [], []
         init, layer = encoder.Layout.__init__, encoder.encoder_layer
@@ -774,9 +869,9 @@ class TestOneLayoutPerStackCall:
             built.append(self)
             init(self, *parts, **kw)
 
-        def spy_layer(x, g, params, cfg, layout, blocks):
+        def spy_layer(x, g, params, cfg, layout, blocks, weights):
             used.append(layout)
-            return layer(x, g, params, cfg, layout, blocks)
+            return layer(x, g, params, cfg, layout, blocks, weights)
 
         monkeypatch.setattr(encoder.Layout, "__init__", spy_init)
         monkeypatch.setattr(encoder, "encoder_layer", spy_layer)
@@ -784,8 +879,7 @@ class TestOneLayoutPerStackCall:
             model.forward(preps[0])
         else:
             model.forward_batch(preps[:batch])
-        assert len(built) == 4
-        assert [layout.batch for layout in built] == [batch or 1] * 4
+        assert [layout.batch for layout in built] == calls
         assert used == [layout for layout in built for _ in range(model.config.num_layers)]
 
 
@@ -837,25 +931,37 @@ class TestFusedNodes:
         blocks = [p["rn.region_proj.w"], p["rn.region_proj.b"]]
         check_node(lambda: ingest.project_features(features, *blocks), blocks, seed=61)
 
-    def test_stack_input_rows_with_sep(self, batch):
+    @pytest.mark.parametrize("tags", [("ce",), tuple(STREAMS)], ids=["one-stack", "three"])
+    def test_stack_input_rows_with_sep(self, batch, tags):
+        """The input node of one stack's call, and of the three stream stacks'
+        call, which places the rows on the grid's cells."""
         model, _ = batch
-        stack = model.stacks["ce"]
+        group = model.groups[tags]
         rng = np.random.default_rng(62)
-        n_img, n_q = [3, 1, 4], [2, 0, 3]
-        t_img = ad.Tensor(rng.normal(size=(sum(n_img), 32)))
-        t_q = ad.Tensor(rng.normal(size=(sum(n_q), 32)))
-        sep = model.params["ce.sep"]
-        layout = Layout(n_img, [1] * 3, n_q, split=2)
-        tensors = [t_img, sep, t_q, stack.pos_table]
-        check_node(lambda: stack._input_rows([t_img, sep, t_q], layout), tensors, seed=63,
-                   coords=8)
+        n_img, n_q = [3, 1, 4] * len(tags), [2, 0, 3] * len(tags)
+        t_img = [ad.Tensor(rng.normal(size=(sum(n_img[:3]), 32))) for _ in tags]
+        t_q = [ad.Tensor(rng.normal(size=(sum(n_q[:3]), 32))) for _ in tags]
+        seps = [model.params[f"{tag}.sep"] for tag in tags]
+        layout = Layout(n_img, [1] * len(n_img), n_q, split=2, groups=len(tags))
+        tensors = [*t_img, *seps, *t_q, *(s.pos_table for s in group.stacks)]
+
+        def rows():
+            group.refill()
+            return group._input_rows([*t_img, *seps, *t_q], layout)
+
+        check_node(rows, tensors, seed=63, coords=8)
 
     @pytest.mark.parametrize("pooling", ["mean", "sep"])
-    def test_head(self, seed7_corpora, pooling):
+    @pytest.mark.parametrize("size", [4, 1])
+    def test_head(self, seed7_corpora, pooling, size):
+        """At B = 4 every stream has rows of its own; at B = 1 the three share
+        the rows of one stack call."""
         model, preps = seed7_model(seed7_corpora, "pinned", pooling=pooling)
-        outputs = [(ad.Tensor(hidden.data), pool) for hidden, pool in
-                   (model.run_stream(tag, preps[:4]) for tag in model.config.streams)]
-        tensors = [hidden for hidden, _ in outputs] + [
+        hiddens = {}
+        outputs = [(hiddens.setdefault(id(hidden), ad.Tensor(hidden.data)), pool)
+                   for hidden, pool in model.encode(preps[:size])]
+        assert len(hiddens) == (3 if size == 4 else 1)
+        tensors = list(hiddens.values()) + [
             t for name, t in model.params.items() if name.startswith("fuse.")]
         check_node(lambda: tuple(model.fuse(outputs).all_logits().values()), tensors,
                    seed=64 if pooling == "mean" else 65)

@@ -457,6 +457,25 @@ class TestCheckpoint:
             assert opt.m[name].tobytes() == trainer.optimizer.m[name].tobytes()
             assert opt.v[name].tobytes() == trainer.optimizer.v[name].tobytes()
 
+    def test_load_draws_nothing(self, girl_dog, tmp_path, monkeypatch):
+        """A load builds its model without a random generator, since the file
+        overwrites every value, and still restores every value bitwise."""
+        trainer = Trainer(tiny_model(seed=9), tiny_dataset(girl_dog),
+                          TrainConfig(batch_size=2, epochs=1, seed=9, lr=1e-3))
+        trainer.fit()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), trainer.model, trainer.optimizer)
+        calls = []
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: calls.append(args))
+        restored, opt = load_checkpoint(str(path))
+        assert calls == []
+        assert restored.params.flat.tobytes() == trainer.model.params.flat.tobytes()
+        assert opt.m_flat.tobytes() == trainer.optimizer.m_flat.tobytes()
+        assert opt.v_flat.tobytes() == trainer.optimizer.v_flat.tobytes()
+        prep = trainer.prepared[0]
+        assert restored.forward(prep).f_ga.data.tobytes() == \
+            trainer.model.forward(prep).f_ga.data.tobytes()
+
     def test_resaved_checkpoint_is_byte_identical(self, girl_dog, tmp_path):
         trainer = Trainer(tiny_model(), tiny_dataset(girl_dog),
                           TrainConfig(batch_size=2, epochs=1, lr=1e-3))
