@@ -173,31 +173,42 @@ def _scatter_rows(n_rows: int, idx: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 class Parameters:
-    """Named trainable tensors in declaration order, drawn into one vector.
+    """Named trainable tensors, drawn into one vector.
 
     Block names are the unit of checkpointing and gradient checking, so
     every trainable array in a model is declared here as a ``(name, shape,
-    init)`` triple. ``flat`` is allocated once and each block is drawn from
-    ``rng`` in order into its view of it, so each block's ``data`` is a
-    view of ``flat``. Without ``rng`` nothing is drawn and ``flat`` holds
-    zeros, for a caller that fills every value itself (a checkpoint load).
+    init)`` triple. ``flat`` is allocated once and holds the blocks one
+    after another in ``order`` (their names; by default the declaration
+    order), which is the order of ``names()`` and of every listing here;
+    each block's ``data`` is its view of ``flat``. The blocks are drawn
+    from ``rng`` in declaration order, wherever they lie, so a block's
+    initial values do not depend on ``order``. Without ``rng`` nothing is
+    drawn and ``flat`` holds zeros, for a caller that fills every value
+    itself (a checkpoint load).
     """
 
     def __init__(self, blocks: Sequence[tuple[str, Sequence[int], str]],
-                 rng: np.random.Generator | None):
+                 rng: np.random.Generator | None, order: Sequence[str] | None = None):
         for name, shape, _ in blocks:
             if any(s < 0 for s in shape):
                 raise ValueError(f"parameter block {name!r} has a negative size {shape}")
-        self._bounds = np.cumsum([0] + [math.prod(shape) for _, shape, _ in blocks]).tolist()
-        self.flat = np.zeros(self._bounds[-1])
-        self._blocks: dict[str, Tensor] = {}
-        for (name, shape, init), a, b in zip(blocks, self._bounds, self._bounds[1:]):
-            if name in self._blocks:
+        shapes: dict[str, Sequence[int]] = {}
+        for name, shape, init in blocks:
+            if name in shapes:
                 raise ValueError(f"parameter block {name!r} already exists")
             if init not in ("linear", "embed", "zeros", "ones"):
                 raise ValueError(f"unknown init {init!r}")
-            self._blocks[name] = Tensor(self.flat[a:b].reshape(shape))
-        for (_, _, init), t in zip(blocks, self._blocks.values()):
+            shapes[name] = shape
+        order = list(shapes) if order is None else list(order)
+        if sorted(order) != sorted(shapes):
+            raise ValueError("the placement order does not name every block once")
+        self._bounds = np.cumsum([0] + [math.prod(shapes[n]) for n in order]).tolist()
+        self.flat = np.zeros(self._bounds[-1])
+        self._blocks: dict[str, Tensor] = {
+            name: Tensor(self.flat[a:b].reshape(shapes[name]))
+            for name, a, b in zip(order, self._bounds, self._bounds[1:])}
+        for name, _, init in blocks:
+            t = self._blocks[name]
             if rng is None or init == "zeros":
                 continue
             if init == "linear":
@@ -209,11 +220,15 @@ class Parameters:
             else:
                 t.data[...] = 1.0
 
-    def span(self, first: str, last: str) -> np.ndarray:
-        """The run of ``flat`` from the start of block ``first`` to the end of
-        block ``last``."""
-        names = self.names()
-        return self.flat[self._bounds[names.index(first)]:self._bounds[names.index(last) + 1]]
+    def span(self, names: Sequence[str]) -> np.ndarray:
+        """The view of ``flat`` that holds the blocks ``names``, which must lie
+        one after another in that order."""
+        placed = self.names()
+        i = placed.index(names[0])
+        if placed[i:i + len(names)] != list(names):
+            raise ValueError(f"blocks {names[0]!r} to {names[-1]!r} are not one run "
+                             "of the parameters")
+        return self.flat[self._bounds[i]:self._bounds[i + len(names)]]
 
     def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
         """One shaped view per block of ``vector``, which has the layout of ``flat``."""

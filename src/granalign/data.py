@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ingest import (
+    CELL_LIMIT,
     FEATURE_LIMIT,
     QuestionParse,
     SceneGraph,
@@ -88,6 +89,7 @@ class ToyWorldSpec:
         check_bound("objects_max", self.objects_max, self.objects_min)
         check_size("a scene's feature count (grid_size² × d_spatial + objects_max × d_region)",
                    self.scene_feature_count)
+        check_size("a scene's grid cell count (grid_size²)", self.grid_size ** 2, CELL_LIMIT)
         if self.objects_max > len(self.categories):
             raise ValueError("objects_max exceeds the category set (sampling is without replacement)")
         if self.objects_max > self.grid_size ** 2:

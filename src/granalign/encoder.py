@@ -28,8 +28,8 @@ Each encoder layer is a single tape node with a hand-written backward.
 Same-shaped stacks can run as one call (``StackGroup``, after PyTorch's
 ``torch.func.stack_module_state``): their layers' weights enter as [S, ...]
 stacks, each product is one batched matmul, and the rows a layer sees are
-the grid's cells, group by group. That pays while the grid is small
-(``merges``).
+the grid's cells, group by group, and every layer scores the whole grid.
+That pays while the grid is small (``merges``).
 
 ``StackGroup.run`` runs all four stacks, the three alignment streams and
 the sentence pre-transform (``model.Model.encode`` packs each stream's
@@ -40,12 +40,13 @@ tokens), and a lead graph opens only some of the four segment blocks per
 layer. The call's one ``Layout`` puts every row on a grid with
 segment 0 in columns [0, w0) and segment 1 in [w0, W), one description of
 packing and segments as in FlashAttention-2's varlen interface (arXiv
-2307.08691); ``run`` pads the masks onto it once and finds which blocks
-each layer opens anywhere in the batch. Every layer runs on that grid: a
-layer that opens all four scores it as one block, and in any other layer
-each row segment scores only the columns of the segments it reaches (its
-own, the other, or both); a row segment that reaches none is skipped and
-gets zero context, as a fully masked row does.
+2307.08691); ``run`` pads the masks onto it once and, for one stack, finds
+which blocks each layer opens anywhere in the batch. Every layer runs on
+that grid: a layer that opens all four scores it as one block, and in any
+other layer each row segment scores only the columns of the segments it
+reaches (its own, the other, or both); a row segment that reaches none is
+skipped and gets zero context, as a fully masked row does. A merged call of
+several stacks scores its whole grid in every layer.
 """
 
 from __future__ import annotations
@@ -110,10 +111,13 @@ EPS_NORM = 1e-5  # the variance floor of every layer norm
 # run as one call while its padded grid holds fewer than MERGE_GRID_CELLS
 # cells (``merges``): every one-question forward of the pinned world (at most
 # 432 cells) and none of a 7x7-grid world (8,748 and up) or of a pinned batch
-# of 4 or more (1,200 and up). As one call, the three stream stacks took 0.80x
-# the time of three calls at B = 1 and 0.68x at B = 2 on the pinned world,
-# 1.03x at B = 4 and 1.21x at B = 16, and 1.31x for one 7x7-grid question
-# (2-core x86-64, one BLAS thread).
+# of 4 or more (1,200 and up). As one call, its weights a view of the
+# parameters and its whole grid scored in every layer, the three stream
+# stacks (layouts included) took 0.55x the time of three calls at B = 1 and
+# B = 2 on the pinned world, 0.85x at B = 4 and 1.33x at B = 16, and 1.86x
+# for one 7x7-grid question, where a segment plan would take 1.18x; at B = 1
+# and 2 the whole grid is ~4% faster than the plan (medians over seeds 5 and
+# 4242, 2-core x86-64, one BLAS thread).
 COLUMN_MAX_ROWS = 32
 MERGE_GRID_CELLS = 1024
 
@@ -460,8 +464,11 @@ def encoder_layer(x: ad.Tensor, g: np.ndarray, layer, cfg: EncoderConfig,
 def _segment_plan(layout: Layout, masks) -> tuple[np.ndarray, list]:
     """The bool [L, B, W, W] masks of a stack call on ``layout``'s grid, from
     each sequence's [L, n_b, n_b] ``masks``, and per layer the blocks to score
-    (see ``_blocks``)."""
+    (see ``_blocks``): with more than one group the whole grid, whose few
+    cells cost less to score than the plan would save."""
     g = layout.pad_masks(masks)
+    if layout.groups > 1:
+        return g, [WHOLE_GRID] * len(g)
     w0 = layout.w0
     if w0 < layout.n_max:
         # opened[l, b, s, t]: in layer l some row of segment s of sequence b
@@ -490,16 +497,18 @@ def _blocks(o00: bool, o01: bool, o10: bool, o11: bool, w0: int) -> tuple:
 
 
 class EncoderStack:
-    """A stack of identically shaped layers plus its positional table, whose
-    blocks are one run of the parameter vector, ``flat``."""
+    """A stack of identically shaped layers plus its positional table, over
+    the blocks of ``params`` that ``blocks(prefix, cfg)`` declares, which
+    must be one run of the parameters in that order; ``names`` lists them."""
 
-    def __init__(self, cfg: EncoderConfig, layers: list[LayerParams], pos_table: ad.Tensor,
-                 flat: np.ndarray):
+    def __init__(self, params: ad.Parameters, prefix: str, cfg: EncoderConfig):
         self.cfg = cfg
-        self.layers = layers
-        self.pos_table = pos_table
-        self.flat = flat
-        self.group = StackGroup([self])
+        self.names = [name for name, _, _ in self.blocks(prefix, cfg)]
+        self.layers = [LayerParams(*(params[f"{prefix}.layer{i}.{f}"]
+                                     for f in LayerParams._fields))
+                       for i in range(cfg.num_layers)]
+        self.pos_table = params[f"{prefix}.pos"]
+        self.group = StackGroup([self], params)
 
     @staticmethod
     def blocks(prefix: str, cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], str]]:
@@ -508,17 +517,6 @@ class EncoderStack:
         return [(f"{prefix}.layer{i}.{field}", shape, init)
                 for i in range(cfg.num_layers) for field, shape, init in layer] + [
             (f"{prefix}.pos", (cfg.max_len, cfg.d_model), "embed")]
-
-    @classmethod
-    def of(cls, params: ad.Parameters, prefix: str, cfg: EncoderConfig) -> "EncoderStack":
-        """The stack over the blocks of ``params`` that ``blocks(prefix, cfg)`` declares,
-        which must be declared in that order, one after another."""
-        layers = [LayerParams(*(params[f"{prefix}.layer{i}.{f}"] for f in LayerParams._fields))
-                  for i in range(cfg.num_layers)]
-        flat = params.span(f"{prefix}.layer0.{LayerParams._fields[0]}", f"{prefix}.pos")
-        if flat.size != sum(math.prod(shape) for _, shape, _ in cls.blocks(prefix, cfg)):
-            raise ValueError(f"the blocks of stack {prefix!r} are not one run of the parameters")
-        return cls(cfg, layers, params[f"{prefix}.pos"], flat)
 
     def run(self, parts: Sequence[ad.Tensor], layout: Layout,
             masks: Sequence[np.ndarray]) -> ad.Tensor:
@@ -530,17 +528,18 @@ class StackGroup:
     """S ``EncoderStack``s of one config run as one call, as PyTorch's
     ``torch.func.stack_module_state`` runs same-shaped modules under ``vmap``:
     sequence s·B + b of the call's ``Layout`` of S groups is stack s's sample
-    b. Each layer's weights enter as [S, ...] views of one [S, size] array,
-    vectors as [S, 1, n]: for one stack, views of its own run of the
-    parameters; for more, of a workspace that one contiguous copy per stack
-    refills on every call, so it never holds values from before an update."""
+    b. The stacks' blocks must be one run of ``params``, stack after stack,
+    so that ``weights``, the [S, size] array whose row s holds stack s, is a
+    view of the parameters: each layer's weights enter as [S, ...] views of
+    it, vectors as [S, 1, n], and every update of the parameters shows in
+    them without a copy."""
 
-    def __init__(self, stacks: Sequence[EncoderStack]):
+    def __init__(self, stacks: Sequence[EncoderStack], params: ad.Parameters):
         self.stacks = tuple(stacks)
         self.cfg = cfg = stacks[0].cfg
         n_groups = len(stacks)
-        self.weights = (stacks[0].flat[None] if n_groups == 1
-                        else np.empty((n_groups, stacks[0].flat.size)))
+        self.weights = params.span([name for s in stacks for name in s.names]).reshape(
+            n_groups, -1)
         self.layers, at = [], 0
         for _ in range(cfg.num_layers):
             views = []
@@ -551,13 +550,6 @@ class StackGroup:
                 at += size
             self.layers.append(LayerParams(*views))
         self.pos = self.weights[:, at:].reshape(n_groups, cfg.max_len, cfg.d_model)
-
-    def refill(self) -> None:
-        """Copy each stack's values into the workspace, one contiguous copy per
-        stack; with one stack the views are its parameters and nothing is copied."""
-        if len(self.stacks) > 1:
-            for row, stack in zip(self.weights, self.stacks):
-                row[...] = stack.flat
 
     def _input_rows(self, parts: Sequence[ad.Tensor], layout: Layout) -> ad.Tensor:
         """The rows of ``parts`` stacked in order plus each row's positional
@@ -591,7 +583,8 @@ class StackGroup:
         sequence of one group): their positions, then layer i with mask i of
         each sequence's bool [num_layers, n_b, n_b] ``masks[b]``, every layer on
         ``layout``'s segment-aligned grid and the blocks ``_segment_plan``
-        finds for it. Returns the layer rows of the last layer."""
+        finds for it (the whole grid for more than one stack). Returns the
+        layer rows of the last layer."""
         n_layers, n_groups = self.cfg.num_layers, len(self.stacks)
         if layout.groups != n_groups:
             raise ValueError(f"a layout of {layout.groups} groups for {n_groups} stacks")
@@ -604,7 +597,6 @@ class StackGroup:
             if m.shape != (n_layers, n, n):
                 raise ValueError(f"sequence {b} needs {n_layers} masks of {n} x {n}, "
                                  f"got shape {m.shape}")
-        self.refill()
         x = self._input_rows(parts, layout)
         g, blocks = _segment_plan(layout, masks)
         for i, (mask, layer_blocks) in enumerate(zip(g, blocks)):

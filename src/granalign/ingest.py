@@ -75,11 +75,17 @@ SIZE_LIMIT = 10**7
 # 8,333 layers): a block costs Python objects whatever its width, so one-wide
 # layers pass SIZE_LIMIT by the million and would fill memory block by block.
 BLOCK_LIMIT = 10**5
+# Most grid cells one generated scene may hold (a 100 x 100 grid): the
+# generator builds each cell in Python (~17 us on a 2-core x86-64), so a grid
+# of one-wide cells passes SIZE_LIMIT with millions of cells and minutes per
+# scene. The spatial level has one token per cell, and a stream attends over
+# all of them: 10**4 cells already make a 10**8-cell attention grid per head.
+CELL_LIMIT = 10**4
 
 
 def check_size(what: str, count: int, limit: int = SIZE_LIMIT) -> None:
-    """ValueError if ``count``, the values (or blocks) that ``what`` counts,
-    exceeds ``limit``."""
+    """ValueError if ``count``, the values (or blocks, or cells) that ``what``
+    counts, exceeds ``limit``."""
     if count > limit:
         raise ValueError(f"{what} is {count}, beyond the limit {limit:g}")
 

@@ -168,15 +168,22 @@ class Model:
         blocks = list(self._blocks())
         ingest.check_size("a model's parameter count",
                           sum(math.prod(shape) for _, shape, _ in blocks))
+        # the stream stacks lie last, one run in config.streams order, so that
+        # their merged call's weights are a view of the parameters
+        last = {name for tag in config.streams
+                for name, _, _ in EncoderStack.blocks(f"{tag}.enc", config)}
+        placed = sorted(blocks, key=lambda block: block[0] in last)
         if layout is not None:
-            declared = [(name, list(shape)) for name, shape, _ in blocks]
+            declared = [(name, list(shape)) for name, shape, _ in placed]
             if declared != list(layout):
                 i = next((i for i, (a, b) in enumerate(zip(declared, layout)) if a != b), None)
                 raise ValueError("parameter blocks do not match this build: " + (
                     f"{len(layout)} listed, {len(declared)} built" if i is None
                     else f"block {i} is {declared[i]}, listed as {layout[i]}"))
-        # without a seed nothing is drawn: a checkpoint load fills every value
-        self.params = ad.Parameters(blocks, None if seed is None else np.random.default_rng(seed))
+        # drawn in declaration order, placed as above; without a seed nothing
+        # is drawn: a checkpoint load fills every value
+        self.params = ad.Parameters(blocks, None if seed is None else np.random.default_rng(seed),
+                                    [name for name, _, _ in placed])
         # the word vectors replace the random rows of the words they cover
         table = self.params["embed.table"].data
         by_word = {w: i for i, w in enumerate(words)}
@@ -186,13 +193,14 @@ class Model:
         self.stacks: dict[str, EncoderStack] = {}
         for tag in config.streams:
             if STREAMS[tag].question == "sentence":
-                self.stacks["sent"] = EncoderStack.of(self.params, "sent.enc", config)
-            self.stacks[tag] = EncoderStack.of(self.params, f"{tag}.enc", config)
+                self.stacks["sent"] = EncoderStack(self.params, "sent.enc", config)
+            self.stacks[tag] = EncoderStack(self.params, f"{tag}.enc", config)
         # each stream stack alone, and the stream stacks as one call
         self.groups: dict[tuple[str, ...], StackGroup] = {
             (tag,): self.stacks[tag].group for tag in config.streams}
         if len(config.streams) > 1:
-            self.groups[config.streams] = StackGroup([self.stacks[t] for t in config.streams])
+            self.groups[config.streams] = StackGroup([self.stacks[t] for t in config.streams],
+                                                     self.params)
 
     @property
     def n_answers(self) -> int:
@@ -201,7 +209,8 @@ class Model:
     # -- parameter declaration ----------------------------------------------
 
     def _blocks(self):
-        """Every parameter block as ``(name, shape, init)``, in draw order."""
+        """Every parameter block as ``(name, shape, init)``, in draw order
+        (``__init__`` places the stream stacks last)."""
         cfg = self.config
         d, c = cfg.d_model, self.n_answers
 

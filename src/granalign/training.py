@@ -369,7 +369,7 @@ def format_ablation_table(rows: list[dict]) -> str:
 # ---------------------------------------------------------------------------
 
 CKPT_MAGIC = b"GALN"
-CKPT_VERSION = 2
+CKPT_VERSION = 3  # 3: the stream stacks' blocks lie last, one run (see model.Model)
 SECTIONS = ("parameter", "optimizer first-moment", "optimizer second-moment")  # in file order
 
 

@@ -513,22 +513,24 @@ def checkpoint_header(model: Model, optimizer=None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def incremental_draw(blocks, rng: np.random.Generator, table_rows=None) -> np.ndarray:
+def incremental_draw(blocks, rng: np.random.Generator, table_rows=None,
+                     order=None) -> np.ndarray:
     """Each ``(name, shape, init)`` block drawn from ``rng`` into an array of
-    its own, in order, then all of them concatenated. ``table_rows`` maps a
-    row of the first block, the embedding table, to the word vector that
-    replaces it."""
-    arrays = []
-    for _, shape, init in blocks:
+    its own, in order, then all of them concatenated in the order of the
+    names ``order`` (by default the draw order). ``table_rows`` maps a row of
+    the first block, the embedding table, to the word vector that replaces it."""
+    arrays = {}
+    for name, shape, init in blocks:
         if init == "linear":
             bound = 1.0 / np.sqrt(max(shape[0], 1))
-            arrays.append(rng.uniform(-bound, bound, size=shape))
+            arrays[name] = rng.uniform(-bound, bound, size=shape)
         elif init == "embed":
-            arrays.append(rng.normal(0.0, 0.02, size=shape))
+            arrays[name] = rng.normal(0.0, 0.02, size=shape)
         elif init == "ones":
-            arrays.append(np.ones(shape))
+            arrays[name] = np.ones(shape)
         else:
-            arrays.append(np.zeros(shape))
+            arrays[name] = np.zeros(shape)
     for row, vector in (table_rows or {}).items():
-        arrays[0][row] = vector
-    return np.concatenate([np.empty(0)] + arrays, axis=None)
+        arrays[blocks[0][0]][row] = vector
+    return np.concatenate([np.empty(0)] + [arrays[name] for name in order or arrays],
+                          axis=None)

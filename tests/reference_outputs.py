@@ -60,12 +60,28 @@ BLAS_THREADS = 1
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def cpu_model(path: str = "/proc/cpuinfo") -> str:
+    """The ``model name`` that ``path`` gives for the first CPU, or
+    ``"unknown"`` where it gives none (or there is no such file)."""
+    try:
+        with open(path, encoding="utf-8", errors="replace") as f:
+            for line in f:
+                key, sep, value = line.partition(":")
+                if sep and key.strip() == "model name":
+                    return value.strip()
+    except OSError:
+        pass
+    return "unknown"
+
+
 def platform_key() -> dict[str, str]:
     """What the digests depend on besides the code: numpy, its BLAS and the
-    thread count it runs at, the CPU family."""
+    thread count it runs at, the CPU family and model (BLAS picks its
+    kernels by CPU model, and their rounding differs)."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__, "blas": f"{blas['name']} {blas.get('version')}",
-            "blas_threads": str(BLAS_THREADS), "machine": platform.machine()}
+            "blas_threads": str(BLAS_THREADS), "machine": platform.machine(),
+            "cpu_model": cpu_model()}
 
 
 def corpora(root: str) -> dict:

@@ -494,6 +494,33 @@ class TestParameters:
         assert p["c"].data[1] == 42.0
         assert p.flat is flat
 
+    def test_placement_leaves_every_block_its_draw(self):
+        """``order`` places the blocks in ``flat``; each is still drawn in
+        declaration order, so it holds the same values wherever it lies."""
+        order = ["c", "a", "empty"]
+        p = ad.Parameters(self.THREE_BLOCKS, np.random.default_rng(5), order)
+        assert p.names() == order and [t.data.shape for t in p.tensors()] == [(4,), (2, 3), (0,)]
+        assert p.flat.tobytes() == refops.incremental_draw(
+            self.THREE_BLOCKS, np.random.default_rng(5), order=order).tobytes()
+        for name, t in self.three_blocks().items():
+            assert p[name].data.tobytes() == t.data.tobytes(), name
+        assert p.span(["a", "empty"]).tolist() == p["a"].data.ravel().tolist()
+        assert p.block_at(0) == "c" and p.block_at(4) == "a"
+
+    @pytest.mark.parametrize("order", [["a", "c"], ["a", "c", "c"], ["a", "empty", "c", "x"]],
+                             ids=["missing", "repeated", "unknown"])
+    def test_placement_names_every_block_once(self, order):
+        with pytest.raises(ValueError, match="does not name every block once"):
+            ad.Parameters(self.THREE_BLOCKS, np.random.default_rng(5), order)
+
+    def test_span_is_one_run_in_order(self):
+        p = self.three_blocks()
+        assert p.span(["empty", "c"]).base is p.flat
+        assert p.span(["a", "empty", "c"]).size == 10
+        for names in (["a", "c"], ["c", "empty"]):
+            with pytest.raises(ValueError, match="not one run of the parameters"):
+                p.span(names)
+
     def test_no_blocks_is_an_empty_vector(self):
         p = ad.Parameters([], np.random.default_rng(0))
         assert len(p) == 0 and p.flat.shape == (0,) and p.views(np.zeros(0)) == {}

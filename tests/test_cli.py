@@ -352,6 +352,20 @@ class TestTrainEval:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_version_2_checkpoint_exits_one(self, cli_corpus, cli_config, tmp_path, capsys):
+        """A checkpoint of version 2, whose blocks lie in declaration order, is
+        refused by its version: one error line, no traceback."""
+        ckpt = tmp_path / "model.ckpt"
+        main(["train", "--data", str(cli_corpus), "--config", cli_config, "--out", str(ckpt)])
+        blob = ckpt.read_bytes()
+        assert struct.unpack("<I", blob[4:8]) == (training.CKPT_VERSION,) == (3,)
+        ckpt.write_bytes(blob[:4] + struct.pack("<I", 2) + blob[8:])
+        capsys.readouterr()
+        rc = main(["eval", "--data", str(cli_corpus), "--ckpt", str(ckpt)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (1, "")
+        assert captured.err == f"error: {ckpt}: unsupported checkpoint version 2\n"
+
     @pytest.mark.parametrize("damage", ["no_d_emb", "trailing", "truncated", "bad_optimizer",
                                         "zero_d_emb"])
     def test_damaged_checkpoint_exits_one(self, cli_corpus, cli_config, tmp_path, capsys,
@@ -442,6 +456,16 @@ class TestSizeRule:
         self.exits_one_at_once(["train", "--data", str(cli_corpus), "--config", str(cfg),
                                 "--out", str(out)],
                                "an encoder stack's block count (num_layers)", "100000")
+        assert not out.exists()
+
+    def test_grid_cells_by_the_million(self, tmp_path):
+        """A 3000 x 3000 grid of one-wide cells holds 9 million feature values,
+        under ``ingest.SIZE_LIMIT``, but its cells are beyond
+        ``ingest.CELL_LIMIT``: about 3 minutes of generation per scene."""
+        spec, out = tmp_path / "world.json", tmp_path / "out"
+        spec.write_text(json.dumps({"grid_size": 3000, "d_spatial": 1}))
+        self.exits_one_at_once(["gen-data", "--spec", str(spec), "--n", "3", "--out", str(out)],
+                               "world spec: a scene's grid cell count (grid_size²)", "10000")
         assert not out.exists()
 
     @staticmethod

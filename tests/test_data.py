@@ -23,8 +23,8 @@ from granalign.data import (
     solve,
 )
 from granalign.cli import main
-from granalign.ingest import (SIZE_LIMIT, SchemaError, SceneObject, SceneRelation,
-                              from_json, to_json)
+from granalign.ingest import (CELL_LIMIT, SIZE_LIMIT, SchemaError, SceneObject,
+                              SceneRelation, from_json, to_json)
 
 
 def read_tree(root):
@@ -83,6 +83,15 @@ class TestWorldSpec:
             ToyWorldSpec(objects_min=3, objects_max=2)
         with pytest.raises(ValueError, match="template"):
             ToyWorldSpec(templates=("attribute", "count"))
+
+    def test_grid_cells_bounded_at_the_edge(self):
+        """A 100 x 100 grid is ``CELL_LIMIT`` cells and passes; one more row and
+        column fail, though 10,201 one-wide cells hold few features."""
+        assert CELL_LIMIT == 100 ** 2
+        assert ToyWorldSpec(grid_size=100, d_spatial=1).grid_size == 100
+        with pytest.raises(ValueError, match=re.escape(
+                "a scene's grid cell count (grid_size²) is 10201, beyond the limit 10000")):
+            ToyWorldSpec(grid_size=101, d_spatial=1)
 
 
 class TestFeatureSynthesis:

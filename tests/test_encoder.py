@@ -196,7 +196,7 @@ class TestMaskedAttention:
 def build_stack(cfg, seed, prefix="enc"):
     """A stack whose blocks alone are drawn from ``seed``."""
     params = ad.Parameters(EncoderStack.blocks(prefix, cfg), np.random.default_rng(seed))
-    return EncoderStack.of(params, prefix, cfg)
+    return EncoderStack(params, prefix, cfg)
 
 
 def make_layer(rng, d, f):
@@ -1005,7 +1005,7 @@ class TestSegmentPlan:
                             max_len=16)
         params = ad.Parameters(EncoderStack.blocks("enc", cfg) + [("sep", (8,), "embed")],
                                np.random.default_rng(0))
-        stack, sep = EncoderStack.of(params, "enc", cfg), params["sep"]
+        stack, sep = EncoderStack(params, "enc", cfg), params["sep"]
         plans = [lead_graph_masks(rng, a, b)[:num_layers]
                  for a, b in zip(n_img, n_q)]
         t_img = ad.Tensor(rng.normal(size=(sum(n_img), 8)))

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 import granalign.autodiff as ad
-from granalign import encoder, ingest, leadgraph
+from granalign import encoder, ingest, leadgraph, training
 from granalign.data import DEFAULT_WORLD, ToyWorldSpec, gen_corpus, load_manifest
 from granalign.encoder import EncoderConfig, Layout, encoder_layer
 from granalign.ingest import question_from_dict
 from granalign.leadgraph import layer_masks, pairs_to_matrix
 from granalign.model import HEADS, STREAMS, LogitsBundle, Model, ModelConfig
-from granalign.training import ABLATION_VARIANTS, Adam, generic_parameter_point
+from granalign.training import (ABLATION_VARIANTS, Adam, generic_parameter_point,
+                                load_checkpoint, save_checkpoint)
 import reference_ops as refops
 from conftest import (append_sep_mask, fd_gradient, fixture_path, level_graph, reference_batch,
                       rel_err, weighted_sum, whole_grid)
@@ -85,7 +86,8 @@ class TestForward:
 
 class TestParameterDraw:
     """The model's blocks drawn into one vector against the reference that
-    draws each block into an array of its own and concatenates them."""
+    draws each block into an array of its own, in declaration order, and
+    concatenates them in the model's placement order."""
 
     @pytest.mark.parametrize("streams, vectors", [(tuple(STREAMS), None), (("ce",), None),
                                                   (tuple(STREAMS), "wordvecs.txt")],
@@ -100,7 +102,8 @@ class TestParameterDraw:
             rows = {i + 1: table[words.index(w)] for i, w in enumerate(model.vocab.words)
                     if w in words}
             assert rows
-        ref = refops.incremental_draw(list(model._blocks()), np.random.default_rng(3), rows)
+        ref = refops.incremental_draw(list(model._blocks()), np.random.default_rng(3), rows,
+                                      model.params.names())
         assert model.params.flat.tobytes() == ref.tobytes()
         assert all(t.data.base is model.params.flat for t in model.params.tensors())
 
@@ -797,18 +800,30 @@ class TestMergedCall:
         for name, g in grads.items():
             within(g, ref_grads[name], name)
 
-    def test_workspace_follows_an_optimizer_step(self, seed7_corpora, monkeypatch):
-        """A merged forward after ``Adam.step`` reads the updated weights."""
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_padding_content_has_no_influence(self, seed7_corpora, monkeypatch, size):
+        """A merged call's layers work on every cell of its grid, and
+        ``Layout.rows`` leaves zeros in the cells no row fills. Filled with 1e3
+        instead, they leave every logit bitwise the same: scoring the whole
+        grid, only the mask closes their columns."""
         model, preps = seed7_model(seed7_corpora, "pinned")
-        opt, logits = Adam(model.params, 1e-2), []
-        for _ in range(2):
-            (bundle, _, grads), (ref_bundle, _, _) = merged_and_per_stream(
-                model, preps[:1], monkeypatch)
-            for tag, t in bundle.all_logits().items():
-                within(t.data, ref_bundle.all_logits()[tag].data, tag)
-            logits.append(bundle.f_ga.data)
-            opt.step(np.concatenate(list(grads.values()), axis=None))
-        assert np.abs(logits[1] - logits[0]).max() > 1e-3  # the step moved the logits
+        base = model.forward_batch(preps[:size]).all_logits()
+        rows, filled = encoder.Layout.rows, []
+
+        def noisy_rows(layout, a):
+            out = rows(layout, a)
+            if layout.groups > 1:
+                hole = np.ones(len(out), dtype=bool)
+                hole[layout.index] = False
+                out[hole] = 1e3
+                filled.append(int(hole.sum()))
+            return out
+
+        monkeypatch.setattr(encoder.Layout, "rows", noisy_rows)
+        noisy = model.forward_batch(preps[:size]).all_logits()
+        assert len(filled) == 1 and filled[0] > 0  # one merged call, with padding
+        for tag in base:
+            assert noisy[tag].data.tobytes() == base[tag].data.tobytes(), tag
 
     def test_size_rule(self, seed7_corpora, monkeypatch):
         """Every one-question forward of the pinned world runs its stream
@@ -830,6 +845,98 @@ class TestMergedCall:
             groups.clear()
             model.forward_batch(preps)
             assert len(preps) == 16 and groups == [1] * 4, corpus
+
+
+WRITERS = ["adam-step", "checkpoint-load", "gradcheck-probes", "generic-point", "word-vectors"]
+
+
+def one_question_forwards(model, prep, monkeypatch):
+    """The bundles of ``forward(prep)`` with the stream stacks as one call, with
+    each alone, and with each alone through the reference chain, whose
+    layers stack their weights from the blocks themselves."""
+    out = []
+    for cells, forward in ((CALLS["merged"], model.forward), (CALLS["per-stream"], model.forward),
+                           (CALLS["per-stream"], lambda p: refops.reference_forward(model, p))):
+        with monkeypatch.context() as m:
+            m.setattr(encoder, "MERGE_GRID_CELLS", cells)
+            out.append(forward(prep))
+    return out
+
+
+def assert_merged_reads_the_parameters(model, prep, monkeypatch):
+    """One question's merged forward within 1e-12 of the per-stream call, and
+    that call bitwise the reference chain's; returns the merged bundle."""
+    merged, per_stream, reference = one_question_forwards(model, prep, monkeypatch)
+    for tag, t in merged.all_logits().items():
+        within(t.data, per_stream.all_logits()[tag].data, tag)
+        assert per_stream.all_logits()[tag].data.tobytes() == \
+            reference.all_logits()[tag].data.tobytes(), tag
+    return merged
+
+
+class TestMergedWeights:
+    """A merged call's [S, ...] weights are views of the parameters, never a
+    copy, so no writer of the parameters leaves them stale."""
+
+    def test_views_of_the_parameters(self, seed7_corpora):
+        """Every layer's blocks and the positional tables of the merged call
+        share ``params.flat``, each stack's row at its own blocks' addresses;
+        the stream stacks are the last run of the parameters, in
+        ``config.streams`` order."""
+        model, _ = seed7_model(seed7_corpora, "pinned")
+        tags, flat = model.config.streams, model.params.flat
+        group = model.groups[tags]
+        assert [len(group.stacks), group.weights.base is flat] == [3, True]
+        for i, layer in enumerate(group.layers):
+            for field, w in zip(encoder.LayerParams._fields, layer):
+                assert np.shares_memory(w, flat), (i, field)
+                for s, tag in enumerate(tags):
+                    block = model.stacks[tag].layers[i][encoder.LayerParams._fields.index(field)]
+                    assert (w[s].ctypes.data, w[s].size) == (block.data.ctypes.data,
+                                                             block.data.size), (i, field, tag)
+        assert np.shares_memory(group.pos, flat)
+        for s, tag in enumerate(tags):
+            assert group.pos[s].ctypes.data == model.stacks[tag].pos_table.data.ctypes.data
+        run = [name for tag in tags for name in model.stacks[tag].names]
+        assert model.params.names()[-len(run):] == run
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_merged_call_reads_every_write(self, seed7_corpora, monkeypatch, tmp_path, writer):
+        """After each writer of the parameters a one-question merged forward
+        equals the per-stream call; ``gradcheck``'s probes are checked at every
+        probe, and every block's check passes."""
+        model, preps = seed7_model(seed7_corpora, "pinned")
+        prep = preps[0]
+        before = model.forward(prep).f_ga.data.copy()
+        if writer == "adam-step":
+            _, _, grads = batch_loss_and_grads(model, [prep])
+            Adam(model.params, 1e-2).step(np.concatenate(list(grads.values()), axis=None))
+        elif writer == "checkpoint-load":
+            save_checkpoint(str(tmp_path / "m.ckpt"), model)
+            model, _ = load_checkpoint(str(tmp_path / "m.ckpt"))
+        elif writer == "gradcheck-probes":
+            probes = []
+
+            def checked_loss(m, p):
+                probes.append(p)
+                bundle = assert_merged_reads_the_parameters(m, p, monkeypatch)
+                return float(m.loss(bundle, p.answer_index).data)
+
+            monkeypatch.setattr(training, "loss_value", checked_loss)
+            reports = training.gradcheck(model, prep, coords_per_block=1)
+            assert len(probes) == 2 * len(model.params)
+            assert [r.name for r in reports if not r.passed] == []
+        elif writer == "generic-point":
+            generic_parameter_point(model, seed=5)
+        else:
+            ds = seed7_corpora["pinned"]
+            model = Model(ModelConfig(), ds.word_vocab, ds.answer_vocab, ds.d_region,
+                          ds.d_spatial, seed=1, word_vector_file=fixture_path("wordvecs.txt"))
+        merged = assert_merged_reads_the_parameters(model, prep, monkeypatch).f_ga.data
+        if writer in ("adam-step", "generic-point"):
+            assert np.abs(merged - before).max() > 1e-3  # the write moved the logits
+        elif writer == "checkpoint-load":
+            assert merged.tobytes() == before.tobytes()
 
 
 class TestTapeNodes:
@@ -945,11 +1052,8 @@ class TestFusedNodes:
         layout = Layout(n_img, [1] * len(n_img), n_q, split=2, groups=len(tags))
         tensors = [*t_img, *seps, *t_q, *(s.pos_table for s in group.stacks)]
 
-        def rows():
-            group.refill()
-            return group._input_rows([*t_img, *seps, *t_q], layout)
-
-        check_node(rows, tensors, seed=63, coords=8)
+        check_node(lambda: group._input_rows([*t_img, *seps, *t_q], layout), tensors, seed=63,
+                   coords=8)
 
     @pytest.mark.parametrize("pooling", ["mean", "sep"])
     @pytest.mark.parametrize("size", [4, 1])

@@ -72,3 +72,26 @@ def test_a_nan_summary_prints_as_a_change(committed, monkeypatch, capsys):
     summary[key] = float("nan")
     ref.main([])
     assert f"{ref.CASES[0]}: largest change nan abs, nan rel" in capsys.readouterr().out
+
+
+def test_cpu_model_reads_the_model_name(tmp_path):
+    info = tmp_path / "cpuinfo"
+    info.write_text("processor\t: 0\nvendor_id\t: X\nmodel name\t: Some CPU @ 2.00GHz\n\n"
+                    "processor\t: 1\nmodel name\t: Some CPU @ 2.00GHz\n")
+    assert ref.cpu_model(str(info)) == "Some CPU @ 2.00GHz"
+    info.write_text("processor\t: 0\nCPU part\t: 0xd0c\n")
+    assert ref.cpu_model(str(info)) == "unknown"
+    assert ref.cpu_model(str(tmp_path / "missing")) == "unknown"
+
+
+def test_another_cpu_model_skips_the_digests(committed, monkeypatch, capsys):
+    """The platform key holds the CPU model: on another model a moved digest
+    is reported, not failed."""
+    cases = copy.deepcopy(committed["cases"])
+    cases[ref.CASES[0]]["sha256"]["losses"] = "0" * 64
+    monkeypatch.setattr(ref, "compute", lambda: cases)
+    monkeypatch.setattr(ref, "platform_key",
+                        lambda: {**committed["platform"], "cpu_model": "another"})
+    assert "cpu_model" in committed["platform"]
+    assert ref.main([]) == 0
+    assert "not checked" in capsys.readouterr().out

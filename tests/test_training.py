@@ -512,7 +512,7 @@ class TestCheckpoint:
         assert json.loads(header)["blocks"] == [{"name": n, "shape": list(t.data.shape)}
                                                 for n, t in params.items()]
         assert json.loads(header)["optimizer"] == {"lr": 1e-3, "step": 1}
-        reference = b"GALN" + struct.pack("<I", 2) + struct.pack("<Q", hlen) + header
+        reference = b"GALN" + struct.pack("<I", 3) + struct.pack("<Q", hlen) + header
         reference += b"".join(t.data.astype("<f8").tobytes() for t in params.tensors())
         reference += b"".join(moments[n].astype("<f8").tobytes()
                               for moments in (opt.m, opt.v) for n in params.names())
@@ -669,7 +669,8 @@ class TestStrictCheckpoint:
                      re.escape("block 3 is ('ce.concept_mlp.w2', [8, 8]), "
                                "listed as ('ce.concept_mlp.w2', [16, 4])"),
                      id="<lambda>-has shape"),
-        pytest.param(lambda h: h["blocks"].pop(), "96 trailing bytes after the last block",
+        # the last block is ss.enc.pos, 32 x 8 values in each of the three sections
+        pytest.param(lambda h: h["blocks"].pop(), "6144 trailing bytes after the last block",
                      id="<lambda>-one block fewer"),
         pytest.param(lambda h: h["blocks"].append({"name": "extra", "shape": [0]}),
                      "do not match this build: .* listed, .* built", id="<lambda>-extra block"),
