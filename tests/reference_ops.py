@@ -24,7 +24,8 @@ as it was written field by field before it became the ``training.Header``
 record, whose JSON bytes ``save_checkpoint`` must equal. ``incremental_draw``
 keeps how a model's blocks were drawn before ``autodiff.Parameters``
 allocated one vector and drew each block into its view: an array per block,
-then one concatenation, which the arena's bytes must equal.
+in declaration order, then one concatenation in the arena's placement order,
+which the arena's bytes must equal.
 """
 
 from __future__ import annotations
