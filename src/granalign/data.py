@@ -416,7 +416,7 @@ def load_manifest(path: str) -> Dataset:
         spath = os.path.join(base, rel)
         try:
             s = from_json(Sample, read_json(spath), spath, required=True)
-        except FileNotFoundError:
+        except (FileNotFoundError, IsADirectoryError):
             raise SchemaError(f"{path}: sample file {rel!r} does not exist") from None
         if s.answer not in answers:
             raise SchemaError(f"{spath}: answer {s.answer!r} not in the answer vocabulary")

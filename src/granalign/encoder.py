@@ -25,13 +25,14 @@ A batch of sequences runs as one packed [N, d] matrix of all their rows:
 every row-wise step works on it unchanged, and only the attention core pads
 to a [B, heads, W, W] grid, where padding is nothing but zero mask entries.
 Each encoder layer is a single tape node with a hand-written backward.
-Same-shaped stacks can run as one call (``StackGroup``, after PyTorch's
-``torch.func.stack_module_state``): their layers' weights enter as [S, ...]
-stacks, each product is one batched matmul, and the rows a layer sees are
-the grid's cells, group by group, and every layer scores the whole grid.
-That pays while the grid is small (``merges``).
+An ``EncoderStack`` is S same-shaped stacks run as one call (after
+PyTorch's ``torch.func.stack_module_state``), S = 1 being a single stack:
+each layer's weights are [S, ...] views of the parameters and each product
+is one batched matmul. For S > 1 the rows a layer sees are the grid's
+cells, group by group, and every layer scores the whole grid. That pays
+while the grid is small (``merges``).
 
-``StackGroup.run`` runs all four stacks, the three alignment streams and
+``EncoderStack.run`` runs all four stacks, the three alignment streams and
 the sentence pre-transform (``model.Model.encode`` packs each stream's
 [image tokens; SEP; question tokens] and takes its pooling matrix from
 ``Layout.mean_matrix``). A sequence splits into segment 0 (a stream's image
@@ -356,17 +357,9 @@ def _assemble(shape, spans, parts):
     return out
 
 
-def _stacked(layers: Sequence[LayerParams]) -> LayerParams:
-    """The [S, ...] stacks of S layers' blocks, vectors as [S, 1, n] (see
-    ``StackGroup``)."""
-    return LayerParams(*(np.stack([t.data for t in ts]).reshape(
-        (len(ts),) + (ts[0].data.shape if ts[0].data.ndim > 1 else (1, -1)))
-        for ts in zip(*layers)))
-
-
-def encoder_layer(x: ad.Tensor, g: np.ndarray, layer, cfg: EncoderConfig,
-                  layout: Layout, blocks=WHOLE_GRID, weights: LayerParams | None = None
-                  ) -> ad.Tensor:
+def encoder_layer(x: ad.Tensor, g: np.ndarray, weights: LayerParams,
+                  inputs: Sequence[ad.Tensor], cfg: EncoderConfig, layout: Layout,
+                  blocks=WHOLE_GRID) -> ad.Tensor:
     """Post-norm residual layer: attention sublayer then feed-forward sublayer.
 
     ``x`` packs the layer rows of ``layout.batch`` sequences and ``g`` holds
@@ -376,23 +369,21 @@ def encoder_layer(x: ad.Tensor, g: np.ndarray, layer, cfg: EncoderConfig,
     slices; grid rows outside every block get zero context, exactly as fully
     masked rows do. The default scores the whole grid as one block.
 
-    ``layer`` holds one stack's ``LayerParams``, or S of them for a layout of
-    S groups, whose rows multiply the weights of their own group's layer.
-    ``weights`` holds the same values as [S, ...] stacks, vectors as [S, 1,
-    n] (by default stacked from ``layer``); each product is one batched
-    matmul over them. Head projections live in fused [d_model, d_model]
+    ``weights`` holds the layer of S stacks for a layout of S groups as [S,
+    ...] stacks, vectors as [S, 1, n]; group s's rows multiply stack s's
+    weights, and each product is one batched matmul over them. ``inputs``
+    lists the blocks that hold those values, stack by stack in
+    ``LayerParams`` order. Head projections live in fused [d_model, d_model]
     matrices whose column blocks are the per-head maps; every head sees its
     sequence's mask. The whole layer is one tape node whose inputs are ``x``
-    and every layer's blocks; their gradients are views of the stacked ones.
-    Its backward recomputes the feed-forward hidden activations instead of
+    and ``inputs``; their gradients are views of the stacked ones. Its
+    backward recomputes the feed-forward hidden activations instead of
     keeping them.
     """
-    layers = (layer,) if isinstance(layer, LayerParams) else tuple(layer)
-    w = _stacked(layers) if weights is None else weights
-    xd = x.data
+    w, xd = weights, x.data
     if g.shape != (layout.batch, layout.n_max, layout.n_max):
         raise ValueError(f"encoder_layer: mask shape {g.shape} does not match the layout")
-    h, d, n_groups = cfg.num_heads, xd.shape[1], len(layers)
+    h, d, n_groups = cfg.num_heads, xd.shape[1], len(w.wq)
     bsz, n_max, d_k = layout.batch, layout.n_max, d // h
     rows, cols = [r for r, _ in blocks], [c for _, c in blocks]
     x3 = xd.reshape(n_groups, -1, d)  # group s's rows: the s-th 1/S of them
@@ -458,7 +449,7 @@ def encoder_layer(x: ad.Tensor, g: np.ndarray, layer, cfg: EncoderConfig,
                    (gz * xhat2).sum(axis=1), gz.sum(axis=1))
         return (g_x.reshape(-1, d), *(a[s] for s in range(n_groups) for a in stacked))
 
-    return ad.record(out, (x, *itertools.chain.from_iterable(layers)), backward)
+    return ad.record(out, (x, *inputs), backward)
 
 
 def _segment_plan(layout: Layout, masks) -> tuple[np.ndarray, list]:
@@ -497,18 +488,37 @@ def _blocks(o00: bool, o01: bool, o10: bool, o11: bool, w0: int) -> tuple:
 
 
 class EncoderStack:
-    """A stack of identically shaped layers plus its positional table, over
-    the blocks of ``params`` that ``blocks(prefix, cfg)`` declares, which
-    must be one run of the parameters in that order; ``names`` lists them."""
+    """S same-shaped stacks of layers plus their positional tables, run as one
+    call, as PyTorch's ``torch.func.stack_module_state`` runs same-shaped
+    modules under ``vmap``; S = 1 is a single stack. Stack s holds the blocks
+    that ``blocks(prefixes[s], cfg)`` declares, and the S stacks must be one
+    run of ``params``, stack after stack, so that each layer's ``weights``
+    are [S, ...] views of ``params.flat`` (vectors as [S, 1, n]) and ``pos``
+    the [S, max_len, d_model] view of the tables: every update of the
+    parameters shows in them without a copy. The tape nodes take the blocks
+    themselves: ``inputs[i]`` lists layer i's, stack by stack in
+    ``LayerParams`` order, and ``tables`` the positional tables. Sequence
+    s·B + b of a call's ``Layout`` of S groups is stack s's sample b."""
 
-    def __init__(self, params: ad.Parameters, prefix: str, cfg: EncoderConfig):
-        self.cfg = cfg
-        self.names = [name for name, _, _ in self.blocks(prefix, cfg)]
-        self.layers = [LayerParams(*(params[f"{prefix}.layer{i}.{f}"]
-                                     for f in LayerParams._fields))
-                       for i in range(cfg.num_layers)]
-        self.pos_table = params[f"{prefix}.pos"]
-        self.group = StackGroup([self], params)
+    def __init__(self, params: ad.Parameters, prefixes: Sequence[str], cfg: EncoderConfig):
+        if isinstance(prefixes, str) or not prefixes:
+            raise ValueError(f"an encoder stack needs a list of prefixes, got {prefixes!r}")
+        self.cfg, n_stacks = cfg, len(prefixes)
+        flat = params.span([name for prefix in prefixes
+                            for name, _, _ in self.blocks(prefix, cfg)]).reshape(n_stacks, -1)
+        self.weights, self.inputs, at = [], [], 0
+        for i in range(cfg.num_layers):
+            views = []
+            for _, shape, _ in _layer_blocks(cfg.d_model, cfg.d_ff):
+                size = math.prod(shape)
+                views.append(flat[:, at:at + size].reshape(
+                    (n_stacks,) + (shape if len(shape) > 1 else (1, size))))
+                at += size
+            self.weights.append(LayerParams(*views))
+            self.inputs.append(tuple(params[f"{prefix}.layer{i}.{field}"]
+                                     for prefix in prefixes for field in LayerParams._fields))
+        self.pos = flat[:, at:].reshape(n_stacks, cfg.max_len, cfg.d_model)
+        self.tables = tuple(params[f"{prefix}.pos"] for prefix in prefixes)
 
     @staticmethod
     def blocks(prefix: str, cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], str]]:
@@ -518,39 +528,6 @@ class EncoderStack:
                 for i in range(cfg.num_layers) for field, shape, init in layer] + [
             (f"{prefix}.pos", (cfg.max_len, cfg.d_model), "embed")]
 
-    def run(self, parts: Sequence[ad.Tensor], layout: Layout,
-            masks: Sequence[np.ndarray]) -> ad.Tensor:
-        """``StackGroup.run`` of this stack alone."""
-        return self.group.run(parts, layout, masks)
-
-
-class StackGroup:
-    """S ``EncoderStack``s of one config run as one call, as PyTorch's
-    ``torch.func.stack_module_state`` runs same-shaped modules under ``vmap``:
-    sequence s·B + b of the call's ``Layout`` of S groups is stack s's sample
-    b. The stacks' blocks must be one run of ``params``, stack after stack,
-    so that ``weights``, the [S, size] array whose row s holds stack s, is a
-    view of the parameters: each layer's weights enter as [S, ...] views of
-    it, vectors as [S, 1, n], and every update of the parameters shows in
-    them without a copy."""
-
-    def __init__(self, stacks: Sequence[EncoderStack], params: ad.Parameters):
-        self.stacks = tuple(stacks)
-        self.cfg = cfg = stacks[0].cfg
-        n_groups = len(stacks)
-        self.weights = params.span([name for s in stacks for name in s.names]).reshape(
-            n_groups, -1)
-        self.layers, at = [], 0
-        for _ in range(cfg.num_layers):
-            views = []
-            for _, shape, _ in _layer_blocks(cfg.d_model, cfg.d_ff):
-                size = math.prod(shape)
-                views.append(self.weights[:, at:at + size].reshape(
-                    (n_groups,) + (shape if len(shape) > 1 else (1, size))))
-                at += size
-            self.layers.append(LayerParams(*views))
-        self.pos = self.weights[:, at:].reshape(n_groups, cfg.max_len, cfg.d_model)
-
     def _input_rows(self, parts: Sequence[ad.Tensor], layout: Layout) -> ad.Tensor:
         """The rows of ``parts`` stacked in order plus each row's positional
         row from its own stack's table, on ``layout``'s layer rows, as one tape
@@ -558,7 +535,7 @@ class StackGroup:
         n = int(layout.pos.max()) + 1 if len(layout.pos) else 0
         if n > self.cfg.max_len:
             raise ValueError(f"sequence length {n} exceeds max_len {self.cfg.max_len}")
-        n_groups, max_len = len(self.stacks), self.cfg.max_len
+        n_groups, max_len = len(self.tables), self.cfg.max_len
         bsz = layout.batch // n_groups
         group = layout.sample // bsz
         rows = [t.data if t.data.ndim == 2 else t.data[None].repeat(bsz, axis=0) for t in parts]
@@ -574,7 +551,7 @@ class StackGroup:
             g_pos = ad._scatter_rows(n_groups * max_len, group * max_len + layout.pos, g)
             return (*grads, *g_pos.reshape(n_groups, max_len, -1))
 
-        return ad.record(out, (*parts, *(s.pos_table for s in self.stacks)), backward)
+        return ad.record(out, (*parts, *self.tables), backward)
 
     def run(self, parts: Sequence[ad.Tensor], layout: Layout,
             masks: Sequence[np.ndarray]) -> ad.Tensor:
@@ -585,7 +562,7 @@ class StackGroup:
         ``layout``'s segment-aligned grid and the blocks ``_segment_plan``
         finds for it (the whole grid for more than one stack). Returns the
         layer rows of the last layer."""
-        n_layers, n_groups = self.cfg.num_layers, len(self.stacks)
+        n_layers, n_groups = self.cfg.num_layers, len(self.tables)
         if layout.groups != n_groups:
             raise ValueError(f"a layout of {layout.groups} groups for {n_groups} stacks")
         n_rows = sum(t.data.shape[0] if t.data.ndim == 2 else layout.batch // n_groups
@@ -599,9 +576,8 @@ class StackGroup:
                                  f"got shape {m.shape}")
         x = self._input_rows(parts, layout)
         g, blocks = _segment_plan(layout, masks)
-        for i, (mask, layer_blocks) in enumerate(zip(g, blocks)):
-            x = encoder_layer(x, mask, [s.layers[i] for s in self.stacks], self.cfg, layout,
-                              layer_blocks, self.layers[i])
+        for mask, layer_blocks, weights, inputs in zip(g, blocks, self.weights, self.inputs):
+            x = encoder_layer(x, mask, weights, inputs, self.cfg, layout, layer_blocks)
         return x
 
 

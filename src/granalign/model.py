@@ -31,8 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import ingest
-from .encoder import (EPS_NORM, EncoderConfig, EncoderStack, Layout, StackGroup, merges,
-                      sentence_pretransform)
+from .encoder import EPS_NORM, EncoderConfig, EncoderStack, Layout, merges, sentence_pretransform
 from .ingest import LevelData, QuestionParse, SceneGraph, Vocab
 from .leadgraph import mask_plan
 
@@ -117,12 +116,9 @@ class PreparedSample:
 
 def build_streams(scene: SceneGraph, question: QuestionParse, cfg: ModelConfig
                   ) -> tuple[dict[str, LevelData], dict[str, np.ndarray]]:
-    """The six levels of one sample, keyed by level tag, and each encoder
-    stack's per-layer masks, keyed like ``Model.stacks``: a stream's mask
-    plan, and for ``"sent"`` the dependency adjacency at every layer.
-
-    Raises ValueError when a stream is longer than ``cfg.max_len``.
-    """
+    """The six levels of one sample, keyed by level tag, and the per-layer
+    masks of each encoder stack the sample passes: a stream's mask plan under
+    its tag, and under ``"sent"`` the dependency adjacency at every layer."""
     concept = ingest.merge_duplicate_concept_tokens(ingest.build_concept_level(scene))
     entity = ingest.build_entity_level(question)
     if cfg.node_reduction:
@@ -135,9 +131,6 @@ def build_streams(scene: SceneGraph, question: QuestionParse, cfg: ModelConfig
     plans = {}
     for tag in cfg.streams:
         img, q = levels[STREAMS[tag].image], levels[STREAMS[tag].question]
-        n = img.n_tokens + 1 + q.n_tokens
-        if n > cfg.max_len:
-            raise ValueError(f"stream {tag} has {n} tokens, more than max_len {cfg.max_len}")
         if STREAMS[tag].question == "sentence":
             adj = q.dep_adjacency
             plans["sent"] = np.broadcast_to(adj, (cfg.num_layers,) + adj.shape)
@@ -190,17 +183,13 @@ class Model:
         for i, w in enumerate(self.vocab.words):
             if w in by_word:
                 table[i + 1] = vectors[by_word[w]]
+        # each stack alone, and the stream stacks as one call
         self.stacks: dict[str, EncoderStack] = {}
         for tag in config.streams:
             if STREAMS[tag].question == "sentence":
-                self.stacks["sent"] = EncoderStack(self.params, "sent.enc", config)
-            self.stacks[tag] = EncoderStack(self.params, f"{tag}.enc", config)
-        # each stream stack alone, and the stream stacks as one call
-        self.groups: dict[tuple[str, ...], StackGroup] = {
-            (tag,): self.stacks[tag].group for tag in config.streams}
-        if len(config.streams) > 1:
-            self.groups[config.streams] = StackGroup([self.stacks[t] for t in config.streams],
-                                                     self.params)
+                self.stacks["sent"] = EncoderStack(self.params, ["sent.enc"], config)
+            self.stacks[tag] = EncoderStack(self.params, [f"{tag}.enc"], config)
+        self.merged = EncoderStack(self.params, [f"{tag}.enc" for tag in config.streams], config)
 
     @property
     def n_answers(self) -> int:
@@ -249,8 +238,15 @@ class Model:
 
     def prepare(self, scene: SceneGraph, question: QuestionParse,
                 answer_index: int) -> PreparedSample:
-        """Ingest one sample into its levels and per-stream mask plans."""
-        return PreparedSample(int(answer_index), *build_streams(scene, question, self.config))
+        """Ingest one sample into its levels and per-stream mask plans.
+
+        Raises ValueError when a stream is longer than ``config.max_len``."""
+        levels, plans = build_streams(scene, question, self.config)
+        for tag in self.config.streams:
+            if (n := plans[tag].shape[-1]) > self.config.max_len:
+                raise ValueError(f"stream {tag} has {n} tokens, more than max_len "
+                                 f"{self.config.max_len}")
+        return PreparedSample(int(answer_index), levels, plans)
 
     # -- forward ------------------------------------------------------------
 
@@ -286,12 +282,12 @@ class Model:
         them, each sample's row mean or its SEP row, in ``config.streams``
         order: ``fuse``'s input.
 
-        The stream stacks run as one ``StackGroup`` call on one ``Layout`` of
+        The stream stacks run as one call (``merged``) on one ``Layout`` of
         S·B sequences, sequence s·B + b being stream s of sample b, when its
         padded grid is small enough (``encoder.merges``); otherwise each runs
-        alone, a group of one. A sequence packs its [image tokens; SEP;
-        question tokens] part-major, the image rows and SEP being segment 0.
-        A group's streams share its rows and each pools its own."""
+        alone. A sequence packs its [image tokens; SEP; question tokens]
+        part-major, the image rows and SEP being segment 0. A call's streams
+        share its rows and each pools its own."""
         tags, bsz = self.config.streams, len(preps)
         inputs = {tag: self.run_stream(tag, preps) for tag in tags}
         n_max = (max(n for _, n_img, _ in inputs.values() for n in n_img) + 1
@@ -299,10 +295,11 @@ class Model:
         part = 1 if self.config.pooling == "sep" else None
         outputs = []
         for group in [tags] if merges(len(tags) * bsz, n_max) else [(tag,) for tag in tags]:
+            stack = self.merged if len(group) > 1 else self.stacks[group[0]]
             parts, n_img, n_q = zip(*(inputs[tag] for tag in group))
             layout = Layout([n for ns in n_img for n in ns], [1] * (len(group) * bsz),
                             [n for ns in n_q for n in ns], split=2, groups=len(group))
-            hidden = self.groups[group].run(  # part-major, then stream by stream
+            hidden = stack.run(  # part-major, then stream by stream
                 [ps[k] for k in range(3) for ps in parts], layout,
                 [prep.plans[tag] for tag in group for prep in preps])
             pool = layout.mean_matrix(part)

@@ -8,7 +8,7 @@ import pytest
 import granalign as ga
 import granalign.autodiff as ad
 from granalign import encoder, training
-from reference_ops import add, layer_norm_rows, matmul, relu, reshape
+from reference_ops import add, layer_norm_rows, matmul, relu, reshape, stacked_weights
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -169,22 +169,27 @@ def feed_forward(x, layer):
     return add(matmul(hidden, layer.ffn_w2), layer.ffn_b2)
 
 
-def reference_encoder_layer(x, g, layer, cfg, layout, blocks=None, weights=None):
+def reference_encoder_layer(x, g, weights, inputs, cfg, layout, blocks=None):
     """Post-norm residual layer as a chain of autodiff ops, one sequence at a time.
 
     Takes the fused layer's arguments; the layout must hold one sequence of
-    one stack, whose ``LayerParams`` ``layer`` is, or holds alone. Attention
-    always runs over the full mask ``g[0]``: ``blocks`` only names where the
-    fused layer may skip work, and ``weights`` holds ``layer``'s values, so
-    both are ignored here.
+    one stack, whose 12 blocks ``inputs`` lists. Attention always runs over
+    the full mask ``g[0]``: ``blocks`` only names where the fused layer may
+    skip work, and ``weights`` holds the values of ``inputs``, so both are
+    ignored here.
     """
     assert layout.batch == 1 and layout.dense
-    if not isinstance(layer, encoder.LayerParams):
-        (layer,) = layer
+    layer = encoder.LayerParams(*inputs)
     attended = multi_head_ga(x, g[0], layer, cfg.num_heads)
     y = layer_norm_rows(add(x, attended), layer.ln1_gain, layer.ln1_bias, encoder.EPS_NORM)
     return layer_norm_rows(add(y, feed_forward(y, layer)),
                            layer.ln2_gain, layer.ln2_bias, encoder.EPS_NORM)
+
+
+def fused_layer(x, g, layer, cfg, layout, blocks=encoder.WHOLE_GRID):
+    """``encoder_layer`` of one stack's ``LayerParams`` of blocks ``layer``,
+    on weights stacked from copies of them."""
+    return encoder.encoder_layer(x, g, stacked_weights(layer), layer, cfg, layout, blocks)
 
 
 def whole_grid_plan(layout, masks):

@@ -239,23 +239,37 @@ def place_rows(x: ad.Tensor, index: np.ndarray, n_rows: int) -> ad.Tensor:
     return ad.record(ad.Tensor(out), (x,), backward)
 
 
-def stack_run(stacks, x, layout, masks) -> ad.Tensor:
-    """``StackGroup.run`` of ``stacks`` on the packed rows ``x``: positions
-    added by a lookup in the stacks' tables one after another, the rows
-    placed on the layer rows of ``layout`` (its grid's cells for more than one
-    stack), then the fused layers."""
-    cfg = stacks[0].cfg
+def stacked_weights(inputs: Sequence[ad.Tensor]) -> encoder.LayerParams:
+    """The [S, ...] weights of one layer of S stacks, vectors as [S, 1, n],
+    stacked from copies of its blocks ``inputs``, listed stack by stack in
+    ``LayerParams`` order."""
+    n = len(encoder.LayerParams._fields)
+    layers = [inputs[s:s + n] for s in range(0, len(inputs), n)]
+    return encoder.LayerParams(*(np.stack([t.data for t in ts]).reshape(
+        (len(ts),) + (ts[0].data.shape if ts[0].data.ndim > 1 else (1, -1)))
+        for ts in zip(*layers)))
+
+
+def stack_run(model, prefixes, x, layout, masks) -> ad.Tensor:
+    """``EncoderStack.run`` of the stacks ``prefixes`` of ``model`` on the
+    packed rows ``x``: positions added by a lookup in the stacks' tables one
+    after another, the rows placed on the layer rows of ``layout`` (its
+    grid's cells for more than one stack), then the fused layers, whose
+    weights are stacked from copies of the blocks."""
+    p, cfg = model.params, model.config
     n = int(layout.pos.max()) + 1 if len(layout.pos) else 0
     if n > cfg.max_len:
         raise ValueError(f"sequence length {n} exceeds max_len {cfg.max_len}")
-    group = layout.sample // (layout.batch // len(stacks))
-    tables = concat_rows([stack.pos_table for stack in stacks])
+    group = layout.sample // (layout.batch // len(prefixes))
+    tables = concat_rows([p[f"{prefix}.pos"] for prefix in prefixes])
     x = add(x, embedding_lookup(tables, group * cfg.max_len + layout.pos))
-    if len(stacks) > 1:
+    if len(prefixes) > 1:
         x = place_rows(x, layout.index, layout.n_rows)
     g, blocks = encoder._segment_plan(layout, masks)
     for i, (mask, layer_blocks) in enumerate(zip(g, blocks)):
-        x = encoder.encoder_layer(x, mask, [stack.layers[i] for stack in stacks], cfg, layout,
+        inputs = [p[f"{prefix}.layer{i}.{field}"] for prefix in prefixes
+                  for field in encoder.LayerParams._fields]
+        x = encoder.encoder_layer(x, mask, stacked_weights(inputs), inputs, cfg, layout,
                                   layer_blocks)
     return x
 
@@ -279,7 +293,7 @@ def stream_parts(model, tag, preps):
     t_q = mlp([w for q in qs for w in q.labels], s.question_input)
     n_img, n_q = [img.n_tokens for img in imgs], [q.n_tokens for q in qs]
     if s.question == "sentence":
-        t_q = stack_run([model.stacks["sent"]], t_q, encoder.Layout(n_q),
+        t_q = stack_run(model, ["sent.enc"], t_q, encoder.Layout(n_q),
                         [prep.plans["sent"] for prep in preps])
     sep = p[f"{tag}.sep"]
     seps = embedding_lookup(reshape(sep, (1, sep.data.shape[0])), np.zeros(len(preps), np.intp))
@@ -300,7 +314,7 @@ def run_streams(model, preps):
         parts, n_img, n_q = zip(*(inputs[tag] for tag in group))
         layout = encoder.Layout(sum(n_img, []), [1] * (len(group) * bsz), sum(n_q, []),
                                 split=2, groups=len(group))
-        hidden = stack_run([model.stacks[tag] for tag in group],
+        hidden = stack_run(model, [f"{tag}.enc" for tag in group],
                            concat_rows([ps[k] for k in range(3) for ps in parts]), layout,
                            [prep.plans[tag] for tag in group for prep in preps])
         out.update({tag: (hidden, layout, s) for s, tag in enumerate(group)})

@@ -599,6 +599,24 @@ class TestDumpLeadgraph:
         assert lines[1] == "# image_tokens 4 sep 1 question_tokens 5"
         assert len(lines) - 2 == 10
 
+    def test_stream_longer_than_the_default_max_len(self, tmp_path, capsys):
+        """``dump-leadgraph`` builds no model, so no ``max_len`` bounds it: the
+        ss stream of an 8x8 grid (64 cells, SEP and the sentence) prints whole.
+        ``train`` at the default ``max_len`` 64 refuses the same corpus with
+        one error line."""
+        gen_corpus(ToyWorldSpec(grid_size=8), 1, 1, 3, str(tmp_path))
+        rc = main(["dump-leadgraph", "--sample", str(tmp_path / "samples" / "train_0000.json"),
+                   "--stream", "ss", "--layer", "1"])
+        lines = capsys.readouterr().out.splitlines()
+        n_q = int(lines[1].split()[-1])
+        assert rc == 0 and lines[1] == f"# image_tokens 64 sep 1 question_tokens {n_q}"
+        grid = np.array([[int(v) for v in line.split()] for line in lines[2:]])
+        n = 65 + n_q
+        assert grid.shape == (n, n) and grid[64:, 65:].any()
+        rc = main(["train", "--data", str(tmp_path), "--log", os.devnull])
+        assert rc == 1 and capsys.readouterr().err == (
+            f"error: stream ss has {n} tokens, more than max_len 64\n")
+
     def test_invalid_layer_rejected_by_argparse(self):
         with pytest.raises(SystemExit) as exc:
             main(["dump-leadgraph", "--sample", "x.json",

@@ -34,8 +34,9 @@ from granalign.ingest import (FEATURE_LIMIT, DependencyEdge, QuestionParse, Scen
                               SceneObject, SceneRelation, SpatialGrid, question_from_dict,
                               scene_from_dict, to_json)
 from granalign.model import STREAMS, Model, ModelConfig
-from granalign.training import Adam, load_checkpoint, save_checkpoint
-from conftest import load_fixture
+from granalign.training import Adam, generic_parameter_point, load_checkpoint, save_checkpoint
+import reference_ops as refops
+from conftest import load_fixture, whole_grid
 
 TINY = dict(d_model=8, d_emb=8, num_heads=2, num_layers=2, d_ff=16, max_len=64)
 SETTINGS = settings(derandomize=True, max_examples=15, deadline=None)
@@ -320,16 +321,16 @@ FINITE = st.floats(-FEATURE_LIMIT, FEATURE_LIMIT)
 
 
 @st.composite
-def scenes(draw, widths=None):
+def scenes(draw, widths=None, features=FINITE):
     d_region, d_spatial = widths or (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
     ids = draw(st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True))
     objects = [SceneObject(i, draw(WORDS), draw(st.lists(WORDS, max_size=2)),
-                           draw(arrays(np.float64, d_region, elements=FINITE)))
+                           draw(arrays(np.float64, d_region, elements=features)))
                for i in ids]
     relations = draw(st.lists(st.builds(SceneRelation, st.sampled_from(ids), WORDS,
                                         st.sampled_from(ids)), max_size=4))
     g = draw(st.integers(1, 7))
-    spatial = SpatialGrid(g, draw(arrays(np.float64, (g * g, d_spatial), elements=FINITE)))
+    spatial = SpatialGrid(g, draw(arrays(np.float64, (g * g, d_spatial), elements=features)))
     return SceneGraph(objects, relations, spatial)
 
 
@@ -492,3 +493,61 @@ class TestAttentionCore:
                     assert encoder._ga_forward(q, k2, v2, mask)[0].tobytes() == base
                     outs.add(base)
         assert len(outs) == 1
+
+
+def without_fast_paths(m):
+    """Under the monkeypatch context ``m``, every stack call takes the slow
+    path of each fast one: each stream's stack alone, the one-segment layout
+    of its parts with every layer scoring its whole grid, the mask applied
+    on every block, open or not, and each row max taken over the last axis."""
+    whole_grid(m)
+    m.setattr(encoder, "MERGE_GRID_CELLS", 0)
+    m.setattr(encoder, "COLUMN_MAX_ROWS", 10**9)
+    core = encoder._ga_forward
+    m.setattr(encoder, "_ga_forward", lambda q, k, v, g: core(q, k, v, np.ones(
+        q.shape[:-1] + k.shape[-2:-1], dtype=bool) if g is None else g))
+
+
+class TestFastPaths:
+    @settings(SETTINGS, max_examples=50)
+    @given(data=st.data())
+    def test_every_fast_path_against_the_reference_chain(self, data):
+        """``forward_batch``'s logits and every block gradient on 1-5 drawn
+        samples of a model with drawn switches (a fresh ``tiny_model`` at the
+        generic point), with the stream stacks forced into one call or each
+        alone and the row max over the columns on every block or on none,
+        within 1e-12 of ``reference_ops``' op-by-op chain with every fast
+        path off (``without_fast_paths``). Features lie in [-1, 1]: from
+        about 1e4 the first layer's weight gradients cancel so deeply that
+        any other summation order moves them beyond 1e-12 of their largest
+        entry, on either path."""
+        widths = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        model = tiny_model.__wrapped__(*widths, **data.draw(st.fixed_dictionaries({
+            "pooling": st.sampled_from(["mean", "sep"]), "use_lead_graphs": st.booleans(),
+            "node_reduction": st.booleans(), "sep_connect_all": st.booleans(),
+            "streams": st.lists(st.sampled_from(tuple(STREAMS)), min_size=1,
+                                unique=True).map(tuple)})))
+        generic_parameter_point(model)  # attention at the init is near uniform
+        drawn = [(data.draw(scenes(widths, st.floats(-1.0, 1.0))), data.draw(parses()),
+                  data.draw(st.integers(0, len(ANSWER_VOCAB) - 1)))
+                 for _ in range(data.draw(st.integers(1, 5)))]
+        try:
+            preps = [model.prepare(*sample) for sample in drawn]
+        except ValueError:
+            return
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(encoder, "MERGE_GRID_CELLS", data.draw(st.sampled_from([0, 10**9])))
+            m.setattr(encoder, "COLUMN_MAX_ROWS", data.draw(st.sampled_from([1, 10**9])))
+            with ad.Tape() as tape:
+                bundle = model.forward_batch(preps)
+                losses = model.loss(bundle, [p.answer_index for p in preps])
+            grads = tape.gradients(losses, model.params.tensors(),
+                                   np.full(len(preps), 1.0 / len(preps)))
+        with pytest.MonkeyPatch.context() as m:
+            without_fast_paths(m)
+            ref_bundle, _, ref_grads = refops.reference_batch_gradients(model, preps)
+        pairs = [(t.data, ref_bundle.all_logits()[head].data, head)
+                 for head, t in bundle.all_logits().items()]
+        pairs += [(g, ref_grads[name], name) for name, g in zip(model.params.names(), grads)]
+        for got, ref, what in pairs:
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), what

@@ -433,6 +433,16 @@ class TestManifestValidation:
         with pytest.raises(SchemaError, match="train_0001"):
             load_manifest(m)
 
+    @pytest.mark.parametrize("rel", ["", ".", "samples"])
+    def test_sample_entry_naming_a_directory_reported(self, tmp_path, rel):
+        """An entry that names a directory is no sample file: a SchemaError
+        naming the manifest, not an IsADirectoryError."""
+        m = self.write_corpus(tmp_path)
+        self.mutate_manifest(m, lambda d: d["samples"].__setitem__(0, rel))
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{m}: sample file {rel!r} does not exist")):
+            load_manifest(m)
+
     def test_invalid_sample_json_reported(self, tmp_path):
         m = self.write_corpus(tmp_path)
         (tmp_path / "samples" / "train_0000.json").write_text("{nope")

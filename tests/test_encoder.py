@@ -23,8 +23,8 @@ from granalign.encoder import (
 from granalign.leadgraph import LeadGraph, full_graph, pairs_to_matrix
 import reference_ops as refops
 from test_contract import SETTINGS
-from conftest import (fd_gradient, multi_head_ga, reference_encoder_layer, rel_err,
-                      weighted_sum, whole_grid, whole_grid_plan)
+from conftest import (fd_gradient, fused_layer, multi_head_ga, reference_encoder_layer,
+                      rel_err, weighted_sum, whole_grid, whole_grid_plan)
 
 
 def textbook_attention(q, k, v):
@@ -196,7 +196,7 @@ class TestMaskedAttention:
 def build_stack(cfg, seed, prefix="enc"):
     """A stack whose blocks alone are drawn from ``seed``."""
     params = ad.Parameters(EncoderStack.blocks(prefix, cfg), np.random.default_rng(seed))
-    return EncoderStack(params, prefix, cfg)
+    return EncoderStack(params, [prefix], cfg)
 
 
 def make_layer(rng, d, f):
@@ -341,7 +341,7 @@ class TestFastPaths:
 
             monkeypatch.setattr(encoder, "_ga_forward", core)
             with ad.Tape() as t:
-                out = encoder_layer(x, g, layer, cfg, Layout([6]), blocks)
+                out = fused_layer(x, g, layer, cfg, Layout([6]), blocks)
                 loss = weighted_sum(out, w)
             tensors = [x] + [getattr(layer, n) for n in TestFusedLayer.LAYER_INPUTS]
             return [out.data] + t.gradients(loss, tensors)
@@ -405,8 +405,7 @@ class TestMultiHead:
 def one_sequence(x, g, layer, cfg):
     """encoder_layer on one [n, d] sequence and its n x n mask (LeadGraph or array)."""
     gm = g.matrix if isinstance(g, LeadGraph) else np.asarray(g)
-    return encoder_layer(x, gm[None], layer, cfg,
-                         Layout([x.data.shape[0]]))
+    return fused_layer(x, gm[None], layer, cfg, Layout([x.data.shape[0]]))
 
 
 class TestEncoderLayer:
@@ -483,9 +482,9 @@ class TestFusedLayer:
         rng, cfg, layer = self.make(35)
         x = ad.Tensor(rng.normal(size=(5, 8)))
         with pytest.raises(ValueError, match="does not match"):
-            encoder_layer(x, np.ones((5, 5)), layer, cfg, Layout([5]))
+            fused_layer(x, np.ones((5, 5)), layer, cfg, Layout([5]))
         with pytest.raises(ValueError, match="does not match"):
-            encoder_layer(x, np.ones((1, 4, 4)), layer, cfg, Layout([5]))
+            fused_layer(x, np.ones((1, 4, 4)), layer, cfg, Layout([5]))
 
     def test_matches_reference_chain(self):
         """One sequence: bitwise values, and gradients of x and all 12 blocks
@@ -497,10 +496,10 @@ class TestFusedLayer:
         g[2] = 0.0  # one dead row
         w = rng.normal(size=(n, 8))
         layout = Layout([n])
-        out, grads = self.grads(lambda t: encoder_layer(t, g[None], layer, cfg, layout),
+        out, grads = self.grads(lambda t: fused_layer(t, g[None], layer, cfg, layout),
                                 x, layer, w)
         ref, ref_grads = self.grads(
-            lambda t: reference_encoder_layer(t, g[None], layer, cfg, layout), x, layer, w)
+            lambda t: reference_encoder_layer(t, g[None], None, layer, cfg, layout), x, layer, w)
         assert out.data.tobytes() == ref.data.tobytes()
         for got, expect in zip(grads, ref_grads):
             np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-14)
@@ -520,7 +519,7 @@ class TestFusedLayer:
         order = np.cumsum([0] + lengths[:-1])[sample] + pos  # row pos[r] of sequence sample[r]
         x = ad.Tensor(np.concatenate(seqs)[order])
         out, grads = self.grads(
-            lambda t: encoder_layer(t, layout.pad_masks(masks), layer, cfg, layout),
+            lambda t: fused_layer(t, layout.pad_masks(masks), layer, cfg, layout),
             x, layer, np.concatenate(ws)[order])
         block_sum = [np.zeros_like(gr) for gr in grads[1:]]
         for b, n in enumerate(lengths):
@@ -542,10 +541,10 @@ class TestFusedLayer:
         g = layout.pad_masks(masks)
         x = ad.Tensor(rng.normal(size=(6, 4)))
         w = rng.normal(size=(6, 4))
-        _, grads = self.grads(lambda t: encoder_layer(t, g, layer, cfg, layout), x, layer, w)
+        _, grads = self.grads(lambda t: fused_layer(t, g, layer, cfg, layout), x, layer, w)
 
         def f():
-            return float((encoder_layer(ad.Tensor(x.data), g, layer, cfg, layout).data
+            return float((fused_layer(ad.Tensor(x.data), g, layer, cfg, layout).data
                           * w).sum())
 
         tensors = [x] + [getattr(layer, n) for n in self.LAYER_INPUTS]
@@ -567,11 +566,11 @@ class TestFusedLayer:
         assert len(blocks) == 2 and len(grid.pos) < grid.batch * grid.n_max
         x = ad.Tensor(rng.normal(size=(len(grid.pos), 4)))
         w = rng.normal(size=x.data.shape)
-        _, grads = self.grads(lambda t: encoder_layer(t, g, layer, cfg, grid, blocks),
+        _, grads = self.grads(lambda t: fused_layer(t, g, layer, cfg, grid, blocks),
                               x, layer, w)
 
         def f():
-            return float((encoder_layer(ad.Tensor(x.data), g, layer, cfg, grid, blocks).data
+            return float((fused_layer(ad.Tensor(x.data), g, layer, cfg, grid, blocks).data
                           * w).sum())
 
         tensors = [x] + [getattr(layer, n) for n in self.LAYER_INPUTS]
@@ -785,9 +784,9 @@ class TestEncodeStream:
         sep = ad.Tensor(rng.normal(size=4))
         masks = [(rng.random((6, 6)) < 0.5).astype(float) for _ in range(2)]
         hidden = stack.run([t_img, sep, t_q], stream_layout([2], [3]), [np.array(masks)])
-        x = ad.Tensor(np.vstack([t_img.data, sep.data, t_q.data]) + stack.pos_table.data[:6])
-        for g, layer in zip(masks, stack.layers):
-            x = one_sequence(x, g, layer, cfg)
+        x = ad.Tensor(np.vstack([t_img.data, sep.data, t_q.data]) + stack.pos[0, :6])
+        for g, inputs in zip(masks, stack.inputs):
+            x = one_sequence(x, g, encoder.LayerParams(*inputs), cfg)
         assert hidden.data.tobytes() == x.data.tobytes()
 
     def test_mask_count_and_shape_checked(self):
@@ -888,7 +887,7 @@ class TestSegmentPlan:
 
     def run_layer(self, layout, mask, blocks, x, layer, cfg, w):
         with ad.Tape() as t:
-            out = encoder_layer(x, mask, layer, cfg, layout, blocks)
+            out = fused_layer(x, mask, layer, cfg, layout, blocks)
             loss = weighted_sum(out, w)
         return out.data, t.gradients(loss, [x] + [getattr(layer, n) for n in self.LAYER_INPUTS])
 
@@ -1005,7 +1004,7 @@ class TestSegmentPlan:
                             max_len=16)
         params = ad.Parameters(EncoderStack.blocks("enc", cfg) + [("sep", (8,), "embed")],
                                np.random.default_rng(0))
-        stack, sep = EncoderStack(params, "enc", cfg), params["sep"]
+        stack, sep = EncoderStack(params, ["enc"], cfg), params["sep"]
         plans = [lead_graph_masks(rng, a, b)[:num_layers]
                  for a, b in zip(n_img, n_q)]
         t_img = ad.Tensor(rng.normal(size=(sum(n_img), 8)))
@@ -1060,9 +1059,9 @@ class TestSegmentPlan:
         masks = [lead_graph_masks(rng, a, b) for a, b in zip(n_img, n_q)]
         seen = []
 
-        def spy(x, g, layer, cfg, grid, blocks, weights):
+        def spy(x, g, weights, inputs, cfg, grid, blocks):
             seen.append((grid, blocks))
-            return encoder_layer(x, g, layer, cfg, grid, blocks, weights)
+            return encoder_layer(x, g, weights, inputs, cfg, grid, blocks)
 
         monkeypatch.setattr(encoder, "encoder_layer", spy)
         stack.run([ad.Tensor(rng.normal(size=(len(layout.pos), 8)))], layout, masks)
@@ -1086,10 +1085,10 @@ class TestStackRun:
         masks = [lead_graph_masks(rng, a, b) for a, b in zip(n_img, n_q)]
         x = ad.Tensor(rng.normal(size=(len(layout.pos), 8)))
         out = stack.run([x], layout, masks).data
-        h = ad.Tensor(x.data + stack.pos_table.data[layout.pos])
+        h = ad.Tensor(x.data + stack.pos[0, layout.pos])
         g, blocks = _segment_plan(layout, masks)
-        for mask, layer_blocks, layer in zip(g, blocks, stack.layers):
-            h = encoder_layer(h, mask, layer, cfg, layout, layer_blocks)
+        for mask, layer_blocks, weights, inputs in zip(g, blocks, stack.weights, stack.inputs):
+            h = encoder_layer(h, mask, weights, inputs, cfg, layout, layer_blocks)
         assert h.data.tobytes() == out.tobytes()
 
     @pytest.mark.parametrize("shape, message", [

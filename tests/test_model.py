@@ -418,25 +418,25 @@ class TestVariants:
         grid pads every stream to the widest."""
         monkeypatch.setattr(encoder, "MERGE_GRID_CELLS", CALLS[call])
         model, prep = make_model(girl_dog, use_lead_graphs=False)
-        parts, run = {}, encoder.StackGroup.run
+        parts, run = {}, encoder.EncoderStack.run
 
-        def capture(group, tensors, layout, masks):
-            for s, stack in enumerate(group.stacks):  # tensors: part-major, stack by stack
-                parts[id(stack)] = [t.data for t in tensors[s::len(group.stacks)]]
-            return run(group, tensors, layout, masks)
+        def capture(stack, tensors, layout, masks):
+            for s, table in enumerate(stack.tables):  # tensors: part-major, stack by stack
+                parts[id(table)] = [t.data for t in tensors[s::len(stack.tables)]]
+            return run(stack, tensors, layout, masks)
 
-        monkeypatch.setattr(encoder.StackGroup, "run", capture)
+        monkeypatch.setattr(encoder.EncoderStack, "run", capture)
         got = model.forward_batch([prep]).all_logits()
         monkeypatch.undo()
         outputs = []
         for tag in model.config.streams:
             stack = model.stacks[tag]
-            t_img, sep, t_q = parts[id(stack)]
+            t_img, sep, t_q = parts[id(stack.tables[0])]
             rows = np.concatenate([t_img, sep[None], t_q])
             n = len(rows)
-            x = ad.Tensor(rows + stack.pos_table.data[:n])
-            for layer in stack.layers:
-                x = encoder_layer(x, np.ones((1, n, n)), layer, stack.cfg, Layout([n]))
+            x = ad.Tensor(rows + stack.pos[0, :n])
+            for weights, inputs in zip(stack.weights, stack.inputs):
+                x = encoder_layer(x, np.ones((1, n, n)), weights, inputs, stack.cfg, Layout([n]))
             outputs.append((x, Layout([n]).mean_matrix()))
         reference = model.fuse(outputs).all_logits()
         assert list(got) == list(reference)
@@ -829,13 +829,13 @@ class TestMergedCall:
         """Every one-question forward of the pinned world runs its stream
         stacks as one call; a batch of 16 of either world and one question of
         the 7x7 world run them one by one."""
-        groups, run = [], encoder.StackGroup.run
+        groups, run = [], encoder.EncoderStack.run
 
-        def spy(group, parts, layout, masks):
-            groups.append(len(group.stacks))
-            return run(group, parts, layout, masks)
+        def spy(stack, parts, layout, masks):
+            groups.append(len(stack.tables))
+            return run(stack, parts, layout, masks)
 
-        monkeypatch.setattr(encoder.StackGroup, "run", spy)
+        monkeypatch.setattr(encoder.EncoderStack, "run", spy)
         for corpus in ("pinned", "grid"):
             model, preps = seed7_model(seed7_corpora, corpus)
             for prep in preps:
@@ -878,27 +878,50 @@ class TestMergedWeights:
     """A merged call's [S, ...] weights are views of the parameters, never a
     copy, so no writer of the parameters leaves them stale."""
 
-    def test_views_of_the_parameters(self, seed7_corpora):
-        """Every layer's blocks and the positional tables of the merged call
-        share ``params.flat``, each stack's row at its own blocks' addresses;
-        the stream stacks are the last run of the parameters, in
-        ``config.streams`` order."""
+    @pytest.mark.parametrize("config", [*CONFIGS, "ss-only", "ce-only"])
+    def test_views_of_the_parameters(self, seed7_corpora, config):
+        """Every stack, the sentence stack, each stream's alone and the merged
+        one: each layer's weights and ``pos`` share ``params.flat``, stack s's
+        row at the addresses of stack s's own blocks, and ``inputs[i]`` and
+        ``tables`` are those blocks themselves, stack by stack in
+        ``LayerParams`` order. The stream stacks are the last run of the
+        parameters, in ``config.streams`` order."""
+        extra = {"ss-only": {"streams": ("ss",)}, "ce-only": {"streams": ("ce",)}}
+        model, _ = seed7_model(seed7_corpora, "pinned", **{**CONFIGS, **extra}[config])
+        p, tags, fields = model.params, model.config.streams, encoder.LayerParams._fields
+        stacks = [(model.stacks[tag], [f"{tag}.enc"]) for tag in model.stacks]
+        stacks.append((model.merged, [f"{tag}.enc" for tag in tags]))
+        assert ("sent" in model.stacks) == ("ss" in tags)
+        for stack, prefixes in stacks:
+            assert len(stack.weights) == len(stack.inputs) == model.config.num_layers
+            for i, (weights, inputs) in enumerate(zip(stack.weights, stack.inputs)):
+                blocks = [p[f"{prefix}.layer{i}.{field}"] for prefix in prefixes
+                          for field in fields]
+                assert len(inputs) == len(blocks)
+                assert all(a is b for a, b in zip(inputs, blocks)), (prefixes, i)
+                for f, (field, w) in enumerate(zip(fields, weights)):
+                    assert np.shares_memory(w, p.flat) and len(w) == len(prefixes)
+                    for s, prefix in enumerate(prefixes):
+                        block = blocks[s * len(fields) + f].data
+                        assert (w[s].ctypes.data, w[s].size) == (block.ctypes.data, block.size), \
+                            (prefix, i, field)
+            assert stack.tables == tuple(p[f"{prefix}.pos"] for prefix in prefixes)
+            assert np.shares_memory(stack.pos, p.flat)
+            for s, table in enumerate(stack.tables):
+                assert stack.pos[s].shape == table.data.shape
+                assert stack.pos[s].ctypes.data == table.data.ctypes.data, prefixes[s]
+        run = [name for tag in tags for name, _, _ in encoder.EncoderStack.blocks(
+            f"{tag}.enc", model.config)]
+        assert p.names()[-len(run):] == run
+
+    @pytest.mark.parametrize("prefixes, message", [
+        ([], "needs a list of prefixes"), ("ce.enc", "needs a list of prefixes"),
+        (("ss.enc", "ce.enc"), "not one run of the parameters")],
+        ids=["empty", "bare-string", "not-one-run"])
+    def test_prefixes_must_be_one_run(self, seed7_corpora, prefixes, message):
         model, _ = seed7_model(seed7_corpora, "pinned")
-        tags, flat = model.config.streams, model.params.flat
-        group = model.groups[tags]
-        assert [len(group.stacks), group.weights.base is flat] == [3, True]
-        for i, layer in enumerate(group.layers):
-            for field, w in zip(encoder.LayerParams._fields, layer):
-                assert np.shares_memory(w, flat), (i, field)
-                for s, tag in enumerate(tags):
-                    block = model.stacks[tag].layers[i][encoder.LayerParams._fields.index(field)]
-                    assert (w[s].ctypes.data, w[s].size) == (block.data.ctypes.data,
-                                                             block.data.size), (i, field, tag)
-        assert np.shares_memory(group.pos, flat)
-        for s, tag in enumerate(tags):
-            assert group.pos[s].ctypes.data == model.stacks[tag].pos_table.data.ctypes.data
-        run = [name for tag in tags for name in model.stacks[tag].names]
-        assert model.params.names()[-len(run):] == run
+        with pytest.raises(ValueError, match=message):
+            encoder.EncoderStack(model.params, prefixes, model.config)
 
     @pytest.mark.parametrize("writer", WRITERS)
     def test_merged_call_reads_every_write(self, seed7_corpora, monkeypatch, tmp_path, writer):
@@ -976,9 +999,9 @@ class TestOneLayoutPerStackCall:
             built.append(self)
             init(self, *parts, **kw)
 
-        def spy_layer(x, g, params, cfg, layout, blocks, weights):
+        def spy_layer(x, g, weights, inputs, cfg, layout, blocks):
             used.append(layout)
-            return layer(x, g, params, cfg, layout, blocks, weights)
+            return layer(x, g, weights, inputs, cfg, layout, blocks)
 
         monkeypatch.setattr(encoder.Layout, "__init__", spy_init)
         monkeypatch.setattr(encoder, "encoder_layer", spy_layer)
@@ -1043,16 +1066,16 @@ class TestFusedNodes:
         """The input node of one stack's call, and of the three stream stacks'
         call, which places the rows on the grid's cells."""
         model, _ = batch
-        group = model.groups[tags]
+        stack = model.merged if len(tags) > 1 else model.stacks[tags[0]]
         rng = np.random.default_rng(62)
         n_img, n_q = [3, 1, 4] * len(tags), [2, 0, 3] * len(tags)
         t_img = [ad.Tensor(rng.normal(size=(sum(n_img[:3]), 32))) for _ in tags]
         t_q = [ad.Tensor(rng.normal(size=(sum(n_q[:3]), 32))) for _ in tags]
         seps = [model.params[f"{tag}.sep"] for tag in tags]
         layout = Layout(n_img, [1] * len(n_img), n_q, split=2, groups=len(tags))
-        tensors = [*t_img, *seps, *t_q, *(s.pos_table for s in group.stacks)]
+        tensors = [*t_img, *seps, *t_q, *stack.tables]
 
-        check_node(lambda: group._input_rows([*t_img, *seps, *t_q], layout), tensors, seed=63,
+        check_node(lambda: stack._input_rows([*t_img, *seps, *t_q], layout), tensors, seed=63,
                    coords=8)
 
     @pytest.mark.parametrize("pooling", ["mean", "sep"])
