@@ -15,11 +15,9 @@ The core defers the softmax division, as FlashAttention does (arXiv
 returns (e V) / z, and its backward takes the softmax row term with a
 vecdot instead of a grid-sized product. Each way it makes 7 passes over the
 [..., n, n] score grid, against 9 with the weights normalized on the grid.
-A block with no closed cell skips the mask pass and the two dead-row guards,
-so its forward makes 6. The row max is the reduction over the last axis on
-a small block and, from COLUMN_MAX_ROWS rows per column, a running maximum
-over the columns, one call per column; a max is exact, so both give the
-same bits.
+The row max is the reduction over the last axis on a small block and, from
+COLUMN_MAX_ROWS rows per column, a running maximum over the columns, one
+call per column; a max is exact, so both give the same bits.
 
 A batch of sequences runs as one packed [N, d] matrix of all their rows:
 every row-wise step works on it unchanged, and only the attention core pads
@@ -97,9 +95,9 @@ class EncoderConfig:
 # mask broadcasts against the [..., n, n] scores. Saved intermediates make
 # the backward pass a handful of batched matmuls. One [..., n, n] array is
 # alive at a time each way, updated in place. The forward passes over it
-# are q k^T, the mask (none on an open block), the row max, the shift, exp,
-# the row sum and e V; the backward's are e^T g, g v^T, the row vecdot, the
-# subtraction, the product with e and the two products that give d_q and d_k.
+# are q k^T, the mask, the row max, the shift, exp, the row sum and e V; the
+# backward's are e^T g, g v^T, the row vecdot, the subtraction, the product
+# with e and the two products that give d_q and d_k.
 # ---------------------------------------------------------------------------
 
 
@@ -140,8 +138,7 @@ def _row_max(scores):
 
 
 def _ga_forward(q, k, v, g):
-    """``g`` broadcasts against the scores; None marks a block with no closed
-    cell, where the three mask steps are the identity and are skipped."""
+    """``g`` is a bool mask that broadcasts against the [..., n, w] scores."""
     d_k = q.shape[-1]
     scores = np.matmul(q / math.sqrt(d_k), k.swapaxes(-1, -2))
     # Stabilize over the unmasked support only, so masked tokens cannot
@@ -150,16 +147,13 @@ def _ga_forward(q, k, v, g):
     # Masked cells become -inf by a broadcast minimum (for any score but
     # NaN), which runs 2.7x faster than copyto with where= on the
     # [16, 8, 55, 55] wide-grid scores.
-    if g is not None:
-        np.minimum(scores, np.where(g, np.inf, -np.inf), out=scores)
+    np.minimum(scores, np.where(g, np.inf, -np.inf), out=scores)
     row_max = _row_max(scores)
-    if g is not None:
-        np.maximum(row_max, _LOWEST, out=row_max)  # a fully masked row stays -inf, not NaN
+    np.maximum(row_max, _LOWEST, out=row_max)  # a fully masked row stays -inf, not NaN
     scores -= row_max
     e = np.exp(scores, out=scores)  # exp(-inf) = 0: masked cells are exactly zero
     z = e.sum(axis=-1, keepdims=True)  # >= 1 on a live row: its max cell is exp(0)
-    if g is not None:
-        z = np.where(z > 0.0, z, np.inf)  # dead rows (z = 0) divide to exactly zero
+    z = np.where(z > 0.0, z, np.inf)  # dead rows (z = 0) divide to exactly zero
     # The division by z is deferred to the [..., n, d_k] rows of e V.
     out = np.matmul(e, v)
     out /= z
@@ -259,9 +253,7 @@ class Layout:
         self.sample = (np.arange(counts.size) % self.batch).repeat(counts)
         self.pos = rows - (first_row - starts.ravel()).repeat(counts)
         self.index = rows - (first_row - cells.ravel()).repeat(counts)
-        # every grid cell holds a layer row, in order: pad and unpad are reshapes
-        self.dense = groups > 1 or (len(rows) == self.batch * self.n_max
-                                    and bool((self.index == rows).all()))
+        self.dense = groups > 1  # the layer rows are the grid's cells: pad and unpad are reshapes
         self.n_rows = self.batch * self.n_max if groups > 1 else len(rows)  # layer rows
 
     def rows(self, a: np.ndarray) -> np.ndarray:
@@ -401,9 +393,7 @@ def encoder_layer(x: ad.Tensor, g: np.ndarray, weights: LayerParams,
     q, k, v = split(x3 @ w.wq), split(x3 @ w.wk), split(x3 @ w.wv)
     parts, caches = [], []
     for r, c in blocks:
-        g_b = g[:, None, r, c]
-        out_b, cache = _ga_forward(q[:, :, r], k[:, :, c], v[:, :, c],
-                                   None if g_b.all() else g_b)
+        out_b, cache = _ga_forward(q[:, :, r], k[:, :, c], v[:, :, c], g[:, None, r, c])
         parts.append(out_b)
         caches.append(cache)
     ctx = join(_assemble(q.shape, rows, parts))
@@ -587,7 +577,7 @@ def sentence_pretransform(word_tokens: ad.Tensor, lengths: Sequence[int],
 
     ``word_tokens`` packs the question words of B samples, sample after
     sample, ``lengths[b]`` counts sample b's words and ``masks[b]`` is its
-    dependency adjacency for every layer (see ``model.build_streams``). A
+    dependency adjacency for every layer (see ``model.build_plans``). A
     separate, independently parameterized stack processes the words as one
     segment; downstream alignment then treats the output as fully
     connectable.

@@ -114,20 +114,23 @@ class PreparedSample:
     plans: dict[str, np.ndarray]
 
 
-def build_streams(scene: SceneGraph, question: QuestionParse, cfg: ModelConfig
-                  ) -> tuple[dict[str, LevelData], dict[str, np.ndarray]]:
-    """The six levels of one sample, keyed by level tag, and the per-layer
-    masks of each encoder stack the sample passes: a stream's mask plan under
-    its tag, and under ``"sent"`` the dependency adjacency at every layer."""
+def build_levels(scene: SceneGraph, question: QuestionParse, cfg: ModelConfig
+                 ) -> dict[str, LevelData]:
+    """The six levels of one sample, keyed by level tag."""
     concept = ingest.merge_duplicate_concept_tokens(ingest.build_concept_level(scene))
     entity = ingest.build_entity_level(question)
     if cfg.node_reduction:
         concept = ingest.node_reduction(concept, entity)
         entity = LevelData(level="entity", labels=[])
-    levels = {lv.level: lv for lv in (concept, ingest.build_region_level(scene),
-                                      ingest.build_spatial_level(scene), entity,
-                                      ingest.build_noun_phrase_level(question),
-                                      ingest.build_sentence_level(question))}
+    return {lv.level: lv for lv in (concept, ingest.build_region_level(scene),
+                                    ingest.build_spatial_level(scene), entity,
+                                    ingest.build_noun_phrase_level(question),
+                                    ingest.build_sentence_level(question))}
+
+
+def build_plans(levels: dict[str, LevelData], cfg: ModelConfig) -> dict[str, np.ndarray]:
+    """The per-layer masks of each encoder stack a sample passes: a stream's
+    mask plan under its tag, and under ``"sent"`` the dependency adjacency."""
     plans = {}
     for tag in cfg.streams:
         img, q = levels[STREAMS[tag].image], levels[STREAMS[tag].question]
@@ -136,7 +139,13 @@ def build_streams(scene: SceneGraph, question: QuestionParse, cfg: ModelConfig
             plans["sent"] = np.broadcast_to(adj, (cfg.num_layers,) + adj.shape)
         plans[tag] = mask_plan(img, q, cfg.num_layers, cfg.use_lead_graphs,
                                cfg.sep_connect_all)
-    return levels, plans
+    return plans
+
+
+def build_streams(scene: SceneGraph, question: QuestionParse, cfg: ModelConfig):
+    """``build_levels`` and ``build_plans``, for streams of any length."""
+    levels = build_levels(scene, question, cfg)
+    return levels, build_plans(levels, cfg)
 
 
 class Model:
@@ -238,15 +247,15 @@ class Model:
 
     def prepare(self, scene: SceneGraph, question: QuestionParse,
                 answer_index: int) -> PreparedSample:
-        """Ingest one sample into its levels and per-stream mask plans.
-
-        Raises ValueError when a stream is longer than ``config.max_len``."""
-        levels, plans = build_streams(scene, question, self.config)
-        for tag in self.config.streams:
-            if (n := plans[tag].shape[-1]) > self.config.max_len:
+        """Ingest one sample into its levels and, once every stream fits
+        ``config.max_len`` (else ValueError), its per-stream mask plans."""
+        levels = build_levels(scene, question, self.config)
+        for tag in self.config.streams:  # a stream is [image tokens; SEP; question tokens]
+            n = levels[STREAMS[tag].image].n_tokens + 1 + levels[STREAMS[tag].question].n_tokens
+            if n > self.config.max_len:
                 raise ValueError(f"stream {tag} has {n} tokens, more than max_len "
                                  f"{self.config.max_len}")
-        return PreparedSample(int(answer_index), levels, plans)
+        return PreparedSample(int(answer_index), levels, build_plans(levels, self.config))
 
     # -- forward ------------------------------------------------------------
 

@@ -474,8 +474,7 @@ class TestAttentionCore:
     def test_closed_columns_cannot_reach_the_output(self, g, seed, scale):
         """Redrawing the k and v rows of every column a block closes in all its
         rows leaves the core's output bitwise unchanged on each path: the row
-        max by reduction, by columns and, on a fully open block, without the
-        mask; and every path gives the same bits."""
+        max by reduction and by columns; and both paths give the same bits."""
         rng = np.random.default_rng(seed)
         bsz, _, n, w = g.shape
         q = rng.normal(size=(bsz, 2, n, 4))
@@ -488,24 +487,20 @@ class TestAttentionCore:
         with pytest.MonkeyPatch.context() as mp:
             for rule in (0, 10**9):  # columns always, the reduction always
                 mp.setattr(encoder, "COLUMN_MAX_ROWS", rule)
-                for mask in ([g, None] if g.all() else [g]):
-                    base = encoder._ga_forward(q, k, v, mask)[0].tobytes()
-                    assert encoder._ga_forward(q, k2, v2, mask)[0].tobytes() == base
-                    outs.add(base)
+                base = encoder._ga_forward(q, k, v, g)[0].tobytes()
+                assert encoder._ga_forward(q, k2, v2, g)[0].tobytes() == base
+                outs.add(base)
         assert len(outs) == 1
 
 
 def without_fast_paths(m):
     """Under the monkeypatch context ``m``, every stack call takes the slow
     path of each fast one: each stream's stack alone, the one-segment layout
-    of its parts with every layer scoring its whole grid, the mask applied
-    on every block, open or not, and each row max taken over the last axis."""
+    of its parts with every layer scoring its whole grid, and each row max
+    taken over the last axis."""
     whole_grid(m)
     m.setattr(encoder, "MERGE_GRID_CELLS", 0)
     m.setattr(encoder, "COLUMN_MAX_ROWS", 10**9)
-    core = encoder._ga_forward
-    m.setattr(encoder, "_ga_forward", lambda q, k, v, g: core(q, k, v, np.ones(
-        q.shape[:-1] + k.shape[-2:-1], dtype=bool) if g is None else g))
 
 
 class TestFastPaths:

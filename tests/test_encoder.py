@@ -1,5 +1,6 @@
 """Masked attention semantics, the fused multi-head path, and stream encoding."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import granalign.autodiff as ad
-from granalign import encoder, ingest
+from granalign import encoder, ingest, training
+from granalign import model as model_module
 from granalign.encoder import (
     WHOLE_GRID,
     EncoderConfig,
@@ -276,9 +278,8 @@ class TestDeferredDivision:
 
 
 class TestFastPaths:
-    """The core's fast paths against the paths they replace, bitwise: the row
-    max over the columns against the reduction, and an open block (no closed
-    cell, g = None) against the masked path."""
+    """The core's fast path against the path it replaces, bitwise: the row
+    max over the columns against the reduction."""
 
     @pytest.mark.parametrize("w", [1, 2, 5, 10, 55])
     def test_column_max_is_the_reduction_at_both_edges(self, w, monkeypatch):
@@ -298,57 +299,6 @@ class TestFastPaths:
                 got = encoder._row_max(s)
                 assert got.shape == (rows, 1) and got.tobytes() == expect
                 assert not np.shares_memory(got, s)
-
-    @pytest.mark.parametrize("shape", [(1, 8, 4, 4), (1, 8, 1, 9), (16, 8, 5, 5),
-                                       (16, 8, 12, 55)])
-    def test_open_block_is_the_masked_path(self, shape):
-        """On either side of the column rule, a block with every cell open gives
-        bitwise the same output, weights, row sums and q, k, v gradients
-        without its mask as with it."""
-        rng = np.random.default_rng(sum(shape))
-        bsz, heads, n, w = shape
-        q = rng.normal(size=(bsz, heads, n, 4))
-        k, v = (rng.normal(size=(bsz, heads, w, 4)) for _ in range(2))
-        masked = _ga_forward(q, k, v, np.ones((bsz, 1, n, w), dtype=bool))
-        open_ = _ga_forward(q, k, v, None)
-        assert masked[0].tobytes() == open_[0].tobytes()
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(masked[1][3:5], open_[1][3:5]))
-        grad = rng.normal(size=masked[0].shape)
-        for a, b in zip(_ga_backward(grad, masked[1]), _ga_backward(grad, open_[1])):
-            assert a.tobytes() == b.tobytes()
-
-    def test_layer_sends_only_open_blocks_unmasked(self, monkeypatch):
-        """``encoder_layer`` passes None for exactly the scored blocks with no
-        closed cell, and its output and every gradient are bitwise those of
-        the masked path on every block."""
-        rng = np.random.default_rng(62)
-        cfg = EncoderConfig(num_layers=1, num_heads=2, d_model=8, d_ff=16)
-        layer = make_layer(rng, 8, 16)
-        x = ad.Tensor(rng.normal(size=(6, 8)))
-        w = rng.normal(size=(6, 8))
-        g = np.ones((1, 6, 6), dtype=bool)
-        g[0, 3:, :3] = False  # segment 1 rows reach segment 1 only
-        g[0, 5, 4] = False
-        blocks = encoder._blocks(True, True, False, True, 3)
-        real, seen = encoder._ga_forward, []
-
-        def run(force_mask):
-            def core(q, k, v, g_b):
-                seen.append(g_b is None)
-                if force_mask and g_b is None:
-                    g_b = np.ones(q.shape[:1] + (1,) + q.shape[2:3] + k.shape[2:3], dtype=bool)
-                return real(q, k, v, g_b)
-
-            monkeypatch.setattr(encoder, "_ga_forward", core)
-            with ad.Tape() as t:
-                out = fused_layer(x, g, layer, cfg, Layout([6]), blocks)
-                loss = weighted_sum(out, w)
-            tensors = [x] + [getattr(layer, n) for n in TestFusedLayer.LAYER_INPUTS]
-            return [out.data] + t.gradients(loss, tensors)
-
-        fast, masked = run(False), run(True)
-        assert seen == [True, False] * 2
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(fast, masked))
 
 
 class TestMultiHead:
@@ -1113,3 +1063,54 @@ class TestStackRun:
             stack.run([ad.Tensor(np.zeros((9, 8)))], layout, masks)
         with pytest.raises(ValueError, match="do not match"):
             stack.run([ad.Tensor(np.zeros((10, 8)))], layout, masks[:1])
+
+
+class TestPathTraffic:
+    """Every branch the encoder selects by size is taken by real traffic: one
+    B = 16 training step and one question on the pinned world. A branch that
+    a later change leaves unreached fails here rather than living on beside
+    the path that serves every call."""
+
+    def test_one_step_and_one_question_take_every_branch(self, small_corpus, monkeypatch):
+        train, held_out, _ = small_corpus
+        seen = set()
+
+        def spy(owner, name, labels):  # wrap owner.name; record labels(args, result)
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kw):
+                out = real(*args, **kw)
+                seen.update(labels(args, out))
+                return out
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        def pad_masks(args, _):
+            layout = args[0]
+            if layout.batch == 1:
+                return [("pad_masks", "one sequence")]
+            return [("pad_masks", "no gap" if k == layout.w0 else "gap")
+                    for k in layout.n0.tolist()]
+
+        spy(model_module, "merges", lambda args, out: [("merges", out)])
+        spy(encoder, "_row_max", lambda args, _: [("row max", "reduction" if args[0].size
+                                                   < encoder.COLUMN_MAX_ROWS
+                                                   * args[0].shape[-1] ** 2 else "columns")])
+        spy(Layout, "__init__", lambda args, _: [
+            ("layout", "one sequence" if args[0].batch == 1 else "several sequences")])
+        spy(Layout, "pad_masks", pad_masks)
+        spy(encoder, "encoder_layer", lambda args, _: [
+            ("blocks", "whole grid" if args[6] == WHOLE_GRID else "segments")])
+
+        model = training.build_model(train, {}, seed=3)
+        step = dataclasses.replace(train, samples=train.samples[:16])
+        training.Trainer(model, step, training.TrainConfig(batch_size=16)).run_epoch()
+        sample = held_out.samples[0]
+        model.forward(model.prepare(sample.scene, sample.question,
+                                    held_out.answer_index(sample.answer)))
+        assert seen == {("merges", True), ("merges", False),
+                        ("row max", "reduction"), ("row max", "columns"),
+                        ("layout", "one sequence"), ("layout", "several sequences"),
+                        ("pad_masks", "one sequence"), ("pad_masks", "gap"),
+                        ("pad_masks", "no gap"),
+                        ("blocks", "whole grid"), ("blocks", "segments")}

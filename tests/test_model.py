@@ -7,7 +7,7 @@ import pytest
 
 import granalign.autodiff as ad
 from granalign import encoder, ingest, leadgraph, training
-from granalign.data import DEFAULT_WORLD, ToyWorldSpec, gen_corpus, load_manifest
+from granalign.data import DEFAULT_WORLD, ToyWorldSpec, gen_corpus, gen_samples, load_manifest
 from granalign.encoder import EncoderConfig, Layout, encoder_layer
 from granalign.ingest import question_from_dict
 from granalign.leadgraph import layer_masks, pairs_to_matrix
@@ -215,6 +215,21 @@ class TestPrepare:
         model = Model(small_config(max_len=64), WORDS, ANSWERS, d_region=4, d_spatial=4)
         with pytest.raises(ValueError, match="stream ss has 75 tokens"):
             model.prepare(scene, question, answer_index=0)
+
+    def test_stream_is_refused_before_any_mask_plan(self, monkeypatch):
+        """A 100 x 100 grid at d_spatial 1 makes a 10,005-token ss stream.
+        ``prepare`` refuses it from its levels' lengths, with the error it
+        always gave, and builds no mask plan for any stream first."""
+        spec = ToyWorldSpec(grid_size=100, d_spatial=1)
+        sample = gen_samples(spec, 1, np.random.SeedSequence(0), "train")[0]
+        model = Model(small_config(max_len=64), WORDS, ANSWERS, spec.d_region, spec.d_spatial)
+        calls, real = [], leadgraph.mask_plan
+        monkeypatch.setattr("granalign.model.mask_plan",
+                            lambda *args, **kw: calls.append(args) or real(*args, **kw))
+        with pytest.raises(ValueError) as err:
+            model.prepare(sample.scene, sample.question, answer_index=0)
+        assert str(err.value) == "stream ss has 10005 tokens, more than max_len 64"
+        assert calls == []
 
     def test_forward_reads_plans_without_building_graphs(self, girl_dog, monkeypatch):
         model, prep = make_model(girl_dog)
