@@ -301,6 +301,60 @@ class TestFastPaths:
                 assert not np.shares_memory(got, s)
 
 
+class TestOpenBlocks:
+    """A scored block with no closed cell runs the one masked core like every
+    other block: its all-open mask leaves plain softmax attention, and the
+    layer hands it its slice of the mask."""
+
+    @pytest.mark.parametrize("shape", [(1, 8, 4, 4), (1, 8, 1, 9), (16, 8, 5, 5),
+                                       (16, 8, 12, 55)])
+    def test_open_block_is_textbook_attention(self, shape):
+        """On either side of the column rule, an all-open block's output and
+        q, k, v gradients are those of unmasked softmax attention, written
+        out from its Jacobian, to 1e-12 of their largest entry."""
+        rng = np.random.default_rng(sum(shape))
+        bsz, heads, n, w = shape
+        q = rng.normal(size=(bsz, heads, n, 4))
+        k, v = (rng.normal(size=(bsz, heads, w, 4)) for _ in range(2))
+        out, cache = _ga_forward(q, k, v, np.ones((bsz, 1, n, w), dtype=bool))
+        grad = rng.normal(size=out.shape)
+        got = _ga_backward(grad, cache)
+        s = q @ k.swapaxes(-1, -2) / 2.0  # sqrt(d_k) = 2
+        p = np.exp(s - s.max(axis=-1, keepdims=True))
+        p /= p.sum(axis=-1, keepdims=True)
+        d_p = grad @ v.swapaxes(-1, -2)
+        d_s = p * (d_p - (d_p * p).sum(axis=-1, keepdims=True))
+        expect = [p @ v, d_s @ k / 2.0, d_s.swapaxes(-1, -2) @ q / 2.0,
+                  p.swapaxes(-1, -2) @ grad]
+        for a, b in zip([out, *got], expect):
+            assert a.shape == b.shape
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    def test_layer_masks_every_block(self, monkeypatch):
+        """``encoder_layer`` passes every scored block, the open one included,
+        exactly its slice ``g[:, None, r, c]`` of the mask, never None."""
+        rng = np.random.default_rng(62)
+        cfg = EncoderConfig(num_layers=1, num_heads=2, d_model=8, d_ff=16)
+        layer = make_layer(rng, 8, 16)
+        g = np.ones((1, 6, 6), dtype=bool)
+        g[0, 3:, :3] = False  # segment 1 rows reach segment 1 only
+        g[0, 5, 4] = False
+        blocks = encoder._blocks(True, True, False, True, 3)
+        real, seen = encoder._ga_forward, []
+
+        def core(q, k, v, g_b):
+            seen.append(g_b)
+            return real(q, k, v, g_b)
+
+        monkeypatch.setattr(encoder, "_ga_forward", core)
+        fused_layer(ad.Tensor(rng.normal(size=(6, 8))), g, layer, cfg, Layout([6]), blocks)
+        assert len(seen) == len(blocks) == 2
+        for g_b, (r, c) in zip(seen, blocks):
+            assert isinstance(g_b, np.ndarray)
+            assert g_b.tobytes() == g[:, None, r, c].tobytes()
+        assert [bool(g_b.all()) for g_b in seen] == [True, False]
+
+
 class TestMultiHead:
     def test_fused_heads_match_per_head_loop(self):
         """The batched head computation equals slicing the fused projections
