@@ -18,7 +18,7 @@ from . import training
 from .data import DEFAULT_WORLD, Sample, ToyWorldSpec, load_split
 from .ingest import SchemaError, expect, from_json, read_json, read_lines
 from .leadgraph import format_grid
-from .model import STREAMS, ModelConfig, build_streams
+from .model import STREAMS, ModelConfig, build_levels, build_plans
 from .training import Trainer, TrainConfig, build_model, evaluate, gradcheck, load_checkpoint
 
 # ---------------------------------------------------------------------------
@@ -148,7 +148,9 @@ def cmd_dump_leadgraph(args) -> int:
     # a lone sample file may leave out the id and answer that a corpus holds
     doc = {"id": "", "answer": "", **expect(read_json(args.sample), dict, args.sample)}
     s = from_json(Sample, doc, args.sample, required=True)
-    levels, plans = build_streams(s.scene, s.question, ModelConfig(streams=(args.stream,)))
+    cfg = ModelConfig(streams=(args.stream,))
+    levels = build_levels(s.scene, s.question, cfg)  # of any length: no max_len check here
+    plans = build_plans(levels, cfg)
     stream = STREAMS[args.stream]
     print(f"# stream {args.stream} layer {args.layer}")
     print(f"# image_tokens {levels[stream.image].n_tokens} sep 1 "

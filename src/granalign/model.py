@@ -18,6 +18,9 @@ matrix per stack call (see ``encoder.Layout``): the three stream stacks as
 one call while its padded grid is small (one question of the pinned world),
 else each alone. It returns each stream's rows and the matrix that pools
 them, so ``fuse`` pools the row mean and the SEP row alike.
+
+A ``Model`` is built from its config, vocabularies, feature widths and seed
+alone, and reads no file: ``training.build_model`` writes word vectors into it.
 """
 
 from __future__ import annotations
@@ -142,19 +145,12 @@ def build_plans(levels: dict[str, LevelData], cfg: ModelConfig) -> dict[str, np.
     return plans
 
 
-def build_streams(scene: SceneGraph, question: QuestionParse, cfg: ModelConfig):
-    """``build_levels`` and ``build_plans``, for streams of any length."""
-    levels = build_levels(scene, question, cfg)
-    return levels, build_plans(levels, cfg)
-
-
 class Model:
     """The full model: parameters plus the forward/fuse/loss/predict pipeline."""
 
     def __init__(self, config: ModelConfig, word_vocab: Sequence[str],
                  answer_vocab: Sequence[str], d_region: int, d_spatial: int,
-                 seed: int | None = 0, word_vector_file=None,
-                 layout: Sequence[tuple[str, list[int]]] | None = None):
+                 seed: int | None = 0, layout: Sequence[tuple[str, list[int]]] | None = None):
         self.config = config
         self.vocab = Vocab(word_vocab)
         self.answer_vocab = list(answer_vocab)
@@ -162,10 +158,6 @@ class Model:
             raise ValueError("answer vocabulary is empty")
         self.d_region = int(d_region)
         self.d_spatial = int(d_spatial)
-        words, vectors = [], np.zeros((0, config.d_emb))
-        if word_vector_file is not None:
-            words, vectors = ingest.load_word_vectors(word_vector_file)
-        self.d_emb = vectors.shape[1]
         # every check on the declared blocks runs before the first draw
         blocks = list(self._blocks())
         ingest.check_size("a model's parameter count",
@@ -186,12 +178,6 @@ class Model:
         # is drawn: a checkpoint load fills every value
         self.params = ad.Parameters(blocks, None if seed is None else np.random.default_rng(seed),
                                     [name for name, _, _ in placed])
-        # the word vectors replace the random rows of the words they cover
-        table = self.params["embed.table"].data
-        by_word = {w: i for i, w in enumerate(words)}
-        for i, w in enumerate(self.vocab.words):
-            if w in by_word:
-                table[i + 1] = vectors[by_word[w]]
         # each stack alone, and the stream stacks as one call
         self.stacks: dict[str, EncoderStack] = {}
         for tag in config.streams:
@@ -213,12 +199,12 @@ class Model:
         d, c = cfg.d_model, self.n_answers
 
         def mlp(prefix):
-            return [(f"{prefix}.w1", (self.d_emb, d), "linear"),
+            return [(f"{prefix}.w1", (cfg.d_emb, d), "linear"),
                     (f"{prefix}.b1", (d,), "zeros"),
                     (f"{prefix}.w2", (d, d), "linear"),
                     (f"{prefix}.b2", (d,), "zeros")]
 
-        yield "embed.table", (self.vocab.size, self.d_emb), "embed"
+        yield "embed.table", (self.vocab.size, cfg.d_emb), "embed"
         feature_dims = {"region": self.d_region, "spatial": self.d_spatial}
         for tag in cfg.streams:
             s = STREAMS[tag]

@@ -3,7 +3,8 @@
 All arithmetic is 64-bit and deterministic given (seed, config, data):
 shuffling uses a dedicated generator, each minibatch runs as one forward
 pass on one tape, and the metric log is one sorted-key JSON object per
-epoch.
+epoch. ``build_model`` is the one path from a corpus and a config to a model;
+it reads the word-vector file, whose width is the model's ``d_emb``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import Dataset, load_split
-from .ingest import SchemaError, check_bound, from_json, to_json
+from .ingest import SchemaError, check_bound, from_json, load_word_vectors, to_json
 from .model import LogitsBundle, Model, ModelConfig, PreparedSample
 
 # samples per forward pass in evaluate: a forward pays ~1.9 ms of fixed cost
@@ -109,10 +110,10 @@ def loss_value(model: Model, prep: PreparedSample) -> float:
     return float(model.loss(bundle, prep.answer_index).data)
 
 
-def _clip(params: ad.Parameters, g: np.ndarray, max_norm: float) -> None:
+def _clip(g: np.ndarray, max_norm: float) -> None:
     """Scale the flat gradient ``g`` in place to norm at most ``max_norm``. The
-    norm sums block by block, so its rounding is that of the per-block path."""
-    total = np.sqrt(sum(float(np.sum(b * b)) for b in params.views(g).values()))
+    norm is one pairwise ``np.sum``, not a BLAS dot, so no thread count moves it."""
+    total = np.sqrt(np.sum(g * g))
     if total > max_norm:
         g *= max_norm / total
 
@@ -181,7 +182,7 @@ class Trainer:
                 loss_sum += value
             _accuracy_update(counts, bundle, answers, bundle.averaged_argmax())
             if cfg.grad_clip is not None:
-                _clip(model.params, g, cfg.grad_clip)
+                _clip(g, cfg.grad_clip)
             self.optimizer.step(g)
         self.epoch += 1
         return {"epoch": self.epoch, **_metrics(loss_sum, counts, len(self.prepared))}
@@ -309,9 +310,18 @@ def gradcheck(model: Model, prep: PreparedSample, step: float = 1e-5,
 
 
 def build_model(dataset: Dataset, model_kw: dict, seed: int, word_vectors=None) -> Model:
-    """A fresh seeded model for ``dataset``'s vocabularies and feature widths."""
-    return Model(ModelConfig(**model_kw), dataset.word_vocab, dataset.answer_vocab,
-                 dataset.d_region, dataset.d_spatial, seed=seed, word_vector_file=word_vectors)
+    """A fresh seeded model for ``dataset``'s vocabularies and feature widths. A word-vector
+    file sets ``d_emb`` to its width, and its vectors replace its words' drawn rows."""
+    cfg = ModelConfig(**model_kw)
+    words, vectors = ([], None) if word_vectors is None else load_word_vectors(word_vectors)
+    model = Model(cfg if vectors is None else dataclasses.replace(cfg, d_emb=vectors.shape[1]),
+                  dataset.word_vocab, dataset.answer_vocab, dataset.d_region, dataset.d_spatial,
+                  seed=seed)
+    table, by_word = model.params["embed.table"].data, {w: i for i, w in enumerate(words)}
+    for i, w in enumerate(model.vocab.words):
+        if w in by_word:
+            table[i + 1] = vectors[by_word[w]]
+    return model
 
 
 ABLATION_VARIANTS = (
@@ -369,7 +379,7 @@ def format_ablation_table(rows: list[dict]) -> str:
 # ---------------------------------------------------------------------------
 
 CKPT_MAGIC = b"GALN"
-CKPT_VERSION = 3  # 3: the stream stacks' blocks lie last, one run (see model.Model)
+CKPT_VERSION = 4  # 3: the stream stacks' blocks lie last, one run; 4: d_emb only in model_config
 SECTIONS = ("parameter", "optimizer first-moment", "optimizer second-moment")  # in file order
 
 
@@ -382,7 +392,7 @@ def save_checkpoint(path: str, model: Model, optimizer: Adam | None = None) -> N
     written and synced, so a failed or interrupted save leaves the old file whole.
     """
     header = Header(model.config, model.vocab.words, model.answer_vocab, model.d_region,
-                    model.d_spatial, model.d_emb,
+                    model.d_spatial,
                     [Block(n, list(t.data.shape)) for n, t in model.params.items()],
                     None if optimizer is None else AdamState(optimizer.lr, optimizer.step_count))
     blob = json.dumps(to_json(header), sort_keys=True).encode("utf-8")
@@ -428,20 +438,16 @@ class AdamState:
 
 @dataclass
 class Header:
-    """A checkpoint's JSON header: its blocks in file order, and ``d_emb`` the
-    model's, which a word-vector file sets apart from ``model_config``'s."""
+    """A checkpoint's JSON header: what ``Model`` is built from, and its blocks
+    in file order."""
 
     model_config: ModelConfig
     word_vocab: list[str]
     answer_vocab: list[str]
     d_region: int
     d_spatial: int
-    d_emb: int
     blocks: list[Block]
     optimizer: AdamState | None
-
-    def __post_init__(self):
-        check_bound("d_emb", self.d_emb, 1)
 
 
 def _model_from_header(doc, left: int) -> tuple[Model, Adam | None]:
@@ -458,10 +464,9 @@ def _model_from_header(doc, left: int) -> tuple[Model, Adam | None]:
         section, at = divmod(left // 8, ends[-1])
         raise ValueError(f"truncated checkpoint: file ends inside the {SECTIONS[section]} "
                          f"block {h.blocks[bisect.bisect_right(ends, at)].name}")
-    # the top-level d_emb wins; nothing is drawn, as the file holds every value
-    model = Model(dataclasses.replace(h.model_config, d_emb=h.d_emb), h.word_vocab,
-                  h.answer_vocab, h.d_region, h.d_spatial, seed=None,
-                  layout=[(b.name, b.shape) for b in h.blocks])
+    # nothing is drawn, as the file holds every value
+    model = Model(h.model_config, h.word_vocab, h.answer_vocab, h.d_region, h.d_spatial,
+                  seed=None, layout=[(b.name, b.shape) for b in h.blocks])
     if h.optimizer is None:
         return model, None
     optimizer = Adam(model.params, h.optimizer.lr)

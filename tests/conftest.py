@@ -31,6 +31,14 @@ def fixture_path(name: str) -> str:
     return os.path.join(FIXTURES, name)
 
 
+def built_model(config: dict, words, answers, word_vectors=None, d_region=4, d_spatial=4,
+                seed=0):
+    """``training.build_model`` for these vocabularies and feature widths and no
+    corpus, with the word-vector file ``word_vectors`` if one is given."""
+    vocab = ga.Dataset([], list(words), list(answers), d_region, d_spatial, grid_size=1)
+    return training.build_model(vocab, config, seed, word_vectors)
+
+
 def load_fixture(name: str) -> dict:
     with open(fixture_path(name), "r", encoding="utf-8") as f:
         return json.load(f)

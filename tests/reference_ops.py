@@ -42,7 +42,7 @@ import granalign.autodiff as ad
 from granalign import encoder
 from granalign.data import load_manifest
 from granalign.encoder import EPS_NORM
-from granalign.ingest import LevelData
+from granalign.ingest import LevelData, load_word_vectors
 from granalign.model import STREAMS, LogitsBundle, Model, ModelConfig
 from granalign.training import ABLATION_VARIANTS, Trainer, TrainConfig, evaluate
 
@@ -495,9 +495,16 @@ def ablation_rows(data_dir: str, model_kw: dict, train_kw: dict,
         eval_ds = load_manifest(os.path.join(d, "eval.json"))
         for name, patch in variants:
             cfg = TrainConfig(**train_kw)
-            model = Model(ModelConfig(**{**model_kw, **patch}), train_ds.word_vocab,
-                          train_ds.answer_vocab, train_ds.d_region, train_ds.d_spatial,
-                          seed=cfg.seed, word_vector_file=word_vector_file)
+            config = ModelConfig(**{**model_kw, **patch})
+            if word_vector_file is not None:  # the file's width is the model's
+                words, table = load_word_vectors(word_vector_file)
+                config = dataclasses.replace(config, d_emb=table.shape[1])
+            model = Model(config, train_ds.word_vocab, train_ds.answer_vocab,
+                          train_ds.d_region, train_ds.d_spatial, seed=cfg.seed)
+            if word_vector_file is not None:  # each file word's row, if the vocabulary has it
+                for word, vector in zip(words, table):
+                    if word in model.vocab.words:
+                        model.params["embed.table"].data[model.vocab.words.index(word) + 1] = vector
             train = Trainer(model, train_ds, cfg).fit()[-1]
             report = evaluate(model, eval_ds)
             rows.append({"variant": name + suffix, "train_acc": train["acc_avg"],
@@ -514,7 +521,6 @@ def checkpoint_header(model: Model, optimizer=None) -> dict:
         "answer_vocab": list(model.answer_vocab),
         "d_region": model.d_region,
         "d_spatial": model.d_spatial,
-        "d_emb": model.d_emb,
         "blocks": [{"name": n, "shape": list(t.data.shape)} for n, t in model.params.items()],
         "optimizer": None,
     }

@@ -352,19 +352,22 @@ class TestTrainEval:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_version_2_checkpoint_exits_one(self, cli_corpus, cli_config, tmp_path, capsys):
-        """A checkpoint of version 2, whose blocks lie in declaration order, is
-        refused by its version: one error line, no traceback."""
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_older_checkpoint_version_exits_one(self, cli_corpus, cli_config, tmp_path, capsys,
+                                                version):
+        """A checkpoint of an older version (2: blocks in declaration order; 3: a
+        top-level d_emb beside model_config's) is refused by its version: one
+        error line, no traceback."""
         ckpt = tmp_path / "model.ckpt"
         main(["train", "--data", str(cli_corpus), "--config", cli_config, "--out", str(ckpt)])
         blob = ckpt.read_bytes()
-        assert struct.unpack("<I", blob[4:8]) == (training.CKPT_VERSION,) == (3,)
-        ckpt.write_bytes(blob[:4] + struct.pack("<I", 2) + blob[8:])
+        assert struct.unpack("<I", blob[4:8]) == (training.CKPT_VERSION,) == (4,)
+        ckpt.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
         capsys.readouterr()
         rc = main(["eval", "--data", str(cli_corpus), "--ckpt", str(ckpt)])
         captured = capsys.readouterr()
         assert (rc, captured.out) == (1, "")
-        assert captured.err == f"error: {ckpt}: unsupported checkpoint version 2\n"
+        assert captured.err == f"error: {ckpt}: unsupported checkpoint version {version}\n"
 
     @pytest.mark.parametrize("damage", ["no_d_emb", "trailing", "truncated", "bad_optimizer",
                                         "zero_d_emb"])
@@ -378,9 +381,9 @@ class TestTrainEval:
             (hlen,) = struct.unpack("<Q", blob[8:16])
             header = json.loads(blob[16:16 + hlen])
             if damage == "no_d_emb":
-                del header["d_emb"]
+                del header["model_config"]["d_emb"]
             elif damage == "zero_d_emb":
-                header["d_emb"] = 0
+                header["model_config"]["d_emb"] = 0
             else:
                 header["optimizer"].update(lr=-1.0)
             raw = json.dumps(header).encode()
@@ -395,6 +398,8 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith(f"error: {ckpt}: ") and "Traceback" not in err
+        if damage == "no_d_emb":
+            assert "missing field 'd_emb'" in err
         if damage == "zero_d_emb":
             assert "d_emb must be >= 1, got 0" in err
 
@@ -515,6 +520,35 @@ class TestGradcheckCommand:
         assert "FAIL fuse.ga.head_b max_rel_err=nan " in out
         passed, total = out.splitlines()[-1].split()[0].split("/")
         assert int(passed) < int(total)
+
+    @pytest.mark.parametrize("at_init", [True, False], ids=["at-init", "generic-point"])
+    def test_at_init_checks_the_training_draw(self, tmp_path, monkeypatch, capsys, at_init):
+        """``--at-init`` checks the seeded draw, and the default the generic point
+        drawn over it; either prints every block once and exits 1 exactly when a
+        block fails."""
+        train_path, _ = gen_corpus(DEFAULT_WORLD, 4, 2, 1, str(tmp_path / "data"))
+        model_kw = dict(d_model=8, d_emb=8, num_heads=2, num_layers=2, d_ff=16)
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in model_kw.items()))
+        seeds, point = [], training.generic_parameter_point
+
+        def spy(model, seed):
+            seeds.append(seed)
+            point(model, seed=seed)
+
+        monkeypatch.setattr(training, "generic_parameter_point", spy)
+        rc = main(["gradcheck", "--data", str(tmp_path / "data"), "--config", str(cfg),
+                   *["--at-init"] * at_init])
+        captured = capsys.readouterr()
+        *body, last = captured.out.splitlines()
+        names = training.build_model(load_manifest(train_path), model_kw, 0).params.names()
+        assert [line.split()[1] for line in body] == names
+        failed = sum(line.startswith("FAIL ") for line in body)
+        assert all(line.startswith(("PASS ", "FAIL ")) for line in body)
+        assert last == f"{len(names) - failed}/{len(names)} parameter blocks passed"
+        assert rc == (1 if failed else 0)
+        assert seeds == ([] if at_init else [123])
+        assert captured.err == ""
 
     def test_sample_index_out_of_range(self, cli_corpus, capsys):
         rc = main(["gradcheck", "--data", str(cli_corpus), "--sample", "99"])

@@ -39,7 +39,7 @@ from granalign.ingest import (
 )
 from granalign.model import Model, ModelConfig
 from granalign.training import Adam, TrainConfig
-from conftest import fixture_path, level_graph
+from conftest import built_model, fixture_path, level_graph
 import reference_ops as refops
 from test_contract import SETTINGS
 
@@ -465,8 +465,8 @@ class TestWordVectors:
         _, vectors = load_word_vectors(p)
         assert np.abs(vectors).max() == ingest.FEATURE_LIMIT
         scene, question = girl_dog
-        model = Model(ModelConfig(d_model=8, num_heads=2, d_ff=16), ["girl", "dog", "brown"],
-                      ["brown", "yes"], d_region=4, d_spatial=4, word_vector_file=p)
+        model = built_model(dict(d_model=8, num_heads=2, d_ff=16), ["girl", "dog", "brown"],
+                            ["brown", "yes"], p)
         bundle = model.forward(model.prepare(scene, question, answer_index=0))
         assert all(np.isfinite(logits.data).all() for logits in bundle.all_logits().values())
 

@@ -16,7 +16,7 @@ from granalign.leadgraph import (
     mask_plan,
     pairs_to_matrix,
 )
-from granalign.model import ModelConfig, build_streams
+from granalign.model import ModelConfig, build_levels, build_plans
 from conftest import append_sep_mask, level_graph, mask_for_layer, parse_grid
 
 ORACLE_SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
@@ -195,7 +195,7 @@ class TestCommittedDigest:
             cfg = ModelConfig(num_layers=num_layers, use_lead_graphs=use,
                               node_reduction=reduce, sep_connect_all=connect_all)
             for s in samples:
-                _, plans = build_streams(s.scene, s.question, cfg)
+                plans = build_plans(build_levels(s.scene, s.question, cfg), cfg)
                 for name in sorted(plans):
                     self.update(h, name, plans[name])
         assert h.hexdigest() == self.PLANS

@@ -15,25 +15,24 @@ from granalign.model import HEADS, STREAMS, LogitsBundle, Model, ModelConfig
 from granalign.training import (ABLATION_VARIANTS, Adam, generic_parameter_point,
                                 load_checkpoint, save_checkpoint)
 import reference_ops as refops
-from conftest import (append_sep_mask, fd_gradient, fixture_path, level_graph, reference_batch,
-                      rel_err, weighted_sum, whole_grid)
+from conftest import (append_sep_mask, built_model, fd_gradient, fixture_path, level_graph,
+                      reference_batch, rel_err, weighted_sum, whole_grid)
 
 WORDS = ["what", "color", "is", "the", "there", "a",
          "girl", "dog", "brown", "left", "right"]
 ANSWERS = ["brown", "red", "yes", "no"]
 
 
+SMALL = dict(d_model=8, d_emb=8, num_heads=2, num_layers=3, d_ff=16, max_len=32)
+
+
 def small_config(**kw):
-    base = dict(d_model=8, d_emb=8, num_heads=2, num_layers=3, d_ff=16, max_len=32)
-    base.update(kw)
-    return ModelConfig(**base)
+    return ModelConfig(**{**SMALL, **kw})
 
 
-def make_model(girl_dog, seed=0, word_vector_file=None, **cfg_kw):
+def make_model(girl_dog, seed=0, **cfg_kw):
     scene, question = girl_dog
-    model = Model(small_config(**cfg_kw), WORDS, ANSWERS,
-                  d_region=4, d_spatial=4, seed=seed,
-                  word_vector_file=word_vector_file)
+    model = Model(small_config(**cfg_kw), WORDS, ANSWERS, d_region=4, d_spatial=4, seed=seed)
     prep = model.prepare(scene, question, answer_index=0)
     return model, prep
 
@@ -94,14 +93,13 @@ class TestParameterDraw:
                              ids=["default", "ce-only", "word-vectors"])
     def test_flat_matches_the_incremental_draw(self, streams, vectors):
         path = vectors and fixture_path(vectors)
-        model = Model(ModelConfig(streams=streams), WORDS, ANSWERS, d_region=4, d_spatial=4,
-                      seed=3, word_vector_file=path)
+        model = built_model({"streams": streams}, WORDS, ANSWERS, path, seed=3)
         rows = {}
         if path:
             words, table = ingest.load_word_vectors(path)
             rows = {i + 1: table[words.index(w)] for i, w in enumerate(model.vocab.words)
                     if w in words}
-            assert rows
+            assert rows and model.config.d_emb == table.shape[1] == 3
         ref = refops.incremental_draw(list(model._blocks()), np.random.default_rng(3), rows,
                                       model.params.names())
         assert model.params.flat.tobytes() == ref.tobytes()
@@ -463,18 +461,20 @@ class TestVariants:
                 assert np.abs(got[tag].data - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_word_vector_file_seeds_embedding_rows(self, girl_dog):
-        path = fixture_path("wordvecs.txt")
-        model, prep = make_model(girl_dog, word_vector_file=path)
-        assert model.d_emb == 3
+        """The file's width is the config's d_emb, whatever the config said."""
+        model = built_model(SMALL, WORDS, ANSWERS, fixture_path("wordvecs.txt"))
+        prep = model.prepare(*girl_dog, answer_index=0)
+        assert SMALL["d_emb"] != model.config.d_emb == 3
+        assert model.params["embed.table"].data.shape == (model.vocab.size, 3)
         row = model.params["embed.table"].data[WORDS.index("dog") + 1]
         np.testing.assert_allclose(row, [0.1, 0.2, 0.3], atol=1e-12)
         bundle = model.forward(prep)
         assert bundle.f_ga.data.shape == (len(ANSWERS),)
 
     def test_word_vectors_change_only_the_matched_embedding_rows(self, girl_dog):
-        path = fixture_path("wordvecs.txt")
-        seeded, _ = make_model(girl_dog, seed=4, word_vector_file=path)
+        seeded = built_model(SMALL, WORDS, ANSWERS, fixture_path("wordvecs.txt"), seed=4)
         plain, _ = make_model(girl_dog, seed=4, d_emb=3)
+        assert seeded.config == plain.config
         for name, t in plain.params.items():
             if name != "embed.table":
                 assert seeded.params[name].data.tobytes() == t.data.tobytes(), name
@@ -968,8 +968,7 @@ class TestMergedWeights:
             generic_parameter_point(model, seed=5)
         else:
             ds = seed7_corpora["pinned"]
-            model = Model(ModelConfig(), ds.word_vocab, ds.answer_vocab, ds.d_region,
-                          ds.d_spatial, seed=1, word_vector_file=fixture_path("wordvecs.txt"))
+            model = training.build_model(ds, {}, 1, fixture_path("wordvecs.txt"))
         merged = assert_merged_reads_the_parameters(model, prep, monkeypatch).f_ga.data
         if writer in ("adam-step", "generic-point"):
             assert np.abs(merged - before).max() > 1e-3  # the write moved the logits

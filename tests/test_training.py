@@ -27,7 +27,7 @@ from granalign.training import (
     save_checkpoint,
 )
 import reference_ops as refops
-from conftest import TextbookAdam, fixture_path
+from conftest import TextbookAdam, built_model, fixture_path
 
 WORDS = ["what", "color", "is", "the", "there", "a",
          "girl", "dog", "brown", "left", "right"]
@@ -236,8 +236,9 @@ class TestTrainer:
 
     def test_clipped_run_is_bitwise_the_per_block_reference(self, girl_dog):
         """Two clipped epochs against the per-block path: one gradient per
-        block, the norm summed block by block, each block scaled on its own,
-        and the textbook Adam."""
+        block, the norm of all of them end to end in the parameters' order
+        (one pairwise sum), each block scaled on its own, and the textbook
+        Adam."""
         ds = tiny_dataset(girl_dog)
         ds.samples = ds.samples * 3
         cfg = TrainConfig(batch_size=4, epochs=2, seed=3, lr=1e-2, grad_clip=4.0)
@@ -258,13 +259,35 @@ class TestTrainer:
                     loss = refops.scale(refops.sum_all(losses), 1.0 / len(batch))
                 grads = dict(zip(model.params.names(),
                                  tape.gradients(loss, model.params.tensors())))
-                norms.append(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+                flat = np.concatenate(list(grads.values()), axis=None)
+                norms.append(np.sqrt(np.sum(flat * flat)))
                 if norms[-1] > cfg.grad_clip:
                     grads = {n: g * (cfg.grad_clip / norms[-1]) for n, g in grads.items()}
                 ref.step(grads)
         assert min(norms) < cfg.grad_clip < max(norms)  # some steps clip, some do not
         for (name, t), fast in zip(model.params.items(), trainer.model.params.tensors()):
             assert fast.data.tobytes() == t.data.tobytes(), name
+
+
+class TestClip:
+    @pytest.mark.parametrize("scale", [1e-6, 0.3, 1.0 - 1e-9, 1e6])
+    def test_clipped_norm_is_the_bound(self, scale):
+        """Scaled to ``max_norm`` within 1e-12 relative, its direction kept."""
+        g = np.random.default_rng(2).standard_normal(177_960)  # the default model's size
+        norm = np.sqrt(np.sum(g * g))
+        max_norm = scale * norm if scale < 1 else norm / scale
+        clipped = g.copy()
+        training._clip(clipped, max_norm)
+        assert abs(np.sqrt(np.sum(clipped * clipped)) - max_norm) <= 1e-12 * max_norm
+        assert clipped.tobytes() == (g * (max_norm / norm)).tobytes()
+
+    @pytest.mark.parametrize("over", [1.0, 1.5, 1e300])
+    def test_gradient_within_the_bound_is_unchanged(self, over):
+        g = np.random.default_rng(3).standard_normal(1001) * 1e-3
+        max_norm = over * np.sqrt(np.sum(g * g))
+        kept = g.copy()
+        training._clip(kept, max_norm)
+        assert kept.tobytes() == g.tobytes()
 
 
 class TestDeterminism:
@@ -512,7 +535,7 @@ class TestCheckpoint:
         assert json.loads(header)["blocks"] == [{"name": n, "shape": list(t.data.shape)}
                                                 for n, t in params.items()]
         assert json.loads(header)["optimizer"] == {"lr": 1e-3, "step": 1}
-        reference = b"GALN" + struct.pack("<I", 3) + struct.pack("<Q", hlen) + header
+        reference = b"GALN" + struct.pack("<I", 4) + struct.pack("<Q", hlen) + header
         reference += b"".join(t.data.astype("<f8").tobytes() for t in params.tensors())
         reference += b"".join(moments[n].astype("<f8").tobytes()
                               for moments in (opt.m, opt.v) for n in params.names())
@@ -586,13 +609,13 @@ class TestHeaderBytes:
     @pytest.mark.parametrize("case", ["optimizer", "no optimizer", "word vectors", "ce only"])
     def test_header_is_the_field_by_field_header(self, tmp_path, case):
         """The ``Header`` record is written byte for byte as the header was
-        written field by field; a word-vector file sets the top-level d_emb
-        apart from ``model_config``'s, and loading keeps the top-level one."""
+        written field by field, and loading gives back the saved model's config;
+        with a word-vector file its ``d_emb`` is the file's width."""
         vectors = fixture_path("wordvecs.txt") if case == "word vectors" else None
-        model = Model(ModelConfig(d_model=8, d_emb=8, num_heads=2, num_layers=2, d_ff=16,
-                                  max_len=32, **({"streams": ("ce",)} if case == "ce only"
-                                                 else {})),
-                      WORDS, ANSWERS, d_region=4, d_spatial=4, seed=0, word_vector_file=vectors)
+        model = built_model(dict(d_model=8, d_emb=8, num_heads=2, num_layers=2, d_ff=16,
+                                 max_len=32, **({"streams": ("ce",)} if case == "ce only"
+                                                else {})),
+                            WORDS, ANSWERS, vectors)
         optimizer = None if case == "no optimizer" else Adam(model.params, 1e-3)
         if optimizer is not None:
             optimizer.step_count = 3
@@ -603,11 +626,12 @@ class TestHeaderBytes:
         want = json.dumps(refops.checkpoint_header(model, optimizer), sort_keys=True)
         assert blob[16:16 + hlen] == want.encode("utf-8")
         loaded, opt = load_checkpoint(str(path))
-        assert (loaded.d_emb, loaded.config) == (model.d_emb, dataclasses.replace(
-            model.config, d_emb=model.d_emb))
+        assert loaded.config == model.config
+        assert loaded.params.flat.tobytes() == model.params.flat.tobytes()
         assert (opt is None) == (optimizer is None)
+        assert "d_emb" not in json.loads(blob[16:16 + hlen])
         if case == "word vectors":
-            assert model.d_emb == 3 != model.config.d_emb
+            assert model.config.d_emb == model.params["embed.table"].data.shape[1] == 3
 
 
 class TestStrictCheckpoint:
@@ -632,8 +656,14 @@ class TestStrictCheckpoint:
 
     def test_missing_d_emb(self, saved):
         tmp_path, blob, _, _ = saved
-        self.rejects(tmp_path, write_header(blob, lambda h: h.pop("d_emb")),
-                     "checkpoint header: missing field 'd_emb'")
+        self.rejects(tmp_path, write_header(blob, lambda h: h["model_config"].pop("d_emb")),
+                     "checkpoint header: model_config: missing field 'd_emb'")
+
+    def test_top_level_d_emb_is_an_unknown_field(self, saved):
+        """Since version 4 the header states d_emb once, in model_config."""
+        tmp_path, blob, _, _ = saved
+        self.rejects(tmp_path, write_header(blob, lambda h: h.update(d_emb=8)),
+                     r"checkpoint header: unknown fields \['d_emb'\]")
 
     def test_trailing_bytes(self, saved):
         tmp_path, blob, _, _ = saved
